@@ -15,6 +15,7 @@
 #include "core/raw_baseline.h"
 #include "exec/filter.h"
 #include "exec/hash_join.h"
+#include "exec/parallel.h"
 #include "exec/projection.h"
 #include "rel/expression.h"
 #include "sql/session.h"
@@ -124,9 +125,17 @@ void BM_JoinSummaryVsRaw(benchmark::State& state) {
     auto right = Check(engine->MakeScan("birds", "r", use_summaries), "scan");
     size_t lf = Check(left->OutputSchema().IndexOf("l.family"), "col");
     size_t rf = Check(right->OutputSchema().IndexOf("r.family"), "col");
-    auto join = std::make_unique<exec::HashJoinOperator>(
-        std::move(left), std::move(right), rel::MakeColumn(lf, "l.family"),
-        rel::MakeColumn(rf, "r.family"));
+    // The planner's one-worker join: a Gather(1) over a probe of `left`
+    // against a build of `right`.
+    auto build = std::make_shared<exec::HashJoinBuildState>(
+        std::move(right), rel::MakeColumn(rf, "r.family"), /*num_partitions=*/1,
+        /*pool=*/nullptr);
+    std::vector<std::unique_ptr<exec::Operator>> workers;
+    workers.push_back(std::make_unique<exec::HashJoinProbeOperator>(
+        std::move(left), build, rel::MakeColumn(lf, "l.family"), /*expose_build=*/true));
+    auto join = std::make_unique<exec::GatherOperator>(
+        std::move(workers), std::vector<std::shared_ptr<exec::SharedPlanState>>{build},
+        /*pool=*/nullptr);
     Check(join->Open(), "open");
     core::AnnotatedTuple t;
     size_t rows = 0;

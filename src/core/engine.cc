@@ -8,7 +8,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "core/recovery.h"
-#include "exec/seq_scan.h"
+#include "exec/parallel.h"
 #include "rel/stats.h"
 #include "storage/wal.h"  // storage::FsyncDirOf
 
@@ -1113,8 +1113,15 @@ Result<std::unique_ptr<exec::Operator>> Engine::MakeScan(const std::string& tabl
                                                          const std::string& alias,
                                                          bool with_summaries) {
   INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * t, catalog_->GetTable(table));
-  return std::unique_ptr<exec::Operator>(std::make_unique<exec::SeqScanOperator>(
-      t, alias.empty() ? table : alias, manager_.get(), store_.get(), with_summaries));
+  // A one-worker section over the table, run inline (no pool).
+  auto source = std::make_shared<exec::ScanMorselSource>(
+      t, alias.empty() ? table : alias, manager_.get(), store_.get(), with_summaries,
+      exec::kDefaultBatchSize);
+  std::vector<std::unique_ptr<exec::Operator>> workers;
+  workers.push_back(std::make_unique<exec::MorselScanOperator>(source));
+  return std::unique_ptr<exec::Operator>(std::make_unique<exec::GatherOperator>(
+      std::move(workers), std::vector<std::shared_ptr<exec::SharedPlanState>>{source},
+      /*pool=*/nullptr));
 }
 
 uint64_t Engine::EpochKeyOf(const StoredQuery& stored) {

@@ -295,7 +295,8 @@ class Engine {
   Result<QueryResult> Execute(std::unique_ptr<exec::Operator> plan,
                               ExecuteOptions options);
 
-  /// Builds a summary-aware scan over `table`.
+  /// Builds a summary-aware scan over `table`: a one-worker section
+  /// (Gather(1) over a SeqScan), the same scan every SELECT plan runs.
   Result<std::unique_ptr<exec::Operator>> MakeScan(const std::string& table,
                                                    const std::string& alias = "",
                                                    bool with_summaries = true);
@@ -311,7 +312,7 @@ class Engine {
   Result<rel::Schema> SchemaOf(QueryId qid) const;
 
   /// Returns the query-execution pool with `num_threads` workers, building
-  /// it on first use. Used by the planner's parallel section
+  /// it on first use. Used by the planner's multi-worker sections
   /// (exec::GatherOperator). Pools are cached per size and never destroyed
   /// while the engine lives, so plans retained for zoom-in re-execution
   /// keep valid pool pointers even as other sessions request different

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "rel/index.h"
+#include "rel/value.h"
 
 namespace insightnotes::core {
 

@@ -22,11 +22,17 @@ void HashJoinBuildState::AttachQueryContext(
   context_ = std::move(context);
 }
 
-Status HashJoinBuildState::Reset() {
-  rows_.clear();
-  keys_.clear();
-  hashes_.clear();
+void HashJoinBuildState::Release() {
+  // Swap, not clear: the capacity goes too.
+  std::vector<core::AnnotatedTuple>().swap(rows_);
+  std::vector<rel::Value>().swap(keys_);
+  std::vector<size_t>().swap(hashes_);
+  std::vector<PartitionMap>().swap(partitions_);
   build_reservation_.ReleaseAll();
+}
+
+Status HashJoinBuildState::Reset() {
+  Release();
   INSIGHTNOTES_RETURN_IF_ERROR(input_->Open());
   rows_.reserve(input_->EstimatedRows());
   core::AnnotatedBatch batch;
@@ -172,50 +178,6 @@ Result<bool> HashJoinProbeOperator::NextImpl(core::AnnotatedTuple* out) {
   }
   *out = std::move(pending_.tuples[pending_pos_++]);
   return true;
-}
-
-HashJoinOperator::HashJoinOperator(std::unique_ptr<Operator> left,
-                                   std::unique_ptr<Operator> right,
-                                   rel::ExprPtr left_key, rel::ExprPtr right_key)
-    : left_(std::move(left)),
-      left_key_(std::move(left_key)),
-      state_(std::make_shared<HashJoinBuildState>(std::move(right),
-                                                  std::move(right_key),
-                                                  /*num_partitions=*/1,
-                                                  /*pool=*/nullptr)),
-      schema_(rel::Schema::Concat(left_->OutputSchema(), state_->schema())) {}
-
-Status HashJoinOperator::OpenImpl() {
-  INSIGHTNOTES_RETURN_IF_ERROR(left_->Open());
-  INSIGHTNOTES_RETURN_IF_ERROR(state_->Reset());
-  matches_ = nullptr;
-  match_index_ = 0;
-  left_valid_ = false;
-  metrics_.build_partitions = state_->num_partitions();
-  return Status::OK();
-}
-
-Result<bool> HashJoinOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (true) {
-    if (left_valid_ && matches_ != nullptr && match_index_ < matches_->size()) {
-      const core::AnnotatedTuple& right_tuple = state_->Row((*matches_)[match_index_++]);
-      // Clone the probe tuple: it may pair with several build tuples.
-      *out = current_left_.Clone();
-      INSIGHTNOTES_RETURN_IF_ERROR(core::MergeAnnotatedTuples(out, right_tuple));
-      Trace(*out);
-      return true;
-    }
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
-    if (!more) return false;
-    left_valid_ = true;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value key, left_key_->Evaluate(current_left_.tuple));
-    match_index_ = 0;
-    matches_ = state_->Find(key);
-  }
-}
-
-std::string HashJoinOperator::Name() const {
-  return "HashJoin(" + left_key_->ToString() + " = " + state_->key_name() + ")";
 }
 
 }  // namespace insightnotes::exec

@@ -1,17 +1,18 @@
 // Hash equi-join with summary merge (Figure 2 step 3): for each matching
 // pair, counterpart summary objects of the two inputs are combined without
 // double counting shared annotations; objects without a counterpart
-// propagate unchanged.
+// propagate unchanged. A cross product is the same join keyed on one
+// literal on both sides: every probe tuple matches every build row, in
+// build-insertion order.
 //
 // The build side lives in a HashJoinBuildState: the input is materialized
 // once in input order, then partitioned by hash(key) % P — each partition
 // built by one worker, lock-free — and probed partition-wise. Because the
 // partition maps store *indexes into the ordered row vector*, appended by
 // a single worker scanning in input order, each key's match list is in
-// serial build-insertion order regardless of P: probes produce exactly the
-// serial operator's output. The serial HashJoinOperator owns a
-// single-partition state; the parallel planner shares one multi-partition
-// state across P HashJoinProbeOperators (see exec/parallel.h).
+// build-insertion order regardless of P: probes produce the same output at
+// every worker count. The planner shares one state across the P
+// HashJoinProbeOperators of a section (see exec/parallel.h).
 
 #ifndef INSIGHTNOTES_EXEC_HASH_JOIN_H_
 #define INSIGHTNOTES_EXEC_HASH_JOIN_H_
@@ -23,7 +24,7 @@
 #include "exec/operator.h"
 #include "exec/parallel.h"
 #include "rel/expression.h"
-#include "rel/index.h"
+#include "rel/value.h"
 
 namespace insightnotes::exec {
 
@@ -41,6 +42,7 @@ class HashJoinBuildState final : public SharedPlanState {
   /// Forwards the context into the build input subtree and arms this
   /// state's memory reservation (label "HashJoinBuild(<key>)").
   void AttachQueryContext(std::shared_ptr<QueryContext> context) override;
+  void Release() override;
 
   /// Match row indexes for `key` in build-input order; null when none.
   /// NULL keys never match.
@@ -71,9 +73,9 @@ class HashJoinBuildState final : public SharedPlanState {
   std::vector<PartitionMap> partitions_;
 };
 
-/// Probe stage over a shared (or owned) build state. Used per worker
-/// pipeline by the parallel planner; Open does NOT reset the state (the
-/// GatherOperator resets each shared state exactly once).
+/// Probe stage over a shared build state, one per worker pipeline. Open
+/// does NOT reset the state (the GatherOperator resets each shared state
+/// exactly once).
 class HashJoinProbeOperator final : public Operator {
  public:
   /// `expose_build` lists the build input as a child (exactly one probe
@@ -108,39 +110,6 @@ class HashJoinProbeOperator final : public Operator {
   // Tuple-at-a-time adapter state (NextBatch is the native interface).
   core::AnnotatedBatch pending_;
   size_t pending_pos_ = 0;
-};
-
-class HashJoinOperator final : public Operator {
- public:
-  /// Joins on left_key == right_key (each evaluated against its side).
-  HashJoinOperator(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
-                   rel::ExprPtr left_key, rel::ExprPtr right_key);
-
-  const rel::Schema& OutputSchema() const override { return schema_; }
-  std::string Name() const override;
-  std::vector<Operator*> Children() override {
-    return {left_.get(), state_->input()};
-  }
-  void SetQueryContext(std::shared_ptr<QueryContext> context) override {
-    Operator::SetQueryContext(context);
-    state_->AttachQueryContext(context_);
-  }
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
-
- private:
-  std::unique_ptr<Operator> left_;
-  rel::ExprPtr left_key_;
-  std::shared_ptr<HashJoinBuildState> state_;  // Owned; single partition.
-  rel::Schema schema_;
-
-  // Probe state.
-  core::AnnotatedTuple current_left_;
-  const std::vector<size_t>* matches_ = nullptr;
-  size_t match_index_ = 0;
-  bool left_valid_ = false;
 };
 
 }  // namespace insightnotes::exec

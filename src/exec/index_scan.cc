@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/engine_snapshot.h"
-
 namespace insightnotes::exec {
 
 std::string IndexProbeSpec::ToString() const {
@@ -17,7 +15,7 @@ std::string IndexProbeSpec::ToString() const {
 
 Status ProbeIndex(const rel::Table& table, const IndexProbeSpec& probe,
                   std::vector<rel::RowId>* out) {
-  // CreateIndex rebuilds the index structure under the table's exclusive
+  // SwapIndex replaces the index structure under the table's exclusive
   // latch; the shared latch keeps the probe consistent against it.
   auto latch = table.ReadLock();
   const rel::TableIndex* index = table.IndexOn(probe.column);
@@ -34,71 +32,9 @@ Status ProbeIndex(const rel::Table& table, const IndexProbeSpec& probe,
                          probe.has_hi ? &probe.hi : nullptr, out));
   }
   // The index yields rows grouped by key; re-establish global RowId order
-  // so the emission order is a subsequence of the SeqScan order.
+  // so the emission order is a subsequence of the full-scan order.
   std::sort(out->begin() + first, out->end());
   return Status::OK();
-}
-
-IndexScanOperator::IndexScanOperator(const rel::Table* table, std::string alias,
-                                     core::SummaryManager* manager,
-                                     const ann::AnnotationStore* store,
-                                     IndexProbeSpec probe, bool with_summaries)
-    : table_(table),
-      alias_(std::move(alias)),
-      manager_(manager),
-      store_(store),
-      probe_(std::move(probe)),
-      with_summaries_(with_summaries),
-      schema_(table->schema().WithQualifier(alias_.empty() ? table->name() : alias_)) {
-  if (alias_.empty()) alias_ = table->name();
-}
-
-Status IndexScanOperator::OpenImpl() {
-  rows_.clear();
-  cursor_ = 0;
-  snapshot_ = query_context() != nullptr ? query_context()->snapshot() : nullptr;
-  if (snapshot_ != nullptr && !snapshot_->CoversTable(table_->id())) {
-    snapshot_ = nullptr;  // Table the pinned epoch predates: live reads.
-  }
-  INSIGHTNOTES_RETURN_IF_ERROR(ProbeIndex(*table_, probe_, &rows_));
-  if (snapshot_ != nullptr) {
-    // The probe runs against the live index, which may already contain
-    // rows inserted after the pinned epoch; cut back to the epoch's row
-    // bound (rows_ is sorted ascending).
-    rel::RowId bound = snapshot_->VisibleRows(table_->id());
-    auto first_invisible =
-        std::lower_bound(rows_.begin(), rows_.end(), bound);
-    rows_.erase(first_invisible, rows_.end());
-  }
-  return Status::OK();
-}
-
-Result<bool> IndexScanOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (cursor_ < rows_.size()) {
-    size_t position = cursor_;
-    rel::RowId row = rows_[cursor_++];
-    if (!table_->IsLive(row)) continue;  // Deleted since the probe.
-    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Tuple tuple, table_->Get(row));
-    *out = core::AnnotatedTuple(std::move(tuple));
-    if (stamp_ranks_) out->order_ranks.assign(1, static_cast<uint32_t>(position));
-    if (with_summaries_) {
-      if (snapshot_ != nullptr) {
-        INSIGHTNOTES_ASSIGN_OR_RETURN(
-            out->summaries, snapshot_->SummariesFor(table_->id(), row));
-        snapshot_->AppendAttachments(table_->id(), row, &out->attachments);
-      } else {
-        INSIGHTNOTES_ASSIGN_OR_RETURN(out->summaries,
-                                      manager_->SummariesFor(table_->id(), row));
-        for (const ann::Attachment& att : store_->OnRow(table_->id(), row)) {
-          if (store_->IsArchived(att.annotation)) continue;
-          out->attachments.push_back(core::AttachmentInfo{att.annotation, att.columns});
-        }
-      }
-    }
-    Trace(*out);
-    return true;
-  }
-  return false;
 }
 
 }  // namespace insightnotes::exec

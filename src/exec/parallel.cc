@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <limits>
 
 #include "core/engine_snapshot.h"
 
@@ -47,10 +46,6 @@ ScanMorselSource::ScanMorselSource(const rel::Table* table, std::string alias,
 
 Status ScanMorselSource::Reset() {
   rows_.clear();
-  tuples_.clear();
-  reservation_.ReleaseAll();
-  rows_.reserve(static_cast<size_t>(table_->NumRows()));
-  tuples_.reserve(static_cast<size_t>(table_->NumRows()));
   next_morsel_.store(0, std::memory_order_relaxed);
   abort_.store(false, std::memory_order_release);
   snapshot_ = context_ != nullptr ? context_->snapshot() : nullptr;
@@ -58,55 +53,26 @@ Status ScanMorselSource::Reset() {
     snapshot_ = nullptr;  // Table the pinned epoch predates: live reads.
   }
   // Rows at or beyond the pinned epoch's bound were inserted after the
-  // epoch and are invisible (bound caps both prefetch paths below).
-  rel::RowId bound = snapshot_ != nullptr
-                         ? snapshot_->VisibleRows(table_->id())
-                         : std::numeric_limits<rel::RowId>::max();
-  // The prefetch is the plan's first big materialization: charge it row by
-  // row (batched into slabs by the reservation) so an over-budget scan
-  // aborts before the whole table is resident.
+  // epoch and are invisible.
+  const rel::RowId bound = snapshot_ != nullptr ? snapshot_->VisibleRows(table_->id())
+                                                : table_->RowBound();
   if (has_probe_) {
-    std::vector<rel::RowId> matches;
-    INSIGHTNOTES_RETURN_IF_ERROR(ProbeIndex(*table_, probe_, &matches));
-    for (rel::RowId row : matches) {
-      if (row >= bound) break;  // Matches are sorted ascending.
-      if (!table_->IsLive(row)) continue;
-      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Tuple tuple, table_->Get(row));
-      INSIGHTNOTES_RETURN_IF_ERROR(
-          reservation_.Charge(core::ApproxBytes(tuple) + sizeof(row)));
-      rows_.push_back(row);
-      tuples_.push_back(std::move(tuple));
-    }
+    // The probe runs against the live index, which may already hold rows
+    // past the bound; matches come back ascending.
+    INSIGHTNOTES_RETURN_IF_ERROR(ProbeIndex(*table_, probe_, &rows_));
+    rows_.erase(std::lower_bound(rows_.begin(), rows_.end(), bound), rows_.end());
+    std::erase_if(rows_, [this](rel::RowId row) { return !table_->IsLive(row); });
     return Status::OK();
   }
-  if (snapshot_ != nullptr) {
-    Status charge;
-    for (rel::RowId row = 0; row < bound; ++row) {
-      if (!table_->IsLive(row)) continue;
-      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Tuple tuple, table_->Get(row));
-      charge = reservation_.Charge(core::ApproxBytes(tuple) + sizeof(row));
-      if (!charge.ok()) break;
-      rows_.push_back(row);
-      tuples_.push_back(std::move(tuple));
-    }
-    return charge;
+  rows_.reserve(static_cast<size_t>(table_->NumRows()));
+  for (rel::RowId row = 0; row < bound; ++row) {
+    if (table_->IsLive(row)) rows_.push_back(row);
   }
-  Status charge;
-  INSIGHTNOTES_RETURN_IF_ERROR(
-      table_->Scan([&](rel::RowId row, const rel::Tuple& tuple) {
-        charge = reservation_.Charge(core::ApproxBytes(tuple) + sizeof(row));
-        if (!charge.ok()) return false;
-        rows_.push_back(row);
-        tuples_.push_back(tuple);
-        return true;
-      }));
-  return charge;
+  return Status::OK();
 }
 
-void ScanMorselSource::AttachQueryContext(std::shared_ptr<QueryContext> context) {
-  context_ = std::move(context);
-  reservation_.Attach(context_ != nullptr ? &context_->budget() : nullptr,
-                      "MorselSource(" + alias_ + ")");
+void ScanMorselSource::Release() {
+  std::vector<rel::RowId>().swap(rows_);  // Swap, not clear: capacity too.
 }
 
 bool ScanMorselSource::ClaimMorsel(uint64_t* morsel) {
@@ -136,7 +102,8 @@ Status ScanMorselSource::Materialize(uint64_t morsel, core::AnnotatedBatch* out)
   size_t end = std::min(begin + morsel_size_, rows_.size());
   out->tuples.reserve(end - begin);
   for (size_t i = begin; i < end; ++i) {
-    core::AnnotatedTuple tuple(tuples_[i]);
+    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Tuple data, table_->Get(rows_[i]));
+    core::AnnotatedTuple tuple(std::move(data));
     if (stamp_ranks_) tuple.order_ranks.assign(1, static_cast<uint32_t>(i));
     if (with_summaries_) {
       if (snapshot_ != nullptr) {
@@ -208,6 +175,7 @@ GatherOperator::GatherOperator(std::vector<std::unique_ptr<Operator>> workers,
       break;
     }
   }
+  if (workers_.size() == 1) return;  // Streams; nothing is collected.
   leaves_.reserve(workers_.size());
   for (const auto& worker : workers_) {
     leaves_.push_back(FindMorselLeaf(worker.get()));
@@ -266,18 +234,33 @@ Status GatherOperator::DrainWorker(size_t w) {
   return Status::OK();
 }
 
+namespace {
+/// Runs a worker-pipeline call, turning a throw into Status::Internal so a
+/// throwing stage surfaces on the gather path, never as std::terminate.
+template <typename Fn>
+auto Contained(Fn&& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("worker pipeline threw: ") + e.what());
+  } catch (...) {
+    return Status::Internal("worker pipeline threw a non-standard exception");
+  }
+}
+}  // namespace
+
 Status GatherOperator::RunWorkerContained(size_t w) {
-  Status status = [&]() -> Status {
-    try {
-      return DrainWorker(w);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("worker pipeline threw: ") + e.what());
-    } catch (...) {
-      return Status::Internal("worker pipeline threw a non-standard exception");
-    }
-  }();
+  Status status = Contained([&] { return DrainWorker(w); });
   if (!status.ok() && source_ != nullptr) source_->AbortDispatch();
   return status;
+}
+
+Result<bool> GatherOperator::PullInline(core::AnnotatedBatch* out) {
+  Result<bool> more = Contained([&] { return workers_.front()->NextBatch(out); });
+  if (more.ok() && !*more) {
+    for (const auto& state : states_) state->Release();
+  }
+  return more;
 }
 
 void GatherOperator::JoinWorkers() {
@@ -330,29 +313,35 @@ Status GatherOperator::OpenImpl() {
   batch_cursor_ = 0;
   tuple_cursor_ = 0;
   collected_.clear();
-  collected_.resize(workers_.size());
-  worker_status_.assign(workers_.size(), Status::OK());
   for (const auto& mem : worker_reservations_) mem->ReleaseAll();
 
   // Shared states reset once, serially, before any worker job runs: the
-  // morsel source's prefetch and the join builds do all buffer-pool I/O
+  // morsel source lists its rows and the join builds drain their inputs
   // here on the caller's thread.
   for (const auto& state : states_) {
     INSIGHTNOTES_RETURN_IF_ERROR(state->Reset());
   }
 
-  if (pool_ == nullptr || workers_.size() == 1) {
-    for (size_t w = 0; w < workers_.size(); ++w) {
-      worker_status_[w] = RunWorkerContained(w);
-    }
-  } else {
-    futures_.reserve(workers_.size());
-    for (size_t w = 0; w < workers_.size(); ++w) {
-      futures_.push_back(pool_->Submit([this, w] { return RunWorkerContained(w); }));
-    }
-    JoinWorkers();
+  // One worker streams: its batches arrive in morsel order already, so
+  // they pass straight through with nothing collected or reordered.
+  if (workers_.size() == 1) {
+    return Contained([&] { return workers_.front()->Open(); });
   }
+  collected_.resize(workers_.size());
+  worker_status_.assign(workers_.size(), Status::OK());
+  futures_.reserve(workers_.size());
+  for (size_t w = 0; w < workers_.size(); ++w) {
+    futures_.push_back(pool_->Submit([this, w] { return RunWorkerContained(w); }));
+  }
+  JoinWorkers();
   Status error = FirstWorkerError();
+  if (error.ok() && quota_ != nullptr && quota_source_ != nullptr) {
+    // All workers have joined, so the morsel cursor is final: rows of
+    // never-dispatched morsels were pruned by the LIMIT quota.
+    metrics_.rows_pruned += quota_source_->UndispatchedRows();
+  }
+  // No worker reads the shared inputs any more.
+  for (const auto& state : states_) state->Release();
   if (!error.ok()) {
     // Leave everything resettable: buffers dropped, reservations returned.
     collected_.clear();
@@ -373,11 +362,6 @@ Status GatherOperator::OpenImpl() {
             [](const core::AnnotatedBatch& a, const core::AnnotatedBatch& b) {
               return a.morsel < b.morsel;
             });
-  if (quota_ != nullptr && quota_source_ != nullptr) {
-    // All workers have joined, so the morsel cursor is final: rows of
-    // never-dispatched morsels were pruned by the LIMIT quota.
-    metrics_.rows_pruned += quota_source_->UndispatchedRows();
-  }
   return Status::OK();
 }
 
@@ -395,22 +379,31 @@ Status GatherOperator::CloseImpl() {
 }
 
 Result<bool> GatherOperator::NextBatchImpl(core::AnnotatedBatch* out) {
+  if (workers_.size() == 1) return PullInline(out);
   if (batch_cursor_ >= batches_.size()) return false;
   *out = std::move(batches_[batch_cursor_++]);
   return true;
 }
 
 Result<bool> GatherOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (batch_cursor_ < batches_.size()) {
-    core::AnnotatedBatch& batch = batches_[batch_cursor_];
-    if (tuple_cursor_ < batch.tuples.size()) {
-      *out = std::move(batch.tuples[tuple_cursor_++]);
-      return true;
+  while (true) {
+    if (batch_cursor_ < batches_.size()) {
+      core::AnnotatedBatch& batch = batches_[batch_cursor_];
+      if (tuple_cursor_ < batch.tuples.size()) {
+        *out = std::move(batch.tuples[tuple_cursor_++]);
+        return true;
+      }
+      ++batch_cursor_;
+      tuple_cursor_ = 0;
+      continue;
     }
-    ++batch_cursor_;
-    tuple_cursor_ = 0;
+    if (workers_.size() > 1) return false;
+    // One worker: refill the single buffered batch from the pipeline.
+    batches_.resize(1);
+    batch_cursor_ = 0;
+    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, PullInline(&batches_.front()));
+    if (!more) return false;
   }
-  return false;
 }
 
 }  // namespace insightnotes::exec

@@ -1,21 +1,28 @@
-// Morsel-driven parallel execution (after HyPer, Leis et al.; see
-// PAPERS.md): the planner replicates the per-tuple pipeline section of a
-// plan (scan -> filters -> Theorem-1 projections -> hash-join probes ->
-// summary filters) into P worker pipelines that share
+// Morsel-driven execution (after HyPer, Leis et al.; see PAPERS.md): every
+// SELECT runs its per-tuple pipeline section (scan -> filters -> Theorem-1
+// projections -> hash-join probes -> summary filters) as P worker pipelines
+// that share
 //
-//   * a ScanMorselSource — the driving table materialized once, handing
-//     out fixed-size tuple-range morsels through an atomic cursor, and
+//   * a ScanMorselSource — the driving table's visible row ids, listed
+//     once and handed out as fixed-size morsels through an atomic cursor,
+//     and
 //   * any HashJoinBuildState (see exec/hash_join.h) — built once, probed
-//     concurrently.
+//     concurrently. Its input is itself a one-worker section over the
+//     build table.
 //
 // GatherOperator owns the worker pipelines and the shared states, runs the
-// workers on the engine's thread pool, and re-serializes their output in
-// morsel order. Because every pipeline stage is a pure per-tuple function
-// over immutable shared state, each morsel's output batch is independent
-// of which worker ran it — so the gathered stream (tuples, merged summary
-// objects, re-elected cluster representatives, attachment metadata) is
-// byte-identical to serial execution, preserving the Theorems 1 & 2
-// plan-equivalence guarantees.
+// workers on the engine's thread pool (inline when P = 1), and
+// re-serializes their output in morsel order. Because every pipeline stage
+// is a pure per-tuple function over immutable shared state, each morsel's
+// output batch is independent of which worker ran it — so the gathered
+// stream (tuples, merged summary objects, re-elected cluster
+// representatives, attachment metadata) is byte-identical at every P,
+// preserving the Theorems 1 & 2 plan-equivalence guarantees.
+//
+// ScanMorselSource is the only code that turns stored rows into
+// AnnotatedTuples: the snapshot row bound, liveness, the index probe,
+// summaries from the pinned epoch or the live manager, archived-attachment
+// filtering and rank stamping all live there.
 
 #ifndef INSIGHTNOTES_EXEC_PARALLEL_H_
 #define INSIGHTNOTES_EXEC_PARALLEL_H_
@@ -44,11 +51,17 @@ class SharedPlanState {
   virtual ~SharedPlanState() = default;
   virtual Status Reset() = 0;
 
-  /// Wires the statement lifecycle context into states that materialize
-  /// memory (morsel prefetch, join builds) so Reset can charge the budget
-  /// and poll for cancellation. `context` may be nullptr (detach); states
-  /// keep the shared_ptr so a retained plan's context stays alive.
+  /// Wires the statement lifecycle context into the states: join builds
+  /// charge the budget and poll for cancellation in Reset, the morsel
+  /// source reads its pinned epoch. `context` may be nullptr (detach);
+  /// states keep the shared_ptr so a retained plan's context stays alive.
   virtual void AttachQueryContext(std::shared_ptr<QueryContext> /*context*/) {}
+
+  /// Drops what the workers read (row ids, join builds) once the gather
+  /// is done with its workers; the next Reset rebuilds it. Retained plans
+  /// (zoom-in re-execution) then hold no copy of their inputs. States the
+  /// operators above the gather still consume keep the default no-op.
+  virtual void Release() {}
 };
 
 /// Cooperative row quota of a plain `LIMIT k` parallel plan (no ORDER BY).
@@ -86,10 +99,12 @@ class RowQuota final : public SharedPlanState {
   size_t prefix_rows_ = 0;      // Surviving rows in morsels [0, prefix_morsel_).
 };
 
-/// The driving table of a parallel pipeline section. Reset materializes
-/// the live rows *and their data tuples* in one serial scan pass (the
-/// buffer pool below rel::Table is single-threaded); workers then only do
-/// CPU work — summary clones, attachment metadata, downstream stages.
+/// The scanned table of a pipeline section. Reset lists the visible live
+/// row ids (all of them, or an index probe's matches); workers then fetch
+/// each claimed morsel's tuples and attach their summary clones and
+/// attachment metadata. Only ids stay resident, so a scan never holds a
+/// copy of its table. With `with_summaries` false the scan produces bare
+/// tuples (the "annotations off" baseline of the benches).
 class ScanMorselSource final : public SharedPlanState {
  public:
   ScanMorselSource(const rel::Table* table, std::string alias,
@@ -97,7 +112,10 @@ class ScanMorselSource final : public SharedPlanState {
                    bool with_summaries, size_t morsel_size);
 
   Status Reset() override;
-  void AttachQueryContext(std::shared_ptr<QueryContext> context) override;
+  void AttachQueryContext(std::shared_ptr<QueryContext> context) override {
+    context_ = std::move(context);
+  }
+  void Release() override;
 
   /// Claims the next unprocessed morsel index. Thread-safe; false when the
   /// table is exhausted, an attached RowQuota is satisfied, or dispatch
@@ -118,7 +136,7 @@ class ScanMorselSource final : public SharedPlanState {
   /// dispatching. Set by the planner before execution.
   void SetQuota(std::shared_ptr<RowQuota> quota) { quota_ = std::move(quota); }
 
-  /// Restricts the materialized rows to an index probe's matches (see
+  /// Restricts the scanned rows to an index probe's matches (see
   /// exec/index_scan.h): Reset probes the table's index instead of
   /// scanning, yielding rows in ascending RowId order — a subsequence of
   /// the full-scan order, so morsel-order gathering semantics carry over
@@ -130,19 +148,20 @@ class ScanMorselSource final : public SharedPlanState {
   bool has_probe() const { return has_probe_; }
   const IndexProbeSpec& probe() const { return probe_; }
 
-  /// See SeqScanOperator::EnableRankStamping: Materialize stamps each
-  /// tuple's order_ranks with its global scan position. Positions are
-  /// stable across morsels (index into the materialized row vector), so
-  /// parallel and serial plans stamp identical ranks.
+  /// Reordered plans only: Materialize stamps each tuple's order_ranks
+  /// with its global scan position, the sort key the RestoreOrderOperator
+  /// uses to re-establish canonical FROM order. Positions are stable across
+  /// morsels (index into the materialized row vector), so every worker
+  /// count stamps identical ranks.
   void EnableRankStamping() { stamp_ranks_ = true; }
 
   /// Rows of morsels never dispatched (quota stopped the scan early).
   /// Meaningful once the parallel section has drained.
   size_t UndispatchedRows() const;
 
-  /// Materializes morsel `morsel`'s AnnotatedTuples into `out` (summary
-  /// clones + attachment metadata, exactly as SeqScanOperator would emit
-  /// them). Safe to call concurrently for distinct morsels.
+  /// Materializes morsel `morsel`'s AnnotatedTuples into `out` (data
+  /// tuples, summary clones, attachment metadata). Safe to call
+  /// concurrently for distinct morsels.
   Status Materialize(uint64_t morsel, core::AnnotatedBatch* out) const;
 
   const rel::Schema& schema() const { return schema_; }
@@ -163,21 +182,23 @@ class ScanMorselSource final : public SharedPlanState {
   bool stamp_ranks_ = false;
 
   // Pinned engine epoch captured from the context at Reset; null = live
-  // reads. See SeqScanOperator::snapshot_. Reset runs serially before the
-  // workers start, so the capture is ordered before all Materialize calls.
+  // reads. While set, the row bound, summaries and attachments all come
+  // from the epoch, so concurrent writers stay invisible. Reset runs
+  // serially before the workers start, so the capture is ordered before
+  // all Materialize calls. (Stored tuples are never updated in place, so
+  // fetching them after Reset reads what the epoch saw.)
   std::shared_ptr<const core::EngineSnapshot> snapshot_;
 
-  std::vector<rel::RowId> rows_;    // Live row ids, insertion order.
-  std::vector<rel::Tuple> tuples_;  // Prefetched data tuples, same order.
+  std::vector<rel::RowId> rows_;  // Visible live row ids, ascending.
   std::atomic<uint64_t> next_morsel_{0};
   std::atomic<bool> abort_{false};
   std::shared_ptr<RowQuota> quota_;  // Null unless a LIMIT was pushed down.
   std::shared_ptr<QueryContext> context_;  // Nullable.
-  MemoryReservation reservation_;          // Charges the prefetched tuples.
 };
 
 /// Per-worker scan stage over a shared ScanMorselSource. Open is a no-op
-/// (the source is reset by the owning GatherOperator).
+/// (the source is reset by the owning GatherOperator). Renders as
+/// SeqScan(alias), or IndexScan(alias.<probe>) over an index probe.
 class MorselScanOperator final : public Operator {
  public:
   explicit MorselScanOperator(std::shared_ptr<ScanMorselSource> source)
@@ -186,10 +207,10 @@ class MorselScanOperator final : public Operator {
   const rel::Schema& OutputSchema() const override { return source_->schema(); }
   std::string Name() const override {
     if (source_->has_probe()) {
-      return "MorselIndexScan(" + source_->alias() + "." +
-             source_->probe().ToString() + ")";
+      return "IndexScan(" + source_->alias() + "." + source_->probe().ToString() +
+             ")";
     }
-    return "MorselScan(" + source_->alias() + ")";
+    return "SeqScan(" + source_->alias() + ")";
   }
   size_t EstimatedRows() const override { return source_->EstimatedRows(); }
 
@@ -217,10 +238,13 @@ class MorselScanOperator final : public Operator {
 
 /// Exchange: runs P worker pipelines over the shared morsel source on the
 /// engine's thread pool and re-serializes their batches in morsel order,
-/// making the output order (and content) identical to serial execution.
-/// With a null pool or a single worker the pipeline runs inline.
+/// making the output order (and content) independent of P. A single worker
+/// runs inline on the caller's thread and streams: each NextBatch pulls
+/// one batch through the pipeline, so a one-worker section holds no more
+/// than its blocking stages do.
 class GatherOperator final : public Operator {
  public:
+  /// `pool` may be null only with a single worker.
   GatherOperator(std::vector<std::unique_ptr<Operator>> workers,
                  std::vector<std::shared_ptr<SharedPlanState>> states,
                  ThreadPool* pool);
@@ -266,6 +290,9 @@ class GatherOperator final : public Operator {
   /// DrainWorker with exception containment: a throwing pipeline stage
   /// surfaces as Status::Internal on the gather path, never std::terminate.
   Status RunWorkerContained(size_t w);
+  /// One-worker stream: the worker's next batch, exception-contained.
+  /// Releases the shared states once the worker is exhausted.
+  Result<bool> PullInline(core::AnnotatedBatch* out);
   /// Joins all outstanding futures, recording each worker's Status.
   void JoinWorkers();
   /// The error to surface: user cancellation/deadline first (uniform
@@ -290,7 +317,9 @@ class GatherOperator final : public Operator {
   std::vector<Status> worker_status_;
   std::vector<std::unique_ptr<MemoryReservation>> worker_reservations_;
 
-  std::vector<core::AnnotatedBatch> batches_;  // Morsel order after Open.
+  // Morsel order after Open; with one worker, the batch NextImpl is
+  // reading from.
+  std::vector<core::AnnotatedBatch> batches_;
   size_t batch_cursor_ = 0;
   size_t tuple_cursor_ = 0;  // Within batches_[batch_cursor_] for NextImpl.
 };

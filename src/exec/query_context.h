@@ -182,8 +182,8 @@ class QueryContext {
   }
 
   /// Test seam: trip cancellation when the `n`-th interrupt check runs
-  /// (0 disables). Deterministic for serial plans, and a seeded "cancel
-  /// somewhere mid-flight" point for parallel ones. Survives
+  /// (0 disables). Deterministic for one-worker plans, and a seeded
+  /// "cancel somewhere mid-flight" point for multi-worker ones. Survives
   /// BeginStatement so it can be armed before the statement starts.
   void CancelAtCheck(uint64_t n) {
     cancel_at_check_.store(n, std::memory_order_relaxed);

@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "common/clock.h"
-#include "rel/index.h"
 
 namespace insightnotes::exec {
 

@@ -24,7 +24,7 @@
 #include "exec/parallel.h"
 #include "exec/summary_filter.h"
 #include "rel/expression.h"
-#include "rel/index.h"
+#include "rel/value.h"
 
 namespace insightnotes::exec {
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "rel/index.h"
-
 namespace insightnotes::rel {
 
 namespace {

@@ -3,42 +3,28 @@
 namespace insightnotes::rel {
 
 void TableIndex::Insert(const Value& key, RowId row) {
-  if (tree_ == nullptr) {
-    mem_.Insert(key, row);
-    return;
-  }
   if (!broken_.ok()) return;  // Already diverged; reopen heals it.
   Status s = tree_->InsertForRow(key, row);
   if (!s.ok()) broken_ = s;
 }
 
-Status TableIndex::Remove(const Value& key, RowId row) {
-  if (tree_ == nullptr) return mem_.Remove(key, row);
-  if (!broken_.ok()) return Status::OK();
+void TableIndex::Remove(const Value& key, RowId row) {
+  if (!broken_.ok()) return;
   Status s = tree_->RemoveForRow(key, row);
-  // Any persistent-backing failure — NotFound included: a missing covered
-  // entry means the tree diverged from the heap — breaks the index rather
-  // than the row mutation.
+  // Any failure — NotFound included: a missing covered entry means the
+  // tree diverged from the heap — breaks the index rather than the row
+  // mutation.
   if (!s.ok()) broken_ = s;
-  return Status::OK();
 }
 
 Status TableIndex::LookupInto(const Value& key, std::vector<RowId>* out) const {
   if (!broken_.ok()) return broken_;
-  if (tree_ == nullptr) {
-    mem_.LookupInto(key, out);
-    return Status::OK();
-  }
   return tree_->LookupInto(key, out);
 }
 
 Status TableIndex::RangeInto(const Value* lo, const Value* hi,
                              std::vector<RowId>* out) const {
   if (!broken_.ok()) return broken_;
-  if (tree_ == nullptr) {
-    mem_.RangeInto(lo, hi, out);
-    return Status::OK();
-  }
   return tree_->RangeInto(lo, hi, out);
 }
 
@@ -100,7 +86,7 @@ Status Table::Delete(RowId row) {
     // Fetch the keys before the heap record goes away.
     INSIGHTNOTES_ASSIGN_OR_RETURN(Tuple tuple, GetLocked(row));
     for (auto& [column, index] : indexes_) {
-      INSIGHTNOTES_RETURN_IF_ERROR(index.Remove(tuple.ValueAt(column), row));
+      index.Remove(tuple.ValueAt(column), row);
     }
   }
   INSIGHTNOTES_RETURN_IF_ERROR(heap_.Delete(rows_[row]));
@@ -114,40 +100,21 @@ bool Table::IsLive(RowId row) const {
   return row < rows_.size() && rows_[row].valid();
 }
 
-Status Table::CreateIndex(size_t column) {
-  if (column >= schema_.NumColumns()) {
-    return Status::InvalidArgument("no column " + std::to_string(column) +
-                                   " in table '" + name_ + "'");
-  }
-  std::unique_lock<std::shared_mutex> lock(latch_);
-  TableIndex& index = indexes_[column];
-  index = TableIndex{};  // Rebuild from scratch if it already existed.
-  // Inline (unlatched) scan: the exclusive latch is already held.
-  for (RowId row = 0; row < rows_.size(); ++row) {
-    if (!rows_[row].valid()) continue;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(std::string bytes, heap_.Get(rows_[row]));
-    INSIGHTNOTES_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Deserialize(bytes));
-    index.Insert(tuple.ValueAt(column), row);
-  }
-  return Status::OK();
-}
-
 std::unique_ptr<BTree> Table::SwapIndex(size_t column,
                                         std::unique_ptr<BTree> tree) {
   std::unique_lock<std::shared_mutex> lock(latch_);
-  TableIndex& slot = indexes_[column];
-  // Hand the previous tree (if any) back for page reclamation; an
-  // in-memory backing just dies with `replaced`.
-  TableIndex replaced = std::move(slot);
-  slot = TableIndex(std::move(tree));
-  return replaced.ReleaseTree();
+  auto [it, inserted] = indexes_.try_emplace(column, std::move(tree));
+  if (inserted) return nullptr;
+  // Hand the previous tree back for page reclamation.
+  std::unique_ptr<BTree> replaced = it->second.ReleaseTree();
+  it->second = TableIndex(std::move(tree));
+  return replaced;
 }
 
 std::vector<PersistentIndexInfo> Table::PersistentIndexes() const {
   std::shared_lock<std::shared_mutex> lock(latch_);
   std::vector<PersistentIndexInfo> out;
   for (const auto& [column, index] : indexes_) {
-    if (!index.persistent()) continue;
     out.push_back(PersistentIndexInfo{column, index.tree()->meta(),
                                       index.usable()});
   }

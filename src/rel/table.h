@@ -17,7 +17,6 @@
 
 #include "common/result.h"
 #include "rel/btree.h"
-#include "rel/index.h"
 #include "rel/schema.h"
 #include "rel/stats.h"
 #include "rel/tuple.h"
@@ -27,27 +26,23 @@ namespace insightnotes::rel {
 
 using TableId = uint32_t;
 
-/// One secondary-index slot of a table: either the historical in-memory
-/// OrderedIndex (Table::CreateIndex, used by unit tests and engines without
-/// an index file) or a persistent B+-tree attached by the engine
-/// (Table::SwapIndex). Probes go through the wrapper so call sites don't
-/// care which backing they hit.
+/// One secondary index of a table: a persistent B+-tree attached by the
+/// engine (Table::SwapIndex; in-memory engines back it with an in-memory
+/// index file). Probes go through the wrapper so a broken tree is never
+/// consulted.
 ///
-/// Failure model: a persistent-backing maintenance failure (an I/O error
-/// mid-split, say) marks the index *broken* — the row mutation itself still
-/// succeeds, IndexOn() hides the index from the optimizer, and the
-/// divergence heals on reopen (recovery adopts the last committed tree and
-/// the caller's setup replay catches it up). The in-memory backing keeps
-/// its historical strict behavior: Remove propagates NotFound.
+/// Failure model: a maintenance failure (an I/O error mid-split, say) marks
+/// the index *broken* — the row mutation itself still succeeds, IndexOn()
+/// hides the index from the optimizer, and the divergence heals on reopen
+/// (recovery adopts the last committed tree and the caller's setup replay
+/// catches it up).
 class TableIndex {
  public:
-  TableIndex() = default;  // In-memory backing.
   explicit TableIndex(std::unique_ptr<BTree> tree) : tree_(std::move(tree)) {}
 
   TableIndex(TableIndex&&) = default;
   TableIndex& operator=(TableIndex&&) = default;
 
-  bool persistent() const { return tree_ != nullptr; }
   /// False after a maintenance failure; broken indexes refuse probes and
   /// IndexOn() hides them.
   bool usable() const { return broken_.ok(); }
@@ -56,26 +51,21 @@ class TableIndex {
   const BTree* tree() const { return tree_.get(); }
   std::unique_ptr<BTree> ReleaseTree() { return std::move(tree_); }
 
-  /// Row maintenance (exclusive table latch held by the caller). A
-  /// persistent-backing failure marks the index broken instead of failing
-  /// the row mutation.
+  /// Row maintenance (exclusive table latch held by the caller). A failure
+  /// marks the index broken instead of failing the row mutation.
   void Insert(const Value& key, RowId row);
-  Status Remove(const Value& key, RowId row);
+  void Remove(const Value& key, RowId row);
 
-  /// Probe paths (shared table latch held by the caller). Failed probes on
-  /// a persistent backing surface the I/O error; broken indexes are
-  /// unreachable through IndexOn().
+  /// Probe paths (shared table latch held by the caller). Failed probes
+  /// surface the I/O error; broken indexes are unreachable through
+  /// IndexOn().
   Status LookupInto(const Value& key, std::vector<RowId>* out) const;
   Status RangeInto(const Value* lo, const Value* hi,
                    std::vector<RowId>* out) const;
 
-  size_t NumEntries() const {
-    return tree_ != nullptr ? static_cast<size_t>(tree_->NumEntries())
-                            : mem_.NumEntries();
-  }
+  size_t NumEntries() const { return static_cast<size_t>(tree_->NumEntries()); }
 
  private:
-  OrderedIndex mem_;
   std::unique_ptr<BTree> tree_;
   Status broken_;
 };
@@ -88,11 +78,11 @@ struct PersistentIndexInfo {
 };
 
 /// Thread-safety: a per-table shared_mutex guards the row directory and the
-/// indexes — Insert/Delete/CreateIndex exclusive, Get/IsLive/RowBound
-/// shared. Scan is NOT latched (it is a writer-side primitive: CreateIndex
-/// runs it while holding the exclusive latch, ANALYZE and single-session
-/// fallbacks run it with no concurrent writer); epoch-pinned readers
-/// iterate [0, snapshot bound) with per-row latched Get/IsLive instead.
+/// indexes — Insert/Delete/SwapIndex exclusive, Get/IsLive/RowBound
+/// shared. Scan is NOT latched (it is a writer-side primitive: the engine
+/// runs it under its writer mutex, ANALYZE and single-session fallbacks run
+/// it with no concurrent writer); epoch-pinned readers iterate
+/// [0, snapshot bound) with per-row latched Get/IsLive instead.
 class Table {
  public:
   /// `pool` must outlive the table.
@@ -137,27 +127,21 @@ class Table {
     return std::shared_lock<std::shared_mutex>(latch_);
   }
 
-  /// Builds (or rebuilds) an in-memory ordered secondary index over
-  /// `column`, scanning the existing rows; Insert/Delete maintain it
-  /// afterwards. The engine's CREATE INDEX path instead builds a persistent
-  /// B+-tree and attaches it with SwapIndex.
-  Status CreateIndex(size_t column);
-
-  /// Replaces the index slot on `column` with a persistent B+-tree built by
-  /// the engine, returning the previous backing tree (null if the slot was
-  /// empty or in-memory) so the caller can discard its pages. Takes the
-  /// exclusive latch.
+  /// Replaces the index slot on `column` with a B+-tree built by the
+  /// engine (CREATE INDEX, recovery), returning the previous tree (null if
+  /// the slot was empty) so the caller can discard its pages;
+  /// Insert/Delete maintain the index afterwards. Takes the exclusive
+  /// latch.
   std::unique_ptr<BTree> SwapIndex(size_t column, std::unique_ptr<BTree> tree);
 
-  /// Snapshot of every persistent index on this table, for the engine's
-  /// index checkpoint record.
+  /// Snapshot of every index on this table, for the engine's index
+  /// checkpoint record.
   std::vector<PersistentIndexInfo> PersistentIndexes() const;
 
   /// The usable index on `column`, or null if none was created (or it is
   /// broken). The pointer stays valid for the table's lifetime (indexes are
   /// never dropped). Concurrent readers must hold ReadLock() across the
-  /// probe (CreateIndex/SwapIndex rebuild index contents under the
-  /// exclusive latch).
+  /// probe (SwapIndex replaces index contents under the exclusive latch).
   const TableIndex* IndexOn(size_t column) const {
     auto it = indexes_.find(column);
     if (it == indexes_.end() || !it->second.usable()) return nullptr;
@@ -192,7 +176,7 @@ class Table {
   std::vector<storage::RecordId> rows_;
   std::atomic<uint64_t> num_live_{0};
   // Secondary indexes by column position. std::map keeps IndexOn pointers
-  // stable across CreateIndex calls on other columns.
+  // stable across SwapIndex calls on other columns.
   std::map<size_t, TableIndex> indexes_;
   mutable std::mutex stats_mutex_;
   std::shared_ptr<const TableStats> stats_;

@@ -182,4 +182,28 @@ std::ostream& operator<<(std::ostream& os, const Value& v) {
   return os << v.ToString();
 }
 
+namespace {
+int TypeClass(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return 0;
+    case ValueType::kInt64:
+    case ValueType::kFloat64:
+      return 1;
+    case ValueType::kString:
+      return 2;
+  }
+  return 3;
+}
+}  // namespace
+
+bool ValueLess::operator()(const Value& a, const Value& b) const {
+  int ca = TypeClass(a);
+  int cb = TypeClass(b);
+  if (ca != cb) return ca < cb;
+  auto cmp = a.Compare(b);
+  // Same type class => Compare cannot fail.
+  return cmp.ok() && *cmp < 0;
+}
+
 }  // namespace insightnotes::rel

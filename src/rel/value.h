@@ -77,6 +77,21 @@ class Value {
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 
+/// Total order over Values usable as a map comparator: orders first by type
+/// class (NULL < numeric < string), then by value within the class. This
+/// sidesteps the TypeError a raw Value::Compare would raise for mixed types.
+struct ValueLess {
+  bool operator()(const Value& a, const Value& b) const;
+};
+
+/// Hash functor/equality pair for unordered containers keyed by Value.
+struct ValueHash {
+  size_t operator()(const Value& v) const { return static_cast<size_t>(v.Hash()); }
+};
+struct ValueEq {
+  bool operator()(const Value& a, const Value& b) const { return a == b; }
+};
+
 }  // namespace insightnotes::rel
 
 #endif  // INSIGHTNOTES_REL_VALUE_H_

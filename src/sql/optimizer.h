@@ -3,7 +3,7 @@
 // morsel size, picks:
 //
 //   * an access path per table — full scan, or an index probe over an
-//     existing rel::OrderedIndex when a selective equality/range conjunct
+//     existing index (rel::TableIndex) when a selective equality/range conjunct
 //     makes it cheaper (the original predicate always stays as a residual
 //     filter, so the probe only has to over-approximate);
 //   * a left-deep join order — exhaustive permutation search for up to 6
@@ -15,7 +15,7 @@
 //     their FROM-relative order (which keeps merged summary objects and
 //     attachment metadata byte-identical; see DESIGN.md);
 //   * the parallelism degree — a driver whose access path materializes
-//     fewer rows than one morsel plans serial.
+//     fewer rows than one morsel runs one worker.
 //
 // A reordered plan pays a RestoreOrder charge for sorting its output back
 // into canonical FROM order, so reordering only wins when the join-size
@@ -76,8 +76,8 @@ struct PlanChoice {
   double est_result_rows = 0;
   double total_cost = 0;
   /// True when the driver's access path materializes fewer rows than one
-  /// morsel: the parallel section would dispatch a single morsel, so the
-  /// planner emits the serial tree.
+  /// morsel: more workers would have nothing to share, so the planner
+  /// runs the section with one inline worker.
   bool serial = false;
 };
 

@@ -9,12 +9,9 @@
 #include "exec/distinct.h"
 #include "exec/filter.h"
 #include "exec/hash_join.h"
-#include "exec/index_scan.h"
-#include "exec/nested_loop_join.h"
 #include "exec/parallel.h"
 #include "exec/projection.h"
 #include "exec/restore_order.h"
-#include "exec/seq_scan.h"
 #include "exec/sort.h"
 #include "exec/summary_filter.h"
 #include "sql/binder.h"
@@ -94,25 +91,15 @@ class SelectPlanner {
       stamp_ranks_ = choice_.reordered;
       if (choice_.serial) options_.parallelism = 1;
     }
-    // A driver smaller than one morsel plans serial even with the optimizer
-    // off: a single-morsel parallel section is pure dispatch overhead, and
-    // serial output is byte-identical anyway.
+    // A driver smaller than one morsel runs one worker even with the
+    // optimizer off: a single-morsel section has nothing to spread.
     if (tables_[join_order_[0]].table->NumRows() < options_.morsel_size) {
       options_.parallelism = 1;
     }
-    std::unique_ptr<exec::Operator> tree;
-    if (options_.parallelism > 1) {
-      // Residual and summary filters run inside the workers when the
-      // parallel section is eligible; otherwise fall through to serial.
-      INSIGHTNOTES_ASSIGN_OR_RETURN(tree, BuildParallelSection());
-    }
-    if (tree == nullptr) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(tree, BuildJoinTree());
-      INSIGHTNOTES_ASSIGN_OR_RETURN(tree, ApplyResidualFilters(std::move(tree)));
-      if (stamp_ranks_) tree = RestoreCanonicalOrder(std::move(tree));
-    }
-    // Stages already handled inside the parallel section (partial operators
-    // below the gather + a merge above it) are skipped here.
+    INSIGHTNOTES_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> tree,
+                                  BuildSection());
+    // Stages already handled inside the section (partial operators below
+    // the gather + a merge above it) are skipped here.
     if (!parallel_aggregated_) {
       INSIGHTNOTES_ASSIGN_OR_RETURN(tree, ApplyAggregation(std::move(tree)));
     }
@@ -369,7 +356,7 @@ class SelectPlanner {
   }
 
   /// Table `k`'s per-tuple stages — filters + Theorem-1 projection — on top
-  /// of `tree` (a scan of the table, serial or morsel-parallel).
+  /// of `tree` (a morsel scan of the table).
   Result<std::unique_ptr<exec::Operator>> ApplyTableStages(
       size_t k, std::unique_ptr<exec::Operator> tree) {
     TableSlot& slot = tables_[k];
@@ -398,71 +385,73 @@ class SelectPlanner {
     return tree;
   }
 
-  /// Scan [+ filter] [+ Theorem-1 projection] for one table. With the
-  /// optimizer on, a slot whose access path chose an index probe scans
-  /// through the index instead of sequentially — the original predicates
-  /// all stay as residual filters above, so results are identical.
-  Result<std::unique_ptr<exec::Operator>> BuildTableInput(size_t k) {
+  /// The shared morsel source scanning table `k`. With the optimizer on, a
+  /// slot whose access path chose an index probe materializes only the
+  /// probed rows — the original predicates all stay as filters above, so
+  /// results are identical.
+  std::shared_ptr<exec::ScanMorselSource> MakeSource(size_t k) {
     TableSlot& slot = tables_[k];
-    std::unique_ptr<exec::Operator> tree;
-    if (optimized_ && choice_.access[k].use_index) {
-      auto scan = std::make_unique<exec::IndexScanOperator>(
-          slot.table, slot.alias, engine_->summaries(), engine_->annotations(),
-          choice_.access[k].probe);
-      if (stamp_ranks_) scan->EnableRankStamping();
-      scan->SetPlannerEstimate(EstimateToRows(choice_.access[k].scan_rows));
-      tree = std::move(scan);
-    } else {
-      auto scan = std::make_unique<exec::SeqScanOperator>(
-          slot.table, slot.alias, engine_->summaries(), engine_->annotations());
-      if (stamp_ranks_) scan->EnableRankStamping();
-      if (optimized_) {
-        scan->SetPlannerEstimate(EstimateToRows(choice_.access[k].scan_rows));
-      }
-      tree = std::move(scan);
-    }
-    return ApplyTableStages(k, std::move(tree));
-  }
-
-  /// Morsel-parallel form of BuildJoinTree + ApplyResidualFilters: P worker
-  /// pipelines sharing a morsel source over the driving table (and one
-  /// partitioned build state per equi-join), re-serialized by a Gather in
-  /// morsel order. Returns null — without touching planner state — when the
-  /// plan needs a stage with no parallel form (a cross product), so the
-  /// caller falls back to the serial tree.
-  Result<std::unique_ptr<exec::Operator>> BuildParallelSection() {
-    const size_t num_workers = options_.parallelism;
-    ThreadPool* pool = engine_->ExecPool(num_workers);
-    const size_t driver_slot = join_order_[0];
-    TableSlot& driver = tables_[driver_slot];
     auto source = std::make_shared<exec::ScanMorselSource>(
-        driver.table, driver.alias, engine_->summaries(), engine_->annotations(),
+        slot.table, slot.alias, engine_->summaries(), engine_->annotations(),
         /*with_summaries=*/true, options_.morsel_size);
-    if (optimized_ && choice_.access[driver_slot].use_index) {
-      source->SetIndexProbe(choice_.access[driver_slot].probe);
+    if (optimized_ && choice_.access[k].use_index) {
+      source->SetIndexProbe(choice_.access[k].probe);
     }
     if (stamp_ranks_) source->EnableRankStamping();
+    return source;
+  }
+
+  /// One worker pipeline over `source`: scan [+ filter] [+ Theorem-1
+  /// projection] of table `k`.
+  Result<std::unique_ptr<exec::Operator>> BuildTablePipe(
+      size_t k, const std::shared_ptr<exec::ScanMorselSource>& source) {
+    std::unique_ptr<exec::Operator> pipe =
+        std::make_unique<exec::MorselScanOperator>(source);
+    if (optimized_) {
+      pipe->SetPlannerEstimate(EstimateToRows(choice_.access[k].scan_rows));
+    }
+    return ApplyTableStages(k, std::move(pipe));
+  }
+
+  /// A hash-join build input: table `k`'s pipeline as a one-worker section,
+  /// run inline when the build state resets.
+  Result<std::unique_ptr<exec::Operator>> BuildTableInput(size_t k) {
+    std::shared_ptr<exec::ScanMorselSource> source = MakeSource(k);
+    std::vector<std::unique_ptr<exec::Operator>> pipes;
+    INSIGHTNOTES_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> pipe,
+                                  BuildTablePipe(k, source));
+    pipes.push_back(std::move(pipe));
+    return std::unique_ptr<exec::Operator>(std::make_unique<exec::GatherOperator>(
+        std::move(pipes), std::vector<std::shared_ptr<exec::SharedPlanState>>{source},
+        /*pool=*/nullptr));
+  }
+
+  /// The plan's pipeline section: P worker pipelines sharing a morsel
+  /// source over the driving table (and one partitioned build state per
+  /// join), re-serialized by a Gather in morsel order. P is
+  /// options_.parallelism; one worker runs inline with no pool.
+  Result<std::unique_ptr<exec::Operator>> BuildSection() {
+    const size_t num_workers = std::max<size_t>(1, options_.parallelism);
+    ThreadPool* pool = num_workers > 1 ? engine_->ExecPool(num_workers) : nullptr;
+    const size_t driver_slot = join_order_[0];
+    std::shared_ptr<exec::ScanMorselSource> source = MakeSource(driver_slot);
     std::vector<std::shared_ptr<exec::SharedPlanState>> states;
     states.push_back(source);
 
     std::vector<std::unique_ptr<exec::Operator>> pipes;
     pipes.reserve(num_workers);
     for (size_t w = 0; w < num_workers; ++w) {
-      std::unique_ptr<exec::Operator> pipe =
-          std::make_unique<exec::MorselScanOperator>(source);
-      if (optimized_) {
-        pipe->SetPlannerEstimate(
-            EstimateToRows(choice_.access[driver_slot].scan_rows));
-      }
-      INSIGHTNOTES_ASSIGN_OR_RETURN(pipe,
-                                    ApplyTableStages(driver_slot, std::move(pipe)));
+      INSIGHTNOTES_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> pipe,
+                                    BuildTablePipe(driver_slot, source));
       pipes.push_back(std::move(pipe));
     }
 
-    // Joins: same conjunct selection as the serial BuildJoinTree (all pipes
-    // share one output schema, so pipes[0] stands in for the serial tree),
-    // but the build side is materialized once into a shared partitioned
-    // state probed by every worker.
+    // Joins: each step joins the next table on the first unused equi
+    // conjunct linking it to the tables joined so far (all pipes share one
+    // output schema, so pipes[0] stands in for them). The build side is
+    // materialized once into a shared partitioned state probed by every
+    // worker. With no such conjunct the step is a cross product: both keys
+    // are the same literal, so every probe tuple matches every build row.
     std::vector<bool> used(join_conjuncts_.size(), false);
     for (size_t i = 1; i < join_order_.size(); ++i) {
       const size_t k = join_order_[i];
@@ -486,19 +475,27 @@ class SelectPlanner {
           break;
         }
       }
-      if (chosen < 0) return std::unique_ptr<exec::Operator>();
-      used[static_cast<size_t>(chosen)] = true;
-      const AstExpr* c = join_conjuncts_[static_cast<size_t>(chosen)];
-      const AstExpr* probe_side = left_is_tree ? c->left.get() : c->right.get();
-      const AstExpr* build_side = left_is_tree ? c->right.get() : c->left.get();
-      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::ExprPtr build_key,
-                                    Bind(*build_side, right->OutputSchema()));
+      const AstExpr* probe_side = nullptr;
+      rel::ExprPtr build_key;
+      if (chosen >= 0) {
+        used[static_cast<size_t>(chosen)] = true;
+        const AstExpr* c = join_conjuncts_[static_cast<size_t>(chosen)];
+        probe_side = left_is_tree ? c->left.get() : c->right.get();
+        const AstExpr* build_side = left_is_tree ? c->right.get() : c->left.get();
+        INSIGHTNOTES_ASSIGN_OR_RETURN(build_key,
+                                      Bind(*build_side, right->OutputSchema()));
+      } else {
+        build_key = CrossProductKey();
+      }
       auto state = std::make_shared<exec::HashJoinBuildState>(
           std::move(right), std::move(build_key), num_workers, pool);
       states.push_back(state);
       for (size_t w = 0; w < num_workers; ++w) {
-        INSIGHTNOTES_ASSIGN_OR_RETURN(rel::ExprPtr probe_key,
-                                      Bind(*probe_side, pipes[w]->OutputSchema()));
+        rel::ExprPtr probe_key = CrossProductKey();
+        if (probe_side != nullptr) {
+          INSIGHTNOTES_ASSIGN_OR_RETURN(probe_key,
+                                        Bind(*probe_side, pipes[w]->OutputSchema()));
+        }
         pipes[w] = std::make_unique<exec::HashJoinProbeOperator>(
             std::move(pipes[w]), state, std::move(probe_key),
             /*expose_build=*/w == 0);
@@ -509,23 +506,39 @@ class SelectPlanner {
       }
     }
 
-    // Residual conjuncts (incl. leftover join conjuncts) and summary
-    // filters are per-tuple stages: they run inside every worker instead
-    // of above the gather.
+    // Residual conjuncts (incl. leftover join conjuncts, e.g. a second
+    // equality between the same pair of tables) and summary filters are
+    // per-tuple stages: they run inside every worker, below the gather.
+    // Estimates shrink as each applies: default selectivities for ordinary
+    // conjuncts, the ANALYZE annotation-count distribution of the driving
+    // table for SUMMARY_COUNT predicates.
     std::vector<const AstExpr*> residuals = residual_conjuncts_;
     for (size_t j = 0; j < join_conjuncts_.size(); ++j) {
       if (!used[j]) residuals.push_back(join_conjuncts_[j]);
     }
     for (size_t w = 0; w < num_workers; ++w) {
+      double est = optimized_ ? choice_.est_result_rows : 0.0;
       for (const AstExpr* conjunct : residuals) {
         INSIGHTNOTES_ASSIGN_OR_RETURN(rel::ExprPtr bound,
                                       Bind(*conjunct, pipes[w]->OutputSchema()));
         pipes[w] =
             std::make_unique<exec::FilterOperator>(std::move(pipes[w]), std::move(bound));
+        if (optimized_) {
+          est *= EstimateSelectivity(*conjunct, full_schema_, nullptr);
+          pipes[w]->SetPlannerEstimate(EstimateToRows(est));
+        }
       }
       for (const SummaryFilter& filter : summary_filters_) {
         pipes[w] = std::make_unique<exec::SummaryFilterOperator>(
             std::move(pipes[w]), filter.spec, filter.op, filter.threshold);
+        if (optimized_) {
+          std::shared_ptr<const rel::TableStats> driver_stats =
+              tables_[driver_slot].table->stats();
+          est *= driver_stats != nullptr
+                     ? driver_stats->AnnCountSelectivity(filter.op, filter.threshold)
+                     : 0.5;
+          pipes[w]->SetPlannerEstimate(EstimateToRows(est));
+        }
       }
       // Fault-injection seam: wrap the finished per-tuple pipeline before
       // any blocking partial operator, so scripted faults hit the worker
@@ -549,33 +562,37 @@ class SelectPlanner {
       return RestoreCanonicalOrder(std::move(gather));
     }
 
-    // Blocking stages: instead of ending the parallel section at the gather
-    // and aggregating/sorting/deduplicating serially above it, push a
-    // partial operator into every worker pipeline and merge the partial
+    // With several workers, blocking stages end the section differently:
+    // instead of aggregating/sorting/deduplicating above the gather, push
+    // a partial operator into every worker pipeline and merge the partial
     // states deterministically above the gather. Aggregation subsumes the
     // other stages' cost (its output is tiny), so it wins the dispatch;
-    // otherwise a sort dominates a residual distinct.
-    if (HasAggregation()) {
-      return BuildParallelAggregation(std::move(pipes), std::move(states), pool);
-    }
-    if (!stmt_.order_by.empty()) {
-      return BuildParallelSort(std::move(pipes), std::move(states), pool);
-    }
-    if (stmt_.distinct) {
-      return BuildParallelDistinct(std::move(pipes), std::move(states), pool);
-    }
-    if (stmt_.limit.has_value()) {
-      // Plain LIMIT k: serial semantics take the first k surviving rows in
-      // morsel order, so a cooperative row quota lets the morsel source
-      // stop dispatching once the first morsels' completed batches already
-      // carry k rows. The LimitOperator above trims in-flight extras.
-      auto quota = std::make_shared<exec::RowQuota>(*stmt_.limit);
-      source->SetQuota(quota);
-      states.push_back(quota);
-      auto gather = std::make_unique<exec::GatherOperator>(std::move(pipes),
-                                                           std::move(states), pool);
-      gather->EnableRowQuota(std::move(quota), source);
-      return std::unique_ptr<exec::Operator>(std::move(gather));
+    // otherwise a sort dominates a residual distinct. One worker streams
+    // through the gather, so Plan() stacks the single operators (and the
+    // LIMIT) above it instead.
+    if (num_workers > 1) {
+      if (HasAggregation()) {
+        return BuildParallelAggregation(std::move(pipes), std::move(states), pool);
+      }
+      if (!stmt_.order_by.empty()) {
+        return BuildParallelSort(std::move(pipes), std::move(states), pool);
+      }
+      if (stmt_.distinct) {
+        return BuildParallelDistinct(std::move(pipes), std::move(states), pool);
+      }
+      if (stmt_.limit.has_value()) {
+        // Plain LIMIT k: the result is the first k surviving rows in morsel
+        // order, so a cooperative row quota lets the morsel source stop
+        // dispatching once the first morsels' completed batches already
+        // carry k rows. The LimitOperator above trims in-flight extras.
+        auto quota = std::make_shared<exec::RowQuota>(*stmt_.limit);
+        source->SetQuota(quota);
+        states.push_back(quota);
+        auto gather = std::make_unique<exec::GatherOperator>(std::move(pipes),
+                                                             std::move(states), pool);
+        gather->EnableRowQuota(std::move(quota), source);
+        return std::unique_ptr<exec::Operator>(std::move(gather));
+      }
     }
     return std::unique_ptr<exec::Operator>(std::make_unique<exec::GatherOperator>(
         std::move(pipes), std::move(states), pool));
@@ -690,67 +707,6 @@ class SelectPlanner {
                                                       std::move(sink)));
   }
 
-  Result<std::unique_ptr<exec::Operator>> BuildJoinTree() {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> tree,
-                                  BuildTableInput(join_order_[0]));
-    std::vector<bool> used(join_conjuncts_.size(), false);
-    for (size_t i = 1; i < join_order_.size(); ++i) {
-      const size_t k = join_order_[i];
-      INSIGHTNOTES_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> right,
-                                    BuildTableInput(k));
-      // Find an unused equi conjunct with one side in `tree` and one in
-      // `right`.
-      ssize_t chosen = -1;
-      bool left_is_tree = true;
-      for (size_t j = 0; j < join_conjuncts_.size(); ++j) {
-        if (used[j]) continue;
-        const AstExpr* c = join_conjuncts_[j];
-        bool l_tree = BindableAgainst(*c->left, tree->OutputSchema());
-        bool r_right = BindableAgainst(*c->right, right->OutputSchema());
-        bool l_right = BindableAgainst(*c->left, right->OutputSchema());
-        bool r_tree = BindableAgainst(*c->right, tree->OutputSchema());
-        if (l_tree && r_right) {
-          chosen = static_cast<ssize_t>(j);
-          left_is_tree = true;
-          break;
-        }
-        if (l_right && r_tree) {
-          chosen = static_cast<ssize_t>(j);
-          left_is_tree = false;
-          break;
-        }
-      }
-      if (chosen >= 0) {
-        used[static_cast<size_t>(chosen)] = true;
-        const AstExpr* c = join_conjuncts_[static_cast<size_t>(chosen)];
-        const AstExpr* tree_side = left_is_tree ? c->left.get() : c->right.get();
-        const AstExpr* right_side = left_is_tree ? c->right.get() : c->left.get();
-        INSIGHTNOTES_ASSIGN_OR_RETURN(rel::ExprPtr left_key,
-                                      Bind(*tree_side, tree->OutputSchema()));
-        INSIGHTNOTES_ASSIGN_OR_RETURN(rel::ExprPtr right_key,
-                                      Bind(*right_side, right->OutputSchema()));
-        tree = std::make_unique<exec::HashJoinOperator>(
-            std::move(tree), std::move(right), std::move(left_key),
-            std::move(right_key));
-      } else {
-        // Cross product via nested loop with a constant-true predicate; any
-        // remaining join conjuncts apply as residual filters.
-        tree = std::make_unique<exec::NestedLoopJoinOperator>(
-            std::move(tree), std::move(right),
-            rel::MakeLiteral(rel::Value(static_cast<int64_t>(1))));
-      }
-      if (optimized_ && i < choice_.rows_after_step.size()) {
-        tree->SetPlannerEstimate(EstimateToRows(choice_.rows_after_step[i]));
-      }
-    }
-    // Unused join conjuncts (e.g. a second equality between the same pair
-    // of tables) become residual filters.
-    for (size_t j = 0; j < join_conjuncts_.size(); ++j) {
-      if (!used[j]) residual_conjuncts_.push_back(join_conjuncts_[j]);
-    }
-    return tree;
-  }
-
   static bool BindableAgainst(const AstExpr& expr, const rel::Schema& schema) {
     std::vector<std::string> cols;
     expr.CollectColumns(&cols);
@@ -760,34 +716,9 @@ class SelectPlanner {
     return !cols.empty();
   }
 
-  Result<std::unique_ptr<exec::Operator>> ApplyResidualFilters(
-      std::unique_ptr<exec::Operator> tree) {
-    // Estimates shrink as each residual stage applies: default selectivities
-    // for ordinary conjuncts, the ANALYZE annotation-count distribution of
-    // the driving table for SUMMARY_COUNT predicates.
-    double est = optimized_ ? choice_.est_result_rows : 0.0;
-    for (const AstExpr* conjunct : residual_conjuncts_) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::ExprPtr bound,
-                                    Bind(*conjunct, tree->OutputSchema()));
-      tree = std::make_unique<exec::FilterOperator>(std::move(tree), std::move(bound));
-      if (optimized_) {
-        est *= EstimateSelectivity(*conjunct, full_schema_, nullptr);
-        tree->SetPlannerEstimate(EstimateToRows(est));
-      }
-    }
-    for (SummaryFilter& filter : summary_filters_) {
-      tree = std::make_unique<exec::SummaryFilterOperator>(
-          std::move(tree), filter.spec, filter.op, filter.threshold);
-      if (optimized_) {
-        std::shared_ptr<const rel::TableStats> driver_stats =
-            tables_[join_order_[0]].table->stats();
-        est *= driver_stats != nullptr
-                   ? driver_stats->AnnCountSelectivity(filter.op, filter.threshold)
-                   : 0.5;
-        tree->SetPlannerEstimate(EstimateToRows(est));
-      }
-    }
-    return tree;
+  /// Join key of a cross-product step, bound identically on both sides.
+  static rel::ExprPtr CrossProductKey() {
+    return rel::MakeLiteral(rel::Value(static_cast<int64_t>(1)));
   }
 
   bool HasAggregation() const {
@@ -891,8 +822,8 @@ class SelectPlanner {
   }
 
   /// The projection items of the final SELECT list against `in`. Shared by
-  /// the serial top-of-plan projection and the parallel distinct shape
-  /// (which projects inside every worker, below the partial operators).
+  /// the top-of-plan projection and the multi-worker distinct shape (which
+  /// projects inside every worker, below the partial operators).
   Result<std::vector<exec::ProjectionItem>> BuildFinalProjectionItems(
       const rel::Schema& in) {
     std::vector<exec::ProjectionItem> items;
@@ -974,8 +905,8 @@ class SelectPlanner {
   PlanChoice choice_;
   std::vector<std::string> agg_output_names_;
   bool aggregated_ = false;
-  // Stages absorbed by the parallel section (partial + merge operators);
-  // Plan() skips the corresponding serial stage.
+  // Stages absorbed by a multi-worker section (partial + merge operators);
+  // Plan() skips the corresponding single operator.
   bool parallel_aggregated_ = false;
   bool parallel_sorted_ = false;
   bool parallel_projected_ = false;

@@ -29,21 +29,22 @@ struct PlannerOptions {
   /// optimizer's plans are byte-identical in results but differently
   /// shaped. SqlSession turns this on unless `SET OPTIMIZER = OFF`.
   bool optimize = false;
-  /// Worker pipelines of the morsel-driven parallel section. 1 (default)
-  /// plans the legacy serial tree. N > 1 replicates the per-tuple section
-  /// of eligible plans (scan / filter / projection / equi-join probe /
-  /// summary filter) into N pipelines over a shared morsel source, gathered
-  /// in morsel order — results are byte-identical to serial execution.
-  /// Plans needing a cross product fall back to the serial tree.
+  /// Worker pipelines of the plan's morsel-driven section. Every SELECT
+  /// runs its per-tuple section (scan / filter / projection / hash-join
+  /// probe, cross products included / summary filter) as N pipelines over
+  /// a shared morsel source, gathered in morsel order — results are
+  /// byte-identical at every N. 1 (default) runs the one pipeline inline;
+  /// so does a driving table smaller than one morsel, or an optimizer
+  /// choice of one worker.
   size_t parallelism = 1;
   /// Tuples per morsel handed to a parallel-scan worker.
   size_t morsel_size = 256;
-  /// Test seam: wraps each worker pipeline of the parallel section (after
-  /// the per-tuple stages, before any blocking partial operator) — e.g. in
-  /// an exec::FaultInjectingOperator for the fault sweep. Called once per
+  /// Test seam: wraps each worker pipeline of the section (after the
+  /// per-tuple stages, before any blocking partial operator) — e.g. in an
+  /// exec::FaultInjectingOperator for the fault sweep. Called once per
   /// worker with the pipeline and its worker index; must return the
-  /// (possibly wrapped) pipeline. Null = no wrapping. Serial plans
-  /// (parallelism 1 without a parallel section) are not wrapped.
+  /// (possibly wrapped) pipeline. Null = no wrapping. Hash-join build
+  /// inputs are not wrapped.
   std::function<std::unique_ptr<exec::Operator>(std::unique_ptr<exec::Operator>,
                                                 size_t)>
       wrap_worker_pipeline;

@@ -177,7 +177,7 @@ Result<ExecutionOutput> SqlSession::Execute(std::string_view sql,
   INSIGHTNOTES_ASSIGN_OR_RETURN(Statement statement, Parse(sql));
   if (auto* select = std::get_if<SelectStatement>(&statement)) {
     PlannerOptions options = planner_options_;
-    // Tracing observes per-operator tuple order; keep the legacy serial
+    // Tracing observes per-operator tuple order; keep one worker and the
     // rule-driven plan (optimizer plans may reorder operator events).
     options.parallelism = trace != nullptr ? 1 : parallelism_;
     options.optimize = optimizer_enabled_ && trace == nullptr;

@@ -32,7 +32,7 @@ class SqlSession {
   /// `engine` must outlive the session. The session's parallelism knob
   /// starts at `planner_options.parallelism` when that is explicit (> 1),
   /// otherwise at the hardware concurrency; SET PARALLELISM = N adjusts it
-  /// (1 = legacy serial plans).
+  /// (1 = one worker, run inline).
   explicit SqlSession(core::Engine* engine, PlannerOptions planner_options = {})
       : engine_(engine),
         planner_options_(planner_options),
@@ -43,8 +43,8 @@ class SqlSession {
         context_(std::make_shared<exec::QueryContext>()) {}
 
   /// Parses, plans and executes one statement. With `trace` non-null,
-  /// SELECTs record per-operator tuple flow (traced queries always plan
-  /// serially so events arrive in the legacy order).
+  /// SELECTs record per-operator tuple flow (traced queries run one worker
+  /// with the rule-driven plan, so events arrive in pipeline order).
   ///
   /// Every SELECT / EXPLAIN re-arms the session's QueryContext: the
   /// statement runs under `SET STATEMENT_TIMEOUT` / `SET MEMORY_LIMIT` and

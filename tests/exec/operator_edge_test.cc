@@ -73,9 +73,8 @@ TEST_F(OperatorEdgeTest, HashJoinDuplicateKeysProduceCrossMatches) {
   Insert("R2", rel::Tuple({I(2), S("r3")}));
   auto left = Scan("L", "l");
   auto right = Scan("R2", "r");
-  auto join = std::make_unique<HashJoinOperator>(
-      std::move(left), std::move(right), rel::MakeColumn(0, "l.k"),
-      rel::MakeColumn(0, "r.k"));
+  auto join = testutil::HashJoin(std::move(left), std::move(right),
+                                 rel::MakeColumn(0, "l.k"), rel::MakeColumn(0, "r.k"));
   auto rows = Drain(join.get());
   EXPECT_EQ(rows.size(), 4u);  // 2 x 2 on key 1.
 }
@@ -85,9 +84,8 @@ TEST_F(OperatorEdgeTest, HashJoinNullKeysNeverJoin) {
   Insert("R2", rel::Tuple({rel::Value::Null(), S("null-right")}));
   Insert("L", rel::Tuple({I(5), S("five")}));
   Insert("R2", rel::Tuple({I(5), S("cinq")}));
-  auto join = std::make_unique<HashJoinOperator>(
-      Scan("L", "l"), Scan("R2", "r"), rel::MakeColumn(0, "l.k"),
-      rel::MakeColumn(0, "r.k"));
+  auto join = testutil::HashJoin(Scan("L", "l"), Scan("R2", "r"),
+                                 rel::MakeColumn(0, "l.k"), rel::MakeColumn(0, "r.k"));
   auto rows = Drain(join.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(1).AsString(), "five");
@@ -95,9 +93,8 @@ TEST_F(OperatorEdgeTest, HashJoinNullKeysNeverJoin) {
 
 TEST_F(OperatorEdgeTest, HashJoinEmptyBuildSide) {
   Insert("L", rel::Tuple({I(1), S("x")}));
-  auto join = std::make_unique<HashJoinOperator>(
-      Scan("L", "l"), Scan("R2", "r"), rel::MakeColumn(0, "l.k"),
-      rel::MakeColumn(0, "r.k"));
+  auto join = testutil::HashJoin(Scan("L", "l"), Scan("R2", "r"),
+                                 rel::MakeColumn(0, "l.k"), rel::MakeColumn(0, "r.k"));
   EXPECT_TRUE(Drain(join.get()).empty());
 }
 

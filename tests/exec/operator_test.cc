@@ -5,10 +5,7 @@
 #include "exec/aggregate.h"
 #include "exec/distinct.h"
 #include "exec/filter.h"
-#include "exec/hash_join.h"
-#include "exec/nested_loop_join.h"
 #include "exec/projection.h"
-#include "exec/seq_scan.h"
 #include "exec/sort.h"
 #include "testutil.h"
 
@@ -138,7 +135,7 @@ TEST_F(OperatorTest, HashJoinMergesSummaries) {
 
   auto left = Scan("R", "r");
   auto right = Scan("S", "s");
-  auto join = std::make_unique<HashJoinOperator>(
+  auto join = testutil::HashJoin(
       std::move(left), std::move(right),
       Col(engine_->catalog()->GetTable("R").value()->schema().WithQualifier("r"), "r.a"),
       Col(engine_->catalog()->GetTable("S").value()->schema().WithQualifier("s"), "s.x"));
@@ -165,7 +162,7 @@ TEST_F(OperatorTest, HashJoinSharedAnnotationCountedOnce) {
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(engine_->AttachAnnotation(*id, "S", 0).ok());
 
-  auto join = std::make_unique<HashJoinOperator>(
+  auto join = testutil::HashJoin(
       Scan("R", "r"), Scan("S", "s"),
       Col(engine_->catalog()->GetTable("R").value()->schema().WithQualifier("r"), "r.a"),
       Col(engine_->catalog()->GetTable("S").value()->schema().WithQualifier("s"), "s.x"));
@@ -184,22 +181,25 @@ TEST_F(OperatorTest, HashJoinSharedAnnotationCountedOnce) {
   }
 }
 
-TEST_F(OperatorTest, NestedLoopJoinMatchesHashJoinOnEquiPredicate) {
+TEST_F(OperatorTest, CrossProductMatchesHashJoinOnEquiPredicate) {
   ASSERT_TRUE(engine_->Annotate(Spec("R", 2, "note on row three")).ok());
   auto r_schema = engine_->catalog()->GetTable("R").value()->schema().WithQualifier("r");
   auto s_schema = engine_->catalog()->GetTable("S").value()->schema().WithQualifier("s");
   auto joined_schema = rel::Schema::Concat(r_schema, s_schema);
 
-  auto hash_join = std::make_unique<HashJoinOperator>(
-      Scan("R", "r"), Scan("S", "s"), Col(r_schema, "r.a"), Col(s_schema, "s.x"));
-  auto nl_join = std::make_unique<NestedLoopJoinOperator>(
-      Scan("R", "r"), Scan("S", "s"),
+  auto hash_join = testutil::HashJoin(Scan("R", "r"), Scan("S", "s"),
+                                      Col(r_schema, "r.a"), Col(s_schema, "s.x"));
+  // A cross product is the hash join keyed on one literal on both sides;
+  // the equality then applies as a filter above it.
+  auto cross_join = std::make_unique<FilterOperator>(
+      testutil::HashJoin(Scan("R", "r"), Scan("S", "s"), MakeLiteral(I(1)),
+                         MakeLiteral(I(1))),
       MakeCompare(CompareOp::kEq, Col(joined_schema, "r.a"), Col(joined_schema, "s.x")));
   auto hash_rows = Drain(hash_join.get());
-  auto nl_rows = Drain(nl_join.get());
-  ASSERT_EQ(hash_rows.size(), nl_rows.size());
+  auto cross_rows = Drain(cross_join.get());
+  ASSERT_EQ(hash_rows.size(), cross_rows.size());
   for (size_t i = 0; i < hash_rows.size(); ++i) {
-    EXPECT_EQ(hash_rows[i].tuple, nl_rows[i].tuple);
+    EXPECT_EQ(hash_rows[i].tuple, cross_rows[i].tuple);
   }
 }
 

@@ -196,12 +196,18 @@ TEST_F(ParallelExecTest, Figure2JoinOracle) {
       "SELECT r.a, r.b, s.z FROM R r, S s WHERE r.a = s.x AND r.b = 2");
 }
 
-TEST_F(ParallelExecTest, CrossProductFallsBackToSerialPlan) {
-  // No equi-join conjunct: the parallel section builder must decline and
-  // the serial tree must produce the usual result.
+TEST_F(ParallelExecTest, CrossProductRunsAsLiteralKeyHashJoin) {
+  // No equi-join conjunct: the section joins on one literal key on both
+  // sides, a hash join in which every probe tuple matches every build row.
   std::vector<std::string> serial = Run("SELECT r.a, s.x FROM R r, S s", 1, 16);
   EXPECT_EQ(serial.size(), 9u);
   EXPECT_EQ(serial, Run("SELECT r.a, s.x FROM R r, S s", 8, 16));
+  sql::SqlSession session(engine_.get());
+  ASSERT_TRUE(session.Execute("SET PARALLELISM = 8").ok());
+  auto out = session.Execute("EXPLAIN SELECT r.a, s.x FROM R r, S s");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_NE(out->message.find("Gather("), std::string::npos) << out->message;
+  EXPECT_NE(out->message.find("HashJoinProbe"), std::string::npos) << out->message;
 }
 
 TEST_F(ParallelExecTest, SetParallelismKnob) {

@@ -19,6 +19,7 @@
 
 #include "core/engine.h"
 #include "exec/index_scan.h"
+#include "exec/parallel.h"
 #include "sql/session.h"
 #include "testutil.h"
 
@@ -36,6 +37,21 @@ constexpr uint64_t kTotalRows = kInitialRows + kLaterRows;
 rel::Tuple BirdRow(uint64_t i) {
   return rel::Tuple({I(static_cast<int64_t>((i * 7) % 50)),
                      S("band-" + std::to_string(i % 13))});
+}
+
+/// An index-probed scan of `table`, run as the planner runs it: a
+/// one-worker section (Gather(1) over an IndexScan) with no pool.
+std::unique_ptr<exec::Operator> IndexScan(Engine* engine, const rel::Table* table,
+                                          exec::IndexProbeSpec probe) {
+  auto source = std::make_shared<exec::ScanMorselSource>(
+      table, "", engine->summaries(), engine->annotations(),
+      /*with_summaries=*/true, exec::kDefaultBatchSize);
+  source->SetIndexProbe(std::move(probe));
+  std::vector<std::unique_ptr<exec::Operator>> workers;
+  workers.push_back(std::make_unique<exec::MorselScanOperator>(source));
+  return std::make_unique<exec::GatherOperator>(
+      std::move(workers), std::vector<std::shared_ptr<exec::SharedPlanState>>{source},
+      /*pool=*/nullptr);
 }
 
 rel::Schema BirdSchema() {
@@ -154,7 +170,7 @@ TEST_F(PersistentIndexTest, CreateIndexSurvivesReopenWithoutRebuild) {
   ASSERT_NE(birds, nullptr);
   const rel::TableIndex* index = birds->IndexOn(0);
   ASSERT_NE(index, nullptr);
-  EXPECT_TRUE(index->persistent());
+  EXPECT_NE(index->tree(), nullptr);
   EXPECT_EQ(index->NumEntries(), kTotalRows);
   EXPECT_EQ(index->tree()->covered_rows(), kInitialRows);
   ASSERT_TRUE(index->tree()->CheckInvariants().ok());
@@ -206,7 +222,7 @@ TEST_F(PersistentIndexTest, MultipleIndexesAcrossTablesSurviveReopen) {
   ASSERT_NE(birds->IndexOn(1), nullptr);
   EXPECT_EQ(birds->IndexOn(0)->NumEntries(), kInitialRows);
   EXPECT_EQ(birds->IndexOn(1)->NumEntries(), kInitialRows);
-  EXPECT_TRUE(birds->IndexOn(1)->persistent());
+  EXPECT_NE(birds->IndexOn(1)->tree(), nullptr);
 
   // String-keyed probes over-approximate by contract (23-byte prefix), but
   // exact short keys are exact; compare against the scan oracle.
@@ -274,15 +290,11 @@ TEST_F(PersistentIndexTest, ReopenedIndexSurfacesBeforeRowsExist) {
   // The tree answers with committed RowIds; with the heap still empty an
   // IndexScan masks every one of them through IsLive, emitting nothing.
   EXPECT_EQ(index->NumEntries(), kInitialRows);
-  auto plan = std::make_unique<exec::IndexScanOperator>(
-      birds, "", engine.summaries(), engine.annotations(),
-      [] {
-        exec::IndexProbeSpec spec;
-        spec.column = 0;
-        spec.has_eq = true;
-        spec.eq = I(7);
-        return spec;
-      }());
+  exec::IndexProbeSpec spec;
+  spec.column = 0;
+  spec.has_eq = true;
+  spec.eq = I(7);
+  auto plan = IndexScan(&engine, birds, spec);
   auto result = engine.Execute(std::move(plan));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->rows.empty());
@@ -304,7 +316,7 @@ TEST(PersistentIndexSnapshotTest, PinnedSnapshotMasksLateAndDeadRows) {
   ASSERT_TRUE(table.ok());
   const rel::TableIndex* index = (*table)->IndexOn(0);
   ASSERT_NE(index, nullptr);
-  ASSERT_TRUE(index->persistent());
+  ASSERT_NE(index->tree(), nullptr);
 
   auto pinned = engine.PinSnapshot();
   ASSERT_TRUE(pinned.ok());
@@ -313,16 +325,15 @@ TEST(PersistentIndexSnapshotTest, PinnedSnapshotMasksLateAndDeadRows) {
   for (uint64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(engine.Insert("birds", rel::Tuple({I(5), S("late")})).ok());
   }
-  // A row deleted after the pin is masked too (the probe checks liveness
-  // at emission; deleted rows have no tuple to emit).
+  // A row deleted after the pin is masked too (the scan checks liveness
+  // as it materializes the probed rows; deleted rows have no tuple).
   ASSERT_TRUE((*table)->Delete(3).ok());
 
   exec::IndexProbeSpec spec;
   spec.column = 0;
   spec.has_eq = true;
   spec.eq = I(5);
-  auto plan = std::make_unique<exec::IndexScanOperator>(
-      *table, "", engine.summaries(), engine.annotations(), spec);
+  auto plan = IndexScan(&engine, *table, spec);
   ExecuteOptions options;
   options.snapshot = *pinned;
   options.retain = false;

@@ -14,7 +14,9 @@
 
 #include "core/engine.h"
 #include "core/summary_instance.h"
+#include "exec/hash_join.h"
 #include "exec/operator.h"
+#include "exec/parallel.h"
 #include "rel/expression.h"
 
 namespace insightnotes::testutil {
@@ -28,6 +30,23 @@ inline rel::ExprPtr Col(const rel::Schema& schema, const std::string& name) {
   auto index = schema.IndexOf(name);
   EXPECT_TRUE(index.ok()) << index.status().ToString();
   return rel::MakeColumn(index.ok() ? *index : 0, name);
+}
+
+/// Hash join of two complete inputs on left_key == right_key, assembled
+/// the way the planner runs it with one worker: a Gather(1) over a probe
+/// of `left` against a build of `right`.
+inline std::unique_ptr<exec::Operator> HashJoin(std::unique_ptr<exec::Operator> left,
+                                                std::unique_ptr<exec::Operator> right,
+                                                rel::ExprPtr left_key,
+                                                rel::ExprPtr right_key) {
+  auto build = std::make_shared<exec::HashJoinBuildState>(
+      std::move(right), std::move(right_key), /*num_partitions=*/1, /*pool=*/nullptr);
+  std::vector<std::unique_ptr<exec::Operator>> workers;
+  workers.push_back(std::make_unique<exec::HashJoinProbeOperator>(
+      std::move(left), build, std::move(left_key), /*expose_build=*/true));
+  return std::make_unique<exec::GatherOperator>(
+      std::move(workers), std::vector<std::shared_ptr<exec::SharedPlanState>>{build},
+      /*pool=*/nullptr);
 }
 
 class EngineFixture : public ::testing::Test {

@@ -49,26 +49,13 @@ Status RunQuery(core::Engine* engine, const std::string& text, size_t parallelis
   options.morsel_size = kMorselSize;
   auto plan = Check(sql::PlanSelect(*select, engine, options), "plan");
   if (context != nullptr) plan->SetQueryContext(context);
-  Status status = plan->Open();
-  size_t rows = 0;
-  if (status.ok()) {
-    core::AnnotatedTuple tuple;
-    while (true) {
-      Result<bool> more = plan->Next(&tuple);
-      if (!more.ok()) {
-        status = more.status();
-        break;
-      }
-      if (!*more) break;
-      ++rows;
-    }
-  }
-  if (!status.ok()) {
+  Result<size_t> rows = DrainRows(plan.get());
+  if (!rows.ok()) {
     Status closed = plan->Close();  // Joins any still-running workers.
     (void)closed;
   }
-  if (rows_out != nullptr) *rows_out = rows;
-  return status;
+  if (rows_out != nullptr) *rows_out = rows.ok() ? *rows : 0;
+  return rows.status();
 }
 
 void BM_CancelUnwind(benchmark::State& state) {

@@ -129,10 +129,7 @@ void BM_QueryCostVsInstances(benchmark::State& state) {
   }
   for (auto _ : state) {
     auto scan = Check(engine->MakeScan("birds", "b"), "scan");
-    Check(scan->Open(), "open");
-    core::AnnotatedTuple t;
-    size_t rows = 0;
-    while (Check(scan->Next(&t), "next")) ++rows;
+    size_t rows = Check(DrainRows(scan.get()), "drain");
     benchmark::DoNotOptimize(rows);
   }
   state.SetLabel("instances=" + std::to_string(k));

@@ -81,11 +81,7 @@ size_t RunQuery(core::Engine* engine, const std::string& text, bool optimize) {
   sql::PlannerOptions options;
   options.optimize = optimize;
   auto plan = Check(sql::PlanSelect(*select, engine, options), "plan");
-  Check(plan->Open(), "open");
-  core::AnnotatedTuple tuple;
-  size_t rows = 0;
-  while (Check(plan->Next(&tuple), "next")) ++rows;
-  return rows;
+  return Check(DrainRows(plan.get()), "drain");
 }
 
 void RunSweep(benchmark::State& state, const std::string& query,

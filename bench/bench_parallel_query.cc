@@ -1,10 +1,11 @@
 // Thread sweep over the morsel-driven parallel executor: scan+filter,
 // scan+filter+join, aggregation, sort and distinct workloads planned at
-// parallelism 1 / 2 / 4 / 8. Parallelism 1 is the legacy serial tree (the
-// baseline the speedup is measured against); the oracle tests guarantee
-// the parallel plans return byte-identical results, so the sweep measures
-// pure execution-layer scaling. Emits BENCH_query.json alongside the
-// console report (see bench_util.h / check_bench_json.py).
+// parallelism 1 / 2 / 4 / 8. Parallelism 1 runs the same morsel plan with
+// one inline worker (the baseline the speedup is measured against); the
+// oracle tests guarantee the parallel plans return byte-identical results,
+// so the sweep measures pure execution-layer scaling. Emits
+// BENCH_query.json alongside the console report (see bench_util.h /
+// check_bench_json.py).
 
 #include <benchmark/benchmark.h>
 
@@ -34,11 +35,7 @@ size_t RunQuery(core::Engine* engine, const std::string& text, size_t parallelis
   options.parallelism = parallelism;
   options.morsel_size = kMorselSize;
   auto plan = Check(sql::PlanSelect(*select, engine, options), "plan");
-  Check(plan->Open(), "open");
-  core::AnnotatedTuple tuple;
-  size_t rows = 0;
-  while (Check(plan->Next(&tuple), "next")) ++rows;
-  return rows;
+  return Check(DrainRows(plan.get()), "drain");
 }
 
 size_t SumPrunedRows(const exec::PlanMetrics& node) {
@@ -57,10 +54,7 @@ size_t PrunedRowsOf(core::Engine* engine, const std::string& text, size_t parall
   options.parallelism = parallelism;
   options.morsel_size = kMorselSize;
   auto plan = Check(sql::PlanSelect(*select, engine, options), "plan");
-  Check(plan->Open(), "open");
-  core::AnnotatedTuple tuple;
-  while (Check(plan->Next(&tuple), "next")) {
-  }
+  Check(DrainRows(plan.get()), "drain");
   return SumPrunedRows(exec::CollectPlanMetrics(plan.get()));
 }
 

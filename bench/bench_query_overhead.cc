@@ -48,11 +48,7 @@ size_t RunPipeline(core::Engine* engine, bool with_summaries, bool trim) {
   auto project = Check(exec::ProjectOperator::FromColumns(
                            std::move(filter), trim ? TrimColumns() : CarryColumns()),
                        "project");
-  Check(project->Open(), "open");
-  core::AnnotatedTuple t;
-  size_t rows = 0;
-  while (Check(project->Next(&t), "next")) ++rows;
-  return rows;
+  return Check(DrainRows(project.get()), "drain");
 }
 
 /// (a) The query with annotation processing off.
@@ -136,10 +132,7 @@ void BM_JoinSummaryVsRaw(benchmark::State& state) {
     auto join = std::make_unique<exec::GatherOperator>(
         std::move(workers), std::vector<std::shared_ptr<exec::SharedPlanState>>{build},
         /*pool=*/nullptr);
-    Check(join->Open(), "open");
-    core::AnnotatedTuple t;
-    size_t rows = 0;
-    while (Check(join->Next(&t), "next")) ++rows;
+    size_t rows = Check(DrainRows(join.get()), "drain");
     benchmark::DoNotOptimize(rows);
   }
   state.SetLabel(use_summaries ? "insightnotes" : "plain");

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "exec/operator.h"
 #include "sql/session.h"
 #include "workload/workload.h"
 
@@ -35,6 +36,19 @@ template <typename T>
 T Check(Result<T> result, const char* what) {
   Check(result.status().ok() ? Status::OK() : result.status(), what);
   return std::move(result).value();
+}
+
+/// Opens `op` and drains it batch by batch. Returns the row count, or the
+/// first error of Open/NextBatch.
+inline Result<size_t> DrainRows(exec::Operator* op) {
+  INSIGHTNOTES_RETURN_IF_ERROR(op->Open());
+  size_t rows = 0;
+  core::AnnotatedBatch batch;
+  while (true) {
+    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
+    if (!more) return rows;
+    rows += batch.tuples.size();
+  }
 }
 
 struct BuiltWorkload {

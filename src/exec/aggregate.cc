@@ -20,6 +20,42 @@ using TupleIndex = std::unordered_map<rel::Tuple, size_t, TupleHash>;
 // merged summary state and its hash-index entry.
 constexpr size_t kGroupStateApproxBytes = 256;
 
+size_t GroupBytes(const AggregateGroup& group) {
+  return core::ApproxBytes(group.key) + kGroupStateApproxBytes +
+         group.states.size() * sizeof(AggState);
+}
+
+// The per-tuple fold both aggregation shapes share: folds `in` into its
+// group of `groups` (first-seen order, found through `index`), appending
+// the group on first sight.
+Status FoldIntoGroups(const std::vector<rel::ExprPtr>& group_exprs,
+                      const std::vector<AggregateItem>& aggregates, bool record_terms,
+                      core::AnnotatedTuple* in, TupleIndex* index,
+                      std::vector<AggregateGroup>* groups) {
+  rel::Tuple key;
+  for (const auto& expr : group_exprs) {
+    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, expr->Evaluate(in->tuple));
+    key.Append(std::move(v));
+  }
+  auto [it, inserted] = index->emplace(key, groups->size());
+  if (!inserted) {
+    AggregateGroup& group = (*groups)[it->second];
+    INSIGHTNOTES_RETURN_IF_ERROR(group.summary.Fold(*in));
+    return AccumulateAggregates(aggregates, in->tuple, &group.states, record_terms);
+  }
+  AggregateGroup group;
+  group.key = std::move(key);
+  // Grouped outputs expose aggregate columns, not the original ones:
+  // annotation coverage degrades to whole-row.
+  group.summary.Seed(in, /*whole_row=*/true,
+                     /*reserve_hint=*/in->attachments.size() * 2);
+  group.states.resize(aggregates.size());
+  INSIGHTNOTES_RETURN_IF_ERROR(
+      AccumulateAggregates(aggregates, in->tuple, &group.states, record_terms));
+  groups->push_back(std::move(group));
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string_view AggregateFunctionToString(AggregateFunction fn) {
@@ -148,6 +184,18 @@ Result<rel::Value> FinalizeAggregate(const AggState& state, AggregateFunction fn
   return Status::Internal("unknown aggregate function");
 }
 
+Status FinalizeGroup(const std::vector<AggregateItem>& items, AggregateGroup* group,
+                     core::AnnotatedTuple* out) {
+  out->tuple = std::move(group->key);
+  for (size_t i = 0; i < items.size(); ++i) {
+    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v,
+                                  FinalizeAggregate(group->states[i], items[i].fn));
+    out->tuple.Append(std::move(v));
+  }
+  group->summary.Release(out);
+  return Status::OK();
+}
+
 rel::Schema MakeAggregateSchema(const rel::Schema& input,
                                 const std::vector<rel::ExprPtr>& group_exprs,
                                 const std::vector<rel::Column>& group_columns,
@@ -232,57 +280,30 @@ Status AggregateOperator::OpenImpl() {
     INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
     if (!more) break;
     for (core::AnnotatedTuple& in : batch.tuples) {
-      rel::Tuple key;
-      for (const auto& expr : group_exprs_) {
-        INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, expr->Evaluate(in.tuple));
-        key.Append(std::move(v));
-      }
-      auto [it, inserted] = index.emplace(key, groups_.size());
-      if (inserted) {
-        Group group;
-        group.key = std::move(key);
-        INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(
-            core::ApproxBytes(group.key) + kGroupStateApproxBytes +
-            aggregates_.size() * sizeof(AggState)));
-        // Grouped outputs expose aggregate columns, not the original ones:
-        // annotation coverage degrades to whole-row.
-        group.summary.Seed(&in, /*whole_row=*/true,
-                           /*reserve_hint=*/in.attachments.size() * 2);
-        group.states.resize(aggregates_.size());
-        INSIGHTNOTES_RETURN_IF_ERROR(AccumulateAggregates(
-            aggregates_, in.tuple, &group.states, /*record_terms=*/false));
-        groups_.push_back(std::move(group));
-      } else {
-        Group& group = groups_[it->second];
-        INSIGHTNOTES_RETURN_IF_ERROR(group.summary.Fold(in));
-        INSIGHTNOTES_RETURN_IF_ERROR(AccumulateAggregates(
-            aggregates_, in.tuple, &group.states, /*record_terms=*/false));
+      const size_t before = groups_.size();
+      INSIGHTNOTES_RETURN_IF_ERROR(FoldIntoGroups(group_exprs_, aggregates_,
+                                                  /*record_terms=*/false, &in,
+                                                  &index, &groups_));
+      if (groups_.size() > before) {
+        INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(GroupBytes(groups_.back())));
       }
     }
   }
 
   // Global aggregate over empty input still emits one row of zero counts.
   if (groups_.empty() && group_exprs_.empty()) {
-    Group group;
+    AggregateGroup group;
     group.states.resize(aggregates_.size());
     groups_.push_back(std::move(group));
   }
   return Status::OK();
 }
 
-Result<bool> AggregateOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= groups_.size()) return false;
-  Group& group = groups_[cursor_++];
-  rel::Tuple result = group.key;
-  for (size_t i = 0; i < aggregates_.size(); ++i) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v,
-                                  FinalizeAggregate(group.states[i], aggregates_[i].fn));
-    result.Append(std::move(v));
-  }
-  out->tuple = std::move(result);
-  group.summary.Release(out);
-  Trace(*out);
-  return true;
+Result<bool> AggregateOperator::NextBatchImpl(core::AnnotatedBatch* out) {
+  return EmitRows(&groups_, &cursor_, out,
+                  [this](AggregateGroup* group, core::AnnotatedTuple* tuple) {
+                    return FinalizeGroup(aggregates_, group, tuple);
+                  });
 }
 
 std::string AggregateOperator::Name() const {
@@ -313,11 +334,6 @@ PartialAggregateOperator::PartialAggregateOperator(
       aggregates_(std::move(aggregates)),
       sink_(std::move(sink)) {}
 
-Result<bool> PartialAggregateOperator::NextImpl(core::AnnotatedTuple*) {
-  core::AnnotatedBatch batch;
-  return NextBatchImpl(&batch);
-}
-
 Result<bool> PartialAggregateOperator::NextBatchImpl(core::AnnotatedBatch*) {
   // Drain the whole pipeline here: each child batch is one morsel (the
   // morsel scan emits one batch per morsel and every per-tuple stage maps
@@ -332,35 +348,16 @@ Result<bool> PartialAggregateOperator::NextBatchImpl(core::AnnotatedBatch*) {
     TupleIndex index;
     index.reserve(batch.tuples.size());
     for (core::AnnotatedTuple& in : batch.tuples) {
-      rel::Tuple key;
-      for (const auto& expr : group_exprs_) {
-        INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, expr->Evaluate(in.tuple));
-        key.Append(std::move(v));
-      }
-      auto [it, inserted] = index.emplace(key, partial.groups.size());
-      if (inserted) {
-        PartialAggState::PartialGroup group;
-        group.key = std::move(key);
-        group.summary.Seed(&in, /*whole_row=*/true,
-                           /*reserve_hint=*/in.attachments.size() * 2);
-        group.states.resize(aggregates_.size());
-        INSIGHTNOTES_RETURN_IF_ERROR(AccumulateAggregates(
-            aggregates_, in.tuple, &group.states, /*record_terms=*/true));
-        partial.groups.push_back(std::move(group));
-      } else {
-        PartialAggState::PartialGroup& group = partial.groups[it->second];
-        INSIGHTNOTES_RETURN_IF_ERROR(group.summary.Fold(in));
-        INSIGHTNOTES_RETURN_IF_ERROR(AccumulateAggregates(
-            aggregates_, in.tuple, &group.states, /*record_terms=*/true));
-      }
+      INSIGHTNOTES_RETURN_IF_ERROR(FoldIntoGroups(group_exprs_, aggregates_,
+                                                  /*record_terms=*/true, &in,
+                                                  &index, &partial.groups));
     }
     metrics_.partial_groups += partial.groups.size();
     // Group tables + recorded SUM/AVG replay terms for this morsel.
     size_t partial_bytes =
         batch.tuples.size() * aggregates_.size() * sizeof(double);
-    for (const PartialAggState::PartialGroup& group : partial.groups) {
-      partial_bytes += core::ApproxBytes(group.key) + kGroupStateApproxBytes +
-                       aggregates_.size() * sizeof(AggState);
+    for (const AggregateGroup& group : partial.groups) {
+      partial_bytes += GroupBytes(group);
     }
     INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(partial_bytes));
     sink_->Publish(std::move(partial));
@@ -398,12 +395,12 @@ Status AggregateMergeOperator::OpenImpl() {
                const PartialAggState::MorselPartial& b) { return a.morsel < b.morsel; });
   TupleIndex index;
   for (PartialAggState::MorselPartial& partial : partials) {
-    for (PartialAggState::PartialGroup& group : partial.groups) {
+    for (AggregateGroup& group : partial.groups) {
       auto [it, inserted] = index.emplace(group.key, groups_.size());
       if (inserted) {
         groups_.push_back(std::move(group));
       } else {
-        PartialAggState::PartialGroup& into = groups_[it->second];
+        AggregateGroup& into = groups_[it->second];
         INSIGHTNOTES_RETURN_IF_ERROR(into.summary.Combine(std::move(group.summary)));
         for (size_t i = 0; i < aggregates_.size(); ++i) {
           INSIGHTNOTES_RETURN_IF_ERROR(
@@ -413,12 +410,12 @@ Status AggregateMergeOperator::OpenImpl() {
     }
   }
   // All terms are concatenated in morsel order now; replay the float sums.
-  for (PartialAggState::PartialGroup& group : groups_) {
+  for (AggregateGroup& group : groups_) {
     for (AggState& state : group.states) FoldAggTerms(&state);
   }
   // Global aggregate over empty input still emits one row of zero counts.
   if (groups_.empty() && group_exprs_.empty()) {
-    PartialAggState::PartialGroup group;
+    AggregateGroup group;
     group.states.resize(aggregates_.size());
     groups_.push_back(std::move(group));
   }
@@ -428,19 +425,11 @@ Status AggregateMergeOperator::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> AggregateMergeOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= groups_.size()) return false;
-  PartialAggState::PartialGroup& group = groups_[cursor_++];
-  rel::Tuple result = group.key;
-  for (size_t i = 0; i < aggregates_.size(); ++i) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v,
-                                  FinalizeAggregate(group.states[i], aggregates_[i].fn));
-    result.Append(std::move(v));
-  }
-  out->tuple = std::move(result);
-  group.summary.Release(out);
-  Trace(*out);
-  return true;
+Result<bool> AggregateMergeOperator::NextBatchImpl(core::AnnotatedBatch* out) {
+  return EmitRows(&groups_, &cursor_, out,
+                  [this](AggregateGroup* group, core::AnnotatedTuple* tuple) {
+                    return FinalizeGroup(aggregates_, group, tuple);
+                  });
 }
 
 std::string AggregateMergeOperator::Name() const {

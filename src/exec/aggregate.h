@@ -73,6 +73,19 @@ Status MergeAggStates(AggState* into, AggState&& other);
 /// Replays the recorded SUM/AVG terms into `sum` (after all merges).
 void FoldAggTerms(AggState* state);
 
+/// One group of either aggregation shape: its key, merged summaries and
+/// one accumulator per aggregate item.
+struct AggregateGroup {
+  rel::Tuple key;  // Group key values.
+  core::PartialSummaryState summary;
+  std::vector<AggState> states;
+};
+
+/// Moves `group`'s output row onto `out`: the key values, then each
+/// aggregate's final value, carrying the merged summaries.
+Status FinalizeGroup(const std::vector<AggregateItem>& items, AggregateGroup* group,
+                     core::AnnotatedTuple* out);
+
 /// Final output value of one aggregate.
 Result<rel::Value> FinalizeAggregate(const AggState& state, AggregateFunction fn);
 
@@ -107,21 +120,15 @@ class AggregateOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
-  struct Group {
-    rel::Tuple key;  // Group key values.
-    core::PartialSummaryState summary;
-    std::vector<AggState> states;
-  };
-
   std::unique_ptr<Operator> child_;
   std::vector<rel::ExprPtr> group_exprs_;
   std::vector<AggregateItem> aggregates_;
   rel::Schema schema_;
 
-  std::vector<Group> groups_;  // Deterministic: first-seen order.
+  std::vector<AggregateGroup> groups_;  // Deterministic: first-seen order.
   size_t cursor_ = 0;
 };
 
@@ -131,14 +138,9 @@ class AggregateOperator final : public Operator {
 /// AggregateMergeOperator.
 class PartialAggState final : public SharedPlanState {
  public:
-  struct PartialGroup {
-    rel::Tuple key;
-    core::PartialSummaryState summary;
-    std::vector<AggState> states;
-  };
   struct MorselPartial {
     uint64_t morsel = 0;
-    std::vector<PartialGroup> groups;  // First-seen order within the morsel.
+    std::vector<AggregateGroup> groups;  // First-seen order within the morsel.
   };
 
   Status Reset() override;
@@ -175,7 +177,6 @@ class PartialAggregateOperator final : public Operator {
     ReleaseMemory();  // Previous execution's partial-table charges.
     return child_->Open();
   }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
@@ -203,7 +204,7 @@ class AggregateMergeOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   std::unique_ptr<Operator> child_;
@@ -212,7 +213,7 @@ class AggregateMergeOperator final : public Operator {
   std::shared_ptr<PartialAggState> source_;
   rel::Schema schema_;
 
-  std::vector<PartialAggState::PartialGroup> groups_;  // First-seen order.
+  std::vector<AggregateGroup> groups_;  // First-seen order.
   size_t cursor_ = 0;
 };
 

@@ -41,13 +41,6 @@ Status DistinctOperator::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> DistinctOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = std::move(results_[cursor_++]);
-  Trace(*out);
-  return true;
-}
-
 Status PartialDistinctState::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   partials_.clear();
@@ -62,11 +55,6 @@ void PartialDistinctState::Publish(MorselPartial&& partial) {
 std::vector<PartialDistinctState::MorselPartial> PartialDistinctState::Take() {
   std::lock_guard<std::mutex> lock(mutex_);
   return std::move(partials_);
-}
-
-Result<bool> PartialDistinctOperator::NextImpl(core::AnnotatedTuple*) {
-  core::AnnotatedBatch batch;
-  return NextBatchImpl(&batch);
 }
 
 Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
@@ -132,13 +120,13 @@ Status DistinctMergeOperator::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> DistinctMergeOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  PartialDistinctState::Entry& entry = results_[cursor_++];
-  out->tuple = std::move(entry.tuple);
-  entry.summary.Release(out);
-  Trace(*out);
-  return true;
+Result<bool> DistinctMergeOperator::NextBatchImpl(core::AnnotatedBatch* out) {
+  return EmitRows(&results_, &cursor_, out,
+                  [](PartialDistinctState::Entry* entry, core::AnnotatedTuple* tuple) {
+                    tuple->tuple = std::move(entry->tuple);
+                    entry->summary.Release(tuple);
+                    return Status::OK();
+                  });
 }
 
 }  // namespace insightnotes::exec

@@ -35,7 +35,9 @@ class DistinctOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, &cursor_, out);
+  }
 
  private:
   std::unique_ptr<Operator> child_;
@@ -85,7 +87,6 @@ class PartialDistinctOperator final : public Operator {
     ReleaseMemory();  // Previous execution's distinct-set charges.
     return child_->Open();
   }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
@@ -108,7 +109,7 @@ class DistinctMergeOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   std::unique_ptr<Operator> child_;

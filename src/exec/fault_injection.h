@@ -94,9 +94,6 @@ class FaultInjectingOperator final : public Operator {
     calls_ = 0;
     return child_->Open();
   }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override {
-    return child_->Next(out);
-  }
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:

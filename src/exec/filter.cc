@@ -2,18 +2,6 @@
 
 namespace insightnotes::exec {
 
-Result<bool> FilterOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (true) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool pass, predicate_->EvaluateBool(out->tuple));
-    if (pass) {
-      Trace(*out);
-      return true;
-    }
-  }
-}
-
 Result<bool> FilterOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;

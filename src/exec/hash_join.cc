@@ -143,8 +143,6 @@ std::vector<Operator*> HashJoinProbeOperator::Children() {
 
 Status HashJoinProbeOperator::OpenImpl() {
   // The shared build state is reset by the GatherOperator, not here.
-  pending_.Clear();
-  pending_pos_ = 0;
   metrics_.build_partitions = state_->num_partitions();
   return child_->Open();
 }
@@ -167,16 +165,6 @@ Result<bool> HashJoinProbeOperator::NextBatchImpl(core::AnnotatedBatch* out) {
       out->tuples.push_back(std::move(joined));
     }
   }
-  return true;
-}
-
-Result<bool> HashJoinProbeOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (pending_pos_ >= pending_.tuples.size()) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, NextBatchImpl(&pending_));
-    if (!more) return false;
-    pending_pos_ = 0;
-  }
-  *out = std::move(pending_.tuples[pending_pos_++]);
   return true;
 }
 

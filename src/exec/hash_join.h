@@ -98,7 +98,6 @@ class HashJoinProbeOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
@@ -107,9 +106,6 @@ class HashJoinProbeOperator final : public Operator {
   rel::ExprPtr probe_key_;
   bool expose_build_;
   rel::Schema schema_;
-  // Tuple-at-a-time adapter state (NextBatch is the native interface).
-  core::AnnotatedBatch pending_;
-  size_t pending_pos_ = 0;
 };
 
 }  // namespace insightnotes::exec

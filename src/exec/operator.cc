@@ -5,29 +5,12 @@
 namespace insightnotes::exec {
 
 Status Operator::Open() {
-  next_calls_ = 0;
   INSIGHTNOTES_RETURN_IF_ERROR(CheckInterrupt());
   if (!metrics_enabled_) return OpenImpl();
   Stopwatch watch;
   Status status = OpenImpl();
   metrics_.wall_ns += static_cast<uint64_t>(watch.ElapsedNanos());
   return status;
-}
-
-Result<bool> Operator::Next(core::AnnotatedTuple* out) {
-  if (++next_calls_ % kInterruptStride == 0) {
-    INSIGHTNOTES_RETURN_IF_ERROR(CheckInterrupt());
-  }
-  if (!metrics_enabled_) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, NextImpl(out));
-    if (more) ++metrics_.rows_out;
-    return more;
-  }
-  Stopwatch watch;
-  Result<bool> more = NextImpl(out);
-  metrics_.wall_ns += static_cast<uint64_t>(watch.ElapsedNanos());
-  if (more.ok() && *more) ++metrics_.rows_out;
-  return more;
 }
 
 Result<bool> Operator::NextBatch(core::AnnotatedBatch* out) {
@@ -58,16 +41,6 @@ Status Operator::Close() {
   }
   ReleaseMemory();
   return status;
-}
-
-Result<bool> Operator::NextBatchImpl(core::AnnotatedBatch* out) {
-  while (out->tuples.size() < kDefaultBatchSize) {
-    core::AnnotatedTuple tuple;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, NextImpl(&tuple));
-    if (!more) break;
-    out->tuples.push_back(std::move(tuple));
-  }
-  return !out->tuples.empty();
 }
 
 }  // namespace insightnotes::exec

@@ -1,21 +1,24 @@
-// Iterator interface over AnnotatedTuples, offered at two granularities:
-// the classic Volcano tuple-at-a-time Next() and a batch-at-a-time
-// NextBatch() used by the morsel-driven parallel executor (a default
-// adapter turns any tuple-at-a-time operator into a batch producer). Every
-// operator implements the extended summary-propagation semantics of its
-// relational counterpart (Section 2.1).
+// Pull interface over batches of AnnotatedTuples (after MonetDB/X100,
+// Boncz et al., CIDR 2005, and morsel-driven execution, Leis et al.,
+// SIGMOD 2014): NextBatch is an operator's only pull method, and the batch
+// is the only unit of work. Streaming stages map one child batch to one
+// output batch; materializing stages (sort, distinct, aggregation, order
+// restoration) emit up to kDefaultBatchSize rows per call through
+// EmitRows. Every operator implements the extended summary-propagation
+// semantics of its relational counterpart (Section 2.1).
 //
-// The public Open/Next/NextBatch entry points are non-virtual wrappers
-// (operators override OpenImpl/NextImpl/NextBatchImpl): the wrapper layer
-// maintains the per-operator OperatorMetrics counters surfaced through
-// EXPLAIN ANALYZE and, when metrics are enabled, per-call wall-clock time.
-// Operators optionally report each emitted tuple to a trace sink — the
-// demo's "under-the-hood execution" feature (Section 3, demonstration
-// feature 3).
+// The public Open/NextBatch/Close entry points are non-virtual wrappers
+// (operators override OpenImpl/NextBatchImpl/CloseImpl): the wrapper layer
+// polls the query context for cancellation, maintains the per-operator
+// OperatorMetrics counters surfaced through EXPLAIN ANALYZE and, when
+// metrics are enabled, per-call wall-clock time. Operators optionally
+// report each emitted tuple to a trace sink — the demo's "under-the-hood
+// execution" feature (Section 3, demonstration feature 3).
 
 #ifndef INSIGHTNOTES_EXEC_OPERATOR_H_
 #define INSIGHTNOTES_EXEC_OPERATOR_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,17 +34,17 @@ namespace insightnotes::exec {
 /// Callback invoked per emitted tuple: (operator name, tuple).
 using TraceSink = std::function<void(const std::string&, const core::AnnotatedTuple&)>;
 
-/// Tuples the default NextBatch adapter packs into one batch.
+/// Rows a materializing operator emits per NextBatch call.
 inline constexpr size_t kDefaultBatchSize = 256;
 
-/// Execution counters maintained by the Open/Next/NextBatch wrappers and
+/// Execution counters maintained by the Open/NextBatch wrappers and
 /// the operators themselves. Counters are always on (plain increments);
 /// wall-clock time is only accumulated while metrics are enabled (see
 /// Operator::SetMetricsEnabled) to keep the hot path timer-free.
 struct OperatorMetrics {
-  uint64_t rows_out = 0;          // Tuples emitted through Next/NextBatch.
+  uint64_t rows_out = 0;          // Tuples emitted through NextBatch.
   uint64_t batches_out = 0;       // Batches emitted through NextBatch.
-  uint64_t wall_ns = 0;           // Inclusive time in Open/Next/NextBatch.
+  uint64_t wall_ns = 0;           // Inclusive time in Open/NextBatch.
   uint64_t morsels = 0;           // Morsel scans: morsels processed.
   uint64_t build_partitions = 0;  // Hash joins: partitions in the build.
   uint64_t partial_groups = 0;    // Partial agg/distinct/sort: local states built.
@@ -58,11 +61,8 @@ class Operator {
   virtual ~Operator() = default;
 
   /// Prepares the operator (and its children) for iteration. Must be called
-  /// before Next/NextBatch; calling it again restarts the iteration.
+  /// before NextBatch; calling it again restarts the iteration.
   Status Open();
-
-  /// Produces the next tuple into `out`. Returns false when exhausted.
-  Result<bool> Next(core::AnnotatedTuple* out);
 
   /// Produces the next batch into `out` (cleared first). Returns false when
   /// exhausted. A returned batch may be *empty* (e.g. a fully filtered
@@ -136,16 +136,14 @@ class Operator {
 
  protected:
   virtual Status OpenImpl() = 0;
-  virtual Result<bool> NextImpl(core::AnnotatedTuple* out) = 0;
-  /// Default adapter: packs up to kDefaultBatchSize NextImpl tuples.
-  virtual Result<bool> NextBatchImpl(core::AnnotatedBatch* out);
+  /// Fills `out` (already cleared) with the next batch; false = exhausted.
+  virtual Result<bool> NextBatchImpl(core::AnnotatedBatch* out) = 0;
   /// Operator-specific teardown; the Close() wrapper handles children and
   /// the memory reservation.
   virtual Status CloseImpl() { return Status::OK(); }
 
   /// Polls the query context for cancellation / deadline expiry. The
-  /// Open/NextBatch wrappers call this at every boundary; tuple-at-a-time
-  /// drivers sample every kInterruptStride-th Next() call.
+  /// Open/NextBatch wrappers call this at every boundary.
   Status CheckInterrupt() {
     if (context_ == nullptr) return Status::OK();
     ++metrics_.cancel_checks;
@@ -169,16 +167,38 @@ class Operator {
     if (trace_) trace_(Name(), tuple);
   }
 
-  /// Next() wrapper polls the context once per this many calls so the
-  /// tuple-at-a-time path stays clock-free between samples.
-  static constexpr uint64_t kInterruptStride = 64;
+  /// The emit path of a materializing operator: turns up to
+  /// kDefaultBatchSize held rows, from `*cursor` on, into `out` (each
+  /// through `finish`, which moves a held row into its output tuple) and
+  /// traces each. Returns false once every row was emitted.
+  template <typename Row, typename Finish>
+  Result<bool> EmitRows(std::vector<Row>* rows, size_t* cursor,
+                        core::AnnotatedBatch* out, Finish finish) {
+    if (*cursor >= rows->size()) return false;
+    const size_t end = std::min(rows->size(), *cursor + kDefaultBatchSize);
+    out->tuples.resize(end - *cursor);
+    for (core::AnnotatedTuple& tuple : out->tuples) {
+      INSIGHTNOTES_RETURN_IF_ERROR(finish(&(*rows)[(*cursor)++], &tuple));
+      Trace(tuple);
+    }
+    return true;
+  }
+
+  /// EmitRows over rows that already are output tuples.
+  Result<bool> EmitRows(std::vector<core::AnnotatedTuple>* rows, size_t* cursor,
+                        core::AnnotatedBatch* out) {
+    return EmitRows(rows, cursor, out,
+                    [](core::AnnotatedTuple* row, core::AnnotatedTuple* tuple) {
+                      *tuple = std::move(*row);
+                      return Status::OK();
+                    });
+  }
 
   TraceSink trace_;
   OperatorMetrics metrics_;
   bool metrics_enabled_ = false;
   std::shared_ptr<QueryContext> context_;
   MemoryReservation reservation_;
-  uint64_t next_calls_ = 0;  // Next() invocations since Open, for the stride.
 
  private:
   static constexpr size_t kNoPlannerEstimate = static_cast<size_t>(-1);

@@ -127,8 +127,6 @@ Status ScanMorselSource::Materialize(uint64_t morsel, core::AnnotatedBatch* out)
 }
 
 Status MorselScanOperator::OpenImpl() {
-  pending_.Clear();
-  pending_pos_ = 0;
   last_claimed_morsel_ = kNoMorselClaimed;
   return Status::OK();
 }
@@ -142,16 +140,6 @@ Result<bool> MorselScanOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   if (trace_) {
     for (const core::AnnotatedTuple& tuple : out->tuples) Trace(tuple);
   }
-  return true;
-}
-
-Result<bool> MorselScanOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (pending_pos_ >= pending_.tuples.size()) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, NextBatchImpl(&pending_));
-    if (!more) return false;
-    pending_pos_ = 0;
-  }
-  *out = std::move(pending_.tuples[pending_pos_++]);
   return true;
 }
 
@@ -311,7 +299,6 @@ Status GatherOperator::OpenImpl() {
   JoinWorkers();
   batches_.clear();
   batch_cursor_ = 0;
-  tuple_cursor_ = 0;
   collected_.clear();
   for (const auto& mem : worker_reservations_) mem->ReleaseAll();
 
@@ -373,7 +360,6 @@ Status GatherOperator::CloseImpl() {
   collected_.clear();
   batches_.clear();
   batch_cursor_ = 0;
-  tuple_cursor_ = 0;
   for (const auto& mem : worker_reservations_) mem->ReleaseAll();
   return Status::OK();
 }
@@ -383,27 +369,6 @@ Result<bool> GatherOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   if (batch_cursor_ >= batches_.size()) return false;
   *out = std::move(batches_[batch_cursor_++]);
   return true;
-}
-
-Result<bool> GatherOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (true) {
-    if (batch_cursor_ < batches_.size()) {
-      core::AnnotatedBatch& batch = batches_[batch_cursor_];
-      if (tuple_cursor_ < batch.tuples.size()) {
-        *out = std::move(batch.tuples[tuple_cursor_++]);
-        return true;
-      }
-      ++batch_cursor_;
-      tuple_cursor_ = 0;
-      continue;
-    }
-    if (workers_.size() > 1) return false;
-    // One worker: refill the single buffered batch from the pipeline.
-    batches_.resize(1);
-    batch_cursor_ = 0;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, PullInline(&batches_.front()));
-    if (!more) return false;
-  }
 }
 
 }  // namespace insightnotes::exec

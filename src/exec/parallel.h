@@ -225,15 +225,11 @@ class MorselScanOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   std::shared_ptr<ScanMorselSource> source_;
   uint64_t last_claimed_morsel_ = kNoMorselClaimed;
-  // Tuple-at-a-time adapter state (NextBatch is the native interface).
-  core::AnnotatedBatch pending_;
-  size_t pending_pos_ = 0;
 };
 
 /// Exchange: runs P worker pipelines over the shared morsel source on the
@@ -276,7 +272,6 @@ class GatherOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
   /// Joins any outstanding worker jobs before shared states or the worker
   /// pipelines can be torn down — the cancellation-path half of teardown.
@@ -317,11 +312,9 @@ class GatherOperator final : public Operator {
   std::vector<Status> worker_status_;
   std::vector<std::unique_ptr<MemoryReservation>> worker_reservations_;
 
-  // Morsel order after Open; with one worker, the batch NextImpl is
-  // reading from.
+  // Several workers: the gathered batches in morsel order after Open.
   std::vector<core::AnnotatedBatch> batches_;
   size_t batch_cursor_ = 0;
-  size_t tuple_cursor_ = 0;  // Within batches_[batch_cursor_] for NextImpl.
 };
 
 }  // namespace insightnotes::exec

@@ -3,7 +3,7 @@
 // operator in a plan (see Operator::SetQueryContext).
 //
 // The executor is morsel-driven and cooperative: nothing preempts a
-// running worker. Instead the Open/Next/NextBatch wrappers call
+// running worker. Instead the Open/NextBatch wrappers call
 // QueryContext::CheckInterrupt() at batch and morsel boundaries, so a
 // cancelled / timed-out / over-budget query unwinds with a clean Status
 // (kCancelled / kDeadlineExceeded / kResourceExhausted) within a bounded

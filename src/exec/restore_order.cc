@@ -36,15 +36,9 @@ Status RestoreOrderOperator::OpenImpl() {
               }
               return false;
             });
+  // Canonical order restored; drop the keys.
+  for (core::AnnotatedTuple& tuple : results_) tuple.order_ranks.clear();
   return Status::OK();
-}
-
-Result<bool> RestoreOrderOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = std::move(results_[cursor_++]);
-  out->order_ranks.clear();  // Canonical order restored; drop the keys.
-  Trace(*out);
-  return true;
 }
 
 }  // namespace insightnotes::exec

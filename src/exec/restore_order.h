@@ -8,7 +8,7 @@
 // order, filters preserve order, and each source-row combination appears
 // at most once — rank vectors are unique). So sorting the reordered plan's
 // output by the ranks permuted back into FROM order reproduces the
-// canonical output byte for byte; the ranks are cleared on emit.
+// canonical output byte for byte; the ranks are cleared once sorted.
 //
 // The planner places this operator above all per-tuple filters (residual
 // and summary) and below aggregation / sort / distinct / final projection,
@@ -40,7 +40,9 @@ class RestoreOrderOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, &cursor_, out);
+  }
 
  private:
   std::unique_ptr<Operator> child_;

@@ -7,55 +7,63 @@
 
 namespace insightnotes::exec {
 
+Status EvaluateSortKeys(const std::vector<SortKey>& keys,
+                        const core::AnnotatedTuple& tuple,
+                        std::vector<rel::Value>* values) {
+  values->clear();
+  values->reserve(keys.size());
+  for (const SortKey& key : keys) {
+    if (key.spec.has_value()) {
+      INSIGHTNOTES_ASSIGN_OR_RETURN(int64_t count, key.spec->Evaluate(tuple));
+      values->emplace_back(count);
+    } else {
+      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, key.expr->Evaluate(tuple.tuple));
+      values->push_back(std::move(v));
+    }
+  }
+  return Status::OK();
+}
+
+namespace {
+
+std::vector<bool> Directions(const std::vector<SortKey>& keys) {
+  std::vector<bool> ascending;
+  ascending.reserve(keys.size());
+  for (const SortKey& key : keys) ascending.push_back(key.ascending);
+  return ascending;
+}
+
+}  // namespace
+
+SortOperator::SortOperator(std::unique_ptr<Operator> child, std::vector<SortKey> keys)
+    : child_(std::move(child)), keys_(std::move(keys)), ascending_(Directions(keys_)) {}
+
 Status SortOperator::OpenImpl() {
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
   results_.clear();
   cursor_ = 0;
   ReleaseMemory();
-  results_.reserve(child_->EstimatedRows());
+  // Key values are computed up front so comparator calls cannot fail
+  // mid-sort. Every entry keeps rank (0, 0), so rows with equal keys
+  // compare equal and the stable sort keeps them in child order.
+  std::vector<SortRunEntry> entries;
+  entries.reserve(child_->EstimatedRows());
   core::AnnotatedBatch batch;
   while (true) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
     if (!more) break;
     INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(core::ApproxBytes(batch)));
     for (core::AnnotatedTuple& in : batch.tuples) {
-      results_.push_back(std::move(in));
+      SortRunEntry entry;
+      INSIGHTNOTES_RETURN_IF_ERROR(EvaluateSortKeys(keys_, in, &entry.keys));
+      entry.tuple = std::move(in);
+      entries.push_back(std::move(entry));
     }
   }
-
-  // Precompute key values so comparator calls cannot fail mid-sort.
-  std::vector<std::vector<rel::Value>> key_values(results_.size());
-  for (size_t i = 0; i < results_.size(); ++i) {
-    key_values[i].reserve(keys_.size());
-    for (const SortKey& key : keys_) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, key.expr->Evaluate(results_[i].tuple));
-      key_values[i].push_back(std::move(v));
-    }
-  }
-  std::vector<size_t> order(results_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rel::ValueLess less;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (size_t k = 0; k < keys_.size(); ++k) {
-      const rel::Value& va = key_values[a][k];
-      const rel::Value& vb = key_values[b][k];
-      if (less(va, vb)) return keys_[k].ascending;
-      if (less(vb, va)) return !keys_[k].ascending;
-    }
-    return false;
-  });
-  std::vector<core::AnnotatedTuple> sorted;
-  sorted.reserve(results_.size());
-  for (size_t i : order) sorted.push_back(std::move(results_[i]));
-  results_ = std::move(sorted);
+  std::stable_sort(entries.begin(), entries.end(), SortRunLess(&ascending_));
+  results_.reserve(entries.size());
+  for (SortRunEntry& entry : entries) results_.push_back(std::move(entry.tuple));
   return Status::OK();
-}
-
-Result<bool> SortOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = std::move(results_[cursor_++]);
-  Trace(*out);
-  return true;
 }
 
 Status PartialSortState::Reset() {
@@ -104,16 +112,14 @@ bool TopKBound::Refresh(uint64_t* version, SortRunEntry* out) const {
 }
 
 PartialSortOperator::PartialSortOperator(std::unique_ptr<Operator> child,
-                                         std::vector<ParallelSortKey> keys,
+                                         std::vector<SortKey> keys,
                                          std::shared_ptr<PartialSortState> sink,
                                          std::shared_ptr<TopKBound> bound)
     : child_(std::move(child)),
       keys_(std::move(keys)),
+      ascending_(Directions(keys_)),
       sink_(std::move(sink)),
-      bound_(std::move(bound)) {
-  ascending_.reserve(keys_.size());
-  for (const ParallelSortKey& key : keys_) ascending_.push_back(key.ascending);
-}
+      bound_(std::move(bound)) {}
 
 std::string PartialSortOperator::Name() const {
   if (bound_ != nullptr) {
@@ -122,25 +128,9 @@ std::string PartialSortOperator::Name() const {
   return "PartialSort";
 }
 
-Result<bool> PartialSortOperator::NextImpl(core::AnnotatedTuple*) {
-  core::AnnotatedBatch batch;
-  return NextBatchImpl(&batch);
-}
-
 Status PartialSortOperator::BuildEntry(const core::AnnotatedBatch& batch,
                                        size_t i, SortRunEntry* entry) {
-  const core::AnnotatedTuple& in = batch.tuples[i];
-  entry->keys.clear();
-  entry->keys.reserve(keys_.size());
-  for (const ParallelSortKey& key : keys_) {
-    if (key.spec != nullptr) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(int64_t count, key.spec->Evaluate(in));
-      entry->keys.emplace_back(count);
-    } else {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, key.expr->Evaluate(in.tuple));
-      entry->keys.push_back(std::move(v));
-    }
-  }
+  INSIGHTNOTES_RETURN_IF_ERROR(EvaluateSortKeys(keys_, batch.tuples[i], &entry->keys));
   entry->morsel = batch.morsel;
   entry->pos = static_cast<uint32_t>(i);
   return Status::OK();
@@ -288,19 +278,13 @@ Status SortMergeOperator::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> SortMergeOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = std::move(results_[cursor_++]);
-  Trace(*out);
-  return true;
-}
-
-Result<bool> LimitOperator::NextImpl(core::AnnotatedTuple* out) {
+Result<bool> LimitOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   if (produced_ >= limit_) return false;
-  INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->Next(out));
+  INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;
-  ++produced_;
-  Trace(*out);
+  if (out->tuples.size() > limit_ - produced_) out->tuples.resize(limit_ - produced_);
+  produced_ += out->tuples.size();
+  for (const core::AnnotatedTuple& tuple : out->tuples) Trace(tuple);
   return true;
 }
 

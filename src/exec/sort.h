@@ -1,14 +1,17 @@
-// Order-by: materializes and sorts; summaries ride along unchanged. Sort
-// keys may be arbitrary expressions, each ascending or descending. The sort
-// is stable, so equal keys preserve child order (deterministic results).
+// Order-by: materializes and sorts; summaries ride along unchanged. Each
+// sort key is an expression or a SUMMARY_COUNT spec (Section 2.1: sorting
+// tuples by summary-based predicates), ascending or descending. Both sort
+// shapes evaluate the key list once per row with EvaluateSortKeys and order
+// rows lexicographically over it.
 //
-// Parallel shape: per-worker PartialSortOperators evaluate the full key
-// list (expressions and SUMMARY_COUNT specs) per tuple, sort their local
-// run, and publish it to a shared PartialSortState; SortMergeOperator
-// k-way-merges the runs above the gather. The run comparator breaks key
-// ties by (morsel, position-in-morsel) — the tuple's rank in the serial
-// input stream — so the merged order is exactly what the serial cascade of
-// stable sorts produces.
+// One-worker shape: SortOperator runs one stable multi-key sort, so equal
+// keys preserve child order (deterministic results).
+//
+// Parallel shape: per-worker PartialSortOperators sort their local run and
+// publish it to a shared PartialSortState; SortMergeOperator k-way-merges
+// the runs above the gather. The run comparator breaks key ties by
+// (morsel, position-in-morsel) — the tuple's rank in the serial input
+// stream — so the merged order is exactly what the stable sort produces.
 
 #ifndef INSIGHTNOTES_EXEC_SORT_H_
 #define INSIGHTNOTES_EXEC_SORT_H_
@@ -18,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "exec/operator.h"
@@ -28,39 +32,20 @@
 
 namespace insightnotes::exec {
 
+/// One ORDER BY key: a bound expression or a SUMMARY_COUNT spec, plus a
+/// direction. Key lists are in significance order (first = most
+/// significant).
 struct SortKey {
-  rel::ExprPtr expr;
+  rel::ExprPtr expr;  // Null when `spec` is set.
   bool ascending = true;
+  std::optional<SummaryCountSpec> spec = std::nullopt;  // SUMMARY_COUNT(...) key.
 };
 
-class SortOperator final : public Operator {
- public:
-  SortOperator(std::unique_ptr<Operator> child, std::vector<SortKey> keys)
-      : child_(std::move(child)), keys_(std::move(keys)) {}
-
-  const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
-  std::string Name() const override { return "Sort"; }
-  std::vector<Operator*> Children() override { return {child_.get()}; }
-  size_t EstimatedRows() const override { return child_->EstimatedRows(); }
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<SortKey> keys_;
-  std::vector<core::AnnotatedTuple> results_;
-  size_t cursor_ = 0;
-};
-
-/// One ORDER BY key of the parallel sort, in significance order (first =
-/// most significant). Either a bound expression or a SUMMARY_COUNT spec.
-struct ParallelSortKey {
-  rel::ExprPtr expr;                       // Null when `spec` is set.
-  std::unique_ptr<SummaryCountSpec> spec;  // SUMMARY_COUNT(...) key.
-  bool ascending = true;
-};
+/// Evaluates `keys` against `tuple` into `values` (cleared first), in
+/// significance order.
+Status EvaluateSortKeys(const std::vector<SortKey>& keys,
+                        const core::AnnotatedTuple& tuple,
+                        std::vector<rel::Value>* values);
 
 /// One tuple of a per-worker sorted run: the precomputed key values plus
 /// the tuple's serial rank (morsel, position within the morsel).
@@ -95,6 +80,30 @@ class SortRunLess {
   const std::vector<bool>* ascending_;
 };
 
+/// Materializes its input and runs one stable sort over the key list.
+class SortOperator final : public Operator {
+ public:
+  SortOperator(std::unique_ptr<Operator> child, std::vector<SortKey> keys);
+
+  const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
+  std::string Name() const override { return "Sort"; }
+  std::vector<Operator*> Children() override { return {child_.get()}; }
+  size_t EstimatedRows() const override { return child_->EstimatedRows(); }
+
+ protected:
+  Status OpenImpl() override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, &cursor_, out);
+  }
+
+ private:
+  std::unique_ptr<Operator> child_;
+  std::vector<SortKey> keys_;
+  std::vector<bool> ascending_;  // Direction per key, for the comparator.
+  std::vector<core::AnnotatedTuple> results_;
+  size_t cursor_ = 0;
+};
+
 /// Shared sink of the parallel sort shape: one sorted run per worker.
 class PartialSortState final : public SharedPlanState {
  public:
@@ -117,7 +126,7 @@ class PartialSortState final : public SharedPlanState {
 /// tightens — and other workers consult it to skip rows without storing
 /// them. Because SortRunLess is a *total* order (the serial rank breaks
 /// key ties), pruning on "strictly after the bound" can never discard an
-/// entry the serial `Sort + Limit` cascade would have emitted: the pruned
+/// entry the one-worker `Sort` + `Limit` plan would have emitted: the pruned
 /// and the kept side of the bound are disjoint by trichotomy.
 class TopKBound final : public SharedPlanState {
  public:
@@ -158,7 +167,7 @@ class TopKBound final : public SharedPlanState {
 class PartialSortOperator final : public Operator {
  public:
   PartialSortOperator(std::unique_ptr<Operator> child,
-                      std::vector<ParallelSortKey> keys,
+                      std::vector<SortKey> keys,
                       std::shared_ptr<PartialSortState> sink,
                       std::shared_ptr<TopKBound> bound = nullptr);
 
@@ -172,7 +181,6 @@ class PartialSortOperator final : public Operator {
     ReleaseMemory();  // Previous execution's run charges.
     return child_->Open();
   }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
@@ -182,7 +190,7 @@ class PartialSortOperator final : public Operator {
   Status DrainTopK(std::vector<SortRunEntry>* run);
 
   std::unique_ptr<Operator> child_;
-  std::vector<ParallelSortKey> keys_;
+  std::vector<SortKey> keys_;
   std::vector<bool> ascending_;  // Direction per key, for the comparator.
   std::shared_ptr<PartialSortState> sink_;
   std::shared_ptr<TopKBound> bound_;  // Null when no LIMIT was pushed down.
@@ -208,7 +216,9 @@ class SortMergeOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, &cursor_, out);
+  }
 
  private:
   std::unique_ptr<Operator> child_;
@@ -221,7 +231,8 @@ class SortMergeOperator final : public Operator {
   size_t cursor_ = 0;
 };
 
-/// LIMIT n.
+/// LIMIT n: passes its child's batches through, truncating the last one it
+/// needs, and stops pulling once n rows went out.
 class LimitOperator final : public Operator {
  public:
   LimitOperator(std::unique_ptr<Operator> child, size_t limit)
@@ -239,7 +250,7 @@ class LimitOperator final : public Operator {
     produced_ = 0;
     return child_->Open();
   }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   std::unique_ptr<Operator> child_;

@@ -1,7 +1,5 @@
 #include "exec/summary_filter.h"
 
-#include <algorithm>
-
 namespace insightnotes::exec {
 
 Result<int64_t> SummaryCountSpec::Evaluate(const core::AnnotatedTuple& tuple) const {
@@ -43,18 +41,6 @@ Result<bool> SummaryFilterOperator::Passes(const core::AnnotatedTuple& tuple) co
   return false;
 }
 
-Result<bool> SummaryFilterOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (true) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool pass, Passes(*out));
-    if (pass) {
-      Trace(*out);
-      return true;
-    }
-  }
-}
-
 Result<bool> SummaryFilterOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;
@@ -74,42 +60,6 @@ std::string SummaryFilterOperator::Name() const {
   return "SummaryFilter(" + spec_.ToString() + " " +
          std::string(rel::CompareOpToString(op_)) + " " +
          std::to_string(threshold_) + ")";
-}
-
-Status SummarySortOperator::OpenImpl() {
-  INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  results_.clear();
-  cursor_ = 0;
-  results_.reserve(child_->EstimatedRows());
-  std::vector<int64_t> keys;
-  keys.reserve(child_->EstimatedRows());
-  core::AnnotatedBatch batch;
-  while (true) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
-    if (!more) break;
-    for (core::AnnotatedTuple& in : batch.tuples) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(int64_t key, spec_.Evaluate(in));
-      keys.push_back(key);
-      results_.push_back(std::move(in));
-    }
-  }
-  std::vector<size_t> order(results_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return ascending_ ? keys[a] < keys[b] : keys[a] > keys[b];
-  });
-  std::vector<core::AnnotatedTuple> sorted;
-  sorted.reserve(results_.size());
-  for (size_t i : order) sorted.push_back(std::move(results_[i]));
-  results_ = std::move(sorted);
-  return Status::OK();
-}
-
-Result<bool> SummarySortOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = std::move(results_[cursor_++]);
-  Trace(*out);
-  return true;
 }
 
 }  // namespace insightnotes::exec

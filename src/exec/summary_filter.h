@@ -5,9 +5,10 @@
 // A SummaryCountSpec denotes SUMMARY_COUNT(instance[, 'label']) — the
 // number of annotations a tuple's summary object of `instance` holds,
 // optionally restricted to one component (a classifier label, a cluster
-// group's label, a snippet title). SummaryFilterOperator and
-// SummarySortOperator evaluate it against the summary objects riding on
-// each AnnotatedTuple — no raw-annotation access.
+// group's label, a snippet title). SummaryFilterOperator, and SortOperator
+// for a SUMMARY_COUNT ORDER BY key (exec/sort.h), evaluate it against the
+// summary objects riding on each AnnotatedTuple — no raw-annotation
+// access.
 
 #ifndef INSIGHTNOTES_EXEC_SUMMARY_FILTER_H_
 #define INSIGHTNOTES_EXEC_SUMMARY_FILTER_H_
@@ -48,9 +49,8 @@ class SummaryFilterOperator final : public Operator {
 
  protected:
   Status OpenImpl() override { return child_->Open(); }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
-  /// Native batch path: one child batch in, one (same-morsel) batch out;
-  /// may be empty with a `true` return.
+  /// One child batch in, one (same-morsel) batch out; may be empty with a
+  /// `true` return.
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
@@ -60,32 +60,6 @@ class SummaryFilterOperator final : public Operator {
   SummaryCountSpec spec_;
   rel::CompareOp op_;
   int64_t threshold_;
-};
-
-/// Stable sort by SUMMARY_COUNT(spec).
-class SummarySortOperator final : public Operator {
- public:
-  SummarySortOperator(std::unique_ptr<Operator> child, SummaryCountSpec spec,
-                      bool ascending)
-      : child_(std::move(child)), spec_(std::move(spec)), ascending_(ascending) {}
-
-  const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
-  std::string Name() const override {
-    return "SummarySort(" + spec_.ToString() + (ascending_ ? " ASC" : " DESC") + ")";
-  }
-  std::vector<Operator*> Children() override { return {child_.get()}; }
-  size_t EstimatedRows() const override { return child_->EstimatedRows(); }
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
-
- private:
-  std::unique_ptr<Operator> child_;
-  SummaryCountSpec spec_;
-  bool ascending_;
-  std::vector<core::AnnotatedTuple> results_;
-  size_t cursor_ = 0;
 };
 
 }  // namespace insightnotes::exec

@@ -249,11 +249,8 @@ class SelectPlanner {
             return Status::InvalidArgument(
                 "SUMMARY_COUNT must be compared with an integer literal");
           }
-          exec::SummaryCountSpec spec;
-          spec.instance = sc->name;
-          if (!sc->value.is_null()) spec.label = sc->value.AsString();
           summary_filters_.push_back(
-              SummaryFilter{std::move(spec), op, lit->value.AsInt64()});
+              SummaryFilter{SpecOf(*sc), op, lit->value.AsInt64()});
           continue;
         }
       }
@@ -655,21 +652,8 @@ class SelectPlanner {
       states.push_back(bound);
     }
     for (std::unique_ptr<exec::Operator>& pipe : pipes) {
-      std::vector<exec::ParallelSortKey> keys;
-      for (const OrderItem& item : stmt_.order_by) {
-        exec::ParallelSortKey key;
-        key.ascending = item.ascending;
-        if (item.expr->kind == AstExpr::Kind::kSummaryCount) {
-          auto spec = std::make_unique<exec::SummaryCountSpec>();
-          spec->instance = item.expr->name;
-          if (!item.expr->value.is_null()) spec->label = item.expr->value.AsString();
-          key.spec = std::move(spec);
-        } else {
-          INSIGHTNOTES_ASSIGN_OR_RETURN(key.expr,
-                                        Bind(*item.expr, pipe->OutputSchema()));
-        }
-        keys.push_back(std::move(key));
-      }
+      INSIGHTNOTES_ASSIGN_OR_RETURN(std::vector<exec::SortKey> keys,
+                                    BindSortKeys(pipe->OutputSchema()));
       pipe = std::make_unique<exec::PartialSortOperator>(
           std::move(pipe), std::move(keys), sink, bound);
     }
@@ -793,32 +777,39 @@ class SelectPlanner {
         std::move(aggregates)));
   }
 
+  /// The spec a SUMMARY_COUNT(instance[, 'label']) expression denotes.
+  static exec::SummaryCountSpec SpecOf(const AstExpr& summary_count) {
+    exec::SummaryCountSpec spec;
+    spec.instance = summary_count.name;
+    if (!summary_count.value.is_null()) spec.label = summary_count.value.AsString();
+    return spec;
+  }
+
+  /// The ORDER BY key list bound against `schema` (the pre-final-projection
+  /// schema, where aliases of aggregate outputs are present already).
+  /// SUMMARY_COUNT keys interleave with ordinary expression keys.
+  Result<std::vector<exec::SortKey>> BindSortKeys(const rel::Schema& schema) {
+    std::vector<exec::SortKey> keys;
+    for (const OrderItem& item : stmt_.order_by) {
+      exec::SortKey key;
+      key.ascending = item.ascending;
+      if (item.expr->kind == AstExpr::Kind::kSummaryCount) {
+        key.spec = SpecOf(*item.expr);
+      } else {
+        INSIGHTNOTES_ASSIGN_OR_RETURN(key.expr, Bind(*item.expr, schema));
+      }
+      keys.push_back(std::move(key));
+    }
+    return keys;
+  }
+
   Result<std::unique_ptr<exec::Operator>> ApplyOrderBy(
       std::unique_ptr<exec::Operator> tree) {
     if (stmt_.order_by.empty()) return tree;
-    // Stable sorts compose: applying one stable sort per key from the
-    // least-significant key to the most-significant yields the multi-key
-    // ordering, and lets SUMMARY_COUNT keys (sorted by the dedicated
-    // summary-aware operator) interleave with ordinary expression keys.
-    for (size_t k = stmt_.order_by.size(); k-- > 0;) {
-      const OrderItem& item = stmt_.order_by[k];
-      if (item.expr->kind == AstExpr::Kind::kSummaryCount) {
-        exec::SummaryCountSpec spec;
-        spec.instance = item.expr->name;
-        if (!item.expr->value.is_null()) spec.label = item.expr->value.AsString();
-        tree = std::make_unique<exec::SummarySortOperator>(
-            std::move(tree), std::move(spec), item.ascending);
-        continue;
-      }
-      // Bind against the current (pre-final-projection) schema; aliases of
-      // aggregate outputs are present there already.
-      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::ExprPtr bound,
-                                    Bind(*item.expr, tree->OutputSchema()));
-      std::vector<exec::SortKey> keys;
-      keys.push_back(exec::SortKey{std::move(bound), item.ascending});
-      tree = std::make_unique<exec::SortOperator>(std::move(tree), std::move(keys));
-    }
-    return tree;
+    INSIGHTNOTES_ASSIGN_OR_RETURN(std::vector<exec::SortKey> keys,
+                                  BindSortKeys(tree->OutputSchema()));
+    return std::unique_ptr<exec::Operator>(
+        std::make_unique<exec::SortOperator>(std::move(tree), std::move(keys)));
   }
 
   /// The projection items of the final SELECT list against `in`. Shared by

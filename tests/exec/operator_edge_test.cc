@@ -2,14 +2,19 @@
 // NULL keys, sort stability, string aggregates, empty inputs, expression
 // projections — plus the top-k LIMIT pushdown property suite (boundary
 // k values, tie groups straddling the cut, the shared TopKBound protocol,
-// and the no-ORDER-BY RowQuota with a late-publishing worker).
+// and the no-ORDER-BY RowQuota with a late-publishing worker), and a
+// suite that sends several output batches through every materializing
+// operator and LIMIT.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "exec/aggregate.h"
 #include "exec/distinct.h"
 #include "exec/filter.h"
 #include "exec/hash_join.h"
+#include "exec/metrics.h"
 #include "exec/parallel.h"
 #include "exec/projection.h"
 #include "exec/sort.h"
@@ -22,6 +27,7 @@ namespace {
 
 using core::AnnotatedTuple;
 using testutil::Col;
+using testutil::DrainRows;
 using testutil::F;
 using testutil::I;
 using testutil::S;
@@ -49,20 +55,6 @@ class OperatorEdgeTest : public testutil::EngineFixture {
     EXPECT_TRUE(scan.ok());
     return std::move(*scan);
   }
-
-  std::vector<AnnotatedTuple> Drain(Operator* op) {
-    EXPECT_TRUE(op->Open().ok());
-    std::vector<AnnotatedTuple> out;
-    AnnotatedTuple t;
-    while (true) {
-      auto more = op->Next(&t);
-      EXPECT_TRUE(more.ok()) << more.status().ToString();
-      if (!more.ok() || !*more) break;
-      out.push_back(std::move(t));
-      t = AnnotatedTuple();
-    }
-    return out;
-  }
 };
 
 TEST_F(OperatorEdgeTest, HashJoinDuplicateKeysProduceCrossMatches) {
@@ -75,7 +67,7 @@ TEST_F(OperatorEdgeTest, HashJoinDuplicateKeysProduceCrossMatches) {
   auto right = Scan("R2", "r");
   auto join = testutil::HashJoin(std::move(left), std::move(right),
                                  rel::MakeColumn(0, "l.k"), rel::MakeColumn(0, "r.k"));
-  auto rows = Drain(join.get());
+  auto rows = DrainRows(join.get());
   EXPECT_EQ(rows.size(), 4u);  // 2 x 2 on key 1.
 }
 
@@ -86,7 +78,7 @@ TEST_F(OperatorEdgeTest, HashJoinNullKeysNeverJoin) {
   Insert("R2", rel::Tuple({I(5), S("cinq")}));
   auto join = testutil::HashJoin(Scan("L", "l"), Scan("R2", "r"),
                                  rel::MakeColumn(0, "l.k"), rel::MakeColumn(0, "r.k"));
-  auto rows = Drain(join.get());
+  auto rows = DrainRows(join.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(1).AsString(), "five");
 }
@@ -95,7 +87,7 @@ TEST_F(OperatorEdgeTest, HashJoinEmptyBuildSide) {
   Insert("L", rel::Tuple({I(1), S("x")}));
   auto join = testutil::HashJoin(Scan("L", "l"), Scan("R2", "r"),
                                  rel::MakeColumn(0, "l.k"), rel::MakeColumn(0, "r.k"));
-  EXPECT_TRUE(Drain(join.get()).empty());
+  EXPECT_TRUE(DrainRows(join.get()).empty());
 }
 
 TEST_F(OperatorEdgeTest, SortIsStable) {
@@ -106,7 +98,7 @@ TEST_F(OperatorEdgeTest, SortIsStable) {
   std::vector<SortKey> keys;
   keys.push_back(SortKey{rel::MakeColumn(0, "k"), true});
   auto sort = std::make_unique<SortOperator>(Scan("L", "l"), std::move(keys));
-  auto rows = Drain(sort.get());
+  auto rows = DrainRows(sort.get());
   ASSERT_EQ(rows.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(rows[i].tuple.ValueAt(1).AsString(), "row" + std::to_string(i));
@@ -120,7 +112,7 @@ TEST_F(OperatorEdgeTest, SortNullsFirst) {
   std::vector<SortKey> keys;
   keys.push_back(SortKey{rel::MakeColumn(0, "k"), true});
   auto sort = std::make_unique<SortOperator>(Scan("L", "l"), std::move(keys));
-  auto rows = Drain(sort.get());
+  auto rows = DrainRows(sort.get());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(rows[0].tuple.ValueAt(0).is_null());
   EXPECT_EQ(rows[1].tuple.ValueAt(0).AsInt64(), 1);
@@ -129,7 +121,7 @@ TEST_F(OperatorEdgeTest, SortNullsFirst) {
 TEST_F(OperatorEdgeTest, LimitBeyondInputSize) {
   Insert("L", rel::Tuple({I(1), S("only")}));
   auto limit = std::make_unique<LimitOperator>(Scan("L", "l"), 100);
-  EXPECT_EQ(Drain(limit.get()).size(), 1u);
+  EXPECT_EQ(DrainRows(limit.get()).size(), 1u);
 }
 
 TEST_F(OperatorEdgeTest, MinMaxOverStrings) {
@@ -143,7 +135,7 @@ TEST_F(OperatorEdgeTest, MinMaxOverStrings) {
                                                  std::vector<rel::ExprPtr>{},
                                                  std::vector<rel::Column>{},
                                                  std::move(aggs));
-  auto rows = Drain(agg.get());
+  auto rows = DrainRows(agg.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsString(), "apple");
   EXPECT_EQ(rows[0].tuple.ValueAt(1).AsString(), "quince");
@@ -160,7 +152,7 @@ TEST_F(OperatorEdgeTest, AggregateIgnoresNulls) {
                                                  std::vector<rel::ExprPtr>{},
                                                  std::vector<rel::Column>{},
                                                  std::move(aggs));
-  auto rows = Drain(agg.get());
+  auto rows = DrainRows(agg.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsInt64(), 1);   // COUNT(k) skips NULL.
   EXPECT_EQ(rows[0].tuple.ValueAt(1).AsInt64(), 10);  // SUM skips NULL.
@@ -169,14 +161,14 @@ TEST_F(OperatorEdgeTest, AggregateIgnoresNulls) {
 
 TEST_F(OperatorEdgeTest, DistinctOnEmptyInput) {
   auto distinct = std::make_unique<DistinctOperator>(Scan("L", "l"));
-  EXPECT_TRUE(Drain(distinct.get()).empty());
+  EXPECT_TRUE(DrainRows(distinct.get()).empty());
 }
 
 TEST_F(OperatorEdgeTest, DistinctTreatsNullsEqual) {
   Insert("L", rel::Tuple({rel::Value::Null(), S("x")}));
   Insert("L", rel::Tuple({rel::Value::Null(), S("x")}));
   auto distinct = std::make_unique<DistinctOperator>(Scan("L", "l"));
-  EXPECT_EQ(Drain(distinct.get()).size(), 1u);
+  EXPECT_EQ(DrainRows(distinct.get()).size(), 1u);
 }
 
 TEST_F(OperatorEdgeTest, ProjectionWithComputedExpression) {
@@ -188,7 +180,7 @@ TEST_F(OperatorEdgeTest, ProjectionWithComputedExpression) {
   item.output_name = "doubled";
   items.push_back(std::move(item));
   auto project = std::make_unique<ProjectOperator>(Scan("L", "l"), std::move(items));
-  auto rows = Drain(project.get());
+  auto rows = DrainRows(project.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsInt64(), 42);
   EXPECT_EQ(project->OutputSchema().ColumnAt(0).name, "doubled");
@@ -213,6 +205,7 @@ class TopKPropertyTest : public OperatorEdgeTest {
     auto* select = std::get_if<sql::SelectStatement>(&*statement);
     EXPECT_NE(select, nullptr);
     sql::PlannerOptions options;
+    options.optimize = optimize_;
     options.parallelism = parallelism;
     options.morsel_size = morsel_size;
     auto plan = sql::PlanSelect(*select, engine_.get(), options);
@@ -226,14 +219,16 @@ class TopKPropertyTest : public OperatorEdgeTest {
     return rows;
   }
 
-  void ExpectSerialParallelEqual(const std::string& sql_text) {
+  void ExpectSerialParallelEqual(const std::string& sql_text, size_t morsel_size = 4) {
     SCOPED_TRACE(sql_text);
-    std::vector<std::string> serial = RunSql(sql_text, 1);
+    std::vector<std::string> serial = RunSql(sql_text, 1, morsel_size);
     for (size_t parallelism : {2u, 4u, 8u}) {
       SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
-      EXPECT_EQ(serial, RunSql(sql_text, parallelism));
+      EXPECT_EQ(serial, RunSql(sql_text, parallelism, morsel_size));
     }
   }
+
+  bool optimize_ = false;  // PlannerOptions::optimize for RunSql.
 };
 
 TEST_F(TopKPropertyTest, OrderByLimitBoundaryValues) {
@@ -352,9 +347,169 @@ TEST_F(OperatorEdgeTest, FilterTypeErrorSurfaces) {
       Scan("L", "l"), rel::MakeCompare(rel::CompareOp::kEq, rel::MakeColumn(1, "v"),
                                        rel::MakeLiteral(I(1))));
   ASSERT_TRUE(filter->Open().ok());
-  AnnotatedTuple t;
-  auto more = filter->Next(&t);
+  core::AnnotatedBatch batch;
+  auto more = filter->NextBatch(&batch);
   EXPECT_TRUE(more.status().IsTypeError());
+}
+
+// ---- Several output batches through materializing operators and LIMIT ----
+
+class BatchBoundaryTest : public TopKPropertyTest {
+ protected:
+  struct Row {
+    int64_t a;
+    int64_t b;
+    int64_t notes;  // SUMMARY_COUNT(ClassBird1).
+  };
+
+  /// R holds the three Figure 2 rows plus kExtraRows more: a unique, b in
+  /// 0..6 (ties), c cycling over 350 values, and i % 4 annotations each.
+  void SetUp() override {
+    TopKPropertyTest::SetUp();
+    CreateFigure2Tables();
+    CreateFigure2Instances();
+    rows_ = {{1, 2, 0}, {2, 2, 0}, {3, 9, 0}};
+    for (int64_t i = 0; i < kExtraRows; ++i) {
+      auto row = engine_->Insert(
+          "R", rel::Tuple({I(100 + i), I(i % 7), S("c" + std::to_string(i % 350)),
+                           S("d")}));
+      ASSERT_TRUE(row.ok()) << row.status().ToString();
+      for (int64_t n = 0; n < i % 4; ++n) {
+        ASSERT_TRUE(engine_->Annotate(Spec("R", *row, "note " + std::to_string(n))).ok());
+      }
+      rows_.push_back({100 + i, i % 7, i % 4});
+    }
+  }
+
+  /// The `a` column of rows_ after a stable sort by `less`, rendered the way
+  /// RunSql renders a one-column result.
+  template <typename Less>
+  std::vector<std::string> ExpectedOrder(Less less) const {
+    std::vector<Row> sorted = rows_;
+    std::stable_sort(sorted.begin(), sorted.end(), less);
+    std::vector<std::string> out;
+    for (const Row& row : sorted) out.push_back(rel::Tuple({I(row.a)}).ToString());
+    return out;
+  }
+
+  /// Plans `sql_text` with one worker, drains it and returns the root's
+  /// rows_out; the root must be the LIMIT.
+  uint64_t OneWorkerLimitRowsOut(const std::string& sql_text, size_t morsel_size) {
+    auto statement = sql::Parse(sql_text);
+    EXPECT_TRUE(statement.ok()) << statement.status().ToString();
+    sql::PlannerOptions options;
+    options.morsel_size = morsel_size;
+    auto plan = sql::PlanSelect(std::get<sql::SelectStatement>(*statement),
+                                engine_.get(), options);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return 0;
+    EXPECT_EQ((*plan)->Name().rfind("Limit(", 0), 0u) << (*plan)->Name();
+    DrainRows(plan->get());
+    return (*plan)->metrics().rows_out;
+  }
+
+  static constexpr int64_t kExtraRows = 700;
+  std::vector<Row> rows_;
+};
+
+TEST_F(BatchBoundaryTest, OrderByExpressionSummaryCountAndMixedKeys) {
+  const size_t n = rows_.size();
+  const std::string by_expr = "SELECT r.a FROM R r ORDER BY r.b";
+  EXPECT_EQ(RunSql(by_expr, 1),
+            ExpectedOrder([](const Row& x, const Row& y) { return x.b < y.b; }));
+  ExpectSerialParallelEqual(by_expr);
+
+  const std::string by_summary =
+      "SELECT r.a FROM R r ORDER BY SUMMARY_COUNT(ClassBird1) DESC";
+  EXPECT_EQ(RunSql(by_summary, 1), ExpectedOrder([](const Row& x, const Row& y) {
+              return x.notes > y.notes;
+            }));
+  ExpectSerialParallelEqual(by_summary);
+
+  const std::string mixed =
+      "SELECT r.a FROM R r ORDER BY SUMMARY_COUNT(ClassBird1), r.b DESC, r.a";
+  std::vector<std::string> expected = ExpectedOrder([](const Row& x, const Row& y) {
+    if (x.notes != y.notes) return x.notes < y.notes;
+    if (x.b != y.b) return x.b > y.b;
+    return x.a < y.a;
+  });
+  ASSERT_EQ(expected.size(), n);
+  EXPECT_EQ(RunSql(mixed, 1), expected);
+  ExpectSerialParallelEqual(mixed);
+}
+
+TEST_F(BatchBoundaryTest, DistinctAndGroupByEmitSeveralBatches) {
+  const std::string distinct = "SELECT DISTINCT r.c FROM R r";
+  std::vector<std::string> values = RunSql(distinct, 1);
+  ASSERT_EQ(values.size(), 350u);  // c0..c2 of the Figure 2 rows recur.
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(values[i], rel::Tuple({S("c" + std::to_string(i))}).ToString());
+  }
+  ExpectSerialParallelEqual(distinct);
+
+  const std::string by_row = "SELECT r.a, COUNT(*) FROM R r GROUP BY r.a";
+  std::vector<std::string> groups = RunSql(by_row, 1);
+  ASSERT_EQ(groups.size(), rows_.size());
+  for (size_t i = 0; i < groups.size(); ++i) {
+    EXPECT_EQ(groups[i], rel::Tuple({I(rows_[i].a), I(1)}).ToString());
+  }
+  ExpectSerialParallelEqual(by_row);
+  ExpectSerialParallelEqual(
+      "SELECT r.c, COUNT(*), SUM(r.b), MIN(r.a) FROM R r GROUP BY r.c");
+}
+
+TEST_F(BatchBoundaryTest, ReorderedJoinRestoresOrderAcrossBatches) {
+  // L carries no summary instance and is much larger than R, so the
+  // optimizer drives the join from L and builds R instead of building L;
+  // every row of R finds its one partner in L.
+  for (int64_t i = 0; i < 3000; ++i) {
+    Insert("L", rel::Tuple({I(i), S("v" + std::to_string(i))}));
+  }
+  for (const char* table : {"R", "L"}) {
+    ASSERT_TRUE(engine_->Analyze(table).ok());
+  }
+  optimize_ = true;
+  const std::string sql_text = "SELECT r.a, l.v FROM R r, L l WHERE r.a = l.k";
+  auto statement = sql::Parse(sql_text);
+  ASSERT_TRUE(statement.ok());
+  sql::PlannerOptions options;
+  options.optimize = true;
+  options.morsel_size = 4;
+  auto plan = sql::PlanSelect(std::get<sql::SelectStatement>(*statement),
+                              engine_.get(), options);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::string shape = RenderPlan(plan->get());
+  ASSERT_NE(shape.find("RestoreOrder"), std::string::npos) << shape;
+
+  std::vector<std::string> joined = RunSql(sql_text, 1);
+  EXPECT_EQ(joined.size(), rows_.size());
+  optimize_ = false;
+  EXPECT_EQ(joined, RunSql(sql_text, 1));  // The FROM-order plan.
+  optimize_ = true;
+  ExpectSerialParallelEqual(sql_text);
+}
+
+TEST_F(BatchBoundaryTest, LimitTruncatesAtEveryBatchBoundary) {
+  const size_t n = rows_.size();
+  const std::vector<std::string> by_b =
+      ExpectedOrder([](const Row& x, const Row& y) { return x.b < y.b; });
+  for (size_t k : {size_t{0}, size_t{1}, size_t{255}, size_t{256}, size_t{257},
+                   size_t{512}, n, n + 1}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const std::string limit = " LIMIT " + std::to_string(k);
+    const std::string plain = "SELECT r.a FROM R r" + limit;
+    const std::string sorted = "SELECT r.a FROM R r ORDER BY r.b" + limit;
+    EXPECT_EQ(RunSql(sorted, 1),
+              std::vector<std::string>(by_b.begin(), by_b.begin() + std::min(k, n)));
+    EXPECT_EQ(RunSql(plain, 1).size(), std::min(k, n));
+    // One morsel holds the whole table, so LIMIT cuts inside one scan batch.
+    EXPECT_EQ(RunSql(plain, 1, /*morsel_size=*/1024).size(), std::min(k, n));
+    ExpectSerialParallelEqual(plain);
+    ExpectSerialParallelEqual(sorted);
+
+    EXPECT_EQ(OneWorkerLimitRowsOut(sorted, 4), std::min(k, n));
+    EXPECT_EQ(OneWorkerLimitRowsOut(plain, 1024), std::min(k, n));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Parallel-execution oracle: morsel-driven parallel plans must produce
-// results BYTE-IDENTICAL to the legacy serial tree — same tuples in the
-// same order, identical summary renderings (including cluster
+// Parallel-execution oracle: morsel-driven plans with several workers
+// must produce results BYTE-IDENTICAL to the same plan with one inline
+// worker — same tuples in the same order, identical summary renderings (including cluster
 // representative election), identical attachment metadata. We run a
 // spread of plan shapes (scan / filter / projection / equi hash join /
 // summary filter / aggregate / order-by / distinct) at parallelism
@@ -263,7 +263,7 @@ TEST_F(ParallelExecTest, ExplainAnalyzeReportsCounters) {
 
 TEST_F(ParallelExecTest, TracedQueriesStaySerial) {
   // Trace events observe per-operator tuple order; a traced SELECT must
-  // plan the legacy serial tree even with the knob raised.
+  // plan one inline worker even with the knob raised.
   sql::SqlSession session(engine_.get());
   ASSERT_TRUE(session.Execute("SET PARALLELISM = 8").ok());
   std::vector<core::TraceEvent> trace;

@@ -12,6 +12,7 @@
 
 #include "core/engine.h"
 #include "core/zoom_in.h"
+#include "testutil.h"
 #include "workload/annotation_gen.h"
 #include "workload/workload.h"
 
@@ -66,16 +67,7 @@ std::string SummaryFingerprint(Engine* engine) {
   auto scan = engine->MakeScan("birds");
   EXPECT_TRUE(scan.ok());
   rel::Schema schema = (*scan)->OutputSchema();
-  EXPECT_TRUE((*scan)->Open().ok());
-  std::vector<AnnotatedTuple> rows;
-  AnnotatedTuple tuple;
-  while (true) {
-    auto more = (*scan)->Next(&tuple);
-    EXPECT_TRUE(more.ok());
-    if (!more.ok() || !*more) break;
-    rows.push_back(std::move(tuple));
-    tuple = AnnotatedTuple();
-  }
+  std::vector<AnnotatedTuple> rows = testutil::DrainRows(scan->get());
   auto snapshot = ResultSnapshot::Capture(schema, rows);
   EXPECT_TRUE(snapshot.ok());
   std::string bytes;

@@ -38,18 +38,8 @@ class PlannerTest : public testutil::EngineFixture {
                                         bool normalize = true) {
     auto plan = PlanOf(sql, normalize);
     EXPECT_NE(plan, nullptr);
-    std::vector<core::AnnotatedTuple> rows;
-    if (plan == nullptr) return rows;
-    EXPECT_TRUE(plan->Open().ok());
-    core::AnnotatedTuple t;
-    while (true) {
-      auto more = plan->Next(&t);
-      EXPECT_TRUE(more.ok()) << more.status().ToString();
-      if (!more.ok() || !*more) break;
-      rows.push_back(std::move(t));
-      t = core::AnnotatedTuple();
-    }
-    return rows;
+    if (plan == nullptr) return {};
+    return testutil::DrainRows(plan.get());
   }
 };
 
@@ -216,19 +206,6 @@ class TopKMetricsTest : public PlannerTest {
     return plan.ok() ? std::move(*plan) : nullptr;
   }
 
-  static size_t Drain(exec::Operator* plan) {
-    EXPECT_TRUE(plan->Open().ok());
-    size_t rows = 0;
-    core::AnnotatedTuple t;
-    while (true) {
-      auto more = plan->Next(&t);
-      EXPECT_TRUE(more.ok()) << more.status().ToString();
-      if (!more.ok() || !*more) break;
-      ++rows;
-    }
-    return rows;
-  }
-
   static void CollectByPrefix(const exec::PlanMetrics& node, const std::string& prefix,
                               std::vector<const exec::PlanMetrics*>* out) {
     if (node.name.rfind(prefix, 0) == 0) out->push_back(&node);
@@ -243,7 +220,7 @@ TEST_F(TopKMetricsTest, OrderByLimitReportsConsistentPruningCounters) {
     auto plan = PlanParallel("SELECT b.id FROM big b ORDER BY b.val LIMIT 5",
                              parallelism, /*morsel_size=*/16);
     ASSERT_NE(plan, nullptr);
-    EXPECT_EQ(Drain(plan.get()), kLimit);
+    EXPECT_EQ(testutil::DrainRows(plan.get()).size(), kLimit);
 
     exec::PlanMetrics metrics = exec::CollectPlanMetrics(plan.get());
     std::vector<const exec::PlanMetrics*> workers;
@@ -286,7 +263,7 @@ TEST_F(TopKMetricsTest, QuotaLimitReportsUndispatchedRowsAsPruned) {
   auto plan = PlanParallel("SELECT b.id FROM big b LIMIT 5", /*parallelism=*/4,
                            /*morsel_size=*/16);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(Drain(plan.get()), 5u);
+  EXPECT_EQ(testutil::DrainRows(plan.get()).size(), 5u);
 
   exec::PlanMetrics metrics = exec::CollectPlanMetrics(plan.get());
   std::vector<const exec::PlanMetrics*> gathers;
@@ -376,14 +353,8 @@ class OptimizerPlanTest : public PlannerTest {
     EXPECT_NE(plan, nullptr);
     std::vector<std::string> rows;
     if (plan == nullptr) return rows;
-    EXPECT_TRUE(plan->Open().ok());
-    core::AnnotatedTuple t;
-    while (true) {
-      auto more = plan->Next(&t);
-      EXPECT_TRUE(more.ok()) << more.status().ToString();
-      if (!more.ok() || !*more) break;
+    for (const core::AnnotatedTuple& t : testutil::DrainRows(plan.get())) {
       rows.push_back(t.tuple.ToString());
-      t = core::AnnotatedTuple();
     }
     return rows;
   }

@@ -41,9 +41,9 @@ class SummaryPredicateTest : public testutil::EngineFixture {
 TEST_F(SummaryPredicateTest, SpecEvaluatesCounts) {
   auto scan = engine_->MakeScan("R", "r");
   ASSERT_TRUE(scan.ok());
-  ASSERT_TRUE((*scan)->Open().ok());
-  core::AnnotatedTuple t;
-  ASSERT_TRUE(*(*scan)->Next(&t));
+  std::vector<core::AnnotatedTuple> rows = testutil::DrainRows(scan->get());
+  ASSERT_FALSE(rows.empty());
+  const core::AnnotatedTuple& t = rows.front();
   exec::SummaryCountSpec total{"ClassBird1", ""};
   EXPECT_EQ(*total.Evaluate(t), 4);
   exec::SummaryCountSpec behavior{"ClassBird1", "Behavior"};
@@ -84,6 +84,20 @@ TEST_F(SummaryPredicateTest, OrderBySummaryCount) {
   EXPECT_EQ(out.result.rows[0].tuple.ValueAt(0).AsInt64(), 1);  // 4 annotations.
   EXPECT_EQ(out.result.rows[1].tuple.ValueAt(0).AsInt64(), 2);  // 1 annotation.
   EXPECT_EQ(out.result.rows[2].tuple.ValueAt(0).AsInt64(), 3);  // 0 annotations.
+}
+
+TEST_F(SummaryPredicateTest, OrderBySummaryCountHonorsMemoryLimit) {
+  ASSERT_TRUE(session_->Execute("SET PARALLELISM = 1").ok());
+  ASSERT_TRUE(session_->Execute("SET MEMORY_LIMIT = 1").ok());
+  // Control: an expression key already charges its materialized input.
+  auto by_column = session_->Execute("SELECT r.a FROM R r ORDER BY r.a");
+  EXPECT_TRUE(by_column.status().IsResourceExhausted())
+      << by_column.status().ToString();
+  // A SUMMARY_COUNT key materializes the same input and must charge it too.
+  auto by_summary =
+      session_->Execute("SELECT r.a FROM R r ORDER BY SUMMARY_COUNT(ClassBird1)");
+  EXPECT_TRUE(by_summary.status().IsResourceExhausted())
+      << by_summary.status().ToString();
 }
 
 TEST_F(SummaryPredicateTest, SummaryPredicateAfterJoin) {

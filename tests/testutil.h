@@ -32,6 +32,23 @@ inline rel::ExprPtr Col(const rel::Schema& schema, const std::string& name) {
   return rel::MakeColumn(index.ok() ? *index : 0, name);
 }
 
+/// Opens `op` and drains it batch by batch, expecting every call to
+/// succeed; returns the rows in emission order.
+inline std::vector<core::AnnotatedTuple> DrainRows(exec::Operator* op) {
+  std::vector<core::AnnotatedTuple> rows;
+  Status open = op->Open();
+  EXPECT_TRUE(open.ok()) << open.ToString();
+  if (!open.ok()) return rows;
+  core::AnnotatedBatch batch;
+  while (true) {
+    auto more = op->NextBatch(&batch);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !*more) break;
+    for (core::AnnotatedTuple& tuple : batch.tuples) rows.push_back(std::move(tuple));
+  }
+  return rows;
+}
+
 /// Hash join of two complete inputs on left_key == right_key, assembled
 /// the way the planner runs it with one worker: a Gather(1) over a probe
 /// of `left` against a build of `right`.

@@ -5,9 +5,9 @@
 // once on disk; each measured iteration reopens the database and times
 // Engine::Init() — page-file audit, segment decode and chain replay.
 // Sweeping recovery_threads over 1/2/4/8 shows restart time scaling with
-// cores; the parallel replays rebuild the identical logical state as the
-// serial one (see integration/crash_recovery_test.cc,
-// ParallelRecoveryMatchesSerialReplay), so this measures pure speedup.
+// cores; every worker count replays the same chains into the identical
+// logical state (see integration/crash_recovery_test.cc,
+// RecoveryIsIdenticalAtEveryThreadCount), so this measures pure speedup.
 // Wall-clock (UseRealTime) is the honest metric: the opening thread
 // sleeps while pool workers replay chains. On a 1-core container the
 // sweep is flat by construction.

@@ -170,7 +170,6 @@ Status Engine::InitStorage() {
     wal_ = std::make_unique<storage::SegmentedWal>();
     storage::SegmentedWal::Options wal_options;
     wal_options.segment_bytes = options_.wal_segment_bytes;
-    wal_options.compact_min_dead_ratio = options_.wal_compact_min_dead_ratio;
     INSIGHTNOTES_RETURN_IF_ERROR(wal_->Open(wal_path, /*truncate=*/!recover,
                                             keep_bytes, active_records, wal_options));
     // From here on superseded records feed the live log's per-segment
@@ -343,20 +342,41 @@ void Engine::RestoreParkedPageFile() {
   }
 }
 
-Status Engine::LogWalEntry(const ann::WalEntry& entry) {
+Status Engine::LogWalEntries(std::span<const ann::WalEntry> entries) {
   if (wal_ == nullptr) return Status::OK();
-  INSIGHTNOTES_ASSIGN_OR_RETURN(storage::WalRecordPos pos,
-                                wal_->Append(ann::EncodeWalEntry(entry)));
-  INSIGHTNOTES_RETURN_IF_ERROR(wal_->Sync());
-  // Only acknowledged records count for liveness: a record rewound by
-  // RewindWal must never have marked an earlier one dead.
-  tracker_.Observe(entry, pos.segment_id, pos.record_index);
+  // Rotation happens only here, before the rollback mark: rotating moves
+  // the append position to a fresh segment, which would invalidate it.
+  INSIGHTNOTES_RETURN_IF_ERROR(wal_->MaybeRotate());
+  INSIGHTNOTES_ASSIGN_OR_RETURN(storage::SegmentedWal::Mark mark, wal_->MarkPos());
+  std::vector<storage::WalRecordPos> positions;
+  positions.reserve(entries.size());
+  Status logged = Status::OK();
+  for (const ann::WalEntry& entry : entries) {
+    Result<storage::WalRecordPos> pos = wal_->Append(ann::EncodeWalEntry(entry));
+    if (!pos.ok()) {
+      logged = pos.status();
+      break;
+    }
+    positions.push_back(*pos);
+  }
+  if (logged.ok()) logged = wal_->Sync();
+  if (!logged.ok()) {
+    // Never acknowledged: cut any half-landed bytes back out so the next
+    // append cannot follow a torn or unsynced frame. If the rollback fails
+    // too, the WAL enters its failed state and refuses further appends, so
+    // a stray record can never be followed by one that collides with it.
+    Status rewound = wal_->TruncateTo(mark);
+    if (!rewound.ok()) {
+      INSIGHTNOTES_LOG(Error) << "WAL rewind failed: " << rewound.ToString();
+    }
+    return logged;
+  }
+  // Only acknowledged records count for liveness: a rolled-back record
+  // must never have marked an earlier one dead.
+  for (size_t i = 0; i < positions.size(); ++i) {
+    tracker_.Observe(entries[i], positions[i].segment_id, positions[i].record_index);
+  }
   return Status::OK();
-}
-
-Status Engine::MaybeRotateWal() {
-  if (wal_ == nullptr) return Status::OK();
-  return wal_->MaybeRotate();
 }
 
 Status Engine::CheckMutable() const {
@@ -431,21 +451,6 @@ void Engine::PublishDelta(const std::vector<EngineSnapshot::RowKey>& dirty,
                    std::memory_order_release);
 }
 
-Result<storage::SegmentedWal::Mark> Engine::WalMark() {
-  if (wal_ == nullptr) return storage::SegmentedWal::Mark{};
-  return wal_->MarkPos();
-}
-
-void Engine::RewindWal(const storage::SegmentedWal::Mark& mark) {
-  if (wal_ == nullptr) return;
-  Status s = wal_->TruncateTo(mark);
-  if (!s.ok()) {
-    // The WAL is now failed and refuses appends, so the stray record can
-    // never be followed by one that collides with its id at replay.
-    INSIGHTNOTES_LOG(Error) << "WAL rewind failed: " << s.ToString();
-  }
-}
-
 Status Engine::Checkpoint() {
   // Serialized with the other mutators: the durability point must not
   // interleave with a half-applied mutation. No epoch is published — a
@@ -472,8 +477,8 @@ Status Engine::Checkpoint() {
   // itself never blocks on the rewrite.
   if (first_error.ok() && recovery_required_.ok() && wal_ != nullptr &&
       wal_->is_open()) {
-    keep_first(MaybeRotateWal());
-    keep_first(LogWalEntry(ann::WalCheckpointRecord{store_->NumAnnotations()}));
+    const ann::WalEntry marker = ann::WalCheckpointRecord{store_->NumAnnotations()};
+    keep_first(LogWalEntries({&marker, 1}));
     if (options_.compact_wal_on_checkpoint) ScheduleWalCompaction();
   }
   return first_error;
@@ -535,7 +540,8 @@ Status Engine::CommitIndexCheckpoint() {
     // durable, or a crash could adopt a checkpoint whose file vanished.
     INSIGHTNOTES_RETURN_IF_ERROR(FsyncParentDir(options_.db_path + ".idx"));
   }
-  INSIGHTNOTES_RETURN_IF_ERROR(LogWalEntry(record));
+  const ann::WalEntry entry = std::move(record);
+  INSIGHTNOTES_RETURN_IF_ERROR(LogWalEntries({&entry, 1}));
   index_store_->CommitEpoch();
   return Status::OK();
 }
@@ -739,9 +745,8 @@ Status Engine::CreateIndex(const std::string& table, const std::string& column) 
   // tree, retire the previous backing, and commit. A failed commit leaves
   // the new tree attached — its contents are correct, only un-durable; the
   // next successful checkpoint commits it.
-  INSIGHTNOTES_RETURN_IF_ERROR(MaybeRotateWal());
-  INSIGHTNOTES_RETURN_IF_ERROR(
-      LogWalEntry(ann::WalIndexCreateRecord{table, position}));
+  const ann::WalEntry intent = ann::WalIndexCreateRecord{table, position};
+  INSIGHTNOTES_RETURN_IF_ERROR(LogWalEntries({&intent, 1}));
   std::unique_ptr<rel::BTree> old = t->SwapIndex(position, std::move(tree));
   if (old != nullptr) {
     Status freed = old->Discard();  // Committed pages: reusable next epoch.
@@ -753,19 +758,20 @@ Status Engine::CreateIndex(const std::string& table, const std::string& column) 
   return CommitIndexCheckpoint();
 }
 
-Result<rel::Table*> Engine::ValidateAnnotateSpec(const AnnotateSpec& spec) {
-  INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * table, catalog_->GetTable(spec.table));
-  if (!table->IsLive(spec.row)) {
-    return Status::NotFound("row " + std::to_string(spec.row) + " not in table '" +
-                            spec.table + "'");
+Result<rel::Table*> Engine::ValidateTarget(const std::string& table, rel::RowId row,
+                                           const std::vector<size_t>& columns) {
+  INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * t, catalog_->GetTable(table));
+  if (!t->IsLive(row)) {
+    return Status::NotFound("row " + std::to_string(row) + " not in table '" + table +
+                            "'");
   }
-  for (size_t c : spec.columns) {
-    if (c >= table->schema().NumColumns()) {
+  for (size_t c : columns) {
+    if (c >= t->schema().NumColumns()) {
       return Status::OutOfRange("column position " + std::to_string(c) +
-                                " outside schema of '" + spec.table + "'");
+                                " outside schema of '" + table + "'");
     }
   }
-  return table;
+  return t;
 }
 
 namespace {
@@ -783,39 +789,9 @@ ann::Annotation NoteFromSpec(const AnnotateSpec& spec) {
 }  // namespace
 
 Result<ann::AnnotationId> Engine::Annotate(const AnnotateSpec& spec) {
-  std::lock_guard<std::mutex> writer(writer_mutex_);
-  INSIGHTNOTES_RETURN_IF_ERROR(CheckMutable());
-  INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * table, ValidateAnnotateSpec(spec));
-  ann::CellRegion region{table->id(), spec.row, spec.columns};
-  ann::Annotation note = NoteFromSpec(spec);
-  // Rotation happens only here, between mutations: the rollback mark below
-  // must stay within the active segment for the whole mutation.
-  INSIGHTNOTES_RETURN_IF_ERROR(MaybeRotateWal());
-  // Write-ahead: the record is durable before the store mutates, so a crash
-  // between the two replays the annotation instead of losing it.
-  INSIGHTNOTES_ASSIGN_OR_RETURN(storage::SegmentedWal::Mark wal_mark, WalMark());
-  Status logged = LogWalEntry(ann::WalAddRecord{store_->NumAnnotations(), note, region});
-  if (!logged.ok()) {
-    // Never acknowledged: cut any half-landed bytes back out so the next
-    // append cannot follow a torn or unsynced frame.
-    RewindWal(wal_mark);
-    return logged;
-  }
-  Result<ann::AnnotationId> added = store_->Add(note, region);
-  if (!added.ok()) {
-    // The record is committed but unapplied: replay resurrects it on the
-    // next open. Until then no further record may be logged — it would
-    // reuse this record's dense id and make replay diverge.
-    MarkRecoveryRequired(added.status());
-    return added.status();
-  }
-  Status maintained = manager_->OnAnnotationAttached(*added, region);
-  // The annotation is committed either way; the next epoch must reflect it
-  // (a maintenance failure leaves the row's summaries repairable, and the
-  // snapshot re-reads whatever state the manager holds).
-  PublishDelta({{table->id(), spec.row}});
-  INSIGHTNOTES_RETURN_IF_ERROR(maintained);
-  return *added;
+  INSIGHTNOTES_ASSIGN_OR_RETURN(std::vector<ann::AnnotationId> ids,
+                                AnnotateBatch({&spec, 1}));
+  return ids[0];
 }
 
 ThreadPool* Engine::EnsureIngestPool(size_t num_threads) {
@@ -841,57 +817,26 @@ Result<std::vector<ann::AnnotationId>> Engine::AnnotateBatch(
   INSIGHTNOTES_RETURN_IF_ERROR(CheckMutable());
   // Validate the whole batch up front so a malformed spec cannot leave a
   // half-ingested batch behind.
-  std::vector<rel::Table*> tables;
-  tables.reserve(specs.size());
-  for (const AnnotateSpec& spec : specs) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * table, ValidateAnnotateSpec(spec));
-    tables.push_back(table);
-  }
   std::vector<BatchAnnotation> batch;
   batch.reserve(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
+  for (const AnnotateSpec& spec : specs) {
+    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * table,
+                                  ValidateTarget(spec.table, spec.row, spec.columns));
     BatchAnnotation item;
-    item.note = NoteFromSpec(specs[i]);
-    item.region = ann::CellRegion{tables[i]->id(), specs[i].row, specs[i].columns};
+    item.note = NoteFromSpec(spec);
+    item.region = ann::CellRegion{table->id(), spec.row, spec.columns};
     batch.push_back(std::move(item));
   }
   // Write-ahead, one sync for the whole batch: every record is durable
-  // before the first store mutation, so a crash anywhere in the append loop
-  // replays the full batch. Rotation happens up front — never between the
-  // rollback mark and the appends it might have to undo.
-  if (wal_ != nullptr) {
-    INSIGHTNOTES_RETURN_IF_ERROR(MaybeRotateWal());
-    ann::AnnotationId next_id = store_->NumAnnotations();
-    std::vector<ann::WalEntry> entries;
-    entries.reserve(batch.size());
-    std::vector<storage::WalRecordPos> positions;
-    positions.reserve(batch.size());
-    Result<storage::SegmentedWal::Mark> batch_mark = wal_->MarkPos();
-    Status logged = batch_mark.ok() ? Status::OK() : batch_mark.status();
-    for (size_t i = 0; i < batch.size() && logged.ok(); ++i) {
-      entries.emplace_back(
-          ann::WalAddRecord{next_id + i, batch[i].note, batch[i].region});
-      Result<storage::WalRecordPos> pos =
-          wal_->Append(ann::EncodeWalEntry(entries.back()));
-      if (!pos.ok()) {
-        logged = pos.status();
-        break;
-      }
-      positions.push_back(*pos);
-    }
-    if (logged.ok()) logged = wal_->Sync();
-    if (!logged.ok()) {
-      // No record was acknowledged and none applied; roll the whole batch
-      // back out of the log.
-      if (batch_mark.ok()) RewindWal(*batch_mark);
-      return logged;
-    }
-    // The whole batch is acknowledged — now it may feed liveness.
-    for (size_t i = 0; i < positions.size(); ++i) {
-      tracker_.Observe(entries[i], positions[i].segment_id,
-                       positions[i].record_index);
-    }
+  // before the first store mutation, so a crash anywhere after the commit
+  // replays the full batch.
+  const ann::AnnotationId next_id = store_->NumAnnotations();
+  std::vector<ann::WalEntry> entries;
+  entries.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    entries.emplace_back(ann::WalAddRecord{next_id + i, batch[i].note, batch[i].region});
   }
+  INSIGHTNOTES_RETURN_IF_ERROR(LogWalEntries(entries));
   // Store appends stay serial (the heap file is single-writer) and in spec
   // order, so ids come out exactly as N Annotate() calls would assign them.
   std::vector<ann::AnnotationId> ids;
@@ -900,8 +845,10 @@ Result<std::vector<ann::AnnotationId>> Engine::AnnotateBatch(
     BatchAnnotation& item = batch[i];
     Result<ann::AnnotationId> added = store_->Add(item.note, item.region);
     if (!added.ok()) {
-      // Records from position i on are committed but unapplied; replay
-      // resurrects them, so further logging must stop (see Annotate).
+      // Records from position i on are committed but unapplied: replay
+      // resurrects them on the next open. Until then no further record may
+      // be logged — it would reuse an unapplied record's dense id and make
+      // replay diverge.
       MarkRecoveryRequired(added.status());
       return added.status();
     }
@@ -927,30 +874,27 @@ Status Engine::AttachAnnotation(ann::AnnotationId id, const std::string& table,
                                 rel::RowId row, std::vector<size_t> columns) {
   std::lock_guard<std::mutex> writer(writer_mutex_);
   INSIGHTNOTES_RETURN_IF_ERROR(CheckMutable());
-  INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * t, catalog_->GetTable(table));
-  if (!t->IsLive(row)) {
-    return Status::NotFound("row " + std::to_string(row) + " not in table '" + table +
-                            "'");
-  }
+  // Validation precedes the log append: a record the store would reject
+  // must never reach the WAL, or replay would fail on it.
+  INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * t, ValidateTarget(table, row, columns));
   if (id >= store_->NumAnnotations()) {
     return Status::NotFound("annotation " + std::to_string(id) + " does not exist");
   }
   ann::CellRegion region{t->id(), row, std::move(columns)};
-  INSIGHTNOTES_RETURN_IF_ERROR(MaybeRotateWal());
-  // Validation precedes the log append: a record the store would reject
-  // must never reach the WAL, or replay would fail on it.
-  INSIGHTNOTES_ASSIGN_OR_RETURN(storage::SegmentedWal::Mark wal_mark, WalMark());
-  Status logged = LogWalEntry(ann::WalAttachRecord{id, region});
-  if (!logged.ok()) {
-    RewindWal(wal_mark);
-    return logged;
-  }
+  const ann::WalEntry entry = ann::WalAttachRecord{id, region};
+  INSIGHTNOTES_RETURN_IF_ERROR(LogWalEntries({&entry, 1}));
   Status applied = store_->Attach(id, region);
   if (!applied.ok()) {
     MarkRecoveryRequired(applied);
     return applied;
   }
-  Status maintained = manager_->OnAnnotationAttached(id, region);
+  // Maintenance folds the attached annotation as a batch of one.
+  Result<ann::Annotation> note = store_->Get(id);
+  Status maintained = note.status();
+  if (note.ok()) {
+    const BatchAnnotation item{std::move(*note), region};
+    maintained = manager_->ApplyAnnotationBatch({&item, 1});
+  }
   PublishDelta({{region.table, region.row}});
   return maintained;
 }
@@ -959,13 +903,8 @@ Status Engine::ArchiveAnnotation(ann::AnnotationId id) {
   std::lock_guard<std::mutex> writer(writer_mutex_);
   INSIGHTNOTES_RETURN_IF_ERROR(CheckMutable());
   INSIGHTNOTES_ASSIGN_OR_RETURN(auto regions, store_->RegionsOf(id));
-  INSIGHTNOTES_RETURN_IF_ERROR(MaybeRotateWal());
-  INSIGHTNOTES_ASSIGN_OR_RETURN(storage::SegmentedWal::Mark wal_mark, WalMark());
-  Status logged = LogWalEntry(ann::WalArchiveRecord{id});
-  if (!logged.ok()) {
-    RewindWal(wal_mark);
-    return logged;
-  }
+  const ann::WalEntry entry = ann::WalArchiveRecord{id};
+  INSIGHTNOTES_RETURN_IF_ERROR(LogWalEntries({&entry, 1}));
   Status applied = store_->Archive(id);
   if (!applied.ok()) {
     MarkRecoveryRequired(applied);

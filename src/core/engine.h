@@ -74,11 +74,10 @@ struct EngineOptions {
   /// Size threshold at which the active WAL segment is sealed and a fresh
   /// one opened (between mutations).
   uint64_t wal_segment_bytes = 1 << 20;
-  /// Minimum dead-record fraction before a sealed segment is compacted.
-  double wal_compact_min_dead_ratio = 0.25;
-  /// WAL replay parallelism on reopen: 0 = one task per hardware thread,
-  /// 1 = the exact serial replay path, N > 1 = replay chains over N pool
-  /// workers. Any setting rebuilds the identical logical store state.
+  /// WAL replay workers on reopen (0 = one per hardware thread). Replay
+  /// always partitions the log into independent chains and applies them on
+  /// a pool of this many workers; any count rebuilds the identical logical
+  /// store state.
   size_t recovery_threads = 0;
 };
 
@@ -102,7 +101,9 @@ struct RecoveryReport {
   // Mutation records decoded after the last checkpoint marker (the work a
   // checkpoint-aware replay would actually redo).
   uint64_t records_since_checkpoint = 0;
-  uint64_t replay_chains = 0;   // Independent chains replay partitioned into.
+  // Independent chains replay partitioned the log into; a pure function of
+  // the log, the same at every recovery_threads setting.
+  uint64_t replay_chains = 0;
   size_t replay_threads = 1;    // Parallelism replay actually used.
   // Persistent indexes adopted from the latest WAL index checkpoint —
   // recovery never rebuilds an index from a table scan, it reattaches the
@@ -153,10 +154,10 @@ struct AnnotateSpec {
 
 /// Options of the batched annotation-ingest facade.
 struct AnnotateBatchOptions {
-  /// Ingest shards/workers. 1 (the default) runs the exact serial path;
-  /// N > 1 shards summary maintenance by target row across a thread pool.
-  /// Either way the maintained summary objects are byte-identical to
-  /// serial ingest of the same specs (see DESIGN.md "Concurrency model").
+  /// Ingest workers: summary maintenance is sharded by target row across
+  /// this many workers (1, the default, runs the single shard inline on the
+  /// calling thread). Every count leaves byte-identical summary objects
+  /// (see DESIGN.md "Concurrency model").
   size_t num_threads = 1;
 };
 
@@ -235,15 +236,16 @@ class Engine {
   Status CreateIndex(const std::string& table, const std::string& column);
 
   // --- Annotations ----------------------------------------------------------
-  /// Adds an annotation and incrementally maintains affected summaries.
+  /// Adds an annotation and incrementally maintains affected summaries: a
+  /// batch of one through AnnotateBatch.
   Result<ann::AnnotationId> Annotate(const AnnotateSpec& spec);
-  /// Batched ingest: validates every spec up front, appends the annotations
-  /// to the store in order (ids are assigned exactly as N Annotate calls
-  /// would), then folds them into the maintained summaries — serially for
-  /// `options.num_threads == 1`, sharded by target row otherwise. Returns
-  /// the assigned ids in spec order. On a mid-batch maintenance error the
-  /// stored annotations remain; affected rows can be repaired with
-  /// SummaryManager::RebuildRow.
+  /// Batched ingest: validates every spec up front, commits one WAL record
+  /// per spec with a single sync, appends the annotations to the store in
+  /// order (ids are assigned exactly as N Annotate calls would), then folds
+  /// them into the maintained summaries, sharded by target row over
+  /// `options.num_threads` workers. Returns the assigned ids in spec order.
+  /// On a mid-batch maintenance error the stored annotations remain;
+  /// affected rows can be repaired with SummaryManager::RebuildRow.
   Result<std::vector<ann::AnnotationId>> AnnotateBatch(
       std::span<const AnnotateSpec> specs, const AnnotateBatchOptions& options = {});
   /// Attaches an existing annotation to another region (shared annotations).
@@ -360,9 +362,11 @@ class Engine {
   void PublishDelta(const std::vector<EngineSnapshot::RowKey>& dirty,
                     const std::vector<ann::AnnotationId>& newly_archived = {});
 
-  /// Validates an annotate spec against the catalog (table, row liveness,
-  /// column range) and returns the target table.
-  Result<rel::Table*> ValidateAnnotateSpec(const AnnotateSpec& spec);
+  /// Validates an annotation target against the catalog (table, row
+  /// liveness, column range) and returns the target table. Shared by
+  /// AnnotateBatch and AttachAnnotation.
+  Result<rel::Table*> ValidateTarget(const std::string& table, rel::RowId row,
+                                     const std::vector<size_t>& columns);
 
   /// Lazily (re)builds the ingest pool with `num_threads` workers.
   ThreadPool* EnsureIngestPool(size_t num_threads);
@@ -390,15 +394,13 @@ class Engine {
   /// `options_.db_path`.
   void RestoreParkedPageFile();
 
-  /// Appends `entry` to the WAL, syncs it, and feeds the liveness tracker
-  /// (no-op without a WAL). Must run before the mutation it describes
-  /// touches the store.
-  Status LogWalEntry(const ann::WalEntry& entry);
-
-  /// Rotates the active WAL segment when it crossed the size threshold.
-  /// Must run before a mutation captures its rollback mark (rotation moves
-  /// the append position to a fresh segment, invalidating older marks).
-  Status MaybeRotateWal();
+  /// The one WAL commit (no-op without a WAL): rotates the active segment
+  /// if it crossed the size threshold, takes the rollback mark, appends
+  /// every record, and syncs once. On any failure the unacknowledged bytes
+  /// are truncated back to the mark and the error is returned; only after a
+  /// successful sync do the records feed the liveness tracker. Must run
+  /// before the mutations the records describe touch the store.
+  Status LogWalEntries(std::span<const ann::WalEntry> entries);
 
   /// OK while WAL-logged mutations are accepted; the recovery-required
   /// error otherwise (see requires_recovery()).
@@ -407,16 +409,6 @@ class Engine {
   /// Enters the recovery-required state after `cause` prevented a
   /// WAL-committed record from applying to the store.
   void MarkRecoveryRequired(const Status& cause);
-
-  /// The active-segment append position to pass to RewindWal (default-
-  /// constructed without a WAL).
-  Result<storage::SegmentedWal::Mark> WalMark();
-
-  /// Rolls unacknowledged record bytes at or past `mark` back out of the
-  /// WAL. Best-effort: on failure the WAL enters its failed state and
-  /// refuses further appends, so the stray record can never be followed by
-  /// a diverging one.
-  void RewindWal(const storage::SegmentedWal::Mark& mark);
 
   /// Fsyncs the directory holding `path` through the DiskManager seam
   /// (falls back to the plain filesystem sync when no disk exists yet).

@@ -85,23 +85,6 @@ Status ApplyViaRecoverySurface(ann::AnnotationStore* store, const ann::WalEntry&
   return store->RecoverArchive(std::get<ann::WalArchiveRecord>(entry).id);
 }
 
-Status ApplySerially(ann::AnnotationStore* store, const ann::WalEntry& entry) {
-  if (const auto* add = std::get_if<ann::WalAddRecord>(&entry)) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(ann::AnnotationId id,
-                                  store->Add(add->note, add->region));
-    if (id != add->expected_id) {
-      return Status::Corruption("WAL replay assigned annotation id " +
-                                std::to_string(id) + ", log expected " +
-                                std::to_string(add->expected_id));
-    }
-    return Status::OK();
-  }
-  if (const auto* attach = std::get_if<ann::WalAttachRecord>(&entry)) {
-    return store->Attach(attach->id, attach->region);
-  }
-  return store->Archive(std::get<ann::WalArchiveRecord>(entry).id);
-}
-
 }  // namespace
 
 Result<WalReplayStats> ReplaySegmentedWal(
@@ -115,32 +98,27 @@ Result<WalReplayStats> ReplaySegmentedWal(
   stats.threads_used = threads;
   if (manifest.segments.empty()) return stats;
 
+  // One pool serves decode and apply; replay runs once per open, so even a
+  // one-worker pool costs next to nothing.
+  ThreadPool pool(threads);
+
   // --- Phase 1: decode every segment (parallel across segments) -------------
   const size_t num_segments = manifest.segments.size();
   std::vector<DecodedSegment> decoded(num_segments);
-  std::vector<Status> decode_status(num_segments);
-  if (threads > 1 && num_segments > 1) {
-    ThreadPool pool(std::min(threads, num_segments));
-    std::vector<std::future<void>> futures;
-    futures.reserve(num_segments);
-    for (size_t i = 0; i < num_segments; ++i) {
-      futures.push_back(pool.Submit([&, i] {
-        decode_status[i] =
-            DecodeSegment(manifest.segments[i].path,
-                          /*is_active=*/i + 1 == num_segments, &decoded[i]);
-      }));
-    }
-    for (auto& f : futures) f.get();
-  } else {
-    for (size_t i = 0; i < num_segments; ++i) {
-      decode_status[i] = DecodeSegment(manifest.segments[i].path,
-                                       /*is_active=*/i + 1 == num_segments,
-                                       &decoded[i]);
-    }
+  std::vector<std::future<Status>> decodes;
+  decodes.reserve(num_segments);
+  for (size_t i = 0; i < num_segments; ++i) {
+    decodes.push_back(pool.Submit([&, i] {
+      return DecodeSegment(manifest.segments[i].path,
+                           /*is_active=*/i + 1 == num_segments, &decoded[i]);
+    }));
   }
-  for (const Status& s : decode_status) {
-    INSIGHTNOTES_RETURN_IF_ERROR(s);
+  Status decode_status = Status::OK();
+  for (auto& f : decodes) {
+    Status s = f.get();
+    if (decode_status.ok() && !s.ok()) decode_status = s;
   }
+  INSIGHTNOTES_RETURN_IF_ERROR(decode_status);
   const DecodedSegment& active = decoded.back();
   stats.active_valid_bytes = active.stats.valid_bytes;
   stats.active_truncated_bytes = active.stats.truncated_bytes;
@@ -215,15 +193,7 @@ Result<WalReplayStats> ReplaySegmentedWal(
     }
   }
 
-  // --- Phase 3: apply ---------------------------------------------------------
-  if (threads <= 1) {
-    for (const RecordRef& record : records) {
-      INSIGHTNOTES_RETURN_IF_ERROR(ApplySerially(store, *record.entry));
-    }
-    stats.chains = records.empty() ? 0 : 1;
-    return stats;
-  }
-
+  // --- Phase 3: apply, one pool task per chain --------------------------------
   std::map<int, std::vector<size_t>> chains;  // Root -> record positions, in order.
   for (size_t i = 0; i < records.size(); ++i) {
     chains[uf.Find(record_node[i])].push_back(i);
@@ -233,23 +203,22 @@ Result<WalReplayStats> ReplaySegmentedWal(
   rows.reserve(row_node.size());
   for (const auto& [key, node] : row_node) rows.push_back(key);
   INSIGHTNOTES_RETURN_IF_ERROR(store->BeginParallelRecovery(next_add_id, rows));
-  {
-    ThreadPool pool(threads);
-    std::vector<std::future<Status>> futures;
-    futures.reserve(chains.size());
-    for (const auto& [root, positions] : chains) {
-      futures.push_back(pool.Submit([&records, &positions, store] {
-        for (size_t pos : positions) {
-          INSIGHTNOTES_RETURN_IF_ERROR(
-              ApplyViaRecoverySurface(store, *records[pos].entry));
-        }
-        return Status::OK();
-      }));
-    }
-    for (auto& f : futures) {
-      INSIGHTNOTES_RETURN_IF_ERROR(f.get());
-    }
+  std::vector<std::future<Status>> applies;
+  applies.reserve(chains.size());
+  for (const auto& [root, positions] : chains) {
+    applies.push_back(pool.Submit([&records, &positions, store] {
+      for (size_t pos : positions) {
+        INSIGHTNOTES_RETURN_IF_ERROR(ApplyViaRecoverySurface(store, *records[pos].entry));
+      }
+      return Status::OK();
+    }));
   }
+  Status applied = Status::OK();
+  for (auto& f : applies) {
+    Status s = f.get();
+    if (applied.ok() && !s.ok()) applied = s;
+  }
+  INSIGHTNOTES_RETURN_IF_ERROR(applied);
   INSIGHTNOTES_RETURN_IF_ERROR(store->EndParallelRecovery());
   return stats;
 }

@@ -1,8 +1,7 @@
 // WAL replay over the segmented log. Recovery runs in three phases:
 //
-//   1. Decode. Every segment file is read and decoded independently (in
-//      parallel on a thread pool when more than one replay thread is
-//      requested). A torn tail is only legal in the last — active —
+//   1. Decode. Every segment file is read and decoded independently, one
+//      task per segment on the replay thread pool. A torn tail is only legal in the last — active —
 //      segment; sealed segments were fsynced before the manifest sealed
 //      them, so a short one is Corruption.
 //   2. Verify & partition (serial). The decoded records are walked in log
@@ -13,13 +12,12 @@
 //      partitions the mutation records into chains. Two records that touch
 //      the same annotation or the same row always land in the same chain,
 //      so records in different chains commute (see ann::ChainKeyOf).
-//   3. Apply. With one replay thread the records are applied serially
-//      through the store's normal Add/Attach/Archive path — byte-identical
-//      to the historical replay loop. With N > 1 each chain is one thread-
-//      pool task replaying its records in log order through the store's
-//      parallel-recovery surface; the resulting logical store state is
-//      identical to serial replay (heap-file placement of bodies may
-//      differ, which nothing observes).
+//   3. Apply. Each chain is one task on the same pool, replaying its
+//      records in log order through the store's recovery surface
+//      (BeginParallelRecovery, Recover*, EndParallelRecovery). The chain
+//      partition and the resulting logical store state are the same at
+//      every thread count (heap-file placement of bodies may differ, which
+//      nothing observes).
 
 #ifndef INSIGHTNOTES_CORE_RECOVERY_H_
 #define INSIGHTNOTES_CORE_RECOVERY_H_
@@ -34,8 +32,7 @@
 namespace insightnotes::core {
 
 struct WalReplayOptions {
-  /// Replay parallelism: 0 = one task per hardware thread, 1 = the exact
-  /// serial path, N > 1 = chains spread over N pool workers.
+  /// Replay pool workers (0 = one per hardware thread).
   size_t threads = 0;
 };
 
@@ -48,7 +45,7 @@ struct WalReplayStats {
   uint64_t active_valid_bytes = UINT64_MAX;  // keep_bytes for the active segment.
   uint64_t active_truncated_bytes = 0;       // Torn tail cut off the active segment.
   uint64_t active_records = 0;     // Record count of the active segment.
-  uint64_t chains = 0;             // Independent replay chains (parallel mode).
+  uint64_t chains = 0;             // Independent replay chains.
   size_t threads_used = 1;
   // Persistent-index records (markers, not mutations): create intents are
   // counted but ignored — only a committed index checkpoint makes an index

@@ -114,14 +114,8 @@ Status SummaryManager::Link(const std::string& instance_name, rel::TableId table
       status = note.status();
       return false;
     }
-    SummaryObject* object = GetOrCreateObject(RowKey{table, row}, instance);
-    Status s = ApplyToObject(object, instance, *note);
-    if (!s.ok() && !s.IsAlreadyExists()) {
-      MarkStale(RowKey{table, row});
-      INSIGHTNOTES_LOG(Warning) << "summarizer '" << instance->name()
-                                << "' failed while linking table " << table
-                                << "; row " << row << " marked stale: " << s.ToString();
-    }
+    const RowKey key{table, row};
+    FoldIntoObject(key, GetOrCreateObject(key, instance), instance, *note);
     return true;
   });
   return status;
@@ -166,40 +160,24 @@ bool SummaryManager::IsLinked(const std::string& instance_name,
   return std::find(it->second.begin(), it->second.end(), *instance) != it->second.end();
 }
 
-Status SummaryManager::OnAnnotationAttached(ann::AnnotationId id,
-                                            const ann::CellRegion& region) {
-  if (store_->IsArchived(id)) return Status::OK();
-  if (LinkedTo(region.table).empty()) return Status::OK();
-  INSIGHTNOTES_ASSIGN_OR_RETURN(ann::Annotation note, store_->Get(id));
-  return FoldAnnotation(note, region);
-}
-
-Status SummaryManager::FoldAnnotation(const ann::Annotation& note,
-                                      const ann::CellRegion& region) {
-  RowKey key{region.table, region.row};
-  for (SummaryInstance* instance : LinkedTo(region.table)) {
-    SummaryObject* object = GetOrCreateObject(key, instance);
-    Status s = ApplyToObject(object, instance, note);
-    // Re-attachment to the same row (column-set growth) is not an error. A
-    // genuine summarizer failure degrades to a stale mark: the annotation
-    // itself is durable, so the row can be repaired later.
-    if (!s.ok() && !s.IsAlreadyExists()) {
-      MarkStale(key);
-      INSIGHTNOTES_LOG(Warning) << "summarizer '" << instance->name()
-                                << "' failed on annotation " << note.id << "; row ("
-                                << region.table << ", " << region.row
-                                << ") marked stale: " << s.ToString();
-    }
-  }
-  return Status::OK();
-}
-
 Status SummaryManager::ApplyToObject(SummaryObject* object, SummaryInstance* instance,
                                      const ann::Annotation& note) {
   if (fault_hook_) {
     INSIGHTNOTES_RETURN_IF_ERROR(fault_hook_(instance->name(), note));
   }
   return object->AddAnnotation(note);
+}
+
+void SummaryManager::FoldIntoObject(const RowKey& key, SummaryObject* object,
+                                    SummaryInstance* instance,
+                                    const ann::Annotation& note) {
+  Status s = ApplyToObject(object, instance, note);
+  if (s.ok() || s.IsAlreadyExists()) return;
+  MarkStale(key);  // Mutex-guarded: shards call this concurrently.
+  INSIGHTNOTES_LOG(Warning) << "summarizer '" << instance->name()
+                            << "' failed on annotation " << note.id << "; row ("
+                            << key.first << ", " << key.second
+                            << ") marked stale: " << s.ToString();
 }
 
 void SummaryManager::MarkStale(const RowKey& key) {
@@ -239,18 +217,34 @@ Result<size_t> SummaryManager::RepairStale() {
   return repaired;
 }
 
-Status SummaryManager::ApplyAnnotationBatch(const std::vector<BatchAnnotation>& batch,
-                                            ThreadPool* pool) {
-  if (pool == nullptr || pool->num_threads() <= 1 || batch.size() <= 1) {
-    for (const BatchAnnotation& item : batch) {
-      if (item.note.archived || store_->IsArchived(item.note.id)) continue;
-      INSIGHTNOTES_RETURN_IF_ERROR(FoldAnnotation(item.note, item.region));
-    }
-    return Status::OK();
-  }
+namespace {
 
+/// Runs `task(0) … task(n - 1)`, one pool task each, or inline in order
+/// without a pool. Returns the first error.
+Status RunShards(ThreadPool* pool, size_t n, const std::function<Status(size_t)>& task) {
+  Status result = Status::OK();
+  if (pool == nullptr) {
+    for (size_t s = 0; s < n && result.ok(); ++s) result = task(s);
+    return result;
+  }
+  std::vector<std::future<Status>> done;
+  done.reserve(n);
+  for (size_t s = 0; s < n; ++s) {
+    done.push_back(pool->Submit([&task, s] { return task(s); }));
+  }
+  for (auto& f : done) {
+    Status s = f.get();
+    if (result.ok() && !s.ok()) result = s;
+  }
+  return result;
+}
+
+}  // namespace
+
+Status SummaryManager::ApplyAnnotationBatch(std::span<const BatchAnnotation> batch,
+                                            ThreadPool* pool) {
   // Per-item ingest plan: which instances maintain the target table, and
-  // (for cluster instances) the parallel-tokenized body.
+  // (for cluster instances) the tokenized body.
   struct ItemPlan {
     bool skip = false;
     std::vector<SummaryInstance*> linked;
@@ -266,30 +260,25 @@ Status SummaryManager::ApplyAnnotationBatch(const std::vector<BatchAnnotation>& 
                 store_->IsArchived(item.note.id);
     if (!plan.skip) plan.tokens.resize(plan.linked.size());
   }
+  const size_t num_shards = pool != nullptr ? pool->num_threads() : 1;
 
-  // Phase 1 — parallel tokenization (pure; no shared state).
-  const size_t num_shards = pool->num_threads();
-  {
-    std::vector<std::future<void>> done;
-    size_t chunk = (batch.size() + num_shards - 1) / num_shards;
-    for (size_t begin = 0; begin < batch.size(); begin += chunk) {
-      size_t end = std::min(batch.size(), begin + chunk);
-      done.push_back(pool->Submit([&batch, &plans, begin, end]() {
-        for (size_t i = begin; i < end; ++i) {
-          if (plans[i].skip) continue;
-          for (size_t k = 0; k < plans[i].linked.size(); ++k) {
-            if (plans[i].linked[k]->type() != SummaryTypeKind::kCluster) continue;
-            plans[i].tokens[k] = plans[i].linked[k]->TokenizeBody(batch[i].note);
-          }
-        }
-      }));
+  // Phase 1 — tokenization, chunked across shards (pure; no shared state).
+  const size_t chunk = (batch.size() + num_shards - 1) / num_shards;
+  INSIGHTNOTES_RETURN_IF_ERROR(RunShards(pool, num_shards, [&](size_t s) {
+    for (size_t i = s * chunk; i < std::min(batch.size(), (s + 1) * chunk); ++i) {
+      if (plans[i].skip) continue;
+      for (size_t k = 0; k < plans[i].linked.size(); ++k) {
+        if (plans[i].linked[k]->type() != SummaryTypeKind::kCluster) continue;
+        plans[i].tokens[k] = plans[i].linked[k]->TokenizeBody(batch[i].note);
+      }
     }
-    for (auto& f : done) f.get();
-  }
+    return Status::OK();
+  }));
 
-  // Phase 2 — serial, batch-order vocabulary fold: term ids end up exactly
-  // as a serial ingest would assign them (determinism guarantee), and the
-  // vectorize-once caches are warm before the shards start.
+  // Phase 2 — serial, batch-order vocabulary fold: term ids end up the same
+  // at every shard count (determinism guarantee), and the vectorize-once
+  // caches are warm before the fold, so a data-invariant instance's fold
+  // does not tokenize the body a second time.
   for (size_t i = 0; i < batch.size(); ++i) {
     if (plans[i].skip) continue;
     for (size_t k = 0; k < plans[i].linked.size(); ++k) {
@@ -310,53 +299,34 @@ Status SummaryManager::ApplyAnnotationBatch(const std::vector<BatchAnnotation>& 
 
   // Phase 4 — sharded fold. Shard ownership is by row id, so every object
   // is mutated by exactly one shard, and each shard folds its rows'
-  // annotations in batch order — the same per-row order a serial ingest
-  // applies.
-  std::vector<std::future<Status>> shards;
-  shards.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    shards.push_back(pool->Submit([this, &batch, &plans, s, num_shards]() -> Status {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (plans[i].skip) continue;
-        if (batch[i].region.row % num_shards != s) continue;
-        auto it = objects_.find(RowKey{batch[i].region.table, batch[i].region.row});
-        if (it == objects_.end()) {
-          return Status::Internal("batch ingest: row objects missing");
-        }
-        for (SummaryInstance* instance : plans[i].linked) {
-          SummaryObject* object = nullptr;
-          for (const auto& candidate : it->second) {
-            if (candidate->instance() == instance) {
-              object = candidate.get();
-              break;
-            }
-          }
-          if (object == nullptr) {
-            return Status::Internal("batch ingest: object missing for instance '" +
-                                    instance->name() + "'");
-          }
-          Status st = ApplyToObject(object, instance, batch[i].note);
-          if (!st.ok() && !st.IsAlreadyExists()) {
-            // Per-tuple summarizer failure degrades to a stale mark instead
-            // of failing the whole batch (MarkStale is mutex-guarded).
-            MarkStale(RowKey{batch[i].region.table, batch[i].region.row});
-            INSIGHTNOTES_LOG(Warning)
-                << "summarizer '" << instance->name() << "' failed on annotation "
-                << batch[i].note.id << " during batch ingest; row ("
-                << batch[i].region.table << ", " << batch[i].region.row
-                << ") marked stale: " << st.ToString();
-          }
-        }
+  // annotations in batch order — the same per-row order at every shard
+  // count.
+  return RunShards(pool, num_shards, [&](size_t s) -> Status {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (plans[i].skip) continue;
+      if (batch[i].region.row % num_shards != s) continue;
+      const RowKey key{batch[i].region.table, batch[i].region.row};
+      auto it = objects_.find(key);
+      if (it == objects_.end()) {
+        return Status::Internal("batch ingest: row objects missing");
       }
-      return Status::OK();
-    }));
-  }
-  Status result = Status::OK();
-  for (auto& f : shards) {
-    Status s = f.get();
-    if (result.ok() && !s.ok()) result = s;
-  }
-  return result;
+      for (SummaryInstance* instance : plans[i].linked) {
+        SummaryObject* object = nullptr;
+        for (const auto& candidate : it->second) {
+          if (candidate->instance() == instance) {
+            object = candidate.get();
+            break;
+          }
+        }
+        if (object == nullptr) {
+          return Status::Internal("batch ingest: object missing for instance '" +
+                                  instance->name() + "'");
+        }
+        FoldIntoObject(key, object, instance, batch[i].note);
+      }
+    }
+    return Status::OK();
+  });
 }
 
 Status SummaryManager::RebuildRow(rel::TableId table, rel::RowId row) {

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -106,22 +107,19 @@ class SummaryManager {
   }
 
   // --- Incremental maintenance --------------------------------------------
-  /// Folds annotation `id` (just attached to `region`) into the summary
-  /// objects of that row for every linked instance. Archived annotations
-  /// are skipped. Called by the engine after AnnotationStore::Add/Attach.
-  Status OnAnnotationAttached(ann::AnnotationId id, const ann::CellRegion& region);
-
-  /// Folds a whole ingest batch into the maintained summary objects. With a
-  /// null `pool` (or a single worker) items are folded serially in batch
-  /// order — exactly N calls to the OnAnnotationAttached path. With a pool,
-  /// ingestion is sharded by target row: per-tuple summary state is
-  /// partitionable by row id, so shards own disjoint row sets and fold
-  /// their rows' annotations in batch order. Cluster vocabulary growth is
-  /// committed in a deterministic serial pre-pass (tokenization itself runs
-  /// on the pool), so the resulting summary objects are byte-identical to a
-  /// serial ingest of the same batch. On error the batch is not rolled
-  /// back; affected rows can be repaired with RebuildRow.
-  Status ApplyAnnotationBatch(const std::vector<BatchAnnotation>& batch,
+  /// The one maintenance entry point: folds annotations just added to (or
+  /// attached at) their regions into the summary objects of those rows for
+  /// every linked instance; archived annotations are skipped. Ingestion is
+  /// sharded by target row — per-tuple summary state is partitionable by
+  /// row id, so shards own disjoint row sets and fold their rows'
+  /// annotations in batch order. Four phases: tokenize, commit cluster
+  /// vocabulary serially in batch order, create row objects serially, fold
+  /// per shard. With a `pool` each shard is one pool task; with none the
+  /// phases run inline as one shard. Every worker count leaves
+  /// byte-identical summary objects. A summarizer failure marks the row
+  /// stale (see below) instead of failing the batch; the batch is never
+  /// rolled back, and affected rows can be repaired with RebuildRow.
+  Status ApplyAnnotationBatch(std::span<const BatchAnnotation> batch,
                               ThreadPool* pool = nullptr);
 
   /// Recomputes one row's objects from scratch (the non-incremental
@@ -175,14 +173,16 @@ class SummaryManager {
   /// Returns the row's object for `instance`, creating it if needed.
   SummaryObject* GetOrCreateObject(const RowKey& key, SummaryInstance* instance);
 
-  /// Folds one materialized annotation into `row`'s objects for every
-  /// linked instance (the shared core of OnAnnotationAttached and the batch
-  /// path). Summarizer failures degrade to a stale mark, not an error.
-  Status FoldAnnotation(const ann::Annotation& note, const ann::CellRegion& region);
-
   /// One summarizer fold: fault hook (if set), then AddAnnotation.
   Status ApplyToObject(SummaryObject* object, SummaryInstance* instance,
                        const ann::Annotation& note);
+
+  /// ApplyToObject for incremental maintenance (batch folds and Link):
+  /// re-attachment to the same row (AlreadyExists) is not an error, and any
+  /// other failure degrades to a stale mark on `key` plus a warning — the
+  /// annotation itself is durable, so the row can be repaired later.
+  void FoldIntoObject(const RowKey& key, SummaryObject* object,
+                      SummaryInstance* instance, const ann::Annotation& note);
 
   void MarkStale(const RowKey& key);
 
@@ -191,8 +191,8 @@ class SummaryManager {
   std::map<rel::TableId, std::vector<SummaryInstance*>> links_;
   // Maintained per-row summary objects, one per linked instance.
   std::map<RowKey, std::vector<std::unique_ptr<SummaryObject>>> objects_;
-  // Rows whose objects missed a fold. Guarded by a mutex because phase-4
-  // batch shards mark rows stale concurrently.
+  // Rows whose objects missed a fold. Guarded by a mutex because batch
+  // shards mark rows stale concurrently.
   mutable std::mutex stale_mutex_;
   std::set<RowKey> stale_rows_;
   SummarizerFaultHook fault_hook_;

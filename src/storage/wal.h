@@ -1,9 +1,12 @@
-// WriteAheadLog: an append-only log of length-prefixed, CRC32-checksummed
+// WriteAheadLog: one append-only file of length-prefixed, CRC32-checksummed
 // byte records, synced to stable storage before the structures it protects
-// are mutated. The annotation layer logs logical {annotation, region}
-// records here (see annotation/wal_records.h); on reopen the engine replays
-// the log to rebuild the raw-annotation store, treating the page file as a
-// rebuildable cache of annotation bodies.
+// are mutated. It is the segment file format of storage::SegmentedWal (see
+// wal_segments.h), which the engine logs its logical records through (see
+// annotation/wal_records.h); on reopen the engine replays the segments to
+// rebuild the raw-annotation store, treating the page file as a rebuildable
+// cache of annotation bodies. A file is only ever appended to, truncated
+// back to a rollback offset, or replayed: compaction writes fresh segment
+// files and retires old ones instead of rewriting a file in place.
 //
 // On-disk format:
 //   [8-byte magic "INWAL\x01\0\0"]
@@ -84,28 +87,6 @@ class WriteAheadLog {
   /// accepted again. On failure the log is (or stays) failed.
   Status TruncateTo(uint64_t offset);
 
-  /// Atomically replaces the entire log with `payloads` (in order): the
-  /// records are written to a sibling temp file, synced, and renamed over
-  /// the live log, which is then reopened for appending. Used by
-  /// checkpoint-time compaction to swap the append-only history for an
-  /// equivalent snapshot. A failure before the rename leaves the original
-  /// log untouched; a failure after it reports the log failed/closed so
-  /// the caller falls back to recovery-by-replay semantics.
-  Status Rewrite(const std::vector<std::string>& payloads);
-
-  /// Test seam: invoked before each scripted Rewrite step with the step's
-  /// name ("temp_create", "temp_header", "temp_write" per payload,
-  /// "temp_fsync", "temp_close", "live_close", "rename", "dir_fsync",
-  /// "post_rename").
-  /// A non-OK return simulates a crash at that point: both file handles
-  /// are abandoned exactly as they are on disk (no cleanup, no rename
-  /// rollback) and the log reports closed, the way a process kill would
-  /// leave it for the next reopen-and-replay.
-  using RewriteFaultHook = std::function<Status(const char* op)>;
-  void SetRewriteFaultHook(RewriteFaultHook hook) {
-    rewrite_fault_hook_ = std::move(hook);
-  }
-
   Status Close();
 
   bool is_open() const { return file_ != nullptr; }
@@ -129,7 +110,6 @@ class WriteAheadLog {
   std::FILE* file_ = nullptr;
   bool failed_ = false;
   uint64_t num_appended_ = 0;
-  RewriteFaultHook rewrite_fault_hook_;
 };
 
 }  // namespace insightnotes::storage

@@ -22,6 +22,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Minimum dead-record fraction before a sealed segment is worth compacting
+/// (a fully-dead segment is always retired).
+constexpr double kCompactMinDeadRatio = 0.25;
+
 Status FlushAndFsync(std::FILE* file, const std::string& path) {
   if (std::fflush(file) != 0) {
     return Status::IoError("flush failed for '" + path + "': " + std::strerror(errno));
@@ -447,7 +451,7 @@ Result<SegmentedWal::CompactionResult> SegmentedWal::CompactOnce() {
       const Segment& s = segments_[i];
       if (s.records == 0 || s.dead.empty()) continue;
       double ratio = static_cast<double>(s.dead.size()) / static_cast<double>(s.records);
-      bool eligible = ratio >= options_.compact_min_dead_ratio ||
+      bool eligible = ratio >= kCompactMinDeadRatio ||
                       s.dead.size() == s.records;
       if (eligible && ratio > best) {
         best = ratio;

@@ -56,9 +56,6 @@ class SegmentedWal {
     /// MaybeRotate seals the active segment once it holds at least this
     /// many bytes.
     uint64_t segment_bytes = 1 << 20;
-    /// Minimum dead-record fraction before a sealed segment is worth
-    /// compacting (a fully-dead segment is always retired).
-    double compact_min_dead_ratio = 0.25;
   };
 
   /// One segment as listed by the manifest, in replay order.
@@ -151,7 +148,7 @@ class SegmentedWal {
 
   /// One incremental compaction step, safe to call from a background
   /// thread concurrently with Append/Sync/MaybeRotate: picks the sealed
-  /// segment with the highest dead fraction (>= compact_min_dead_ratio),
+  /// segment with the highest dead fraction (at least a quarter dead),
   /// rewrites its live records into a fresh segment occupying the same
   /// manifest position, and retires the old file. Returns
   /// {compacted = false} when no segment qualifies. On failure the segment

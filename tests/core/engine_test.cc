@@ -46,6 +46,7 @@ TEST_F(EngineTest, AttachValidatesTarget) {
   EXPECT_TRUE(engine_->AttachAnnotation(*id, "ghosts", 0).IsNotFound());
   EXPECT_TRUE(engine_->AttachAnnotation(*id, "birds", 99).IsNotFound());
   EXPECT_TRUE(engine_->AttachAnnotation(99999, "birds", 0).IsNotFound());
+  EXPECT_TRUE(engine_->AttachAnnotation(*id, "birds", 0, {17}).IsOutOfRange());
 }
 
 TEST_F(EngineTest, ArchiveRemovesEffectEverywhere) {

@@ -31,8 +31,17 @@ class SummaryManagerTest : public ::testing::Test {
         manager_->RegisterInstance(SummaryInstance::MakeCluster("SimCluster", 0.3)).ok());
   }
 
-  /// Adds an annotation and routes it through the maintenance hook, as the
-  /// engine does.
+  /// Folds annotation `id`, just added to or attached at `region`, into the
+  /// maintained summaries as a batch of one, as the engine does.
+  Status Fold(ann::AnnotationId id, const ann::CellRegion& region) {
+    auto note = store_->Get(id);
+    if (!note.ok()) return note.status();
+    std::vector<BatchAnnotation> batch{{std::move(*note), region}};
+    return manager_->ApplyAnnotationBatch(batch);
+  }
+
+  /// Adds an annotation and routes it through maintenance, as the engine
+  /// does.
   ann::AnnotationId Annotate(rel::TableId table, rel::RowId row, const std::string& body,
                              std::vector<size_t> columns = {}) {
     ann::Annotation note;
@@ -40,8 +49,7 @@ class SummaryManagerTest : public ::testing::Test {
     note.author = "tester";
     auto id = store_->Add(std::move(note), ann::CellRegion{table, row, columns});
     EXPECT_TRUE(id.ok());
-    EXPECT_TRUE(
-        manager_->OnAnnotationAttached(*id, ann::CellRegion{table, row, columns}).ok());
+    EXPECT_TRUE(Fold(*id, ann::CellRegion{table, row, columns}).ok());
     return *id;
   }
 
@@ -186,10 +194,10 @@ TEST_F(SummaryManagerTest, SharedAnnotationCacheHits) {
   note.body = "produced by experiment E";
   auto id = store_->Add(std::move(note), ann::CellRegion{0, 0, {}});
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(manager_->OnAnnotationAttached(*id, ann::CellRegion{0, 0, {}}).ok());
+  ASSERT_TRUE(Fold(*id, ann::CellRegion{0, 0, {}}).ok());
   for (rel::RowId row = 1; row < 10; ++row) {
     ASSERT_TRUE(store_->Attach(*id, ann::CellRegion{0, row, {}}).ok());
-    ASSERT_TRUE(manager_->OnAnnotationAttached(*id, ann::CellRegion{0, row, {}}).ok());
+    ASSERT_TRUE(Fold(*id, ann::CellRegion{0, row, {}}).ok());
   }
   EXPECT_EQ((*instance)->cache_misses(), 1u);
   EXPECT_EQ((*instance)->cache_hits(), 9u);
@@ -210,10 +218,10 @@ TEST_F(SummaryManagerTest, NonInvariantInstanceSkipsCache) {
   note.body = "shared note";
   auto id = store_->Add(std::move(note), ann::CellRegion{2, 0, {}});
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(manager_->OnAnnotationAttached(*id, ann::CellRegion{2, 0, {}}).ok());
+  ASSERT_TRUE(Fold(*id, ann::CellRegion{2, 0, {}}).ok());
   for (rel::RowId row = 1; row < 5; ++row) {
     ASSERT_TRUE(store_->Attach(*id, ann::CellRegion{2, row, {}}).ok());
-    ASSERT_TRUE(manager_->OnAnnotationAttached(*id, ann::CellRegion{2, row, {}}).ok());
+    ASSERT_TRUE(Fold(*id, ann::CellRegion{2, row, {}}).ok());
   }
   EXPECT_EQ((*instance)->cache_hits(), 0u);
   EXPECT_EQ((*instance)->cache_misses(), 5u);

@@ -3,13 +3,16 @@
 // snapshots) to serial ingest of the same specs — the guarantee of
 // DESIGN.md's concurrency model. Per-tuple summary state is partitioned by
 // row across shards; cluster vocabulary growth is committed in a serial,
-// batch-order pre-pass.
+// batch-order pre-pass. Independently of the engine comparing with itself,
+// incrementally maintained summaries must equal summaries rebuilt from
+// scratch out of the raw annotations.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/engine.h"
 #include "core/zoom_in.h"
 #include "testutil.h"
@@ -173,6 +176,69 @@ TEST(ParallelIngestTest, ZoomInSeesParallelIngestedAnnotations) {
     }
   }
   EXPECT_GT(resolved, 0u);
+}
+
+// Independent maintenance oracle: whatever mix of writes built the
+// incrementally maintained summaries — single annotates, batches at one or
+// four workers, shared attachments, archives, instance re-links — they must
+// equal the summaries SummaryManager::RebuildTable builds from scratch out
+// of the raw annotations.
+TEST(ParallelIngestTest, IncrementalMaintenanceMatchesRebuildFromScratch) {
+  constexpr size_t kSteps = 30;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " threads=" + std::to_string(threads));
+      auto engine = FreshEngine();
+      auto table = engine->catalog()->GetTable("birds");
+      ASSERT_TRUE(table.ok());
+      const rel::TableId table_id = (*table)->id();
+      const size_t num_columns = (*table)->schema().NumColumns();
+      const auto specs = MakeBatch(8 * kSteps, seed);
+      size_t next_spec = 0;
+      Random rng(seed);
+      for (size_t step = 0; step < kSteps; ++step) {
+        const ann::AnnotationId num_notes = engine->annotations()->NumAnnotations();
+        switch (rng.Uniform(5)) {
+          case 0:
+            ASSERT_TRUE(engine->Annotate(specs[next_spec++]).ok());
+            break;
+          case 1: {
+            const size_t count = 1 + rng.Uniform(8);
+            std::span<const AnnotateSpec> batch(specs.data() + next_spec, count);
+            next_spec += count;
+            ASSERT_TRUE(engine->AnnotateBatch(batch, {.num_threads = threads}).ok());
+            break;
+          }
+          case 2: {
+            if (num_notes == 0) break;
+            std::vector<size_t> columns;
+            if (rng.Bernoulli(0.5)) columns.push_back(rng.Uniform(num_columns));
+            ASSERT_TRUE(engine
+                            ->AttachAnnotation(rng.Uniform(num_notes), "birds",
+                                               rng.Uniform(kRows), columns)
+                            .ok());
+            break;
+          }
+          case 3:
+            if (num_notes == 0) break;
+            ASSERT_TRUE(engine->ArchiveAnnotation(rng.Uniform(num_notes)).ok());
+            break;
+          default: {
+            const auto linked = engine->summaries()->LinkedTo(table_id);
+            ASSERT_FALSE(linked.empty());
+            const std::string name = linked[rng.Uniform(linked.size())]->name();
+            ASSERT_TRUE(engine->UnlinkInstance(name, "birds").ok());
+            ASSERT_TRUE(engine->LinkInstance(name, "birds").ok());
+            break;
+          }
+        }
+      }
+      const std::string incremental = SummaryFingerprint(engine.get());
+      ASSERT_TRUE(engine->summaries()->RebuildTable(table_id).ok());
+      EXPECT_EQ(incremental, SummaryFingerprint(engine.get()));
+    }
+  }
 }
 
 }  // namespace

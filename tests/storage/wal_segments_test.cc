@@ -46,7 +46,6 @@ class WalSegmentsTest : public ::testing::Test {
   static SegmentedWal::Options SmallSegments() {
     SegmentedWal::Options options;
     options.segment_bytes = 128;  // ~3 records of 40 payload bytes each.
-    options.compact_min_dead_ratio = 0.25;
     return options;
   }
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <variant>
 #include <vector>
@@ -206,57 +205,6 @@ TEST_F(WalTest, TruncateToZeroKeepsMagicIntactOnReopen) {
   records = ReplayAll();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], "fresh");
-}
-
-TEST_F(WalTest, RewriteReplacesLogAtomically) {
-  WriteAheadLog wal;
-  ASSERT_TRUE(wal.Open(path_, /*truncate=*/true).ok());
-  ASSERT_TRUE(wal.Append("stale-1").ok());
-  ASSERT_TRUE(wal.Append("stale-2").ok());
-  ASSERT_TRUE(wal.Append("stale-3").ok());
-  ASSERT_TRUE(wal.Sync().ok());
-  ASSERT_TRUE(wal.Rewrite({"compact-1", "compact-2"}).ok());
-  EXPECT_FALSE(wal.failed());
-  // The rewritten log accepts appends without a reopen.
-  ASSERT_TRUE(wal.Append("after").ok());
-  ASSERT_TRUE(wal.Sync().ok());
-  ASSERT_TRUE(wal.Close().ok());
-
-  auto records = ReplayAll();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0], "compact-1");
-  EXPECT_EQ(records[1], "compact-2");
-  EXPECT_EQ(records[2], "after");
-}
-
-TEST_F(WalTest, RewriteToEmptyLeavesValidLog) {
-  WriteAheadLog wal;
-  ASSERT_TRUE(wal.Open(path_, /*truncate=*/true).ok());
-  ASSERT_TRUE(wal.Append("doomed").ok());
-  ASSERT_TRUE(wal.Rewrite({}).ok());
-  ASSERT_TRUE(wal.Append("fresh").ok());
-  ASSERT_TRUE(wal.Close().ok());
-  auto records = ReplayAll();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0], "fresh");
-}
-
-TEST_F(WalTest, RewriteLeavesNoTempFileBehind) {
-  {
-    WriteAheadLog wal;
-    ASSERT_TRUE(wal.Open(path_, /*truncate=*/true).ok());
-    ASSERT_TRUE(wal.Rewrite({"only"}).ok());
-    ASSERT_TRUE(wal.Close().ok());
-  }
-  EXPECT_FALSE(std::filesystem::exists(path_ + ".compact"));
-  auto records = ReplayAll();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0], "only");
-}
-
-TEST_F(WalTest, RewriteOnClosedLogIsRefused) {
-  WriteAheadLog wal;
-  EXPECT_FALSE(wal.Rewrite({"x"}).ok());
 }
 
 TEST_F(WalTest, ReplayStopsOnCallbackError) {

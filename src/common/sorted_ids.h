@@ -1,0 +1,92 @@
+// One-pass set operations on ascending, duplicate-free sequences keyed by
+// an id. The summary algebra restricts and merges whole id sets with these
+// merge walks instead of one binary search and one shift per id; the walks
+// gallop, so a few ids against a long list stay logarithmic.
+
+#ifndef INSIGHTNOTES_COMMON_SORTED_IDS_H_
+#define INSIGHTNOTES_COMMON_SORTED_IDS_H_
+
+#include <algorithm>
+#include <cstddef>
+#include <iterator>
+#include <span>
+#include <utility>
+#include <vector>
+
+namespace insightnotes {
+
+/// Key of a plain id sequence: the element itself.
+struct IdentityKey {
+  template <typename T>
+  const T& operator()(const T& value) const {
+    return value;
+  }
+};
+
+/// First index at or after `from` whose key is not below `id`. A galloping
+/// search: walking k ascending ids through n items costs O(k log(n / k)),
+/// so a handful of ids does not pay for a scan of a long list.
+template <typename Item, typename Id, typename Key = IdentityKey>
+size_t GallopSorted(const std::vector<Item>& items, size_t from, const Id& id,
+                    Key key = {}) {
+  size_t lo = from;
+  size_t hi = from;
+  for (size_t step = 1; hi < items.size() && key(items[hi]) < id; step *= 2) {
+    lo = hi + 1;
+    hi += step;
+  }
+  hi = std::min(hi, items.size());
+  auto it = std::lower_bound(items.begin() + static_cast<std::ptrdiff_t>(lo),
+                             items.begin() + static_cast<std::ptrdiff_t>(hi), id,
+                             [&key](const Item& item, const Id& v) { return key(item) < v; });
+  return static_cast<size_t>(it - items.begin());
+}
+
+/// True if some element of `items` has a key in `ids`. Both ascending.
+template <typename Item, typename Id, typename Key = IdentityKey>
+bool IntersectsSorted(const std::vector<Item>& items, std::span<const Id> ids,
+                      Key key = {}) {
+  size_t i = 0;
+  for (const Id& id : ids) {
+    i = GallopSorted(items, i, id, key);
+    if (i == items.size()) return false;
+    if (key(items[i]) == id) return true;
+  }
+  return false;
+}
+
+/// Erases, in one compaction pass, every element of `items` whose key is in
+/// `ids`. Both ascending.
+template <typename Item, typename Id, typename Key = IdentityKey>
+void EraseSorted(std::vector<Item>* items, std::span<const Id> ids, Key key = {}) {
+  if (ids.empty()) return;
+  // Elements below the first id stay where they are.
+  size_t kept = GallopSorted(*items, 0, ids.front(), key);
+  size_t j = 0;
+  for (size_t i = kept; i < items->size(); ++i) {
+    Item& item = (*items)[i];
+    while (j < ids.size() && ids[j] < key(item)) ++j;
+    if (j < ids.size() && ids[j] == key(item)) continue;
+    if (kept != i) (*items)[kept] = std::move(item);
+    ++kept;
+  }
+  items->erase(items->begin() + static_cast<std::ptrdiff_t>(kept), items->end());
+}
+
+/// Unions `from` into `into` in one merge pass. An element whose key is on
+/// both sides keeps `into`'s copy. Both ascending.
+template <typename Item, typename Key = IdentityKey>
+void UnionSorted(std::vector<Item>* into, const std::vector<Item>& from, Key key = {}) {
+  if (from.empty()) return;
+  std::vector<Item> out;
+  out.reserve(into->size() + from.size());
+  std::set_union(std::make_move_iterator(into->begin()),
+                 std::make_move_iterator(into->end()), from.begin(), from.end(),
+                 std::back_inserter(out),
+                 [&key](const Item& a, const Item& b) { return key(a) < key(b); });
+  into->swap(out);
+}
+
+}  // namespace insightnotes
+
+#endif  // INSIGHTNOTES_COMMON_SORTED_IDS_H_

@@ -65,7 +65,7 @@ size_t SummaryInstance::ClassifyAnnotation(const ann::Annotation& note) {
 txt::SparseVector SummaryInstance::VectorizeAnnotation(const ann::Annotation& note) {
   // Vectorization is invariant even when cluster assignment is not. The
   // vector is ALWAYS retained here — cluster objects resolve member vectors
-  // through this store (GetVector) so they stay lightweight. The invariant
+  // through this store (GetVectors) so they stay lightweight. The invariant
   // property only controls whether a cached vector is *reused* (the
   // summarize-once optimization) or recomputed for accounting purposes.
   {
@@ -87,7 +87,7 @@ txt::SparseVector SummaryInstance::VectorizeAnnotation(const ann::Annotation& no
   std::lock_guard<std::mutex> lock(cache_mutex_);
   ++cache_misses_;
   // emplace (not assignment): a vector already cached for this id is
-  // identical, and readers may hold GetVector pointers into it.
+  // identical, and readers may hold GetVectors pointers into it.
   vector_cache_.emplace(note.id, vec);
   return vec;
 }
@@ -129,10 +129,14 @@ void SummaryInstance::CommitTokens(ann::AnnotationId id,
   vector_cache_.emplace(id, std::move(vec));
 }
 
-const txt::SparseVector* SummaryInstance::GetVector(mining::DocId doc) const {
+void SummaryInstance::GetVectors(std::span<const mining::DocId> docs,
+                                 std::vector<const txt::SparseVector*>* out) const {
+  out->resize(docs.size());
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = vector_cache_.find(doc);
-  return it == vector_cache_.end() ? nullptr : &it->second;
+  for (size_t i = 0; i < docs.size(); ++i) {
+    auto it = vector_cache_.find(docs[i]);
+    (*out)[i] = it == vector_cache_.end() ? nullptr : &it->second;
+  }
 }
 
 void SummaryInstance::ClearCaches() {

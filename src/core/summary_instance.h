@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,7 +71,7 @@ class SummaryInstance : public mining::DocVectorStore {
   // Each returns the per-annotation summarization result, consulting the
   // instance-level cache when the properties make the result invariant.
   //
-  // Thread-safety: these three methods, GetVector and the cache counters
+  // Thread-safety: these three methods, GetVectors and the cache counters
   // are safe to call from concurrent ingest shards. The classifier and
   // snippet kernels are const/stateless and run unlocked; the cluster
   // vectorizer mutates the shared vocabulary and is serialized on a kernel
@@ -116,9 +117,11 @@ class SummaryInstance : public mining::DocVectorStore {
   /// through this store).
   void ClearCaches();
 
-  /// mining::DocVectorStore: vector of an annotation previously passed to
-  /// VectorizeAnnotation.
-  const txt::SparseVector* GetVector(mining::DocId doc) const override;
+  /// mining::DocVectorStore: vectors of annotations previously passed to
+  /// VectorizeAnnotation or CommitTokens, under one cache_mutex_
+  /// acquisition.
+  void GetVectors(std::span<const mining::DocId> docs,
+                  std::vector<const txt::SparseVector*>* out) const override;
 
  private:
   SummaryInstance(std::string name, SummaryTypeKind type, SummaryProperties properties)
@@ -138,7 +141,7 @@ class SummaryInstance : public mining::DocVectorStore {
   // Summarize-once caches, keyed by annotation id. Guarded by cache_mutex_
   // (concurrent ingest shards hit them for shared annotations); cached
   // values are never mutated after insertion, so pointers handed out by
-  // GetVector stay valid without the lock.
+  // GetVectors stay valid without the lock.
   mutable std::mutex cache_mutex_;
   // Serializes the vectorizer (it mutates the shared vocabulary).
   std::mutex kernel_mutex_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/sorted_ids.h"
+
 namespace insightnotes::core {
 
 namespace {
@@ -11,13 +13,6 @@ bool InsertSorted(std::vector<ann::AnnotationId>* ids, ann::AnnotationId id) {
   auto it = std::lower_bound(ids->begin(), ids->end(), id);
   if (it != ids->end() && *it == id) return false;
   ids->insert(it, id);
-  return true;
-}
-
-bool EraseSorted(std::vector<ann::AnnotationId>* ids, ann::AnnotationId id) {
-  auto it = std::lower_bound(ids->begin(), ids->end(), id);
-  if (it == ids->end() || *it != id) return false;
-  ids->erase(it);
   return true;
 }
 
@@ -57,16 +52,12 @@ Status ClassifierObject::AddAnnotation(const ann::Annotation& note) {
   return Status::OK();
 }
 
-Status ClassifierObject::RemoveAnnotation(ann::AnnotationId id) {
-  if (!Contains(id)) {
-    return Status::NotFound("annotation " + std::to_string(id) +
-                            " not in classifier object");
-  }
-  for (auto& ids : Own()) {
-    if (EraseSorted(&ids, id)) return Status::OK();
-  }
-  return Status::NotFound("annotation " + std::to_string(id) +
-                          " not in classifier object");
+Status ClassifierObject::Restrict(std::span<const ann::AnnotationId> dropped) {
+  bool hit = std::any_of(ids_per_label_->begin(), ids_per_label_->end(),
+                         [&](const auto& ids) { return IntersectsSorted(ids, dropped); });
+  if (!hit) return Status::OK();
+  for (auto& ids : Own()) EraseSorted(&ids, dropped);
+  return Status::OK();
 }
 
 bool ClassifierObject::Contains(ann::AnnotationId id) const {
@@ -79,12 +70,11 @@ bool ClassifierObject::Contains(ann::AnnotationId id) const {
 Status ClassifierObject::MergeWith(const SummaryObject& other) {
   INSIGHTNOTES_RETURN_IF_ERROR(CheckSameInstance(*this, other));
   const auto& rhs = static_cast<const ClassifierObject&>(other);
+  if (rhs.ids_per_label_ == ids_per_label_) return Status::OK();  // Same state.
   LabelIds& mine = Own();
   for (size_t label = 0; label < mine.size(); ++label) {
-    for (ann::AnnotationId id : (*rhs.ids_per_label_)[label]) {
-      // Shared annotations (present on both sides) are counted once.
-      InsertSorted(&mine[label], id);
-    }
+    // Shared annotations (present on both sides) are counted once.
+    UnionSorted(&mine[label], (*rhs.ids_per_label_)[label]);
   }
   return Status::OK();
 }
@@ -149,11 +139,9 @@ Status ClusterObject::AddAnnotation(const ann::Annotation& note) {
   return Own().Add(note.id, vec).status();
 }
 
-Status ClusterObject::RemoveAnnotation(ann::AnnotationId id) {
-  if (!clusters_->Contains(id)) {
-    return Status::NotFound("document " + std::to_string(id) + " not clustered");
-  }
-  return Own().Remove(id);
+Status ClusterObject::Restrict(std::span<const ann::AnnotationId> dropped) {
+  if (!clusters_->ContainsAny(dropped)) return Status::OK();
+  return Own().Restrict(dropped);
 }
 
 bool ClusterObject::Contains(ann::AnnotationId id) const {
@@ -163,6 +151,7 @@ bool ClusterObject::Contains(ann::AnnotationId id) const {
 Status ClusterObject::MergeWith(const SummaryObject& other) {
   INSIGHTNOTES_RETURN_IF_ERROR(CheckSameInstance(*this, other));
   const auto& rhs = static_cast<const ClusterObject&>(other);
+  if (rhs.clusters_ == clusters_) return Status::OK();  // Same state.
   return Own().Merge(*rhs.clusters_);
 }
 
@@ -227,16 +216,10 @@ Status SnippetObject::AddAnnotation(const ann::Annotation& note) {
   return Status::OK();
 }
 
-Status SnippetObject::RemoveAnnotation(ann::AnnotationId id) {
-  if (!Contains(id)) {
-    // Non-document annotations never contributed: removing their effect is
-    // a no-op by design (the projection trim removes blindly by id).
-    return Status::OK();
-  }
-  auto& entries = Own();
-  auto it = std::lower_bound(entries.begin(), entries.end(), id,
-                             [](const Entry& e, ann::AnnotationId i) { return e.id < i; });
-  entries.erase(it);
+Status SnippetObject::Restrict(std::span<const ann::AnnotationId> dropped) {
+  // Only documents contribute; other ids, like any absent id, are ignored.
+  if (!IntersectsSorted(*entries_, dropped, EntryId{})) return Status::OK();
+  EraseSorted(&Own(), dropped, EntryId{});
   return Status::OK();
 }
 
@@ -249,14 +232,8 @@ bool SnippetObject::Contains(ann::AnnotationId id) const {
 Status SnippetObject::MergeWith(const SummaryObject& other) {
   INSIGHTNOTES_RETURN_IF_ERROR(CheckSameInstance(*this, other));
   const auto& rhs = static_cast<const SnippetObject&>(other);
-  if (rhs.entries_->empty()) return Status::OK();
-  auto& entries = Own();
-  for (const Entry& e : *rhs.entries_) {
-    auto it = std::lower_bound(entries.begin(), entries.end(), e.id,
-                               [](const Entry& x, ann::AnnotationId i) { return x.id < i; });
-    if (it != entries.end() && it->id == e.id) continue;  // Shared document.
-    entries.insert(it, e);
-  }
+  if (rhs.entries_->empty() || rhs.entries_ == entries_) return Status::OK();
+  UnionSorted(&Own(), *rhs.entries_, EntryId{});  // Shared documents once.
   return Status::OK();
 }
 

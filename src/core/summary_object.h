@@ -2,14 +2,16 @@
 // their query-time algebra. Every object supports the closed operation set
 // the extended operators need (Section 2.1):
 //
-//   AddAnnotation     — incremental maintenance on annotation insert;
-//   RemoveAnnotation  — projection trim: eliminate one annotation's effect
-//                       (Figure 2 step 1, incl. representative re-election);
-//   MergeWith         — join/grouping/duplicate-elimination merge that never
-//                       double-counts an annotation attached to both inputs
-//                       (Figure 2's "22 instead of 27" case);
-//   ZoomIn            — map a summary component back to the exact raw
-//                       annotation ids behind it (Section 2.2).
+//   AddAnnotation — incremental maintenance on annotation insert;
+//   Restrict      — projection trim: eliminate the effect of a sorted set
+//                   of annotation ids in one pass per label, group or
+//                   snippet list, re-electing each cluster group that lost
+//                   a member once (Figure 2 step 1); the only removal path;
+//   MergeWith     — join/grouping/duplicate-elimination merge in one pass
+//                   that never double-counts an annotation attached to both
+//                   inputs (Figure 2's "22 instead of 27" case);
+//   ZoomIn        — map a summary component back to the exact raw
+//                   annotation ids behind it (Section 2.2).
 //
 // Because the algebra is closed, summary processing can be plugged in at
 // any stage of a query plan — the paper's pipelining contribution.
@@ -18,6 +20,7 @@
 #define INSIGHTNOTES_CORE_SUMMARY_OBJECT_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,10 +45,10 @@ class SummaryObject {
   /// Folds a new annotation into the summary.
   virtual Status AddAnnotation(const ann::Annotation& note) = 0;
 
-  /// Removes one annotation's effect; NotFound if it never contributed
-  /// (snippet objects ignore non-document annotations, so removal of one is
-  /// a no-op OK).
-  virtual Status RemoveAnnotation(ann::AnnotationId id) = 0;
+  /// Eliminates the effect of every annotation in `dropped` (ascending,
+  /// no duplicates); ids that never contributed are ignored. With none
+  /// contributing, shared copy-on-write state is left shared.
+  virtual Status Restrict(std::span<const ann::AnnotationId> dropped) = 0;
 
   /// True if `id` currently contributes to this summary.
   virtual bool Contains(ann::AnnotationId id) const = 0;
@@ -89,7 +92,7 @@ class ClassifierObject final : public SummaryObject {
   explicit ClassifierObject(SummaryInstance* instance);
 
   Status AddAnnotation(const ann::Annotation& note) override;
-  Status RemoveAnnotation(ann::AnnotationId id) override;
+  Status Restrict(std::span<const ann::AnnotationId> dropped) override;
   bool Contains(ann::AnnotationId id) const override;
   Status MergeWith(const SummaryObject& other) override;
   std::unique_ptr<SummaryObject> Clone() const override;
@@ -119,7 +122,7 @@ class ClusterObject final : public SummaryObject {
   explicit ClusterObject(SummaryInstance* instance);
 
   Status AddAnnotation(const ann::Annotation& note) override;
-  Status RemoveAnnotation(ann::AnnotationId id) override;
+  Status Restrict(std::span<const ann::AnnotationId> dropped) override;
   bool Contains(ann::AnnotationId id) const override;
   Status MergeWith(const SummaryObject& other) override;
   std::unique_ptr<SummaryObject> Clone() const override;
@@ -144,7 +147,7 @@ class SnippetObject final : public SummaryObject {
   explicit SnippetObject(SummaryInstance* instance);
 
   Status AddAnnotation(const ann::Annotation& note) override;
-  Status RemoveAnnotation(ann::AnnotationId id) override;
+  Status Restrict(std::span<const ann::AnnotationId> dropped) override;
   bool Contains(ann::AnnotationId id) const override;
   Status MergeWith(const SummaryObject& other) override;
   std::unique_ptr<SummaryObject> Clone() const override;
@@ -159,6 +162,9 @@ class SnippetObject final : public SummaryObject {
     ann::AnnotationId id;
     std::string title;
     std::string snippet;
+  };
+  struct EntryId {
+    ann::AnnotationId operator()(const Entry& e) const { return e.id; }
   };
   std::vector<Entry>& Own();
 

@@ -51,36 +51,43 @@ Status ProjectOperator::ProjectTuple(core::AnnotatedTuple* in_ptr,
   core::AnnotatedTuple& in = *in_ptr;
   // 1. Trim: eliminate the effect of annotations attached only to
   //    projected-out columns (before any downstream merge — Theorem 1).
-  std::vector<core::AttachmentInfo> surviving;
-  surviving.reserve(in.attachments.size());
-  for (core::AttachmentInfo& att : in.attachments) {
+  //    The trimmed ids are collected and sorted once, then each summary
+  //    restricts itself in one pass. Surviving attachments are compacted
+  //    in place.
+  std::vector<ann::AnnotationId> trimmed;
+  std::vector<size_t> columns;
+  size_t kept = 0;
+  for (size_t i = 0; i < in.attachments.size(); ++i) {
+    core::AttachmentInfo& att = in.attachments[i];
     bool survives =
         !trim_annotations_ || att.columns.empty() ||
         std::any_of(att.columns.begin(), att.columns.end(), [&](size_t c) {
           return c < kept_positions_.size() && !kept_positions_[c].empty();
         });
     if (!survives) {
-      for (auto& summary : in.summaries) {
-        if (summary->Contains(att.id)) {
-          INSIGHTNOTES_RETURN_IF_ERROR(summary->RemoveAnnotation(att.id));
-        }
-      }
+      trimmed.push_back(att.id);
       continue;
     }
     // 2. Remap covered columns to output positions.
-    core::AttachmentInfo remapped;
-    remapped.id = att.id;
+    columns.clear();
     for (size_t c : att.columns) {
       if (c < kept_positions_.size()) {
-        remapped.columns.insert(remapped.columns.end(), kept_positions_[c].begin(),
-                                kept_positions_[c].end());
+        columns.insert(columns.end(), kept_positions_[c].begin(), kept_positions_[c].end());
       }
     }
-    std::sort(remapped.columns.begin(), remapped.columns.end());
-    remapped.columns.erase(
-        std::unique(remapped.columns.begin(), remapped.columns.end()),
-        remapped.columns.end());
-    surviving.push_back(std::move(remapped));
+    std::sort(columns.begin(), columns.end());
+    columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
+    att.columns.assign(columns.begin(), columns.end());
+    if (kept != i) in.attachments[kept] = std::move(att);
+    ++kept;
+  }
+  in.attachments.resize(kept);
+  if (!trimmed.empty()) {
+    std::sort(trimmed.begin(), trimmed.end());
+    trimmed.erase(std::unique(trimmed.begin(), trimmed.end()), trimmed.end());
+    for (auto& summary : in.summaries) {
+      INSIGHTNOTES_RETURN_IF_ERROR(summary->Restrict(trimmed));
+    }
   }
 
   // 3. Project the data values.
@@ -92,7 +99,7 @@ Status ProjectOperator::ProjectTuple(core::AnnotatedTuple* in_ptr,
 
   out->tuple = std::move(projected);
   out->summaries = std::move(in.summaries);
-  out->attachments = std::move(surviving);
+  out->attachments = std::move(in.attachments);
   // Per-table Theorem-1 projections sit below the joins of a reordered
   // plan; carry the order keys through to the RestoreOrder above.
   out->order_ranks = std::move(in.order_ranks);

@@ -1,10 +1,12 @@
 // Projection — the semantically richest summary operator (Figure 2 step 1,
 // Theorems 1 & 2 of the full paper). Besides projecting the data columns it
 // eliminates the effect of every annotation attached exclusively to
-// projected-out columns: classifier counts are decremented, snippets of
-// dropped documents deleted, cluster members removed with representative
-// re-election. The planner places projections *before* merge operators so
-// equivalent plans propagate identical summaries.
+// projected-out columns: the tuple's trimmed ids are sorted once and each
+// summary object restricts itself in one pass (classifier counts
+// decremented, snippets of dropped documents deleted, cluster members
+// removed with one re-election per touched group). The planner places
+// projections *before* merge operators so equivalent plans propagate
+// identical summaries.
 
 #ifndef INSIGHTNOTES_EXEC_PROJECTION_H_
 #define INSIGHTNOTES_EXEC_PROJECTION_H_

@@ -5,12 +5,14 @@
 // A ClusterSet holds groups of similar documents. It supports the full
 // algebra the summary layer needs:
 //   * Add      — incremental maintenance on annotation insert,
-//   * Remove   — projection trim (drop the effect of an annotation),
+//   * Restrict — projection trim: drop the effect of a set of documents in
+//                one pass,
 //   * Merge    — join/grouping, overlap-aware: groups sharing members are
 //                combined (no double counting), disjoint groups are
 //                concatenated — exactly Figure 2's SimCluster semantics.
 // Representatives are re-elected deterministically (closest to centroid,
-// ties to the lowest document id) whenever membership changes.
+// ties to the lowest document id) whenever membership changes, so a
+// group's representative is a function of its member set alone.
 
 #ifndef INSIGHTNOTES_MINING_CLUSTERING_H_
 #define INSIGHTNOTES_MINING_CLUSTERING_H_
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,8 +41,12 @@ using DocId = uint64_t;
 class DocVectorStore {
  public:
   virtual ~DocVectorStore() = default;
-  /// Vector for `doc`, or nullptr if unknown.
-  virtual const txt::SparseVector* GetVector(DocId doc) const = 0;
+  /// Resolves every document of one cluster operation in a single call,
+  /// so a store takes its lock once, not once per document: `out` is
+  /// resized to `docs.size()` and out[i] is the vector of docs[i], or
+  /// nullptr if unknown.
+  virtual void GetVectors(std::span<const DocId> docs,
+                          std::vector<const txt::SparseVector*>* out) const = 0;
 };
 
 /// Turns raw text into sparse term vectors against a shared, growing
@@ -67,7 +74,9 @@ class TextVectorizer {
 
 /// One group of similar documents.
 struct ClusterGroup {
-  txt::SparseVector centroid_sum;  // Sum of member vectors.
+  // Sum of member vectors. Member vectors are term counts, so the sum is
+  // exact integer arithmetic and does not depend on fold order.
+  txt::SparseVector centroid_sum;
   std::vector<DocId> members;      // Sorted ascending.
   DocId representative = 0;
 
@@ -92,19 +101,23 @@ class ClusterSet {
   /// Adds a document; returns the index of the group it joined.
   Result<size_t> Add(DocId doc, const txt::SparseVector& vec);
 
-  /// Removes a document's effect (projection trim). Empty groups vanish;
-  /// a dropped representative triggers re-election (Figure 2: A5 replaces
-  /// the dropped A2).
-  Status Remove(DocId doc);
+  /// Removes the effect of every document in `dropped` (ascending;
+  /// non-members are ignored) — the projection trim. One pass per group:
+  /// members and centroid sums shrink, empty groups vanish, and each group
+  /// that lost a member re-elects once (Figure 2: A5 replaces the dropped
+  /// A2). Internal (set unchanged) if a dropped vector is unknown.
+  Status Restrict(std::span<const DocId> dropped);
 
   /// True if `doc` is a member of any group.
-  bool Contains(DocId doc) const {
-    return std::binary_search(docs_.begin(), docs_.end(), doc);
-  }
+  bool Contains(DocId doc) const;
+  /// True if any of `docs` (ascending) is a member.
+  bool ContainsAny(std::span<const DocId> docs) const;
 
   /// Overlap-aware merge (join semantics): groups of `other` sharing at
   /// least one member with a group here are combined without double
-  /// counting; disjoint groups are appended.
+  /// counting; disjoint groups are appended. Matches folding `other`'s
+  /// groups in one at a time: a combined group takes the place of the
+  /// first group it absorbs.
   Status Merge(const ClusterSet& other);
 
   const std::vector<ClusterGroup>& groups() const { return groups_; }
@@ -120,17 +133,33 @@ class ClusterSet {
   bool SameGrouping(const ClusterSet& other) const;
 
  private:
-  void ElectRepresentative(ClusterGroup* group) const;
-  /// Vector for `doc` from the store or the owned map; nullptr if unknown.
-  const txt::SparseVector* VectorOf(DocId doc) const;
+  /// A member document and the index of the group holding it.
+  struct DocSlot {
+    DocId doc;
+    size_t group;
+  };
+  struct SlotDoc {
+    DocId operator()(const DocSlot& slot) const { return slot.doc; }
+  };
+
+  /// Slot of `doc` in docs_, or docs_.end().
+  std::vector<DocSlot>::const_iterator FindSlot(DocId doc) const;
+  /// Re-elects the representative of each group in `groups`, resolving all
+  /// their member vectors in one lookup.
+  void ElectRepresentatives(std::span<ClusterGroup* const> groups) const;
+  /// Erases emptied groups and renumbers docs_ to match.
+  void DropEmptyGroups();
+  /// Vectors of `docs` from the store or the owned map, in one lookup.
+  void VectorsOf(std::span<const DocId> docs,
+                 std::vector<const txt::SparseVector*>* out) const;
 
   double threshold_;
   const DocVectorStore* store_;
-  void TrackDoc(DocId doc);
-  void UntrackDoc(DocId doc);
 
   std::vector<ClusterGroup> groups_;
-  std::vector<DocId> docs_;  // All member ids, sorted (cheap to deep-copy).
+  // Every member with its group, sorted by document: membership tests and
+  // a document's group are one binary search, with no scan of the groups.
+  std::vector<DocSlot> docs_;
   // Standalone mode only (store_ == nullptr): retained member vectors.
   std::map<DocId, txt::SparseVector> owned_vectors_;
 };

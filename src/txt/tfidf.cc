@@ -84,6 +84,24 @@ void SparseVector::AddScaled(const SparseVector& other, double scale) {
   entries_ = std::move(merged);
 }
 
+void SparseVector::Subtract(const SparseVector& part) {
+  auto term_less = [](const Entry& e, TermId t) { return e.term < t; };
+  bool zeroed = false;
+  auto it = entries_.begin();
+  for (const Entry& e : part.entries_) {
+    it = std::lower_bound(it, entries_.end(), e.term, term_less);
+    if (it == entries_.end() || it->term != e.term) {
+      it = entries_.insert(it, Entry{e.term, -e.value});
+    } else {
+      it->value -= e.value;
+      zeroed |= std::fabs(it->value) < kEpsilon;
+    }
+  }
+  if (zeroed) {
+    std::erase_if(entries_, [](const Entry& e) { return std::fabs(e.value) < kEpsilon; });
+  }
+}
+
 double SparseVector::Dot(const SparseVector& other) const {
   double sum = 0.0;
   size_t i = 0;
@@ -109,10 +127,13 @@ double SparseVector::Norm() const {
 }
 
 double SparseVector::Cosine(const SparseVector& other) const {
-  double na = Norm();
-  double nb = other.Norm();
-  if (na < kEpsilon || nb < kEpsilon) return 0.0;
-  double c = Dot(other) / (na * nb);
+  return CosineWithNorm(other, Norm());
+}
+
+double SparseVector::CosineWithNorm(const SparseVector& other, double norm) const {
+  double other_norm = other.Norm();
+  if (norm < kEpsilon || other_norm < kEpsilon) return 0.0;
+  double c = Dot(other) / (norm * other_norm);
   return std::clamp(c, 0.0, 1.0);
 }
 

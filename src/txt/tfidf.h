@@ -33,11 +33,19 @@ class SparseVector {
   /// this += other * scale.
   void AddScaled(const SparseVector& other, double scale);
 
+  /// this -= part, in place: one forward walk that allocates nothing when
+  /// every term of `part` is already here (a member vector subtracted from
+  /// a group sum that holds it). A term absent here is inserted negated.
+  void Subtract(const SparseVector& part);
+
   double Dot(const SparseVector& other) const;
   double Norm() const;
 
   /// Cosine similarity in [0, 1] for non-negative vectors; 0 if either is 0.
   double Cosine(const SparseVector& other) const;
+  /// Cosine(other) given this vector's Norm(), for scoring many vectors
+  /// against one.
+  double CosineWithNorm(const SparseVector& other, double norm) const;
 
   /// L2-normalized copy (zero vector stays zero).
   SparseVector Normalized() const;

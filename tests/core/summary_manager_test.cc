@@ -146,7 +146,9 @@ TEST_F(SummaryManagerTest, SummariesForClonesMaintainedState) {
   auto clones = manager_->SummariesFor(0, 4);
   ASSERT_TRUE(clones.ok());
   ASSERT_EQ(clones->size(), 1u);
-  ASSERT_TRUE((*clones)[0]->RemoveAnnotation(0).ok());
+  const std::vector<ann::AnnotationId> dropped = {0};
+  ASSERT_TRUE((*clones)[0]->Restrict(dropped).ok());
+  EXPECT_EQ((*clones)[0]->NumAnnotations(), 0u);
   // The maintained object is untouched.
   EXPECT_EQ((*manager_->RowObjects(0, 4))[0]->NumAnnotations(), 1u);
 }

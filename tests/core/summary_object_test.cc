@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/summary_instance.h"
+#include "workload/annotation_gen.h"
 
 namespace insightnotes::core {
 namespace {
@@ -15,6 +17,10 @@ ann::Annotation Note(ann::AnnotationId id, const std::string& body,
   a.author = "tester";
   a.body = body;
   return a;
+}
+
+std::vector<ann::AnnotationId> Ids(std::initializer_list<ann::AnnotationId> ids) {
+  return std::vector<ann::AnnotationId>(ids);
 }
 
 class ClassifierObjectTest : public ::testing::Test {
@@ -59,14 +65,16 @@ TEST_F(ClassifierObjectTest, DuplicateAddRejected) {
   EXPECT_TRUE(object_->AddAnnotation(Note(1, "eating stonewort")).IsAlreadyExists());
 }
 
-TEST_F(ClassifierObjectTest, RemoveDecrementsLabel) {
+TEST_F(ClassifierObjectTest, RestrictDecrementsLabel) {
   ASSERT_TRUE(object_->AddAnnotation(Note(1, "eating stonewort")).ok());
   ASSERT_TRUE(object_->AddAnnotation(Note(2, "eating plants daily")).ok());
-  ASSERT_TRUE(object_->RemoveAnnotation(1).ok());
+  ASSERT_TRUE(object_->Restrict(Ids({1})).ok());
   auto* classifier = static_cast<ClassifierObject*>(object_.get());
   EXPECT_EQ(classifier->LabelCount(0), 1u);
   EXPECT_FALSE(object_->Contains(1));
-  EXPECT_TRUE(object_->RemoveAnnotation(1).IsNotFound());
+  // An id that no longer contributes is ignored.
+  ASSERT_TRUE(object_->Restrict(Ids({1})).ok());
+  EXPECT_EQ(classifier->LabelCount(0), 1u);
 }
 
 TEST_F(ClassifierObjectTest, MergeDoesNotDoubleCountShared) {
@@ -107,7 +115,7 @@ TEST_F(ClassifierObjectTest, ZoomInReturnsExactIds) {
 TEST_F(ClassifierObjectTest, CloneIsIndependent) {
   ASSERT_TRUE(object_->AddAnnotation(Note(1, "eating stonewort")).ok());
   auto clone = object_->Clone();
-  ASSERT_TRUE(clone->RemoveAnnotation(1).ok());
+  ASSERT_TRUE(clone->Restrict(Ids({1})).ok());
   EXPECT_TRUE(object_->Contains(1));
   EXPECT_FALSE(clone->Contains(1));
 }
@@ -130,14 +138,14 @@ TEST_F(ClusterObjectTest, SimilarAnnotationsGroup) {
   EXPECT_EQ(object_->NumAnnotations(), 3u);
 }
 
-TEST_F(ClusterObjectTest, RemoveReelectsRepresentative) {
+TEST_F(ClusterObjectTest, RestrictReelectsRepresentative) {
   ASSERT_TRUE(object_->AddAnnotation(Note(1, "goose eating stonewort lake plants")).ok());
   ASSERT_TRUE(object_->AddAnnotation(Note(2, "goose eating stonewort")).ok());
   ASSERT_TRUE(object_->AddAnnotation(Note(3, "eating stonewort lake")).ok());
   ASSERT_EQ(object_->NumComponents(), 1u);
   auto* cluster = static_cast<ClusterObject*>(object_.get());
   mining::DocId rep = cluster->clusters().groups()[0].representative;
-  ASSERT_TRUE(object_->RemoveAnnotation(rep).ok());
+  ASSERT_TRUE(object_->Restrict(Ids({rep})).ok());
   EXPECT_EQ(object_->NumComponents(), 1u);
   EXPECT_NE(cluster->clusters().groups()[0].representative, rep);
 }
@@ -205,14 +213,15 @@ TEST_F(SnippetObjectTest, SnippetIsShortAndExtractive) {
   EXPECT_NE(rendered.find("goose"), std::string::npos);
 }
 
-TEST_F(SnippetObjectTest, RemoveDeletesSnippet) {
+TEST_F(SnippetObjectTest, RestrictDeletesSnippet) {
   ASSERT_TRUE(object_->AddAnnotation(Note(1, "Doc one.", ann::AnnotationKind::kDocument)).ok());
   ASSERT_TRUE(object_->AddAnnotation(Note(2, "Doc two.", ann::AnnotationKind::kDocument)).ok());
   // Removing the Wikipedia article during projection (Figure 2 step 1).
-  ASSERT_TRUE(object_->RemoveAnnotation(2).ok());
+  ASSERT_TRUE(object_->Restrict(Ids({2})).ok());
   EXPECT_EQ(object_->NumComponents(), 1u);
-  // Removing a non-contributing id is a tolerated no-op.
-  EXPECT_TRUE(object_->RemoveAnnotation(99).ok());
+  // Dropping a non-contributing id is a tolerated no-op.
+  EXPECT_TRUE(object_->Restrict(Ids({99})).ok());
+  EXPECT_EQ(object_->NumComponents(), 1u);
 }
 
 TEST_F(SnippetObjectTest, MergeUnionsDocuments) {
@@ -228,7 +237,7 @@ TEST_F(SnippetObjectTest, MergeUnionsDocuments) {
   EXPECT_EQ(*ids, (std::vector<ann::AnnotationId>{2}));
 }
 
-TEST(SummaryObjectAlgebraTest, AddThenRemoveIsIdentityAcrossTypes) {
+TEST(SummaryObjectAlgebraTest, AddThenRestrictIsIdentityAcrossTypes) {
   auto classifier_instance = SummaryInstance::MakeClassifier("c", {"x", "y"});
   auto cluster_instance = SummaryInstance::MakeCluster("g", 0.3);
   mining::SnippetOptions opts;
@@ -245,9 +254,131 @@ TEST(SummaryObjectAlgebraTest, AddThenRemoveIsIdentityAcrossTypes) {
     ann::Annotation extra = Note(2, "another extra annotation here",
                                  ann::AnnotationKind::kDocument);
     ASSERT_TRUE(object->AddAnnotation(extra).ok());
-    ASSERT_TRUE(object->RemoveAnnotation(2).ok());
+    ASSERT_TRUE(object->Restrict(Ids({2})).ok());
     EXPECT_EQ(object->Render(), before) << object->instance_name();
   }
+}
+
+// --- Restrict across the three types ----------------------------------------
+
+/// One instance of each type over the same generated annotation population
+/// (every fourth annotation a document, so snippet objects see some).
+class RestrictTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    switch (GetParam()) {
+      case 0:
+        instance_ = SummaryInstance::MakeClassifier(
+            "c", {"Behavior", "Disease", "Anatomy", "Other"});
+        for (const auto& [label, text] :
+             workload::AnnotationGenerator::ClassBird1Training()) {
+          ASSERT_TRUE(instance_->classifier()->Train(label, text).ok());
+        }
+        break;
+      case 1:
+        instance_ = SummaryInstance::MakeCluster("g", 0.3);
+        break;
+      default:
+        instance_ = SummaryInstance::MakeSnippet("s");
+        break;
+    }
+    workload::AnnotationGenerator gen(17);
+    for (ann::AnnotationId id = 0; id < kPopulation; ++id) {
+      const auto& species = workload::CuratedSpecies()[id % 6];
+      workload::GeneratedAnnotation g =
+          id % 4 == 0 ? gen.GenerateDocument(species, 3) : gen.GenerateComment(species);
+      g.annotation.id = id;
+      notes_.push_back(g.annotation);
+    }
+  }
+
+  std::unique_ptr<SummaryObject> Build() {
+    auto object = instance_->NewObject();
+    for (const ann::Annotation& note : notes_) {
+      EXPECT_TRUE(object->AddAnnotation(note).ok());
+    }
+    return object;
+  }
+
+  /// Every component's zoom-in, plus the rendering (cluster
+  /// representatives included).
+  static std::string Membership(const SummaryObject& object) {
+    std::string out = object.Render();
+    for (size_t c = 0; c < object.NumComponents(); ++c) {
+      out += " |";
+      std::vector<ann::AnnotationId> ids = *object.ZoomIn(c);
+      for (ann::AnnotationId id : ids) out.append(" ").append(std::to_string(id));
+    }
+    return out;
+  }
+
+  static constexpr ann::AnnotationId kPopulation = 80;
+  std::unique_ptr<SummaryInstance> instance_;
+  std::vector<ann::Annotation> notes_;
+};
+
+TEST_P(RestrictTest, SetMatchesOneIdAtATime) {
+  Random rng(GetParam() + 5);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<ann::AnnotationId> dropped;
+    // Ids past the population never contributed: they must be ignored.
+    for (ann::AnnotationId id = 0; id < kPopulation + 10; ++id) {
+      if (rng.Bernoulli(0.4)) dropped.push_back(id);
+    }
+    auto at_once = Build();
+    ASSERT_TRUE(at_once->Restrict(dropped).ok());
+    auto one_by_one = Build();
+    for (ann::AnnotationId id : dropped) {
+      ASSERT_TRUE(one_by_one->Restrict(std::span<const ann::AnnotationId>(&id, 1)).ok());
+    }
+    EXPECT_EQ(Membership(*at_once), Membership(*one_by_one)) << "round " << round;
+    for (ann::AnnotationId id : dropped) EXPECT_FALSE(at_once->Contains(id)) << id;
+  }
+}
+
+TEST_P(RestrictTest, AbsentIdsAreIgnored) {
+  auto object = Build();
+  std::string before = Membership(*object);
+  auto clone = object->Clone();
+  std::vector<ann::AnnotationId> absent = {kPopulation, kPopulation + 7, 1000000};
+  ASSERT_TRUE(clone->Restrict(absent).ok());
+  ASSERT_TRUE(clone->Restrict({}).ok());
+  EXPECT_EQ(Membership(*clone), before);
+  EXPECT_EQ(Membership(*object), before);
+}
+
+TEST_P(RestrictTest, RestrictingEverythingEmptiesObject) {
+  auto object = Build();
+  std::vector<ann::AnnotationId> all;
+  for (ann::AnnotationId id = 0; id < kPopulation; ++id) all.push_back(id);
+  auto clone = object->Clone();
+  ASSERT_TRUE(clone->Restrict(all).ok());
+  EXPECT_EQ(clone->NumAnnotations(), 0u);
+  // Classifier objects keep their (empty) label components; cluster groups
+  // and snippets vanish.
+  EXPECT_EQ(clone->NumComponents(), GetParam() == 0 ? 4u : 0u);
+  for (size_t c = 0; c < clone->NumComponents(); ++c) {
+    EXPECT_TRUE(clone->ZoomIn(c)->empty());
+  }
+  // The source of the copy-on-write clone is untouched.
+  EXPECT_GT(object->NumAnnotations(), 0u);
+}
+
+std::string TypeName(const ::testing::TestParamInfo<int>& info) {
+  static const char* const kNames[] = {"classifier", "cluster", "snippet"};
+  return kNames[info.param];
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTypes, RestrictTest, ::testing::Values(0, 1, 2), TypeName);
+
+TEST_F(ClusterObjectTest, RestrictDropsEmptiedGroups) {
+  ASSERT_TRUE(object_->AddAnnotation(Note(1, "goose eating stonewort lake")).ok());
+  ASSERT_TRUE(object_->AddAnnotation(Note(2, "goose eating stonewort")).ok());
+  ASSERT_TRUE(object_->AddAnnotation(Note(3, "wingspan and weight measured")).ok());
+  ASSERT_EQ(object_->NumComponents(), 2u);
+  ASSERT_TRUE(object_->Restrict(Ids({3})).ok());
+  EXPECT_EQ(object_->NumComponents(), 1u);
+  EXPECT_EQ(*object_->ZoomIn(0), Ids({1, 2}));
 }
 
 }  // namespace

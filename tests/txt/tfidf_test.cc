@@ -98,6 +98,31 @@ TEST(SparseVectorTest, AddScaledCancellationRemovesEntry) {
   EXPECT_TRUE(a.empty());
 }
 
+TEST(SparseVectorTest, SubtractMatchesAddScaledNegated) {
+  SparseVector sum;
+  sum.Set(1, 2.0);
+  sum.Set(3, 5.0);
+  sum.Set(7, 1.0);
+  SparseVector contained;  // Every term present: cancels term 7.
+  contained.Set(3, 2.0);
+  contained.Set(7, 1.0);
+  SparseVector foreign;  // Terms 0 and 9 are absent from `sum`.
+  foreign.Set(0, 4.0);
+  foreign.Set(1, 1.0);
+  foreign.Set(9, 3.0);
+  for (const SparseVector* part : {&contained, &foreign}) {
+    SparseVector expected = sum;
+    expected.AddScaled(*part, -1.0);
+    SparseVector actual = sum;
+    actual.Subtract(*part);
+    ASSERT_EQ(actual.entries().size(), expected.entries().size());
+    for (size_t i = 0; i < expected.entries().size(); ++i) {
+      EXPECT_EQ(actual.entries()[i].term, expected.entries()[i].term);
+      EXPECT_DOUBLE_EQ(actual.entries()[i].value, expected.entries()[i].value);
+    }
+  }
+}
+
 TEST(SparseVectorTest, DotAndNorm) {
   SparseVector a;
   a.Set(1, 3.0);

@@ -49,7 +49,7 @@ Status RunQuery(core::Engine* engine, const std::string& text, size_t parallelis
   options.morsel_size = kMorselSize;
   auto plan = Check(sql::PlanSelect(*select, engine, options), "plan");
   if (context != nullptr) plan->SetQueryContext(context);
-  Result<size_t> rows = DrainRows(plan.get());
+  Result<size_t> rows = DrainRows(engine, plan.get());
   if (!rows.ok()) {
     Status closed = plan->Close();  // Joins any still-running workers.
     (void)closed;

@@ -129,7 +129,7 @@ void BM_QueryCostVsInstances(benchmark::State& state) {
   }
   for (auto _ : state) {
     auto scan = Check(engine->MakeScan("birds", "b"), "scan");
-    size_t rows = Check(DrainRows(scan.get()), "drain");
+    size_t rows = Check(DrainRows(engine.get(), scan.get()), "drain");
     benchmark::DoNotOptimize(rows);
   }
   state.SetLabel("instances=" + std::to_string(k));

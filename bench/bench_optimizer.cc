@@ -81,7 +81,7 @@ size_t RunQuery(core::Engine* engine, const std::string& text, bool optimize) {
   sql::PlannerOptions options;
   options.optimize = optimize;
   auto plan = Check(sql::PlanSelect(*select, engine, options), "plan");
-  return Check(DrainRows(plan.get()), "drain");
+  return Check(DrainRows(engine, plan.get()), "drain");
 }
 
 void RunSweep(benchmark::State& state, const std::string& query,

@@ -35,7 +35,7 @@ size_t RunQuery(core::Engine* engine, const std::string& text, size_t parallelis
   options.parallelism = parallelism;
   options.morsel_size = kMorselSize;
   auto plan = Check(sql::PlanSelect(*select, engine, options), "plan");
-  return Check(DrainRows(plan.get()), "drain");
+  return Check(DrainRows(engine, plan.get()), "drain");
 }
 
 size_t SumPrunedRows(const exec::PlanMetrics& node) {
@@ -54,7 +54,7 @@ size_t PrunedRowsOf(core::Engine* engine, const std::string& text, size_t parall
   options.parallelism = parallelism;
   options.morsel_size = kMorselSize;
   auto plan = Check(sql::PlanSelect(*select, engine, options), "plan");
-  Check(DrainRows(plan.get()), "drain");
+  Check(DrainRows(engine, plan.get()), "drain");
   return SumPrunedRows(exec::CollectPlanMetrics(plan.get()));
 }
 

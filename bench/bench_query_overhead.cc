@@ -48,7 +48,7 @@ size_t RunPipeline(core::Engine* engine, bool with_summaries, bool trim) {
   auto project = Check(exec::ProjectOperator::FromColumns(
                            std::move(filter), trim ? TrimColumns() : CarryColumns()),
                        "project");
-  return Check(DrainRows(project.get()), "drain");
+  return Check(DrainRows(engine, project.get()), "drain");
 }
 
 /// (a) The query with annotation processing off.
@@ -132,7 +132,7 @@ void BM_JoinSummaryVsRaw(benchmark::State& state) {
     auto join = std::make_unique<exec::GatherOperator>(
         std::move(workers), std::vector<std::shared_ptr<exec::SharedPlanState>>{build},
         /*pool=*/nullptr);
-    size_t rows = Check(DrainRows(join.get()), "drain");
+    size_t rows = Check(DrainRows(engine, join.get()), "drain");
     benchmark::DoNotOptimize(rows);
   }
   state.SetLabel(use_summaries ? "insightnotes" : "plain");

@@ -38,9 +38,16 @@ T Check(Result<T> result, const char* what) {
   return std::move(result).value();
 }
 
-/// Opens `op` and drains it batch by batch. Returns the row count, or the
-/// first error of Open/NextBatch.
-inline Result<size_t> DrainRows(exec::Operator* op) {
+/// Pins `engine`'s current epoch on `op`'s query context (attaching a
+/// fresh context to a bare operator tree), opens `op` and drains it batch
+/// by batch. Returns the row count, or the first error of the pin or of
+/// Open/NextBatch.
+inline Result<size_t> DrainRows(core::Engine* engine, exec::Operator* op) {
+  INSIGHTNOTES_ASSIGN_OR_RETURN(core::ReadSnapshot pinned, engine->PinSnapshot());
+  if (op->query_context() == nullptr) {
+    op->SetQueryContext(std::make_shared<exec::QueryContext>());
+  }
+  op->query_context()->SetSnapshot(std::move(pinned));
   INSIGHTNOTES_RETURN_IF_ERROR(op->Open());
   size_t rows = 0;
   core::AnnotatedBatch batch;

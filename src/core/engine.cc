@@ -50,7 +50,6 @@ Status Engine::Init() {
 Status Engine::InitStorage() {
   StopWalCompactor();
   recovery_required_ = Status::OK();
-  poisoned_.store(false, std::memory_order_release);
   disk_ = options_.disk != nullptr ? options_.disk
                                    : std::make_shared<storage::DiskManager>();
   const bool file_backed = !options_.db_path.empty();
@@ -388,23 +387,21 @@ Status Engine::CheckMutable() const {
 }
 
 void Engine::MarkRecoveryRequired(const Status& cause) {
+  // Nothing is published after the failed apply, so the published epoch
+  // stays the pre-failure state and reads keep pinning it.
   if (recovery_required_.ok()) recovery_required_ = cause;
-  // New snapshot pins are refused from here on; already-pinned readers
-  // drain against their (pre-failure) epoch undisturbed.
-  poisoned_.store(true, std::memory_order_release);
   INSIGHTNOTES_LOG(Error)
       << "a WAL-committed record failed to apply; engine requires recovery: "
       << cause.ToString();
 }
 
+ReadSnapshot Engine::Published() const {
+  std::lock_guard<std::mutex> lock(published_mutex_);
+  return published_;
+}
+
 Result<ReadSnapshot> Engine::PinSnapshot() const {
-  if (poisoned_.load(std::memory_order_acquire)) {
-    return Status::Internal(
-        "engine requires recovery: new snapshots are refused (pinned "
-        "readers may finish)");
-  }
-  std::shared_ptr<const EngineSnapshot> snap =
-      published_.load(std::memory_order_acquire);
+  ReadSnapshot snap = Published();
   if (snap == nullptr) {
     return Status::Internal("no published snapshot (engine not initialized)");
   }
@@ -412,8 +409,7 @@ Result<ReadSnapshot> Engine::PinSnapshot() const {
 }
 
 uint64_t Engine::CurrentEpoch() const {
-  std::shared_ptr<const EngineSnapshot> snap =
-      published_.load(std::memory_order_acquire);
+  ReadSnapshot snap = Published();
   return snap == nullptr ? 0 : snap->epoch();
 }
 
@@ -427,28 +423,34 @@ std::unordered_map<rel::TableId, rel::RowId> Engine::CurrentBounds() const {
   return bounds;
 }
 
-// Writer mutex held: epoch_counter_ and the load/build/store sequence are
-// single-writer; readers only ever acquire-load published_.
+// Writer mutex held: epoch_counter_ and the read/build/publish sequence
+// are single-writer; readers only copy published_ under its mutex.
+void Engine::Publish(ReadSnapshot next) {
+  {
+    std::lock_guard<std::mutex> lock(published_mutex_);
+    published_.swap(next);
+  }
+  // `next` now holds the superseded epoch. Dropping it here, outside the
+  // lock, retires it unless a reader still pins it.
+}
+
 void Engine::PublishFull() {
   EngineSnapshot::Sources src{store_.get(), manager_.get()};
-  published_.store(EngineSnapshot::BuildFull(src, CurrentBounds(), ++epoch_counter_,
-                                             epochs_retired_),
-                   std::memory_order_release);
+  Publish(EngineSnapshot::BuildFull(src, CurrentBounds(), ++epoch_counter_,
+                                    epochs_retired_));
 }
 
 void Engine::PublishDelta(const std::vector<EngineSnapshot::RowKey>& dirty,
                           const std::vector<ann::AnnotationId>& newly_archived) {
-  std::shared_ptr<const EngineSnapshot> prev =
-      published_.load(std::memory_order_acquire);
+  ReadSnapshot prev = Published();
   if (prev == nullptr) {
     PublishFull();
     return;
   }
   EngineSnapshot::Sources src{store_.get(), manager_.get()};
-  published_.store(EngineSnapshot::BuildDelta(*prev, src, dirty, newly_archived,
-                                              CurrentBounds(), ++epoch_counter_,
-                                              epochs_retired_),
-                   std::memory_order_release);
+  Publish(EngineSnapshot::BuildDelta(*prev, src, dirty, newly_archived,
+                                     CurrentBounds(), ++epoch_counter_,
+                                     epochs_retired_));
 }
 
 Status Engine::Checkpoint() {
@@ -647,8 +649,8 @@ Result<rel::Table*> Engine::CreateTable(const std::string& name, rel::Schema sch
       }
       pending_indexes_.erase(pending);
     }
-    // Bounds-only delta: the new table starts empty but must be covered, or
-    // epoch readers would fall back to live reads on it.
+    // Bounds-only delta: the new table starts empty, and its bound enters
+    // the epoch every scan of it reads.
     PublishDelta({});
   }
   return table;
@@ -784,6 +786,42 @@ ann::Annotation NoteFromSpec(const AnnotateSpec& spec) {
   note.title = spec.title;
   note.body = spec.body;
   return note;
+}
+
+/// Runs `plan` to exhaustion against `snapshot`, the epoch its scans read:
+/// pins it on the plan's query context (bare operator trees get a fresh
+/// context), drains every batch, then clears the pin. A failed plan is
+/// closed before its error returns: a cancelled / timed-out / failed plan
+/// must not leave workers running or memory reserved.
+Result<std::vector<AnnotatedTuple>> DrainPinned(exec::Operator* plan,
+                                                const ReadSnapshot& snapshot) {
+  std::shared_ptr<exec::QueryContext> context = plan->shared_query_context();
+  if (context == nullptr) {
+    context = std::make_shared<exec::QueryContext>();
+    plan->SetQueryContext(context);
+  }
+  context->SetSnapshot(snapshot);
+  std::vector<AnnotatedTuple> rows;
+  auto drain = [&]() -> Status {
+    INSIGHTNOTES_RETURN_IF_ERROR(plan->Open());
+    rows.reserve(plan->EstimatedRows());
+    AnnotatedBatch batch;
+    while (true) {
+      INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, plan->NextBatch(&batch));
+      if (!more) return Status::OK();
+      for (AnnotatedTuple& tuple : batch.tuples) rows.push_back(std::move(tuple));
+    }
+  };
+  Status executed = drain();
+  context->SetSnapshot(nullptr);  // The plan is fully drained or failed.
+  if (!executed.ok()) {
+    Status closed = plan->Close();
+    if (!closed.ok()) {
+      INSIGHTNOTES_LOG(Warning) << "closing failed plan: " << closed.ToString();
+    }
+    return executed;
+  }
+  return rows;
 }
 
 }  // namespace
@@ -974,54 +1012,19 @@ Result<QueryResult> Engine::Execute(std::unique_ptr<exec::Operator> plan,
     });
   }
 
-  // Resolve the epoch this query reads. An explicit snapshot wins; else the
-  // current epoch is pinned with one acquire-load. A refused pin (storage
-  // not initialized, or the recovery-required state) falls back to live
-  // reads, preserving "reads still serve the pre-failure state".
+  // The epoch this query reads: an explicit snapshot wins, else the
+  // current one. After a failed apply that is still the pre-failure state.
   ReadSnapshot snap = options.snapshot;
   if (snap == nullptr) {
-    Result<ReadSnapshot> pinned = PinSnapshot();
-    if (pinned.ok()) snap = *pinned;
+    INSIGHTNOTES_ASSIGN_OR_RETURN(snap, PinSnapshot());
   }
-  // The snapshot rides on the plan's query context; bare operator trees
-  // (tests, benches) get a default one.
-  std::shared_ptr<exec::QueryContext> context = plan->shared_query_context();
-  if (context == nullptr) {
-    context = std::make_shared<exec::QueryContext>();
-    plan->SetQueryContext(context);
-  }
-  context->SetSnapshot(snap);
 
   Stopwatch watch;
   QueryResult result;
   result.schema = plan->OutputSchema();
-  auto drain = [&]() -> Status {
-    INSIGHTNOTES_RETURN_IF_ERROR(plan->Open());
-    result.rows.reserve(plan->EstimatedRows());
-    AnnotatedBatch batch;
-    while (true) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, plan->NextBatch(&batch));
-      if (!more) break;
-      for (AnnotatedTuple& tuple : batch.tuples) {
-        result.rows.push_back(std::move(tuple));
-      }
-    }
-    return Status::OK();
-  };
-  Status executed = drain();
-  context->SetSnapshot(nullptr);  // The plan is fully drained or failed.
-  if (!executed.ok()) {
-    // A cancelled / timed-out / failed plan must not leave workers running
-    // or memory reserved: Close joins the parallel section and releases
-    // every operator's reservation before the plan is destroyed.
-    Status closed = plan->Close();
-    if (!closed.ok()) {
-      INSIGHTNOTES_LOG(Warning) << "closing failed plan: " << closed.ToString();
-    }
-    return executed;
-  }
+  INSIGHTNOTES_ASSIGN_OR_RETURN(result.rows, DrainPinned(plan.get(), snap));
   result.execute_seconds = watch.ElapsedSeconds();
-  result.epoch = snap != nullptr ? snap->epoch() : 0;
+  result.epoch = snap->epoch();
   result.qid = options.qid != 0
                    ? options.qid
                    : next_qid_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -1037,9 +1040,8 @@ Result<QueryResult> Engine::Execute(std::unique_ptr<exec::Operator> plan,
   stored->snapshot = snap;
   INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
                                 ResultSnapshot::Capture(result.schema, result.rows));
-  INSIGHTNOTES_RETURN_IF_ERROR(cache_->Put(result.qid, snapshot,
-                                           result.execute_seconds,
-                                           EpochKeyOf(*stored)));
+  INSIGHTNOTES_RETURN_IF_ERROR(
+      cache_->Put(result.qid, snapshot, result.execute_seconds, snap->epoch()));
   stored->plan = std::move(plan);
   {
     std::lock_guard<std::mutex> lock(queries_mutex_);
@@ -1054,8 +1056,7 @@ Result<std::unique_ptr<exec::Operator>> Engine::MakeScan(const std::string& tabl
   INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * t, catalog_->GetTable(table));
   // A one-worker section over the table, run inline (no pool).
   auto source = std::make_shared<exec::ScanMorselSource>(
-      t, alias.empty() ? table : alias, manager_.get(), store_.get(), with_summaries,
-      exec::kDefaultBatchSize);
+      t, alias.empty() ? table : alias, with_summaries, exec::kDefaultBatchSize);
   std::vector<std::unique_ptr<exec::Operator>> workers;
   workers.push_back(std::make_unique<exec::MorselScanOperator>(source));
   return std::unique_ptr<exec::Operator>(std::make_unique<exec::GatherOperator>(
@@ -1063,99 +1064,56 @@ Result<std::unique_ptr<exec::Operator>> Engine::MakeScan(const std::string& tabl
       /*pool=*/nullptr));
 }
 
-uint64_t Engine::EpochKeyOf(const StoredQuery& stored) {
-  return stored.snapshot != nullptr ? stored.snapshot->epoch()
-                                    : ZoomInCache::kAnyEpoch;
-}
-
-Result<ResultSnapshot> Engine::SnapshotFor(QueryId qid, bool* from_cache) {
-  std::shared_ptr<StoredQuery> stored;
-  {
-    std::lock_guard<std::mutex> lock(queries_mutex_);
-    auto it = queries_.find(qid);
-    if (it != queries_.end()) stored = it->second;
-  }
-  const uint64_t epoch_key =
-      stored != nullptr ? EpochKeyOf(*stored) : ZoomInCache::kAnyEpoch;
-  auto cached = cache_->Get(qid, epoch_key);
-  if (cached.ok()) {
-    *from_cache = true;
-    return cached;
-  }
-  *from_cache = false;
-  if (stored == nullptr) {
-    return Status::NotFound("QID " + std::to_string(qid) + " is unknown");
-  }
-  // Cache miss: transparently re-execute the retained plan. Operators are
-  // stateful, so only one session may drive the plan at a time; the cache
-  // is re-checked under the lock so a raced miss does not execute twice.
-  std::lock_guard<std::mutex> exec_lock(stored->exec_mutex);
-  cached = cache_->Get(qid, epoch_key);
-  if (cached.ok()) {
-    *from_cache = true;
-    return cached;
-  }
-  INSIGHTNOTES_LOG(Info) << "zoom-in cache miss for QID " << qid << "; re-executing";
-  std::shared_ptr<exec::QueryContext> context =
-      stored->plan->shared_query_context();
-  if (context == nullptr) {
-    context = std::make_shared<exec::QueryContext>();
-    stored->plan->SetQueryContext(context);
-  }
-  // Re-pin the epoch the result was first computed at: a zoom-in after
-  // further ingest reproduces the original bytes.
-  context->SetSnapshot(stored->snapshot);
-  std::vector<AnnotatedTuple> rows;
-  auto reexecute = [&]() -> Status {
-    INSIGHTNOTES_RETURN_IF_ERROR(stored->plan->Open());
-    rows.reserve(stored->plan->EstimatedRows());
-    AnnotatedBatch batch;
-    while (true) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, stored->plan->NextBatch(&batch));
-      if (!more) break;
-      for (AnnotatedTuple& tuple : batch.tuples) {
-        rows.push_back(std::move(tuple));
-      }
-    }
-    return Status::OK();
-  };
-  Status executed = reexecute();
-  context->SetSnapshot(nullptr);
-  if (!executed.ok()) {
-    Status closed = stored->plan->Close();
-    if (!closed.ok()) {
-      INSIGHTNOTES_LOG(Warning) << "closing failed re-execution: "
-                                << closed.ToString();
-    }
-    return executed;
-  }
-  INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
-                                ResultSnapshot::Capture(stored->schema, rows));
-  INSIGHTNOTES_RETURN_IF_ERROR(cache_->Put(qid, snapshot, stored->cost, epoch_key));
-  return snapshot;
-}
-
-Result<rel::Schema> Engine::SchemaOf(QueryId qid) const {
+Result<std::shared_ptr<Engine::StoredQuery>> Engine::FindQuery(QueryId qid) const {
   std::lock_guard<std::mutex> lock(queries_mutex_);
   auto it = queries_.find(qid);
   if (it == queries_.end()) {
     return Status::NotFound("QID " + std::to_string(qid) + " is unknown");
   }
-  return it->second->schema;
+  return it->second;
+}
+
+Result<ResultSnapshot> Engine::SnapshotFor(QueryId qid, StoredQuery& stored,
+                                           bool* from_cache) {
+  const uint64_t epoch = stored.snapshot->epoch();
+  auto cached = cache_->Get(qid, epoch);
+  if (cached.ok()) {
+    *from_cache = true;
+    return cached;
+  }
+  *from_cache = false;
+  // Cache miss: transparently re-execute the retained plan. Operators are
+  // stateful, so only one session may drive the plan at a time; the cache
+  // is re-checked under the lock so a raced miss does not execute twice.
+  std::lock_guard<std::mutex> exec_lock(stored.exec_mutex);
+  cached = cache_->Get(qid, epoch);
+  if (cached.ok()) {
+    *from_cache = true;
+    return cached;
+  }
+  INSIGHTNOTES_LOG(Info) << "zoom-in cache miss for QID " << qid << "; re-executing";
+  // Re-pin the epoch the result was first computed at: a zoom-in after
+  // further ingest reproduces the original bytes.
+  INSIGHTNOTES_ASSIGN_OR_RETURN(std::vector<AnnotatedTuple> rows,
+                                DrainPinned(stored.plan.get(), stored.snapshot));
+  INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
+                                ResultSnapshot::Capture(stored.schema, rows));
+  INSIGHTNOTES_RETURN_IF_ERROR(cache_->Put(qid, snapshot, stored.cost, epoch));
+  return snapshot;
+}
+
+Result<rel::Schema> Engine::SchemaOf(QueryId qid) const {
+  INSIGHTNOTES_ASSIGN_OR_RETURN(std::shared_ptr<StoredQuery> stored, FindQuery(qid));
+  return stored->schema;
 }
 
 Result<ZoomInResult> Engine::ZoomIn(const ZoomInRequest& request) {
   ZoomInResult result;
-  // The query's pinned epoch (if any) decides how archived-ness is
-  // reported below.
-  ReadSnapshot pinned;
-  {
-    std::lock_guard<std::mutex> lock(queries_mutex_);
-    auto it = queries_.find(request.qid);
-    if (it != queries_.end()) pinned = it->second->snapshot;
-  }
-  INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
-                                SnapshotFor(request.qid, &result.served_from_cache));
+  INSIGHTNOTES_ASSIGN_OR_RETURN(std::shared_ptr<StoredQuery> stored,
+                                FindQuery(request.qid));
+  INSIGHTNOTES_ASSIGN_OR_RETURN(
+      ResultSnapshot snapshot,
+      SnapshotFor(request.qid, *stored, &result.served_from_cache));
   INSIGHTNOTES_ASSIGN_OR_RETURN(auto matches, ResolveZoomIn(snapshot, request));
   result.rows.reserve(matches.size());
   for (auto& [row_index, component] : matches) {
@@ -1169,7 +1127,7 @@ Result<ZoomInResult> Engine::ZoomIn(const ZoomInRequest& request) {
       // Bodies are immutable once stored, but archived-ness is curation
       // state: report it as of the query's epoch, not live, so the zoom-in
       // is consistent with the summaries it drills into.
-      if (pinned != nullptr) note.archived = pinned->IsArchived(id);
+      note.archived = stored->snapshot->IsArchived(id);
       row.annotations.push_back(std::move(note));
     }
     result.rows.push_back(std::move(row));

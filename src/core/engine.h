@@ -124,7 +124,7 @@ struct QueryResult {
   rel::Schema schema;
   std::vector<AnnotatedTuple> rows;
   double execute_seconds = 0.0;
-  uint64_t epoch = 0;  // Epoch the query ran against (0 = live reads).
+  uint64_t epoch = 0;  // Epoch the query's scans read.
 };
 
 /// Per-call knobs of Engine::Execute (concurrent sessions use all three).
@@ -260,11 +260,13 @@ class Engine {
   Status UnlinkInstance(const std::string& instance, const std::string& table);
 
   // --- Snapshot isolation ----------------------------------------------------
-  /// Pins the currently published epoch: one acquire-load, no locks. The
-  /// returned handle keeps that epoch's row states, summary versions and
-  /// archived bitmap alive until released; mutators never touch it. Refused
-  /// (without disturbing already-pinned readers) once the engine entered the
-  /// recovery-required state.
+  /// Pins the currently published epoch: a pointer copy under a small
+  /// mutex that publishers hold only for the swap. The returned handle
+  /// keeps that epoch's row states, summary versions and archived bitmap
+  /// alive until released; mutators never touch it. Epochs are published
+  /// only after a successful apply, so once the engine entered the
+  /// recovery-required state this is the pre-failure epoch. Fails only
+  /// before Init.
   Result<ReadSnapshot> PinSnapshot() const;
 
   /// Epoch of the currently published snapshot (0 before Init).
@@ -289,7 +291,8 @@ class Engine {
   /// `trace` non-null, per-operator tuple flow is recorded (Figure 2
   /// walk-through / demo feature 3). The query executes against one pinned
   /// epoch (see ExecuteOptions::snapshot), so concurrent AnnotateBatch
-  /// ingest never bleeds into a running result.
+  /// ingest never bleeds into a running result. Fails with the pin's error
+  /// before Init.
   Result<QueryResult> Execute(std::unique_ptr<exec::Operator> plan,
                               std::vector<TraceEvent>* trace = nullptr);
 
@@ -345,13 +348,24 @@ class Engine {
     std::mutex exec_mutex;
   };
 
-  Result<ResultSnapshot> SnapshotFor(QueryId qid, bool* from_cache);
+  /// The registry entry of `qid`; NotFound for an unknown QID.
+  Result<std::shared_ptr<StoredQuery>> FindQuery(QueryId qid) const;
 
-  /// Cache key for a stored query's result (kAnyEpoch when it ran live).
-  static uint64_t EpochKeyOf(const StoredQuery& stored);
+  /// The result of `stored` (registered as `qid`): from the zoom-in cache,
+  /// keyed by the stored epoch, or by re-executing the retained plan
+  /// against that epoch.
+  Result<ResultSnapshot> SnapshotFor(QueryId qid, StoredQuery& stored,
+                                     bool* from_cache);
 
   /// Visible-row bound of every catalog table right now (writer thread).
   std::unordered_map<rel::TableId, rel::RowId> CurrentBounds() const;
+
+  /// The published epoch (null before Init), copied under its mutex.
+  ReadSnapshot Published() const;
+
+  /// Installs `next` as the published epoch. The superseded one is dropped
+  /// after the lock is released, so retirement never runs inside it.
+  void Publish(ReadSnapshot next);
 
   /// Publishes a from-scratch snapshot of the current state (Init, Link/
   /// Unlink, stale repair). Writer mutex must be held.
@@ -465,15 +479,15 @@ class Engine {
   // Serializes every mutator (Annotate/AnnotateBatch/Attach/Archive/
   // Checkpoint/DDL/Analyze/Link). Readers never take it.
   std::mutex writer_mutex_;
-  // The published epoch; readers pin it with one acquire-load.
-  std::atomic<std::shared_ptr<const EngineSnapshot>> published_;
+  // The published epoch. Readers copy it and the writer swaps it under
+  // published_mutex_; neither does anything else under that lock.
+  mutable std::mutex published_mutex_;
+  ReadSnapshot published_;
   uint64_t epoch_counter_ = 0;  // Writer-mutex-guarded.
   // Outlives any pinned snapshot (snapshots hold a shared_ptr to it), so a
   // reader draining after engine teardown still retires cleanly.
   std::shared_ptr<std::atomic<uint64_t>> epochs_retired_ =
       std::make_shared<std::atomic<uint64_t>>(0);
-  // Mirrors requires_recovery() for lock-free PinSnapshot refusal.
-  std::atomic<bool> poisoned_{false};
 
   // Background WAL compactor: Checkpoint schedules passes; the thread
   // drains them. Guarded by compact_mutex_ except the stats, which have

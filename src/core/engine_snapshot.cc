@@ -28,8 +28,8 @@ Result<std::vector<std::unique_ptr<SummaryObject>>> EngineSnapshot::SummariesFor
     for (const auto& object : state->summaries) out.push_back(object->Clone());
     return out;
   }
-  // Same fallback as SummaryManager::SummariesFor: one empty object per
-  // instance linked (at this epoch) to the table.
+  // Never summarized: one empty object per instance linked (at this
+  // epoch) to the table.
   if (links_ != nullptr) {
     auto it = links_->find(table);
     if (it != links_->end()) {

@@ -8,12 +8,13 @@
 // WAL commit and the in-memory apply both succeeded, so a published epoch
 // never exposes a half-applied mutation.
 //
-// Readers pin the current epoch with one atomic acquire-load
-// (Engine::PinSnapshot) and keep the returned shared_ptr for the whole
-// query; nothing a reader touches through the snapshot is ever mutated
-// afterwards. Retirement is refcounted: when the last reader (and the
-// engine's published slot) drop an epoch, the snapshot destructs, frees the
-// shards only it referenced, and bumps a retire counter the tests observe.
+// Readers pin the current epoch (Engine::PinSnapshot, a pointer copy under
+// the engine's publish mutex) and keep the returned shared_ptr for the
+// whole query. It is the only state a query's scans read, and nothing a
+// reader touches through it is ever mutated afterwards. Retirement is
+// refcounted: when the last reader (and the engine's published slot) drop
+// an epoch, the snapshot destructs, frees the shards only it referenced,
+// and bumps a retire counter the tests observe.
 //
 // Copy-on-write is sharded so publication stays O(dirty rows), not O(all
 // rows): row states live in kNumShards hash shards, each an immutable map
@@ -52,8 +53,7 @@ class EngineSnapshot {
   /// is unfiltered (archived ids are masked at read time by this epoch's
   /// bitmap); `has_objects` distinguishes "maintained objects exist (maybe
   /// empty after an unlink)" from "row never summarized" — the two cases
-  /// produce different fallback summaries, exactly like
-  /// SummaryManager::SummariesFor.
+  /// produce different summaries (see SummariesFor).
   struct RowState {
     std::vector<ann::Attachment> attachments;
     bool has_objects = false;
@@ -82,12 +82,8 @@ class EngineSnapshot {
   /// Annotation ids below this bound existed when the epoch was published.
   uint64_t num_annotations() const { return num_annotations_; }
 
-  /// True when the snapshot has a visible-row bound for `table`. Tables
-  /// created or filled behind the engine's back (direct rel::Table use in
-  /// tests) are not covered; scans fall back to live reads for them.
-  bool CoversTable(rel::TableId table) const { return bounds_.contains(table); }
-
-  /// Rows [0, bound) of `table` existed at publication. 0 when uncovered.
+  /// Rows [0, bound) of `table` existed at publication. 0 for a table the
+  /// epoch predates.
   rel::RowId VisibleRows(rel::TableId table) const {
     auto it = bounds_.find(table);
     return it == bounds_.end() ? 0 : it->second;
@@ -99,9 +95,10 @@ class EngineSnapshot {
     return archived_ != nullptr && id < archived_->size() && (*archived_)[id] != 0;
   }
 
-  /// Deep copies of the row's summary objects as of this epoch — the exact
-  /// counterpart of SummaryManager::SummariesFor, including the
-  /// empty-object fallback for never-annotated rows.
+  /// Deep copies of the row's summary objects as of this epoch (scans take
+  /// these into the pipeline). Rows never summarized get empty objects, one
+  /// per instance linked to the table at this epoch, so queries always see
+  /// a uniform summary shape.
   Result<std::vector<std::unique_ptr<SummaryObject>>> SummariesFor(
       rel::TableId table, rel::RowId row) const;
 

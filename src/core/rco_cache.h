@@ -59,7 +59,7 @@ class ZoomInCache {
  public:
   /// Wildcard epoch key: entries stored under it match any lookup and any
   /// lookup with it matches any entry. Engine epochs start at 1, so 0 is
-  /// free to mean "executed against live state, no pinned epoch".
+  /// free for callers that track no epoch.
   static constexpr uint64_t kAnyEpoch = 0;
 
   /// `budget_bytes` caps the sum of serialized snapshot sizes. `path` backs
@@ -75,7 +75,7 @@ class ZoomInCache {
   Status Init();
 
   /// Admits the snapshot of `qid` with recompute cost `cost_seconds`,
-  /// keyed by the epoch the result was computed at (kAnyEpoch = live).
+  /// keyed by the epoch the result was computed at (kAnyEpoch = none).
   /// Snapshots that cannot fit even an empty cache are rejected (counted in
   /// stats().rejected); under kNone everything is rejected. Replacing an
   /// existing qid is atomic from the reader's perspective: the old snapshot

@@ -25,23 +25,29 @@ void PartialSummaryState::Seed(AnnotatedTuple* first, bool whole_row,
   }
 }
 
+namespace {
+
+/// Whole-row union: appends each annotation id of `from` not in `into` yet,
+/// as a whole-row reference. Equivalent to stripping `from`'s columns and
+/// running the full attachment merge (all entries are whole-row, so
+/// unioning column sets is a no-op), minus the per-call allocation.
+void UnionWholeRow(std::vector<AttachmentInfo>* into,
+                   const std::vector<AttachmentInfo>& from) {
+  for (const AttachmentInfo& att : from) {
+    const bool seen = std::any_of(into->begin(), into->end(),
+                                  [&](const AttachmentInfo& have) {
+                                    return have.id == att.id;
+                                  });
+    if (!seen) into->push_back(AttachmentInfo{att.id, {}});
+  }
+}
+
+}  // namespace
+
 Status PartialSummaryState::Fold(const AnnotatedTuple& dup) {
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&summaries_, dup.summaries));
   if (whole_row_) {
-    // Whole-row union: append each annotation id not seen yet. Equivalent
-    // to stripping the duplicate's columns and running the full attachment
-    // merge (all entries are whole-row, so unioning column sets is a
-    // no-op), minus the per-duplicate allocation.
-    for (const AttachmentInfo& att : dup.attachments) {
-      bool seen = false;
-      for (const AttachmentInfo& have : attachments_) {
-        if (have.id == att.id) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) attachments_.push_back(AttachmentInfo{att.id, {}});
-    }
+    UnionWholeRow(&attachments_, dup.attachments);
     return Status::OK();
   }
   MergeAttachmentLists(&attachments_, dup.attachments, /*offset=*/0);
@@ -52,16 +58,7 @@ Status PartialSummaryState::Combine(PartialSummaryState&& other) {
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&summaries_, other.summaries_));
   if (whole_row_) {
     attachments_.reserve(attachments_.size() + other.attachments_.size());
-    for (const AttachmentInfo& att : other.attachments_) {
-      bool seen = false;
-      for (const AttachmentInfo& have : attachments_) {
-        if (have.id == att.id) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) attachments_.push_back(AttachmentInfo{att.id, {}});
-    }
+    UnionWholeRow(&attachments_, other.attachments_);
     return Status::OK();
   }
   MergeAttachmentLists(&attachments_, other.attachments_, /*offset=*/0);
@@ -365,23 +362,6 @@ Status SummaryManager::RebuildTable(rel::TableId table) {
     INSIGHTNOTES_RETURN_IF_ERROR(RebuildRow(table, row));
   }
   return Status::OK();
-}
-
-Result<std::vector<std::unique_ptr<SummaryObject>>> SummaryManager::SummariesFor(
-    rel::TableId table, rel::RowId row) const {
-  std::vector<std::unique_ptr<SummaryObject>> out;
-  const auto* maintained = RowObjects(table, row);
-  if (maintained != nullptr) {
-    out.reserve(maintained->size());
-    for (const auto& object : *maintained) out.push_back(object->Clone());
-    return out;
-  }
-  // No annotations yet: empty objects, one per linked instance, so queries
-  // always see a uniform summary shape.
-  for (SummaryInstance* instance : LinkedTo(table)) {
-    out.push_back(instance->NewObject());
-  }
-  return out;
 }
 
 const std::vector<std::unique_ptr<SummaryObject>>* SummaryManager::RowObjects(

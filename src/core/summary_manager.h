@@ -129,13 +129,7 @@ class SummaryManager {
   /// Rebuilds every annotated row of `table`.
   Status RebuildTable(rel::TableId table);
 
-  // --- Query-time access ----------------------------------------------------
-  /// Deep copies of the row's summary objects (scan operators take these
-  /// into the pipeline). Rows without annotations get empty objects, one
-  /// per linked instance.
-  Result<std::vector<std::unique_ptr<SummaryObject>>> SummariesFor(
-      rel::TableId table, rel::RowId row) const;
-
+  // --- Read access (epoch publication) --------------------------------------
   /// The maintained objects themselves (read-only), or nullptr if the row
   /// has none yet.
   const std::vector<std::unique_ptr<SummaryObject>>* RowObjects(

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <future>
 
-#include "core/engine_snapshot.h"
-
 namespace insightnotes::exec {
 
 Status RowQuota::Reset() {
@@ -31,13 +29,9 @@ void RowQuota::OnMorselDone(uint64_t morsel, size_t rows) {
 }
 
 ScanMorselSource::ScanMorselSource(const rel::Table* table, std::string alias,
-                                   core::SummaryManager* manager,
-                                   const ann::AnnotationStore* store,
                                    bool with_summaries, size_t morsel_size)
     : table_(table),
       alias_(std::move(alias)),
-      manager_(manager),
-      store_(store),
       with_summaries_(with_summaries),
       morsel_size_(std::max<size_t>(1, morsel_size)),
       schema_(table->schema().WithQualifier(alias_.empty() ? table->name() : alias_)) {
@@ -49,13 +43,13 @@ Status ScanMorselSource::Reset() {
   next_morsel_.store(0, std::memory_order_relaxed);
   abort_.store(false, std::memory_order_release);
   snapshot_ = context_ != nullptr ? context_->snapshot() : nullptr;
-  if (snapshot_ != nullptr && !snapshot_->CoversTable(table_->id())) {
-    snapshot_ = nullptr;  // Table the pinned epoch predates: live reads.
+  if (snapshot_ == nullptr) {
+    return Status::Internal("plan opened without a pinned epoch (scan of " +
+                            alias_ + ")");
   }
   // Rows at or beyond the pinned epoch's bound were inserted after the
   // epoch and are invisible.
-  const rel::RowId bound = snapshot_ != nullptr ? snapshot_->VisibleRows(table_->id())
-                                                : table_->RowBound();
+  const rel::RowId bound = snapshot_->VisibleRows(table_->id());
   if (has_probe_) {
     // The probe runs against the live index, which may already hold rows
     // past the bound; matches come back ascending.
@@ -106,20 +100,11 @@ Status ScanMorselSource::Materialize(uint64_t morsel, core::AnnotatedBatch* out)
     core::AnnotatedTuple tuple(std::move(data));
     if (stamp_ranks_) tuple.order_ranks.assign(1, static_cast<uint32_t>(i));
     if (with_summaries_) {
-      if (snapshot_ != nullptr) {
-        // Summary/attachment state from the pinned epoch: workers on other
-        // morsels and concurrent writers never perturb what this scan sees.
-        INSIGHTNOTES_ASSIGN_OR_RETURN(
-            tuple.summaries, snapshot_->SummariesFor(table_->id(), rows_[i]));
-        snapshot_->AppendAttachments(table_->id(), rows_[i], &tuple.attachments);
-      } else {
-        INSIGHTNOTES_ASSIGN_OR_RETURN(
-            tuple.summaries, manager_->SummariesFor(table_->id(), rows_[i]));
-        for (const ann::Attachment& att : store_->OnRow(table_->id(), rows_[i])) {
-          if (store_->IsArchived(att.annotation)) continue;
-          tuple.attachments.push_back(core::AttachmentInfo{att.annotation, att.columns});
-        }
-      }
+      // Workers on other morsels and concurrent writers never perturb what
+      // this scan sees: the epoch is immutable.
+      INSIGHTNOTES_ASSIGN_OR_RETURN(tuple.summaries,
+                                    snapshot_->SummariesFor(table_->id(), rows_[i]));
+      snapshot_->AppendAttachments(table_->id(), rows_[i], &tuple.attachments);
     }
     out->tuples.push_back(std::move(tuple));
   }

@@ -20,9 +20,9 @@
 // preserving the Theorems 1 & 2 plan-equivalence guarantees.
 //
 // ScanMorselSource is the only code that turns stored rows into
-// AnnotatedTuples: the snapshot row bound, liveness, the index probe,
-// summaries from the pinned epoch or the live manager, archived-attachment
-// filtering and rank stamping all live there.
+// AnnotatedTuples: the pinned epoch's row bound, liveness, the index
+// probe, the epoch's summaries and non-archived attachments, and rank
+// stamping all live there. A scan reads nothing but its pinned epoch.
 
 #ifndef INSIGHTNOTES_EXEC_PARALLEL_H_
 #define INSIGHTNOTES_EXEC_PARALLEL_H_
@@ -34,9 +34,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "annotation/annotation_store.h"
 #include "common/thread_pool.h"
-#include "core/summary_manager.h"
+#include "core/engine_snapshot.h"
 #include "exec/index_scan.h"
 #include "exec/operator.h"
 #include "rel/table.h"
@@ -99,18 +98,20 @@ class RowQuota final : public SharedPlanState {
   size_t prefix_rows_ = 0;      // Surviving rows in morsels [0, prefix_morsel_).
 };
 
-/// The scanned table of a pipeline section. Reset lists the visible live
-/// row ids (all of them, or an index probe's matches); workers then fetch
-/// each claimed morsel's tuples and attach their summary clones and
-/// attachment metadata. Only ids stay resident, so a scan never holds a
-/// copy of its table. With `with_summaries` false the scan produces bare
-/// tuples (the "annotations off" baseline of the benches).
+/// The scanned table of a pipeline section. Reset lists the row ids live
+/// below the pinned epoch's bound (all of them, or an index probe's
+/// matches); workers then fetch each claimed morsel's tuples and attach
+/// the epoch's summary clones and attachment metadata. Only ids stay
+/// resident, so a scan never holds a copy of its table. With
+/// `with_summaries` false the scan produces bare tuples (the "annotations
+/// off" baseline of the benches).
 class ScanMorselSource final : public SharedPlanState {
  public:
-  ScanMorselSource(const rel::Table* table, std::string alias,
-                   core::SummaryManager* manager, const ann::AnnotationStore* store,
-                   bool with_summaries, size_t morsel_size);
+  ScanMorselSource(const rel::Table* table, std::string alias, bool with_summaries,
+                   size_t morsel_size);
 
+  /// Captures the epoch pinned on the attached query context. Fails with
+  /// Internal when there is none: a scan never reads live engine state.
   Status Reset() override;
   void AttachQueryContext(std::shared_ptr<QueryContext> context) override {
     context_ = std::move(context);
@@ -171,8 +172,6 @@ class ScanMorselSource final : public SharedPlanState {
  private:
   const rel::Table* table_;
   std::string alias_;
-  core::SummaryManager* manager_;
-  const ann::AnnotationStore* store_;
   bool with_summaries_;
   size_t morsel_size_;
   rel::Schema schema_;
@@ -181,13 +180,13 @@ class ScanMorselSource final : public SharedPlanState {
   bool has_probe_ = false;
   bool stamp_ranks_ = false;
 
-  // Pinned engine epoch captured from the context at Reset; null = live
-  // reads. While set, the row bound, summaries and attachments all come
-  // from the epoch, so concurrent writers stay invisible. Reset runs
-  // serially before the workers start, so the capture is ordered before
-  // all Materialize calls. (Stored tuples are never updated in place, so
-  // fetching them after Reset reads what the epoch saw.)
-  std::shared_ptr<const core::EngineSnapshot> snapshot_;
+  // Pinned engine epoch captured from the context at Reset. The row bound,
+  // summaries and attachments all come from it, so concurrent writers stay
+  // invisible. Reset runs serially before the workers start, so the
+  // capture is ordered before all Materialize calls. (Stored tuples are
+  // never updated in place, so fetching them after Reset reads what the
+  // epoch saw.)
+  core::ReadSnapshot snapshot_;
 
   std::vector<rel::RowId> rows_;  // Visible live row ids, ascending.
   std::atomic<uint64_t> next_morsel_{0};

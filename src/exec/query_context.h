@@ -163,10 +163,11 @@ class QueryContext {
 
   MemoryBudget& budget() { return budget_; }
 
-  /// Pins `snapshot` as the epoch this statement reads against (null =
-  /// live engine reads). Set by Engine::Execute before Open and cleared
-  /// after the plan fully drains; parallel workers only read it between
-  /// those points, so the pool join orders the accesses.
+  /// Pins `snapshot` as the epoch this statement reads against: the only
+  /// state its scans read. Set by Engine::Execute before Open and cleared
+  /// after the plan fully drains; a scan opened with none pinned fails.
+  /// Parallel workers only read it between those points, so the pool join
+  /// orders the accesses.
   void SetSnapshot(std::shared_ptr<const core::EngineSnapshot> snapshot) {
     snapshot_ = std::move(snapshot);
   }

@@ -389,8 +389,7 @@ class SelectPlanner {
   std::shared_ptr<exec::ScanMorselSource> MakeSource(size_t k) {
     TableSlot& slot = tables_[k];
     auto source = std::make_shared<exec::ScanMorselSource>(
-        slot.table, slot.alias, engine_->summaries(), engine_->annotations(),
-        /*with_summaries=*/true, options_.morsel_size);
+        slot.table, slot.alias, /*with_summaries=*/true, options_.morsel_size);
     if (optimized_ && choice_.access[k].use_index) {
       source->SetIndexProbe(choice_.access[k].probe);
     }

@@ -1,8 +1,8 @@
 // Epoch lifetime and visibility tests for the engine's snapshot isolation
 // (core/engine_snapshot.h): pinning freezes what a reader sees, publishes
 // retire superseded epochs exactly once, Checkpoint never perturbs a
-// pinned reader, and a poisoned engine refuses new pins while letting
-// already-pinned readers finish.
+// pinned reader, a scan reads nothing but its pinned epoch, and a poisoned
+// engine keeps serving its last published (pre-failure) epoch.
 
 #include "core/engine_snapshot.h"
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/zoom_in.h"
 #include "storage/fault_injection.h"
 #include "testutil.h"
 
@@ -53,7 +54,6 @@ TEST_F(EngineSnapshotTest, PinReflectsPublishedState) {
   ASSERT_TRUE(snap.ok());
   EXPECT_EQ((*snap)->epoch(), engine_->CurrentEpoch());
   EXPECT_GT((*snap)->epoch(), 0u);
-  EXPECT_TRUE((*snap)->CoversTable(r_id_));
   EXPECT_EQ((*snap)->VisibleRows(r_id_), 3u);
   EXPECT_EQ((*snap)->num_annotations(),
             engine_->annotations()->NumAnnotations());
@@ -176,58 +176,195 @@ TEST_F(EngineSnapshotTest, ExecutePinsAndReportsEpoch) {
   EXPECT_EQ(new_result->rows[0].FindSummary("ClassBird1")->NumAnnotations(), 2u);
 }
 
-// A poisoned engine (WAL-committed record that failed to apply) refuses
-// new pins — they would expose half-applied state — but a reader that
-// pinned before the failure keeps its consistent epoch to the end.
-TEST(EngineSnapshotPoisonTest, PoisonedEngineRefusesNewPinsOnly) {
-  std::string db_path = ::testing::TempDir() + "/snapshot_poison_test.db";
-  auto disk = std::make_shared<storage::FaultInjectingDiskManager>();
-  auto* faults = disk.get();
-  EngineOptions options;
-  options.db_path = db_path;
-  options.disk = disk;
-  options.io_retry.max_attempts = 1;
-  Engine engine(options);
-  ASSERT_TRUE(engine.Init().ok());
-  ASSERT_TRUE(
-      engine.CreateTable("t", rel::Schema({{"v", rel::ValueType::kString, "t"}}))
-          .ok());
-  ASSERT_TRUE(engine.Insert("t", rel::Tuple({rel::Value(std::string("row"))})).ok());
+TEST_F(EngineSnapshotTest, ScanWithoutPinnedEpochFails) {
+  // A bare operator tree opened outside Engine::Execute has no epoch to
+  // read: the scan refuses with a typed error instead of reading live
+  // state.
+  auto scan = engine_->MakeScan("R");
+  ASSERT_TRUE(scan.ok());
+  Status opened = (*scan)->Open();
+  EXPECT_TRUE(opened.IsInternal()) << opened.ToString();
+  EXPECT_NE(opened.message().find("plan opened without a pinned epoch"),
+            std::string::npos)
+      << opened.ToString();
 
-  core::AnnotateSpec spec;
-  spec.table = "t";
-  spec.row = 0;
-  spec.body = "note";
+  // Once an epoch is pinned on its context the same plan opens.
+  ASSERT_TRUE(testutil::PinEpoch(engine_.get(), scan->get()));
+  EXPECT_TRUE((*scan)->Open().ok());
+}
 
-  auto pinned = engine.PinSnapshot();
+TEST_F(EngineSnapshotTest, ExecuteBeforeInitReturnsPinError) {
+  // Nothing is published before Init, so there is no epoch to read.
+  Engine uninitialized;
+  EXPECT_EQ(uninitialized.CurrentEpoch(), 0u);
+  auto scan = engine_->MakeScan("R");
+  ASSERT_TRUE(scan.ok());
+  auto result = uninitialized.Execute(std::move(*scan));
+  EXPECT_TRUE(result.status().IsInternal()) << result.status().ToString();
+}
+
+/// A file-backed engine over a fault-injecting disk, one string table `t`
+/// of kRows rows with the SimCluster instance linked, and every retry
+/// disabled so one injected EIO fails the I/O that hits it.
+class PoisonedEngineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_path_ = ::testing::TempDir() + "/snapshot_poison_" +
+               std::to_string(reinterpret_cast<uintptr_t>(this)) + ".db";
+    faults_ = std::make_shared<storage::FaultInjectingDiskManager>();
+    EngineOptions options;
+    options.db_path = db_path_;
+    options.disk = faults_;
+    options.io_retry.max_attempts = 1;
+    engine_ = std::make_unique<Engine>(options);
+    ASSERT_TRUE(engine_->Init().ok());
+    ASSERT_TRUE(engine_
+                    ->CreateTable("t", rel::Schema({{"v", rel::ValueType::kString, "t"}}))
+                    .ok());
+    for (size_t row = 0; row < kRows; ++row) {
+      ASSERT_TRUE(
+          engine_->Insert("t", rel::Tuple({S("row" + std::to_string(row))})).ok());
+    }
+    ASSERT_TRUE(
+        engine_->RegisterInstance(SummaryInstance::MakeCluster("SimCluster", 0.3)).ok());
+    ASSERT_TRUE(engine_->LinkInstance("SimCluster", "t").ok());
+  }
+
+  void TearDown() override {
+    engine_.reset();
+    std::remove(db_path_.c_str());
+    std::remove((db_path_ + ".idx").c_str());
+    std::remove((db_path_ + ".wal.manifest").c_str());
+    for (uint64_t id = 1; id <= 8; ++id) {
+      std::remove(
+          storage::SegmentedWal::SegmentPathFor(db_path_ + ".wal", id).c_str());
+    }
+  }
+
+  AnnotateSpec Spec(rel::RowId row, const std::string& body) const {
+    AnnotateSpec spec;
+    spec.table = "t";
+    spec.row = row;
+    spec.body = body;
+    return spec;
+  }
+
+  /// Scans `t` through Engine::Execute (pinning the current epoch, or
+  /// `snapshot` when given) and serializes the result with its summaries.
+  std::string ScanBytes(ReadSnapshot snapshot, QueryResult* out = nullptr) {
+    auto scan = engine_->MakeScan("t");
+    EXPECT_TRUE(scan.ok());
+    if (!scan.ok()) return "";
+    ExecuteOptions options;
+    options.snapshot = std::move(snapshot);
+    options.retain = false;
+    auto result = engine_->Execute(std::move(*scan), std::move(options));
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return "";
+    auto captured = ResultSnapshot::Capture(result->schema, result->rows);
+    EXPECT_TRUE(captured.ok());
+    std::string bytes;
+    if (captured.ok()) captured->Serialize(&bytes);
+    if (out != nullptr) *out = std::move(*result);
+    return bytes;
+  }
+
+  static constexpr size_t kRows = 4;
+  std::string db_path_;
+  std::shared_ptr<storage::FaultInjectingDiskManager> faults_;
+  std::unique_ptr<Engine> engine_;
+};
+
+// A poisoned engine (WAL-committed record that failed to apply) keeps
+// serving its last published epoch: a new pin lands on the pre-failure
+// epoch, and a reader that pinned before the failure keeps reading it.
+TEST_F(PoisonedEngineTest, PoisonedEnginePinsPrePoisonEpoch) {
+  auto pinned = engine_->PinSnapshot();
   ASSERT_TRUE(pinned.ok());
 
   // Arm one-shot faults until one lands inside the store apply and poisons
   // the engine (see crash_recovery_test for the fault taxonomy).
   bool poisoned = false;
+  uint64_t pre_poison_epoch = 0;
   for (int i = 0; i < 200 && !poisoned; ++i) {
-    faults->FailOnceAt(storage::IoOpKind::kAny, faults->op_count());
-    (void)engine.Annotate(spec);
-    poisoned = engine.requires_recovery();
+    pre_poison_epoch = engine_->CurrentEpoch();
+    faults_->FailOnceAt(storage::IoOpKind::kAny, faults_->op_count());
+    (void)engine_->Annotate(Spec(0, "note"));
+    poisoned = engine_->requires_recovery();
   }
-  faults->Reset();
+  faults_->Reset();
   ASSERT_TRUE(poisoned) << "no injected fault ever landed in a store apply";
 
-  // New pins are refused...
-  EXPECT_FALSE(engine.PinSnapshot().ok());
-  // ...but the pre-poison pin still reads its epoch consistently.
-  auto table = engine.catalog()->GetTable("t");
+  // Mutations stay refused...
+  EXPECT_FALSE(engine_->Annotate(Spec(0, "after the failure")).ok());
+  // ...but a new pin succeeds and lands on the last published epoch.
+  auto repinned = engine_->PinSnapshot();
+  ASSERT_TRUE(repinned.ok()) << repinned.status().ToString();
+  EXPECT_EQ((*repinned)->epoch(), pre_poison_epoch);
+  EXPECT_EQ(engine_->CurrentEpoch(), pre_poison_epoch);
+  // The pre-poison pin still reads its epoch consistently.
+  auto table = engine_->catalog()->GetTable("t");
   ASSERT_TRUE(table.ok());
-  EXPECT_TRUE((*pinned)->CoversTable((*table)->id()));
+  EXPECT_EQ((*pinned)->VisibleRows((*table)->id()), kRows);
   std::vector<AttachmentInfo> atts;
   (*pinned)->AppendAttachments((*table)->id(), 0, &atts);
+  auto summaries = (*pinned)->SummariesFor((*table)->id(), 0);
+  ASSERT_TRUE(summaries.ok());
+  EXPECT_EQ(CountFor(*summaries, "SimCluster"), static_cast<int64_t>(atts.size()));
+}
 
-  std::remove(db_path.c_str());
-  std::remove((db_path + ".wal.manifest").c_str());
-  for (uint64_t id = 1; id <= 8; ++id) {
-    std::remove(
-        storage::SegmentedWal::SegmentPathFor(db_path + ".wal", id).c_str());
+// Regression: a batch that fails on a later item leaves its earlier items
+// in the store but never folded into the summaries. A query on the
+// poisoned engine must not see those orphaned attachments: it reads the
+// pre-poison epoch, where every row's attachments match its summary.
+TEST_F(PoisonedEngineTest, QueryAfterMidBatchPoisonReadsPrePoisonEpoch) {
+  for (rel::RowId row = 0; row < kRows; ++row) {
+    ASSERT_TRUE(engine_->Annotate(Spec(row, "first note on row " +
+                                                std::to_string(row)))
+                    .ok());
   }
+  // ~3 KB bodies: every item of the batch allocates its own heap page, so
+  // the store apply performs disk I/O item by item.
+  constexpr size_t kBatch = 16;
+  std::vector<AnnotateSpec> specs;
+  for (size_t i = 0; i < kBatch; ++i) {
+    specs.push_back(Spec(static_cast<rel::RowId>(i % kRows),
+                         std::string(3000, static_cast<char>('a' + i % 26)) + " " +
+                             std::to_string(i)));
+  }
+
+  // Arm the fault a few disk ops past the WAL commit, so the batch is
+  // durable and the items before the faulted one reach the store.
+  ReadSnapshot before;
+  bool poisoned = false;
+  uint64_t stored_before = 0;
+  for (uint64_t delay = 1; delay < 64 && !poisoned; ++delay) {
+    auto pin = engine_->PinSnapshot();
+    ASSERT_TRUE(pin.ok());
+    before = *pin;
+    stored_before = engine_->annotations()->NumAnnotations();
+    faults_->FailOnceAt(storage::IoOpKind::kAny, faults_->op_count() + delay);
+    (void)engine_->AnnotateBatch(specs);
+    faults_->Reset();
+    poisoned = engine_->requires_recovery() &&
+               engine_->annotations()->NumAnnotations() > stored_before;
+    ASSERT_FALSE(engine_->requires_recovery() && !poisoned)
+        << "the fault hit the first item; no partial batch to observe";
+  }
+  ASSERT_TRUE(poisoned) << "no injected fault ever landed mid-batch";
+  ASSERT_LT(engine_->annotations()->NumAnnotations(), stored_before + kBatch);
+
+  QueryResult result;
+  const std::string after = ScanBytes(nullptr, &result);
+  EXPECT_EQ(result.epoch, before->epoch());
+  ASSERT_EQ(result.rows.size(), kRows);
+  for (const AnnotatedTuple& row : result.rows) {
+    const SummaryObject* cluster = row.FindSummary("SimCluster");
+    ASSERT_NE(cluster, nullptr);
+    EXPECT_EQ(row.attachments.size(), cluster->NumAnnotations())
+        << row.tuple.ToString();
+  }
+  EXPECT_EQ(after, ScanBytes(before));
 }
 
 // Pin/publish stress: readers continuously pin the current epoch and walk

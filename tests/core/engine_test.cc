@@ -58,8 +58,10 @@ TEST_F(EngineTest, ArchiveRemovesEffectEverywhere) {
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(engine_->summaries()->RowObjects((*table)->id(), 0)->at(0)->NumAnnotations(), 1u);
   ASSERT_TRUE(engine_->ArchiveAnnotation(*id).ok());
+  auto pinned = engine_->PinSnapshot();
+  ASSERT_TRUE(pinned.ok());
   for (rel::RowId row : {0, 1}) {
-    auto summaries = engine_->summaries()->SummariesFor((*table)->id(), row);
+    auto summaries = (*pinned)->SummariesFor((*table)->id(), row);
     ASSERT_TRUE(summaries.ok());
     EXPECT_EQ((*summaries)[0]->NumAnnotations(), 0u) << row;
   }

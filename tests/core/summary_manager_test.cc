@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "annotation/annotation_store.h"
+#include "core/engine_snapshot.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 
@@ -51,6 +52,13 @@ class SummaryManagerTest : public ::testing::Test {
     EXPECT_TRUE(id.ok());
     EXPECT_TRUE(Fold(*id, ann::CellRegion{table, row, columns}).ok());
     return *id;
+  }
+
+  /// The current store/manager state as a published epoch — what a scan
+  /// reads row summaries from.
+  std::shared_ptr<const EngineSnapshot> Pinned() const {
+    return EngineSnapshot::BuildFull({store_.get(), manager_.get()}, /*bounds=*/{},
+                                     /*epoch=*/1, /*retire_counter=*/nullptr);
   }
 
   storage::DiskManager disk_;
@@ -143,7 +151,7 @@ TEST_F(SummaryManagerTest, UnlinkDropsObjects) {
 TEST_F(SummaryManagerTest, SummariesForClonesMaintainedState) {
   ASSERT_TRUE(manager_->Link("ClassBird1", 0).ok());
   Annotate(0, 4, "eating stonewort");
-  auto clones = manager_->SummariesFor(0, 4);
+  auto clones = Pinned()->SummariesFor(0, 4);
   ASSERT_TRUE(clones.ok());
   ASSERT_EQ(clones->size(), 1u);
   const std::vector<ann::AnnotationId> dropped = {0};
@@ -155,7 +163,7 @@ TEST_F(SummaryManagerTest, SummariesForClonesMaintainedState) {
 
 TEST_F(SummaryManagerTest, SummariesForUnannotatedRowGivesEmptyObjects) {
   ASSERT_TRUE(manager_->Link("ClassBird1", 0).ok());
-  auto clones = manager_->SummariesFor(0, 77);
+  auto clones = Pinned()->SummariesFor(0, 77);
   ASSERT_TRUE(clones.ok());
   ASSERT_EQ(clones->size(), 1u);
   EXPECT_EQ((*clones)[0]->NumAnnotations(), 0u);
@@ -168,7 +176,7 @@ TEST_F(SummaryManagerTest, ArchivedAnnotationsSkipped) {
   // Future maintenance skips it; a rebuild removes its effect, leaving the
   // row indistinguishable from a never-annotated one.
   ASSERT_TRUE(manager_->RebuildRow(0, 6).ok());
-  auto summaries = manager_->SummariesFor(0, 6);
+  auto summaries = Pinned()->SummariesFor(0, 6);
   ASSERT_TRUE(summaries.ok());
   ASSERT_EQ(summaries->size(), 1u);
   EXPECT_EQ((*summaries)[0]->NumAnnotations(), 0u);

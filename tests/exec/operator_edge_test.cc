@@ -67,7 +67,7 @@ TEST_F(OperatorEdgeTest, HashJoinDuplicateKeysProduceCrossMatches) {
   auto right = Scan("R2", "r");
   auto join = testutil::HashJoin(std::move(left), std::move(right),
                                  rel::MakeColumn(0, "l.k"), rel::MakeColumn(0, "r.k"));
-  auto rows = DrainRows(join.get());
+  auto rows = DrainRows(engine_.get(), join.get());
   EXPECT_EQ(rows.size(), 4u);  // 2 x 2 on key 1.
 }
 
@@ -78,7 +78,7 @@ TEST_F(OperatorEdgeTest, HashJoinNullKeysNeverJoin) {
   Insert("R2", rel::Tuple({I(5), S("cinq")}));
   auto join = testutil::HashJoin(Scan("L", "l"), Scan("R2", "r"),
                                  rel::MakeColumn(0, "l.k"), rel::MakeColumn(0, "r.k"));
-  auto rows = DrainRows(join.get());
+  auto rows = DrainRows(engine_.get(), join.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(1).AsString(), "five");
 }
@@ -87,7 +87,7 @@ TEST_F(OperatorEdgeTest, HashJoinEmptyBuildSide) {
   Insert("L", rel::Tuple({I(1), S("x")}));
   auto join = testutil::HashJoin(Scan("L", "l"), Scan("R2", "r"),
                                  rel::MakeColumn(0, "l.k"), rel::MakeColumn(0, "r.k"));
-  EXPECT_TRUE(DrainRows(join.get()).empty());
+  EXPECT_TRUE(DrainRows(engine_.get(), join.get()).empty());
 }
 
 TEST_F(OperatorEdgeTest, SortIsStable) {
@@ -98,7 +98,7 @@ TEST_F(OperatorEdgeTest, SortIsStable) {
   std::vector<SortKey> keys;
   keys.push_back(SortKey{rel::MakeColumn(0, "k"), true});
   auto sort = std::make_unique<SortOperator>(Scan("L", "l"), std::move(keys));
-  auto rows = DrainRows(sort.get());
+  auto rows = DrainRows(engine_.get(), sort.get());
   ASSERT_EQ(rows.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(rows[i].tuple.ValueAt(1).AsString(), "row" + std::to_string(i));
@@ -112,7 +112,7 @@ TEST_F(OperatorEdgeTest, SortNullsFirst) {
   std::vector<SortKey> keys;
   keys.push_back(SortKey{rel::MakeColumn(0, "k"), true});
   auto sort = std::make_unique<SortOperator>(Scan("L", "l"), std::move(keys));
-  auto rows = DrainRows(sort.get());
+  auto rows = DrainRows(engine_.get(), sort.get());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(rows[0].tuple.ValueAt(0).is_null());
   EXPECT_EQ(rows[1].tuple.ValueAt(0).AsInt64(), 1);
@@ -121,7 +121,7 @@ TEST_F(OperatorEdgeTest, SortNullsFirst) {
 TEST_F(OperatorEdgeTest, LimitBeyondInputSize) {
   Insert("L", rel::Tuple({I(1), S("only")}));
   auto limit = std::make_unique<LimitOperator>(Scan("L", "l"), 100);
-  EXPECT_EQ(DrainRows(limit.get()).size(), 1u);
+  EXPECT_EQ(DrainRows(engine_.get(), limit.get()).size(), 1u);
 }
 
 TEST_F(OperatorEdgeTest, MinMaxOverStrings) {
@@ -135,7 +135,7 @@ TEST_F(OperatorEdgeTest, MinMaxOverStrings) {
                                                  std::vector<rel::ExprPtr>{},
                                                  std::vector<rel::Column>{},
                                                  std::move(aggs));
-  auto rows = DrainRows(agg.get());
+  auto rows = DrainRows(engine_.get(), agg.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsString(), "apple");
   EXPECT_EQ(rows[0].tuple.ValueAt(1).AsString(), "quince");
@@ -152,7 +152,7 @@ TEST_F(OperatorEdgeTest, AggregateIgnoresNulls) {
                                                  std::vector<rel::ExprPtr>{},
                                                  std::vector<rel::Column>{},
                                                  std::move(aggs));
-  auto rows = DrainRows(agg.get());
+  auto rows = DrainRows(engine_.get(), agg.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsInt64(), 1);   // COUNT(k) skips NULL.
   EXPECT_EQ(rows[0].tuple.ValueAt(1).AsInt64(), 10);  // SUM skips NULL.
@@ -161,14 +161,14 @@ TEST_F(OperatorEdgeTest, AggregateIgnoresNulls) {
 
 TEST_F(OperatorEdgeTest, DistinctOnEmptyInput) {
   auto distinct = std::make_unique<DistinctOperator>(Scan("L", "l"));
-  EXPECT_TRUE(DrainRows(distinct.get()).empty());
+  EXPECT_TRUE(DrainRows(engine_.get(), distinct.get()).empty());
 }
 
 TEST_F(OperatorEdgeTest, DistinctTreatsNullsEqual) {
   Insert("L", rel::Tuple({rel::Value::Null(), S("x")}));
   Insert("L", rel::Tuple({rel::Value::Null(), S("x")}));
   auto distinct = std::make_unique<DistinctOperator>(Scan("L", "l"));
-  EXPECT_EQ(DrainRows(distinct.get()).size(), 1u);
+  EXPECT_EQ(DrainRows(engine_.get(), distinct.get()).size(), 1u);
 }
 
 TEST_F(OperatorEdgeTest, ProjectionWithComputedExpression) {
@@ -180,7 +180,7 @@ TEST_F(OperatorEdgeTest, ProjectionWithComputedExpression) {
   item.output_name = "doubled";
   items.push_back(std::move(item));
   auto project = std::make_unique<ProjectOperator>(Scan("L", "l"), std::move(items));
-  auto rows = DrainRows(project.get());
+  auto rows = DrainRows(engine_.get(), project.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsInt64(), 42);
   EXPECT_EQ(project->OutputSchema().ColumnAt(0).name, "doubled");
@@ -346,6 +346,7 @@ TEST_F(OperatorEdgeTest, FilterTypeErrorSurfaces) {
   auto filter = std::make_unique<FilterOperator>(
       Scan("L", "l"), rel::MakeCompare(rel::CompareOp::kEq, rel::MakeColumn(1, "v"),
                                        rel::MakeLiteral(I(1))));
+  ASSERT_TRUE(testutil::PinEpoch(engine_.get(), filter.get()));
   ASSERT_TRUE(filter->Open().ok());
   core::AnnotatedBatch batch;
   auto more = filter->NextBatch(&batch);
@@ -404,7 +405,7 @@ class BatchBoundaryTest : public TopKPropertyTest {
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     if (!plan.ok()) return 0;
     EXPECT_EQ((*plan)->Name().rfind("Limit(", 0), 0u) << (*plan)->Name();
-    DrainRows(plan->get());
+    DrainRows(engine_.get(), plan->get());
     return (*plan)->metrics().rows_out;
   }
 

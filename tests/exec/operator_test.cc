@@ -38,7 +38,7 @@ class OperatorTest : public testutil::EngineFixture {
 
 TEST_F(OperatorTest, SeqScanProducesAllRowsWithSummaries) {
   auto scan = Scan("R", "r");
-  auto rows = DrainRows(scan.get());
+  auto rows = DrainRows(engine_.get(), scan.get());
   ASSERT_EQ(rows.size(), 3u);
   // Four instances linked to R.
   EXPECT_EQ(rows[0].summaries.size(), 4u);
@@ -49,7 +49,7 @@ TEST_F(OperatorTest, SeqScanProducesAllRowsWithSummaries) {
 TEST_F(OperatorTest, SeqScanWithoutSummaries) {
   auto scan = engine_->MakeScan("R", "r", /*with_summaries=*/false);
   ASSERT_TRUE(scan.ok());
-  auto rows = DrainRows(scan->get());
+  auto rows = DrainRows(engine_.get(), scan->get());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(rows[0].summaries.empty());
   EXPECT_TRUE(rows[0].attachments.empty());
@@ -59,7 +59,7 @@ TEST_F(OperatorTest, SeqScanCarriesAttachmentMetadata) {
   ASSERT_TRUE(engine_->Annotate(Spec("R", 0, "eating stonewort", {2})).ok());
   ASSERT_TRUE(engine_->Annotate(Spec("R", 0, "whole row note")).ok());
   auto scan = Scan("R", "r");
-  auto rows = DrainRows(scan.get());
+  auto rows = DrainRows(engine_.get(), scan.get());
   ASSERT_EQ(rows[0].attachments.size(), 2u);
   EXPECT_EQ(rows[0].attachments[0].columns, (std::vector<size_t>{2}));
   EXPECT_TRUE(rows[0].attachments[1].columns.empty());
@@ -71,7 +71,7 @@ TEST_F(OperatorTest, FilterKeepsMatching) {
   auto filter = std::make_unique<FilterOperator>(
       std::move(scan),
       MakeCompare(CompareOp::kEq, Col(schema, "r.b"), MakeLiteral(I(2))));
-  auto rows = DrainRows(filter.get());
+  auto rows = DrainRows(engine_.get(), filter.get());
   ASSERT_EQ(rows.size(), 2u);
   for (const auto& row : rows) {
     EXPECT_EQ(row.tuple.ValueAt(1).AsInt64(), 2);
@@ -89,7 +89,7 @@ TEST_F(OperatorTest, ProjectionTrimsAnnotationsOnDroppedColumns) {
   auto scan = Scan("R", "r");
   auto project = ProjectOperator::FromColumns(std::move(scan), {"r.a", "r.b"});
   ASSERT_TRUE(project.ok());
-  auto rows = DrainRows(project->get());
+  auto rows = DrainRows(engine_.get(), project->get());
   ASSERT_EQ(rows.size(), 3u);
   const AnnotatedTuple& row0 = rows[0];
   EXPECT_EQ(row0.tuple.NumValues(), 2u);
@@ -109,7 +109,7 @@ TEST_F(OperatorTest, ProjectionRemapsAttachmentColumns) {
   // Output order (c, a): child column 2 -> output position 0.
   auto project = ProjectOperator::FromColumns(std::move(scan), {"r.c", "r.a"});
   ASSERT_TRUE(project.ok());
-  auto rows = DrainRows(project->get());
+  auto rows = DrainRows(engine_.get(), project->get());
   ASSERT_EQ(rows[0].attachments.size(), 1u);
   EXPECT_EQ(rows[0].attachments[0].columns, (std::vector<size_t>{0}));
 }
@@ -126,7 +126,7 @@ TEST_F(OperatorTest, HashJoinMergesSummaries) {
       std::move(left), std::move(right),
       Col(engine_->catalog()->GetTable("R").value()->schema().WithQualifier("r"), "r.a"),
       Col(engine_->catalog()->GetTable("S").value()->schema().WithQualifier("s"), "s.x"));
-  auto rows = DrainRows(join.get());
+  auto rows = DrainRows(engine_.get(), join.get());
   // R.a values {1,2,3} join S.x values {1,3,4} -> matches on 1 and 3.
   ASSERT_EQ(rows.size(), 2u);
   const AnnotatedTuple* joined_row0 = nullptr;
@@ -153,7 +153,7 @@ TEST_F(OperatorTest, HashJoinSharedAnnotationCountedOnce) {
       Scan("R", "r"), Scan("S", "s"),
       Col(engine_->catalog()->GetTable("R").value()->schema().WithQualifier("r"), "r.a"),
       Col(engine_->catalog()->GetTable("S").value()->schema().WithQualifier("s"), "s.x"));
-  auto rows = DrainRows(join.get());
+  auto rows = DrainRows(engine_.get(), join.get());
   for (const auto& row : rows) {
     if (row.tuple.ValueAt(0).AsInt64() != 1) continue;
     auto* class2 = row.FindSummary("ClassBird2");
@@ -182,8 +182,8 @@ TEST_F(OperatorTest, CrossProductMatchesHashJoinOnEquiPredicate) {
       testutil::HashJoin(Scan("R", "r"), Scan("S", "s"), MakeLiteral(I(1)),
                          MakeLiteral(I(1))),
       MakeCompare(CompareOp::kEq, Col(joined_schema, "r.a"), Col(joined_schema, "s.x")));
-  auto hash_rows = DrainRows(hash_join.get());
-  auto cross_rows = DrainRows(cross_join.get());
+  auto hash_rows = DrainRows(engine_.get(), hash_join.get());
+  auto cross_rows = DrainRows(engine_.get(), cross_join.get());
   ASSERT_EQ(hash_rows.size(), cross_rows.size());
   for (size_t i = 0; i < hash_rows.size(); ++i) {
     EXPECT_EQ(hash_rows[i].tuple, cross_rows[i].tuple);
@@ -203,7 +203,7 @@ TEST_F(OperatorTest, AggregateCountsAndMergesSummaries) {
   auto agg = std::make_unique<AggregateOperator>(
       std::move(scan), std::move(group),
       std::vector<rel::Column>{{"b", rel::ValueType::kInt64, ""}}, std::move(aggs));
-  auto rows = DrainRows(agg.get());
+  auto rows = DrainRows(engine_.get(), agg.get());
   ASSERT_EQ(rows.size(), 2u);  // b = 2 (rows 0,1) and b = 9 (row 2).
   const AnnotatedTuple* b2 = nullptr;
   for (const auto& row : rows) {
@@ -230,7 +230,7 @@ TEST_F(OperatorTest, GlobalAggregateOverEmptyInput) {
                                                  std::vector<rel::ExprPtr>{},
                                                  std::vector<rel::Column>{},
                                                  std::move(aggs));
-  auto rows = DrainRows(agg.get());
+  auto rows = DrainRows(engine_.get(), agg.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsInt64(), 0);
 }
@@ -242,7 +242,7 @@ TEST_F(OperatorTest, DistinctMergesDuplicateSummaries) {
   auto project = ProjectOperator::FromColumns(Scan("R", "r"), {"r.b"});
   ASSERT_TRUE(project.ok());
   auto distinct = std::make_unique<DistinctOperator>(std::move(*project));
-  auto rows = DrainRows(distinct.get());
+  auto rows = DrainRows(engine_.get(), distinct.get());
   ASSERT_EQ(rows.size(), 2u);  // b = 2 and b = 9.
   const AnnotatedTuple* b2 = nullptr;
   for (const auto& row : rows) {
@@ -261,7 +261,7 @@ TEST_F(OperatorTest, SortOrdersRows) {
   std::vector<SortKey> keys;
   keys.push_back(SortKey{Col(schema, "r.a"), /*ascending=*/false});
   auto sort = std::make_unique<SortOperator>(std::move(scan), std::move(keys));
-  auto rows = DrainRows(sort.get());
+  auto rows = DrainRows(engine_.get(), sort.get());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsInt64(), 3);
   EXPECT_EQ(rows[2].tuple.ValueAt(0).AsInt64(), 1);
@@ -269,14 +269,14 @@ TEST_F(OperatorTest, SortOrdersRows) {
 
 TEST_F(OperatorTest, LimitStopsEarly) {
   auto limit = std::make_unique<LimitOperator>(Scan("R", "r"), 2);
-  auto rows = DrainRows(limit.get());
+  auto rows = DrainRows(engine_.get(), limit.get());
   EXPECT_EQ(rows.size(), 2u);
 }
 
 TEST_F(OperatorTest, OperatorsAreReopenable) {
   auto scan = Scan("R", "r");
-  auto first = DrainRows(scan.get());
-  auto second = DrainRows(scan.get());
+  auto first = DrainRows(engine_.get(), scan.get());
+  auto second = DrainRows(engine_.get(), scan.get());
   EXPECT_EQ(first.size(), second.size());
 }
 

@@ -239,9 +239,11 @@ class CrashRecoveryTest : public ::testing::Test {
       out << "\n";
     }
     auto table = engine->catalog()->GetTable("notes");
-    if (table.ok()) {
+    auto pinned = engine->PinSnapshot();
+    if (!pinned.ok()) out << "pin: ERROR " << pinned.status().ToString() << "\n";
+    if (table.ok() && pinned.ok()) {
       for (rel::RowId row = 0; row < static_cast<rel::RowId>(kNumRows); ++row) {
-        auto summaries = engine->summaries()->SummariesFor((*table)->id(), row);
+        auto summaries = (*pinned)->SummariesFor((*table)->id(), row);
         if (!summaries.ok()) {
           out << "row " << row << ": ERROR " << summaries.status().ToString() << "\n";
           continue;

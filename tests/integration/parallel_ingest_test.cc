@@ -70,7 +70,7 @@ std::string SummaryFingerprint(Engine* engine) {
   auto scan = engine->MakeScan("birds");
   EXPECT_TRUE(scan.ok());
   rel::Schema schema = (*scan)->OutputSchema();
-  std::vector<AnnotatedTuple> rows = testutil::DrainRows(scan->get());
+  std::vector<AnnotatedTuple> rows = testutil::DrainRows(engine, scan->get());
   auto snapshot = ResultSnapshot::Capture(schema, rows);
   EXPECT_TRUE(snapshot.ok());
   std::string bytes;

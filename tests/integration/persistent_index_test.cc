@@ -41,11 +41,10 @@ rel::Tuple BirdRow(uint64_t i) {
 
 /// An index-probed scan of `table`, run as the planner runs it: a
 /// one-worker section (Gather(1) over an IndexScan) with no pool.
-std::unique_ptr<exec::Operator> IndexScan(Engine* engine, const rel::Table* table,
+std::unique_ptr<exec::Operator> IndexScan(const rel::Table* table,
                                           exec::IndexProbeSpec probe) {
   auto source = std::make_shared<exec::ScanMorselSource>(
-      table, "", engine->summaries(), engine->annotations(),
-      /*with_summaries=*/true, exec::kDefaultBatchSize);
+      table, "", /*with_summaries=*/true, exec::kDefaultBatchSize);
   source->SetIndexProbe(std::move(probe));
   std::vector<std::unique_ptr<exec::Operator>> workers;
   workers.push_back(std::make_unique<exec::MorselScanOperator>(source));
@@ -294,7 +293,7 @@ TEST_F(PersistentIndexTest, ReopenedIndexSurfacesBeforeRowsExist) {
   spec.column = 0;
   spec.has_eq = true;
   spec.eq = I(7);
-  auto plan = IndexScan(&engine, birds, spec);
+  auto plan = IndexScan(birds, spec);
   auto result = engine.Execute(std::move(plan));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->rows.empty());
@@ -333,7 +332,7 @@ TEST(PersistentIndexSnapshotTest, PinnedSnapshotMasksLateAndDeadRows) {
   spec.column = 0;
   spec.has_eq = true;
   spec.eq = I(5);
-  auto plan = IndexScan(&engine, *table, spec);
+  auto plan = IndexScan(*table, spec);
   ExecuteOptions options;
   options.snapshot = *pinned;
   options.retain = false;

@@ -39,7 +39,7 @@ class PlannerTest : public testutil::EngineFixture {
     auto plan = PlanOf(sql, normalize);
     EXPECT_NE(plan, nullptr);
     if (plan == nullptr) return {};
-    return testutil::DrainRows(plan.get());
+    return testutil::DrainRows(engine_.get(), plan.get());
   }
 };
 
@@ -220,7 +220,7 @@ TEST_F(TopKMetricsTest, OrderByLimitReportsConsistentPruningCounters) {
     auto plan = PlanParallel("SELECT b.id FROM big b ORDER BY b.val LIMIT 5",
                              parallelism, /*morsel_size=*/16);
     ASSERT_NE(plan, nullptr);
-    EXPECT_EQ(testutil::DrainRows(plan.get()).size(), kLimit);
+    EXPECT_EQ(testutil::DrainRows(engine_.get(), plan.get()).size(), kLimit);
 
     exec::PlanMetrics metrics = exec::CollectPlanMetrics(plan.get());
     std::vector<const exec::PlanMetrics*> workers;
@@ -263,7 +263,7 @@ TEST_F(TopKMetricsTest, QuotaLimitReportsUndispatchedRowsAsPruned) {
   auto plan = PlanParallel("SELECT b.id FROM big b LIMIT 5", /*parallelism=*/4,
                            /*morsel_size=*/16);
   ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(testutil::DrainRows(plan.get()).size(), 5u);
+  EXPECT_EQ(testutil::DrainRows(engine_.get(), plan.get()).size(), 5u);
 
   exec::PlanMetrics metrics = exec::CollectPlanMetrics(plan.get());
   std::vector<const exec::PlanMetrics*> gathers;
@@ -353,7 +353,7 @@ class OptimizerPlanTest : public PlannerTest {
     EXPECT_NE(plan, nullptr);
     std::vector<std::string> rows;
     if (plan == nullptr) return rows;
-    for (const core::AnnotatedTuple& t : testutil::DrainRows(plan.get())) {
+    for (const core::AnnotatedTuple& t : testutil::DrainRows(engine_.get(), plan.get())) {
       rows.push_back(t.tuple.ToString());
     }
     return rows;

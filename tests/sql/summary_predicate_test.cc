@@ -41,7 +41,7 @@ class SummaryPredicateTest : public testutil::EngineFixture {
 TEST_F(SummaryPredicateTest, SpecEvaluatesCounts) {
   auto scan = engine_->MakeScan("R", "r");
   ASSERT_TRUE(scan.ok());
-  std::vector<core::AnnotatedTuple> rows = testutil::DrainRows(scan->get());
+  std::vector<core::AnnotatedTuple> rows = testutil::DrainRows(engine_.get(), scan->get());
   ASSERT_FALSE(rows.empty());
   const core::AnnotatedTuple& t = rows.front();
   exec::SummaryCountSpec total{"ClassBird1", ""};

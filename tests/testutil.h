@@ -32,10 +32,27 @@ inline rel::ExprPtr Col(const rel::Schema& schema, const std::string& name) {
   return rel::MakeColumn(index.ok() ? *index : 0, name);
 }
 
-/// Opens `op` and drains it batch by batch, expecting every call to
-/// succeed; returns the rows in emission order.
-inline std::vector<core::AnnotatedTuple> DrainRows(exec::Operator* op) {
+/// Pins `engine`'s current epoch on `op`'s query context, attaching a
+/// fresh context to a bare operator tree — what Engine::Execute does
+/// before Open. Returns false (with a test failure) if the pin fails.
+inline bool PinEpoch(core::Engine* engine, exec::Operator* op) {
+  auto pinned = engine->PinSnapshot();
+  EXPECT_TRUE(pinned.ok()) << pinned.status().ToString();
+  if (!pinned.ok()) return false;
+  if (op->query_context() == nullptr) {
+    op->SetQueryContext(std::make_shared<exec::QueryContext>());
+  }
+  op->query_context()->SetSnapshot(*pinned);
+  return true;
+}
+
+/// Pins `engine`'s current epoch on `op` (see PinEpoch), opens it and
+/// drains it batch by batch, expecting every call to succeed; returns the
+/// rows in emission order.
+inline std::vector<core::AnnotatedTuple> DrainRows(core::Engine* engine,
+                                                   exec::Operator* op) {
   std::vector<core::AnnotatedTuple> rows;
+  if (!PinEpoch(engine, op)) return rows;
   Status open = op->Open();
   EXPECT_TRUE(open.ok()) << open.ToString();
   if (!open.ok()) return rows;

@@ -114,9 +114,11 @@ TEST_F(WorkloadBuilderTest, SummariesMaintainedDuringBuild) {
   ASSERT_TRUE(stats.ok());
   auto table = engine_->catalog()->GetTable("birds");
   ASSERT_TRUE(table.ok());
+  auto pinned = engine_->PinSnapshot();
+  ASSERT_TRUE(pinned.ok());
   uint64_t total = 0;
   for (rel::RowId row = 0; row < 10; ++row) {
-    auto summaries = engine_->summaries()->SummariesFor((*table)->id(), row);
+    auto summaries = (*pinned)->SummariesFor((*table)->id(), row);
     ASSERT_TRUE(summaries.ok());
     ASSERT_EQ(summaries->size(), 4u);
     total += (*summaries)[0]->NumAnnotations();

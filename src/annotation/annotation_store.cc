@@ -2,17 +2,13 @@
 
 #include <algorithm>
 
+#include "common/coverage.h"
+
 namespace insightnotes::ann {
 
 namespace {
 
 const std::vector<Attachment> kNoAttachments;
-
-std::vector<size_t> NormalizeColumns(std::vector<size_t> columns) {
-  std::sort(columns.begin(), columns.end());
-  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
-  return columns;
-}
 
 }  // namespace
 
@@ -51,7 +47,7 @@ Status AnnotationStore::AttachImpl(AnnotationId id, const CellRegion& region,
     return Status::InvalidArgument("annotation region has no row");
   }
   CellRegion normalized = region;
-  normalized.columns = NormalizeColumns(std::move(normalized.columns));
+  NormalizeCoverage(&normalized.columns);
 
   Meta& meta = metas_[id];
   RowKey key{normalized.table, normalized.row};
@@ -69,28 +65,22 @@ Status AnnotationStore::AttachImpl(AnnotationId id, const CellRegion& region,
     attachments_ptr = &by_row_[key];
   }
   auto& attachments = *attachments_ptr;
-  // Re-attachment to the same row unions column sets (idempotent).
-  for (Attachment& a : attachments) {
-    if (a.annotation == id) {
-      std::vector<size_t> merged = a.columns;
-      merged.insert(merged.end(), normalized.columns.begin(), normalized.columns.end());
-      // A whole-row attachment (empty set) absorbs any cell attachment.
-      if (a.columns.empty() || normalized.columns.empty()) {
-        a.columns.clear();
-      } else {
-        a.columns = NormalizeColumns(std::move(merged));
-      }
-      for (CellRegion& r : meta.regions) {
-        if (r.table == normalized.table && r.row == normalized.row) {
-          r.columns = a.columns;
-          break;
-        }
-      }
-      return Status::OK();
+  // Re-attachment to the same row unions the coverage (idempotent). The
+  // annotation's own region list tells a re-attachment apart, so a new
+  // attachment never walks the row; a re-attachment then updates its entry
+  // in place, keeping the row's insertion order.
+  for (CellRegion& r : meta.regions) {
+    if (r.table != normalized.table || r.row != normalized.row) continue;
+    UnionCoverage(&r.columns, normalized.columns);
+    for (Attachment& a : attachments) {
+      if (a.annotation != id) continue;
+      a.columns = r.columns;
+      break;
     }
+    return Status::OK();
   }
   attachments.push_back(Attachment{id, normalized.columns});
-  meta.regions.push_back(normalized);
+  meta.regions.push_back(std::move(normalized));
   ++num_attachments_;
   return Status::OK();
 }

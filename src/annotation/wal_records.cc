@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/coverage.h"
+
 namespace insightnotes::ann {
 
 namespace {
@@ -248,16 +250,6 @@ WalChainKey ChainKeyOf(const WalEntry& entry) {
   return key;
 }
 
-namespace {
-
-std::vector<size_t> SortedUniqueColumns(std::vector<size_t> columns) {
-  std::sort(columns.begin(), columns.end());
-  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
-  return columns;
-}
-
-}  // namespace
-
 void WalLivenessTracker::ReportDead(uint64_t segment_id, uint32_t record_index) {
   if (on_dead_) on_dead_(segment_id, record_index);
 }
@@ -307,41 +299,29 @@ void WalLivenessTracker::Observe(const WalEntry& entry, uint64_t segment_id,
     region = &attach.region;
   }
   auto key = std::make_tuple(id, region->table, region->row);
-  std::vector<size_t> columns = SortedUniqueColumns(region->columns);
+  std::vector<size_t> columns = region->columns;
+  NormalizeCoverage(&columns);
   auto [it, first_for_pair] = pairs_.try_emplace(key);
   PairState& state = it->second;
   if (first_for_pair || is_add) {
     // First record of this (annotation, row) pair — it pins the row's
     // attachment insertion position and always stays live.
-    state.whole_row = columns.empty();
     state.columns = std::move(columns);
     return;
   }
-  if (state.whole_row) {
+  if (state.columns.empty()) {
     // The pair already covers the whole row; this re-attach adds nothing.
     ReportDead(segment_id, record_index);
     return;
   }
-  if (columns.empty()) {
-    // Whole-row re-attach: absorbs the union for good. Every earlier
-    // non-first re-attach is now redundant (first + this one replays to
-    // the same whole-row attachment); this record itself is terminal.
-    for (const auto& pos : state.supersedable) ReportDead(pos.first, pos.second);
-    state.supersedable.clear();
-    state.whole_row = true;
-    state.columns.clear();
-    return;
-  }
-  if (std::includes(state.columns.begin(), state.columns.end(), columns.begin(),
-                    columns.end())) {
+  std::vector<size_t> merged = state.columns;
+  UnionCoverage(&merged, columns);
+  if (merged == state.columns) {
     // Adds no columns to the union: pure no-op.
     ReportDead(segment_id, record_index);
     return;
   }
-  std::vector<size_t> merged = state.columns;
-  merged.insert(merged.end(), columns.begin(), columns.end());
-  merged = SortedUniqueColumns(std::move(merged));
-  if (columns.size() == merged.size()) {
+  if (merged == columns) {
     // This record alone covers the whole accumulated union, so the earlier
     // non-first re-attaches became redundant: first + this one replays to
     // the full union.
@@ -349,7 +329,9 @@ void WalLivenessTracker::Observe(const WalEntry& entry, uint64_t segment_id,
     state.supersedable.clear();
   }
   state.columns = std::move(merged);
-  state.supersedable.emplace_back(segment_id, record_index);
+  // A whole-row re-attach absorbs the union for good: nothing supersedes
+  // it, so it is terminal rather than supersedable.
+  if (!state.columns.empty()) state.supersedable.emplace_back(segment_id, record_index);
 }
 
 }  // namespace insightnotes::ann

@@ -143,8 +143,7 @@ class WalLivenessTracker {
 
  private:
   struct PairState {
-    std::vector<size_t> columns;  // Accumulated union; meaningless if whole_row.
-    bool whole_row = false;
+    std::vector<size_t> columns;  // Accumulated union; empty = whole row.
     // Positions of live non-first re-attaches, superseded as the union grows.
     std::vector<std::pair<uint64_t, uint32_t>> supersedable;
   };

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <span>
 #include <utility>
 #include <vector>
@@ -73,18 +72,47 @@ void EraseSorted(std::vector<Item>* items, std::span<const Id> ids, Key key = {}
   items->erase(items->begin() + static_cast<std::ptrdiff_t>(kept), items->end());
 }
 
-/// Unions `from` into `into` in one merge pass. An element whose key is on
-/// both sides keeps `into`'s copy. Both ascending.
-template <typename Item, typename Key = IdentityKey>
-void UnionSorted(std::vector<Item>* into, const std::vector<Item>& from, Key key = {}) {
-  if (from.empty()) return;
-  std::vector<Item> out;
-  out.reserve(into->size() + from.size());
-  std::set_union(std::make_move_iterator(into->begin()),
-                 std::make_move_iterator(into->end()), from.begin(), from.end(),
-                 std::back_inserter(out),
-                 [&key](const Item& a, const Item& b) { return key(a) < key(b); });
-  into->swap(out);
+/// Combine step of UnionSorted that keeps `into`'s copy unchanged.
+struct KeepFirst {
+  template <typename Item>
+  void operator()(Item*, const Item&) const {}
+};
+
+/// Unions `from` into `into`. An element whose key is on both sides keeps
+/// `into`'s copy, after `combine(&kept, incoming)` folds the incoming copy
+/// into it. Both ascending. In place: one galloping pass combines shared
+/// keys and counts the new ones, then one backward merge moves each of
+/// `into`'s elements at most once, so a few incoming elements cost no
+/// allocation beyond the vector's own growth.
+template <typename Item, typename Key = IdentityKey, typename Combine = KeepFirst>
+void UnionSorted(std::vector<Item>* into, const std::vector<Item>& from, Key key = {},
+                 Combine combine = {}) {
+  size_t fresh = 0;
+  size_t at = 0;
+  for (const Item& item : from) {
+    at = GallopSorted(*into, at, key(item), key);
+    if (at < into->size() && key((*into)[at]) == key(item)) {
+      combine(&(*into)[at], item);
+    } else {
+      ++fresh;
+    }
+  }
+  if (fresh == 0) return;
+  size_t i = into->size();  // Unplaced elements of `into`: [0, i).
+  size_t j = from.size();   // Unplaced elements of `from`: [0, j).
+  into->resize(into->size() + fresh);
+  // While a new element remains unplaced, the write position w stays above
+  // i, so no element is ever moved onto itself.
+  for (size_t w = into->size(); w > i;) {
+    const Item& incoming = from[j - 1];
+    if (i > 0 && !(key((*into)[i - 1]) < key(incoming))) {
+      if (key((*into)[i - 1]) == key(incoming)) --j;  // Combined above.
+      (*into)[--w] = std::move((*into)[--i]);
+    } else {
+      (*into)[--w] = incoming;
+      --j;
+    }
+  }
 }
 
 }  // namespace insightnotes

@@ -1,33 +1,8 @@
 #include "core/annotated_tuple.h"
 
-#include <algorithm>
+#include "common/coverage.h"
 
 namespace insightnotes::core {
-
-void MergeAttachmentLists(std::vector<AttachmentInfo>* list,
-                          const std::vector<AttachmentInfo>& incoming, size_t offset) {
-  for (const AttachmentInfo& in : incoming) {
-    std::vector<size_t> shifted;
-    shifted.reserve(in.columns.size());
-    for (size_t c : in.columns) shifted.push_back(c + offset);
-
-    auto existing = std::find_if(list->begin(), list->end(),
-                                 [&](const AttachmentInfo& a) { return a.id == in.id; });
-    if (existing == list->end()) {
-      list->push_back(AttachmentInfo{in.id, std::move(shifted)});
-      continue;
-    }
-    if (existing->columns.empty() || in.columns.empty()) {
-      existing->columns.clear();
-    } else {
-      existing->columns.insert(existing->columns.end(), shifted.begin(), shifted.end());
-      std::sort(existing->columns.begin(), existing->columns.end());
-      existing->columns.erase(
-          std::unique(existing->columns.begin(), existing->columns.end()),
-          existing->columns.end());
-    }
-  }
-}
 
 namespace {
 
@@ -73,18 +48,11 @@ SummaryObject* AnnotatedTuple::FindSummary(std::string_view name) const {
   return nullptr;
 }
 
-AttachmentInfo* AnnotatedTuple::FindAttachment(ann::AnnotationId id) {
-  for (AttachmentInfo& a : attachments) {
-    if (a.id == id) return &a;
-  }
-  return nullptr;
-}
-
 Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right) {
   size_t left_width = left->tuple.NumValues();
   left->tuple = rel::Tuple::Concat(left->tuple, right.tuple);
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&left->summaries, right.summaries));
-  MergeAttachmentLists(&left->attachments, right.attachments, left_width);
+  UnionAttachments(&left->attachments, right.attachments, left_width);
   left->order_ranks.insert(left->order_ranks.end(), right.order_ranks.begin(),
                            right.order_ranks.end());
   return Status::OK();
@@ -92,7 +60,7 @@ Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right) {
 
 Status MergeForGrouping(AnnotatedTuple* into, const AnnotatedTuple& other) {
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&into->summaries, other.summaries));
-  MergeAttachmentLists(&into->attachments, other.attachments, /*offset=*/0);
+  UnionAttachments(&into->attachments, other.attachments);
   return Status::OK();
 }
 

@@ -4,7 +4,10 @@
 // metadata is what lets the projection operator trim exactly the
 // annotations whose columns were projected out, and lets joins avoid double
 // counting annotations shared by both inputs, all without touching the raw
-// annotation repository (Section 2.1).
+// annotation repository (Section 2.1). Attachment lists ascend by
+// annotation id from the scan (the epoch publishes them sorted) to the
+// result, so every merge of two lists is one linear walk under the
+// coverage rule of common/coverage.h.
 
 #ifndef INSIGHTNOTES_CORE_ANNOTATED_TUPLE_H_
 #define INSIGHTNOTES_CORE_ANNOTATED_TUPLE_H_
@@ -21,7 +24,8 @@
 namespace insightnotes::core {
 
 /// One annotation's coverage of the tuple, in *current output schema*
-/// positions. Empty `columns` = whole-row: survives every projection.
+/// positions, ascending. Empty `columns` = whole-row: survives every
+/// projection.
 struct AttachmentInfo {
   ann::AnnotationId id = ann::kInvalidAnnotationId;
   std::vector<size_t> columns;
@@ -46,12 +50,9 @@ class AnnotatedTuple {
   /// Summary object produced by instance `name`, or nullptr.
   SummaryObject* FindSummary(std::string_view name) const;
 
-  /// Attachment record for annotation `id`, or nullptr.
-  AttachmentInfo* FindAttachment(ann::AnnotationId id);
-
   rel::Tuple tuple;
   std::vector<std::unique_ptr<SummaryObject>> summaries;
-  std::vector<AttachmentInfo> attachments;
+  std::vector<AttachmentInfo> attachments;  // Ascending by id, ids unique.
 
   /// Scan-position ranks stamped by the leaf scans of a *reordered* plan
   /// (cost-based join reorder): one entry per base table in join
@@ -82,14 +83,14 @@ struct AnnotatedBatch {
 
 /// Join-merge (Figure 2 step 3): appends `right`'s values to `left`,
 /// merges counterpart summary objects (matched by instance) without double
-/// counting shared annotations, unions non-counterpart objects, and merges
-/// attachment metadata with `right`'s column positions shifted by `left`'s
-/// original width. `left` is modified in place.
+/// counting shared annotations, unions non-counterpart objects, and unions
+/// attachment metadata (UnionAttachments) with `right`'s column positions
+/// shifted by `left`'s original width. `left` is modified in place.
 Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right);
 
 /// Grouping/duplicate-elimination merge: like the join merge but the data
 /// tuple of `into` is kept as-is and attachment column positions are
-/// preserved (the inputs share one schema).
+/// unshifted (the inputs share one schema).
 Status MergeForGrouping(AnnotatedTuple* into, const AnnotatedTuple& other);
 
 /// The summary half of the merges above: counterpart objects (same
@@ -99,14 +100,6 @@ Status MergeForGrouping(AnnotatedTuple* into, const AnnotatedTuple& other);
 /// per-tuple fold.
 Status MergeSummaryLists(std::vector<std::unique_ptr<SummaryObject>>* into,
                          const std::vector<std::unique_ptr<SummaryObject>>& incoming);
-
-/// The attachment half: merges `incoming` into `list`, shifting incoming
-/// column positions by `offset`. An annotation present on both sides keeps
-/// one entry with the union of covered columns; whole-row coverage (empty
-/// set) absorbs column sets. First-seen order of annotation ids is
-/// preserved.
-void MergeAttachmentLists(std::vector<AttachmentInfo>* list,
-                          const std::vector<AttachmentInfo>& incoming, size_t offset);
 
 /// Coarse byte estimates for the per-query memory budget (see
 /// exec/query_context.h). Summary objects are polymorphic, so each is

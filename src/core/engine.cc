@@ -1041,7 +1041,7 @@ Result<QueryResult> Engine::Execute(std::unique_ptr<exec::Operator> plan,
   INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
                                 ResultSnapshot::Capture(result.schema, result.rows));
   INSIGHTNOTES_RETURN_IF_ERROR(
-      cache_->Put(result.qid, snapshot, result.execute_seconds, snap->epoch()));
+      cache_->Put(result.qid, snapshot, result.execute_seconds));
   stored->plan = std::move(plan);
   {
     std::lock_guard<std::mutex> lock(queries_mutex_);
@@ -1075,8 +1075,7 @@ Result<std::shared_ptr<Engine::StoredQuery>> Engine::FindQuery(QueryId qid) cons
 
 Result<ResultSnapshot> Engine::SnapshotFor(QueryId qid, StoredQuery& stored,
                                            bool* from_cache) {
-  const uint64_t epoch = stored.snapshot->epoch();
-  auto cached = cache_->Get(qid, epoch);
+  auto cached = cache_->Get(qid);
   if (cached.ok()) {
     *from_cache = true;
     return cached;
@@ -1086,7 +1085,7 @@ Result<ResultSnapshot> Engine::SnapshotFor(QueryId qid, StoredQuery& stored,
   // stateful, so only one session may drive the plan at a time; the cache
   // is re-checked under the lock so a raced miss does not execute twice.
   std::lock_guard<std::mutex> exec_lock(stored.exec_mutex);
-  cached = cache_->Get(qid, epoch);
+  cached = cache_->Get(qid);
   if (cached.ok()) {
     *from_cache = true;
     return cached;
@@ -1098,7 +1097,7 @@ Result<ResultSnapshot> Engine::SnapshotFor(QueryId qid, StoredQuery& stored,
                                 DrainPinned(stored.plan.get(), stored.snapshot));
   INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
                                 ResultSnapshot::Capture(stored.schema, rows));
-  INSIGHTNOTES_RETURN_IF_ERROR(cache_->Put(qid, snapshot, stored.cost, epoch));
+  INSIGHTNOTES_RETURN_IF_ERROR(cache_->Put(qid, snapshot, stored.cost));
   return snapshot;
 }
 

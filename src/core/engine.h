@@ -352,8 +352,7 @@ class Engine {
   Result<std::shared_ptr<StoredQuery>> FindQuery(QueryId qid) const;
 
   /// The result of `stored` (registered as `qid`): from the zoom-in cache,
-  /// keyed by the stored epoch, or by re-executing the retained plan
-  /// against that epoch.
+  /// or by re-executing the retained plan against the stored epoch.
   Result<ResultSnapshot> SnapshotFor(QueryId qid, StoredQuery& stored,
                                      bool* from_cache);
 

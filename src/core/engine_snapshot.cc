@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/coverage.h"
 #include "core/summary_manager.h"
 
 namespace insightnotes::core {
@@ -44,20 +45,33 @@ void EngineSnapshot::AppendAttachments(rel::TableId table, rel::RowId row,
                                        std::vector<AttachmentInfo>* out) const {
   const RowState* state = FindRow(table, row);
   if (state == nullptr) return;
-  for (const ann::Attachment& att : state->attachments) {
-    if (IsArchived(att.annotation)) continue;
-    out->push_back(AttachmentInfo{att.annotation, att.columns});
-  }
+  out->insert(out->end(), state->attachments.begin(), state->attachments.end());
 }
 
 std::shared_ptr<const EngineSnapshot::RowState> EngineSnapshot::ReadRowState(
-    const Sources& src, const RowKey& key) {
+    const Sources& src, const RowKey& key) const {
   const std::vector<ann::Attachment>& atts = src.store->OnRow(key.first, key.second);
   const std::vector<std::unique_ptr<SummaryObject>>* objects =
       src.manager->RowObjects(key.first, key.second);
   if (atts.empty() && objects == nullptr) return nullptr;
   auto state = std::make_shared<RowState>();
-  state->attachments = atts;
+  // The store keeps the row's insertion order; the pipeline reads its
+  // attachments id-sorted and without the ids this epoch's bitmap archives.
+  // Insertion order is id order except where an older annotation was
+  // attached later, so only those stragglers are sorted, then merged in.
+  state->attachments.reserve(atts.size());
+  std::vector<AttachmentInfo> stragglers;
+  for (const ann::Attachment& att : atts) {
+    if (IsArchived(att.annotation)) continue;
+    std::vector<AttachmentInfo>& to =
+        state->attachments.empty() || state->attachments.back().id < att.annotation
+            ? state->attachments
+            : stragglers;
+    to.push_back(AttachmentInfo{att.annotation, att.columns});
+  }
+  std::sort(stragglers.begin(), stragglers.end(),
+            [](const AttachmentInfo& a, const AttachmentInfo& b) { return a.id < b.id; });
+  UnionAttachments(&state->attachments, stragglers);
   if (objects != nullptr) {
     state->has_objects = true;
     state->summaries.reserve(objects->size());
@@ -110,7 +124,7 @@ std::shared_ptr<const EngineSnapshot> EngineSnapshot::BuildFull(
     keys.emplace_back(table, row);
   });
   for (const RowKey& key : keys) {
-    std::shared_ptr<const RowState> state = ReadRowState(src, key);
+    std::shared_ptr<const RowState> state = snap->ReadRowState(src, key);
     if (state == nullptr) continue;
     std::shared_ptr<Shard>& shard = building[ShardOf(key)];
     if (shard == nullptr) shard = std::make_shared<Shard>();
@@ -155,7 +169,7 @@ std::shared_ptr<const EngineSnapshot> EngineSnapshot::BuildDelta(
                         ? std::make_shared<Shard>(*prev.shards_[idx])
                         : std::make_shared<Shard>();
     }
-    std::shared_ptr<const RowState> state = ReadRowState(src, key);
+    std::shared_ptr<const RowState> state = snap->ReadRowState(src, key);
     if (state != nullptr) {
       copied[idx]->rows[key] = std::move(state);
     } else {

@@ -2,8 +2,9 @@
 //
 // The engine maintains a single *published* EngineSnapshot: an immutable,
 // internally consistent view of everything a query reads at execution time
-// — per-row attachment lists, per-row summary-object versions, the archived
-// bitmap, and per-table visible-row bounds. Mutators (serialized on the
+// — per-row attachment lists (id-sorted, archived ids dropped), per-row
+// summary-object versions, the archived bitmap (zoom-in flags archived
+// components with it), and per-table visible-row bounds. Mutators (serialized on the
 // engine's writer mutex) install the next snapshot copy-on-write after the
 // WAL commit and the in-memory apply both succeeded, so a published epoch
 // never exposes a half-applied mutation.
@@ -50,12 +51,14 @@ class EngineSnapshot {
   using RowKey = std::pair<rel::TableId, rel::RowId>;
 
   /// Everything the snapshot knows about one annotated row. `attachments`
-  /// is unfiltered (archived ids are masked at read time by this epoch's
-  /// bitmap); `has_objects` distinguishes "maintained objects exist (maybe
-  /// empty after an unlink)" from "row never summarized" — the two cases
-  /// produce different summaries (see SummariesFor).
+  /// is the pipeline's attachment list, published once: ascending by
+  /// annotation id, archived ids already dropped (an archive dirties every
+  /// row the archived id is attached to, so no published list can hold a
+  /// stale one). `has_objects` distinguishes "maintained objects exist
+  /// (maybe empty after an unlink)" from "row never summarized" — the two
+  /// cases produce different summaries (see SummariesFor).
   struct RowState {
-    std::vector<ann::Attachment> attachments;
+    std::vector<AttachmentInfo> attachments;
     bool has_objects = false;
     std::vector<std::shared_ptr<const SummaryObject>> summaries;
   };
@@ -103,7 +106,8 @@ class EngineSnapshot {
       rel::TableId table, rel::RowId row) const;
 
   /// Appends the row's non-archived attachments (as of this epoch) to
-  /// `out`, in insertion order — the scan operators' attachment source.
+  /// `out`, ascending by annotation id — the scan operators' attachment
+  /// source.
   void AppendAttachments(rel::TableId table, rel::RowId row,
                          std::vector<AttachmentInfo>* out) const;
 
@@ -144,10 +148,12 @@ class EngineSnapshot {
 
   static size_t ShardOf(const RowKey& key) { return RowKeyHash{}(key) % kNumShards; }
 
-  /// Reads one row's current state from the live store/manager. Returns
-  /// nullptr when the row has neither attachments nor maintained objects.
-  static std::shared_ptr<const RowState> ReadRowState(const Sources& src,
-                                                      const RowKey& key);
+  /// Reads one row's current state from the live store/manager, dropping
+  /// the attachments this snapshot's bitmap archives (so the bitmap must
+  /// be captured first). Returns nullptr when the row has neither
+  /// attachments nor maintained objects.
+  std::shared_ptr<const RowState> ReadRowState(const Sources& src,
+                                               const RowKey& key) const;
 
   /// Copies the manager's current links and the store's archived flags into
   /// this snapshot (full-build path).

@@ -55,7 +55,7 @@ size_t ZoomInCache::NumEntriesLocked() const {
 }
 
 Status ZoomInCache::Put(QueryId qid, const ResultSnapshot& snapshot,
-                        double cost_seconds, uint64_t epoch) {
+                        double cost_seconds) {
   if (policy_ == CachePolicy::kNone) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
@@ -94,7 +94,6 @@ Status ZoomInCache::Put(QueryId qid, const ResultSnapshot& snapshot,
   entry.record = record;
   entry.size = bytes.size();
   entry.cost = cost_seconds;
-  entry.epoch = epoch;
   entry.last_ref = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   entry.ref_count = 1;
   home.entries[qid] = entry;
@@ -103,7 +102,7 @@ Status ZoomInCache::Put(QueryId qid, const ResultSnapshot& snapshot,
   return Status::OK();
 }
 
-Result<ResultSnapshot> ZoomInCache::Get(QueryId qid, uint64_t epoch) {
+Result<ResultSnapshot> ZoomInCache::Get(QueryId qid) {
   Shard& home = shards_[ShardOf(qid)];
   // The shard mutex is held across the backing read: Put/eviction take all
   // shard mutexes, so the record cannot be deleted from under us.
@@ -112,15 +111,6 @@ Result<ResultSnapshot> ZoomInCache::Get(QueryId qid, uint64_t epoch) {
   if (it == home.entries.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return Status::NotFound("result " + std::to_string(qid) + " not cached");
-  }
-  if (epoch != kAnyEpoch && it->second.epoch != kAnyEpoch &&
-      it->second.epoch != epoch) {
-    // Cached at a different epoch than the caller pinned: serving it would
-    // mix summary versions, so it is a miss (the caller re-executes).
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return Status::NotFound("result " + std::to_string(qid) + " cached at epoch " +
-                            std::to_string(it->second.epoch) + ", not " +
-                            std::to_string(epoch));
   }
   // Read first: the hit is counted and recency/frequency bumped only for a
   // snapshot the caller actually receives. A failed backing read (or a

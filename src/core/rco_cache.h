@@ -57,11 +57,6 @@ struct RcoWeights {
 
 class ZoomInCache {
  public:
-  /// Wildcard epoch key: entries stored under it match any lookup and any
-  /// lookup with it matches any entry. Engine epochs start at 1, so 0 is
-  /// free for callers that track no epoch.
-  static constexpr uint64_t kAnyEpoch = 0;
-
   /// `budget_bytes` caps the sum of serialized snapshot sizes. `path` backs
   /// the cache file ("" = in-memory backing, still exercising the same
   /// page/heap path).
@@ -74,22 +69,21 @@ class ZoomInCache {
 
   Status Init();
 
-  /// Admits the snapshot of `qid` with recompute cost `cost_seconds`,
-  /// keyed by the epoch the result was computed at (kAnyEpoch = none).
+  /// Admits the snapshot of `qid` with recompute cost `cost_seconds`.
   /// Snapshots that cannot fit even an empty cache are rejected (counted in
   /// stats().rejected); under kNone everything is rejected. Replacing an
   /// existing qid is atomic from the reader's perspective: the old snapshot
   /// stays readable until the replacement has fully succeeded, and a failed
   /// or rejected replacement keeps it.
-  Status Put(QueryId qid, const ResultSnapshot& snapshot, double cost_seconds,
-             uint64_t epoch = kAnyEpoch);
+  Status Put(QueryId qid, const ResultSnapshot& snapshot, double cost_seconds);
 
   /// Fetches the snapshot for `qid`, bumping its recency/frequency. NotFound
-  /// on miss (evicted, rejected, never inserted, or cached at a different
-  /// epoch than requested). Hit/recency accounting happens only once the
-  /// snapshot has actually been read back: a failed backing read counts as
-  /// a miss and leaves the entry's metadata alone.
-  Result<ResultSnapshot> Get(QueryId qid, uint64_t epoch = kAnyEpoch);
+  /// on miss (evicted, rejected or never inserted). A QID names one result
+  /// computed at one epoch, so the QID alone is the key. Hit/recency
+  /// accounting happens only once the snapshot has actually been read
+  /// back: a failed backing read counts as a miss and leaves the entry's
+  /// metadata alone.
+  Result<ResultSnapshot> Get(QueryId qid);
 
   /// Test-only fault injection: tombstones the backing heap record of `qid`
   /// while keeping its directory entry, simulating a torn cache file. Later
@@ -109,8 +103,7 @@ class ZoomInCache {
     storage::RecordId record;
     size_t size = 0;
     double cost = 0.0;
-    uint64_t epoch = kAnyEpoch;  // Epoch the cached result was computed at.
-    uint64_t last_ref = 0;       // Logical tick.
+    uint64_t last_ref = 0;  // Logical tick.
     uint64_t ref_count = 0;
   };
 

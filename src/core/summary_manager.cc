@@ -3,65 +3,26 @@
 #include <algorithm>
 #include <future>
 
+#include "common/coverage.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace insightnotes::core {
 
-void PartialSummaryState::Seed(AnnotatedTuple* first, bool whole_row,
-                               size_t reserve_hint) {
-  whole_row_ = whole_row;
+void PartialSummaryState::Seed(AnnotatedTuple* first) {
   summaries_ = std::move(first->summaries);
-  if (whole_row) {
-    // The group's output row carries whole-row references: strip the
-    // per-column coverage of the seed tuple's attachments.
-    attachments_.reserve(std::max(reserve_hint, first->attachments.size()));
-    for (const AttachmentInfo& att : first->attachments) {
-      attachments_.push_back(AttachmentInfo{att.id, {}});
-    }
-  } else {
-    attachments_ = std::move(first->attachments);
-    attachments_.reserve(std::max(reserve_hint, attachments_.size()));
-  }
+  attachments_ = std::move(first->attachments);
 }
-
-namespace {
-
-/// Whole-row union: appends each annotation id of `from` not in `into` yet,
-/// as a whole-row reference. Equivalent to stripping `from`'s columns and
-/// running the full attachment merge (all entries are whole-row, so
-/// unioning column sets is a no-op), minus the per-call allocation.
-void UnionWholeRow(std::vector<AttachmentInfo>* into,
-                   const std::vector<AttachmentInfo>& from) {
-  for (const AttachmentInfo& att : from) {
-    const bool seen = std::any_of(into->begin(), into->end(),
-                                  [&](const AttachmentInfo& have) {
-                                    return have.id == att.id;
-                                  });
-    if (!seen) into->push_back(AttachmentInfo{att.id, {}});
-  }
-}
-
-}  // namespace
 
 Status PartialSummaryState::Fold(const AnnotatedTuple& dup) {
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&summaries_, dup.summaries));
-  if (whole_row_) {
-    UnionWholeRow(&attachments_, dup.attachments);
-    return Status::OK();
-  }
-  MergeAttachmentLists(&attachments_, dup.attachments, /*offset=*/0);
+  UnionAttachments(&attachments_, dup.attachments);
   return Status::OK();
 }
 
 Status PartialSummaryState::Combine(PartialSummaryState&& other) {
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&summaries_, other.summaries_));
-  if (whole_row_) {
-    attachments_.reserve(attachments_.size() + other.attachments_.size());
-    UnionWholeRow(&attachments_, other.attachments_);
-    return Status::OK();
-  }
-  MergeAttachmentLists(&attachments_, other.attachments_, /*offset=*/0);
+  UnionAttachments(&attachments_, other.attachments_);
   return Status::OK();
 }
 

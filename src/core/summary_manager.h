@@ -43,11 +43,10 @@ struct BatchAnnotation {
 /// same left-fold and therefore yields byte-identical merged summaries
 /// (see DESIGN.md "Parallel aggregation, sort, and distinct").
 ///
-/// `whole_row` selects the attachment semantics: aggregation collapses a
-/// group to one output row whose attachments are whole-row references (the
-/// per-column coverage of the source tuples is meaningless on the
-/// aggregated row), while DISTINCT keeps per-column coverage and unions
-/// column sets exactly like MergeForGrouping.
+/// Attachments follow the one coverage rule (common/coverage.h): the list
+/// ascends by annotation id and every fold is one UnionAttachments walk, so
+/// the merged list does not depend on fold order. Aggregation hands in
+/// tuples whose coverage it already degraded to whole-row.
 class PartialSummaryState {
  public:
   PartialSummaryState() = default;
@@ -56,12 +55,10 @@ class PartialSummaryState {
   PartialSummaryState(const PartialSummaryState&) = delete;
   PartialSummaryState& operator=(const PartialSummaryState&) = delete;
 
-  /// Adopts the first tuple of the entry: moves its summaries (and, for
-  /// `whole_row == false`, its attachments) into the state; `first->tuple`
-  /// is left untouched for the caller. `reserve_hint` pre-sizes the
-  /// attachment merge buffer so folding duplicates does not reallocate per
-  /// tuple.
-  void Seed(AnnotatedTuple* first, bool whole_row, size_t reserve_hint);
+  /// Adopts the first tuple of the entry: moves its summaries and
+  /// attachments into the state; `first->tuple` is left untouched for the
+  /// caller.
+  void Seed(AnnotatedTuple* first);
 
   /// Folds one further tuple of the entry (a duplicate of the seed under
   /// the grouping key). Byte-identical to the serial merge path.
@@ -74,7 +71,6 @@ class PartialSummaryState {
   void Release(AnnotatedTuple* out);
 
  private:
-  bool whole_row_ = false;
   std::vector<std::unique_ptr<SummaryObject>> summaries_;
   std::vector<AttachmentInfo> attachments_;
 };
@@ -122,8 +118,10 @@ class SummaryManager {
   Status ApplyAnnotationBatch(std::span<const BatchAnnotation> batch,
                               ThreadPool* pool = nullptr);
 
-  /// Recomputes one row's objects from scratch (the non-incremental
-  /// baseline of experiment E1, and the unarchive path).
+  /// Recomputes one row's objects from scratch, skipping archived
+  /// annotations: the non-incremental baseline of experiment E1, how an
+  /// archive removes an annotation's effect from its rows, and stale-row
+  /// repair.
   Status RebuildRow(rel::TableId table, rel::RowId row);
 
   /// Rebuilds every annotated row of `table`.

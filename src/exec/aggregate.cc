@@ -37,6 +37,9 @@ Status FoldIntoGroups(const std::vector<rel::ExprPtr>& group_exprs,
     INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, expr->Evaluate(in->tuple));
     key.Append(std::move(v));
   }
+  // Grouped outputs expose aggregate columns, not the original ones:
+  // annotation coverage degrades to whole-row, here and nowhere else.
+  for (core::AttachmentInfo& att : in->attachments) att.columns.clear();
   auto [it, inserted] = index->emplace(key, groups->size());
   if (!inserted) {
     AggregateGroup& group = (*groups)[it->second];
@@ -45,10 +48,7 @@ Status FoldIntoGroups(const std::vector<rel::ExprPtr>& group_exprs,
   }
   AggregateGroup group;
   group.key = std::move(key);
-  // Grouped outputs expose aggregate columns, not the original ones:
-  // annotation coverage degrades to whole-row.
-  group.summary.Seed(in, /*whole_row=*/true,
-                     /*reserve_hint=*/in->attachments.size() * 2);
+  group.summary.Seed(in);
   group.states.resize(aggregates.size());
   INSIGHTNOTES_RETURN_IF_ERROR(
       AccumulateAggregates(aggregates, in->tuple, &group.states, record_terms));
@@ -310,25 +310,10 @@ std::string AggregateOperator::Name() const {
   return FormatAggregateName("Aggregate", group_exprs_, aggregates_);
 }
 
-Status PartialAggState::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  partials_.clear();
-  return Status::OK();
-}
-
-void PartialAggState::Publish(MorselPartial&& partial) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  partials_.push_back(std::move(partial));
-}
-
-std::vector<PartialAggState::MorselPartial> PartialAggState::Take() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::move(partials_);
-}
-
 PartialAggregateOperator::PartialAggregateOperator(
     std::unique_ptr<Operator> child, std::vector<rel::ExprPtr> group_exprs,
-    std::vector<AggregateItem> aggregates, std::shared_ptr<PartialAggState> sink)
+    std::vector<AggregateItem> aggregates,
+    std::shared_ptr<PartialSink<AggregatePartial>> sink)
     : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggregates_(std::move(aggregates)),
@@ -343,7 +328,7 @@ Result<bool> PartialAggregateOperator::NextBatchImpl(core::AnnotatedBatch*) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
     if (!more) break;
     if (batch.tuples.empty()) continue;  // Fully filtered morsel.
-    PartialAggState::MorselPartial partial;
+    AggregatePartial partial;
     partial.morsel = batch.morsel;
     TupleIndex index;
     index.reserve(batch.tuples.size());
@@ -372,7 +357,7 @@ std::string PartialAggregateOperator::Name() const {
 AggregateMergeOperator::AggregateMergeOperator(
     std::unique_ptr<Operator> child, std::vector<rel::ExprPtr> group_exprs,
     std::vector<rel::Column> group_columns, std::vector<AggregateItem> aggregates,
-    std::shared_ptr<PartialAggState> source)
+    std::shared_ptr<PartialSink<AggregatePartial>> source)
     : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggregates_(std::move(aggregates)),
@@ -386,15 +371,16 @@ Status AggregateMergeOperator::OpenImpl() {
   // Opening the gather drains every worker pipeline (the pool futures it
   // joins provide the happens-before edge for the published partials).
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  std::vector<PartialAggState::MorselPartial> partials = source_->Take();
+  std::vector<AggregatePartial> partials = source_->Take();
   Stopwatch watch;
   // Morsel order is the serial input order; folding the partials in that
   // order re-associates (without reordering) the serial left-fold.
   std::sort(partials.begin(), partials.end(),
-            [](const PartialAggState::MorselPartial& a,
-               const PartialAggState::MorselPartial& b) { return a.morsel < b.morsel; });
+            [](const AggregatePartial& a, const AggregatePartial& b) {
+              return a.morsel < b.morsel;
+            });
   TupleIndex index;
-  for (PartialAggState::MorselPartial& partial : partials) {
+  for (AggregatePartial& partial : partials) {
     for (AggregateGroup& group : partial.groups) {
       auto [it, inserted] = index.emplace(group.key, groups_.size());
       if (inserted) {

@@ -12,7 +12,7 @@
 //   * PartialAggregateOperator (one per worker pipeline, below the gather)
 //     + AggregateMergeOperator (above it) — the parallel shape: each
 //     worker folds its morsels into per-morsel partial group tables and
-//     publishes them to a shared PartialAggState; the merge operator folds
+//     publishes them to a shared PartialSink; the merge operator folds
 //     the partials in ascending morsel order, which re-associates the
 //     serial left-fold (summary merges, attachment unions, MIN/MAX picks)
 //     without reordering it. Float SUM/AVG terms are recorded per tuple
@@ -23,7 +23,6 @@
 #define INSIGHTNOTES_EXEC_AGGREGATE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -132,30 +131,18 @@ class AggregateOperator final : public Operator {
   size_t cursor_ = 0;
 };
 
-/// Shared sink of the parallel aggregation shape: per-morsel partial group
-/// tables, published by the PartialAggregateOperators as workers drain
-/// their pipelines and folded in ascending morsel order by
+/// One morsel's partial group table, published by a
+/// PartialAggregateOperator and folded in ascending morsel order by
 /// AggregateMergeOperator.
-class PartialAggState final : public SharedPlanState {
- public:
-  struct MorselPartial {
-    uint64_t morsel = 0;
-    std::vector<AggregateGroup> groups;  // First-seen order within the morsel.
-  };
-
-  Status Reset() override;
-  void Publish(MorselPartial&& partial);
-  std::vector<MorselPartial> Take();
-
- private:
-  std::mutex mutex_;
-  std::vector<MorselPartial> partials_;
+struct AggregatePartial {
+  uint64_t morsel = 0;
+  std::vector<AggregateGroup> groups;  // First-seen order within the morsel.
 };
 
 /// Per-worker pre-aggregation: drains its child pipeline and folds each
 /// morsel batch into a local group table (the same per-tuple fold as the
-/// serial operator), publishing one MorselPartial per morsel to the shared
-/// sink. Emits no batches itself — the merged groups surface above the
+/// serial operator), publishing one AggregatePartial per morsel to the
+/// shared sink. Emits no batches itself — the merged groups surface above the
 /// gather. OutputSchema passes the child schema through (the gather never
 /// sees group rows).
 class PartialAggregateOperator final : public Operator {
@@ -163,7 +150,7 @@ class PartialAggregateOperator final : public Operator {
   PartialAggregateOperator(std::unique_ptr<Operator> child,
                            std::vector<rel::ExprPtr> group_exprs,
                            std::vector<AggregateItem> aggregates,
-                           std::shared_ptr<PartialAggState> sink);
+                           std::shared_ptr<PartialSink<AggregatePartial>> sink);
 
   const rel::Schema& OutputSchema() const override {
     return child_->OutputSchema();
@@ -183,7 +170,7 @@ class PartialAggregateOperator final : public Operator {
   std::unique_ptr<Operator> child_;
   std::vector<rel::ExprPtr> group_exprs_;
   std::vector<AggregateItem> aggregates_;
-  std::shared_ptr<PartialAggState> sink_;
+  std::shared_ptr<PartialSink<AggregatePartial>> sink_;
 };
 
 /// Final merge above the gather: opening the child runs the parallel
@@ -196,7 +183,7 @@ class AggregateMergeOperator final : public Operator {
                          std::vector<rel::ExprPtr> group_exprs,
                          std::vector<rel::Column> group_columns,
                          std::vector<AggregateItem> aggregates,
-                         std::shared_ptr<PartialAggState> source);
+                         std::shared_ptr<PartialSink<AggregatePartial>> source);
 
   const rel::Schema& OutputSchema() const override { return schema_; }
   std::string Name() const override;
@@ -210,7 +197,7 @@ class AggregateMergeOperator final : public Operator {
   std::unique_ptr<Operator> child_;
   std::vector<rel::ExprPtr> group_exprs_;
   std::vector<AggregateItem> aggregates_;
-  std::shared_ptr<PartialAggState> source_;
+  std::shared_ptr<PartialSink<AggregatePartial>> source_;
   rel::Schema schema_;
 
   std::vector<AggregateGroup> groups_;  // First-seen order.

@@ -41,22 +41,6 @@ Status DistinctOperator::OpenImpl() {
   return Status::OK();
 }
 
-Status PartialDistinctState::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  partials_.clear();
-  return Status::OK();
-}
-
-void PartialDistinctState::Publish(MorselPartial&& partial) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  partials_.push_back(std::move(partial));
-}
-
-std::vector<PartialDistinctState::MorselPartial> PartialDistinctState::Take() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::move(partials_);
-}
-
 Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
   // Drain the pipeline: each child batch is one morsel, collapsed into its
   // own local distinct set.
@@ -65,16 +49,16 @@ Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
     if (!more) break;
     if (batch.tuples.empty()) continue;  // Fully filtered morsel.
-    PartialDistinctState::MorselPartial partial;
+    DistinctPartial partial;
     partial.morsel = batch.morsel;
     TupleIndex index;
     index.reserve(batch.tuples.size());
     for (core::AnnotatedTuple& in : batch.tuples) {
       auto [it, inserted] = index.emplace(in.tuple, partial.entries.size());
       if (inserted) {
-        PartialDistinctState::Entry entry;
+        DistinctEntry entry;
         entry.tuple = std::move(in.tuple);
-        entry.summary.Seed(&in, /*whole_row=*/false, /*reserve_hint=*/0);
+        entry.summary.Seed(&in);
         partial.entries.push_back(std::move(entry));
       } else {
         INSIGHTNOTES_RETURN_IF_ERROR(partial.entries[it->second].summary.Fold(in));
@@ -82,7 +66,7 @@ Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
     }
     metrics_.partial_groups += partial.entries.size();
     size_t partial_bytes = 0;
-    for (const PartialDistinctState::Entry& entry : partial.entries) {
+    for (const DistinctEntry& entry : partial.entries) {
       partial_bytes += core::ApproxBytes(entry.tuple) + 256;
     }
     INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(partial_bytes));
@@ -95,16 +79,15 @@ Status DistinctMergeOperator::OpenImpl() {
   results_.clear();
   cursor_ = 0;
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  std::vector<PartialDistinctState::MorselPartial> partials = source_->Take();
+  std::vector<DistinctPartial> partials = source_->Take();
   Stopwatch watch;
   std::sort(partials.begin(), partials.end(),
-            [](const PartialDistinctState::MorselPartial& a,
-               const PartialDistinctState::MorselPartial& b) {
+            [](const DistinctPartial& a, const DistinctPartial& b) {
               return a.morsel < b.morsel;
             });
   TupleIndex index;
-  for (PartialDistinctState::MorselPartial& partial : partials) {
-    for (PartialDistinctState::Entry& entry : partial.entries) {
+  for (DistinctPartial& partial : partials) {
+    for (DistinctEntry& entry : partial.entries) {
       auto [it, inserted] = index.emplace(entry.tuple, results_.size());
       if (inserted) {
         results_.push_back(std::move(entry));
@@ -122,7 +105,7 @@ Status DistinctMergeOperator::OpenImpl() {
 
 Result<bool> DistinctMergeOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   return EmitRows(&results_, &cursor_, out,
-                  [](PartialDistinctState::Entry* entry, core::AnnotatedTuple* tuple) {
+                  [](DistinctEntry* entry, core::AnnotatedTuple* tuple) {
                     tuple->tuple = std::move(entry->tuple);
                     entry->summary.Release(tuple);
                     return Status::OK();

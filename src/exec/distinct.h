@@ -5,7 +5,7 @@
 // Like aggregation, distinct has a serial shape (DistinctOperator) and a
 // parallel shape: per-worker PartialDistinctOperators collapse each morsel
 // locally and publish the per-morsel distinct sets to a shared
-// PartialDistinctState; DistinctMergeOperator folds them above the gather
+// PartialSink; DistinctMergeOperator folds them above the gather
 // in ascending morsel order, re-associating the serial left-fold so the
 // surviving tuples, their first-seen order, and their merged summaries are
 // byte-identical to serial execution.
@@ -14,7 +14,6 @@
 #define INSIGHTNOTES_EXEC_DISTINCT_H_
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/summary_manager.h"
@@ -45,27 +44,19 @@ class DistinctOperator final : public Operator {
   size_t cursor_ = 0;
 };
 
-/// Shared sink of the parallel distinct shape: one distinct set per
-/// morsel. Unlike aggregation, attachment metadata keeps its per-column
-/// coverage (the output schema is the input schema).
-class PartialDistinctState final : public SharedPlanState {
- public:
-  struct Entry {
-    rel::Tuple tuple;
-    core::PartialSummaryState summary;
-  };
-  struct MorselPartial {
-    uint64_t morsel = 0;
-    std::vector<Entry> entries;  // First-seen order within the morsel.
-  };
+/// One distinct value of a morsel and the merged summaries of its
+/// duplicates. Unlike aggregation, attachment metadata keeps its
+/// per-column coverage (the output schema is the input schema).
+struct DistinctEntry {
+  rel::Tuple tuple;
+  core::PartialSummaryState summary;
+};
 
-  Status Reset() override;
-  void Publish(MorselPartial&& partial);
-  std::vector<MorselPartial> Take();
-
- private:
-  std::mutex mutex_;
-  std::vector<MorselPartial> partials_;
+/// One morsel's distinct set, published by a PartialDistinctOperator and
+/// folded in ascending morsel order by DistinctMergeOperator.
+struct DistinctPartial {
+  uint64_t morsel = 0;
+  std::vector<DistinctEntry> entries;  // First-seen order within the morsel.
 };
 
 /// Per-worker duplicate elimination: collapses each morsel batch into a
@@ -74,7 +65,7 @@ class PartialDistinctState final : public SharedPlanState {
 class PartialDistinctOperator final : public Operator {
  public:
   PartialDistinctOperator(std::unique_ptr<Operator> child,
-                          std::shared_ptr<PartialDistinctState> sink)
+                          std::shared_ptr<PartialSink<DistinctPartial>> sink)
       : child_(std::move(child)), sink_(std::move(sink)) {}
 
   const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
@@ -91,7 +82,7 @@ class PartialDistinctOperator final : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  std::shared_ptr<PartialDistinctState> sink_;
+  std::shared_ptr<PartialSink<DistinctPartial>> sink_;
 };
 
 /// Final merge above the gather: folds the per-morsel distinct sets in
@@ -99,7 +90,7 @@ class PartialDistinctOperator final : public Operator {
 class DistinctMergeOperator final : public Operator {
  public:
   DistinctMergeOperator(std::unique_ptr<Operator> child,
-                        std::shared_ptr<PartialDistinctState> source)
+                        std::shared_ptr<PartialSink<DistinctPartial>> source)
       : child_(std::move(child)), source_(std::move(source)) {}
 
   const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
@@ -113,9 +104,9 @@ class DistinctMergeOperator final : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  std::shared_ptr<PartialDistinctState> source_;
+  std::shared_ptr<PartialSink<DistinctPartial>> source_;
 
-  std::vector<PartialDistinctState::Entry> results_;  // First-seen order.
+  std::vector<DistinctEntry> results_;  // First-seen order.
   size_t cursor_ = 0;
 };
 

@@ -32,6 +32,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -61,6 +62,34 @@ class SharedPlanState {
   /// (zoom-in re-execution) then hold no copy of their inputs. States the
   /// operators above the gather still consume keep the default no-op.
   virtual void Release() {}
+};
+
+/// Shared sink of a parallel partial-state shape (aggregation, distinct,
+/// sort): each worker publishes its partial results (a morsel's group table
+/// or distinct set, a sorted run) and the merge operator above the gather
+/// takes them all once the gather has joined its workers.
+template <typename T>
+class PartialSink final : public SharedPlanState {
+ public:
+  Status Reset() override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    items_.clear();
+    return Status::OK();
+  }
+
+  void Publish(T&& item) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    items_.push_back(std::move(item));
+  }
+
+  std::vector<T> Take() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(items_, {});
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<T> items_;
 };
 
 /// Cooperative row quota of a plain `LIMIT k` parallel plan (no ORDER BY).

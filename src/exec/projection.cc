@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/coverage.h"
+
 namespace insightnotes::exec {
 
 ProjectOperator::ProjectOperator(std::unique_ptr<Operator> child,
@@ -51,9 +53,9 @@ Status ProjectOperator::ProjectTuple(core::AnnotatedTuple* in_ptr,
   core::AnnotatedTuple& in = *in_ptr;
   // 1. Trim: eliminate the effect of annotations attached only to
   //    projected-out columns (before any downstream merge — Theorem 1).
-  //    The trimmed ids are collected and sorted once, then each summary
-  //    restricts itself in one pass. Surviving attachments are compacted
-  //    in place.
+  //    The attachment list ascends by id, so the trimmed ids come out
+  //    sorted and each summary restricts itself in one pass. Surviving
+  //    attachments are compacted in place.
   std::vector<ann::AnnotationId> trimmed;
   std::vector<size_t> columns;
   size_t kept = 0;
@@ -75,16 +77,13 @@ Status ProjectOperator::ProjectTuple(core::AnnotatedTuple* in_ptr,
         columns.insert(columns.end(), kept_positions_[c].begin(), kept_positions_[c].end());
       }
     }
-    std::sort(columns.begin(), columns.end());
-    columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
+    NormalizeCoverage(&columns);
     att.columns.assign(columns.begin(), columns.end());
     if (kept != i) in.attachments[kept] = std::move(att);
     ++kept;
   }
   in.attachments.resize(kept);
   if (!trimmed.empty()) {
-    std::sort(trimmed.begin(), trimmed.end());
-    trimmed.erase(std::unique(trimmed.begin(), trimmed.end()), trimmed.end());
     for (auto& summary : in.summaries) {
       INSIGHTNOTES_RETURN_IF_ERROR(summary->Restrict(trimmed));
     }

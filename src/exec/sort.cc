@@ -66,22 +66,6 @@ Status SortOperator::OpenImpl() {
   return Status::OK();
 }
 
-Status PartialSortState::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  runs_.clear();
-  return Status::OK();
-}
-
-void PartialSortState::Publish(std::vector<SortRunEntry>&& run) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  runs_.push_back(std::move(run));
-}
-
-std::vector<std::vector<SortRunEntry>> PartialSortState::Take() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::move(runs_);
-}
-
 Status TopKBound::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   bound_ = SortRunEntry{};
@@ -113,7 +97,7 @@ bool TopKBound::Refresh(uint64_t* version, SortRunEntry* out) const {
 
 PartialSortOperator::PartialSortOperator(std::unique_ptr<Operator> child,
                                          std::vector<SortKey> keys,
-                                         std::shared_ptr<PartialSortState> sink,
+                                         std::shared_ptr<PartialSink<SortRun>> sink,
                                          std::shared_ptr<TopKBound> bound)
     : child_(std::move(child)),
       keys_(std::move(keys)),
@@ -228,7 +212,7 @@ Result<bool> PartialSortOperator::NextBatchImpl(core::AnnotatedBatch*) {
 
 SortMergeOperator::SortMergeOperator(std::unique_ptr<Operator> child,
                                      std::vector<bool> ascending, std::string label,
-                                     std::shared_ptr<PartialSortState> source,
+                                     std::shared_ptr<PartialSink<SortRun>> source,
                                      size_t limit)
     : child_(std::move(child)),
       ascending_(std::move(ascending)),

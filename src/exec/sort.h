@@ -8,7 +8,7 @@
 // keys preserve child order (deterministic results).
 //
 // Parallel shape: per-worker PartialSortOperators sort their local run and
-// publish it to a shared PartialSortState; SortMergeOperator k-way-merges
+// publish it to a shared PartialSink; SortMergeOperator k-way-merges
 // the runs above the gather. The run comparator breaks key ties by
 // (morsel, position-in-morsel) — the tuple's rank in the serial input
 // stream — so the merged order is exactly what the stable sort produces.
@@ -56,6 +56,9 @@ struct SortRunEntry {
   core::AnnotatedTuple tuple;
 };
 
+/// One worker's sorted run: what a PartialSortOperator publishes.
+using SortRun = std::vector<SortRunEntry>;
+
 /// Strict weak order over run entries: lexicographic over the keys with
 /// per-key direction, then the serial rank. Because the rank is unique,
 /// this is a total order — the merged sequence is independent of how
@@ -102,18 +105,6 @@ class SortOperator final : public Operator {
   std::vector<bool> ascending_;  // Direction per key, for the comparator.
   std::vector<core::AnnotatedTuple> results_;
   size_t cursor_ = 0;
-};
-
-/// Shared sink of the parallel sort shape: one sorted run per worker.
-class PartialSortState final : public SharedPlanState {
- public:
-  Status Reset() override;
-  void Publish(std::vector<SortRunEntry>&& run);
-  std::vector<std::vector<SortRunEntry>> Take();
-
- private:
-  std::mutex mutex_;
-  std::vector<std::vector<SortRunEntry>> runs_;
 };
 
 /// Shared k-th-candidate bound of an `ORDER BY ... LIMIT k` parallel sort.
@@ -168,7 +159,7 @@ class PartialSortOperator final : public Operator {
  public:
   PartialSortOperator(std::unique_ptr<Operator> child,
                       std::vector<SortKey> keys,
-                      std::shared_ptr<PartialSortState> sink,
+                      std::shared_ptr<PartialSink<SortRun>> sink,
                       std::shared_ptr<TopKBound> bound = nullptr);
 
   const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
@@ -192,7 +183,7 @@ class PartialSortOperator final : public Operator {
   std::unique_ptr<Operator> child_;
   std::vector<SortKey> keys_;
   std::vector<bool> ascending_;  // Direction per key, for the comparator.
-  std::shared_ptr<PartialSortState> sink_;
+  std::shared_ptr<PartialSink<SortRun>> sink_;
   std::shared_ptr<TopKBound> bound_;  // Null when no LIMIT was pushed down.
 };
 
@@ -204,7 +195,7 @@ class SortMergeOperator final : public Operator {
   /// `ascending` gives the per-key directions in significance order.
   /// `limit` of SIZE_MAX means "merge everything".
   SortMergeOperator(std::unique_ptr<Operator> child, std::vector<bool> ascending,
-                    std::string label, std::shared_ptr<PartialSortState> source,
+                    std::string label, std::shared_ptr<PartialSink<SortRun>> source,
                     size_t limit = SIZE_MAX);
 
   const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
@@ -224,7 +215,7 @@ class SortMergeOperator final : public Operator {
   std::unique_ptr<Operator> child_;
   std::vector<bool> ascending_;
   std::string label_;
-  std::shared_ptr<PartialSortState> source_;
+  std::shared_ptr<PartialSink<SortRun>> source_;
   size_t limit_;
 
   std::vector<core::AnnotatedTuple> results_;

@@ -595,12 +595,12 @@ class SelectPlanner {
   }
 
   /// Parallel aggregation: PartialAggregateOperator per worker feeding a
-  /// shared PartialAggState, folded above the gather by
+  /// shared PartialSink, folded above the gather by
   /// AggregateMergeOperator in ascending morsel order.
   Result<std::unique_ptr<exec::Operator>> BuildParallelAggregation(
       std::vector<std::unique_ptr<exec::Operator>> pipes,
       std::vector<std::shared_ptr<exec::SharedPlanState>> states, ThreadPool* pool) {
-    auto sink = std::make_shared<exec::PartialAggState>();
+    auto sink = std::make_shared<exec::PartialSink<exec::AggregatePartial>>();
     states.push_back(sink);
     for (std::unique_ptr<exec::Operator>& pipe : pipes) {
       std::vector<rel::ExprPtr> group_exprs;
@@ -634,7 +634,7 @@ class SelectPlanner {
   Result<std::unique_ptr<exec::Operator>> BuildParallelSort(
       std::vector<std::unique_ptr<exec::Operator>> pipes,
       std::vector<std::shared_ptr<exec::SharedPlanState>> states, ThreadPool* pool) {
-    auto sink = std::make_shared<exec::PartialSortState>();
+    auto sink = std::make_shared<exec::PartialSink<exec::SortRun>>();
     states.push_back(sink);
     std::vector<bool> ascending;
     std::string label;
@@ -671,7 +671,7 @@ class SelectPlanner {
   Result<std::unique_ptr<exec::Operator>> BuildParallelDistinct(
       std::vector<std::unique_ptr<exec::Operator>> pipes,
       std::vector<std::shared_ptr<exec::SharedPlanState>> states, ThreadPool* pool) {
-    auto sink = std::make_shared<exec::PartialDistinctState>();
+    auto sink = std::make_shared<exec::PartialSink<exec::DistinctPartial>>();
     states.push_back(sink);
     bool trim = !options_.project_before_merge;
     for (std::unique_ptr<exec::Operator>& pipe : pipes) {

@@ -399,23 +399,6 @@ TEST(SnapshotTest, DeserializeRejectsTruncation) {
   }
 }
 
-TEST(ZoomInCacheTest, EpochKeyedLookup) {
-  ZoomInCache cache(CachePolicy::kLru, 1 << 20);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(7, SnapshotOfSize(100), 1.0, /*epoch=*/5).ok());
-
-  // Same epoch hits; a different epoch is a miss (stale summary versions);
-  // the wildcard matches either way.
-  EXPECT_TRUE(cache.Get(7, 5).ok());
-  EXPECT_TRUE(cache.Get(7, 6).status().IsNotFound());
-  EXPECT_TRUE(cache.Get(7, ZoomInCache::kAnyEpoch).ok());
-
-  // An entry stored under the wildcard serves every epoch.
-  ASSERT_TRUE(cache.Put(8, SnapshotOfSize(100), 1.0).ok());
-  EXPECT_TRUE(cache.Get(8, 3).ok());
-  EXPECT_TRUE(cache.Get(8, 9).ok());
-}
-
 // Counter conservation under the sharded-lock path: counters are atomics
 // bumped from many threads, and every operation lands in exactly one
 // bucket, so the totals must reconcile exactly after the threads join.

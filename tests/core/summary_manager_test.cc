@@ -237,5 +237,51 @@ TEST_F(SummaryManagerTest, NonInvariantInstanceSkipsCache) {
   EXPECT_EQ((*instance)->cache_misses(), 5u);
 }
 
+// Attachment lists of a group do not depend on the order its duplicates
+// fold in: every fold is one id-ordered union, so two fold orders (and a
+// Combine of partial states) give identical lists.
+TEST(PartialSummaryStateTest, FoldOrderDoesNotChangeAttachments) {
+  const std::vector<std::vector<AttachmentInfo>> inputs = {
+      {{2, {0}}, {4, {1}}, {9, {}}},
+      {{4, {0, 2}}, {7, {1}}},
+      {{1, {2}}, {4, {1}}, {9, {0}}},
+  };
+  auto tuple = [&](size_t i) {
+    AnnotatedTuple t;
+    t.attachments = inputs[i];
+    return t;
+  };
+  auto fold = [&](std::vector<size_t> order) {
+    PartialSummaryState state;
+    AnnotatedTuple first = tuple(order[0]);
+    state.Seed(&first);
+    for (size_t k = 1; k < order.size(); ++k) {
+      EXPECT_TRUE(state.Fold(tuple(order[k])).ok());
+    }
+    AnnotatedTuple out;
+    state.Release(&out);
+    return out.attachments;
+  };
+
+  const std::vector<AttachmentInfo> expected = {
+      {1, {2}}, {2, {0}}, {4, {0, 1, 2}}, {7, {1}}, {9, {}}};
+  EXPECT_EQ(fold({0, 1, 2}), expected);
+  EXPECT_EQ(fold({2, 1, 0}), expected);
+  EXPECT_EQ(fold({1, 2, 0}), expected);
+
+  // The parallel shape: a later morsel's state combined into an earlier one.
+  PartialSummaryState early;
+  AnnotatedTuple first = tuple(2);
+  early.Seed(&first);
+  PartialSummaryState late;
+  AnnotatedTuple second = tuple(1);
+  late.Seed(&second);
+  ASSERT_TRUE(late.Fold(tuple(0)).ok());
+  ASSERT_TRUE(early.Combine(std::move(late)).ok());
+  AnnotatedTuple out;
+  early.Release(&out);
+  EXPECT_EQ(out.attachments, expected);
+}
+
 }  // namespace
 }  // namespace insightnotes::core

@@ -178,6 +178,56 @@ TEST_F(ZoomInTest, CacheMissTriggersReexecution) {
   EXPECT_EQ(zoom->rows[0].annotations.size(), 1u);
 }
 
+// A QID names the result of one epoch: a zoom-in that misses the cache
+// after further ingest re-executes against the stored epoch and reproduces
+// that epoch's answer, while a fresh query sees the new annotation.
+TEST_F(ZoomInTest, CacheMissAfterIngestReproducesStoredEpoch) {
+  options_.cache_budget_bytes = 16;  // Every zoom-in misses.
+  engine_ = std::make_unique<Engine>(options_);
+  ASSERT_TRUE(engine_->Init().ok());
+  ASSERT_TRUE(engine_
+                  ->CreateTable("T", rel::Schema({{"c1", rel::ValueType::kString, "T"}}))
+                  .ok());
+  ASSERT_TRUE(engine_->Insert("T", rel::Tuple({S("x")})).ok());
+  auto classifier = SummaryInstance::MakeClassifier("NB", {"refute", "approve"});
+  ASSERT_TRUE(classifier->classifier()->Train(0, "wrong").ok());
+  ASSERT_TRUE(engine_->RegisterInstance(std::move(classifier)).ok());
+  ASSERT_TRUE(engine_->LinkInstance("NB", "T").ok());
+  ASSERT_TRUE(engine_->Annotate(Spec("T", 0, "wrong value")).ok());
+
+  auto run = [&]() {
+    auto scan = engine_->MakeScan("T");
+    EXPECT_TRUE(scan.ok());
+    auto result = engine_->Execute(std::move(*scan));
+    EXPECT_TRUE(result.ok());
+    return result->qid;
+  };
+  auto zoom_ids = [&](QueryId qid) {
+    ZoomInRequest request;
+    request.qid = qid;
+    request.instance_name = "NB";
+    request.component_index = 0;
+    auto zoom = engine_->ZoomIn(request);
+    EXPECT_TRUE(zoom.ok());
+    EXPECT_FALSE(zoom->served_from_cache);
+    std::vector<std::string> rendered;
+    for (const ZoomInRowResult& row : zoom->rows) {
+      for (const ann::Annotation& note : row.annotations) {
+        rendered.push_back(row.tuple.ToString() + " " + row.component_label + " " +
+                           std::to_string(note.id) + " " + note.body);
+      }
+    }
+    return rendered;
+  };
+
+  const QueryId qid = run();
+  const std::vector<std::string> before = zoom_ids(qid);
+  ASSERT_EQ(before.size(), 1u);
+  ASSERT_TRUE(engine_->Annotate(Spec("T", 0, "wrong again")).ok());
+  EXPECT_EQ(zoom_ids(qid), before);
+  EXPECT_EQ(zoom_ids(run()).size(), 2u);
+}
+
 TEST_F(ZoomInTest, ZoomInAfterArchiveReflectsCuration) {
   ASSERT_TRUE(engine_->ArchiveAnnotation(refute_r1_).ok());
   auto result = RunSelectAll();

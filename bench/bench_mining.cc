@@ -67,28 +67,27 @@ BENCHMARK(BM_NaiveBayesClassify);
 void BM_ClusterInsert(benchmark::State& state) {
   size_t preexisting = static_cast<size_t>(state.range(0));
   mining::TextVectorizer vectorizer;
-  mining::ClusterSet clusters(0.35);
+  mining::DocVectorStore store;
+  mining::ClusterSet clusters(&store, 0.35);
   auto comments = SampleComments(preexisting + 4096, 9);
+  // Vectorizes, commits (a restarted pool keeps its first vectors) and
+  // clusters one comment.
+  auto add = [&](mining::DocId doc) {
+    store.Commit(doc, vectorizer.Vectorize(comments[doc]));
+    Check(clusters.Add(doc).status(), "add");
+  };
   mining::DocId next = 0;
-  for (size_t i = 0; i < preexisting; ++i) {
-    Check(clusters.Add(next, vectorizer.Vectorize(comments[next])).status(), "add");
-    ++next;
-  }
+  for (size_t i = 0; i < preexisting; ++i) add(next++);
   for (auto _ : state) {
     if (next >= comments.size()) {
       // Pool exhausted: restart from the preloaded baseline.
       state.PauseTiming();
-      clusters = mining::ClusterSet(0.35);
+      clusters = mining::ClusterSet(&store, 0.35);
       next = 0;
-      while (next < preexisting) {
-        Check(clusters.Add(next, vectorizer.Vectorize(comments[next])).status(),
-              "add");
-        ++next;
-      }
+      while (next < preexisting) add(next++);
       state.ResumeTiming();
     }
-    Check(clusters.Add(next, vectorizer.Vectorize(comments[next])).status(), "add");
-    ++next;
+    add(next++);
   }
   state.SetLabel("preexisting=" + std::to_string(preexisting));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -98,19 +99,26 @@ inline BuiltWorkload* GetWorkload(size_t num_species, size_t annotations_per_tup
 /// report, always writes Google Benchmark's JSON report to `default_path`
 /// (override with $INSIGHTNOTES_BENCH_JSON, or pass --benchmark_out=
 /// explicitly) so CI can record the perf trajectory machine-readably.
-/// bench/check_bench_json.py validates the emitted schema.
+/// bench/check_bench_json.py validates the emitted schema. Listing the
+/// benchmarks (--benchmark_list_tests) runs none and writes no report.
 inline int RunBenchmarksWithJsonReport(int argc, char** argv,
                                        const char* default_path) {
   const char* env = std::getenv("INSIGHTNOTES_BENCH_JSON");
   std::string path = env != nullptr ? env : default_path;
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
+  bool listing = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
+    std::string_view arg = argv[i];
+    if (arg.starts_with("--benchmark_list_tests")) {
+      std::string_view value = arg.substr(22);
+      listing = value.empty() || value == "=true" || value == "=1";
+    }
   }
   std::string out_flag = "--benchmark_out=" + path;
   std::string format_flag = "--benchmark_out_format=json";
-  if (!has_out && !path.empty()) {
+  if (!has_out && !listing && !path.empty()) {
     args.push_back(out_flag.data());
     args.push_back(format_flag.data());
   }

@@ -50,31 +50,27 @@ size_t SummaryInstance::ClassifyAnnotation(const ann::Annotation& note) {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     auto it = label_cache_.find(note.id);
     if (it != label_cache_.end()) {
-      ++cache_hits_;
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
   }
   // The classifier is const/stateless: concurrent shards classify unlocked.
   size_t label = classifier_->Classify(note.body);
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  ++cache_misses_;
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
   if (properties_.SummarizeOnceEligible()) label_cache_.emplace(note.id, label);
   return label;
 }
 
-txt::SparseVector SummaryInstance::VectorizeAnnotation(const ann::Annotation& note) {
+void SummaryInstance::VectorizeAnnotation(const ann::Annotation& note) {
   // Vectorization is invariant even when cluster assignment is not. The
   // vector is ALWAYS retained here — cluster objects resolve member vectors
-  // through this store (GetVectors) so they stay lightweight. The invariant
-  // property only controls whether a cached vector is *reused* (the
-  // summarize-once optimization) or recomputed for accounting purposes.
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = vector_cache_.find(note.id);
-    if (it != vector_cache_.end() && properties_.data_invariant) {
-      ++cache_hits_;
-      return it->second;
-    }
+  // through this store so they stay lightweight. The invariant property
+  // only controls whether a stored vector is *reused* (the summarize-once
+  // optimization) or recomputed for accounting purposes.
+  if (properties_.data_invariant && vectors_.Contains(note.id)) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
   txt::SparseVector vec;
   {
@@ -84,12 +80,9 @@ txt::SparseVector SummaryInstance::VectorizeAnnotation(const ann::Annotation& no
     std::lock_guard<std::mutex> lock(kernel_mutex_);
     vec = vectorizer_->Vectorize(note.body);
   }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  ++cache_misses_;
-  // emplace (not assignment): a vector already cached for this id is
-  // identical, and readers may hold GetVectors pointers into it.
-  vector_cache_.emplace(note.id, vec);
-  return vec;
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  // A vector already stored for this id is identical and stays.
+  vectors_.Commit(note.id, std::move(vec));
 }
 
 std::string SummaryInstance::SummarizeDocument(const ann::Annotation& note) {
@@ -97,14 +90,14 @@ std::string SummaryInstance::SummarizeDocument(const ann::Annotation& note) {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     auto it = snippet_cache_.find(note.id);
     if (it != snippet_cache_.end()) {
-      ++cache_hits_;
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
   }
   // The extractor is const/stateless: concurrent shards summarize unlocked.
   std::string snippet = extractor_->Summarize(note.body);
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  ++cache_misses_;
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
   if (properties_.SummarizeOnceEligible()) snippet_cache_.emplace(note.id, snippet);
   return snippet;
 }
@@ -117,33 +110,32 @@ std::vector<std::string> SummaryInstance::TokenizeBody(const ann::Annotation& no
 void SummaryInstance::CommitTokens(ann::AnnotationId id,
                                    const std::vector<std::string>& tokens) {
   if (vectorizer_ == nullptr) return;
-  std::unique_lock<std::mutex> cache_lock(cache_mutex_);
-  if (vector_cache_.contains(id)) return;  // Shared annotation: commit once.
-  cache_lock.unlock();
+  if (vectors_.Contains(id)) return;  // Shared annotation: commit once.
   txt::SparseVector vec;
   {
     std::lock_guard<std::mutex> lock(kernel_mutex_);
     vec = vectorizer_->VectorizeTokens(tokens);
   }
-  cache_lock.lock();
-  vector_cache_.emplace(id, std::move(vec));
+  vectors_.Commit(id, std::move(vec));
 }
 
 void SummaryInstance::GetVectors(std::span<const mining::DocId> docs,
                                  std::vector<const txt::SparseVector*>* out) const {
+  std::vector<const mining::DocVector*> stored;
+  vectors_.GetVectors(docs, &stored);
   out->resize(docs.size());
-  std::lock_guard<std::mutex> lock(cache_mutex_);
   for (size_t i = 0; i < docs.size(); ++i) {
-    auto it = vector_cache_.find(docs[i]);
-    (*out)[i] = it == vector_cache_.end() ? nullptr : &it->second;
+    (*out)[i] = stored[i] == nullptr ? nullptr : &stored[i]->vector;
   }
 }
 
 void SummaryInstance::ClearCaches() {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  label_cache_.clear();
-  vector_cache_.clear();
-  snippet_cache_.clear();
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    label_cache_.clear();
+    snippet_cache_.clear();
+  }
+  vectors_.Clear();
 }
 
 }  // namespace insightnotes::core

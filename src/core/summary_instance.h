@@ -7,6 +7,7 @@
 #ifndef INSIGHTNOTES_CORE_SUMMARY_INSTANCE_H_
 #define INSIGHTNOTES_CORE_SUMMARY_INSTANCE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -26,11 +27,11 @@ namespace insightnotes::core {
 
 class SummaryObject;
 
-/// SummaryInstance doubles as the DocVectorStore of its cluster objects:
+/// A cluster instance owns the DocVectorStore of its cluster objects:
 /// document vectors are computed once and held here (the vectorize-once
 /// optimization), so per-tuple cluster objects carry only ids + centroids
 /// and stay cheap to clone through the query pipeline.
-class SummaryInstance : public mining::DocVectorStore {
+class SummaryInstance {
  public:
   /// Classifier instance: labels define the output classes; train via
   /// `classifier()` before (or while) annotations arrive.
@@ -82,8 +83,9 @@ class SummaryInstance : public mining::DocVectorStore {
   /// Class label index for `note` (Classifier instances).
   size_t ClassifyAnnotation(const ann::Annotation& note);
 
-  /// Term vector for `note` (Cluster instances).
-  txt::SparseVector VectorizeAnnotation(const ann::Annotation& note);
+  /// Commits the term vector of `note` to the vector store (Cluster
+  /// instances).
+  void VectorizeAnnotation(const ann::Annotation& note);
 
   /// Extractive snippet for `note` (Snippet instances).
   std::string SummarizeDocument(const ann::Annotation& note);
@@ -107,9 +109,12 @@ class SummaryInstance : public mining::DocVectorStore {
   void CommitTokens(ann::AnnotationId id, const std::vector<std::string>& tokens);
 
   /// Cache-efficiency counters (experiment E5).
-  uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t cache_misses() const { return cache_misses_; }
-  void ResetCacheCounters() { cache_hits_ = cache_misses_ = 0; }
+  uint64_t cache_hits() const { return cache_hits_.load(std::memory_order_relaxed); }
+  uint64_t cache_misses() const { return cache_misses_.load(std::memory_order_relaxed); }
+  void ResetCacheCounters() {
+    cache_hits_.store(0, std::memory_order_relaxed);
+    cache_misses_.store(0, std::memory_order_relaxed);
+  }
 
   /// Drops all summarize-once cache entries (used by ablation benches on
   /// classifier/snippet instances; do NOT clear a cluster instance's caches
@@ -117,17 +122,18 @@ class SummaryInstance : public mining::DocVectorStore {
   /// through this store).
   void ClearCaches();
 
-  /// mining::DocVectorStore: vectors of annotations previously passed to
-  /// VectorizeAnnotation or CommitTokens, under one cache_mutex_
-  /// acquisition.
+  /// Vectors of annotations previously passed to VectorizeAnnotation or
+  /// CommitTokens, as committed (out[i] is nullptr for an unknown id).
+  /// Cluster objects read vector_store() directly, norms included.
   void GetVectors(std::span<const mining::DocId> docs,
-                  std::vector<const txt::SparseVector*>* out) const override;
+                  std::vector<const txt::SparseVector*>* out) const;
+
+  /// The vector store of this instance's cluster objects.
+  const mining::DocVectorStore* vector_store() const { return &vectors_; }
 
  private:
   SummaryInstance(std::string name, SummaryTypeKind type, SummaryProperties properties)
       : name_(std::move(name)), type_(type), properties_(properties) {}
-
-  friend class ClusterObject;
 
   std::string name_;
   SummaryTypeKind type_;
@@ -139,17 +145,16 @@ class SummaryInstance : public mining::DocVectorStore {
   double cluster_threshold_ = 0.35;
 
   // Summarize-once caches, keyed by annotation id. Guarded by cache_mutex_
-  // (concurrent ingest shards hit them for shared annotations); cached
-  // values are never mutated after insertion, so pointers handed out by
-  // GetVectors stay valid without the lock.
+  // (concurrent ingest shards hit them for shared annotations).
   mutable std::mutex cache_mutex_;
   // Serializes the vectorizer (it mutates the shared vocabulary).
   std::mutex kernel_mutex_;
   std::unordered_map<ann::AnnotationId, size_t> label_cache_;
-  std::unordered_map<ann::AnnotationId, txt::SparseVector> vector_cache_;
   std::unordered_map<ann::AnnotationId, std::string> snippet_cache_;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
+  // Vectorize-once store of cluster instances; locks itself.
+  mining::DocVectorStore vectors_;
+  std::atomic<uint64_t> cache_hits_{0};
+  std::atomic<uint64_t> cache_misses_{0};
 };
 
 }  // namespace insightnotes::core

@@ -1,6 +1,7 @@
 #include "core/summary_object.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/sorted_ids.h"
 
@@ -56,7 +57,17 @@ Status ClassifierObject::Restrict(std::span<const ann::AnnotationId> dropped) {
   bool hit = std::any_of(ids_per_label_->begin(), ids_per_label_->end(),
                          [&](const auto& ids) { return IntersectsSorted(ids, dropped); });
   if (!hit) return Status::OK();
-  for (auto& ids : Own()) EraseSorted(&ids, dropped);
+  // Builds the restricted copy directly: a shared state is never copied
+  // whole first.
+  auto restricted = std::make_shared<LabelIds>(ids_per_label_->size());
+  for (size_t label = 0; label < restricted->size(); ++label) {
+    const auto& ids = (*ids_per_label_)[label];
+    auto& kept = (*restricted)[label];
+    kept.reserve(ids.size());
+    std::set_difference(ids.begin(), ids.end(), dropped.begin(), dropped.end(),
+                        std::back_inserter(kept));
+  }
+  ids_per_label_ = std::move(restricted);
   return Status::OK();
 }
 
@@ -124,8 +135,8 @@ size_t ClassifierObject::LabelCount(size_t index) const {
 
 ClusterObject::ClusterObject(SummaryInstance* instance)
     : SummaryObject(instance),
-      clusters_(std::make_shared<mining::ClusterSet>(instance->cluster_threshold(),
-                                                     /*store=*/instance)) {}
+      clusters_(std::make_shared<mining::ClusterSet>(instance->vector_store(),
+                                                     instance->cluster_threshold())) {}
 
 mining::ClusterSet& ClusterObject::Own() {
   if (clusters_.use_count() > 1) {
@@ -135,13 +146,18 @@ mining::ClusterSet& ClusterObject::Own() {
 }
 
 Status ClusterObject::AddAnnotation(const ann::Annotation& note) {
-  txt::SparseVector vec = instance_->VectorizeAnnotation(note);
-  return Own().Add(note.id, vec).status();
+  instance_->VectorizeAnnotation(note);
+  return Own().Add(note.id).status();
 }
 
 Status ClusterObject::Restrict(std::span<const ann::AnnotationId> dropped) {
+  // Builds the restricted copy directly: a shared set is never copied
+  // whole first.
   if (!clusters_->ContainsAny(dropped)) return Status::OK();
-  return Own().Restrict(dropped);
+  Result<mining::ClusterSet> restricted = clusters_->Restricted(dropped);
+  if (!restricted.ok()) return restricted.status();
+  clusters_ = std::make_shared<mining::ClusterSet>(std::move(restricted).value());
+  return Status::OK();
 }
 
 bool ClusterObject::Contains(ann::AnnotationId id) const {
@@ -167,7 +183,7 @@ Result<std::string> ClusterObject::ComponentLabel(size_t index) const {
   if (index >= clusters_->NumGroups()) {
     return Status::OutOfRange("cluster object has no group " + std::to_string(index));
   }
-  const mining::ClusterGroup& g = clusters_->groups()[index];
+  const mining::ClusterGroup g = clusters_->group(index);
   return "A" + std::to_string(g.representative) + " x" + std::to_string(g.size());
 }
 

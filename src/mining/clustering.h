@@ -13,13 +13,20 @@
 // Representatives are re-elected deterministically (closest to centroid,
 // ties to the lowest document id) whenever membership changes, so a
 // group's representative is a function of its member set alone.
+//
+// A set is flat: group headers over one member array and one centroid-entry
+// array, plus the sorted document-to-group slots. Copying a set (the
+// copy-on-write clone of a summary object) is four array copies; member
+// vectors live once, in a DocVectorStore.
 
 #ifndef INSIGHTNOTES_MINING_CLUSTERING_H_
 #define INSIGHTNOTES_MINING_CLUSTERING_H_
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <mutex>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,20 +40,62 @@ namespace insightnotes::mining {
 
 using DocId = uint64_t;
 
-/// Source of document vectors for removal, merging and representative
-/// election. When a ClusterSet is given a store, it does NOT retain member
-/// vectors itself — cloning a cluster summary then costs O(members) ids
-/// instead of O(members x terms) vector data. InsightNotes points this at
-/// the summary instance's vectorize-once cache.
+/// A committed document vector and its norm, computed once on commit.
+struct DocVector {
+  txt::SparseVector vector;
+  double norm = 0.0;
+};
+
+/// The term vectors of a cluster instance's documents: a table indexed by
+/// document id, in fixed-size pages allocated the first time an id in them
+/// is committed (ids are dense, so pages fill up; a stray far id costs one
+/// page). Every ClusterSet resolves member vectors here, so sets carry ids
+/// and centroid sums only.
+///
+/// Contract:
+///   * a document's vector is committed once and never changes;
+///   * pointers handed out by GetVectors stay valid until Clear(): pages
+///     never move, and growing the page directory moves only page pointers;
+///   * Commit, Contains and GetVectors are thread-safe (one mutex); a
+///     returned pointer is read without it.
 class DocVectorStore {
  public:
-  virtual ~DocVectorStore() = default;
-  /// Resolves every document of one cluster operation in a single call,
-  /// so a store takes its lock once, not once per document: `out` is
-  /// resized to `docs.size()` and out[i] is the vector of docs[i], or
-  /// nullptr if unknown.
-  virtual void GetVectors(std::span<const DocId> docs,
-                          std::vector<const txt::SparseVector*>* out) const = 0;
+  DocVectorStore() = default;
+  DocVectorStore(const DocVectorStore&) = delete;
+  DocVectorStore& operator=(const DocVectorStore&) = delete;
+
+  /// Stores `vector` and its norm for `doc`. Returns false, keeping the
+  /// first, if `doc` already has one (readers may hold pointers into it).
+  bool Commit(DocId doc, txt::SparseVector vector);
+
+  bool Contains(DocId doc) const;
+
+  /// Resolves every document of one cluster operation under one lock:
+  /// `out` is resized to `docs.size()` and out[i] is the vector of
+  /// docs[i], or nullptr if none was committed.
+  void GetVectors(std::span<const DocId> docs, std::vector<const DocVector*>* out) const;
+
+  /// Drops every vector, invalidating every pointer handed out.
+  void Clear();
+
+ private:
+  static constexpr unsigned kPageBits = 10;
+  static constexpr DocId kPageSize = DocId{1} << kPageBits;
+  struct Slot {
+    DocVector stored;
+    bool committed = false;
+  };
+  struct Page {
+    DocId key;  // doc >> kPageBits of every slot in it.
+    std::unique_ptr<std::array<Slot, kPageSize>> slots;
+  };
+
+  /// Slot of `doc`, or nullptr if its page was never allocated. Caller
+  /// holds mutex_.
+  Slot* FindSlot(DocId doc) const;
+
+  mutable std::mutex mutex_;
+  std::vector<Page> pages_;  // Sorted by key.
 };
 
 /// Turns raw text into sparse term vectors against a shared, growing
@@ -72,41 +121,40 @@ class TextVectorizer {
   txt::Vocabulary vocab_;
 };
 
-/// One group of similar documents.
+/// Read-only view of one group, valid until its set changes.
 struct ClusterGroup {
-  // Sum of member vectors. Member vectors are term counts, so the sum is
-  // exact integer arithmetic and does not depend on fold order.
-  txt::SparseVector centroid_sum;
-  std::vector<DocId> members;      // Sorted ascending.
   DocId representative = 0;
+  std::span<const DocId> members;  // Ascending.
+  // Sum of member vectors. Member vectors are term counts, so the sum is
+  // exact integer arithmetic and does not depend on fold order. Cosine is
+  // scale-invariant, so similarity checks use it for the centroid.
+  txt::SparseView centroid_sum;
 
   size_t size() const { return members.size(); }
-  /// centroid_sum / |members| is the centroid; cosine is scale-invariant so
-  /// similarity checks use centroid_sum directly.
-  double SimilarityTo(const txt::SparseVector& vec) const {
-    return centroid_sum.Cosine(vec);
-  }
 };
 
 class ClusterSet {
  public:
   /// Documents join the most similar existing group when cosine similarity
   /// to its centroid is >= `threshold`, otherwise they seed a new group.
-  /// With a null `store`, member vectors are retained internally
-  /// (standalone mode); with a store, vectors are fetched on demand and the
-  /// set stays lightweight.
-  explicit ClusterSet(double threshold = 0.35, const DocVectorStore* store = nullptr)
-      : threshold_(threshold), store_(store) {}
+  /// Member vectors are read from `store`, which must outlive the set.
+  explicit ClusterSet(const DocVectorStore* store, double threshold = 0.35)
+      : store_(store), threshold_(threshold) {}
 
-  /// Adds a document; returns the index of the group it joined.
-  Result<size_t> Add(DocId doc, const txt::SparseVector& vec);
+  /// Adds a document whose vector is in the store; returns the index of
+  /// the group it joined. NotFound if the store has no vector for it.
+  Result<size_t> Add(DocId doc);
 
   /// Removes the effect of every document in `dropped` (ascending;
-  /// non-members are ignored) — the projection trim. One pass per group:
-  /// members and centroid sums shrink, empty groups vanish, and each group
-  /// that lost a member re-elects once (Figure 2: A5 replaces the dropped
-  /// A2). Internal (set unchanged) if a dropped vector is unknown.
+  /// non-members are ignored) — the projection trim. See Restricted.
   Status Restrict(std::span<const DocId> dropped);
+
+  /// This set without the effect of `dropped`, built in one pass: groups
+  /// that lose no member are copied as ranges; the others keep their
+  /// surviving members, subtract the dropped vectors from their sums and
+  /// re-elect once (Figure 2: A5 replaces the dropped A2); emptied groups
+  /// vanish. Internal if a vector it needs is not in the store.
+  Result<ClusterSet> Restricted(std::span<const DocId> dropped) const;
 
   /// True if `doc` is a member of any group.
   bool Contains(DocId doc) const;
@@ -115,12 +163,18 @@ class ClusterSet {
 
   /// Overlap-aware merge (join semantics): groups of `other` sharing at
   /// least one member with a group here are combined without double
-  /// counting; disjoint groups are appended. Matches folding `other`'s
-  /// groups in one at a time: a combined group takes the place of the
-  /// first group it absorbs.
+  /// counting; disjoint groups are appended as ranges. Matches folding
+  /// `other`'s groups in one at a time: a combined group takes the place of
+  /// the first group it absorbs. Both sets must read the same store.
   Status Merge(const ClusterSet& other);
 
-  const std::vector<ClusterGroup>& groups() const { return groups_; }
+  /// Group `index` (< NumGroups()).
+  ClusterGroup group(size_t index) const;
+  /// Every group, in order, as views.
+  auto groups() const {
+    return std::views::iota(size_t{0}, groups_.size()) |
+           std::views::transform([this](size_t g) { return group(g); });
+  }
   size_t NumGroups() const { return groups_.size(); }
   size_t NumDocuments() const { return docs_.size(); }
   double threshold() const { return threshold_; }
@@ -133,6 +187,16 @@ class ClusterSet {
   bool SameGrouping(const ClusterSet& other) const;
 
  private:
+  /// A group: its representative, the norm of its centroid sum, and its
+  /// runs in members_ and centroids_.
+  struct Group {
+    DocId representative;
+    double norm;
+    uint32_t member_begin;
+    uint32_t member_count;
+    uint32_t centroid_begin;
+    uint32_t centroid_count;
+  };
   /// A member document and the index of the group holding it.
   struct DocSlot {
     DocId doc;
@@ -142,26 +206,32 @@ class ClusterSet {
     DocId operator()(const DocSlot& slot) const { return slot.doc; }
   };
 
-  /// Slot of `doc` in docs_, or docs_.end().
-  std::vector<DocSlot>::const_iterator FindSlot(DocId doc) const;
-  /// Re-elects the representative of each group in `groups`, resolving all
-  /// their member vectors in one lookup.
-  void ElectRepresentatives(std::span<ClusterGroup* const> groups) const;
-  /// Erases emptied groups and renumbers docs_ to match.
-  void DropEmptyGroups();
-  /// Vectors of `docs` from the store or the owned map, in one lookup.
-  void VectorsOf(std::span<const DocId> docs,
-                 std::vector<const txt::SparseVector*>* out) const;
+  std::span<const DocId> MembersOf(const Group& g) const {
+    return {members_.data() + g.member_begin, g.member_count};
+  }
+  txt::SparseView CentroidOf(const Group& g) const {
+    return txt::SparseView({centroids_.data() + g.centroid_begin, g.centroid_count});
+  }
+  /// Appends groups [first, last) of `from` as they are: a group's sum and
+  /// representative are functions of its member set.
+  void AppendGroups(const ClusterSet& from, size_t first, size_t last);
+  /// Appends a group over the members and sum already at the tails of
+  /// members_ and centroids_ (from `member_begin` and `centroid_begin`),
+  /// electing its representative from `vectors` (aligned with the members).
+  void SealGroup(size_t member_begin, size_t centroid_begin,
+                 std::span<const DocVector* const> vectors);
 
-  double threshold_;
   const DocVectorStore* store_;
+  double threshold_;
 
-  std::vector<ClusterGroup> groups_;
+  std::vector<Group> groups_;
+  // Each group's members, ascending, group after group.
+  std::vector<DocId> members_;
+  // Each group's centroid sum, by term, group after group.
+  std::vector<txt::TermWeight> centroids_;
   // Every member with its group, sorted by document: membership tests and
   // a document's group are one binary search, with no scan of the groups.
   std::vector<DocSlot> docs_;
-  // Standalone mode only (store_ == nullptr): retained member vectors.
-  std::map<DocId, txt::SparseVector> owned_vectors_;
 };
 
 }  // namespace insightnotes::mining

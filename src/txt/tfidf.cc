@@ -61,48 +61,27 @@ double SparseVector::Get(TermId id) const {
   return (it != entries_.end() && it->term == id) ? it->value : 0.0;
 }
 
-void SparseVector::AddScaled(const SparseVector& other, double scale) {
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < entries_.size() || j < other.entries_.size()) {
-    if (j >= other.entries_.size() ||
-        (i < entries_.size() && entries_[i].term < other.entries_[j].term)) {
-      merged.push_back(entries_[i++]);
-    } else if (i >= entries_.size() || other.entries_[j].term < entries_[i].term) {
-      double v = other.entries_[j].value * scale;
-      if (std::fabs(v) >= kEpsilon) merged.push_back({other.entries_[j].term, v});
-      ++j;
-    } else {
-      double v = entries_[i].value + other.entries_[j].value * scale;
-      if (std::fabs(v) >= kEpsilon) merged.push_back({entries_[i].term, v});
-      ++i;
-      ++j;
-    }
-  }
-  entries_ = std::move(merged);
+double SparseVector::Dot(const SparseVector& other) const { return view().Dot(other.view()); }
+
+double SparseVector::Norm() const { return view().Norm(); }
+
+double SparseVector::Cosine(const SparseVector& other) const {
+  return CosineWithNorm(other, Norm());
 }
 
-void SparseVector::Subtract(const SparseVector& part) {
-  auto term_less = [](const Entry& e, TermId t) { return e.term < t; };
-  bool zeroed = false;
-  auto it = entries_.begin();
-  for (const Entry& e : part.entries_) {
-    it = std::lower_bound(it, entries_.end(), e.term, term_less);
-    if (it == entries_.end() || it->term != e.term) {
-      it = entries_.insert(it, Entry{e.term, -e.value});
-    } else {
-      it->value -= e.value;
-      zeroed |= std::fabs(it->value) < kEpsilon;
-    }
-  }
-  if (zeroed) {
-    std::erase_if(entries_, [](const Entry& e) { return std::fabs(e.value) < kEpsilon; });
-  }
+double SparseVector::CosineWithNorm(const SparseVector& other, double norm) const {
+  return view().CosineWithNorms(other.view(), norm, other.Norm());
 }
 
-double SparseVector::Dot(const SparseVector& other) const {
+SparseVector SparseVector::Normalized() const {
+  SparseVector out = *this;
+  double n = Norm();
+  if (n < kEpsilon) return out;
+  for (Entry& e : out.entries_) e.value /= n;
+  return out;
+}
+
+double SparseView::Dot(SparseView other) const {
   double sum = 0.0;
   size_t i = 0;
   size_t j = 0;
@@ -120,29 +99,55 @@ double SparseVector::Dot(const SparseVector& other) const {
   return sum;
 }
 
-double SparseVector::Norm() const {
+double SparseView::Norm() const {
   double sum = 0.0;
-  for (const Entry& e : entries_) sum += e.value * e.value;
+  for (const TermWeight& e : entries_) sum += e.value * e.value;
   return std::sqrt(sum);
 }
 
-double SparseVector::Cosine(const SparseVector& other) const {
-  return CosineWithNorm(other, Norm());
-}
-
-double SparseVector::CosineWithNorm(const SparseVector& other, double norm) const {
-  double other_norm = other.Norm();
+double SparseView::CosineWithNorms(SparseView other, double norm, double other_norm) const {
   if (norm < kEpsilon || other_norm < kEpsilon) return 0.0;
   double c = Dot(other) / (norm * other_norm);
   return std::clamp(c, 0.0, 1.0);
 }
 
-SparseVector SparseVector::Normalized() const {
-  SparseVector out = *this;
-  double n = Norm();
-  if (n < kEpsilon) return out;
-  for (Entry& e : out.entries_) e.value /= n;
-  return out;
+void AppendSum(SparseView a, SparseView b, std::vector<TermWeight>* out) {
+  std::span<const TermWeight> x = a.entries();
+  std::span<const TermWeight> y = b.entries();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < x.size() || j < y.size()) {
+    if (j >= y.size() || (i < x.size() && x[i].term < y[j].term)) {
+      out->push_back(x[i++]);
+    } else if (i >= x.size() || y[j].term < x[i].term) {
+      out->push_back(y[j++]);
+    } else {
+      double v = x[i].value + y[j].value;
+      if (std::fabs(v) >= kEpsilon) out->push_back({x[i].term, v});
+      ++i;
+      ++j;
+    }
+  }
+}
+
+void SubtractFromTail(std::vector<TermWeight>* entries, size_t begin, SparseView part) {
+  auto term_less = [](const TermWeight& e, TermId t) { return e.term < t; };
+  auto it = entries->begin() + static_cast<std::ptrdiff_t>(begin);
+  for (const TermWeight& e : part.entries()) {
+    it = std::lower_bound(it, entries->end(), e.term, term_less);
+    if (it == entries->end() || it->term != e.term) {
+      it = entries->insert(it, TermWeight{e.term, -e.value});
+    } else {
+      it->value -= e.value;
+    }
+  }
+}
+
+void DropZeros(std::vector<TermWeight>* entries, size_t begin) {
+  entries->erase(std::remove_if(entries->begin() + static_cast<std::ptrdiff_t>(begin),
+                                entries->end(),
+                                [](const TermWeight& e) { return std::fabs(e.value) < kEpsilon; }),
+                 entries->end());
 }
 
 }  // namespace insightnotes::txt

@@ -5,6 +5,7 @@
 #define INSIGHTNOTES_TXT_TFIDF_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,8 +13,50 @@
 
 namespace insightnotes::txt {
 
-/// Sparse vector over TermId dimensions, kept sorted by term id. Supports
-/// the add/subtract/scale operations the incremental cluster centroids need.
+/// One term of a sparse vector and its weight.
+struct TermWeight {
+  TermId term;
+  double value;
+};
+
+/// Read-only sparse vector over a contiguous run of entries sorted by term:
+/// a SparseVector's own entries, or a slice of a packed array such as a
+/// cluster group's centroid sum. The similarity arithmetic lives here once.
+class SparseView {
+ public:
+  SparseView() = default;
+  explicit SparseView(std::span<const TermWeight> entries) : entries_(entries) {}
+
+  std::span<const TermWeight> entries() const { return entries_; }
+
+  /// Accumulates in ascending term order, so equal entries give equal bits.
+  double Dot(SparseView other) const;
+  double Norm() const;
+  /// Cosine in [0, 1] for non-negative vectors given both norms (0 if
+  /// either is 0): scoring many vectors against one computes no norm twice.
+  double CosineWithNorms(SparseView other, double norm, double other_norm) const;
+
+ private:
+  std::span<const TermWeight> entries_;
+};
+
+/// Appends a + b to `out`, term by term in one merge walk, dropping terms
+/// that sum to zero.
+void AppendSum(SparseView a, SparseView b, std::vector<TermWeight>* out);
+
+/// entries[begin, end) -= part, in place, where [begin, end) is sorted by
+/// term: one forward walk that allocates nothing when every term of `part`
+/// is already there (a member vector subtracted from a group sum that holds
+/// it). A term absent there is inserted negated. Terms that reach zero
+/// stay until DropZeros, so several subtractions compact once.
+void SubtractFromTail(std::vector<TermWeight>* entries, size_t begin, SparseView part);
+
+/// Erases the terms of entries[begin, end) that are zero.
+void DropZeros(std::vector<TermWeight>* entries, size_t begin);
+
+/// Sparse vector over TermId dimensions, kept sorted by term id: a
+/// document's term counts. Cluster centroid sums are maintained over packed
+/// arrays with AppendSum, SubtractFromTail and DropZeros.
 class SparseVector {
  public:
   SparseVector() = default;
@@ -30,14 +73,6 @@ class SparseVector {
   void Set(TermId id, double value);
   double Get(TermId id) const;
 
-  /// this += other * scale.
-  void AddScaled(const SparseVector& other, double scale);
-
-  /// this -= part, in place: one forward walk that allocates nothing when
-  /// every term of `part` is already here (a member vector subtracted from
-  /// a group sum that holds it). A term absent here is inserted negated.
-  void Subtract(const SparseVector& part);
-
   double Dot(const SparseVector& other) const;
   double Norm() const;
 
@@ -53,11 +88,9 @@ class SparseVector {
   size_t NumNonZero() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  struct Entry {
-    TermId term;
-    double value;
-  };
+  using Entry = TermWeight;
   const std::vector<Entry>& entries() const { return entries_; }
+  SparseView view() const { return SparseView(entries_); }
 
  private:
   // Invariant: sorted by term, no zero values (within epsilon after ops).

@@ -1,20 +1,25 @@
 // Epoch lifetime and visibility tests for the engine's snapshot isolation
 // (core/engine_snapshot.h): pinning freezes what a reader sees, publishes
 // retire superseded epochs exactly once, Checkpoint never perturbs a
-// pinned reader, a scan reads nothing but its pinned epoch, and a poisoned
-// engine keeps serving its last published (pre-failure) epoch.
+// pinned reader, a scan reads nothing but its pinned epoch, a poisoned
+// engine keeps serving its last published (pre-failure) epoch, and pinned
+// readers' cluster summaries survive the vector store growing under them.
 
 #include "core/engine_snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/zoom_in.h"
+#include "sql/parser.h"
+#include "sql/planner.h"
 #include "storage/fault_injection.h"
 #include "testutil.h"
 
@@ -412,6 +417,124 @@ TEST_F(EngineSnapshotTest, ConcurrentPinAndPublishStress) {
   EXPECT_GT(reads.load(), 0u);
   // Quiescent now: every superseded epoch must have been retired.
   EXPECT_GE(engine_->RetiredEpochs(), static_cast<uint64_t>(kWrites) - 1);
+}
+
+// Vector-store growth under pinned readers. Cluster objects resolve member
+// vectors through their instance's store, which grows a page per 1024
+// annotation ids. The writer's batches push the ids across several page
+// boundaries (and so regrow the page directory) while readers run trim and
+// GROUP BY plans at parallelism 2 against pinned epochs. Each reader runs
+// its plan twice on one pin: the two results must serialize identically,
+// so every vector pointer a pinned summary read stayed valid and unchanged.
+// Under TSAN this covers the store's lock against the writer's commits.
+TEST_F(EngineSnapshotTest, PinnedReadersSurviveVectorStoreGrowth) {
+  constexpr rel::RowId kRows = 24;
+  constexpr size_t kPreload = 900;  // Ids below the first page boundary.
+  constexpr size_t kTotal = 3300;   // Past three boundaries.
+  constexpr size_t kBatch = 64;
+  for (rel::RowId row = 3; row < kRows; ++row) {
+    ASSERT_TRUE(engine_
+                    ->Insert("R", rel::Tuple({I(static_cast<int64_t>(row) + 1),
+                                              I(static_cast<int64_t>(row % 4)),
+                                              S("c" + std::to_string(row)),
+                                              S("d" + std::to_string(row))}))
+                    .ok());
+  }
+  const std::vector<std::string> kBodies = {
+      "goose eating stonewort near the lake", "influenza infection in the flock",
+      "wingspan and weight measured", "photo reference link to an article",
+      "foraging behavior during migration", "parasite lesion on the wing"};
+  auto specs = [&](size_t first, size_t count) {
+    std::vector<AnnotateSpec> out;
+    for (size_t i = first; i < first + count; ++i) {
+      // Every third note covers the whole row; the others one column, so
+      // the trim below drops some of each row's notes.
+      std::vector<size_t> columns;
+      if (i % 3 != 0) columns.push_back(i % 4);
+      out.push_back(Spec("R", static_cast<rel::RowId>(i % kRows),
+                         kBodies[i % kBodies.size()] + " " + std::to_string(i % 11),
+                         std::move(columns)));
+    }
+    return out;
+  };
+  ASSERT_TRUE(engine_->AnnotateBatch(specs(0, kPreload)).ok());
+  // Vectors handed out before the growth, with copies to check them by.
+  auto cluster = engine_->summaries()->GetInstance("SimCluster");
+  ASSERT_TRUE(cluster.ok());
+  std::vector<mining::DocId> early(kPreload);
+  std::iota(early.begin(), early.end(), mining::DocId{0});
+  std::vector<const mining::DocVector*> held;
+  (*cluster)->vector_store()->GetVectors(early, &held);
+  std::vector<mining::DocVector> copies;
+  for (const mining::DocVector* vec : held) {
+    ASSERT_NE(vec, nullptr);
+    copies.push_back(*vec);
+  }
+
+  const std::vector<std::string> kQueries = {
+      "SELECT r.a FROM R r",                                 // Trim.
+      "SELECT r.b, COUNT(*) FROM R r GROUP BY r.b"};        // Merge.
+  auto run = [&](const std::string& sql, const ReadSnapshot& pin) -> std::string {
+    auto statement = sql::Parse(sql);
+    EXPECT_TRUE(statement.ok());
+    if (!statement.ok()) return "";
+    sql::PlannerOptions options;
+    options.parallelism = 2;
+    options.morsel_size = 4;
+    auto plan = sql::PlanSelect(std::get<sql::SelectStatement>(*statement), engine_.get(),
+                                options);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return "";
+    ExecuteOptions execute;
+    execute.snapshot = pin;
+    execute.retain = false;
+    auto result = engine_->Execute(std::move(*plan), std::move(execute));
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return "";
+    auto captured = ResultSnapshot::Capture(result->schema, result->rows);
+    EXPECT_TRUE(captured.ok());
+    std::string bytes;
+    if (captured.ok()) captured->Serialize(&bytes);
+    return bytes;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kQueries.size(); ++t) {
+    readers.emplace_back([&, t] {
+      while (!stop.load(std::memory_order_acquire)) {
+        auto pin = engine_->PinSnapshot();
+        ASSERT_TRUE(pin.ok());
+        const std::string first = run(kQueries[t], *pin);
+        ASSERT_FALSE(first.empty());
+        ASSERT_EQ(run(kQueries[t], *pin), first) << kQueries[t];
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (size_t next = kPreload; next < kTotal; next += kBatch) {
+    ASSERT_TRUE(engine_->AnnotateBatch(specs(next, kBatch)).ok());
+  }
+  // Let every reader finish a pair before stopping (bounded, so a reader
+  // that failed cannot hang the test).
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (reads.load() < 2 * kQueries.size() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_GE(reads.load(), 2 * kQueries.size());
+  for (size_t i = 0; i < held.size(); ++i) {
+    const auto& entries = held[i]->vector.entries();
+    const auto& expected = copies[i].vector.entries();
+    ASSERT_EQ(held[i]->norm, copies[i].norm) << "doc " << i;
+    ASSERT_EQ(entries.size(), expected.size()) << "doc " << i;
+    for (size_t k = 0; k < entries.size(); ++k) {
+      ASSERT_EQ(entries[k].term, expected[k].term) << "doc " << i;
+      ASSERT_EQ(entries[k].value, expected[k].value) << "doc " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <set>
 
 #include "common/random.h"
 
@@ -22,37 +25,47 @@ txt::SparseVector Counts(std::initializer_list<double> counts) {
 class ClusteringTest : public ::testing::Test {
  protected:
   txt::SparseVector V(const std::string& text) { return vectorizer_.Vectorize(text); }
+  /// Commits `vec` for `doc` (a document keeps its first vector) and adds
+  /// it to `cs`.
+  Result<size_t> Add(ClusterSet& cs, DocId doc, txt::SparseVector vec) {
+    store_.Commit(doc, std::move(vec));
+    return cs.Add(doc);
+  }
+  static std::vector<DocId> Members(const ClusterSet& cs, size_t group) {
+    return *cs.GroupMembers(group);
+  }
   TextVectorizer vectorizer_;
+  DocVectorStore store_;
 };
 
 TEST_F(ClusteringTest, SimilarDocumentsShareAGroup) {
-  ClusterSet cs(0.3);
-  ASSERT_TRUE(cs.Add(1, V("the goose was eating stonewort plants")).ok());
-  ASSERT_TRUE(cs.Add(2, V("goose eating stonewort near the lake")).ok());
-  ASSERT_TRUE(cs.Add(3, V("wingspan measured at 160 centimeters")).ok());
+  ClusterSet cs(&store_, 0.3);
+  ASSERT_TRUE(Add(cs, 1, V("the goose was eating stonewort plants")).ok());
+  ASSERT_TRUE(Add(cs, 2, V("goose eating stonewort near the lake")).ok());
+  ASSERT_TRUE(Add(cs, 3, V("wingspan measured at 160 centimeters")).ok());
   EXPECT_EQ(cs.NumGroups(), 2u);
   EXPECT_EQ(cs.NumDocuments(), 3u);
 }
 
 TEST_F(ClusteringTest, DissimilarDocumentsSeedNewGroups) {
-  ClusterSet cs(0.9);  // Very strict threshold.
-  ASSERT_TRUE(cs.Add(1, V("alpha beta gamma")).ok());
-  ASSERT_TRUE(cs.Add(2, V("delta epsilon zeta")).ok());
-  ASSERT_TRUE(cs.Add(3, V("eta theta iota")).ok());
+  ClusterSet cs(&store_, 0.9);  // Very strict threshold.
+  ASSERT_TRUE(Add(cs, 1, V("alpha beta gamma")).ok());
+  ASSERT_TRUE(Add(cs, 2, V("delta epsilon zeta")).ok());
+  ASSERT_TRUE(Add(cs, 3, V("eta theta iota")).ok());
   EXPECT_EQ(cs.NumGroups(), 3u);
 }
 
 TEST_F(ClusteringTest, DuplicateAddRejected) {
-  ClusterSet cs;
-  ASSERT_TRUE(cs.Add(1, V("hello world")).ok());
-  EXPECT_TRUE(cs.Add(1, V("hello again")).status().IsAlreadyExists());
+  ClusterSet cs(&store_);
+  ASSERT_TRUE(Add(cs, 1, V("hello world")).ok());
+  EXPECT_TRUE(Add(cs, 1, V("hello again")).status().IsAlreadyExists());
 }
 
 TEST_F(ClusteringTest, RepresentativeIsAMember) {
-  ClusterSet cs(0.2);
-  ASSERT_TRUE(cs.Add(10, V("swan goose eating stonewort")).ok());
-  ASSERT_TRUE(cs.Add(20, V("goose eating stonewort daily")).ok());
-  ASSERT_TRUE(cs.Add(30, V("stonewort eaten by goose swan")).ok());
+  ClusterSet cs(&store_, 0.2);
+  ASSERT_TRUE(Add(cs, 10, V("swan goose eating stonewort")).ok());
+  ASSERT_TRUE(Add(cs, 20, V("goose eating stonewort daily")).ok());
+  ASSERT_TRUE(Add(cs, 30, V("stonewort eaten by goose swan")).ok());
   for (const auto& g : cs.groups()) {
     EXPECT_TRUE(std::binary_search(g.members.begin(), g.members.end(),
                                    g.representative));
@@ -60,10 +73,10 @@ TEST_F(ClusteringTest, RepresentativeIsAMember) {
 }
 
 TEST_F(ClusteringTest, RestrictDropsEffectAndReelects) {
-  ClusterSet cs(0.2);
-  ASSERT_TRUE(cs.Add(1, V("goose eating stonewort plants lake")).ok());
-  ASSERT_TRUE(cs.Add(2, V("goose eating stonewort")).ok());
-  ASSERT_TRUE(cs.Add(3, V("eating stonewort lake")).ok());
+  ClusterSet cs(&store_, 0.2);
+  ASSERT_TRUE(Add(cs, 1, V("goose eating stonewort plants lake")).ok());
+  ASSERT_TRUE(Add(cs, 2, V("goose eating stonewort")).ok());
+  ASSERT_TRUE(Add(cs, 3, V("eating stonewort lake")).ok());
   ASSERT_EQ(cs.NumGroups(), 1u);
   DocId rep = cs.groups()[0].representative;
   ASSERT_TRUE(cs.Restrict(Ids({rep})).ok());
@@ -74,8 +87,8 @@ TEST_F(ClusteringTest, RestrictDropsEffectAndReelects) {
 }
 
 TEST_F(ClusteringTest, RestrictLastMemberDeletesGroup) {
-  ClusterSet cs;
-  ASSERT_TRUE(cs.Add(1, V("solitary document")).ok());
+  ClusterSet cs(&store_);
+  ASSERT_TRUE(Add(cs, 1, V("solitary document")).ok());
   ASSERT_TRUE(cs.Restrict(Ids({1})).ok());
   EXPECT_EQ(cs.NumGroups(), 0u);
   EXPECT_EQ(cs.NumDocuments(), 0u);
@@ -85,23 +98,23 @@ TEST_F(ClusteringTest, RestrictLastMemberDeletesGroup) {
 }
 
 TEST_F(ClusteringTest, AddRestrictIsIdentity) {
-  ClusterSet cs(0.25);
-  ASSERT_TRUE(cs.Add(1, V("goose eating stonewort")).ok());
-  ASSERT_TRUE(cs.Add(2, V("goose eating plants")).ok());
+  ClusterSet cs(&store_, 0.25);
+  ASSERT_TRUE(Add(cs, 1, V("goose eating stonewort")).ok());
+  ASSERT_TRUE(Add(cs, 2, V("goose eating plants")).ok());
   std::vector<std::vector<DocId>> before;
-  for (const auto& g : cs.groups()) before.push_back(g.members);
-  ASSERT_TRUE(cs.Add(99, V("totally unrelated telescope hardware")).ok());
+  for (size_t g = 0; g < cs.NumGroups(); ++g) before.push_back(Members(cs, g));
+  ASSERT_TRUE(Add(cs, 99, V("totally unrelated telescope hardware")).ok());
   ASSERT_TRUE(cs.Restrict(Ids({99})).ok());
   std::vector<std::vector<DocId>> after;
-  for (const auto& g : cs.groups()) after.push_back(g.members);
+  for (size_t g = 0; g < cs.NumGroups(); ++g) after.push_back(Members(cs, g));
   EXPECT_EQ(before, after);
 }
 
 TEST_F(ClusteringTest, MergeDisjointAppendsGroups) {
-  ClusterSet a(0.9);
-  ASSERT_TRUE(a.Add(1, V("alpha beta")).ok());
-  ClusterSet b(0.9);
-  ASSERT_TRUE(b.Add(2, V("gamma delta")).ok());
+  ClusterSet a(&store_, 0.9);
+  ASSERT_TRUE(Add(a, 1, V("alpha beta")).ok());
+  ClusterSet b(&store_, 0.9);
+  ASSERT_TRUE(Add(b, 2, V("gamma delta")).ok());
   ASSERT_TRUE(a.Merge(b).ok());
   EXPECT_EQ(a.NumGroups(), 2u);
   EXPECT_EQ(a.NumDocuments(), 2u);
@@ -110,12 +123,12 @@ TEST_F(ClusteringTest, MergeDisjointAppendsGroups) {
 TEST_F(ClusteringTest, MergeSharedMembersNotDoubleCounted) {
   // The same annotation (doc 5) is attached to both tuples (Figure 2's
   // "five common annotations" case).
-  ClusterSet a(0.2);
-  ASSERT_TRUE(a.Add(5, V("goose eating stonewort")).ok());
-  ASSERT_TRUE(a.Add(6, V("goose eating plants")).ok());
-  ClusterSet b(0.2);
-  ASSERT_TRUE(b.Add(5, V("goose eating stonewort")).ok());
-  ASSERT_TRUE(b.Add(7, V("stonewort eaten by birds")).ok());
+  ClusterSet a(&store_, 0.2);
+  ASSERT_TRUE(Add(a, 5, V("goose eating stonewort")).ok());
+  ASSERT_TRUE(Add(a, 6, V("goose eating plants")).ok());
+  ClusterSet b(&store_, 0.2);
+  ASSERT_TRUE(Add(b, 5, V("goose eating stonewort")).ok());
+  ASSERT_TRUE(Add(b, 7, V("stonewort eaten by birds")).ok());
   ASSERT_TRUE(a.Merge(b).ok());
   EXPECT_EQ(a.NumDocuments(), 3u);  // 5, 6, 7 — doc 5 counted once.
   size_t total_members = 0;
@@ -124,12 +137,12 @@ TEST_F(ClusteringTest, MergeSharedMembersNotDoubleCounted) {
 }
 
 TEST_F(ClusteringTest, MergeOverlappingGroupsCombine) {
-  ClusterSet a(0.99);  // Strict: nothing auto-joins.
-  ASSERT_TRUE(a.Add(1, V("one two")).ok());
-  ASSERT_TRUE(a.Add(2, V("three four")).ok());
-  ClusterSet b(0.99);
-  ASSERT_TRUE(b.Add(1, V("one two")).ok());
-  ASSERT_TRUE(b.Add(3, V("five six")).ok());
+  ClusterSet a(&store_, 0.99);  // Strict: nothing auto-joins.
+  ASSERT_TRUE(Add(a, 1, V("one two")).ok());
+  ASSERT_TRUE(Add(a, 2, V("three four")).ok());
+  ClusterSet b(&store_, 0.99);
+  ASSERT_TRUE(Add(b, 1, V("one two")).ok());
+  ASSERT_TRUE(Add(b, 3, V("five six")).ok());
   // b's group {1,3}? No: strict threshold separates them; b has {1} and {3}.
   ASSERT_EQ(b.NumGroups(), 2u);
   ASSERT_TRUE(a.Merge(b).ok());
@@ -139,25 +152,25 @@ TEST_F(ClusteringTest, MergeOverlappingGroupsCombine) {
 }
 
 TEST_F(ClusteringTest, MergeBridgingGroupCombinesLocalGroups) {
-  ClusterSet a(0.99);
-  ASSERT_TRUE(a.Add(1, V("one two")).ok());
-  ASSERT_TRUE(a.Add(2, V("three four")).ok());
+  ClusterSet a(&store_, 0.99);
+  ASSERT_TRUE(Add(a, 1, V("one two")).ok());
+  ASSERT_TRUE(Add(a, 2, V("three four")).ok());
   ASSERT_EQ(a.NumGroups(), 2u);
   // `b` holds docs 1 and 2 in ONE group (loose threshold): merging must
   // bridge a's two groups into one.
-  ClusterSet b(0.0);
-  ASSERT_TRUE(b.Add(1, V("one two")).ok());
-  ASSERT_TRUE(b.Add(2, V("three four")).ok());
+  ClusterSet b(&store_, 0.0);
+  ASSERT_TRUE(Add(b, 1, V("one two")).ok());
+  ASSERT_TRUE(Add(b, 2, V("three four")).ok());
   ASSERT_EQ(b.NumGroups(), 1u);
   ASSERT_TRUE(a.Merge(b).ok());
   EXPECT_EQ(a.NumGroups(), 1u);
-  EXPECT_EQ(a.groups()[0].members, (std::vector<DocId>{1, 2}));
+  EXPECT_EQ(Members(a, 0), (std::vector<DocId>{1, 2}));
 }
 
 TEST_F(ClusteringTest, MergeCommutativeOnMembership) {
   auto build = [&](std::vector<std::pair<DocId, std::string>> docs) {
-    ClusterSet cs(0.3);
-    for (auto& [id, text] : docs) EXPECT_TRUE(cs.Add(id, V(text)).ok());
+    ClusterSet cs(&store_, 0.3);
+    for (auto& [id, text] : docs) EXPECT_TRUE(Add(cs, id, V(text)).ok());
     return cs;
   };
   auto a1 = build({{1, "goose eating stonewort"}, {2, "wingspan anatomy size"}});
@@ -171,8 +184,8 @@ TEST_F(ClusteringTest, MergeCommutativeOnMembership) {
 }
 
 TEST_F(ClusteringTest, GroupMembersAccessor) {
-  ClusterSet cs;
-  ASSERT_TRUE(cs.Add(42, V("hello world")).ok());
+  ClusterSet cs(&store_);
+  ASSERT_TRUE(Add(cs, 42, V("hello world")).ok());
   auto members = cs.GroupMembers(0);
   ASSERT_TRUE(members.ok());
   EXPECT_EQ(*members, (std::vector<DocId>{42}));
@@ -180,35 +193,35 @@ TEST_F(ClusteringTest, GroupMembersAccessor) {
 }
 
 TEST_F(ClusteringTest, EmptyTextDocumentsCluster) {
-  ClusterSet cs;
+  ClusterSet cs(&store_);
   // Zero vectors have 0 cosine to everything: each seeds its own group.
-  ASSERT_TRUE(cs.Add(1, V("")).ok());
-  ASSERT_TRUE(cs.Add(2, V("")).ok());
+  ASSERT_TRUE(Add(cs, 1, V("")).ok());
+  ASSERT_TRUE(Add(cs, 2, V("")).ok());
   EXPECT_EQ(cs.NumGroups(), 2u);
 }
 
 TEST_F(ClusteringTest, Figure2DroppedRepresentativeIsReplaced) {
   // Figure 2 step 1: A2 represents {A1, A2, A5}; projecting out A2's
   // column re-elects, and A5 (closest to the new centroid) replaces it.
-  ClusterSet cs(0.0);
-  ASSERT_TRUE(cs.Add(1, Counts({3, 0})).ok());
-  ASSERT_TRUE(cs.Add(2, Counts({2, 2})).ok());
-  ASSERT_TRUE(cs.Add(5, Counts({1, 3})).ok());
+  ClusterSet cs(&store_, 0.0);
+  ASSERT_TRUE(Add(cs, 1, Counts({3, 0})).ok());
+  ASSERT_TRUE(Add(cs, 2, Counts({2, 2})).ok());
+  ASSERT_TRUE(Add(cs, 5, Counts({1, 3})).ok());
   ASSERT_EQ(cs.NumGroups(), 1u);
   ASSERT_EQ(cs.groups()[0].representative, 2u);
   ASSERT_TRUE(cs.Restrict(Ids({2})).ok());
-  EXPECT_EQ(cs.groups()[0].members, Ids({1, 5}));
+  EXPECT_EQ(Members(cs, 0), Ids({1, 5}));
   EXPECT_EQ(cs.groups()[0].representative, 5u);
 }
 
 TEST_F(ClusteringTest, DroppingANonRepresentativeReelects) {
   // The representative is the member closest to the centroid of the
   // current members, so losing any member can move it.
-  ClusterSet cs(0.0);
-  ASSERT_TRUE(cs.Add(1, Counts({3, 0})).ok());
-  ASSERT_TRUE(cs.Add(2, Counts({2, 2})).ok());
-  ASSERT_TRUE(cs.Add(5, Counts({1, 3})).ok());
-  ASSERT_TRUE(cs.Add(7, Counts({0, 4})).ok());
+  ClusterSet cs(&store_, 0.0);
+  ASSERT_TRUE(Add(cs, 1, Counts({3, 0})).ok());
+  ASSERT_TRUE(Add(cs, 2, Counts({2, 2})).ok());
+  ASSERT_TRUE(Add(cs, 5, Counts({1, 3})).ok());
+  ASSERT_TRUE(Add(cs, 7, Counts({0, 4})).ok());
   ASSERT_EQ(cs.groups()[0].representative, 2u);
   ASSERT_TRUE(cs.Restrict(Ids({1})).ok());
   EXPECT_EQ(cs.groups()[0].representative, 5u);
@@ -223,13 +236,15 @@ TEST_F(ClusteringTest, RestrictSetMatchesOneDocAtATime) {
   };
   Random rng(3);
   for (int round = 0; round < 30; ++round) {
-    ClusterSet at_once(0.3);
-    ClusterSet one_by_one(0.3);
+    // Every round gives documents 0..39 new vectors: a store of its own.
+    DocVectorStore store;
+    ClusterSet at_once(&store, 0.3);
+    ClusterSet one_by_one(&store, 0.3);
     for (DocId doc = 0; doc < 40; ++doc) {
-      txt::SparseVector vec = V(texts[rng.Uniform(texts.size())] + " " +
-                                texts[rng.Uniform(texts.size())]);
-      ASSERT_TRUE(at_once.Add(doc, vec).ok());
-      ASSERT_TRUE(one_by_one.Add(doc, vec).ok());
+      store.Commit(doc, V(texts[rng.Uniform(texts.size())] + " " +
+                          texts[rng.Uniform(texts.size())]));
+      ASSERT_TRUE(at_once.Add(doc).ok());
+      ASSERT_TRUE(one_by_one.Add(doc).ok());
     }
     std::vector<DocId> dropped;
     for (DocId doc = 0; doc < 45; ++doc) {
@@ -241,10 +256,10 @@ TEST_F(ClusteringTest, RestrictSetMatchesOneDocAtATime) {
     }
     ASSERT_EQ(at_once.NumGroups(), one_by_one.NumGroups());
     for (size_t g = 0; g < at_once.NumGroups(); ++g) {
-      EXPECT_EQ(at_once.groups()[g].members, one_by_one.groups()[g].members);
+      EXPECT_EQ(Members(at_once, g), Members(one_by_one, g));
       EXPECT_EQ(at_once.groups()[g].representative, one_by_one.groups()[g].representative);
-      const auto& x = at_once.groups()[g].centroid_sum.entries();
-      const auto& y = one_by_one.groups()[g].centroid_sum.entries();
+      const auto x = at_once.groups()[g].centroid_sum.entries();
+      const auto y = one_by_one.groups()[g].centroid_sum.entries();
       ASSERT_EQ(x.size(), y.size());
       for (size_t k = 0; k < x.size(); ++k) {
         EXPECT_EQ(x[k].term, y[k].term);
@@ -258,10 +273,10 @@ TEST_F(ClusteringTest, RestrictSetMatchesOneDocAtATime) {
 }
 
 TEST_F(ClusteringTest, RestrictEverythingEmptiesSet) {
-  ClusterSet cs(0.5);
-  ASSERT_TRUE(cs.Add(1, V("goose eating stonewort")).ok());
-  ASSERT_TRUE(cs.Add(2, V("influenza outbreak")).ok());
-  ASSERT_TRUE(cs.Add(3, V("goose eating plants")).ok());
+  ClusterSet cs(&store_, 0.5);
+  ASSERT_TRUE(Add(cs, 1, V("goose eating stonewort")).ok());
+  ASSERT_TRUE(Add(cs, 2, V("influenza outbreak")).ok());
+  ASSERT_TRUE(Add(cs, 3, V("goose eating plants")).ok());
   ASSERT_TRUE(cs.Restrict(Ids({0, 1, 2, 3, 4})).ok());
   EXPECT_EQ(cs.NumGroups(), 0u);
   EXPECT_EQ(cs.NumDocuments(), 0u);
@@ -270,21 +285,322 @@ TEST_F(ClusteringTest, RestrictEverythingEmptiesSet) {
 TEST_F(ClusteringTest, MergeBridgingGroupsKeepsFirstGroupPosition) {
   // a: {1} {2} {3}; b bridges 1 and 3 and adds 4. The combined group takes
   // the place of the first group it absorbs; {2} keeps its order.
-  ClusterSet a(0.99);
-  ASSERT_TRUE(a.Add(1, V("one two")).ok());
-  ASSERT_TRUE(a.Add(2, V("three four")).ok());
-  ASSERT_TRUE(a.Add(3, V("five six")).ok());
-  ClusterSet b(0.0);
-  ASSERT_TRUE(b.Add(3, V("five six")).ok());
-  ASSERT_TRUE(b.Add(1, V("one two")).ok());
-  ASSERT_TRUE(b.Add(4, V("seven eight")).ok());
+  ClusterSet a(&store_, 0.99);
+  ASSERT_TRUE(Add(a, 1, V("one two")).ok());
+  ASSERT_TRUE(Add(a, 2, V("three four")).ok());
+  ASSERT_TRUE(Add(a, 3, V("five six")).ok());
+  ClusterSet b(&store_, 0.0);
+  ASSERT_TRUE(Add(b, 3, V("five six")).ok());
+  ASSERT_TRUE(Add(b, 1, V("one two")).ok());
+  ASSERT_TRUE(Add(b, 4, V("seven eight")).ok());
   ASSERT_EQ(b.NumGroups(), 1u);
   ASSERT_TRUE(a.Merge(b).ok());
   ASSERT_EQ(a.NumGroups(), 2u);
-  EXPECT_EQ(a.groups()[0].members, Ids({1, 3, 4}));
-  EXPECT_EQ(a.groups()[1].members, Ids({2}));
+  EXPECT_EQ(Members(a, 0), Ids({1, 3, 4}));
+  EXPECT_EQ(Members(a, 1), Ids({2}));
   EXPECT_EQ(a.NumDocuments(), 4u);
   EXPECT_TRUE(a.Contains(4));
+}
+
+// --- Independent oracle -----------------------------------------------------
+// Seeded random Add / Restrict / Merge sequences over one shared vector
+// store, each step checked against brute force. Only the adapter below
+// names the set's storage API.
+
+/// The shared store: every document's vector, committed once.
+class OracleStore {
+ public:
+  void Commit(DocId doc, txt::SparseVector vec) {
+    store_.Commit(doc, vec);
+    vectors_.emplace(doc, std::move(vec));
+  }
+  const txt::SparseVector& At(DocId doc) const { return vectors_.at(doc); }
+  const DocVectorStore* store() const { return &store_; }
+
+ private:
+  DocVectorStore store_;
+  std::map<DocId, txt::SparseVector> vectors_;
+};
+
+ClusterSet MakeSet(const OracleStore& store, double threshold) {
+  return ClusterSet(store.store(), threshold);
+}
+
+Result<size_t> AddDoc(ClusterSet* cs, const OracleStore&, DocId doc) { return cs->Add(doc); }
+
+struct GroupState {
+  std::vector<DocId> members;
+  std::vector<std::pair<txt::TermId, double>> centroid;
+  DocId representative;
+  bool operator==(const GroupState&) const = default;
+};
+
+std::vector<GroupState> StateOf(const ClusterSet& cs) {
+  std::vector<GroupState> out;
+  for (const ClusterGroup& g : cs.groups()) {
+    GroupState s;
+    s.members.assign(g.members.begin(), g.members.end());
+    for (const auto& e : g.centroid_sum.entries()) s.centroid.emplace_back(e.term, e.value);
+    s.representative = g.representative;
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+class ClusterOracleTest : public ::testing::Test {
+ protected:
+  static constexpr DocId kUniverse = 160;
+  static constexpr txt::TermId kTerms = 10;
+
+  void SetUp() override {
+    Random rng(20150531);
+    for (DocId doc = 0; doc < kUniverse; ++doc) {
+      txt::SparseVector vec;
+      // A few zero vectors: cosine 0 against everything.
+      if (!rng.Bernoulli(0.04)) {
+        const uint64_t terms = 1 + rng.Uniform(4);
+        for (uint64_t k = 0; k < terms; ++k) {
+          vec.Set(static_cast<txt::TermId>(rng.Uniform(kTerms)),
+                  static_cast<double>(1 + rng.Uniform(3)));
+        }
+      }
+      store_.Commit(doc, vec);
+    }
+  }
+
+  /// Sum of the stored vectors of `members`, by term.
+  std::map<txt::TermId, double> Refold(const std::vector<DocId>& members) const {
+    std::map<txt::TermId, double> sum;
+    for (DocId doc : members) {
+      for (const auto& e : store_.At(doc).entries()) sum[e.term] += e.value;
+    }
+    return sum;
+  }
+
+  /// Cosine of `vec` against `sum`, from scratch: the dot and both norms
+  /// accumulate in ascending term order.
+  static double Cos(const std::map<txt::TermId, double>& sum, const txt::SparseVector& vec) {
+    double dot = 0.0;
+    double sum_sq = 0.0;
+    double vec_sq = 0.0;
+    for (const auto& [term, value] : sum) sum_sq += value * value;
+    for (const auto& e : vec.entries()) {
+      auto it = sum.find(e.term);
+      if (it != sum.end()) dot += e.value * it->second;
+      vec_sq += e.value * e.value;
+    }
+    const double sum_norm = std::sqrt(sum_sq);
+    const double vec_norm = std::sqrt(vec_sq);
+    if (sum_norm < 1e-12 || vec_norm < 1e-12) return 0.0;
+    return std::clamp(dot / (sum_norm * vec_norm), 0.0, 1.0);
+  }
+
+  /// Every structural and numeric invariant of `cs`, from brute force.
+  void CheckSet(const ClusterSet& cs, const std::string& where) const {
+    const std::vector<GroupState> state = StateOf(cs);
+    ASSERT_EQ(state.size(), cs.NumGroups()) << where;
+    std::set<DocId> seen;
+    for (size_t g = 0; g < state.size(); ++g) {
+      const GroupState& group = state[g];
+      ASSERT_FALSE(group.members.empty()) << where << ": empty group " << g;
+      for (size_t k = 1; k < group.members.size(); ++k) {
+        ASSERT_LT(group.members[k - 1], group.members[k]) << where << ": group " << g;
+      }
+      for (DocId doc : group.members) {
+        ASSERT_TRUE(seen.insert(doc).second) << where << ": doc " << doc << " twice";
+      }
+      auto members = cs.GroupMembers(g);
+      ASSERT_TRUE(members.ok()) << where;
+      ASSERT_EQ(*members, group.members) << where;
+      // centroid_sum is the exact sum of the members' stored vectors.
+      const std::map<txt::TermId, double> sum = Refold(group.members);
+      ASSERT_EQ(group.centroid.size(), sum.size()) << where << ": group " << g;
+      size_t k = 0;
+      for (const auto& [term, value] : sum) {
+        ASSERT_EQ(group.centroid[k].first, term) << where << ": group " << g;
+        ASSERT_EQ(group.centroid[k].second, value) << where << ": group " << g;
+        ++k;
+      }
+      // The representative: highest cosine to the centroid, ties to the
+      // lowest id.
+      DocId best = group.members.front();
+      double best_sim = -1.0;
+      for (DocId doc : group.members) {
+        const double sim = Cos(sum, store_.At(doc));
+        if (sim > best_sim) {
+          best_sim = sim;
+          best = doc;
+        }
+      }
+      ASSERT_EQ(group.representative, best) << where << ": group " << g;
+    }
+    // The document-to-group slots agree with the groups.
+    ASSERT_EQ(cs.NumDocuments(), seen.size()) << where;
+    for (DocId doc = 0; doc < kUniverse; ++doc) {
+      ASSERT_EQ(cs.Contains(doc), seen.contains(doc)) << where << ": doc " << doc;
+      const DocId one[] = {doc};
+      ASSERT_EQ(cs.ContainsAny(one), seen.contains(doc)) << where << ": doc " << doc;
+    }
+  }
+
+  /// Member lists of `state`.
+  static std::vector<std::vector<DocId>> Membership(const std::vector<GroupState>& state) {
+    std::vector<std::vector<DocId>> out;
+    for (const GroupState& g : state) out.push_back(g.members);
+    return out;
+  }
+
+  /// Adds `doc` and checks the group it joins: the most similar at or
+  /// above the threshold, ties to the lowest index, else a new last group.
+  void CheckedAdd(ClusterSet* cs, DocId doc, const std::string& where) {
+    std::vector<std::vector<DocId>> expected = Membership(StateOf(*cs));
+    size_t best = expected.size();
+    double best_sim = -1.0;
+    for (size_t g = 0; g < expected.size(); ++g) {
+      const double sim = Cos(Refold(expected[g]), store_.At(doc));
+      if (sim >= cs->threshold() && sim > best_sim) {
+        best = g;
+        best_sim = sim;
+      }
+    }
+    if (best == expected.size()) {
+      expected.push_back({doc});
+    } else {
+      auto& m = expected[best];
+      m.insert(std::lower_bound(m.begin(), m.end(), doc), doc);
+    }
+    auto joined = AddDoc(cs, store_, doc);
+    ASSERT_TRUE(joined.ok()) << where << ": " << joined.status().ToString();
+    ASSERT_EQ(*joined, best) << where;
+    ASSERT_EQ(Membership(StateOf(*cs)), expected) << where;
+    CheckSet(*cs, where);
+  }
+
+  /// Restricts by `dropped` and checks the groups keep their order, lose
+  /// exactly the dropped members, and vanish when emptied.
+  void CheckedRestrict(ClusterSet* cs, const std::vector<DocId>& dropped,
+                       const std::string& where) {
+    std::vector<std::vector<DocId>> expected;
+    for (std::vector<DocId> members : Membership(StateOf(*cs))) {
+      std::erase_if(members, [&](DocId d) {
+        return std::binary_search(dropped.begin(), dropped.end(), d);
+      });
+      if (!members.empty()) expected.push_back(std::move(members));
+    }
+    ASSERT_TRUE(cs->Restrict(dropped).ok()) << where;
+    ASSERT_EQ(Membership(StateOf(*cs)), expected) << where;
+    CheckSet(*cs, where);
+  }
+
+  /// Merges `other` into `cs` and checks it against a brute-force fold of
+  /// `other`'s groups and against merging them in one at a time.
+  void CheckedMerge(ClusterSet* cs, const ClusterSet& other, const std::string& where) {
+    // Brute force: an incoming group overlapping local groups combines them
+    // into the first; a disjoint one is appended.
+    std::vector<std::vector<DocId>> expected = Membership(StateOf(*cs));
+    const std::vector<std::vector<DocId>> incoming = Membership(StateOf(other));
+    for (const std::vector<DocId>& group : incoming) {
+      std::vector<size_t> hit;
+      for (size_t g = 0; g < expected.size(); ++g) {
+        for (DocId doc : group) {
+          if (std::binary_search(expected[g].begin(), expected[g].end(), doc)) {
+            hit.push_back(g);
+            break;
+          }
+        }
+      }
+      if (hit.empty()) {
+        expected.push_back(group);
+        continue;
+      }
+      std::set<DocId> combined(group.begin(), group.end());
+      for (size_t g : hit) combined.insert(expected[g].begin(), expected[g].end());
+      expected[hit.front()].assign(combined.begin(), combined.end());
+      for (size_t k = hit.size(); k-- > 1;) {
+        expected.erase(expected.begin() + static_cast<std::ptrdiff_t>(hit[k]));
+      }
+    }
+    // One group at a time: each incoming group alone is `other` restricted
+    // to it, whose sum and representative depend on its members only.
+    ClusterSet folded = *cs;
+    for (size_t g = 0; g < incoming.size(); ++g) {
+      std::vector<DocId> rest;
+      for (size_t h = 0; h < incoming.size(); ++h) {
+        if (h != g) rest.insert(rest.end(), incoming[h].begin(), incoming[h].end());
+      }
+      std::sort(rest.begin(), rest.end());
+      ClusterSet single = other;
+      ASSERT_TRUE(single.Restrict(rest).ok()) << where;
+      ASSERT_EQ(single.NumGroups(), 1u) << where;
+      ASSERT_TRUE(folded.Merge(single).ok()) << where;
+    }
+    ASSERT_TRUE(cs->Merge(other).ok()) << where;
+    ASSERT_EQ(Membership(StateOf(*cs)), expected) << where;
+    ASSERT_EQ(StateOf(*cs), StateOf(folded)) << where;
+    CheckSet(*cs, where);
+  }
+
+  /// A random subset of the universe, ascending.
+  static std::vector<DocId> Subset(Random* rng, double p) {
+    std::vector<DocId> out;
+    for (DocId doc = 0; doc < kUniverse; ++doc) {
+      if (rng->Bernoulli(p)) out.push_back(doc);
+    }
+    return out;
+  }
+
+  /// A set over a random subset of the universe, added in random order.
+  ClusterSet RandomSet(Random* rng, double threshold, const std::string& where) {
+    ClusterSet cs = MakeSet(store_, threshold);
+    std::vector<DocId> docs = Subset(rng, 0.02 + 0.2 * rng->NextDouble());
+    for (size_t i = docs.size(); i > 1; --i) std::swap(docs[i - 1], docs[rng->Uniform(i)]);
+    for (DocId doc : docs) {
+      CheckedAdd(&cs, doc, where + " build");
+      if (HasFatalFailure()) break;
+    }
+    return cs;
+  }
+
+  OracleStore store_;
+};
+
+TEST_F(ClusterOracleTest, RandomAddRestrictMergeMatchBruteForce) {
+  constexpr double kThresholds[] = {0.0, 0.2, 0.35, 0.6, 0.99};
+  Random rng(7);
+  for (int round = 0; round < 500; ++round) {
+    const std::string where = "round " + std::to_string(round);
+    const double threshold = kThresholds[rng.Uniform(std::size(kThresholds))];
+    ClusterSet a = RandomSet(&rng, threshold, where + " a");
+    ASSERT_FALSE(HasFatalFailure());
+    ClusterSet b = RandomSet(&rng, kThresholds[rng.Uniform(std::size(kThresholds))],
+                             where + " b");
+    ASSERT_FALSE(HasFatalFailure());
+    for (int op = 0; op < 6; ++op) {
+      const std::string step = where + " op " + std::to_string(op);
+      switch (rng.Uniform(4)) {
+        case 0: {
+          const DocId doc = rng.Uniform(kUniverse);
+          if (!a.Contains(doc)) CheckedAdd(&a, doc, step + " add");
+          break;
+        }
+        case 1:
+          CheckedRestrict(&a, Subset(&rng, 0.3 * rng.NextDouble()), step + " restrict");
+          break;
+        case 2:
+          CheckedRestrict(&b, Subset(&rng, 0.3 * rng.NextDouble()), step + " restrict b");
+          break;
+        default:
+          CheckedMerge(&a, b, step + " merge");
+          break;
+      }
+      ASSERT_FALSE(HasFatalFailure());
+    }
+    // A copy is independent of its source.
+    ClusterSet copy = a;
+    const std::vector<GroupState> before = StateOf(a);
+    CheckedRestrict(&copy, Subset(&rng, 0.5), where + " copy");
+    ASSERT_EQ(StateOf(a), before) << where;
+  }
 }
 
 }  // namespace

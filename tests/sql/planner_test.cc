@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+
 #include "exec/metrics.h"
 #include "sql/parser.h"
 #include "sql/session.h"
@@ -192,14 +196,15 @@ class TopKMetricsTest : public PlannerTest {
     }
   }
 
-  std::unique_ptr<exec::Operator> PlanParallel(const std::string& sql,
-                                               size_t parallelism,
-                                               size_t morsel_size) {
+  std::unique_ptr<exec::Operator> PlanParallel(
+      const std::string& sql, size_t parallelism, size_t morsel_size,
+      decltype(PlannerOptions::wrap_worker_pipeline) wrap = nullptr) {
     auto statement = Parse(sql);
     EXPECT_TRUE(statement.ok()) << statement.status().ToString();
     PlannerOptions options;
     options.parallelism = parallelism;
     options.morsel_size = morsel_size;
+    options.wrap_worker_pipeline = std::move(wrap);
     auto plan = PlanSelect(std::get<SelectStatement>(*statement), engine_.get(),
                            options);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
@@ -259,9 +264,70 @@ TEST_F(TopKMetricsTest, OrderByLimitReportsConsistentPruningCounters) {
   }
 }
 
+/// Opens once; waiters block until then (bounded, so a broken schedule
+/// fails the test instead of hanging it).
+class Gate {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, std::chrono::seconds(30), [this] { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Worker-pipeline wrapper that holds every worker but 0 before its first
+/// batch until worker 0's first batch has reached the gather. Worker 0
+/// opens the gate on its second NextBatch call, which the gather makes only
+/// after it has counted the first batch against the row quota.
+class HoldUntilFirstBatch final : public exec::Operator {
+ public:
+  HoldUntilFirstBatch(std::unique_ptr<exec::Operator> child, std::shared_ptr<Gate> gate,
+                      size_t worker)
+      : child_(std::move(child)), gate_(std::move(gate)), worker_(worker) {}
+
+  const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
+  std::string Name() const override { return "Hold(worker " + std::to_string(worker_) + ")"; }
+  std::vector<exec::Operator*> Children() override { return {child_.get()}; }
+
+ protected:
+  Status OpenImpl() override {
+    calls_ = 0;
+    return child_->Open();
+  }
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    ++calls_;
+    if (worker_ == 0 && calls_ == 2) gate_->Open();
+    if (worker_ != 0 && calls_ == 1) gate_->Wait();
+    return child_->NextBatch(out);
+  }
+
+ private:
+  std::unique_ptr<exec::Operator> child_;
+  std::shared_ptr<Gate> gate_;
+  size_t worker_;
+  uint64_t calls_ = 0;
+};
+
 TEST_F(TopKMetricsTest, QuotaLimitReportsUndispatchedRowsAsPruned) {
-  auto plan = PlanParallel("SELECT b.id FROM big b LIMIT 5", /*parallelism=*/4,
-                           /*morsel_size=*/16);
+  // Workers 1-3 claim no morsel before worker 0's first 16-row morsel has
+  // met the quota of 5, so the rest of the table is never dispatched
+  // whatever the thread schedule.
+  auto gate = std::make_shared<Gate>();
+  auto plan = PlanParallel(
+      "SELECT b.id FROM big b LIMIT 5", /*parallelism=*/4, /*morsel_size=*/16,
+      [gate](std::unique_ptr<exec::Operator> pipe,
+             size_t worker) -> std::unique_ptr<exec::Operator> {
+        return std::make_unique<HoldUntilFirstBatch>(std::move(pipe), gate, worker);
+      });
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(testutil::DrainRows(engine_.get(), plan.get()).size(), 5u);
 

@@ -75,30 +75,35 @@ TEST(SparseVectorTest, EntriesStaySorted) {
   }
 }
 
-TEST(SparseVectorTest, AddScaledMerges) {
+TEST(SparseVectorTest, AppendSumMerges) {
   SparseVector a;
   a.Set(1, 1.0);
   a.Set(2, 2.0);
   SparseVector b;
   b.Set(2, 3.0);
   b.Set(4, 4.0);
-  a.AddScaled(b, 2.0);
-  EXPECT_DOUBLE_EQ(a.Get(1), 1.0);
-  EXPECT_DOUBLE_EQ(a.Get(2), 8.0);
-  EXPECT_DOUBLE_EQ(a.Get(4), 8.0);
+  std::vector<TermWeight> sum;
+  AppendSum(a.view(), b.view(), &sum);
+  ASSERT_EQ(sum.size(), 3u);
+  EXPECT_EQ(sum[0].term, 1u);
+  EXPECT_DOUBLE_EQ(sum[0].value, 1.0);
+  EXPECT_EQ(sum[1].term, 2u);
+  EXPECT_DOUBLE_EQ(sum[1].value, 5.0);
+  EXPECT_EQ(sum[2].term, 4u);
+  EXPECT_DOUBLE_EQ(sum[2].value, 4.0);
 }
 
-TEST(SparseVectorTest, AddScaledCancellationRemovesEntry) {
+TEST(SparseVectorTest, AppendSumDropsCancelledTerms) {
   SparseVector a;
   a.Set(3, 5.0);
   SparseVector b;
-  b.Set(3, 5.0);
-  a.AddScaled(b, -1.0);
-  EXPECT_EQ(a.NumNonZero(), 0u);
-  EXPECT_TRUE(a.empty());
+  b.Set(3, -5.0);
+  std::vector<TermWeight> sum;
+  AppendSum(a.view(), b.view(), &sum);
+  EXPECT_TRUE(sum.empty());
 }
 
-TEST(SparseVectorTest, SubtractMatchesAddScaledNegated) {
+TEST(SparseVectorTest, SubtractFromTailMatchesNegatedSum) {
   SparseVector sum;
   sum.Set(1, 2.0);
   sum.Set(3, 5.0);
@@ -110,15 +115,22 @@ TEST(SparseVectorTest, SubtractMatchesAddScaledNegated) {
   foreign.Set(0, 4.0);
   foreign.Set(1, 1.0);
   foreign.Set(9, 3.0);
+  const TermWeight head{100, 9.0};  // Entries before `begin` are untouched.
   for (const SparseVector* part : {&contained, &foreign}) {
-    SparseVector expected = sum;
-    expected.AddScaled(*part, -1.0);
-    SparseVector actual = sum;
-    actual.Subtract(*part);
-    ASSERT_EQ(actual.entries().size(), expected.entries().size());
-    for (size_t i = 0; i < expected.entries().size(); ++i) {
-      EXPECT_EQ(actual.entries()[i].term, expected.entries()[i].term);
-      EXPECT_DOUBLE_EQ(actual.entries()[i].value, expected.entries()[i].value);
+    SparseVector negated;
+    for (const auto& e : part->entries()) negated.Set(e.term, -e.value);
+    std::vector<TermWeight> expected;
+    AppendSum(sum.view(), negated.view(), &expected);
+    std::vector<TermWeight> actual = {head};
+    actual.insert(actual.end(), sum.entries().begin(), sum.entries().end());
+    SubtractFromTail(&actual, 1, part->view());
+    DropZeros(&actual, 1);
+    ASSERT_EQ(actual.size(), expected.size() + 1);
+    EXPECT_EQ(actual[0].term, head.term);
+    EXPECT_EQ(actual[0].value, head.value);
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(actual[i + 1].term, expected[i].term);
+      EXPECT_DOUBLE_EQ(actual[i + 1].value, expected[i].value);
     }
   }
 }

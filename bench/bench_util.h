@@ -41,8 +41,9 @@ T Check(Result<T> result, const char* what) {
 
 /// Pins `engine`'s current epoch on `op`'s query context (attaching a
 /// fresh context to a bare operator tree), opens `op` and drains it batch
-/// by batch. Returns the row count, or the first error of the pin or of
-/// Open/NextBatch.
+/// by batch, settling every row the way Engine::Execute does (so a
+/// projection's trim is paid here). Returns the row count, or the first
+/// error of the pin, of Open/NextBatch or of a settle.
 inline Result<size_t> DrainRows(core::Engine* engine, exec::Operator* op) {
   INSIGHTNOTES_ASSIGN_OR_RETURN(core::ReadSnapshot pinned, engine->PinSnapshot());
   if (op->query_context() == nullptr) {
@@ -55,6 +56,9 @@ inline Result<size_t> DrainRows(core::Engine* engine, exec::Operator* op) {
   while (true) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
     if (!more) return rows;
+    for (core::AnnotatedTuple& tuple : batch.tuples) {
+      INSIGHTNOTES_RETURN_IF_ERROR(tuple.Settle());
+    }
     rows += batch.tuples.size();
   }
 }

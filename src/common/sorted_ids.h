@@ -54,24 +54,6 @@ bool IntersectsSorted(const std::vector<Item>& items, std::span<const Id> ids,
   return false;
 }
 
-/// Erases, in one compaction pass, every element of `items` whose key is in
-/// `ids`. Both ascending.
-template <typename Item, typename Id, typename Key = IdentityKey>
-void EraseSorted(std::vector<Item>* items, std::span<const Id> ids, Key key = {}) {
-  if (ids.empty()) return;
-  // Elements below the first id stay where they are.
-  size_t kept = GallopSorted(*items, 0, ids.front(), key);
-  size_t j = 0;
-  for (size_t i = kept; i < items->size(); ++i) {
-    Item& item = (*items)[i];
-    while (j < ids.size() && ids[j] < key(item)) ++j;
-    if (j < ids.size() && ids[j] == key(item)) continue;
-    if (kept != i) (*items)[kept] = std::move(item);
-    ++kept;
-  }
-  items->erase(items->begin() + static_cast<std::ptrdiff_t>(kept), items->end());
-}
-
 /// Combine step of UnionSorted that keeps `into`'s copy unchanged.
 struct KeepFirst {
   template <typename Item>

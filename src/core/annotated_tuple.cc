@@ -37,8 +37,31 @@ AnnotatedTuple AnnotatedTuple::Clone() const {
   copy.summaries.reserve(summaries.size());
   for (const auto& s : summaries) copy.summaries.push_back(s->Clone());
   copy.attachments = attachments;
+  copy.trimmed = trimmed;
   copy.order_ranks = order_ranks;
   return copy;
+}
+
+Status AnnotatedTuple::Settle() {
+  if (trimmed.empty()) return Status::OK();
+  for (auto& s : summaries) INSIGHTNOTES_RETURN_IF_ERROR(s->Restrict(trimmed));
+  trimmed.clear();
+  return Status::OK();
+}
+
+Result<SummaryObject*> AnnotatedTuple::SettleSummary(std::string_view name) {
+  SummaryObject* object = FindSummary(name);
+  if (object != nullptr && !trimmed.empty()) {
+    INSIGHTNOTES_RETURN_IF_ERROR(object->Restrict(trimmed));
+  }
+  return object;
+}
+
+Status CheckSettled(const AnnotatedTuple& tuple) {
+  if (tuple.trimmed.empty()) return Status::OK();
+  return Status::Internal("merge read a tuple with " +
+                          std::to_string(tuple.trimmed.size()) +
+                          " unsettled trimmed annotation(s)");
 }
 
 SummaryObject* AnnotatedTuple::FindSummary(std::string_view name) const {
@@ -49,6 +72,8 @@ SummaryObject* AnnotatedTuple::FindSummary(std::string_view name) const {
 }
 
 Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right) {
+  INSIGHTNOTES_RETURN_IF_ERROR(CheckSettled(right));
+  INSIGHTNOTES_RETURN_IF_ERROR(left->Settle());
   size_t left_width = left->tuple.NumValues();
   left->tuple = rel::Tuple::Concat(left->tuple, right.tuple);
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&left->summaries, right.summaries));
@@ -59,6 +84,8 @@ Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right) {
 }
 
 Status MergeForGrouping(AnnotatedTuple* into, const AnnotatedTuple& other) {
+  INSIGHTNOTES_RETURN_IF_ERROR(CheckSettled(other));
+  INSIGHTNOTES_RETURN_IF_ERROR(into->Settle());
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&into->summaries, other.summaries));
   UnionAttachments(&into->attachments, other.attachments);
   return Status::OK();
@@ -85,6 +112,7 @@ size_t ApproxBytes(const AnnotatedTuple& tuple) {
   for (const AttachmentInfo& att : tuple.attachments) {
     bytes += sizeof(AttachmentInfo) + att.columns.capacity() * sizeof(size_t);
   }
+  bytes += tuple.trimmed.capacity() * sizeof(ann::AnnotationId);
   return bytes;
 }
 

@@ -8,6 +8,15 @@
 // annotation id from the scan (the epoch publishes them sorted) to the
 // result, so every merge of two lists is one linear walk under the
 // coverage rule of common/coverage.h.
+//
+// Deferred trim (Theorem 1): a projection drops trimmed attachments at
+// once but only records their ids in `trimmed`; Settle() restricts the
+// summaries by them. Theorem 1 needs the restriction before any merge, not
+// at the projection, so a tuple is settled where it survives: at every
+// merge (the side being mutated settles; the side read must already be
+// settled), at a summary read, in the worker that emits it from a
+// parallel section, and at every drain. Tuples a join, a summary filter or
+// a top-k heap throw away never pay for the restriction.
 
 #ifndef INSIGHTNOTES_CORE_ANNOTATED_TUPLE_H_
 #define INSIGHTNOTES_CORE_ANNOTATED_TUPLE_H_
@@ -50,9 +59,24 @@ class AnnotatedTuple {
   /// Summary object produced by instance `name`, or nullptr.
   SummaryObject* FindSummary(std::string_view name) const;
 
+  /// Applies the pending trim: restricts every summary object by
+  /// `trimmed` once, then clears it. A no-op on a settled tuple.
+  Status Settle();
+
+  /// The object of instance `name` (nullptr if none), restricted by the
+  /// pending trim in place; the other objects stay pending. For summary
+  /// reads of tuples that may still be thrown away. Restricting an object
+  /// twice is a no-op, so a later Settle() stays correct.
+  Result<SummaryObject*> SettleSummary(std::string_view name);
+
   rel::Tuple tuple;
   std::vector<std::unique_ptr<SummaryObject>> summaries;
   std::vector<AttachmentInfo> attachments;  // Ascending by id, ids unique.
+
+  /// Ids a Theorem-1 projection dropped from `attachments` whose effect
+  /// `summaries` still hold until Settle(). Ascending, unique; empty on a
+  /// settled tuple.
+  std::vector<ann::AnnotationId> trimmed;
 
   /// Scan-position ranks stamped by the leaf scans of a *reordered* plan
   /// (cost-based join reorder): one entry per base table in join
@@ -85,13 +109,18 @@ struct AnnotatedBatch {
 /// merges counterpart summary objects (matched by instance) without double
 /// counting shared annotations, unions non-counterpart objects, and unions
 /// attachment metadata (UnionAttachments) with `right`'s column positions
-/// shifted by `left`'s original width. `left` is modified in place.
+/// shifted by `left`'s original width. `left` is settled, then modified in
+/// place; `right` must be settled (Internal otherwise).
 Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right);
 
 /// Grouping/duplicate-elimination merge: like the join merge but the data
 /// tuple of `into` is kept as-is and attachment column positions are
-/// unshifted (the inputs share one schema).
+/// unshifted (the inputs share one schema). Same settle contract.
 Status MergeForGrouping(AnnotatedTuple* into, const AnnotatedTuple& other);
+
+/// Internal when `tuple` still carries a pending trim: a merge may only
+/// read settled summaries (Theorem 1).
+Status CheckSettled(const AnnotatedTuple& tuple);
 
 /// The summary half of the merges above: counterpart objects (same
 /// instance) combine via MergeWith, objects without a counterpart are

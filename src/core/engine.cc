@@ -790,7 +790,7 @@ ann::Annotation NoteFromSpec(const AnnotateSpec& spec) {
 
 /// Runs `plan` to exhaustion against `snapshot`, the epoch its scans read:
 /// pins it on the plan's query context (bare operator trees get a fresh
-/// context), drains every batch, then clears the pin. A failed plan is
+/// context), drains and settles every batch, then clears the pin. A failed plan is
 /// closed before its error returns: a cancelled / timed-out / failed plan
 /// must not leave workers running or memory reserved.
 Result<std::vector<AnnotatedTuple>> DrainPinned(exec::Operator* plan,
@@ -809,7 +809,10 @@ Result<std::vector<AnnotatedTuple>> DrainPinned(exec::Operator* plan,
     while (true) {
       INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, plan->NextBatch(&batch));
       if (!more) return Status::OK();
-      for (AnnotatedTuple& tuple : batch.tuples) rows.push_back(std::move(tuple));
+      for (AnnotatedTuple& tuple : batch.tuples) {
+        INSIGHTNOTES_RETURN_IF_ERROR(tuple.Settle());  // A result row is read.
+        rows.push_back(std::move(tuple));
+      }
     }
   };
   Status executed = drain();
@@ -1004,7 +1007,21 @@ Result<QueryResult> Engine::Execute(std::unique_ptr<exec::Operator> plan,
       TraceEvent event;
       event.op = op;
       event.tuple = t.tuple.ToString();
-      for (const auto& s : t.summaries) {
+      // A projection emits its tuples with the trim pending; the trace
+      // shows them as they will merge, so it renders a settled copy.
+      AnnotatedTuple settled;
+      const AnnotatedTuple* shown = &t;
+      if (!t.trimmed.empty()) {
+        settled = t.Clone();
+        Status status = settled.Settle();
+        if (!status.ok()) {
+          event.summaries = "settle failed: " + status.ToString();
+          trace->push_back(std::move(event));
+          return;
+        }
+        shown = &settled;
+      }
+      for (const auto& s : shown->summaries) {
         if (!event.summaries.empty()) event.summaries += " ";
         event.summaries += s->instance_name() + "=" + s->Render();
       }

@@ -9,12 +9,15 @@
 
 namespace insightnotes::core {
 
-void PartialSummaryState::Seed(AnnotatedTuple* first) {
+Status PartialSummaryState::Seed(AnnotatedTuple* first) {
+  INSIGHTNOTES_RETURN_IF_ERROR(first->Settle());
   summaries_ = std::move(first->summaries);
   attachments_ = std::move(first->attachments);
+  return Status::OK();
 }
 
 Status PartialSummaryState::Fold(const AnnotatedTuple& dup) {
+  INSIGHTNOTES_RETURN_IF_ERROR(CheckSettled(dup));
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&summaries_, dup.summaries));
   UnionAttachments(&attachments_, dup.attachments);
   return Status::OK();

@@ -55,13 +55,15 @@ class PartialSummaryState {
   PartialSummaryState(const PartialSummaryState&) = delete;
   PartialSummaryState& operator=(const PartialSummaryState&) = delete;
 
-  /// Adopts the first tuple of the entry: moves its summaries and
-  /// attachments into the state; `first->tuple` is left untouched for the
-  /// caller.
-  void Seed(AnnotatedTuple* first);
+  /// Adopts the first tuple of the entry: settles it, then moves its
+  /// summaries and attachments into the state; `first->tuple` is left
+  /// untouched for the caller. The state therefore never holds a pending
+  /// trim, so Combine merges settled summaries only.
+  Status Seed(AnnotatedTuple* first);
 
   /// Folds one further tuple of the entry (a duplicate of the seed under
-  /// the grouping key). Byte-identical to the serial merge path.
+  /// the grouping key), which must be settled. Byte-identical to the
+  /// serial merge path.
   Status Fold(const AnnotatedTuple& dup);
 
   /// Folds a whole later state (same key, later morsels) into this one.

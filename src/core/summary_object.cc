@@ -235,7 +235,17 @@ Status SnippetObject::AddAnnotation(const ann::Annotation& note) {
 Status SnippetObject::Restrict(std::span<const ann::AnnotationId> dropped) {
   // Only documents contribute; other ids, like any absent id, are ignored.
   if (!IntersectsSorted(*entries_, dropped, EntryId{})) return Status::OK();
-  EraseSorted(&Own(), dropped, EntryId{});
+  // Builds the restricted copy directly from the survivors: a shared list
+  // is never copied whole first.
+  auto kept = std::make_shared<std::vector<Entry>>();
+  kept->reserve(entries_->size());
+  size_t j = 0;
+  for (const Entry& entry : *entries_) {
+    while (j < dropped.size() && dropped[j] < entry.id) ++j;
+    if (j < dropped.size() && dropped[j] == entry.id) continue;
+    kept->push_back(entry);
+  }
+  entries_ = std::move(kept);
   return Status::OK();
 }
 

@@ -6,7 +6,11 @@
 //   Restrict      — projection trim: eliminate the effect of a sorted set
 //                   of annotation ids in one pass per label, group or
 //                   snippet list, re-electing each cluster group that lost
-//                   a member once (Figure 2 step 1); the only removal path;
+//                   a member once (Figure 2 step 1); the only removal path.
+//                   A projection defers it: the tuple records the ids and
+//                   AnnotatedTuple::Settle() restricts before the first
+//                   merge or read (Theorem 1), so absent ids must be, and
+//                   are, a no-op;
 //   MergeWith     — join/grouping/duplicate-elimination merge in one pass
 //                   that never double-counts an annotation attached to both
 //                   inputs (Figure 2's "22 instead of 27" case);
@@ -82,8 +86,8 @@ class SummaryObject {
 
 // The concrete objects below use copy-on-write state: Clone() (what scans
 // and selections do for every tuple) is O(1); a private copy is taken only
-// when an operator actually mutates the summary (projection trim, join
-// merge). This is what keeps summary propagation cheap relative to
+// when an operator actually mutates the summary (a settled projection
+// trim, a join merge), and Restrict builds that copy from the survivors. This is what keeps summary propagation cheap relative to
 // raw-annotation propagation regardless of the annotation volume.
 
 /// Classifier-type object: per-label annotation counts + id lists.

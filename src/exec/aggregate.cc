@@ -40,6 +40,8 @@ Status FoldIntoGroups(const std::vector<rel::ExprPtr>& group_exprs,
   // Grouped outputs expose aggregate columns, not the original ones:
   // annotation coverage degrades to whole-row, here and nowhere else.
   for (core::AttachmentInfo& att : in->attachments) att.columns.clear();
+  // Every input tuple merges into its group: settle before the merge.
+  INSIGHTNOTES_RETURN_IF_ERROR(in->Settle());
   auto [it, inserted] = index->emplace(key, groups->size());
   if (!inserted) {
     AggregateGroup& group = (*groups)[it->second];
@@ -48,7 +50,7 @@ Status FoldIntoGroups(const std::vector<rel::ExprPtr>& group_exprs,
   }
   AggregateGroup group;
   group.key = std::move(key);
-  group.summary.Seed(in);
+  INSIGHTNOTES_RETURN_IF_ERROR(group.summary.Seed(in));
   group.states.resize(aggregates.size());
   INSIGHTNOTES_RETURN_IF_ERROR(
       AccumulateAggregates(aggregates, in->tuple, &group.states, record_terms));

@@ -34,6 +34,7 @@ Status DistinctOperator::OpenImpl() {
         INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(core::ApproxBytes(in)));
         results_.push_back(std::move(in));
       } else {
+        INSIGHTNOTES_RETURN_IF_ERROR(in.Settle());
         INSIGHTNOTES_RETURN_IF_ERROR(core::MergeForGrouping(&results_[it->second], in));
       }
     }
@@ -58,9 +59,10 @@ Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
       if (inserted) {
         DistinctEntry entry;
         entry.tuple = std::move(in.tuple);
-        entry.summary.Seed(&in);
+        INSIGHTNOTES_RETURN_IF_ERROR(entry.summary.Seed(&in));
         partial.entries.push_back(std::move(entry));
       } else {
+        INSIGHTNOTES_RETURN_IF_ERROR(in.Settle());
         INSIGHTNOTES_RETURN_IF_ERROR(partial.entries[it->second].summary.Fold(in));
       }
     }

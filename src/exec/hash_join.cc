@@ -25,6 +25,8 @@ void HashJoinBuildState::AttachQueryContext(
 void HashJoinBuildState::Release() {
   // Swap, not clear: the capacity goes too.
   std::vector<core::AnnotatedTuple>().swap(rows_);
+  settled_.reset();
+  std::vector<Status>().swap(settle_status_);
   std::vector<rel::Value>().swap(keys_);
   std::vector<size_t>().swap(hashes_);
   std::vector<PartitionMap>().swap(partitions_);
@@ -50,9 +52,13 @@ Status HashJoinBuildState::Reset() {
   }
   keys_.reserve(rows_.size());
   hashes_.reserve(rows_.size());
-  // Keys, hashes and the partition-map entries (bucket + index slot each).
+  // Keys, hashes, the partition-map entries (bucket + index slot each) and
+  // the per-row settle state.
   INSIGHTNOTES_RETURN_IF_ERROR(build_reservation_.Charge(
-      rows_.size() * (sizeof(rel::Value) + 4 * sizeof(size_t))));
+      rows_.size() * (sizeof(rel::Value) + 4 * sizeof(size_t) +
+                      sizeof(std::once_flag) + sizeof(Status))));
+  settled_ = std::make_unique<std::once_flag[]>(rows_.size());
+  settle_status_.assign(rows_.size(), Status::OK());
   rel::ValueHash hasher;
   for (size_t i = 0; i < rows_.size(); ++i) {
     if ((i & 1023u) == 0 && context_ != nullptr) {
@@ -123,6 +129,13 @@ const std::vector<size_t>* HashJoinBuildState::Find(const rel::Value& key) const
   return it == partition.end() ? nullptr : &it->second;
 }
 
+Result<const core::AnnotatedTuple*> HashJoinBuildState::SettledRow(size_t index) {
+  std::call_once(settled_[index],
+                 [this, index] { settle_status_[index] = rows_[index].Settle(); });
+  INSIGHTNOTES_RETURN_IF_ERROR(settle_status_[index]);
+  return &rows_[index];
+}
+
 HashJoinProbeOperator::HashJoinProbeOperator(std::unique_ptr<Operator> child,
                                              std::shared_ptr<HashJoinBuildState> state,
                                              rel::ExprPtr probe_key, bool expose_build)
@@ -153,14 +166,17 @@ Result<bool> HashJoinProbeOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   if (!more) return false;
   out->tuples.clear();
   out->morsel = in.morsel;
-  for (const core::AnnotatedTuple& left : in.tuples) {
+  for (core::AnnotatedTuple& left : in.tuples) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value key, probe_key_->Evaluate(left.tuple));
     const std::vector<size_t>* matches = state_->Find(key);
     if (matches == nullptr) continue;
+    // Settled once, before the clones: no match pays for it again.
+    INSIGHTNOTES_RETURN_IF_ERROR(left.Settle());
     for (size_t index : *matches) {
+      INSIGHTNOTES_ASSIGN_OR_RETURN(const core::AnnotatedTuple* right,
+                                    state_->SettledRow(index));
       core::AnnotatedTuple joined = left.Clone();
-      INSIGHTNOTES_RETURN_IF_ERROR(
-          core::MergeAnnotatedTuples(&joined, state_->Row(index)));
+      INSIGHTNOTES_RETURN_IF_ERROR(core::MergeAnnotatedTuples(&joined, *right));
       Trace(joined);
       out->tuples.push_back(std::move(joined));
     }

@@ -13,11 +13,18 @@
 // build-insertion order regardless of P: probes produce the same output at
 // every worker count. The planner shares one state across the P
 // HashJoinProbeOperators of a section (see exec/parallel.h).
+//
+// Build rows arrive with their Theorem-1 trim pending (see
+// core/annotated_tuple.h). A row is settled once, by whichever probe
+// worker matches it first, under a per-row once-flag reset with the
+// state: rows that never match never pay for the restriction, and a row
+// matched by many probe tuples pays once.
 
 #ifndef INSIGHTNOTES_EXEC_HASH_JOIN_H_
 #define INSIGHTNOTES_EXEC_HASH_JOIN_H_
 
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -48,7 +55,10 @@ class HashJoinBuildState final : public SharedPlanState {
   /// NULL keys never match.
   const std::vector<size_t>* Find(const rel::Value& key) const;
 
-  const core::AnnotatedTuple& Row(size_t index) const { return rows_[index]; }
+  /// Build row `index`, settled on the first call for it (concurrent
+  /// callers wait for that one settle). Returns the settle's error, if
+  /// any, to every caller.
+  Result<const core::AnnotatedTuple*> SettledRow(size_t index);
   const rel::Schema& schema() const { return input_->OutputSchema(); }
   const std::string& key_name() const { return key_name_; }
   size_t num_partitions() const { return num_partitions_; }
@@ -68,6 +78,10 @@ class HashJoinBuildState final : public SharedPlanState {
   MemoryReservation build_reservation_;    // Charges rows_/keys_/partitions_.
 
   std::vector<core::AnnotatedTuple> rows_;  // Build input, input order.
+  // Per row: settled once on first match; the settle's outcome is written
+  // inside the once-call, so every later caller reads it race-free.
+  std::unique_ptr<std::once_flag[]> settled_;
+  std::vector<Status> settle_status_;
   std::vector<rel::Value> keys_;            // Key per row (may be NULL).
   std::vector<size_t> hashes_;              // ValueHash per row.
   std::vector<PartitionMap> partitions_;

@@ -198,6 +198,11 @@ Status GatherOperator::DrainWorker(size_t w) {
     core::AnnotatedBatch batch;
     INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, worker->NextBatch(&batch));
     if (!more) break;
+    // Rows leave the worker settled: the pending trim is applied here, in
+    // parallel, not serially by whoever consumes the gathered stream.
+    for (core::AnnotatedTuple& tuple : batch.tuples) {
+      INSIGHTNOTES_RETURN_IF_ERROR(tuple.Settle());
+    }
     INSIGHTNOTES_RETURN_IF_ERROR(mem->Charge(core::ApproxBytes(batch)));
     // Empty batches count too: a fully filtered morsel still advances the
     // quota's contiguous completed prefix.

@@ -306,9 +306,9 @@ class GatherOperator final : public Operator {
   Status CloseImpl() override;
 
  private:
-  /// Runs worker `w`'s pipeline to exhaustion, charging its gathered
-  /// batches to the budget. On failure, aborts morsel dispatch so peers
-  /// drain at their next claim.
+  /// Runs worker `w`'s pipeline to exhaustion, settling each gathered
+  /// tuple's pending trim and charging its batches to the budget. On
+  /// failure, aborts morsel dispatch so peers drain at their next claim.
   Status DrainWorker(size_t w);
   /// DrainWorker with exception containment: a throwing pipeline stage
   /// surfaces as Status::Internal on the gather path, never std::terminate.

@@ -23,9 +23,19 @@ ProjectOperator::ProjectOperator(std::unique_ptr<Operator> child,
     schema_.AddColumn(
         rel::Column{items_[item].output_name, items_[item].type, items_[item].qualifier});
   }
+  identity_ = items_.size() == kept_positions_.size();
+  single_position_ = true;
+  ordered_ = true;
+  size_t next = 0;  // Lowest position the next kept column may map to.
   for (size_t c = 0; c < kept_positions_.size(); ++c) {
-    if (!kept_positions_[c].empty()) kept_columns_.push_back(c);
+    const std::vector<size_t>& positions = kept_positions_[c];
+    identity_ = identity_ && positions.size() == 1 && positions.front() == c;
+    if (positions.empty()) continue;
+    single_position_ = single_position_ && positions.size() == 1;
+    ordered_ = ordered_ && positions.front() >= next;
+    next = positions.back() + 1;
   }
+  ordered_ = ordered_ && single_position_;
 }
 
 Result<std::unique_ptr<ProjectOperator>> ProjectOperator::FromColumns(
@@ -48,48 +58,75 @@ Result<std::unique_ptr<ProjectOperator>> ProjectOperator::FromColumns(
                                            trim_annotations);
 }
 
+void ProjectOperator::RemapColumns(std::vector<size_t>* columns) const {
+  if (single_position_) {
+    // Each column maps to at most one output position: compact in place.
+    size_t n = 0;
+    for (size_t i = 0; i < columns->size(); ++i) {
+      const size_t c = (*columns)[i];
+      if (c < kept_positions_.size() && !kept_positions_[c].empty()) {
+        (*columns)[n++] = kept_positions_[c].front();
+      }
+    }
+    columns->resize(n);
+  } else {
+    // A column feeding several items: append the output positions behind
+    // the input ones, then drop the input ones.
+    const size_t n = columns->size();
+    for (size_t i = 0; i < n; ++i) {
+      const size_t c = (*columns)[i];
+      if (c < kept_positions_.size()) {
+        columns->insert(columns->end(), kept_positions_[c].begin(),
+                        kept_positions_[c].end());
+      }
+    }
+    columns->erase(columns->begin(), columns->begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  // An order-preserving one-to-one map keeps the set ascending and unique.
+  if (!ordered_ && columns->size() > 1) NormalizeCoverage(columns);
+}
+
+void ProjectOperator::TrimAttachments(core::AnnotatedTuple* tuple) const {
+  // Ids trimmed by an earlier projection already left the attachment list,
+  // so the ones appended here are disjoint from them; both runs ascend.
+  const size_t pending = tuple->trimmed.size();
+  std::vector<core::AttachmentInfo>& attachments = tuple->attachments;
+  size_t kept = 0;
+  for (size_t i = 0; i < attachments.size(); ++i) {
+    core::AttachmentInfo& att = attachments[i];
+    // Whole-row coverage (empty set) survives every projection unchanged.
+    if (!att.columns.empty()) {
+      RemapColumns(&att.columns);
+      // Every covered column was dropped. A plumbing projection keeps the
+      // annotation, degraded to whole-row coverage.
+      if (att.columns.empty() && trim_annotations_) {
+        tuple->trimmed.push_back(att.id);
+        continue;
+      }
+    }
+    if (kept != i) attachments[kept] = std::move(att);
+    ++kept;
+  }
+  attachments.resize(kept);
+  if (pending > 0 && tuple->trimmed.size() > pending) {
+    std::inplace_merge(tuple->trimmed.begin(),
+                       tuple->trimmed.begin() + static_cast<std::ptrdiff_t>(pending),
+                       tuple->trimmed.end());
+  }
+}
+
 Status ProjectOperator::ProjectTuple(core::AnnotatedTuple* in_ptr,
                                      core::AnnotatedTuple* out) const {
   core::AnnotatedTuple& in = *in_ptr;
-  // 1. Trim: eliminate the effect of annotations attached only to
-  //    projected-out columns (before any downstream merge — Theorem 1).
-  //    The attachment list ascends by id, so the trimmed ids come out
-  //    sorted and each summary restricts itself in one pass. Surviving
-  //    attachments are compacted in place.
-  std::vector<ann::AnnotationId> trimmed;
-  std::vector<size_t> columns;
-  size_t kept = 0;
-  for (size_t i = 0; i < in.attachments.size(); ++i) {
-    core::AttachmentInfo& att = in.attachments[i];
-    bool survives =
-        !trim_annotations_ || att.columns.empty() ||
-        std::any_of(att.columns.begin(), att.columns.end(), [&](size_t c) {
-          return c < kept_positions_.size() && !kept_positions_[c].empty();
-        });
-    if (!survives) {
-      trimmed.push_back(att.id);
-      continue;
-    }
-    // 2. Remap covered columns to output positions.
-    columns.clear();
-    for (size_t c : att.columns) {
-      if (c < kept_positions_.size()) {
-        columns.insert(columns.end(), kept_positions_[c].begin(), kept_positions_[c].end());
-      }
-    }
-    NormalizeCoverage(&columns);
-    att.columns.assign(columns.begin(), columns.end());
-    if (kept != i) in.attachments[kept] = std::move(att);
-    ++kept;
-  }
-  in.attachments.resize(kept);
-  if (!trimmed.empty()) {
-    for (auto& summary : in.summaries) {
-      INSIGHTNOTES_RETURN_IF_ERROR(summary->Restrict(trimmed));
-    }
-  }
+  // 1. Trim (Theorem 1): annotations attached only to projected-out
+  //    columns leave the attachment list here and their ids join the
+  //    tuple's pending trim; the summaries are restricted by the tuple's
+  //    first Settle(), which comes before any merge. Surviving
+  //    attachments are remapped to output positions in place. A projection
+  //    that keeps every column where it is changes neither.
+  if (!identity_) TrimAttachments(&in);
 
-  // 3. Project the data values.
+  // 2. Project the data values.
   rel::Tuple projected;
   for (const ProjectionItem& item : items_) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, item.expr->Evaluate(in.tuple));
@@ -99,6 +136,7 @@ Status ProjectOperator::ProjectTuple(core::AnnotatedTuple* in_ptr,
   out->tuple = std::move(projected);
   out->summaries = std::move(in.summaries);
   out->attachments = std::move(in.attachments);
+  out->trimmed = std::move(in.trimmed);
   // Per-table Theorem-1 projections sit below the joins of a reordered
   // plan; carry the order keys through to the RestoreOrder above.
   out->order_ranks = std::move(in.order_ranks);

@@ -1,12 +1,15 @@
 // Projection — the semantically richest summary operator (Figure 2 step 1,
 // Theorems 1 & 2 of the full paper). Besides projecting the data columns it
 // eliminates the effect of every annotation attached exclusively to
-// projected-out columns: the tuple's trimmed ids are sorted once and each
-// summary object restricts itself in one pass (classifier counts
-// decremented, snippets of dropped documents deleted, cluster members
-// removed with one re-election per touched group). The planner places
-// projections *before* merge operators so equivalent plans propagate
-// identical summaries.
+// projected-out columns. Theorem 1 only needs that elimination before any
+// merge, so the projection drops the annotations from the attachment list
+// at once and records their ids (ascending) as the tuple's pending trim;
+// AnnotatedTuple::Settle() then has each summary object restrict itself
+// in one pass (classifier counts decremented, snippets of dropped
+// documents deleted, cluster members removed with one re-election per
+// touched group) — only for tuples that reach a merge, a summary read or
+// the result. The planner places projections *before* merge operators so
+// equivalent plans propagate identical summaries.
 
 #ifndef INSIGHTNOTES_EXEC_PROJECTION_H_
 #define INSIGHTNOTES_EXEC_PROJECTION_H_
@@ -31,8 +34,9 @@ class ProjectOperator final : public Operator {
  public:
   /// `trim_annotations` selects between the two projection roles:
   ///  * true — the Theorem-1 normalization projection: annotations attached
-  ///    only to dropped columns are *eliminated* from the summaries. The
-  ///    planner places these below every merge operator.
+  ///    only to dropped columns are *eliminated* from the summaries (by the
+  ///    tuple's next Settle()). The planner places these below every merge
+  ///    operator.
   ///  * false — a plumbing projection (e.g. Figure 2 step 4, dropping the
   ///    join column s.x after the join): summaries propagate unchanged;
   ///    coverage of fully-dropped columns degrades to whole-row.
@@ -57,14 +61,21 @@ class ProjectOperator final : public Operator {
  private:
   /// Trims/remaps annotations and projects the data values of one tuple.
   Status ProjectTuple(core::AnnotatedTuple* in, core::AnnotatedTuple* out) const;
+  /// Drops the attachments covering only dropped columns (their ids join
+  /// the pending trim) and remaps the others to output positions.
+  void TrimAttachments(core::AnnotatedTuple* tuple) const;
+  /// Maps a normalized child column set to output positions, in place.
+  void RemapColumns(std::vector<size_t>* columns) const;
 
   std::unique_ptr<Operator> child_;
   std::vector<ProjectionItem> items_;
   rel::Schema schema_;
   // kept_[c]: output item indexes that reference child column c.
   std::vector<std::vector<size_t>> kept_positions_;
-  std::vector<size_t> kept_columns_;  // Child columns referenced by any item.
   bool trim_annotations_;
+  bool identity_;         // Output column i is child column i, for every i.
+  bool single_position_;  // No child column feeds more than one item.
+  bool ordered_;          // One-to-one and ascending: remapped sets stay sorted.
 };
 
 }  // namespace insightnotes::exec

@@ -7,8 +7,7 @@
 
 namespace insightnotes::exec {
 
-Status EvaluateSortKeys(const std::vector<SortKey>& keys,
-                        const core::AnnotatedTuple& tuple,
+Status EvaluateSortKeys(const std::vector<SortKey>& keys, core::AnnotatedTuple* tuple,
                         std::vector<rel::Value>* values) {
   values->clear();
   values->reserve(keys.size());
@@ -17,7 +16,7 @@ Status EvaluateSortKeys(const std::vector<SortKey>& keys,
       INSIGHTNOTES_ASSIGN_OR_RETURN(int64_t count, key.spec->Evaluate(tuple));
       values->emplace_back(count);
     } else {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, key.expr->Evaluate(tuple.tuple));
+      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, key.expr->Evaluate(tuple->tuple));
       values->push_back(std::move(v));
     }
   }
@@ -55,7 +54,7 @@ Status SortOperator::OpenImpl() {
     INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(core::ApproxBytes(batch)));
     for (core::AnnotatedTuple& in : batch.tuples) {
       SortRunEntry entry;
-      INSIGHTNOTES_RETURN_IF_ERROR(EvaluateSortKeys(keys_, in, &entry.keys));
+      INSIGHTNOTES_RETURN_IF_ERROR(EvaluateSortKeys(keys_, &in, &entry.keys));
       entry.tuple = std::move(in);
       entries.push_back(std::move(entry));
     }
@@ -112,10 +111,10 @@ std::string PartialSortOperator::Name() const {
   return "PartialSort";
 }
 
-Status PartialSortOperator::BuildEntry(const core::AnnotatedBatch& batch,
-                                       size_t i, SortRunEntry* entry) {
-  INSIGHTNOTES_RETURN_IF_ERROR(EvaluateSortKeys(keys_, batch.tuples[i], &entry->keys));
-  entry->morsel = batch.morsel;
+Status PartialSortOperator::BuildEntry(core::AnnotatedBatch* batch, size_t i,
+                                       SortRunEntry* entry) {
+  INSIGHTNOTES_RETURN_IF_ERROR(EvaluateSortKeys(keys_, &batch->tuples[i], &entry->keys));
+  entry->morsel = batch->morsel;
   entry->pos = static_cast<uint32_t>(i);
   return Status::OK();
 }
@@ -131,7 +130,7 @@ Status PartialSortOperator::DrainUnbounded(std::vector<SortRunEntry>* run) {
         core::ApproxBytes(batch) + batch.tuples.size() * sizeof(SortRunEntry)));
     for (size_t i = 0; i < batch.tuples.size(); ++i) {
       SortRunEntry entry;
-      INSIGHTNOTES_RETURN_IF_ERROR(BuildEntry(batch, i, &entry));
+      INSIGHTNOTES_RETURN_IF_ERROR(BuildEntry(&batch, i, &entry));
       entry.tuple = std::move(batch.tuples[i]);
       run->push_back(std::move(entry));
     }
@@ -159,7 +158,7 @@ Status PartialSortOperator::DrainTopK(std::vector<SortRunEntry>* run) {
         ++metrics_.rows_pruned;
         continue;
       }
-      INSIGHTNOTES_RETURN_IF_ERROR(BuildEntry(batch, i, &entry));
+      INSIGHTNOTES_RETURN_IF_ERROR(BuildEntry(&batch, i, &entry));
       if (bound_->Refresh(&version, &shared)) have_shared = true;
       // Some worker holds k entries sorting at or before `shared`; a row
       // sorting strictly after it cannot be in the global top k.
@@ -205,6 +204,9 @@ Result<bool> PartialSortOperator::NextBatchImpl(core::AnnotatedBatch*) {
     // The rank makes SortRunLess a total order, so a plain sort suffices.
     std::sort(run.begin(), run.end(), SortRunLess(&ascending_));
   }
+  // Settled here, in the worker: only the rows that survived pruning pay
+  // for the pending trim, and the merge above the gather stays cheap.
+  for (SortRunEntry& entry : run) INSIGHTNOTES_RETURN_IF_ERROR(entry.tuple.Settle());
   metrics_.partial_groups += run.size();
   if (!run.empty()) sink_->Publish(std::move(run));
   return false;  // Runs surface via the sink, not as batches.

@@ -42,9 +42,8 @@ struct SortKey {
 };
 
 /// Evaluates `keys` against `tuple` into `values` (cleared first), in
-/// significance order.
-Status EvaluateSortKeys(const std::vector<SortKey>& keys,
-                        const core::AnnotatedTuple& tuple,
+/// significance order. A SUMMARY_COUNT key settles the object it reads.
+Status EvaluateSortKeys(const std::vector<SortKey>& keys, core::AnnotatedTuple* tuple,
                         std::vector<rel::Value>* values);
 
 /// One tuple of a per-worker sorted run: the precomputed key values plus
@@ -148,13 +147,14 @@ class TopKBound final : public SharedPlanState {
 };
 
 /// Per-worker sort: drains its pipeline, evaluates the key list per tuple,
-/// sorts the local run, and publishes it; emits no batches itself.
+/// sorts the local run, settles its tuples, and publishes it; emits no
+/// batches itself.
 ///
 /// With a TopKBound (`ORDER BY ... LIMIT k` pushdown) the worker keeps a
 /// size-k max-heap instead of the full run: rows sorting after the heap
 /// root (once full) or after the shared bound are dropped — counted in
 /// `rows_pruned` — and the heap root is published to the bound so other
-/// workers prune too.
+/// workers prune too. Only the kept rows are settled.
 class PartialSortOperator final : public Operator {
  public:
   PartialSortOperator(std::unique_ptr<Operator> child,
@@ -175,8 +175,7 @@ class PartialSortOperator final : public Operator {
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
-  Status BuildEntry(const core::AnnotatedBatch& batch, size_t i,
-                    SortRunEntry* entry);
+  Status BuildEntry(core::AnnotatedBatch* batch, size_t i, SortRunEntry* entry);
   Status DrainUnbounded(std::vector<SortRunEntry>* run);
   Status DrainTopK(std::vector<SortRunEntry>* run);
 

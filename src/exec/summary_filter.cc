@@ -2,8 +2,9 @@
 
 namespace insightnotes::exec {
 
-Result<int64_t> SummaryCountSpec::Evaluate(const core::AnnotatedTuple& tuple) const {
-  core::SummaryObject* object = tuple.FindSummary(instance);
+Result<int64_t> SummaryCountSpec::Evaluate(core::AnnotatedTuple* tuple) const {
+  INSIGHTNOTES_ASSIGN_OR_RETURN(core::SummaryObject * object,
+                                tuple->SettleSummary(instance));
   if (object == nullptr) return 0;
   if (label.empty()) return static_cast<int64_t>(object->NumAnnotations());
   int64_t count = 0;
@@ -22,7 +23,7 @@ std::string SummaryCountSpec::ToString() const {
          ")";
 }
 
-Result<bool> SummaryFilterOperator::Passes(const core::AnnotatedTuple& tuple) const {
+Result<bool> SummaryFilterOperator::Passes(core::AnnotatedTuple* tuple) const {
   INSIGHTNOTES_ASSIGN_OR_RETURN(int64_t count, spec_.Evaluate(tuple));
   switch (op_) {
     case rel::CompareOp::kEq:
@@ -46,7 +47,7 @@ Result<bool> SummaryFilterOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   if (!more) return false;
   size_t kept = 0;
   for (size_t i = 0; i < out->tuples.size(); ++i) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool pass, Passes(out->tuples[i]));
+    INSIGHTNOTES_ASSIGN_OR_RETURN(bool pass, Passes(&out->tuples[i]));
     if (!pass) continue;
     if (kept != i) out->tuples[kept] = std::move(out->tuples[i]);
     Trace(out->tuples[kept]);

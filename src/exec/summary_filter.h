@@ -8,7 +8,9 @@
 // group's label, a snippet title). SummaryFilterOperator, and SortOperator
 // for a SUMMARY_COUNT ORDER BY key (exec/sort.h), evaluate it against the
 // summary objects riding on each AnnotatedTuple — no raw-annotation
-// access.
+// access. Evaluation settles only the object it reads (see
+// AnnotatedTuple::SettleSummary): a row the predicate or a top-k heap then
+// drops never pays for restricting its other summaries.
 
 #ifndef INSIGHTNOTES_EXEC_SUMMARY_FILTER_H_
 #define INSIGHTNOTES_EXEC_SUMMARY_FILTER_H_
@@ -26,10 +28,11 @@ struct SummaryCountSpec {
   std::string instance;  // Summary instance name.
   std::string label;     // Component label; empty = all annotations.
 
-  /// Evaluates the count against `tuple`'s summaries. A tuple without a
-  /// summary object of `instance` counts 0 (e.g. after a join where only
-  /// one side carries the instance); an unknown label counts 0.
-  Result<int64_t> Evaluate(const core::AnnotatedTuple& tuple) const;
+  /// Evaluates the count against `tuple`'s summaries, first restricting
+  /// the object it reads by the tuple's pending trim, in place. A tuple
+  /// without a summary object of `instance` counts 0 (e.g. after a join
+  /// where only one side carries the instance); an unknown label counts 0.
+  Result<int64_t> Evaluate(core::AnnotatedTuple* tuple) const;
 
   std::string ToString() const;
 };
@@ -54,7 +57,7 @@ class SummaryFilterOperator final : public Operator {
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
-  Result<bool> Passes(const core::AnnotatedTuple& tuple) const;
+  Result<bool> Passes(core::AnnotatedTuple* tuple) const;
 
   std::unique_ptr<Operator> child_;
   SummaryCountSpec spec_;

@@ -386,15 +386,29 @@ class SelectPlanner {
   /// slot whose access path chose an index probe materializes only the
   /// probed rows — the original predicates all stay as filters above, so
   /// results are identical.
-  std::shared_ptr<exec::ScanMorselSource> MakeSource(size_t k) {
+  std::shared_ptr<exec::ScanMorselSource> MakeSource(size_t k, size_t morsel_size) {
     TableSlot& slot = tables_[k];
     auto source = std::make_shared<exec::ScanMorselSource>(
-        slot.table, slot.alias, /*with_summaries=*/true, options_.morsel_size);
+        slot.table, slot.alias, /*with_summaries=*/true, morsel_size);
     if (optimized_ && choice_.access[k].use_index) {
       source->SetIndexProbe(choice_.access[k].probe);
     }
     if (stamp_ranks_) source->EnableRankStamping();
     return source;
+  }
+
+  /// Morsel size of the driving scan over table `k` with `workers`
+  /// pipelines: at least four morsels per worker, so no worker is left
+  /// with a fixed-size remainder (300 rows in 256-row morsels split
+  /// 256 + 44 between two workers), but never below 16 rows nor above the
+  /// configured size. A one-worker section has nothing to balance and
+  /// keeps the configured size.
+  size_t DrivingMorselSize(size_t k, size_t workers) const {
+    const size_t configured = std::max<size_t>(1, options_.morsel_size);
+    if (workers <= 1) return configured;
+    const size_t rows = static_cast<size_t>(tables_[k].table->NumRows());
+    const size_t share = (rows + 4 * workers - 1) / (4 * workers);
+    return std::min(configured, std::max<size_t>(16, share));
   }
 
   /// One worker pipeline over `source`: scan [+ filter] [+ Theorem-1
@@ -412,7 +426,7 @@ class SelectPlanner {
   /// A hash-join build input: table `k`'s pipeline as a one-worker section,
   /// run inline when the build state resets.
   Result<std::unique_ptr<exec::Operator>> BuildTableInput(size_t k) {
-    std::shared_ptr<exec::ScanMorselSource> source = MakeSource(k);
+    std::shared_ptr<exec::ScanMorselSource> source = MakeSource(k, options_.morsel_size);
     std::vector<std::unique_ptr<exec::Operator>> pipes;
     INSIGHTNOTES_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> pipe,
                                   BuildTablePipe(k, source));
@@ -430,7 +444,8 @@ class SelectPlanner {
     const size_t num_workers = std::max<size_t>(1, options_.parallelism);
     ThreadPool* pool = num_workers > 1 ? engine_->ExecPool(num_workers) : nullptr;
     const size_t driver_slot = join_order_[0];
-    std::shared_ptr<exec::ScanMorselSource> source = MakeSource(driver_slot);
+    std::shared_ptr<exec::ScanMorselSource> source =
+        MakeSource(driver_slot, DrivingMorselSize(driver_slot, num_workers));
     std::vector<std::shared_ptr<exec::SharedPlanState>> states;
     states.push_back(source);
 

@@ -42,13 +42,6 @@ TEST(SortedIdsTest, MatchesStandardSetAlgorithms) {
                           std::back_inserter(common));
     EXPECT_EQ(IntersectsSorted(items, id_span), !common.empty());
 
-    std::vector<uint64_t> difference;
-    std::set_difference(items.begin(), items.end(), ids.begin(), ids.end(),
-                        std::back_inserter(difference));
-    std::vector<uint64_t> erased = items;
-    EraseSorted(&erased, id_span);
-    EXPECT_EQ(erased, difference);
-
     std::vector<uint64_t> all;
     std::set_union(items.begin(), items.end(), ids.begin(), ids.end(),
                    std::back_inserter(all));

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -93,22 +94,27 @@ class ParallelExecTest : public EngineFixture {
     }
   }
 
+  /// Plans `sql_text` at the given parallelism/morsel size and executes it.
+  Result<core::QueryResult> Execute(const std::string& sql_text, size_t parallelism,
+                                    size_t morsel_size) {
+    INSIGHTNOTES_ASSIGN_OR_RETURN(sql::Statement statement, sql::Parse(sql_text));
+    auto* select = std::get_if<sql::SelectStatement>(&statement);
+    if (select == nullptr) return Status::InvalidArgument("not a SELECT");
+    sql::PlannerOptions options;
+    options.parallelism = parallelism;
+    options.morsel_size = morsel_size;
+    INSIGHTNOTES_ASSIGN_OR_RETURN(auto plan,
+                                  sql::PlanSelect(*select, engine_.get(), options));
+    return engine_->Execute(std::move(plan));
+  }
+
   /// Plans `sql_text` at the given parallelism/morsel size, executes it,
   /// and renders every row byte-for-byte: data values, summaries in
   /// pipeline order (instance=Render(), so representative election and
   /// component order count), attachments in order.
   std::vector<std::string> Run(const std::string& sql_text, size_t parallelism,
                                size_t morsel_size) {
-    auto statement = sql::Parse(sql_text);
-    EXPECT_TRUE(statement.ok()) << statement.status().ToString();
-    auto* select = std::get_if<sql::SelectStatement>(&*statement);
-    EXPECT_NE(select, nullptr);
-    sql::PlannerOptions options;
-    options.parallelism = parallelism;
-    options.morsel_size = morsel_size;
-    auto plan = sql::PlanSelect(*select, engine_.get(), options);
-    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    auto result = engine_->Execute(std::move(*plan));
+    auto result = Execute(sql_text, parallelism, morsel_size);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     std::vector<std::string> rows;
     if (!result.ok()) return rows;
@@ -270,6 +276,57 @@ TEST_F(ParallelExecTest, TracedQueriesStaySerial) {
   auto out = session.Execute("SELECT o.id FROM obs o WHERE o.reading > 20", &trace);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_FALSE(trace.empty());
+}
+
+// Build rows are shared by every probe worker and carry the build-side
+// projection's trim pending until their first match settles them, once.
+// Each station row here matches ~43 obs rows (many-to-one) or every probe
+// row (cross product) across 4 workers, and its cell notes on `name` are
+// trimmed by the projection to `sid`: results must be byte-identical to
+// one worker, and no joined row may hold a trimmed note. Repeated under
+// TSAN in CI (concurrent first matches of one build row).
+TEST_F(ParallelExecTest, SharedBuildRowsSettleOnceAcrossWorkers) {
+  ASSERT_TRUE(engine_->LinkInstance("ClassBird1", "station").ok());
+  ASSERT_TRUE(engine_->LinkInstance("SimCluster", "station").ok());
+  const std::vector<std::string> bodies = {
+      "found eating stonewort near the shore",
+      "signs of influenza infection detected",
+      "wingspan and body size measured today",
+  };
+  for (rel::RowId sid = 0; sid < 7; ++sid) {
+    for (size_t k = 0; k < 3 + sid; ++k) {
+      ASSERT_TRUE(
+          engine_->Annotate(Spec("station", sid, bodies[k % bodies.size()], {1})).ok());
+    }
+    ASSERT_TRUE(engine_->Annotate(Spec("station", sid, bodies[sid % 3], {0})).ok());
+  }
+  for (const std::string q :
+       {"SELECT o.id, s.sid FROM obs o, station s WHERE o.station = s.sid",
+        "SELECT o.id, s.sid FROM obs o, station s WHERE o.id < 60"}) {
+    SCOPED_TRACE(q);
+    std::vector<std::string> serial = Run(q, 1, 16);
+    ASSERT_FALSE(serial.empty());
+    for (int iteration = 0; iteration < 5; ++iteration) {
+      EXPECT_EQ(serial, Run(q, 4, 16));
+    }
+    auto result = Execute(q, 4, 16);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (const core::AnnotatedTuple& row : result->rows) {
+      for (const auto& summary : row.summaries) {
+        for (size_t c = 0; c < summary->NumComponents(); ++c) {
+          auto ids = summary->ZoomIn(c);
+          ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+          for (ann::AnnotationId id : *ids) {
+            EXPECT_TRUE(std::any_of(row.attachments.begin(), row.attachments.end(),
+                                    [id](const core::AttachmentInfo& a) {
+                                      return a.id == id;
+                                    }))
+                << summary->instance_name() << " kept trimmed note " << id;
+          }
+        }
+      }
+    }
+  }
 }
 
 // TSAN target: hammer the parallel partitioned hash-join build and the

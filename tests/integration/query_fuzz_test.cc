@@ -651,6 +651,58 @@ TEST_F(QueryFuzzTest, RandomQueriesMatchSerialByteForByte) {
   }
 }
 
+// No missed settle: a projection defers its Theorem-1 restriction to the
+// tuples that survive (AnnotatedTuple::Settle), so every result row must
+// come back settled — its summary objects may only hold annotations that
+// are still attached to it. Over the whole corpus (aggregates, DISTINCT,
+// LIMIT, SUMMARY_COUNT filters and sort keys, joins), at one worker and
+// at parallelism 8, each object's ids (the union of ZoomIn over its
+// components) must be a subset of the row's attachment ids; on queries
+// over `t` alone, whose instances summarize every annotation, the two
+// sets must be equal.
+TEST_F(QueryFuzzTest, SummariesHoldOnlyAttachedAnnotations) {
+  const uint64_t seed = FuzzSeed();
+  Random rng(seed);
+  int checked_rows = 0;
+  for (int q = 0; q < kNumQueries; ++q) {
+    const std::string sql = GenQuery(rng);
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " query#" + std::to_string(q) +
+                 " sql: " + sql);
+    const bool t_only = sql.find(", d d") == std::string::npos;
+    for (size_t parallelism : {1u, 8u}) {
+      core::QueryResult result = Execute(sql, parallelism, 16);
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "replay: INSIGHTNOTES_FUZZ_SEED=" << seed << "\n  " << sql;
+      for (const core::AnnotatedTuple& row : result.rows) {
+        ASSERT_TRUE(row.trimmed.empty()) << row.tuple.ToString();
+        std::set<ann::AnnotationId> attached;
+        for (const auto& attachment : row.attachments) attached.insert(attachment.id);
+        for (const auto& summary : row.summaries) {
+          std::set<ann::AnnotationId> held;
+          for (size_t c = 0; c < summary->NumComponents(); ++c) {
+            auto ids = summary->ZoomIn(c);
+            ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+            held.insert(ids->begin(), ids->end());
+          }
+          ASSERT_TRUE(std::includes(attached.begin(), attached.end(), held.begin(),
+                                    held.end()))
+              << "parallelism=" << parallelism << " " << summary->instance_name()
+              << " holds an annotation the row no longer carries: "
+              << row.tuple.ToString() << "\nreplay: INSIGHTNOTES_FUZZ_SEED=" << seed;
+          if (t_only) {
+            ASSERT_EQ(held, attached)
+                << "parallelism=" << parallelism << " " << summary->instance_name()
+                << " row " << row.tuple.ToString()
+                << "\nreplay: INSIGHTNOTES_FUZZ_SEED=" << seed;
+          }
+        }
+        ++checked_rows;
+      }
+    }
+  }
+  EXPECT_GT(checked_rows, kNumQueries);
+}
+
 // Independent oracle: every corpus query in the scan/filter/project/join
 // fragment (cross products included) must return, at one worker and at
 // parallelism 8, the rows RawPropagationEngine computes from the raw

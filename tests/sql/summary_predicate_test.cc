@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "exec/summary_filter.h"
+#include "sql/parser.h"
+#include "sql/planner.h"
 #include "sql/session.h"
 #include "testutil.h"
 
@@ -43,15 +45,15 @@ TEST_F(SummaryPredicateTest, SpecEvaluatesCounts) {
   ASSERT_TRUE(scan.ok());
   std::vector<core::AnnotatedTuple> rows = testutil::DrainRows(engine_.get(), scan->get());
   ASSERT_FALSE(rows.empty());
-  const core::AnnotatedTuple& t = rows.front();
+  core::AnnotatedTuple& t = rows.front();
   exec::SummaryCountSpec total{"ClassBird1", ""};
-  EXPECT_EQ(*total.Evaluate(t), 4);
+  EXPECT_EQ(*total.Evaluate(&t), 4);
   exec::SummaryCountSpec behavior{"ClassBird1", "Behavior"};
-  EXPECT_EQ(*behavior.Evaluate(t), 3);
+  EXPECT_EQ(*behavior.Evaluate(&t), 3);
   exec::SummaryCountSpec unknown_label{"ClassBird1", "Nope"};
-  EXPECT_EQ(*unknown_label.Evaluate(t), 0);
+  EXPECT_EQ(*unknown_label.Evaluate(&t), 0);
   exec::SummaryCountSpec unknown_instance{"Ghost", ""};
-  EXPECT_EQ(*unknown_instance.Evaluate(t), 0);
+  EXPECT_EQ(*unknown_instance.Evaluate(&t), 0);
 }
 
 TEST_F(SummaryPredicateTest, FilterByTotalCount) {
@@ -109,6 +111,66 @@ TEST_F(SummaryPredicateTest, SummaryPredicateAfterJoin) {
   // Row (1, z0): merged ClassBird2 has 4 from R + 1 from S = 5.
   ASSERT_EQ(out.result.rows.size(), 1u);
   EXPECT_EQ(out.result.rows[0].tuple.ValueAt(0).AsInt64(), 1);
+}
+
+// A projection defers its Theorem-1 restriction, so a SUMMARY_COUNT read
+// above it must settle the object it reads. Every row of p carries i % 3
+// notes on the kept column `val` and i % 4 notes on the dropped column
+// `junk`: untrimmed, many more rows would pass the filter and the count
+// order would put rows 11, 23, 35 first.
+TEST_F(SummaryPredicateTest, CountsAboveTrimmedProjectionSeeTheTrim) {
+  ASSERT_TRUE(engine_
+                  ->CreateTable("p", rel::Schema({{"id", rel::ValueType::kInt64, "p"},
+                                                  {"val", rel::ValueType::kInt64, "p"},
+                                                  {"junk", rel::ValueType::kString, "p"}}))
+                  .ok());
+  constexpr int64_t kRows = 40;
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(
+        engine_->Insert("p", rel::Tuple({testutil::I(i), testutil::I(i), testutil::S("j")}))
+            .ok());
+  }
+  ASSERT_TRUE(engine_->LinkInstance("ClassBird1", "p").ok());
+  for (int64_t i = 0; i < kRows; ++i) {
+    const rel::RowId row = static_cast<rel::RowId>(i);
+    for (int64_t k = 0; k < i % 3; ++k) {
+      ASSERT_TRUE(engine_->Annotate(Spec("p", row, "found eating stonewort", {1})).ok());
+    }
+    for (int64_t k = 0; k < i % 4; ++k) {
+      ASSERT_TRUE(engine_->Annotate(Spec("p", row, "signs of influenza", {2})).ok());
+    }
+  }
+  auto run = [&](const std::string& sql, size_t parallelism) {
+    auto statement = Parse(sql);
+    EXPECT_TRUE(statement.ok()) << statement.status().ToString();
+    PlannerOptions options;
+    options.parallelism = parallelism;
+    options.morsel_size = 4;
+    auto plan = PlanSelect(std::get<SelectStatement>(*statement), engine_.get(), options);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    auto result = engine_->Execute(std::move(*plan));
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::pair<int64_t, size_t>> rows;  // (id, ClassBird1 count).
+    if (!result.ok()) return rows;
+    for (const core::AnnotatedTuple& row : result->rows) {
+      const core::SummaryObject* object = row.FindSummary("ClassBird1");
+      rows.emplace_back(row.tuple.ValueAt(0).AsInt64(),
+                        object != nullptr ? object->NumAnnotations() : 0);
+    }
+    return rows;
+  };
+  for (size_t parallelism : {1u, 4u}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+    using Rows = std::vector<std::pair<int64_t, size_t>>;
+    EXPECT_EQ(run("SELECT p.id, p.val FROM p p WHERE SUMMARY_COUNT(ClassBird1) >= 2 "
+                  "ORDER BY p.id DESC LIMIT 4",
+                  parallelism),
+              (Rows{{38, 2}, {35, 2}, {32, 2}, {29, 2}}));
+    EXPECT_EQ(run("SELECT p.id, p.val FROM p p "
+                  "ORDER BY SUMMARY_COUNT(ClassBird1) DESC, p.id LIMIT 3",
+                  parallelism),
+              (Rows{{2, 2}, {5, 2}, {8, 2}}));
+  }
 }
 
 TEST_F(SummaryPredicateTest, NonLiteralComparisonRejected) {

@@ -48,7 +48,8 @@ inline bool PinEpoch(core::Engine* engine, exec::Operator* op) {
 
 /// Pins `engine`'s current epoch on `op` (see PinEpoch), opens it and
 /// drains it batch by batch, expecting every call to succeed; returns the
-/// rows in emission order.
+/// rows in emission order, settled (their pending trim applied) as
+/// Engine::Execute returns them.
 inline std::vector<core::AnnotatedTuple> DrainRows(core::Engine* engine,
                                                    exec::Operator* op) {
   std::vector<core::AnnotatedTuple> rows;
@@ -61,7 +62,11 @@ inline std::vector<core::AnnotatedTuple> DrainRows(core::Engine* engine,
     auto more = op->NextBatch(&batch);
     EXPECT_TRUE(more.ok()) << more.status().ToString();
     if (!more.ok() || !*more) break;
-    for (core::AnnotatedTuple& tuple : batch.tuples) rows.push_back(std::move(tuple));
+    for (core::AnnotatedTuple& tuple : batch.tuples) {
+      Status settled = tuple.Settle();
+      EXPECT_TRUE(settled.ok()) << settled.ToString();
+      rows.push_back(std::move(tuple));
+    }
   }
   return rows;
 }

@@ -68,8 +68,12 @@ void BM_InsertThroughputVsInstances(benchmark::State& state) {
   state.SetLabel(std::string(clusters ? "cluster" : "classifier") + " x" +
                  std::to_string(k));
 }
+// Fixed iterations: every insert grows the rows' summaries, so a
+// time-based iteration count would make a faster build insert into larger
+// rows and report a higher per-insert cost.
 BENCHMARK(BM_InsertThroughputVsInstances)
     ->ArgsProduct({{1, 2, 4, 8, 16}, {0, 1}})
+    ->Iterations(3000)
     ->Unit(benchmark::kMicrosecond);
 
 /// Batched parallel ingest with k instances linked: thread sweep at a fixed

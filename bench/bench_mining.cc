@@ -10,6 +10,7 @@
 #include "mining/clustering.h"
 #include "mining/naive_bayes.h"
 #include "mining/snippets.h"
+#include "txt/analyzer.h"
 #include "txt/tokenizer.h"
 #include "workload/annotation_gen.h"
 
@@ -38,6 +39,20 @@ void BM_Tokenize(benchmark::State& state) {
 }
 BENCHMARK(BM_Tokenize);
 
+/// The ingest path's one analysis of a body: term ids through the shared
+/// analyzer, whose surface-form memo is warm after the first pass over the
+/// sample (as it is after a few hundred annotations of ingest).
+void BM_AnalyzeAnnotation(benchmark::State& state) {
+  txt::Analyzer analyzer;
+  auto comments = SampleComments(256, 3);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analyzer.Analyze(comments[i++ % comments.size()]));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AnalyzeAnnotation);
+
 void BM_NaiveBayesTrain(benchmark::State& state) {
   auto comments = SampleComments(256, 5);
   mining::NaiveBayesClassifier nb({"a", "b", "c", "d"});
@@ -55,10 +70,16 @@ void BM_NaiveBayesClassify(benchmark::State& state) {
   for (const auto& [label, text] : workload::AnnotationGenerator::ClassBird1Training()) {
     Check(nb.Train(label, text), "train");
   }
-  auto comments = SampleComments(256, 7);
+  // Ingest classifies bodies the analyzer already turned into term ids,
+  // over the compiled tables.
+  nb.Compile();
+  std::vector<std::vector<txt::TermId>> bodies;
+  for (const std::string& comment : SampleComments(256, 7)) {
+    bodies.push_back(nb.analyzer()->Analyze(comment).terms);
+  }
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nb.Classify(comments[i++ % comments.size()]));
+    benchmark::DoNotOptimize(nb.Classify(bodies[i++ % bodies.size()]));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -66,14 +87,14 @@ BENCHMARK(BM_NaiveBayesClassify);
 
 void BM_ClusterInsert(benchmark::State& state) {
   size_t preexisting = static_cast<size_t>(state.range(0));
-  mining::TextVectorizer vectorizer;
+  txt::Analyzer analyzer;
   mining::DocVectorStore store;
   mining::ClusterSet clusters(&store, 0.35);
   auto comments = SampleComments(preexisting + 4096, 9);
-  // Vectorizes, commits (a restarted pool keeps its first vectors) and
+  // Analyses, commits (a restarted pool keeps its first vectors) and
   // clusters one comment.
   auto add = [&](mining::DocId doc) {
-    store.Commit(doc, vectorizer.Vectorize(comments[doc]));
+    store.Commit(doc, txt::SparseVector::FromTermIds(analyzer.Analyze(comments[doc]).terms));
     Check(clusters.Add(doc).status(), "add");
   };
   mining::DocId next = 0;
@@ -99,18 +120,22 @@ void BM_SnippetExtraction(benchmark::State& state) {
   workload::AnnotationGenerator gen(11);
   auto doc = gen.GenerateDocument(workload::CuratedSpecies()[0], sentences);
   mining::SnippetExtractor extractor;
+  txt::Analyzer analyzer;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.Summarize(doc.annotation.body));
+    const std::string& body = doc.annotation.body;
+    benchmark::DoNotOptimize(extractor.Summarize(body, analyzer.Analyze(body)));
   }
   state.SetLabel("sentences=" + std::to_string(sentences));
 }
 BENCHMARK(BM_SnippetExtraction)->Arg(5)->Arg(20)->Arg(100)->Unit(benchmark::kMicrosecond);
 
 void BM_SparseCosine(benchmark::State& state) {
-  mining::TextVectorizer vectorizer;
+  txt::Analyzer analyzer;
   auto comments = SampleComments(64, 13);
   std::vector<txt::SparseVector> vectors;
-  for (const auto& c : comments) vectors.push_back(vectorizer.Vectorize(c));
+  for (const auto& c : comments) {
+    vectors.push_back(txt::SparseVector::FromTermIds(analyzer.Analyze(c).terms));
+  }
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -975,6 +975,16 @@ Status Engine::RegisterInstance(std::unique_ptr<SummaryInstance> instance) {
   return manager_->RegisterInstance(std::move(instance));
 }
 
+Status Engine::TrainClassifier(const std::string& instance, size_t label,
+                               std::string_view text) {
+  std::lock_guard<std::mutex> writer(writer_mutex_);
+  INSIGHTNOTES_ASSIGN_OR_RETURN(SummaryInstance * target, manager_->GetInstance(instance));
+  if (target->classifier() == nullptr) {
+    return Status::InvalidArgument("summary instance '" + instance + "' is not a classifier");
+  }
+  return target->classifier()->Train(label, text);
+}
+
 Status Engine::LinkInstance(const std::string& instance, const std::string& table) {
   INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * t, catalog_->GetTable(table));
   std::lock_guard<std::mutex> writer(writer_mutex_);

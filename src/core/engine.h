@@ -21,6 +21,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -256,6 +257,10 @@ class Engine {
 
   // --- Summary instances ----------------------------------------------------
   Status RegisterInstance(std::unique_ptr<SummaryInstance> instance);
+  /// Adds one training document for `label` to classifier instance
+  /// `instance`. Training grows the text analyzer every registered instance
+  /// shares, so it takes the writer mutex like ingest does.
+  Status TrainClassifier(const std::string& instance, size_t label, std::string_view text);
   Status LinkInstance(const std::string& instance, const std::string& table);
   Status UnlinkInstance(const std::string& instance, const std::string& table);
 

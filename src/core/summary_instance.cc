@@ -8,8 +8,8 @@ std::unique_ptr<SummaryInstance> SummaryInstance::MakeClassifier(
     std::string name, std::vector<std::string> labels, SummaryProperties properties) {
   auto instance = std::unique_ptr<SummaryInstance>(new SummaryInstance(
       std::move(name), SummaryTypeKind::kClassifier, properties));
-  instance->classifier_ =
-      std::make_unique<mining::NaiveBayesClassifier>(std::move(labels));
+  instance->classifier_ = std::make_unique<mining::NaiveBayesClassifier>(
+      std::move(labels), instance->analyzer_);
   return instance;
 }
 
@@ -20,7 +20,6 @@ std::unique_ptr<SummaryInstance> SummaryInstance::MakeCluster(
   properties.annotation_invariant = false;
   auto instance = std::unique_ptr<SummaryInstance>(
       new SummaryInstance(std::move(name), SummaryTypeKind::kCluster, properties));
-  instance->vectorizer_ = std::make_unique<mining::TextVectorizer>();
   instance->cluster_threshold_ = threshold;
   return instance;
 }
@@ -45,24 +44,58 @@ std::unique_ptr<SummaryObject> SummaryInstance::NewObject() {
   return nullptr;
 }
 
-size_t SummaryInstance::ClassifyAnnotation(const ann::Annotation& note) {
-  if (properties_.SummarizeOnceEligible()) {
+Status SummaryInstance::BindAnalyzer(std::shared_ptr<txt::Analyzer> analyzer) {
+  if (analyzer == analyzer_) return Status::OK();
+  if (!vectors_.empty()) {
+    return Status::InvalidArgument("summary instance '" + name_ +
+                                   "' holds document vectors over another analyzer");
+  }
+  if (classifier_ != nullptr) classifier_->Rebind(analyzer);
+  analyzer_ = std::move(analyzer);
+  return Status::OK();
+}
+
+txt::Analysis SummaryInstance::TokenizeBody(const ann::Annotation& note) {
+  return analyzer_->Analyze(note.body);
+}
+
+void SummaryInstance::Compile() {
+  if (classifier_ != nullptr) classifier_->Compile();
+}
+
+template <typename T, typename Compute>
+T SummaryInstance::Memoized(std::unordered_map<ann::AnnotationId, T>* cache,
+                            ann::AnnotationId id, const Compute& compute) {
+  const bool once = properties_.SummarizeOnceEligible();
+  if (once) {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = label_cache_.find(note.id);
-    if (it != label_cache_.end()) {
+    auto it = cache->find(id);
+    if (it != cache->end()) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
   }
-  // The classifier is const/stateless: concurrent shards classify unlocked.
-  size_t label = classifier_->Classify(note.body);
-  std::lock_guard<std::mutex> lock(cache_mutex_);
+  T value = compute();
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (properties_.SummarizeOnceEligible()) label_cache_.emplace(note.id, label);
-  return label;
+  if (once) {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    cache->emplace(id, value);
+  }
+  return value;
 }
 
-void SummaryInstance::VectorizeAnnotation(const ann::Annotation& note) {
+size_t SummaryInstance::ClassifyAnnotation(const ann::Annotation& note,
+                                           const txt::Analysis* body) {
+  // With a body the classifier only reads its compiled tables, so
+  // concurrent shards classify unlocked.
+  return Memoized(&label_cache_, note.id, [&] {
+    return body != nullptr ? classifier_->Classify(body->terms)
+                           : classifier_->Classify(note.body);
+  });
+}
+
+void SummaryInstance::VectorizeAnnotation(const ann::Annotation& note,
+                                          const txt::Analysis* body) {
   // Vectorization is invariant even when cluster assignment is not. The
   // vector is ALWAYS retained here — cluster objects resolve member vectors
   // through this store so they stay lightweight. The invariant property
@@ -72,51 +105,28 @@ void SummaryInstance::VectorizeAnnotation(const ann::Annotation& note) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  txt::SparseVector vec;
-  {
-    // The vectorizer grows the shared vocabulary: serialize it. Parallel
-    // ingest avoids this path by committing tokens up front (CommitTokens),
-    // so only non-data-invariant recomputation contends here.
-    std::lock_guard<std::mutex> lock(kernel_mutex_);
-    vec = vectorizer_->Vectorize(note.body);
+  txt::Analysis own;
+  if (body == nullptr) {
+    own = TokenizeBody(note);
+    body = &own;
   }
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
   // A vector already stored for this id is identical and stays.
-  vectors_.Commit(note.id, std::move(vec));
+  vectors_.Commit(note.id, txt::SparseVector::FromTermIds(body->terms));
 }
 
-std::string SummaryInstance::SummarizeDocument(const ann::Annotation& note) {
-  if (properties_.SummarizeOnceEligible()) {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = snippet_cache_.find(note.id);
-    if (it != snippet_cache_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  // The extractor is const/stateless: concurrent shards summarize unlocked.
-  std::string snippet = extractor_->Summarize(note.body);
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (properties_.SummarizeOnceEligible()) snippet_cache_.emplace(note.id, snippet);
-  return snippet;
+std::string SummaryInstance::SummarizeDocument(const ann::Annotation& note,
+                                               const txt::Analysis* body) {
+  // The extractor is stateless: concurrent shards summarize unlocked.
+  return Memoized(&snippet_cache_, note.id, [&] {
+    if (body != nullptr) return extractor_->Summarize(note.body, *body);
+    return extractor_->Summarize(note.body, TokenizeBody(note));
+  });
 }
 
-std::vector<std::string> SummaryInstance::TokenizeBody(const ann::Annotation& note) const {
-  if (vectorizer_ == nullptr) return {};
-  return vectorizer_->tokenizer().Tokenize(note.body);
-}
-
-void SummaryInstance::CommitTokens(ann::AnnotationId id,
-                                   const std::vector<std::string>& tokens) {
-  if (vectorizer_ == nullptr) return;
+void SummaryInstance::CommitVector(ann::AnnotationId id, const txt::Analysis& body) {
   if (vectors_.Contains(id)) return;  // Shared annotation: commit once.
-  txt::SparseVector vec;
-  {
-    std::lock_guard<std::mutex> lock(kernel_mutex_);
-    vec = vectorizer_->VectorizeTokens(tokens);
-  }
-  vectors_.Commit(id, std::move(vec));
+  vectors_.Commit(id, txt::SparseVector::FromTermIds(body.terms));
 }
 
 void SummaryInstance::GetVectors(std::span<const mining::DocId> docs,

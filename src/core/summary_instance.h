@@ -21,6 +21,7 @@
 #include "mining/clustering.h"
 #include "mining/naive_bayes.h"
 #include "mining/snippets.h"
+#include "txt/analyzer.h"
 #include "txt/tfidf.h"
 
 namespace insightnotes::core {
@@ -68,45 +69,57 @@ class SummaryInstance {
   mining::SnippetExtractor* extractor() { return extractor_.get(); }
   double cluster_threshold() const { return cluster_threshold_; }
 
+  // --- Text analysis --------------------------------------------------------
+  // Every summarizer reads a body as the term ids of one txt::Analyzer. A
+  // standalone instance owns one; registration binds the instance to its
+  // manager's shared analyzer, so a body is analysed once per ingest
+  // whatever the number of instances.
+
+  txt::Analyzer* analyzer() const { return analyzer_.get(); }
+
+  /// Moves this instance onto `analyzer`: a trained classifier's terms are
+  /// interned there. InvalidArgument for a cluster instance that already
+  /// holds document vectors (their ids belong to the old analyzer).
+  Status BindAnalyzer(std::shared_ptr<txt::Analyzer> analyzer);
+
+  /// The analysis of `note`'s body by analyzer(). Grows the analyzer, so
+  /// only one thread at a time may call it (the engine's writer).
+  txt::Analysis TokenizeBody(const ann::Annotation& note);
+
+  /// Brings derived kernel state up to date with training: compiles the
+  /// classifier's tables if Train ran since. Ingest calls it in its serial
+  /// phase, before shards classify pre-analysed bodies.
+  void Compile();
+
   // --- Summarize-once interface used by summary objects -------------------
   // Each returns the per-annotation summarization result, consulting the
   // instance-level cache when the properties make the result invariant.
+  // `body` is the analysis of note.body by analyzer(). Without one the
+  // instance analyses the body itself (compiling the classifier first),
+  // which grows the analyzer: a standalone or serial caller only.
   //
-  // Thread-safety: these three methods, GetVectors and the cache counters
-  // are safe to call from concurrent ingest shards. The classifier and
-  // snippet kernels are const/stateless and run unlocked; the cluster
-  // vectorizer mutates the shared vocabulary and is serialized on a kernel
-  // mutex. For ingest that must be byte-identical to serial execution, the
-  // vocabulary must be grown in deterministic order first — see
-  // TokenizeBody/CommitTokens below.
+  // Thread-safety: with a `body`, these three methods, GetVectors and the
+  // cache counters are safe to call from concurrent ingest shards once
+  // Compile() ran: the kernels only read the compiled tables and the ids.
 
   /// Class label index for `note` (Classifier instances).
-  size_t ClassifyAnnotation(const ann::Annotation& note);
+  size_t ClassifyAnnotation(const ann::Annotation& note,
+                            const txt::Analysis* body = nullptr);
 
   /// Commits the term vector of `note` to the vector store (Cluster
   /// instances).
-  void VectorizeAnnotation(const ann::Annotation& note);
+  void VectorizeAnnotation(const ann::Annotation& note,
+                           const txt::Analysis* body = nullptr);
 
   /// Extractive snippet for `note` (Snippet instances).
-  std::string SummarizeDocument(const ann::Annotation& note);
+  std::string SummarizeDocument(const ann::Annotation& note,
+                                const txt::Analysis* body = nullptr);
 
-  // --- Two-phase vectorization (parallel ingest, Cluster instances) --------
-  // Vocabulary term ids are assigned in insertion order, so growing the
-  // vocabulary from concurrent shards would be nondeterministic. Parallel
-  // ingest instead splits vectorization: TokenizeBody (the expensive part)
-  // is pure and runs on any thread; CommitTokens folds the tokens into the
-  // shared vocabulary and warms the vectorize-once cache, and must be
-  // called serially in the same order a serial ingest would vectorize.
-
-  /// Normalized term tokens of `note` under this instance's tokenizer
-  /// configuration. Thread-safe; no shared state is touched.
-  std::vector<std::string> TokenizeBody(const ann::Annotation& note) const;
-
-  /// Folds `tokens` (from TokenizeBody of the same annotation) into the
-  /// vocabulary and caches the resulting vector for `id`. No-op if `id` is
-  /// already cached (shared annotations commit once). NOT thread-safe:
-  /// callers serialize commits in deterministic order.
-  void CommitTokens(ann::AnnotationId id, const std::vector<std::string>& tokens);
+  /// Commits the vector of annotation `id`, whose body analysis is `body`,
+  /// unless one is stored (shared annotations commit once). Ingest calls it
+  /// in its serial phase so the vectorize-once store is warm before the
+  /// fold. Cluster instances only.
+  void CommitVector(ann::AnnotationId id, const txt::Analysis& body);
 
   /// Cache-efficiency counters (experiment E5).
   uint64_t cache_hits() const { return cache_hits_.load(std::memory_order_relaxed); }
@@ -123,7 +136,7 @@ class SummaryInstance {
   void ClearCaches();
 
   /// Vectors of annotations previously passed to VectorizeAnnotation or
-  /// CommitTokens, as committed (out[i] is nullptr for an unknown id).
+  /// CommitVector, as committed (out[i] is nullptr for an unknown id).
   /// Cluster objects read vector_store() directly, norms included.
   void GetVectors(std::span<const mining::DocId> docs,
                   std::vector<const txt::SparseVector*>* out) const;
@@ -133,22 +146,30 @@ class SummaryInstance {
 
  private:
   SummaryInstance(std::string name, SummaryTypeKind type, SummaryProperties properties)
-      : name_(std::move(name)), type_(type), properties_(properties) {}
+      : name_(std::move(name)),
+        type_(type),
+        properties_(properties),
+        analyzer_(std::make_shared<txt::Analyzer>()) {}
+
+  /// `compute()` for annotation `id`, served from and stored in `cache`
+  /// when the instance is summarize-once eligible; the cache lock is taken
+  /// only then.
+  template <typename T, typename Compute>
+  T Memoized(std::unordered_map<ann::AnnotationId, T>* cache, ann::AnnotationId id,
+             const Compute& compute);
 
   std::string name_;
   SummaryTypeKind type_;
   SummaryProperties properties_;
 
+  std::shared_ptr<txt::Analyzer> analyzer_;
   std::unique_ptr<mining::NaiveBayesClassifier> classifier_;
-  std::unique_ptr<mining::TextVectorizer> vectorizer_;
   std::unique_ptr<mining::SnippetExtractor> extractor_;
   double cluster_threshold_ = 0.35;
 
   // Summarize-once caches, keyed by annotation id. Guarded by cache_mutex_
   // (concurrent ingest shards hit them for shared annotations).
   mutable std::mutex cache_mutex_;
-  // Serializes the vectorizer (it mutates the shared vocabulary).
-  std::mutex kernel_mutex_;
   std::unordered_map<ann::AnnotationId, size_t> label_cache_;
   std::unordered_map<ann::AnnotationId, std::string> snippet_cache_;
   // Vectorize-once store of cluster instances; locks itself.

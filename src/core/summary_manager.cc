@@ -39,6 +39,7 @@ Status SummaryManager::RegisterInstance(std::unique_ptr<SummaryInstance> instanc
   if (instances_.contains(name)) {
     return Status::AlreadyExists("summary instance '" + name + "' already registered");
   }
+  INSIGHTNOTES_RETURN_IF_ERROR(instance->BindAnalyzer(analyzer_));
   instances_.emplace(name, std::move(instance));
   return Status::OK();
 }
@@ -76,7 +77,7 @@ Status SummaryManager::Link(const std::string& instance_name, rel::TableId table
       return false;
     }
     const RowKey key{table, row};
-    FoldIntoObject(key, GetOrCreateObject(key, instance), instance, *note);
+    FoldIntoObject(key, GetOrCreateObject(key, instance), instance, *note, nullptr);
     return true;
   });
   return status;
@@ -122,17 +123,19 @@ bool SummaryManager::IsLinked(const std::string& instance_name,
 }
 
 Status SummaryManager::ApplyToObject(SummaryObject* object, SummaryInstance* instance,
-                                     const ann::Annotation& note) {
+                                     const ann::Annotation& note,
+                                     const txt::Analysis* body) {
   if (fault_hook_) {
     INSIGHTNOTES_RETURN_IF_ERROR(fault_hook_(instance->name(), note));
   }
-  return object->AddAnnotation(note);
+  return object->AddAnnotation(note, body);
 }
 
 void SummaryManager::FoldIntoObject(const RowKey& key, SummaryObject* object,
                                     SummaryInstance* instance,
-                                    const ann::Annotation& note) {
-  Status s = ApplyToObject(object, instance, note);
+                                    const ann::Annotation& note,
+                                    const txt::Analysis* body) {
+  Status s = ApplyToObject(object, instance, note, body);
   if (s.ok() || s.IsAlreadyExists()) return;
   MarkStale(key);  // Mutex-guarded: shards call this concurrently.
   INSIGHTNOTES_LOG(Warning) << "summarizer '" << instance->name()
@@ -204,74 +207,54 @@ Status RunShards(ThreadPool* pool, size_t n, const std::function<Status(size_t)>
 
 Status SummaryManager::ApplyAnnotationBatch(std::span<const BatchAnnotation> batch,
                                             ThreadPool* pool) {
-  // Per-item ingest plan: which instances maintain the target table, and
-  // (for cluster instances) the tokenized body.
+  // Per-item ingest plan: the instances maintaining the target table (null
+  // to skip the item) and the analysed body.
   struct ItemPlan {
-    bool skip = false;
-    std::vector<SummaryInstance*> linked;
-    // tokens[k] corresponds to linked[k]; non-empty only for kCluster.
-    std::vector<std::vector<std::string>> tokens;
+    const std::vector<SummaryInstance*>* linked = nullptr;
+    txt::Analysis body;
   };
   std::vector<ItemPlan> plans(batch.size());
+  for (const auto& [name, instance] : instances_) instance->Compile();
+
+  // Serial phase, in batch order. Analysing here is the only way ingest
+  // grows the analyzer, so term ids are the same at every shard count. The
+  // vectorize-once store is warm before the fold, so a data-invariant
+  // cluster instance's fold finds its vector; and object creation leaves
+  // the objects_ map structurally frozen while shards mutate disjoint
+  // rows' objects.
   for (size_t i = 0; i < batch.size(); ++i) {
     const BatchAnnotation& item = batch[i];
+    auto linked = links_.find(item.region.table);
+    if (linked == links_.end() || linked->second.empty() || item.note.archived ||
+        store_->IsArchived(item.note.id)) {
+      continue;
+    }
     ItemPlan& plan = plans[i];
-    plan.linked = LinkedTo(item.region.table);
-    plan.skip = plan.linked.empty() || item.note.archived ||
-                store_->IsArchived(item.note.id);
-    if (!plan.skip) plan.tokens.resize(plan.linked.size());
-  }
-  const size_t num_shards = pool != nullptr ? pool->num_threads() : 1;
-
-  // Phase 1 — tokenization, chunked across shards (pure; no shared state).
-  const size_t chunk = (batch.size() + num_shards - 1) / num_shards;
-  INSIGHTNOTES_RETURN_IF_ERROR(RunShards(pool, num_shards, [&](size_t s) {
-    for (size_t i = s * chunk; i < std::min(batch.size(), (s + 1) * chunk); ++i) {
-      if (plans[i].skip) continue;
-      for (size_t k = 0; k < plans[i].linked.size(); ++k) {
-        if (plans[i].linked[k]->type() != SummaryTypeKind::kCluster) continue;
-        plans[i].tokens[k] = plans[i].linked[k]->TokenizeBody(batch[i].note);
+    plan.linked = &linked->second;
+    plan.body = analyzer_->Analyze(item.note.body);
+    const RowKey key{item.region.table, item.region.row};
+    for (SummaryInstance* instance : linked->second) {
+      if (instance->type() == SummaryTypeKind::kCluster) {
+        instance->CommitVector(item.note.id, plan.body);
       }
-    }
-    return Status::OK();
-  }));
-
-  // Phase 2 — serial, batch-order vocabulary fold: term ids end up the same
-  // at every shard count (determinism guarantee), and the vectorize-once
-  // caches are warm before the fold, so a data-invariant instance's fold
-  // does not tokenize the body a second time.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (plans[i].skip) continue;
-    for (size_t k = 0; k < plans[i].linked.size(); ++k) {
-      if (plans[i].linked[k]->type() != SummaryTypeKind::kCluster) continue;
-      plans[i].linked[k]->CommitTokens(batch[i].note.id, plans[i].tokens[k]);
-    }
-  }
-
-  // Phase 3 — serial object creation, so the objects_ map is structurally
-  // frozen while shards mutate disjoint rows' objects.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (plans[i].skip) continue;
-    RowKey key{batch[i].region.table, batch[i].region.row};
-    for (SummaryInstance* instance : plans[i].linked) {
       GetOrCreateObject(key, instance);
     }
   }
 
-  // Phase 4 — sharded fold. Shard ownership is by row id, so every object
-  // is mutated by exactly one shard, and each shard folds its rows'
-  // annotations in batch order — the same per-row order at every shard
-  // count.
+  // Sharded fold. Shard ownership is by row id, so every object is mutated
+  // by exactly one shard, and each shard folds its rows' annotations in
+  // batch order — the same per-row order at every shard count.
+  const size_t num_shards = pool != nullptr ? pool->num_threads() : 1;
   return RunShards(pool, num_shards, [&](size_t s) -> Status {
     for (size_t i = 0; i < batch.size(); ++i) {
-      if (plans[i].skip) continue;
+      if (plans[i].linked == nullptr) continue;
       if (batch[i].region.row % num_shards != s) continue;
       const RowKey key{batch[i].region.table, batch[i].region.row};
       auto it = objects_.find(key);
       if (it == objects_.end()) {
         return Status::Internal("batch ingest: row objects missing");
       }
-      for (SummaryInstance* instance : plans[i].linked) {
+      for (SummaryInstance* instance : *plans[i].linked) {
         SummaryObject* object = nullptr;
         for (const auto& candidate : it->second) {
           if (candidate->instance() == instance) {
@@ -283,7 +266,7 @@ Status SummaryManager::ApplyAnnotationBatch(std::span<const BatchAnnotation> bat
           return Status::Internal("batch ingest: object missing for instance '" +
                                   instance->name() + "'");
         }
-        FoldIntoObject(key, object, instance, batch[i].note);
+        FoldIntoObject(key, object, instance, batch[i].note, &plans[i].body);
       }
     }
     return Status::OK();
@@ -293,14 +276,17 @@ Status SummaryManager::ApplyAnnotationBatch(std::span<const BatchAnnotation> bat
 Status SummaryManager::RebuildRow(rel::TableId table, rel::RowId row) {
   RowKey key{table, row};
   objects_.erase(key);
+  const std::vector<SummaryInstance*> linked = LinkedTo(table);
+  for (SummaryInstance* instance : linked) instance->Compile();
   for (const ann::Attachment& att : store_->OnRow(table, row)) {
     if (store_->IsArchived(att.annotation)) continue;
     INSIGHTNOTES_ASSIGN_OR_RETURN(ann::Annotation note, store_->Get(att.annotation));
-    for (SummaryInstance* instance : LinkedTo(table)) {
+    const txt::Analysis body = analyzer_->Analyze(note.body);
+    for (SummaryInstance* instance : linked) {
       SummaryObject* object = GetOrCreateObject(key, instance);
       // Rebuild propagates summarizer errors (no degradation): RepairStale
       // relies on it to tell a repaired row from one that is still failing.
-      Status s = ApplyToObject(object, instance, note);
+      Status s = ApplyToObject(object, instance, note, &body);
       if (!s.ok() && !s.IsAlreadyExists()) return s;
     }
   }

@@ -86,9 +86,14 @@ class SummaryManager {
   SummaryManager& operator=(const SummaryManager&) = delete;
 
   // --- Instance registry (level 2) ---------------------------------------
+  /// Registers `instance` and binds it to analyzer() (see
+  /// SummaryInstance::BindAnalyzer).
   Status RegisterInstance(std::unique_ptr<SummaryInstance> instance);
   Result<SummaryInstance*> GetInstance(const std::string& name) const;
   std::vector<std::string> InstanceNames() const;
+
+  /// The text analyzer shared by every registered instance.
+  txt::Analyzer* analyzer() const { return analyzer_.get(); }
 
   // --- Links (instance <-> relation, many-to-many) ------------------------
   /// Linking an instance to a table summarizes all existing annotations on
@@ -110,13 +115,16 @@ class SummaryManager {
   /// every linked instance; archived annotations are skipped. Ingestion is
   /// sharded by target row — per-tuple summary state is partitionable by
   /// row id, so shards own disjoint row sets and fold their rows'
-  /// annotations in batch order. Four phases: tokenize, commit cluster
-  /// vocabulary serially in batch order, create row objects serially, fold
-  /// per shard. With a `pool` each shard is one pool task; with none the
-  /// phases run inline as one shard. Every worker count leaves
-  /// byte-identical summary objects. A summarizer failure marks the row
-  /// stale (see below) instead of failing the batch; the batch is never
-  /// rolled back, and affected rows can be repaired with RebuildRow.
+  /// annotations in batch order. Two phases: a serial pass in batch order
+  /// analyses each body once with the shared analyzer (the only place
+  /// ingest grows it, so term ids are the same at every shard count),
+  /// commits cluster vectors and creates row objects; then each shard folds
+  /// its rows from the per-item analyses. With a `pool` each shard is one
+  /// pool task; with none the fold runs inline as one shard. Every worker
+  /// count leaves byte-identical summary objects. A summarizer failure
+  /// marks the row stale (see below) instead of failing the batch; the
+  /// batch is never rolled back, and affected rows can be repaired with
+  /// RebuildRow.
   Status ApplyAnnotationBatch(std::span<const BatchAnnotation> batch,
                               ThreadPool* pool = nullptr);
 
@@ -167,20 +175,24 @@ class SummaryManager {
   /// Returns the row's object for `instance`, creating it if needed.
   SummaryObject* GetOrCreateObject(const RowKey& key, SummaryInstance* instance);
 
-  /// One summarizer fold: fault hook (if set), then AddAnnotation.
+  /// One summarizer fold: fault hook (if set), then AddAnnotation with
+  /// the body analysis `body` (nullptr: the instance analyses it).
   Status ApplyToObject(SummaryObject* object, SummaryInstance* instance,
-                       const ann::Annotation& note);
+                       const ann::Annotation& note, const txt::Analysis* body);
 
   /// ApplyToObject for incremental maintenance (batch folds and Link):
   /// re-attachment to the same row (AlreadyExists) is not an error, and any
   /// other failure degrades to a stale mark on `key` plus a warning — the
   /// annotation itself is durable, so the row can be repaired later.
   void FoldIntoObject(const RowKey& key, SummaryObject* object,
-                      SummaryInstance* instance, const ann::Annotation& note);
+                      SummaryInstance* instance, const ann::Annotation& note,
+                      const txt::Analysis* body);
 
   void MarkStale(const RowKey& key);
 
   ann::AnnotationStore* store_;
+  // Grown only by the serial phases of maintenance (the engine's writer).
+  std::shared_ptr<txt::Analyzer> analyzer_ = std::make_shared<txt::Analyzer>();
   std::map<std::string, std::unique_ptr<SummaryInstance>> instances_;
   std::map<rel::TableId, std::vector<SummaryInstance*>> links_;
   // Maintained per-row summary objects, one per linked instance.

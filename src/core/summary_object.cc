@@ -41,8 +41,13 @@ ClassifierObject::LabelIds& ClassifierObject::Own() {
   return *ids_per_label_;
 }
 
-Status ClassifierObject::AddAnnotation(const ann::Annotation& note) {
-  size_t label = instance_->ClassifyAnnotation(note);
+Status ClassifierObject::AddAnnotation(const ann::Annotation& note,
+                                       const txt::Analysis* body) {
+  if (body != nullptr && !instance_->classifier()->compiled()) {
+    return Status::Internal("classifier '" + instance_name() +
+                            "' was trained after its last Compile");
+  }
+  size_t label = instance_->ClassifyAnnotation(note, body);
   if (label >= ids_per_label_->size()) {
     return Status::Internal("classifier produced out-of-range label");
   }
@@ -145,8 +150,9 @@ mining::ClusterSet& ClusterObject::Own() {
   return *clusters_;
 }
 
-Status ClusterObject::AddAnnotation(const ann::Annotation& note) {
-  instance_->VectorizeAnnotation(note);
+Status ClusterObject::AddAnnotation(const ann::Annotation& note,
+                                    const txt::Analysis* body) {
+  instance_->VectorizeAnnotation(note, body);
   return Own().Add(note.id).status();
 }
 
@@ -213,7 +219,8 @@ std::vector<SnippetObject::Entry>& SnippetObject::Own() {
   return *entries_;
 }
 
-Status SnippetObject::AddAnnotation(const ann::Annotation& note) {
+Status SnippetObject::AddAnnotation(const ann::Annotation& note,
+                                    const txt::Analysis* body) {
   if (note.kind != ann::AnnotationKind::kDocument) {
     return Status::OK();  // Snippet instances only summarize documents.
   }
@@ -224,7 +231,7 @@ Status SnippetObject::AddAnnotation(const ann::Annotation& note) {
   Entry entry;
   entry.id = note.id;
   entry.title = note.title;
-  entry.snippet = instance_->SummarizeDocument(note);
+  entry.snippet = instance_->SummarizeDocument(note, body);
   auto& entries = Own();
   auto it = std::lower_bound(entries.begin(), entries.end(), note.id,
                              [](const Entry& e, ann::AnnotationId id) { return e.id < id; });

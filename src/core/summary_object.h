@@ -46,8 +46,11 @@ class SummaryObject {
   const std::string& instance_name() const { return instance_->name(); }
   SummaryTypeKind type() const { return instance_->type(); }
 
-  /// Folds a new annotation into the summary.
-  virtual Status AddAnnotation(const ann::Annotation& note) = 0;
+  /// Folds a new annotation into the summary. `body` is the analysis of
+  /// note.body by the instance's analyzer; with nullptr the instance
+  /// analyses it if it needs to (see SummaryInstance).
+  virtual Status AddAnnotation(const ann::Annotation& note, const txt::Analysis* body) = 0;
+  Status AddAnnotation(const ann::Annotation& note) { return AddAnnotation(note, nullptr); }
 
   /// Eliminates the effect of every annotation in `dropped` (ascending,
   /// no duplicates); ids that never contributed are ignored. With none
@@ -95,7 +98,8 @@ class ClassifierObject final : public SummaryObject {
  public:
   explicit ClassifierObject(SummaryInstance* instance);
 
-  Status AddAnnotation(const ann::Annotation& note) override;
+  using SummaryObject::AddAnnotation;
+  Status AddAnnotation(const ann::Annotation& note, const txt::Analysis* body) override;
   Status Restrict(std::span<const ann::AnnotationId> dropped) override;
   bool Contains(ann::AnnotationId id) const override;
   Status MergeWith(const SummaryObject& other) override;
@@ -125,7 +129,8 @@ class ClusterObject final : public SummaryObject {
  public:
   explicit ClusterObject(SummaryInstance* instance);
 
-  Status AddAnnotation(const ann::Annotation& note) override;
+  using SummaryObject::AddAnnotation;
+  Status AddAnnotation(const ann::Annotation& note, const txt::Analysis* body) override;
   Status Restrict(std::span<const ann::AnnotationId> dropped) override;
   bool Contains(ann::AnnotationId id) const override;
   Status MergeWith(const SummaryObject& other) override;
@@ -150,7 +155,8 @@ class SnippetObject final : public SummaryObject {
  public:
   explicit SnippetObject(SummaryInstance* instance);
 
-  Status AddAnnotation(const ann::Annotation& note) override;
+  using SummaryObject::AddAnnotation;
+  Status AddAnnotation(const ann::Annotation& note, const txt::Analysis* body) override;
   Status Restrict(std::span<const ann::AnnotationId> dropped) override;
   bool Contains(ann::AnnotationId id) const override;
   Status MergeWith(const SummaryObject& other) override;

@@ -18,7 +18,7 @@ void HashJoinBuildState::AttachQueryContext(
   if (input_ != nullptr) input_->SetQueryContext(context);
   build_reservation_.Attach(
       context != nullptr ? &context->budget() : nullptr,
-      "HashJoinBuild(" + key_name_ + ")");
+      [this] { return "HashJoinBuild(" + key_name_ + ")"; });
   context_ = std::move(context);
 }
 

@@ -111,7 +111,7 @@ class Operator {
     for (Operator* child : Children()) child->SetQueryContext(context);
     context_ = std::move(context);
     reservation_.Attach(context_ != nullptr ? &context_->budget() : nullptr,
-                        Name());
+                        [this] { return Name(); });
   }
 
   QueryContext* query_context() const { return context_.get(); }

@@ -165,7 +165,7 @@ void GatherOperator::SetQueryContext(std::shared_ptr<QueryContext> context) {
   for (size_t w = 0; w < worker_reservations_.size(); ++w) {
     worker_reservations_[w]->Attach(
         context_ != nullptr ? &context_->budget() : nullptr,
-        "Gather(worker " + std::to_string(w) + ")");
+        [w] { return "Gather(worker " + std::to_string(w) + ")"; });
   }
 }
 

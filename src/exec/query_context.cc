@@ -29,7 +29,7 @@ Status MemoryReservation::Charge(size_t bytes) {
   size_t slab = (shortfall + kChunk - 1) / kChunk * kChunk;
   if (!budget_->TryReserve(slab)) {
     return Status::ResourceExhausted(
-        label_ + ": memory limit exceeded (operator holds " +
+        label_() + ": memory limit exceeded (operator holds " +
         std::to_string(charged_) + " bytes; query uses " +
         std::to_string(budget_->used()) + " of " +
         std::to_string(budget_->limit()) + "-byte limit)");

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -101,9 +102,10 @@ class MemoryReservation {
   MemoryReservation& operator=(const MemoryReservation&) = delete;
 
   /// Points this ledger at `budget` (may be nullptr) and names the owning
-  /// operator for the kResourceExhausted message. Releases any previous
-  /// holdings first.
-  void Attach(MemoryBudget* budget, std::string label) {
+  /// operator for the kResourceExhausted message: `label` is called only
+  /// when a charge fails, so attaching renders no name. Releases any
+  /// previous holdings first.
+  void Attach(MemoryBudget* budget, std::function<std::string()> label) {
     ReleaseAll();
     budget_ = budget;
     label_ = std::move(label);
@@ -134,7 +136,7 @@ class MemoryReservation {
 
  private:
   MemoryBudget* budget_ = nullptr;
-  std::string label_;
+  std::function<std::string()> label_;
   uint64_t epoch_ = 0;   // Budget epoch the holdings belong to.
   size_t charged_ = 0;   // Bytes the operator has recorded.
   size_t reserved_ = 0;  // Bytes actually taken from the shared budget.

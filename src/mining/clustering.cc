@@ -69,6 +69,11 @@ bool DocVectorStore::Contains(DocId doc) const {
   return slot != nullptr && slot->committed;
 }
 
+bool DocVectorStore::empty() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return pages_.empty();
+}
+
 void DocVectorStore::GetVectors(std::span<const DocId> docs,
                                 std::vector<const DocVector*>* out) const {
   out->resize(docs.size());
@@ -82,16 +87,6 @@ void DocVectorStore::GetVectors(std::span<const DocId> docs,
 void DocVectorStore::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   pages_.clear();
-}
-
-// --- TextVectorizer ---------------------------------------------------------
-
-txt::SparseVector TextVectorizer::Vectorize(std::string_view text) {
-  return VectorizeTokens(tokenizer_.Tokenize(text));
-}
-
-txt::SparseVector TextVectorizer::VectorizeTokens(const std::vector<std::string>& tokens) {
-  return txt::SparseVector::FromTokens(tokens, &vocab_);
 }
 
 // --- ClusterSet -------------------------------------------------------------

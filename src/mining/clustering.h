@@ -28,13 +28,10 @@
 #include <mutex>
 #include <ranges>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "txt/tfidf.h"
-#include "txt/tokenizer.h"
-#include "txt/vocabulary.h"
 
 namespace insightnotes::mining {
 
@@ -69,6 +66,8 @@ class DocVectorStore {
   bool Commit(DocId doc, txt::SparseVector vector);
 
   bool Contains(DocId doc) const;
+  /// True if no vector was committed since construction or Clear().
+  bool empty() const;
 
   /// Resolves every document of one cluster operation under one lock:
   /// `out` is resized to `docs.size()` and out[i] is the vector of
@@ -96,29 +95,6 @@ class DocVectorStore {
 
   mutable std::mutex mutex_;
   std::vector<Page> pages_;  // Sorted by key.
-};
-
-/// Turns raw text into sparse term vectors against a shared, growing
-/// vocabulary. One vectorizer is shared by all summary objects of a cluster
-/// instance so their vectors are comparable.
-class TextVectorizer {
- public:
-  TextVectorizer() = default;
-
-  /// Tokenizes and counts; new terms extend the vocabulary.
-  txt::SparseVector Vectorize(std::string_view text);
-
-  /// Counts pre-tokenized terms; new terms extend the vocabulary. Lets
-  /// parallel ingest tokenize off-thread and fold into the shared
-  /// vocabulary in a deterministic serial pass.
-  txt::SparseVector VectorizeTokens(const std::vector<std::string>& tokens);
-
-  const txt::Tokenizer& tokenizer() const { return tokenizer_; }
-  const txt::Vocabulary& vocabulary() const { return vocab_; }
-
- private:
-  txt::Tokenizer tokenizer_;
-  txt::Vocabulary vocab_;
 };
 
 /// Read-only view of one group, valid until its set changes.

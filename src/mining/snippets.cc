@@ -2,43 +2,51 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/string_util.h"
 #include "txt/sentence.h"
+#include "txt/tfidf.h"
 
 namespace insightnotes::mining {
 
-std::vector<double> SnippetExtractor::ScoreSentences(
-    const std::vector<std::string>& sentences) const {
+std::vector<double> SnippetExtractor::ScoreSentences(std::span<const txt::TermId> terms,
+                                                     std::span<const size_t> sentence_ends) {
   // Document-level term frequencies.
-  std::unordered_map<std::string, double> tf;
-  std::vector<std::vector<std::string>> sentence_tokens;
-  sentence_tokens.reserve(sentences.size());
-  for (const std::string& s : sentences) {
-    sentence_tokens.push_back(tokenizer_.Tokenize(s));
-    for (const std::string& t : sentence_tokens.back()) tf[t] += 1.0;
-  }
+  const txt::SparseVector tf = txt::SparseVector::FromTermIds(terms);
   std::vector<double> scores;
-  scores.reserve(sentences.size());
-  for (const auto& tokens : sentence_tokens) {
-    if (tokens.empty()) {
+  scores.reserve(sentence_ends.size());
+  size_t begin = 0;
+  for (size_t end : sentence_ends) {
+    if (end == begin) {
       scores.push_back(0.0);
       continue;
     }
     double sum = 0.0;
-    for (const std::string& t : tokens) sum += tf[t];
+    for (size_t k = begin; k < end; ++k) sum += tf.Get(terms[k]);
     // Length normalization dampens the bias toward long sentences without
     // fully removing it (sqrt, as in centroid-based summarizers).
-    scores.push_back(sum / std::sqrt(static_cast<double>(tokens.size())));
+    scores.push_back(sum / std::sqrt(static_cast<double>(end - begin)));
+    begin = end;
   }
   return scores;
 }
 
-std::string SnippetExtractor::Summarize(std::string_view document) const {
-  std::vector<std::string> sentences = txt::SplitSentences(document);
+std::string SnippetExtractor::Summarize(std::string_view document,
+                                        const txt::Analysis& body) const {
+  const std::vector<std::string_view> sentences = txt::SplitSentences(document);
   if (sentences.empty()) return "";
-  std::vector<double> scores = ScoreSentences(sentences);
+  // Sentences are contiguous views of `document` and a token never spans a
+  // sentence boundary, so each sentence owns the tokens starting before its
+  // end.
+  std::vector<size_t> ends;
+  ends.reserve(sentences.size());
+  size_t token = 0;
+  for (std::string_view sentence : sentences) {
+    const size_t end = static_cast<size_t>(sentence.data() - document.data()) + sentence.size();
+    while (token < body.starts.size() && body.starts[token] < end) ++token;
+    ends.push_back(token);
+  }
+  std::vector<double> scores = ScoreSentences(body.terms, ends);
 
   // Select the top-k sentence indexes, then restore document order.
   std::vector<size_t> order(sentences.size());

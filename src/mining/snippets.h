@@ -7,11 +7,12 @@
 #define INSIGHTNOTES_MINING_SNIPPETS_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "txt/tokenizer.h"
+#include "txt/analyzer.h"
 
 namespace insightnotes::mining {
 
@@ -25,20 +26,23 @@ class SnippetExtractor {
   SnippetExtractor() = default;
   explicit SnippetExtractor(SnippetOptions options) : options_(options) {}
 
-  /// Produces a short extractive snippet of `document`. Deterministic:
-  /// equal-scoring sentences keep document order. Empty documents yield an
-  /// empty snippet.
-  std::string Summarize(std::string_view document) const;
+  /// Produces a short extractive snippet of `document`, whose analysis is
+  /// `body` (txt::Analyzer::Analyze(document)). Deterministic: equal-scoring
+  /// sentences keep document order. Empty documents yield an empty snippet.
+  std::string Summarize(std::string_view document, const txt::Analysis& body) const;
 
   /// Per-sentence scores (exposed for tests): frequency-weighted coverage
-  /// of the document's dominant terms, length-normalized.
-  std::vector<double> ScoreSentences(const std::vector<std::string>& sentences) const;
+  /// of the document's dominant terms, length-normalized. `terms` are the
+  /// document's term ids in text order; sentence k holds
+  /// terms[sentence_ends[k - 1], sentence_ends[k]) (from 0 for k = 0), and
+  /// every term belongs to a sentence.
+  static std::vector<double> ScoreSentences(std::span<const txt::TermId> terms,
+                                            std::span<const size_t> sentence_ends);
 
   const SnippetOptions& options() const { return options_; }
 
  private:
   SnippetOptions options_;
-  txt::Tokenizer tokenizer_;
 };
 
 }  // namespace insightnotes::mining

@@ -142,7 +142,7 @@ Result<ExecutionOutput> RunTrain(const TrainInstanceStatement& stmt,
     return Status::NotFound("instance '" + stmt.instance + "' has no label '" +
                             stmt.label + "'");
   }
-  INSIGHTNOTES_RETURN_IF_ERROR(classifier->Train(label_index, stmt.text));
+  INSIGHTNOTES_RETURN_IF_ERROR(engine->TrainClassifier(stmt.instance, label_index, stmt.text));
   ExecutionOutput out;
   out.message = "trained " + stmt.instance + " label " + stmt.label;
   return out;

@@ -35,35 +35,35 @@ bool EndsWithAbbreviation(std::string_view text_before_dot) {
 
 }  // namespace
 
-std::vector<std::string> SplitSentences(std::string_view text) {
-  std::vector<std::string> sentences;
-  std::string current;
+std::vector<std::string_view> SplitSentences(std::string_view text) {
+  std::vector<std::string_view> sentences;
+  // The sentence being read is text[begin, i]: a newline ends it unread.
+  size_t begin = 0;
+  auto close = [&](size_t end) {
+    std::string_view stripped = StripWhitespace(text.substr(begin, end - begin));
+    if (!stripped.empty()) sentences.push_back(stripped);
+  };
   for (size_t i = 0; i < text.size(); ++i) {
     char c = text[i];
     if (c == '\n') {
-      std::string_view stripped = StripWhitespace(current);
-      if (!stripped.empty()) sentences.emplace_back(stripped);
-      current.clear();
+      close(i);
+      begin = i + 1;
       continue;
     }
-    current.push_back(c);
     if (c == '!' || c == '?' ||
-        (c == '.' && !EndsWithAbbreviation(
-                         std::string_view(current).substr(0, current.size() - 1)))) {
+        (c == '.' && !EndsWithAbbreviation(text.substr(begin, i - begin)))) {
       // A terminator followed by end-of-text, whitespace, or a quote closes
       // the sentence; "3.14" stays together because the next char is a digit.
       bool boundary = (i + 1 >= text.size()) ||
                       std::isspace(static_cast<unsigned char>(text[i + 1])) ||
                       text[i + 1] == '"' || text[i + 1] == '\'';
       if (boundary) {
-        std::string_view stripped = StripWhitespace(current);
-        if (!stripped.empty()) sentences.emplace_back(stripped);
-        current.clear();
+        close(i + 1);
+        begin = i + 1;
       }
     }
   }
-  std::string_view stripped = StripWhitespace(current);
-  if (!stripped.empty()) sentences.emplace_back(stripped);
+  close(text.size());
   return sentences;
 }
 

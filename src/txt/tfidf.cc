@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 namespace insightnotes::txt {
 
@@ -10,31 +9,19 @@ namespace {
 constexpr double kEpsilon = 1e-12;
 }  // namespace
 
-SparseVector SparseVector::FromTokens(const std::vector<std::string>& tokens,
-                                      Vocabulary* vocab) {
-  std::map<TermId, double> counts;
-  for (const std::string& token : tokens) {
-    counts[vocab->GetOrAdd(token)] += 1.0;
-  }
+SparseVector SparseVector::FromTermIds(std::span<const TermId> terms) {
+  std::vector<TermId> sorted(terms.begin(), terms.end());
+  std::sort(sorted.begin(), sorted.end());
+  // Exact capacity: a committed vector lives as long as its instance.
+  size_t distinct = 0;
+  for (size_t i = 0; i < sorted.size(); ++i) distinct += i == 0 || sorted[i] != sorted[i - 1];
   SparseVector v;
-  v.entries_.reserve(counts.size());
-  for (const auto& [term, value] : counts) {
-    v.entries_.push_back({term, value});
-  }
-  return v;
-}
-
-SparseVector SparseVector::FromTokensConst(const std::vector<std::string>& tokens,
-                                           const Vocabulary& vocab) {
-  std::map<TermId, double> counts;
-  for (const std::string& token : tokens) {
-    TermId id = vocab.Lookup(token);
-    if (id != kInvalidTermId) counts[id] += 1.0;
-  }
-  SparseVector v;
-  v.entries_.reserve(counts.size());
-  for (const auto& [term, value] : counts) {
-    v.entries_.push_back({term, value});
+  v.entries_.reserve(distinct);
+  for (size_t i = 0; i < sorted.size();) {
+    size_t run = i + 1;
+    while (run < sorted.size() && sorted[run] == sorted[i]) ++run;
+    v.entries_.push_back({sorted[i], static_cast<double>(run - i)});
+    i = run;
   }
   return v;
 }

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "txt/vocabulary.h"
@@ -61,14 +60,9 @@ class SparseVector {
  public:
   SparseVector() = default;
 
-  /// Builds a term-frequency vector from tokens (unnormalized counts).
-  static SparseVector FromTokens(const std::vector<std::string>& tokens,
-                                 Vocabulary* vocab);
-
-  /// Builds a term-frequency vector using only existing vocabulary entries
-  /// (unknown terms are skipped). Leaves `vocab` unmodified.
-  static SparseVector FromTokensConst(const std::vector<std::string>& tokens,
-                                      const Vocabulary& vocab);
+  /// The term-count vector of `terms` (any order; a repeated id counts
+  /// once per occurrence).
+  static SparseVector FromTermIds(std::span<const TermId> terms);
 
   void Set(TermId id, double value);
   double Get(TermId id) const;

@@ -5,7 +5,7 @@
 namespace insightnotes::txt {
 
 TermId Vocabulary::GetOrAdd(std::string_view term) {
-  auto it = index_.find(std::string(term));
+  auto it = index_.find(term);
   if (it != index_.end()) return it->second;
   TermId id = static_cast<TermId>(terms_.size());
   terms_.emplace_back(term);
@@ -15,7 +15,7 @@ TermId Vocabulary::GetOrAdd(std::string_view term) {
 }
 
 TermId Vocabulary::Lookup(std::string_view term) const {
-  auto it = index_.find(std::string(term));
+  auto it = index_.find(term);
   return it == index_.end() ? kInvalidTermId : it->second;
 }
 

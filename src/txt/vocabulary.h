@@ -5,6 +5,7 @@
 #define INSIGHTNOTES_TXT_VOCABULARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -14,6 +15,13 @@ namespace insightnotes::txt {
 
 using TermId = uint32_t;
 inline constexpr TermId kInvalidTermId = static_cast<TermId>(-1);
+
+/// Transparent string hash: a map keyed by std::string is probed with a
+/// std::string_view, building no string.
+struct TermHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+};
 
 /// Append-only term dictionary. Term ids are dense and stable.
 class Vocabulary {
@@ -42,7 +50,7 @@ class Vocabulary {
   double Idf(TermId id) const;
 
  private:
-  std::unordered_map<std::string, TermId> index_;
+  std::unordered_map<std::string, TermId, TermHash, std::equal_to<>> index_;
   std::vector<std::string> terms_;
   std::vector<uint32_t> doc_freq_;
   uint64_t num_documents_ = 0;

@@ -46,7 +46,7 @@ TEST(MemoryReservationTest, ChargesInSlabs) {
   MemoryBudget budget;
   budget.Reset(0);
   MemoryReservation reservation;
-  reservation.Attach(&budget, "TestOp");
+  reservation.Attach(&budget, [] { return std::string("TestOp"); });
   // Many small charges reserve whole slabs, not per-charge bytes.
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(reservation.Charge(100).ok());
   EXPECT_EQ(reservation.charged(), 10000u);
@@ -61,10 +61,17 @@ TEST(MemoryReservationTest, OverrunNamesTheOperator) {
   MemoryBudget budget;
   budget.Reset(MemoryReservation::kChunk);
   MemoryReservation reservation;
-  reservation.Attach(&budget, "HashJoinBuild(s.x)");
+  // The name is rendered only for the failure message.
+  int renders = 0;
+  reservation.Attach(&budget, [&renders] {
+    ++renders;
+    return std::string("HashJoinBuild(s.x)");
+  });
   ASSERT_TRUE(reservation.Charge(1000).ok());
+  EXPECT_EQ(renders, 0);
   Status overrun = reservation.Charge(2 * MemoryReservation::kChunk);
   ASSERT_TRUE(overrun.IsResourceExhausted()) << overrun.ToString();
+  EXPECT_EQ(renders, 1);
   EXPECT_NE(overrun.ToString().find("HashJoinBuild(s.x)"), std::string::npos)
       << overrun.ToString();
   EXPECT_NE(overrun.ToString().find("memory limit exceeded"), std::string::npos);
@@ -83,7 +90,7 @@ TEST(MemoryReservationTest, StaleHoldingsDropAcrossBudgetReset) {
   MemoryBudget budget;
   budget.Reset(0);
   MemoryReservation reservation;
-  reservation.Attach(&budget, "Sort");
+  reservation.Attach(&budget, [] { return std::string("Sort"); });
   ASSERT_TRUE(reservation.Charge(3 * MemoryReservation::kChunk).ok());
   ASSERT_GT(budget.used(), 0u);
 
@@ -160,7 +167,7 @@ TEST(QueryContextTest, SharedBudgetAcrossWorkers) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&context, t] {
       MemoryReservation reservation;
-      reservation.Attach(&context.budget(), "Worker" + std::to_string(t));
+      reservation.Attach(&context.budget(), [t] { return "Worker" + std::to_string(t); });
       for (int i = 0; i < 100; ++i) ASSERT_TRUE(reservation.Charge(1024).ok());
       reservation.ReleaseAll();
     });

@@ -2,8 +2,8 @@
 // must leave the engine in a state byte-identical (serialized summary
 // snapshots) to serial ingest of the same specs — the guarantee of
 // DESIGN.md's concurrency model. Per-tuple summary state is partitioned by
-// row across shards; cluster vocabulary growth is committed in a serial,
-// batch-order pre-pass. Independently of the engine comparing with itself,
+// row across shards; bodies are analysed into term ids in a serial,
+// batch-order pass. Independently of the engine comparing with itself,
 // incrementally maintained summaries must equal summaries rebuilt from
 // scratch out of the raw annotations.
 
@@ -126,6 +126,40 @@ TEST(ParallelIngestTest, RepeatedParallelRunsAreStable) {
     } else {
       EXPECT_EQ(first, bytes) << "run=" << run;
     }
+  }
+}
+
+// Every summarizer path at once: documents (snippets), annotations shared
+// with a second row, and a classifier retrained between batches (its
+// tables recompile in the next batch's serial phase). Each body is analysed
+// once, serially, so term ids and every summary are the same at every
+// worker count.
+TEST(ParallelIngestTest, DocumentsSharedNotesAndRetrainAreByteIdentical) {
+  const auto specs = MakeBatch(360, 41);
+  auto ingest = [&](size_t threads, bool retrain) {
+    auto engine = FreshEngine();
+    EXPECT_TRUE(engine->AnnotateBatch({specs.data(), 180}, {.num_threads = threads}).ok());
+    for (ann::AnnotationId id = 0; id < 180; id += 9) {
+      EXPECT_TRUE(engine->AttachAnnotation(id, "birds", (id * 5 + 1) % kRows, {}).ok());
+    }
+    if (retrain) {
+      auto instance = engine->summaries()->GetInstance("ClassBird1");
+      EXPECT_TRUE(instance.ok());
+      auto* nb = (*instance)->classifier();
+      for (int i = 0; i < 6; ++i) {
+        EXPECT_TRUE(nb->Train(1, "observed flying feeding nesting weight wingspan disease").ok());
+      }
+    }
+    EXPECT_TRUE(
+        engine->AnnotateBatch({specs.data() + 180, 180}, {.num_threads = threads}).ok());
+    return SummaryFingerprint(engine.get());
+  };
+  const std::string serial = ingest(1, true);
+  ASSERT_FALSE(serial.empty());
+  // The retrain changes later labels, so the comparison below sees it.
+  EXPECT_NE(serial, ingest(1, false));
+  for (size_t threads : {2, 4, 8}) {
+    EXPECT_EQ(serial, ingest(threads, true)) << "threads=" << threads;
   }
 }
 

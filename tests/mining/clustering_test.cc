@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/random.h"
+#include "txt/analyzer.h"
 
 namespace insightnotes::mining {
 namespace {
@@ -24,7 +25,9 @@ txt::SparseVector Counts(std::initializer_list<double> counts) {
 
 class ClusteringTest : public ::testing::Test {
  protected:
-  txt::SparseVector V(const std::string& text) { return vectorizer_.Vectorize(text); }
+  txt::SparseVector V(const std::string& text) {
+    return txt::SparseVector::FromTermIds(analyzer_.Analyze(text).terms);
+  }
   /// Commits `vec` for `doc` (a document keeps its first vector) and adds
   /// it to `cs`.
   Result<size_t> Add(ClusterSet& cs, DocId doc, txt::SparseVector vec) {
@@ -34,7 +37,7 @@ class ClusteringTest : public ::testing::Test {
   static std::vector<DocId> Members(const ClusterSet& cs, size_t group) {
     return *cs.GroupMembers(group);
   }
-  TextVectorizer vectorizer_;
+  txt::Analyzer analyzer_;
   DocVectorStore store_;
 };
 

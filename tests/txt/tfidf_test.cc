@@ -34,21 +34,15 @@ TEST(VocabularyTest, IdfDecreasesWithDocumentFrequency) {
   EXPECT_LT(v.Idf(common), v.Idf(rare));
 }
 
-TEST(SparseVectorTest, FromTokensCountsTerms) {
+TEST(SparseVectorTest, FromTermIdsCountsTerms) {
   Vocabulary vocab;
-  SparseVector v = SparseVector::FromTokens({"a", "b", "a", "c", "a"}, &vocab);
+  std::vector<TermId> terms;
+  for (const char* token : {"a", "b", "a", "c", "a"}) terms.push_back(vocab.GetOrAdd(token));
+  SparseVector v = SparseVector::FromTermIds(terms);
   EXPECT_EQ(v.NumNonZero(), 3u);
   EXPECT_DOUBLE_EQ(v.Get(vocab.Lookup("a")), 3.0);
   EXPECT_DOUBLE_EQ(v.Get(vocab.Lookup("b")), 1.0);
   EXPECT_DOUBLE_EQ(v.Get(vocab.Lookup("c")), 1.0);
-}
-
-TEST(SparseVectorTest, FromTokensConstSkipsUnknown) {
-  Vocabulary vocab;
-  vocab.GetOrAdd("known");
-  SparseVector v = SparseVector::FromTokensConst({"known", "unknown"}, vocab);
-  EXPECT_EQ(v.NumNonZero(), 1u);
-  EXPECT_EQ(vocab.size(), 1u);
 }
 
 TEST(SparseVectorTest, SetGetAndErase) {

@@ -237,9 +237,9 @@ def check_cancellation_sweep(path, benchmarks):
 
 
 # The optimized plan may not regress past this factor of the rule-driven
-# plan. The bench workloads are engineered with >= 5x margins (index probe
-# vs 20k-row scan, 1-row-first join vs a 100k-row intermediate), so 1.25
-# only absorbs timer noise, never a real plan-choice regression.
+# plan. The bench workloads are engineered with >= 5x margins (an index
+# probe vs a 20k-row scan), so 1.25 only absorbs timer noise, never a real
+# plan-choice regression.
 OPTIMIZER_TOLERANCE = 1.25
 
 
@@ -248,7 +248,7 @@ def check_optimizer_sweep(path, benchmarks):
     (optimized=0) and cost-based (optimized=1). Both sides must be present
     per family and the optimized side must be no slower than the
     rule-driven side (within OPTIMIZER_TOLERANCE) — the optimizer's whole
-    contract is that it never picks a worse plan than the identity one."""
+    contract is that it never picks a worse plan than the rule-driven one."""
     families = {}
     for i, entry in enumerate(benchmarks):
         name = entry.get("name", "")

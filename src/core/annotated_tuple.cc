@@ -38,7 +38,6 @@ AnnotatedTuple AnnotatedTuple::Clone() const {
   for (const auto& s : summaries) copy.summaries.push_back(s->Clone());
   copy.attachments = attachments;
   copy.trimmed = trimmed;
-  copy.order_ranks = order_ranks;
   return copy;
 }
 
@@ -78,8 +77,6 @@ Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right) {
   left->tuple = rel::Tuple::Concat(left->tuple, right.tuple);
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&left->summaries, right.summaries));
   UnionAttachments(&left->attachments, right.attachments, left_width);
-  left->order_ranks.insert(left->order_ranks.end(), right.order_ranks.begin(),
-                           right.order_ranks.end());
   return Status::OK();
 }
 

@@ -77,16 +77,6 @@ class AnnotatedTuple {
   /// `summaries` still hold until Settle(). Ascending, unique; empty on a
   /// settled tuple.
   std::vector<ann::AnnotationId> trimmed;
-
-  /// Scan-position ranks stamped by the leaf scans of a *reordered* plan
-  /// (cost-based join reorder): one entry per base table in join
-  /// contribution order, each the row's emission position within its scan.
-  /// MergeAnnotatedTuples concatenates them; the RestoreOrderOperator above
-  /// the joins sorts by these keys permuted back into FROM order — making
-  /// the reordered plan's output byte-identical to the canonical left-deep
-  /// FROM-order plan — then clears them. Empty in non-reordered plans
-  /// (zero overhead on the default path).
-  std::vector<uint32_t> order_ranks;
 };
 
 /// A run of AnnotatedTuples moved through the batch-at-a-time operator

@@ -98,7 +98,6 @@ Status ScanMorselSource::Materialize(uint64_t morsel, core::AnnotatedBatch* out)
   for (size_t i = begin; i < end; ++i) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Tuple data, table_->Get(rows_[i]));
     core::AnnotatedTuple tuple(std::move(data));
-    if (stamp_ranks_) tuple.order_ranks.assign(1, static_cast<uint32_t>(i));
     if (with_summaries_) {
       // Workers on other morsels and concurrent writers never perturb what
       // this scan sees: the epoch is immutable.

@@ -21,8 +21,8 @@
 //
 // ScanMorselSource is the only code that turns stored rows into
 // AnnotatedTuples: the pinned epoch's row bound, liveness, the index
-// probe, the epoch's summaries and non-archived attachments, and rank
-// stamping all live there. A scan reads nothing but its pinned epoch.
+// probe, and the epoch's summaries and non-archived attachments all live
+// there. A scan reads nothing but its pinned epoch.
 
 #ifndef INSIGHTNOTES_EXEC_PARALLEL_H_
 #define INSIGHTNOTES_EXEC_PARALLEL_H_
@@ -178,13 +178,6 @@ class ScanMorselSource final : public SharedPlanState {
   bool has_probe() const { return has_probe_; }
   const IndexProbeSpec& probe() const { return probe_; }
 
-  /// Reordered plans only: Materialize stamps each tuple's order_ranks
-  /// with its global scan position, the sort key the RestoreOrderOperator
-  /// uses to re-establish canonical FROM order. Positions are stable across
-  /// morsels (index into the materialized row vector), so every worker
-  /// count stamps identical ranks.
-  void EnableRankStamping() { stamp_ranks_ = true; }
-
   /// Rows of morsels never dispatched (quota stopped the scan early).
   /// Meaningful once the parallel section has drained.
   size_t UndispatchedRows() const;
@@ -207,7 +200,6 @@ class ScanMorselSource final : public SharedPlanState {
 
   IndexProbeSpec probe_;            // Valid when has_probe_.
   bool has_probe_ = false;
-  bool stamp_ranks_ = false;
 
   // Pinned engine epoch captured from the context at Reset. The row bound,
   // summaries and attachments all come from it, so concurrent writers stay

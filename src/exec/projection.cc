@@ -137,9 +137,6 @@ Status ProjectOperator::ProjectTuple(core::AnnotatedTuple* in_ptr,
   out->summaries = std::move(in.summaries);
   out->attachments = std::move(in.attachments);
   out->trimmed = std::move(in.trimmed);
-  // Per-table Theorem-1 projections sit below the joins of a reordered
-  // plan; carry the order keys through to the RestoreOrder above.
-  out->order_ranks = std::move(in.order_ranks);
   return Status::OK();
 }
 

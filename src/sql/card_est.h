@@ -1,10 +1,11 @@
 // Cardinality estimation over the unbound AST: selectivity of single-table
 // predicates from rel::TableStats (equi-depth histograms, NDVs, null
 // fractions), equi-join output cardinality from per-side NDVs, and the
-// per-row cost constants the optimizer charges plan alternatives with.
-// Estimates only steer plan choice — every candidate plan the optimizer
-// emits is byte-identical in results to the rule-driven plan, so a bad
-// estimate can cost time, never correctness.
+// per-row cost constants the optimizer prices access paths with.
+// Estimates only pick an access path and label operators for EXPLAIN
+// ANALYZE — every plan joins in FROM order and is byte-identical in
+// results to the rule-driven plan, so a bad estimate can cost time, never
+// correctness.
 
 #ifndef INSIGHTNOTES_SQL_CARD_EST_H_
 #define INSIGHTNOTES_SQL_CARD_EST_H_
@@ -39,20 +40,13 @@ double ColumnNdv(const rel::Schema& schema, const std::string& name,
 double EstimateJoinRows(double left_rows, double right_rows, double left_ndv,
                         double right_ndv);
 
-/// Per-row charges of the cost model, in arbitrary units (~ one per-tuple
-/// function call). Relative magnitudes are what matters: an index probe
-/// has a fixed setup charge but fetches only matching rows; hash-join
-/// builds cost more per row than probes; RestoreOrder charges every
-/// reordered output row for the final sort.
+/// Per-row charges of the access-path choice, in arbitrary units (~ one
+/// per-tuple function call). Relative magnitudes are what matters: an
+/// index probe has a fixed setup charge but fetches only matching rows.
 struct CostModel {
   double seq_row = 1.0;       // Scan + materialize one row.
   double index_probe = 8.0;   // Fixed charge per index probe.
   double index_row = 1.2;     // Fetch one matching row through the index.
-  double build_row = 2.0;     // Insert one row into a hash-join build.
-  double probe_row = 1.0;     // Probe one row against a build.
-  double output_row = 0.5;    // Emit one intermediate row.
-  double restore_row = 1.5;   // Sort one row back into canonical order.
-  double cross_row = 2.0;     // Nested-loop cross product, per row pair.
 };
 
 }  // namespace insightnotes::sql

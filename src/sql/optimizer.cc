@@ -1,15 +1,10 @@
 #include "sql/optimizer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <numeric>
 
 namespace insightnotes::sql {
 
 namespace {
-
-constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
 
 /// An index probe must return a superset of the rows the residual filter
 /// keeps, under the same total order the filter evaluates with. Numeric
@@ -75,7 +70,11 @@ AccessPath ChooseAccessPath(const OptimizerTable& slot, const CostModel& cost) {
     if (!NormalizeCompare(*filter, &column, &literal, &op)) continue;
     Result<size_t> position = slot.schema.IndexOf(column->name);
     if (!position.ok()) continue;
-    if (slot.table->IndexOn(*position) == nullptr) continue;
+    {
+      // CREATE INDEX swaps index slots under the table's exclusive latch.
+      auto latch = slot.table->ReadLock();
+      if (slot.table->IndexOn(*position) == nullptr) continue;
+    }
     if (!ProbeTypeCompatible(literal->value,
                              slot.schema.ColumnAt(*position).type)) {
       continue;
@@ -114,38 +113,28 @@ AccessPath ChooseAccessPath(const OptimizerTable& slot, const CostModel& cost) {
   return path;
 }
 
-/// Cost of the left-deep plan joining in `order`. Infinite when
-/// `require_connected` and some step has no equi conjunct into the prefix
-/// (the identity order tolerates cross products — the executor plans a
-/// nested loop there, and that fallback is never reordered away from).
-double OrderCost(const std::vector<size_t>& order,
-                 const std::vector<OptimizerTable>& tables,
-                 const std::vector<OptimizerJoin>& joins,
-                 const std::vector<AccessPath>& access, const CostModel& cost,
-                 bool require_connected, bool charge_restore,
-                 std::vector<double>* rows_after_step) {
-  rows_after_step->clear();
-  std::vector<bool> in_prefix(tables.size(), false);
-  double total = access[order[0]].cost;
-  double current = access[order[0]].est_rows;
-  rows_after_step->push_back(current);
-  in_prefix[order[0]] = true;
-  for (size_t k = 1; k < order.size(); ++k) {
-    size_t t = order[k];
+/// Estimated cumulative cardinality after each step of the left-deep
+/// FROM-order join (entry 0 = the driver's post-filter rows). A step with
+/// no equi conjunct into the prefix is a cross product.
+std::vector<double> JoinEstimates(const std::vector<OptimizerTable>& tables,
+                                  const std::vector<OptimizerJoin>& joins,
+                                  const std::vector<AccessPath>& access) {
+  std::vector<double> rows_after_step;
+  double current = access[0].est_rows;
+  rows_after_step.push_back(current);
+  for (size_t t = 1; t < tables.size(); ++t) {
     double right_rows = access[t].est_rows;
-    total += access[t].cost + cost.build_row * right_rows +
-             cost.probe_row * current;
     bool connected = false;
     double joined = current * right_rows;  // Cross product until proven joined.
     for (const OptimizerJoin& join : joins) {
       size_t prefix_side, t_side;
       const std::string *prefix_column, *t_column;
-      if (join.left_table == t && in_prefix[join.right_table]) {
+      if (join.left_table == t && join.right_table < t) {
         t_side = join.left_table;
         t_column = &join.left_column;
         prefix_side = join.right_table;
         prefix_column = &join.right_column;
-      } else if (join.right_table == t && in_prefix[join.left_table]) {
+      } else if (join.right_table == t && join.left_table < t) {
         t_side = join.right_table;
         t_column = &join.right_column;
         prefix_side = join.left_table;
@@ -169,76 +158,10 @@ double OrderCost(const std::vector<size_t>& order,
         joined /= std::max(1.0, std::max(prefix_ndv, t_ndv));
       }
     }
-    if (!connected) {
-      if (require_connected) return kInfiniteCost;
-      total += cost.cross_row * current * right_rows;
-    }
     current = joined;
-    total += cost.output_row * current;
-    rows_after_step->push_back(current);
-    in_prefix[t] = true;
+    rows_after_step.push_back(current);
   }
-  if (charge_restore) total += cost.restore_row * current;
-  return total;
-}
-
-/// Non-identity orders must keep annotated tables (linked summary
-/// instances or stored annotations) in their FROM-relative order, so the
-/// merged summary-object and attachment lists concatenate identically.
-bool AnnotatedOrderPreserved(const std::vector<size_t>& order,
-                             const std::vector<OptimizerTable>& tables) {
-  size_t last = 0;
-  bool seen = false;
-  for (size_t slot : order) {
-    if (!tables[slot].annotated) continue;
-    if (seen && slot < last) return false;
-    last = slot;
-    seen = true;
-  }
-  return true;
-}
-
-/// Greedy order for wide joins: cheapest driver, then the connected table
-/// with the smallest incremental cost. Empty when it gets stuck.
-std::vector<size_t> GreedyOrder(const std::vector<OptimizerTable>& tables,
-                                const std::vector<OptimizerJoin>& joins,
-                                const std::vector<AccessPath>& access,
-                                const CostModel& cost) {
-  size_t n = tables.size();
-  std::vector<size_t> best_order;
-  double best_cost = kInfiniteCost;
-  std::vector<double> scratch;
-  for (size_t driver = 0; driver < n; ++driver) {
-    std::vector<size_t> order = {driver};
-    std::vector<bool> used(n, false);
-    used[driver] = true;
-    while (order.size() < n) {
-      size_t pick = n;
-      double pick_cost = kInfiniteCost;
-      for (size_t t = 0; t < n; ++t) {
-        if (used[t]) continue;
-        order.push_back(t);
-        double c = OrderCost(order, tables, joins, access, cost,
-                             /*require_connected=*/true,
-                             /*charge_restore=*/false, &scratch);
-        order.pop_back();
-        if (c < pick_cost) {
-          pick_cost = c;
-          pick = t;
-        }
-      }
-      if (pick == n) break;  // No connected extension.
-      order.push_back(pick);
-      used[pick] = true;
-    }
-    if (order.size() != n) continue;
-    double c = OrderCost(order, tables, joins, access, cost, true, true, &scratch);
-    if (AnnotatedOrderPreserved(order, tables) && c < best_cost) {
-      best_cost = c;
-      best_order = order;
-    }
-  }
-  return best_order;
+  return rows_after_step;
 }
 
 }  // namespace
@@ -247,71 +170,13 @@ PlanChoice ChoosePlan(const std::vector<OptimizerTable>& tables,
                       const std::vector<OptimizerJoin>& joins,
                       size_t morsel_size, const CostModel& cost) {
   PlanChoice choice;
-  size_t n = tables.size();
-  choice.access.reserve(n);
+  choice.access.reserve(tables.size());
   for (const OptimizerTable& slot : tables) {
     choice.access.push_back(ChooseAccessPath(slot, cost));
   }
-  std::vector<size_t> identity(n);
-  std::iota(identity.begin(), identity.end(), 0);
-  choice.join_order = identity;
-  choice.total_cost =
-      OrderCost(identity, tables, joins, choice.access, cost,
-                /*require_connected=*/false, /*charge_restore=*/false,
-                &choice.rows_after_step);
-
-  // Non-identity orders need evidence: without ANALYZE stats on every
-  // table, cardinalities are pure defaults and a reorder (plus its
-  // RestoreOrder sort) would be a guess. The identity plan is the
-  // rule-driven one, which stays the no-stats behavior.
-  bool have_stats = true;
-  for (const OptimizerTable& slot : tables) {
-    if (slot.stats == nullptr) {
-      have_stats = false;
-      break;
-    }
-  }
-  if (n >= 2 && !joins.empty() && have_stats) {
-    std::vector<size_t> best_order;
-    double best_cost = choice.total_cost;
-    std::vector<double> best_rows, scratch;
-    if (n <= 6) {
-      std::vector<size_t> perm = identity;
-      while (std::next_permutation(perm.begin(), perm.end())) {
-        if (!AnnotatedOrderPreserved(perm, tables)) continue;
-        double c = OrderCost(perm, tables, joins, choice.access, cost,
-                             /*require_connected=*/true,
-                             /*charge_restore=*/true, &scratch);
-        if (c < best_cost) {
-          best_cost = c;
-          best_order = perm;
-          best_rows = scratch;
-        }
-      }
-    } else {
-      std::vector<size_t> greedy = GreedyOrder(tables, joins, choice.access, cost);
-      if (!greedy.empty() && greedy != identity) {
-        double c = OrderCost(greedy, tables, joins, choice.access, cost, true,
-                             true, &scratch);
-        if (c < best_cost) {
-          best_cost = c;
-          best_order = greedy;
-          best_rows = scratch;
-        }
-      }
-    }
-    if (!best_order.empty()) {
-      choice.join_order = best_order;
-      choice.reordered = true;
-      choice.total_cost = best_cost;
-      choice.rows_after_step = best_rows;
-    }
-  }
-
-  choice.est_result_rows =
-      choice.rows_after_step.empty() ? 0 : choice.rows_after_step.back();
-  choice.serial = choice.access[choice.join_order[0]].scan_rows <
-                  static_cast<double>(morsel_size);
+  choice.rows_after_step = JoinEstimates(tables, joins, choice.access);
+  choice.est_result_rows = choice.rows_after_step.back();
+  choice.serial = choice.access[0].scan_rows < static_cast<double>(morsel_size);
   return choice;
 }
 

@@ -1,27 +1,19 @@
-// Cost-based plan search. Given the FROM tables (with their single-table
-// conjuncts and ANALYZE statistics), the equi-join conjuncts, and the
-// morsel size, picks:
+// Cost-based plan choice. Every plan joins left-deep in FROM order, the
+// order Theorems 1 & 2 fold summary objects and attachment lists in. Given
+// the FROM tables (with their single-table conjuncts and ANALYZE
+// statistics), the equi-join conjuncts, and the morsel size, picks:
 //
 //   * an access path per table — full scan, or an index probe over an
 //     existing index (rel::TableIndex) when a selective equality/range conjunct
 //     makes it cheaper (the original predicate always stays as a residual
 //     filter, so the probe only has to over-approximate);
-//   * a left-deep join order — exhaustive permutation search for up to 6
-//     tables, greedy beyond — where non-identity orders are admitted only
-//     when every FROM table has ANALYZE statistics (defaults are not
-//     evidence), every step is connected by an equi conjunct (no cross
-//     products)
-//     and tables carrying annotations or linked summary instances keep
-//     their FROM-relative order (which keeps merged summary objects and
-//     attachment metadata byte-identical; see DESIGN.md);
 //   * the parallelism degree — a driver whose access path materializes
-//     fewer rows than one morsel runs one worker.
+//     fewer rows than one morsel runs one worker;
 //
-// A reordered plan pays a RestoreOrder charge for sorting its output back
-// into canonical FROM order, so reordering only wins when the join-size
-// reduction covers that sort. The identity order is always a candidate:
-// the optimizer can never do worse than the rule-driven plan by more than
-// an estimation error, and never differs from it in results.
+// and estimates the rows after every filter and join step, which the
+// planner attaches to its operators for EXPLAIN ANALYZE. An index probe
+// yields a subsequence of the full scan's rows, so the optimized plan never
+// differs from the rule-driven one in results.
 
 #ifndef INSIGHTNOTES_SQL_OPTIMIZER_H_
 #define INSIGHTNOTES_SQL_OPTIMIZER_H_
@@ -44,9 +36,6 @@ struct OptimizerTable {
   rel::Schema schema;  // Aliased.
   std::shared_ptr<const rel::TableStats> stats;  // Null until ANALYZE.
   std::vector<const AstExpr*> filters;  // Single-table conjuncts.
-  /// True when the table has linked summary instances or stored
-  /// annotations: such tables must keep their FROM-relative order.
-  bool annotated = false;
 };
 
 /// One equi-join conjunct between exactly two FROM slots.
@@ -67,14 +56,11 @@ struct AccessPath {
 };
 
 struct PlanChoice {
-  std::vector<size_t> join_order;  // Permutation of FROM slots.
-  bool reordered = false;          // join_order != identity.
   std::vector<AccessPath> access;  // Indexed by FROM slot.
   /// Estimated cumulative cardinality after each join step, indexed by
-  /// join-order position (entry 0 = the driver's post-filter rows).
+  /// FROM slot (entry 0 = the driver's post-filter rows).
   std::vector<double> rows_after_step;
   double est_result_rows = 0;
-  double total_cost = 0;
   /// True when the driver's access path materializes fewer rows than one
   /// morsel: more workers would have nothing to share, so the planner
   /// runs the section with one inline worker.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <set>
 
 #include "exec/aggregate.h"
@@ -11,7 +10,6 @@
 #include "exec/hash_join.h"
 #include "exec/parallel.h"
 #include "exec/projection.h"
-#include "exec/restore_order.h"
 #include "exec/sort.h"
 #include "exec/summary_filter.h"
 #include "sql/binder.h"
@@ -83,17 +81,13 @@ class SelectPlanner {
     INSIGHTNOTES_RETURN_IF_ERROR(ResolveTables());
     INSIGHTNOTES_RETURN_IF_ERROR(ExpandStar());
     INSIGHTNOTES_RETURN_IF_ERROR(CollectReferencedColumns());
-    join_order_.resize(tables_.size());
-    std::iota(join_order_.begin(), join_order_.end(), 0);
     if (options_.optimize) {
       INSIGHTNOTES_RETURN_IF_ERROR(RunOptimizer());
-      join_order_ = choice_.join_order;
-      stamp_ranks_ = choice_.reordered;
       if (choice_.serial) options_.parallelism = 1;
     }
     // A driver smaller than one morsel runs one worker even with the
     // optimizer off: a single-morsel section has nothing to spread.
-    if (tables_[join_order_[0]].table->NumRows() < options_.morsel_size) {
+    if (tables_[0].table->NumRows() < options_.morsel_size) {
       options_.parallelism = 1;
     }
     INSIGHTNOTES_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> tree,
@@ -287,21 +281,7 @@ class SelectPlanner {
     return static_cast<size_t>(std::llround(estimate));
   }
 
-  /// True when reordering the table could reorder summary-object or
-  /// attachment merges: it has linked summary instances or stored
-  /// annotations. Such tables keep their FROM-relative order.
-  bool TableIsAnnotated(const rel::Table* table) const {
-    if (!engine_->summaries()->LinkedTo(table->id()).empty()) return true;
-    bool any = false;
-    engine_->annotations()->ScanTable(
-        table->id(), [&](rel::RowId, const ann::Attachment&) {
-          any = true;
-          return false;
-        });
-    return any;
-  }
-
-  /// Runs the cost-based search (sql/optimizer.h) over the resolved tables
+  /// Runs the cost-based choice (sql/optimizer.h) over the resolved tables
   /// and classified conjuncts; fills choice_.
   Status RunOptimizer() {
     std::vector<OptimizerTable> opt_tables;
@@ -312,13 +292,12 @@ class SelectPlanner {
       t.schema = slot.schema;
       t.stats = slot.table->stats();
       t.filters = slot.filters;
-      t.annotated = TableIsAnnotated(slot.table);
       opt_tables.push_back(std::move(t));
     }
     std::vector<OptimizerJoin> opt_joins;
     for (const AstExpr* conjunct : join_conjuncts_) {
-      // Only plain column = column conjuncts enter the cost graph; anything
-      // fancier keeps the identity order (conservative, never incorrect).
+      // Only plain column = column conjuncts enter the join estimates;
+      // anything fancier leaves its step estimated as a cross product.
       std::vector<std::string> left_cols, right_cols;
       conjunct->left->CollectColumns(&left_cols);
       conjunct->right->CollectColumns(&right_cols);
@@ -336,20 +315,6 @@ class SelectPlanner {
     choice_ = ChoosePlan(opt_tables, opt_joins, options_.morsel_size);
     optimized_ = true;
     return Status::OK();
-  }
-
-  /// Sorts a reordered plan's output back into canonical FROM order by the
-  /// per-table ranks the leaf scans stamped (see exec/restore_order.h).
-  std::unique_ptr<exec::Operator> RestoreCanonicalOrder(
-      std::unique_ptr<exec::Operator> tree) {
-    std::vector<size_t> key_order(join_order_.size());
-    for (size_t k = 0; k < join_order_.size(); ++k) key_order[join_order_[k]] = k;
-    auto restore = std::make_unique<exec::RestoreOrderOperator>(
-        std::move(tree), std::move(key_order));
-    if (optimized_) {
-      restore->SetPlannerEstimate(EstimateToRows(choice_.est_result_rows));
-    }
-    return restore;
   }
 
   /// Table `k`'s per-tuple stages — filters + Theorem-1 projection — on top
@@ -393,20 +358,19 @@ class SelectPlanner {
     if (optimized_ && choice_.access[k].use_index) {
       source->SetIndexProbe(choice_.access[k].probe);
     }
-    if (stamp_ranks_) source->EnableRankStamping();
     return source;
   }
 
-  /// Morsel size of the driving scan over table `k` with `workers`
+  /// Morsel size of the driving scan (the first FROM table) with `workers`
   /// pipelines: at least four morsels per worker, so no worker is left
   /// with a fixed-size remainder (300 rows in 256-row morsels split
   /// 256 + 44 between two workers), but never below 16 rows nor above the
   /// configured size. A one-worker section has nothing to balance and
   /// keeps the configured size.
-  size_t DrivingMorselSize(size_t k, size_t workers) const {
+  size_t DrivingMorselSize(size_t workers) const {
     const size_t configured = std::max<size_t>(1, options_.morsel_size);
     if (workers <= 1) return configured;
-    const size_t rows = static_cast<size_t>(tables_[k].table->NumRows());
+    const size_t rows = static_cast<size_t>(tables_[0].table->NumRows());
     const size_t share = (rows + 4 * workers - 1) / (4 * workers);
     return std::min(configured, std::max<size_t>(16, share));
   }
@@ -443,9 +407,8 @@ class SelectPlanner {
   Result<std::unique_ptr<exec::Operator>> BuildSection() {
     const size_t num_workers = std::max<size_t>(1, options_.parallelism);
     ThreadPool* pool = num_workers > 1 ? engine_->ExecPool(num_workers) : nullptr;
-    const size_t driver_slot = join_order_[0];
     std::shared_ptr<exec::ScanMorselSource> source =
-        MakeSource(driver_slot, DrivingMorselSize(driver_slot, num_workers));
+        MakeSource(0, DrivingMorselSize(num_workers));
     std::vector<std::shared_ptr<exec::SharedPlanState>> states;
     states.push_back(source);
 
@@ -453,19 +416,18 @@ class SelectPlanner {
     pipes.reserve(num_workers);
     for (size_t w = 0; w < num_workers; ++w) {
       INSIGHTNOTES_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> pipe,
-                                    BuildTablePipe(driver_slot, source));
+                                    BuildTablePipe(0, source));
       pipes.push_back(std::move(pipe));
     }
 
-    // Joins: each step joins the next table on the first unused equi
+    // Joins: each step joins the next FROM table on the first unused equi
     // conjunct linking it to the tables joined so far (all pipes share one
     // output schema, so pipes[0] stands in for them). The build side is
     // materialized once into a shared partitioned state probed by every
     // worker. With no such conjunct the step is a cross product: both keys
     // are the same literal, so every probe tuple matches every build row.
     std::vector<bool> used(join_conjuncts_.size(), false);
-    for (size_t i = 1; i < join_order_.size(); ++i) {
-      const size_t k = join_order_[i];
+    for (size_t k = 1; k < tables_.size(); ++k) {
       INSIGHTNOTES_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> right,
                                     BuildTableInput(k));
       ssize_t chosen = -1;
@@ -510,9 +472,9 @@ class SelectPlanner {
         pipes[w] = std::make_unique<exec::HashJoinProbeOperator>(
             std::move(pipes[w]), state, std::move(probe_key),
             /*expose_build=*/w == 0);
-        if (optimized_ && i < choice_.rows_after_step.size()) {
+        if (optimized_) {
           pipes[w]->SetPlannerEstimate(
-              EstimateToRows(choice_.rows_after_step[i]));
+              EstimateToRows(choice_.rows_after_step[k]));
         }
       }
     }
@@ -544,7 +506,7 @@ class SelectPlanner {
             std::move(pipes[w]), filter.spec, filter.op, filter.threshold);
         if (optimized_) {
           std::shared_ptr<const rel::TableStats> driver_stats =
-              tables_[driver_slot].table->stats();
+              tables_[0].table->stats();
           est *= driver_stats != nullptr
                      ? driver_stats->AnnCountSelectivity(filter.op, filter.threshold)
                      : 0.5;
@@ -557,20 +519,6 @@ class SelectPlanner {
       if (options_.wrap_worker_pipeline) {
         pipes[w] = options_.wrap_worker_pipeline(std::move(pipes[w]), w);
       }
-    }
-
-    // A reordered plan emits in join-order, not canonical FROM order; the
-    // RestoreOrder sort above the gather re-serializes before any
-    // order-sensitive stage, so partial pushdowns and the LIMIT row quota
-    // (both of which assume morsel order == canonical order) are skipped.
-    if (stamp_ranks_) {
-      std::unique_ptr<exec::Operator> gather =
-          std::make_unique<exec::GatherOperator>(std::move(pipes),
-                                                 std::move(states), pool);
-      if (optimized_) {
-        gather->SetPlannerEstimate(EstimateToRows(choice_.est_result_rows));
-      }
-      return RestoreCanonicalOrder(std::move(gather));
     }
 
     // With several workers, blocking stages end the section differently:
@@ -901,11 +849,8 @@ class SelectPlanner {
   std::vector<const AstExpr*> join_conjuncts_;
   std::vector<const AstExpr*> residual_conjuncts_;
   std::vector<SummaryFilter> summary_filters_;
-  // Cost-based plan choice (options_.optimize). join_order_ is identity
-  // until RunOptimizer picks otherwise; stamp_ranks_ marks a reordered
-  // plan whose leaves stamp per-table emission ranks for RestoreOrder.
-  std::vector<size_t> join_order_;
-  bool stamp_ranks_ = false;
+  // Cost-based plan choice (options_.optimize): access paths, the
+  // parallelism choice and per-operator estimates.
   bool optimized_ = false;
   PlanChoice choice_;
   std::vector<std::string> agg_output_names_;

@@ -23,11 +23,12 @@ namespace insightnotes::sql {
 struct PlannerOptions {
   /// Apply the Theorem 1&2 normalization (default on).
   bool project_before_merge = true;
-  /// Cost-based optimization (sql/optimizer.h): join reordering, index-
-  /// backed access paths and parallelism choice from ANALYZE statistics.
-  /// Off by default — the rule-driven plan is the canonical reference; the
-  /// optimizer's plans are byte-identical in results but differently
-  /// shaped. SqlSession turns this on unless `SET OPTIMIZER = OFF`.
+  /// Cost-based optimization (sql/optimizer.h): index-backed access
+  /// paths, the parallelism choice and operator estimates from ANALYZE
+  /// statistics. Joins stay in FROM order either way. Off by default — the
+  /// rule-driven plan is the canonical reference; the optimizer's plans
+  /// are byte-identical in results but may probe an index or run one
+  /// worker. SqlSession turns this on unless `SET OPTIMIZER = OFF`.
   bool optimize = false;
   /// Worker pipelines of the plan's morsel-driven section. Every SELECT
   /// runs its per-tuple section (scan / filter / projection / hash-join

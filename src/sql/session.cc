@@ -177,8 +177,10 @@ Result<ExecutionOutput> SqlSession::Execute(std::string_view sql,
   INSIGHTNOTES_ASSIGN_OR_RETURN(Statement statement, Parse(sql));
   if (auto* select = std::get_if<SelectStatement>(&statement)) {
     PlannerOptions options = planner_options_;
-    // Tracing observes per-operator tuple order; keep one worker and the
-    // rule-driven plan (optimizer plans may reorder operator events).
+    // A trace walks every row of every scan through the per-tuple stages
+    // in pipeline order (the Figure 2 walk-through): one worker, and the
+    // rule-driven plan, since an optimizer index probe never materializes
+    // the rows its filter would drop and so hides their events.
     options.parallelism = trace != nullptr ? 1 : parallelism_;
     options.optimize = optimizer_enabled_ && trace == nullptr;
     context_->BeginStatement(statement_timeout_ms_, memory_limit_bytes_);

@@ -44,7 +44,8 @@ class SqlSession {
 
   /// Parses, plans and executes one statement. With `trace` non-null,
   /// SELECTs record per-operator tuple flow (traced queries run one worker
-  /// with the rule-driven plan, so events arrive in pipeline order).
+  /// with the rule-driven plan, so events arrive in pipeline order and
+  /// every scanned row shows up, even where an index probe would skip it).
   ///
   /// Every SELECT / EXPLAIN re-arms the session's QueryContext: the
   /// statement runs under `SET STATEMENT_TIMEOUT` / `SET MEMORY_LIMIT` and

@@ -1,5 +1,5 @@
-// Vocabulary: interns term strings to dense integer ids and tracks document
-// frequencies, so the mining kernels can work on integer term ids.
+// Vocabulary: interns term strings to dense integer ids, so the mining
+// kernels can work on integer term ids.
 
 #ifndef INSIGHTNOTES_TXT_VOCABULARY_H_
 #define INSIGHTNOTES_TXT_VOCABULARY_H_
@@ -37,23 +37,9 @@ class Vocabulary {
 
   size_t size() const { return terms_.size(); }
 
-  /// Document-frequency tracking: call once per distinct term per document.
-  void BumpDocumentFrequency(TermId id);
-  uint32_t DocumentFrequency(TermId id) const { return doc_freq_[id]; }
-
-  /// Number of documents folded into the df counts (caller-maintained via
-  /// BumpDocumentCount).
-  void BumpDocumentCount() { ++num_documents_; }
-  uint64_t num_documents() const { return num_documents_; }
-
-  /// Smoothed inverse document frequency: ln((N + 1) / (df + 1)) + 1.
-  double Idf(TermId id) const;
-
  private:
   std::unordered_map<std::string, TermId, TermHash, std::equal_to<>> index_;
   std::vector<std::string> terms_;
-  std::vector<uint32_t> doc_freq_;
-  uint64_t num_documents_ = 0;
 };
 
 }  // namespace insightnotes::txt

@@ -6,15 +6,19 @@
 // (tables and rows are configuration; the WAL is truth for annotations).
 // Also locks in the snapshot-visibility contract of index-backed access:
 // rows inserted after a pinned epoch and rows deleted since the probe are
-// masked from IndexScan output.
+// masked from IndexScan output, and that planning an optimized SELECT
+// races neither CREATE INDEX nor instance (un)linking on the same table.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -340,6 +344,106 @@ TEST(PersistentIndexSnapshotTest, PinnedSnapshotMasksLateAndDeadRows) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // 20 pinned-visible rows minus the deleted one; none of the 10 late rows.
   EXPECT_EQ(result->rows.size(), 19u);
+}
+
+// DDL racing a reader session on one table: while the session plans and
+// runs optimizer-on SELECTs over an ANALYZEd, indexed, linked table, a
+// writer thread builds indexes on the table's other columns (CREATE INDEX
+// swaps index slots under the table latch) and links and unlinks a second
+// summary instance. The optimizer's index lookups must hold the table
+// latch, and planning must read no link state; row results stay those of
+// the quiet engine whatever the writer is doing. Run under TSAN.
+TEST(PersistentIndexConcurrencyTest, OptimizedSelectsRaceCreateIndexAndLinks) {
+  constexpr uint64_t kRows = 120;
+  Engine engine;
+  ASSERT_TRUE(engine.Init().ok());
+  ASSERT_TRUE(engine
+                  .CreateTable("birds",
+                               rel::Schema({{"id", rel::ValueType::kInt64, "birds"},
+                                            {"band", rel::ValueType::kString, "birds"},
+                                            {"wing", rel::ValueType::kInt64, "birds"}}))
+                  .ok());
+  for (uint64_t i = 0; i < kRows; ++i) {
+    rel::Tuple row = BirdRow(i);
+    row.Append(I(static_cast<int64_t>(i % 40)));
+    ASSERT_TRUE(engine.Insert("birds", row).ok());
+  }
+  auto classifier =
+      SummaryInstance::MakeClassifier("BirdClass", {"Behavior", "Disease"});
+  ASSERT_TRUE(classifier->classifier()->Train(0, "foraging flying migration").ok());
+  ASSERT_TRUE(classifier->classifier()->Train(1, "influenza lesion parasite").ok());
+  ASSERT_TRUE(engine.RegisterInstance(std::move(classifier)).ok());
+  mining::SnippetOptions snippet_options;
+  snippet_options.max_sentences = 1;
+  ASSERT_TRUE(engine
+                  .RegisterInstance(
+                      SummaryInstance::MakeSnippet("Snippets", snippet_options))
+                  .ok());
+  ASSERT_TRUE(engine.LinkInstance("BirdClass", "birds").ok());
+  for (uint64_t i = 0; i < kRows; i += 3) {
+    AnnotateSpec spec;
+    spec.table = "birds";
+    spec.row = static_cast<rel::RowId>(i);
+    spec.body = i % 2 == 0 ? "foraging along the shore" : "influenza lesion seen";
+    ASSERT_TRUE(engine.Annotate(spec).ok());
+  }
+  ASSERT_TRUE(engine.CreateIndex("birds", "id").ok());
+  ASSERT_TRUE(engine.Analyze("birds").ok());
+
+  const std::vector<std::string> queries = {
+      "SELECT b.band, b.wing FROM birds b WHERE b.id = 7",
+      "SELECT b.id FROM birds b WHERE b.band = 'band-3' AND b.wing < 20",
+      "SELECT x.id, y.band FROM birds x, birds y WHERE x.id = y.id AND x.id < 4",
+      "SELECT b.id FROM birds b WHERE SUMMARY_COUNT(BirdClass) > 0 AND b.wing = 9",
+  };
+  sql::PlannerOptions options;
+  options.parallelism = 2;
+  sql::SqlSession session(&engine, options);
+  ASSERT_TRUE(session.optimizer_enabled());
+  auto run = [&](const std::string& sql, std::vector<std::string>* rows) {
+    auto out = session.Execute(sql);
+    if (!out.ok()) return out.status();
+    rows->clear();
+    for (const AnnotatedTuple& row : out->result.rows) {
+      rows->push_back(row.tuple.ToString());
+    }
+    return Status::OK();
+  };
+  std::vector<std::vector<std::string>> expected(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    Status s = run(queries[q], &expected[q]);
+    ASSERT_TRUE(s.ok()) << queries[q] << ": " << s.ToString();
+    ASSERT_FALSE(expected[q].empty()) << queries[q];
+  }
+
+  // gtest assertions are not thread-safe off the main thread: the writer
+  // collects its failures for the post-join assert.
+  std::mutex failures_mutex;
+  std::vector<std::string> failures;
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = 0; !stop.load(std::memory_order_acquire); ++i) {
+      Status s = engine.CreateIndex("birds", i % 2 == 0 ? "band" : "wing");
+      if (s.ok()) s = engine.LinkInstance("Snippets", "birds");
+      if (s.ok()) s = engine.UnlinkInstance("Snippets", "birds");
+      if (!s.ok()) {
+        std::lock_guard<std::mutex> lock(failures_mutex);
+        failures.push_back(s.ToString());
+        return;
+      }
+    }
+  });
+  for (int round = 0; round < 30; ++round) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      std::vector<std::string> rows;
+      Status s = run(queries[q], &rows);
+      EXPECT_TRUE(s.ok()) << queries[q] << ": " << s.ToString();
+      EXPECT_EQ(rows, expected[q]) << queries[q];
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  EXPECT_TRUE(failures.empty()) << failures.front();
 }
 
 }  // namespace

@@ -747,8 +747,8 @@ TEST_F(QueryFuzzTest, ScanFilterProjectJoinMatchRawPropagationOracle) {
 
 // Optimizer differential: with ANALYZE statistics and secondary indexes in
 // place, every fuzzed query must return byte-identical results with the
-// cost-based optimizer ON (join reordering + RestoreOrder, index-backed
-// access paths, parallelism choice) as with it OFF — across serial and
+// cost-based optimizer ON (index-backed access paths, the parallelism
+// choice; joins stay in FROM order) as with it OFF — across serial and
 // parallel execution. This is the safety net behind `SET OPTIMIZER = ON`
 // being the session default.
 TEST_F(QueryFuzzTest, OptimizerPlansMatchRuleDrivenByteForByte) {

@@ -22,18 +22,6 @@ TEST(VocabularyTest, InternsTerms) {
   EXPECT_EQ(v.Lookup("heron"), kInvalidTermId);
 }
 
-TEST(VocabularyTest, IdfDecreasesWithDocumentFrequency) {
-  Vocabulary v;
-  TermId common = v.GetOrAdd("bird");
-  TermId rare = v.GetOrAdd("stonewort");
-  for (int i = 0; i < 100; ++i) {
-    v.BumpDocumentCount();
-    v.BumpDocumentFrequency(common);
-  }
-  v.BumpDocumentFrequency(rare);
-  EXPECT_LT(v.Idf(common), v.Idf(rare));
-}
-
 TEST(SparseVectorTest, FromTermIdsCountsTerms) {
   Vocabulary vocab;
   std::vector<TermId> terms;

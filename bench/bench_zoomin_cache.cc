@@ -38,9 +38,8 @@ core::ResultSnapshot MakeSnapshot(size_t rows, size_t row_bytes) {
 }
 
 struct ResultPoolEntry {
-  core::ResultSnapshot snapshot;
+  std::string record;   // The serialized snapshot, as the cache stores it.
   double cost_seconds;  // Simulated recompute cost.
-  size_t size;
 };
 
 std::vector<ResultPoolEntry> MakeResultPool(size_t n, uint64_t seed) {
@@ -56,8 +55,7 @@ std::vector<ResultPoolEntry> MakeResultPool(size_t n, uint64_t seed) {
     size_t rows = small_expensive ? 2 + rng.Uniform(4) : 40 + rng.Uniform(60);
     entry.cost_seconds = small_expensive ? 0.05 + rng.NextDouble() * 0.2
                                          : 0.001 + rng.NextDouble() * 0.004;
-    entry.snapshot = MakeSnapshot(rows, 256);
-    entry.size = entry.snapshot.SizeBytes();
+    MakeSnapshot(rows, 256).Serialize(&entry.record);
     pool.push_back(std::move(entry));
   }
   return pool;
@@ -84,7 +82,7 @@ void BM_ZoomInPolicy(benchmark::State& state) {
     Random rng(7);
     // Warm: admit everything once (results were executed once by the user).
     for (size_t i = 0; i < pool.size(); ++i) {
-      Check(cache.Put(i, pool[i].snapshot, pool[i].cost_seconds), "put");
+      Check(cache.Put(i, pool[i].record, pool[i].cost_seconds), "put");
     }
     double session_cost = 0.0;
     state.ResumeTiming();
@@ -94,7 +92,7 @@ void BM_ZoomInPolicy(benchmark::State& state) {
       if (!snapshot.ok()) {
         // Miss: simulated re-execution cost, then re-admit.
         session_cost += pool[target].cost_seconds;
-        Check(cache.Put(target, pool[target].snapshot, pool[target].cost_seconds),
+        Check(cache.Put(target, pool[target].record, pool[target].cost_seconds),
               "readmit");
       }
       benchmark::DoNotOptimize(snapshot.ok());
@@ -131,18 +129,19 @@ void BM_EvictionHeavyPut(benchmark::State& state) {
   auto policy = static_cast<core::CachePolicy>(state.range(0));
   size_t n = static_cast<size_t>(state.range(1));
 
-  core::ResultSnapshot snapshot = MakeSnapshot(/*rows=*/1, /*row_bytes=*/64);
-  size_t entry_size = snapshot.SizeBytes();
+  std::string record;
+  MakeSnapshot(/*rows=*/1, /*row_bytes=*/64).Serialize(&record);
+  size_t entry_size = record.size();
   // Budget fits exactly n entries: the (n+1)-th admission must evict.
   core::ZoomInCache cache(policy, entry_size * n);
   Check(cache.Init(), "cache init");
   Random rng(3);
   for (size_t i = 0; i < n; ++i) {
-    Check(cache.Put(i, snapshot, 0.01 + rng.NextDouble()), "warm");
+    Check(cache.Put(i, record, 0.01 + rng.NextDouble()), "warm");
   }
   core::QueryId next_qid = n;
   for (auto _ : state) {
-    Check(cache.Put(next_qid++, snapshot, 0.01 + rng.NextDouble()), "put");
+    Check(cache.Put(next_qid++, record, 0.01 + rng.NextDouble()), "put");
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.SetLabel(std::string(core::CachePolicyToString(policy)) + "/n=" +

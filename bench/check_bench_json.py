@@ -254,6 +254,13 @@ def check_optimizer_sweep(path, benchmarks):
         name = entry.get("name", "")
         if not name.startswith("BM_Opt"):
             continue
+        # A --benchmark_repetitions report adds aggregate rows; their
+        # counters are statistics of the flag (stddev 0, cv NaN), not the
+        # flag. The median row keeps both the flag and a real time, and is
+        # all a --benchmark_report_aggregates_only report has.
+        if (entry.get("run_type") == "aggregate"
+                and entry.get("aggregate_name") != "median"):
+            continue
         where = f"benchmarks[{i}] ({name})"
         optimized = entry.get("optimized")
         if optimized not in (0, 1, 0.0, 1.0):

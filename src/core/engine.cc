@@ -1058,17 +1058,15 @@ Result<QueryResult> Engine::Execute(std::unique_ptr<exec::Operator> plan,
   if (options.trace != nullptr) plan->SetTraceSink(nullptr);
   if (!options.retain) return result;
 
-  // Materialize the snapshot into the zoom-in cache and retain the plan
-  // (with its pinned epoch, so re-execution reproduces these bytes) for
-  // cache-miss re-execution.
+  // Offer the result to the zoom-in cache and retain the plan (with its
+  // pinned epoch, so re-execution reproduces these bytes) for cache-miss
+  // re-execution.
   auto stored = std::make_shared<StoredQuery>();
   stored->schema = result.schema;
   stored->cost = result.execute_seconds;
   stored->snapshot = snap;
-  INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
-                                ResultSnapshot::Capture(result.schema, result.rows));
   INSIGHTNOTES_RETURN_IF_ERROR(
-      cache_->Put(result.qid, snapshot, result.execute_seconds));
+      CacheResult(result.qid, result.schema, result.rows, result.execute_seconds));
   stored->plan = std::move(plan);
   {
     std::lock_guard<std::mutex> lock(queries_mutex_);
@@ -1100,8 +1098,27 @@ Result<std::shared_ptr<Engine::StoredQuery>> Engine::FindQuery(QueryId qid) cons
   return it->second;
 }
 
-Result<ResultSnapshot> Engine::SnapshotFor(QueryId qid, StoredQuery& stored,
-                                           bool* from_cache) {
+Status Engine::CacheResult(QueryId qid, const rel::Schema& schema,
+                           const std::vector<AnnotatedTuple>& rows, double cost) {
+  // Admission comes before materialization: a result whose size bound is
+  // already over budget is rejected unencoded, and the encoder gives up
+  // as soon as its record passes the budget. Either way the rejection is
+  // counted exactly as Put would count it.
+  const size_t bound = SnapshotRecordBound(schema, rows);
+  if (cache_->Admits(bound)) {
+    std::string record;
+    record.reserve(bound);
+    if (EncodeSnapshotRecord(schema, rows, cache_->budget_bytes(), &record)) {
+      return cache_->Put(qid, record, cost);
+    }
+  }
+  cache_->Reject();
+  return Status::OK();
+}
+
+Result<ResultSnapshot> Engine::SnapshotFor(const ZoomInRequest& request,
+                                           StoredQuery& stored, bool* from_cache) {
+  const QueryId qid = request.qid;
   auto cached = cache_->Get(qid);
   if (cached.ok()) {
     *from_cache = true;
@@ -1122,10 +1139,10 @@ Result<ResultSnapshot> Engine::SnapshotFor(QueryId qid, StoredQuery& stored,
   // further ingest reproduces the original bytes.
   INSIGHTNOTES_ASSIGN_OR_RETURN(std::vector<AnnotatedTuple> rows,
                                 DrainPinned(stored.plan.get(), stored.snapshot));
-  INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
-                                ResultSnapshot::Capture(stored.schema, rows));
-  INSIGHTNOTES_RETURN_IF_ERROR(cache_->Put(qid, snapshot, stored.cost));
-  return snapshot;
+  INSIGHTNOTES_RETURN_IF_ERROR(CacheResult(qid, stored.schema, rows, stored.cost));
+  // Only what this request reads is captured: a result the cache cannot
+  // hold never pays for a full capture.
+  return ResultSnapshot::CaptureForZoomIn(stored.schema, std::move(rows), request);
 }
 
 Result<rel::Schema> Engine::SchemaOf(QueryId qid) const {
@@ -1137,16 +1154,15 @@ Result<ZoomInResult> Engine::ZoomIn(const ZoomInRequest& request) {
   ZoomInResult result;
   INSIGHTNOTES_ASSIGN_OR_RETURN(std::shared_ptr<StoredQuery> stored,
                                 FindQuery(request.qid));
-  INSIGHTNOTES_ASSIGN_OR_RETURN(
-      ResultSnapshot snapshot,
-      SnapshotFor(request.qid, *stored, &result.served_from_cache));
+  INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
+                                SnapshotFor(request, *stored, &result.served_from_cache));
   INSIGHTNOTES_ASSIGN_OR_RETURN(auto matches, ResolveZoomIn(snapshot, request));
   result.rows.reserve(matches.size());
   for (auto& [row_index, component] : matches) {
     ZoomInRowResult row;
     row.row_index = row_index;
-    row.tuple = snapshot.rows[row_index].tuple;
-    row.component_label = component.label;
+    row.tuple = std::move(snapshot.rows[row_index].tuple);
+    row.component_label = std::move(component.label);
     row.annotations.reserve(component.ids.size());
     for (ann::AnnotationId id : component.ids) {
       INSIGHTNOTES_ASSIGN_OR_RETURN(ann::Annotation note, store_->Get(id));

@@ -356,9 +356,17 @@ class Engine {
   /// The registry entry of `qid`; NotFound for an unknown QID.
   Result<std::shared_ptr<StoredQuery>> FindQuery(QueryId qid) const;
 
-  /// The result of `stored` (registered as `qid`): from the zoom-in cache,
-  /// or by re-executing the retained plan against the stored epoch.
-  Result<ResultSnapshot> SnapshotFor(QueryId qid, StoredQuery& stored,
+  /// Offers the result `rows` of `qid` to the zoom-in cache: encoded into
+  /// its record only if the cache's admission rule can admit it, else
+  /// counted as rejected without being built.
+  Status CacheResult(QueryId qid, const rel::Schema& schema,
+                     const std::vector<AnnotatedTuple>& rows, double cost);
+
+  /// The result of `stored` (registered as `request.qid`) as far as
+  /// `request` reads it: the whole snapshot from the zoom-in cache, or, on
+  /// a miss, the re-executed result (against the stored epoch) captured
+  /// only where `request` reads it (ResultSnapshot::CaptureForZoomIn).
+  Result<ResultSnapshot> SnapshotFor(const ZoomInRequest& request, StoredQuery& stored,
                                      bool* from_cache);
 
   /// Visible-row bound of every catalog table right now (writer thread).

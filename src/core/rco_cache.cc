@@ -54,17 +54,12 @@ size_t ZoomInCache::NumEntriesLocked() const {
   return n;
 }
 
-Status ZoomInCache::Put(QueryId qid, const ResultSnapshot& snapshot,
-                        double cost_seconds) {
-  if (policy_ == CachePolicy::kNone) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
+Status ZoomInCache::Put(QueryId qid, std::string_view record, double cost_seconds) {
+  if (policy_ != CachePolicy::kNone && heap_ == nullptr) {
+    return Status::Internal("cache not initialized");
   }
-  if (heap_ == nullptr) return Status::Internal("cache not initialized");
-  std::string bytes;
-  snapshot.Serialize(&bytes);
-  if (bytes.size() > budget_) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+  if (!Admits(record.size())) {
+    Reject();
     return Status::OK();  // Larger than the whole cache: never admitted.
   }
   // Insertion needs the global directory view (eviction scans every shard),
@@ -78,11 +73,11 @@ Status ZoomInCache::Put(QueryId qid, const ResultSnapshot& snapshot,
   auto existing = home.entries.find(qid);
   size_t reclaimable = existing != home.entries.end() ? existing->second.size : 0;
   const QueryId* pinned = existing != home.entries.end() ? &qid : nullptr;
-  if (!MakeRoom(bytes.size(), reclaimable, pinned)) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+  if (!MakeRoom(record.size(), reclaimable, pinned)) {
+    Reject();
     return Status::OK();  // Old snapshot (if any) remains readable.
   }
-  INSIGHTNOTES_ASSIGN_OR_RETURN(storage::RecordId record, heap_->Append(bytes));
+  INSIGHTNOTES_ASSIGN_OR_RETURN(storage::RecordId rid, heap_->Append(record));
   if (existing != home.entries.end()) {
     // The replacement is durable; now drop the old backing record.
     Status s = heap_->Delete(existing->second.record);
@@ -91,8 +86,8 @@ Status ZoomInCache::Put(QueryId qid, const ResultSnapshot& snapshot,
     if (!s.ok()) return s;
   }
   Entry entry;
-  entry.record = record;
-  entry.size = bytes.size();
+  entry.record = rid;
+  entry.size = record.size();
   entry.cost = cost_seconds;
   entry.last_ref = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   entry.ref_count = 1;

@@ -69,13 +69,27 @@ class ZoomInCache {
 
   Status Init();
 
-  /// Admits the snapshot of `qid` with recompute cost `cost_seconds`.
-  /// Snapshots that cannot fit even an empty cache are rejected (counted in
-  /// stats().rejected); under kNone everything is rejected. Replacing an
-  /// existing qid is atomic from the reader's perspective: the old snapshot
-  /// stays readable until the replacement has fully succeeded, and a failed
-  /// or rejected replacement keeps it.
-  Status Put(QueryId qid, const ResultSnapshot& snapshot, double cost_seconds);
+  /// Admits `record`, the ResultSnapshot::Serialize bytes of the result of
+  /// `qid`, with recompute cost `cost_seconds`. Records that cannot fit
+  /// even an empty cache are rejected (counted in stats().rejected); under
+  /// kNone everything is rejected. Replacing an existing qid is atomic from
+  /// the reader's perspective: the old snapshot stays readable until the
+  /// replacement has fully succeeded, and a failed or rejected replacement
+  /// keeps it.
+  Status Put(QueryId qid, std::string_view record, double cost_seconds);
+
+  /// The admission rule Put applies: true iff a record of `record_bytes`
+  /// could be admitted (the policy caches at all and the record fits the
+  /// whole budget). Callers that know a lower bound of a record's size ask
+  /// before encoding it.
+  bool Admits(size_t record_bytes) const {
+    return policy_ != CachePolicy::kNone && record_bytes <= budget_;
+  }
+
+  /// Counts a result rejected before it was encoded (Admits was false for
+  /// a lower bound of its size, or its encoding passed the budget), exactly
+  /// as Put counts a rejected record.
+  void Reject() { rejected_.fetch_add(1, std::memory_order_relaxed); }
 
   /// Fetches the snapshot for `qid`, bumping its recency/frequency. NotFound
   /// on miss (evicted, rejected or never inserted). A QID names one result
@@ -93,6 +107,9 @@ class ZoomInCache {
   bool Contains(QueryId qid) const;
 
   CacheStats stats() const;
+  /// Pages of the backing file (tombstoned records' overflow pages are
+  /// reused, so this plateaus under a steady stream of Puts).
+  uint32_t backing_pages() const { return disk_.num_pages(); }
   CachePolicy policy() const { return policy_; }
   size_t budget_bytes() const { return budget_; }
 

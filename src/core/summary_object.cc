@@ -28,6 +28,34 @@ Status CheckSameInstance(const SummaryObject& a, const SummaryObject& b) {
 
 }  // namespace
 
+// --- SummaryObject ----------------------------------------------------------
+
+Status SummaryObject::CheckComponent(size_t index) const {
+  if (index < NumComponents()) return Status::OK();
+  return Status::OutOfRange("summary object '" + instance_name() +
+                            "' has no component " + std::to_string(index));
+}
+
+Result<std::string> SummaryObject::ComponentLabel(size_t index) const {
+  INSIGHTNOTES_RETURN_IF_ERROR(CheckComponent(index));
+  std::string label;
+  AppendComponent(index, &label);
+  return label;
+}
+
+Result<std::vector<ann::AnnotationId>> SummaryObject::ZoomIn(size_t index) const {
+  INSIGHTNOTES_RETURN_IF_ERROR(CheckComponent(index));
+  std::string label;
+  std::span<const ann::AnnotationId> ids = AppendComponent(index, &label);
+  return std::vector<ann::AnnotationId>(ids.begin(), ids.end());
+}
+
+std::string SummaryObject::Render() const {
+  std::string out;
+  AppendRender(&out);
+  return out;
+}
+
 // --- ClassifierObject -------------------------------------------------------
 
 ClassifierObject::ClassifierObject(SummaryInstance* instance)
@@ -107,29 +135,21 @@ size_t ClassifierObject::NumAnnotations() const {
 
 size_t ClassifierObject::NumComponents() const { return ids_per_label_->size(); }
 
-Result<std::string> ClassifierObject::ComponentLabel(size_t index) const {
-  if (index >= ids_per_label_->size()) {
-    return Status::OutOfRange("classifier has no component " + std::to_string(index));
-  }
-  return instance_->classifier()->labels()[index];
-}
-
-Result<std::vector<ann::AnnotationId>> ClassifierObject::ZoomIn(size_t index) const {
-  if (index >= ids_per_label_->size()) {
-    return Status::OutOfRange("classifier has no component " + std::to_string(index));
-  }
+std::span<const ann::AnnotationId> ClassifierObject::AppendComponent(
+    size_t index, std::string* label) const {
+  label->append(instance_->classifier()->labels()[index]);
   return (*ids_per_label_)[index];
 }
 
-std::string ClassifierObject::Render() const {
-  std::string out = "[";
-  const auto& labels = instance_->classifier()->labels();
+void ClassifierObject::AppendRender(std::string* out) const {
+  out->push_back('[');
   for (size_t i = 0; i < ids_per_label_->size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "(" + labels[i] + ", " + std::to_string((*ids_per_label_)[i].size()) + ")";
+    if (i > 0) out->append(", ");
+    out->push_back('(');
+    size_t count = AppendComponent(i, out).size();
+    out->append(", ").append(std::to_string(count)).push_back(')');
   }
-  out += "]";
-  return out;
+  out->push_back(']');
 }
 
 size_t ClassifierObject::LabelCount(size_t index) const {
@@ -185,26 +205,21 @@ size_t ClusterObject::NumAnnotations() const { return clusters_->NumDocuments();
 
 size_t ClusterObject::NumComponents() const { return clusters_->NumGroups(); }
 
-Result<std::string> ClusterObject::ComponentLabel(size_t index) const {
-  if (index >= clusters_->NumGroups()) {
-    return Status::OutOfRange("cluster object has no group " + std::to_string(index));
-  }
+std::span<const ann::AnnotationId> ClusterObject::AppendComponent(
+    size_t index, std::string* label) const {
   const mining::ClusterGroup g = clusters_->group(index);
-  return "A" + std::to_string(g.representative) + " x" + std::to_string(g.size());
+  label->append("A").append(std::to_string(g.representative));
+  label->append(" x").append(std::to_string(g.size()));
+  return g.members;
 }
 
-Result<std::vector<ann::AnnotationId>> ClusterObject::ZoomIn(size_t index) const {
-  return clusters_->GroupMembers(index);
-}
-
-std::string ClusterObject::Render() const {
-  std::string out = "{";
+void ClusterObject::AppendRender(std::string* out) const {
+  out->push_back('{');
   for (size_t i = 0; i < clusters_->NumGroups(); ++i) {
-    if (i > 0) out += ", ";
-    out += *ComponentLabel(i);
+    if (i > 0) out->append(", ");
+    AppendComponent(i, out);
   }
-  out += "}";
-  return out;
+  out->push_back('}');
 }
 
 // --- SnippetObject ----------------------------------------------------------
@@ -278,31 +293,24 @@ size_t SnippetObject::NumAnnotations() const { return entries_->size(); }
 
 size_t SnippetObject::NumComponents() const { return entries_->size(); }
 
-Result<std::string> SnippetObject::ComponentLabel(size_t index) const {
-  if (index >= entries_->size()) {
-    return Status::OutOfRange("snippet object has no component " +
-                              std::to_string(index));
-  }
+std::span<const ann::AnnotationId> SnippetObject::AppendComponent(
+    size_t index, std::string* label) const {
   const Entry& e = (*entries_)[index];
-  return e.title.empty() ? ("doc " + std::to_string(e.id)) : e.title;
-}
-
-Result<std::vector<ann::AnnotationId>> SnippetObject::ZoomIn(size_t index) const {
-  if (index >= entries_->size()) {
-    return Status::OutOfRange("snippet object has no component " +
-                              std::to_string(index));
+  if (e.title.empty()) {
+    label->append("doc ").append(std::to_string(e.id));
+  } else {
+    label->append(e.title);
   }
-  return std::vector<ann::AnnotationId>{(*entries_)[index].id};
+  return {&e.id, 1};
 }
 
-std::string SnippetObject::Render() const {
-  std::string out = "[";
+void SnippetObject::AppendRender(std::string* out) const {
+  out->push_back('[');
   for (size_t i = 0; i < entries_->size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"" + (*entries_)[i].snippet + "\"";
+    if (i > 0) out->append(", ");
+    out->append("\"").append((*entries_)[i].snippet).push_back('"');
   }
-  out += "]";
-  return out;
+  out->push_back(']');
 }
 
 }  // namespace insightnotes::core

@@ -73,16 +73,30 @@ class SummaryObject {
   /// Components are the user-visible parts of a summary: class labels for
   /// classifiers, groups for clusters, snippets for snippet objects.
   virtual size_t NumComponents() const = 0;
-  virtual Result<std::string> ComponentLabel(size_t index) const = 0;
-  /// Raw annotation ids behind component `index`.
-  virtual Result<std::vector<ann::AnnotationId>> ZoomIn(size_t index) const = 0;
+  /// Component `index` (< NumComponents()): appends its label to `label`
+  /// and returns the raw annotation ids behind it, ascending, as a view
+  /// valid until this object changes. The one formatter of components:
+  /// ComponentLabel, ZoomIn, Render and the zoom-in record encoder
+  /// (zoom_in.h) all read them through it.
+  virtual std::span<const ann::AnnotationId> AppendComponent(size_t index,
+                                                             std::string* label) const = 0;
+  /// Label of component `index`; OutOfRange past NumComponents().
+  Result<std::string> ComponentLabel(size_t index) const;
+  /// Raw annotation ids behind component `index`; OutOfRange past
+  /// NumComponents().
+  Result<std::vector<ann::AnnotationId>> ZoomIn(size_t index) const;
 
   /// Display form, e.g. "[(Behavior, 33), (Disease, 8), ...]".
-  virtual std::string Render() const = 0;
+  std::string Render() const;
+  /// Appends the display form to `out`.
+  virtual void AppendRender(std::string* out) const = 0;
 
  protected:
   explicit SummaryObject(SummaryInstance* instance) : instance_(instance) {}
   SummaryObject(const SummaryObject&) = default;
+
+  /// OutOfRange unless `index` < NumComponents().
+  Status CheckComponent(size_t index) const;
 
   SummaryInstance* instance_;  // Not owned; outlives the object.
 };
@@ -106,9 +120,9 @@ class ClassifierObject final : public SummaryObject {
   std::unique_ptr<SummaryObject> Clone() const override;
   size_t NumAnnotations() const override;
   size_t NumComponents() const override;
-  Result<std::string> ComponentLabel(size_t index) const override;
-  Result<std::vector<ann::AnnotationId>> ZoomIn(size_t index) const override;
-  std::string Render() const override;
+  std::span<const ann::AnnotationId> AppendComponent(size_t index,
+                                                     std::string* label) const override;
+  void AppendRender(std::string* out) const override;
 
   /// Count for label `index` (0 for out-of-range).
   size_t LabelCount(size_t index) const;
@@ -137,9 +151,9 @@ class ClusterObject final : public SummaryObject {
   std::unique_ptr<SummaryObject> Clone() const override;
   size_t NumAnnotations() const override;
   size_t NumComponents() const override;
-  Result<std::string> ComponentLabel(size_t index) const override;
-  Result<std::vector<ann::AnnotationId>> ZoomIn(size_t index) const override;
-  std::string Render() const override;
+  std::span<const ann::AnnotationId> AppendComponent(size_t index,
+                                                     std::string* label) const override;
+  void AppendRender(std::string* out) const override;
 
   const mining::ClusterSet& clusters() const { return *clusters_; }
 
@@ -163,9 +177,9 @@ class SnippetObject final : public SummaryObject {
   std::unique_ptr<SummaryObject> Clone() const override;
   size_t NumAnnotations() const override;
   size_t NumComponents() const override;
-  Result<std::string> ComponentLabel(size_t index) const override;
-  Result<std::vector<ann::AnnotationId>> ZoomIn(size_t index) const override;
-  std::string Render() const override;
+  std::span<const ann::AnnotationId> AppendComponent(size_t index,
+                                                     std::string* label) const override;
+  void AppendRender(std::string* out) const override;
 
  private:
   struct Entry {

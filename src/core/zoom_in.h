@@ -2,13 +2,17 @@
 // compact *snapshots* — tuples plus, per summary object, the rendered form
 // and the annotation ids behind each component. Snapshots serve future
 // ZoomIn commands without re-running the query; they are what competes for
-// the RCO-managed disk cache (rco_cache.h).
+// the RCO-managed disk cache (rco_cache.h). The engine writes a result's
+// cache record straight from its tuples (EncodeSnapshotRecord), and only
+// when the cache can admit it; ResultSnapshot is the decoded form a cache
+// hit reads back, and Capture + Serialize the reference the encoder equals.
 
 #ifndef INSIGHTNOTES_CORE_ZOOM_IN_H_
 #define INSIGHTNOTES_CORE_ZOOM_IN_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "annotation/annotation.h"
@@ -38,6 +42,15 @@ struct RowSnapshot {
   std::vector<SummarySnapshot> summaries;
 };
 
+/// A ZoomIn command: "ZOOMIN REFERENCE QID <qid> [WHERE <predicate>]
+/// ON <instance> INDEX <component>".
+struct ZoomInRequest {
+  QueryId qid = 0;
+  rel::ExprPtr predicate;     // Optional, bound against the result schema.
+  std::string instance_name;  // Which summary object.
+  size_t component_index = 0; // Which component within it (0-based).
+};
+
 /// Everything needed to display a result and answer zoom-ins on it.
 struct ResultSnapshot {
   std::vector<std::string> column_names;
@@ -47,21 +60,21 @@ struct ResultSnapshot {
   static Result<ResultSnapshot> Capture(const rel::Schema& schema,
                                         const std::vector<AnnotatedTuple>& tuples);
 
+  /// Captures only what ResolveZoomIn(request) reads of `tuples`: every
+  /// tuple, but the summary of `request.instance_name` alone and only on
+  /// the rows the request's predicate selects. Resolving `request` on it
+  /// yields what resolving it on Capture(schema, tuples) yields: the same
+  /// rows, row indices and errors.
+  static Result<ResultSnapshot> CaptureForZoomIn(const rel::Schema& schema,
+                                                 std::vector<AnnotatedTuple> tuples,
+                                                 const ZoomInRequest& request);
+
   /// Binary round trip (cache storage format).
   void Serialize(std::string* out) const;
   static Result<ResultSnapshot> Deserialize(std::string_view in);
 
   /// Approximate in-memory/cache footprint.
   size_t SizeBytes() const;
-};
-
-/// A ZoomIn command: "ZOOMIN REFERENCE QID <qid> [WHERE <predicate>]
-/// ON <instance> INDEX <component>".
-struct ZoomInRequest {
-  QueryId qid = 0;
-  rel::ExprPtr predicate;     // Optional, bound against the result schema.
-  std::string instance_name;  // Which summary object.
-  size_t component_index = 0; // Which component within it (0-based).
 };
 
 struct ZoomInRowResult {
@@ -75,6 +88,23 @@ struct ZoomInResult {
   std::vector<ZoomInRowResult> rows;
   bool served_from_cache = false;  // False when the query was re-executed.
 };
+
+/// Lower bound of the cache record of `tuples` (the size of
+/// Serialize(Capture(schema, tuples))) from counts the summary objects
+/// keep: 8 bytes per component id plus the record's framing. It never
+/// exceeds the record's size, so a bound over the cache budget rejects a
+/// result before any of it is encoded.
+size_t SnapshotRecordBound(const rel::Schema& schema,
+                           const std::vector<AnnotatedTuple>& tuples);
+
+/// Appends the bytes of Serialize(Capture(schema, tuples)) to `out` in one
+/// pass over the tuples: no ResultSnapshot is built, each summary is
+/// rendered once and id lists are copied straight from the objects.
+/// Returns false, leaving a partial record in `out`, as soon as the record
+/// passes `limit` bytes.
+bool EncodeSnapshotRecord(const rel::Schema& schema,
+                          const std::vector<AnnotatedTuple>& tuples, size_t limit,
+                          std::string* out);
 
 /// Resolves `request` against a snapshot: selects rows by predicate, finds
 /// the named summary, and returns the component's annotation ids per row

@@ -19,14 +19,21 @@ void Tuple::Serialize(std::string* out) const {
 }
 
 Result<Tuple> Tuple::Deserialize(std::string_view in) {
-  if (in.size() < sizeof(uint16_t)) return Status::ParseError("tuple: truncated header");
+  size_t offset = 0;
+  return Deserialize(in, &offset);
+}
+
+Result<Tuple> Tuple::Deserialize(std::string_view in, size_t* offset) {
+  if (*offset + sizeof(uint16_t) > in.size()) {
+    return Status::ParseError("tuple: truncated header");
+  }
   uint16_t count;
-  std::memcpy(&count, in.data(), sizeof(count));
-  size_t offset = sizeof(count);
+  std::memcpy(&count, in.data() + *offset, sizeof(count));
+  *offset += sizeof(count);
   std::vector<Value> values;
   values.reserve(count);
   for (uint16_t i = 0; i < count; ++i) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(Value v, Value::Deserialize(in, &offset));
+    INSIGHTNOTES_ASSIGN_OR_RETURN(Value v, Value::Deserialize(in, offset));
     values.push_back(std::move(v));
   }
   return Tuple(std::move(values));

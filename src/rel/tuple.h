@@ -35,6 +35,9 @@ class Tuple {
   /// Serialization: [count u16][value]*.
   void Serialize(std::string* out) const;
   static Result<Tuple> Deserialize(std::string_view in);
+  /// Deserializes one tuple from `in` at `*offset`, advancing it past the
+  /// tuple's bytes.
+  static Result<Tuple> Deserialize(std::string_view in, size_t* offset);
 
   /// Hash/equality over all values (grouping, distinct).
   uint64_t Hash() const;

@@ -46,7 +46,7 @@ Result<RecordId> HeapFile::AppendOverflow(std::string_view record) {
   for (size_t chunk = num_chunks; chunk-- > 0;) {
     size_t begin = chunk * kOverflowPayload;
     size_t len = std::min(kOverflowPayload, record.size() - begin);
-    INSIGHTNOTES_ASSIGN_OR_RETURN(PageGuard guard, pool_->NewPage());
+    INSIGHTNOTES_ASSIGN_OR_RETURN(PageGuard guard, NewOverflowPage());
     char* data = guard.MutableData() + kPageDataOffset;
     OverflowHeader header{next, static_cast<uint32_t>(len)};
     std::memcpy(data, &header, sizeof(header));
@@ -62,6 +62,17 @@ Result<RecordId> HeapFile::AppendOverflow(std::string_view record) {
   return AppendInline(std::string_view(stub, sizeof(stub)));
 }
 
+// Called with latch_ held exclusively.
+Result<PageGuard> HeapFile::NewOverflowPage() {
+  if (free_overflow_pages_.empty()) return pool_->NewPage();
+  // A freed page's bytes are dead: pin it zero-filled, as NewPage would,
+  // without reading them back.
+  PageId reuse = free_overflow_pages_.back();
+  INSIGHTNOTES_ASSIGN_OR_RETURN(PageGuard guard, pool_->InitPage(reuse));
+  free_overflow_pages_.pop_back();
+  return guard;
+}
+
 Result<std::string> HeapFile::Get(const RecordId& rid) const {
   std::shared_lock<std::shared_mutex> lock(latch_);
   INSIGHTNOTES_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page));
@@ -73,38 +84,50 @@ Result<std::string> HeapFile::Get(const RecordId& rid) const {
 }
 
 // Called with latch_ held (shared or exclusive).
-Result<std::string> HeapFile::ReadOverflow(std::string_view stub) const {
+Status HeapFile::VisitOverflow(std::string_view stub,
+                               const OverflowVisitor& visit) const {
   if (stub.size() < 1 + sizeof(uint32_t) + sizeof(PageId)) {
     return Status::Corruption("overflow stub truncated to " +
                               std::to_string(stub.size()) + " bytes");
   }
   uint32_t total;
-  PageId first;
+  PageId current;
   std::memcpy(&total, stub.data() + 1, sizeof(total));
-  std::memcpy(&first, stub.data() + 1 + sizeof(total), sizeof(first));
-  std::string out;
-  out.reserve(total);
-  PageId current = first;
-  while (current != kInvalidPageId && out.size() < total) {
+  std::memcpy(&current, stub.data() + 1 + sizeof(total), sizeof(current));
+  size_t visited = 0;
+  while (current != kInvalidPageId && visited < total) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(current));
     OverflowHeader header;
     std::memcpy(&header, guard.data() + kPageDataOffset, sizeof(header));
-    // A corrupted chain page must not drive an OOB append or a loop that
-    // never grows `out`.
+    // A corrupted chain page must not drive an OOB read or a loop that
+    // never advances.
     if (header.length == 0 || header.length > kOverflowPayload) {
       return Status::Corruption("overflow page " + std::to_string(current) +
                                 " claims " + std::to_string(header.length) +
                                 " payload bytes (max " +
                                 std::to_string(kOverflowPayload) + ")");
     }
-    out.append(guard.data() + kPageDataOffset + sizeof(header), header.length);
+    visit(total, current,
+          std::string_view(guard.data() + kPageDataOffset + sizeof(header), header.length));
+    visited += header.length;
     current = header.next;
   }
-  if (out.size() != total) {
+  if (visited != total) {
     return Status::Internal("overflow chain truncated: expected " +
                             std::to_string(total) + " bytes, got " +
-                            std::to_string(out.size()));
+                            std::to_string(visited));
   }
+  return Status::OK();
+}
+
+// Called with latch_ held (shared or exclusive).
+Result<std::string> HeapFile::ReadOverflow(std::string_view stub) const {
+  std::string out;
+  INSIGHTNOTES_RETURN_IF_ERROR(
+      VisitOverflow(stub, [&](uint32_t total, PageId, std::string_view payload) {
+        out.reserve(total);
+        out.append(payload);
+      }));
   return out;
 }
 
@@ -112,8 +135,16 @@ Status HeapFile::Delete(const RecordId& rid) {
   std::unique_lock<std::shared_mutex> lock(latch_);
   INSIGHTNOTES_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page));
   SlottedPage page(guard.MutableData());
+  // A tombstoned slot fails here, before any page is freed.
+  INSIGHTNOTES_ASSIGN_OR_RETURN(std::string_view bytes, page.Get(rid.slot));
+  std::vector<PageId> chain;
+  if (!bytes.empty() && bytes[0] == kOverflowTag) {
+    INSIGHTNOTES_RETURN_IF_ERROR(VisitOverflow(
+        bytes, [&](uint32_t, PageId page, std::string_view) { chain.push_back(page); }));
+  }
   INSIGHTNOTES_RETURN_IF_ERROR(page.Delete(rid.slot));
   num_records_.fetch_sub(1, std::memory_order_relaxed);
+  free_overflow_pages_.insert(free_overflow_pages_.end(), chain.begin(), chain.end());
   return Status::OK();
 }
 

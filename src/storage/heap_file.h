@@ -47,7 +47,10 @@ class HeapFile {
   /// Reads the record at `rid` (resolving overflow chains).
   Result<std::string> Get(const RecordId& rid) const;
 
-  /// Tombstones the record at `rid`. Overflow pages are not reclaimed.
+  /// Tombstones the record at `rid`. A spilled record's overflow pages go
+  /// on the file's free list, which later spills take pages from before
+  /// growing the file. The list lives in memory and starts empty at open.
+  /// Deleting a tombstoned slot is an error and frees nothing.
   Status Delete(const RecordId& rid);
 
   /// Invokes `fn(rid, bytes)` for every live record in storage order.
@@ -82,12 +85,23 @@ class HeapFile {
 
   Result<RecordId> AppendInline(std::string_view record);
   Result<RecordId> AppendOverflow(std::string_view record);
+  /// Called per page of an overflow chain, in order: the record's total
+  /// length, the page, and the record bytes it holds.
+  using OverflowVisitor =
+      std::function<void(uint32_t total, PageId page, std::string_view payload)>;
+  /// Walks the chain `stub` points to, checking each page's payload length
+  /// and that the chain holds exactly the stub's total.
+  Status VisitOverflow(std::string_view stub, const OverflowVisitor& visit) const;
   Result<std::string> ReadOverflow(std::string_view stub) const;
+  /// A page for one overflow chunk: a freed one if any, else a new one.
+  Result<PageGuard> NewOverflowPage();
 
   BufferPool* pool_;
   // Guards pages_ and all slot-directory bytes this file touches.
   mutable std::shared_mutex latch_;
   std::vector<PageId> pages_;  // Data pages in append order.
+  // Overflow pages of deleted records, reused by AppendOverflow.
+  std::vector<PageId> free_overflow_pages_;
   std::atomic<uint64_t> num_records_{0};
 };
 

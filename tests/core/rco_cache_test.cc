@@ -21,6 +21,13 @@ ResultSnapshot SnapshotOfSize(size_t bytes) {
   return snapshot;
 }
 
+/// The cache record of `snapshot`: its serialized bytes.
+std::string Record(const ResultSnapshot& snapshot) {
+  std::string bytes;
+  snapshot.Serialize(&bytes);
+  return bytes;
+}
+
 TEST(ZoomInCacheTest, PutGetRoundTrip) {
   ZoomInCache cache(CachePolicy::kLru, 1 << 20);
   ASSERT_TRUE(cache.Init().ok());
@@ -35,7 +42,7 @@ TEST(ZoomInCacheTest, PutGetRoundTrip) {
   row.summaries.push_back(s);
   snapshot.rows.push_back(std::move(row));
 
-  ASSERT_TRUE(cache.Put(7, snapshot, 0.5).ok());
+  ASSERT_TRUE(cache.Put(7, Record(snapshot), 0.5).ok());
   auto back = cache.Get(7);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->column_names, snapshot.column_names);
@@ -57,7 +64,7 @@ TEST(ZoomInCacheTest, MissCounts) {
 TEST(ZoomInCacheTest, NonePolicyRejectsEverything) {
   ZoomInCache cache(CachePolicy::kNone, 1 << 20);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(100), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(100)), 1.0).ok());
   EXPECT_TRUE(cache.Get(1).status().IsNotFound());
   EXPECT_EQ(cache.stats().rejected, 1u);
   EXPECT_EQ(cache.stats().insertions, 0u);
@@ -66,7 +73,7 @@ TEST(ZoomInCacheTest, NonePolicyRejectsEverything) {
 TEST(ZoomInCacheTest, OversizeSnapshotRejected) {
   ZoomInCache cache(CachePolicy::kLru, 512);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(4096), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(4096)), 1.0).ok());
   EXPECT_FALSE(cache.Contains(1));
   EXPECT_EQ(cache.stats().rejected, 1u);
 }
@@ -75,10 +82,10 @@ TEST(ZoomInCacheTest, LruEvictsOldest) {
   // Budget fits ~2 entries of ~400B.
   ZoomInCache cache(CachePolicy::kLru, 800);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(300), 1.0).ok());
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(300), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(300)), 1.0).ok());
+  ASSERT_TRUE(cache.Put(2, Record(SnapshotOfSize(300)), 1.0).ok());
   ASSERT_TRUE(cache.Get(1).ok());  // Touch 1 so 2 is LRU.
-  ASSERT_TRUE(cache.Put(3, SnapshotOfSize(300), 1.0).ok());
+  ASSERT_TRUE(cache.Put(3, Record(SnapshotOfSize(300)), 1.0).ok());
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_TRUE(cache.Contains(3));
@@ -88,11 +95,11 @@ TEST(ZoomInCacheTest, LruEvictsOldest) {
 TEST(ZoomInCacheTest, LfuEvictsLeastFrequent) {
   ZoomInCache cache(CachePolicy::kLfu, 800);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(300), 1.0).ok());
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(300), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(300)), 1.0).ok());
+  ASSERT_TRUE(cache.Put(2, Record(SnapshotOfSize(300)), 1.0).ok());
   ASSERT_TRUE(cache.Get(1).ok());
   ASSERT_TRUE(cache.Get(1).ok());  // qid 1 referenced more.
-  ASSERT_TRUE(cache.Put(3, SnapshotOfSize(300), 1.0).ok());
+  ASSERT_TRUE(cache.Put(3, Record(SnapshotOfSize(300)), 1.0).ok());
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
 }
@@ -101,9 +108,9 @@ TEST(ZoomInCacheTest, RcoKeepsExpensiveResults) {
   // Two cold entries, same size and recency: RCO must evict the cheap one.
   ZoomInCache cache(CachePolicy::kRco, 800);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(300), /*cost=*/10.0).ok());  // Expensive.
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(300), /*cost=*/0.01).ok());  // Cheap.
-  ASSERT_TRUE(cache.Put(3, SnapshotOfSize(300), /*cost=*/5.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(300)), /*cost=*/10.0).ok());  // Expensive.
+  ASSERT_TRUE(cache.Put(2, Record(SnapshotOfSize(300)), /*cost=*/0.01).ok());  // Cheap.
+  ASSERT_TRUE(cache.Put(3, Record(SnapshotOfSize(300)), /*cost=*/5.0).ok());
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_TRUE(cache.Contains(3));
@@ -116,9 +123,9 @@ TEST(ZoomInCacheTest, RcoPenalizesLargeResults) {
   weights.overhead = 1.0;
   ZoomInCache cache(CachePolicy::kRco, 1000, "", weights);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(500), 1.0).ok());  // Large.
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(100), 1.0).ok());  // Small.
-  ASSERT_TRUE(cache.Put(3, SnapshotOfSize(400), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(500)), 1.0).ok());  // Large.
+  ASSERT_TRUE(cache.Put(2, Record(SnapshotOfSize(100)), 1.0).ok());  // Small.
+  ASSERT_TRUE(cache.Put(3, Record(SnapshotOfSize(400)), 1.0).ok());
   EXPECT_FALSE(cache.Contains(1));  // The big entry went first.
   EXPECT_TRUE(cache.Contains(2));
 }
@@ -126,9 +133,9 @@ TEST(ZoomInCacheTest, RcoPenalizesLargeResults) {
 TEST(ZoomInCacheTest, ReplacingSameQidUpdates) {
   ZoomInCache cache(CachePolicy::kLru, 1 << 20);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(100), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(100)), 1.0).ok());
   size_t used_before = cache.stats().bytes_used;
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(200), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(200)), 1.0).ok());
   EXPECT_GT(cache.stats().bytes_used, used_before);
   auto back = cache.Get(1);
   ASSERT_TRUE(back.ok());
@@ -140,7 +147,7 @@ TEST(ZoomInCacheTest, FileBackedCache) {
   {
     ZoomInCache cache(CachePolicy::kRco, 1 << 20, path);
     ASSERT_TRUE(cache.Init().ok());
-    ASSERT_TRUE(cache.Put(1, SnapshotOfSize(5000), 1.0).ok());
+    ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(5000)), 1.0).ok());
     auto back = cache.Get(1);
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back->rows[0].tuple.ValueAt(0).AsString().size(), 5000u);
@@ -157,7 +164,7 @@ TEST(ZoomInCacheTest, HeapReadFailureCountsMissNotHit) {
   // bumped before the heap read, so a failed read still looked like a hit.)
   ZoomInCache cache(CachePolicy::kLru, 1 << 20);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(100), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(100)), 1.0).ok());
   ASSERT_TRUE(cache.CorruptBackingRecordForTest(1).ok());
   auto back = cache.Get(1);
   EXPECT_FALSE(back.ok());
@@ -175,12 +182,12 @@ TEST(ZoomInCacheTest, FailedReplacementKeepsOldSnapshotReadable) {
   // the old entry before MakeRoom, losing it on a failed replacement.)
   ZoomInCache cache(CachePolicy::kLru, 800);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(300), 1.0).ok());
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(300), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(300)), 1.0).ok());
+  ASSERT_TRUE(cache.Put(2, Record(SnapshotOfSize(300)), 1.0).ok());
   ASSERT_TRUE(cache.CorruptBackingRecordForTest(2).ok());
 
   uint64_t rejected_before = cache.stats().rejected;
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(600), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(600)), 1.0).ok());
   EXPECT_EQ(cache.stats().rejected, rejected_before + 1);
 
   auto back = cache.Get(1);
@@ -191,9 +198,9 @@ TEST(ZoomInCacheTest, FailedReplacementKeepsOldSnapshotReadable) {
 TEST(ZoomInCacheTest, OversizedReplacementKeepsOldEntry) {
   ZoomInCache cache(CachePolicy::kLru, 512);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(100), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(100)), 1.0).ok());
   // Larger than the whole budget: rejected, old snapshot untouched.
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(4096), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(4096)), 1.0).ok());
   EXPECT_EQ(cache.stats().rejected, 1u);
   auto back = cache.Get(1);
   ASSERT_TRUE(back.ok());
@@ -205,9 +212,9 @@ TEST(ZoomInCacheTest, ReplacementNeverEvictsItself) {
   // pick it as its own victim even when it is the eviction-policy favorite.
   ZoomInCache cache(CachePolicy::kLru, 800);
   ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(300), 1.0).ok());  // LRU favorite.
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(300), 1.0).ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(600), 1.0).ok());  // Needs room.
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(300)), 1.0).ok());  // LRU favorite.
+  ASSERT_TRUE(cache.Put(2, Record(SnapshotOfSize(300)), 1.0).ok());
+  ASSERT_TRUE(cache.Put(1, Record(SnapshotOfSize(600)), 1.0).ok());  // Needs room.
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));  // 2 evicted, not the pinned 1.
   auto back = cache.Get(1);
@@ -358,7 +365,7 @@ TEST(ZoomInCacheTest, EvictionHeavyRunMatchesBruteForceOracle) {
         ResultSnapshot snapshot = SnapshotOfSize(payload);
         std::string bytes;
         snapshot.Serialize(&bytes);
-        ASSERT_TRUE(cache.Put(qid, snapshot, cost).ok());
+        ASSERT_TRUE(cache.Put(qid, bytes, cost).ok());
         oracle.Put(qid, bytes.size(), cost);
       }
       for (QueryId q = 0; q < kQids; ++q) {
@@ -422,7 +429,7 @@ TEST(ZoomInCacheTest, ConcurrentCountersConserve) {
         QueryId qid = static_cast<QueryId>(t + i * kThreads);
         // Miss first, then insert, then hit.
         EXPECT_TRUE(cache.Get(qid).status().IsNotFound());
-        EXPECT_TRUE(cache.Put(qid, SnapshotOfSize(entry_payload), 1.0).ok());
+        EXPECT_TRUE(cache.Put(qid, Record(SnapshotOfSize(entry_payload)), 1.0).ok());
         for (int g = 0; g < kGetsPerQid; ++g) {
           EXPECT_TRUE(cache.Get(qid).ok());
         }
@@ -462,7 +469,7 @@ TEST(ZoomInCacheTest, ConcurrentEvictionConservation) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kQidsPerThread; ++i) {
         QueryId qid = static_cast<QueryId>(t + i * kThreads);
-        EXPECT_TRUE(cache.Put(qid, SnapshotOfSize(64), 1.0).ok());
+        EXPECT_TRUE(cache.Put(qid, Record(SnapshotOfSize(64)), 1.0).ok());
         (void)cache.Get(qid);  // May hit or miss (already evicted).
       }
     });

@@ -162,5 +162,66 @@ TEST_F(HeapFileTest, EmptyRecord) {
   EXPECT_EQ(*got, "");
 }
 
+// A deleted record's overflow chain is reused by the next spill: the file
+// does not grow, and both the reused and the untouched records read back.
+TEST_F(HeapFileTest, DeletedOverflowChainIsReused) {
+  const std::string first(3 * kPageSize, 'a');
+  const std::string keep(2 * kPageSize, 'k');
+  auto a = heap_->Append(first);
+  auto k = heap_->Append(keep);
+  ASSERT_TRUE(a.ok() && k.ok());
+  const uint32_t pages = disk_.num_pages();
+  ASSERT_TRUE(heap_->Delete(*a).ok());
+  EXPECT_TRUE(heap_->Get(*a).status().IsNotFound());
+
+  // Up to the freed page count, spills take freed pages only.
+  const std::string second(3 * kPageSize - 200, 'b');
+  auto b = heap_->Append(second);
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(disk_.num_pages(), pages);
+  auto got_b = heap_->Get(*b);
+  auto got_k = heap_->Get(*k);
+  ASSERT_TRUE(got_b.ok() && got_k.ok());
+  EXPECT_EQ(*got_b, second);
+  EXPECT_EQ(*got_k, keep);
+
+  // Past the freed pages, spills grow the file again.
+  auto c = heap_->Append(std::string(2 * kPageSize, 'c'));
+  ASSERT_TRUE(c.ok());
+  EXPECT_GT(disk_.num_pages(), pages);
+}
+
+// Deleting a tombstoned slot is an error and frees nothing: the chain is
+// put on the free list once, so no page is ever handed to two records.
+TEST_F(HeapFileTest, DoubleDeleteFreesNothing) {
+  auto a = heap_->Append(std::string(2 * kPageSize, 'a'));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(heap_->Delete(*a).ok());
+  EXPECT_FALSE(heap_->Delete(*a).ok());
+  EXPECT_EQ(heap_->num_records(), 0u);
+
+  const uint32_t pages = disk_.num_pages();
+  auto b = heap_->Append(std::string(2 * kPageSize, 'b'));  // Takes the freed chain.
+  auto c = heap_->Append(std::string(2 * kPageSize, 'c'));  // Must grow the file.
+  ASSERT_TRUE(b.ok() && c.ok());
+  EXPECT_GT(disk_.num_pages(), pages);
+  auto got_b = heap_->Get(*b);
+  auto got_c = heap_->Get(*c);
+  ASSERT_TRUE(got_b.ok() && got_c.ok());
+  EXPECT_EQ(*got_b, std::string(2 * kPageSize, 'b'));
+  EXPECT_EQ(*got_c, std::string(2 * kPageSize, 'c'));
+}
+
+// Deleting an inline record frees no overflow page.
+TEST_F(HeapFileTest, DeleteInlineRecordFreesNoPage) {
+  auto small = heap_->Append("short note");
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(heap_->Delete(*small).ok());
+  const uint32_t pages = disk_.num_pages();
+  auto big = heap_->Append(std::string(kPageSize, 'x'));
+  ASSERT_TRUE(big.ok());
+  EXPECT_GT(disk_.num_pages(), pages);
+}
+
 }  // namespace
 }  // namespace insightnotes::storage

@@ -54,30 +54,18 @@ bool IntersectsSorted(const std::vector<Item>& items, std::span<const Id> ids,
   return false;
 }
 
-/// Combine step of UnionSorted that keeps `into`'s copy unchanged.
-struct KeepFirst {
-  template <typename Item>
-  void operator()(Item*, const Item&) const {}
-};
-
 /// Unions `from` into `into`. An element whose key is on both sides keeps
-/// `into`'s copy, after `combine(&kept, incoming)` folds the incoming copy
-/// into it. Both ascending. In place: one galloping pass combines shared
-/// keys and counts the new ones, then one backward merge moves each of
-/// `into`'s elements at most once, so a few incoming elements cost no
-/// allocation beyond the vector's own growth.
-template <typename Item, typename Key = IdentityKey, typename Combine = KeepFirst>
-void UnionSorted(std::vector<Item>* into, const std::vector<Item>& from, Key key = {},
-                 Combine combine = {}) {
+/// `into`'s copy. Both ascending. In place: one galloping pass counts the
+/// new keys, then one backward merge moves each of `into`'s elements at
+/// most once, so a few incoming elements cost no allocation beyond the
+/// vector's own growth.
+template <typename Item, typename Key = IdentityKey>
+void UnionSorted(std::vector<Item>* into, const std::vector<Item>& from, Key key = {}) {
   size_t fresh = 0;
   size_t at = 0;
   for (const Item& item : from) {
     at = GallopSorted(*into, at, key(item), key);
-    if (at < into->size() && key((*into)[at]) == key(item)) {
-      combine(&(*into)[at], item);
-    } else {
-      ++fresh;
-    }
+    if (at == into->size() || !(key((*into)[at]) == key(item))) ++fresh;
   }
   if (fresh == 0) return;
   size_t i = into->size();  // Unplaced elements of `into`: [0, i).
@@ -88,7 +76,7 @@ void UnionSorted(std::vector<Item>* into, const std::vector<Item>& from, Key key
   for (size_t w = into->size(); w > i;) {
     const Item& incoming = from[j - 1];
     if (i > 0 && !(key((*into)[i - 1]) < key(incoming))) {
-      if (key((*into)[i - 1]) == key(incoming)) --j;  // Combined above.
+      if (key((*into)[i - 1]) == key(incoming)) --j;  // Shared: `into` keeps its copy.
       (*into)[--w] = std::move((*into)[--i]);
     } else {
       (*into)[--w] = incoming;

@@ -1,10 +1,31 @@
 #include "core/annotated_tuple.h"
 
-#include "common/coverage.h"
+#include <algorithm>
+#include <bit>
+
+#include "annotation/annotation_store.h"
 
 namespace insightnotes::core {
 
 namespace {
+
+bool IsZero(const uint64_t* mask, size_t words) {
+  for (size_t k = 0; k < words; ++k) {
+    if (mask[k] != 0) return false;
+  }
+  return true;
+}
+
+// ORs `words` words of `from`, shifted up by `shift` bits, into `into`,
+// which must be wide enough for the shifted bits.
+void OrShifted(uint64_t* into, const uint64_t* from, size_t words, size_t shift) {
+  const size_t skip = shift / 64;
+  const size_t bits = shift % 64;
+  for (size_t k = 0; k < words; ++k) {
+    into[k + skip] |= from[k] << bits;
+    if (bits != 0 && (from[k] >> (64 - bits)) != 0) into[k + skip + 1] |= from[k] >> (64 - bits);
+  }
+}
 
 SummaryObject* FindIn(const std::vector<std::unique_ptr<SummaryObject>>& list,
                       std::string_view name) {
@@ -15,6 +36,149 @@ SummaryObject* FindIn(const std::vector<std::unique_ptr<SummaryObject>>& list,
 }
 
 }  // namespace
+
+ColumnMap ColumnMap::Of(size_t in_columns, const std::vector<std::vector<size_t>>& refs) {
+  ColumnMap map;
+  map.out_words = (refs.size() + 63) / 64;
+  map.positions.assign(in_columns * map.out_words, 0);
+  map.kept.assign((in_columns + 63) / 64, 0);
+  for (size_t item = 0; item < refs.size(); ++item) {
+    for (size_t c : refs[item]) {
+      if (c >= in_columns) continue;
+      map.positions[c * map.out_words + item / 64] |= uint64_t{1} << (item % 64);
+      map.kept[c / 64] |= uint64_t{1} << (c % 64);
+    }
+  }
+  return map;
+}
+
+std::shared_ptr<AttachmentList> AttachmentList::Allocate(size_t size, size_t words) {
+  auto list = std::make_shared<AttachmentList>();
+  list->size_ = size;
+  list->words_ = words;
+  list->data_.assign(size + size * words, 0);
+  return list;
+}
+
+AttachmentListPtr AttachmentList::Finish(std::shared_ptr<AttachmentList> list, size_t size) {
+  if (size == 0) return nullptr;
+  size_t words = 0;
+  for (size_t i = 0; i < size; ++i) {
+    for (size_t k = list->words_; k > words; --k) {
+      if (list->mask(i)[k - 1] != 0) words = k;
+    }
+  }
+  if (size != list->size_ || words != list->words_) {
+    // Entry i moves to [size + i * words): never past where it was.
+    uint64_t* data = list->data_.data();
+    for (size_t i = 0; i < size; ++i) {
+      std::copy_n(list->mask(i), words, data + size + i * words);
+    }
+    list->data_.resize(size + size * words);
+    list->size_ = size;
+    list->words_ = words;
+  }
+  return list;
+}
+
+AttachmentListPtr AttachmentList::Build(std::span<const ann::Attachment* const> atts) {
+  size_t width = 0;
+  for (const ann::Attachment* att : atts) {
+    if (!att->columns.empty()) width = std::max(width, att->columns.back() + 1);
+  }
+  std::shared_ptr<AttachmentList> list = Allocate(atts.size(), (width + 63) / 64);
+  for (size_t i = 0; i < atts.size(); ++i) {
+    list->data_[i] = atts[i]->annotation;
+    uint64_t* mask = list->mutable_mask(i);
+    for (size_t c : atts[i]->columns) mask[c / 64] |= uint64_t{1} << (c % 64);
+  }
+  return Finish(std::move(list), atts.size());
+}
+
+bool AttachmentList::IsWholeRow(size_t i) const { return IsZero(mask(i), words_); }
+
+std::vector<size_t> AttachmentList::Columns(size_t i) const {
+  std::vector<size_t> columns;
+  for (size_t k = 0; k < words_; ++k) {
+    for (uint64_t bits = mask(i)[k]; bits != 0; bits &= bits - 1) {
+      columns.push_back(k * 64 + static_cast<size_t>(std::countr_zero(bits)));
+    }
+  }
+  return columns;
+}
+
+AttachmentListPtr AttachmentList::Union(const AttachmentListPtr& a,
+                                        const AttachmentListPtr& b, size_t shift) {
+  if (b == nullptr) return a;
+  if (shift == 0 && (a == nullptr || a == b)) return a == nullptr ? b : a;
+  const size_t a_size = a == nullptr ? 0 : a->size_;
+  const size_t a_words = a == nullptr ? 0 : a->words_;
+  const size_t b_words = b->words_ == 0 ? 0 : (b->words_ * 64 + shift + 63) / 64;
+  std::shared_ptr<AttachmentList> out =
+      Allocate(a_size + b->size_, std::max(a_words, b_words));
+  size_t i = 0;
+  size_t j = 0;
+  size_t n = 0;
+  for (; i < a_size || j < b->size_; ++n) {
+    const bool take_a = j == b->size_ || (i < a_size && a->id(i) <= b->id(j));
+    const bool take_b = i == a_size || (j < b->size_ && b->id(j) <= a->id(i));
+    uint64_t* mask = out->mutable_mask(n);
+    out->data_[n] = take_a ? a->id(i) : b->id(j);
+    // An id on both sides with a whole-row side stays whole-row.
+    if (!(take_a && take_b && (a->IsWholeRow(i) || b->IsWholeRow(j)))) {
+      if (take_a) std::copy_n(a->mask(i), a_words, mask);
+      if (take_b) OrShifted(mask, b->mask(j), b->words_, shift);
+    }
+    i += take_a ? 1 : 0;
+    j += take_b ? 1 : 0;
+  }
+  return Finish(std::move(out), n);
+}
+
+AttachmentListPtr AttachmentList::WholeRow(const AttachmentListPtr& list) {
+  if (list == nullptr || list->words_ == 0) return list;
+  std::shared_ptr<AttachmentList> out = Allocate(list->size_, 0);
+  std::copy_n(list->data_.begin(), list->size_, out->data_.begin());
+  return out;
+}
+
+AttachmentListPtr AttachmentList::Project(const AttachmentListPtr& list,
+                                          const ColumnMap& map, bool trim,
+                                          std::vector<ann::AnnotationId>* trimmed) {
+  // Whole-row entries survive every projection unchanged.
+  if (list == nullptr || list->words_ == 0) return list;
+  // Ids trimmed by an earlier projection already left the list, so the
+  // ones appended here are disjoint from them; both runs ascend.
+  const size_t pending = trimmed->size();
+  std::shared_ptr<AttachmentList> out = Allocate(list->size_, map.out_words);
+  const size_t words = std::min(list->words_, map.kept.size());
+  size_t n = 0;
+  for (size_t i = 0; i < list->size_; ++i) {
+    const uint64_t* in = list->mask(i);
+    uint64_t* mask = out->mutable_mask(n);
+    if (!list->IsWholeRow(i)) {
+      for (size_t k = 0; k < words; ++k) {
+        for (uint64_t bits = in[k] & map.kept[k]; bits != 0; bits &= bits - 1) {
+          const size_t column = k * 64 + static_cast<size_t>(std::countr_zero(bits));
+          const uint64_t* positions = map.positions.data() + column * map.out_words;
+          for (size_t w = 0; w < map.out_words; ++w) mask[w] |= positions[w];
+        }
+      }
+      // Every covered column was dropped. A plumbing projection keeps the
+      // annotation, degraded to whole-row coverage.
+      if (trim && IsZero(mask, map.out_words)) {
+        trimmed->push_back(list->id(i));
+        continue;
+      }
+    }
+    out->data_[n++] = list->id(i);
+  }
+  if (pending > 0 && trimmed->size() > pending) {
+    std::inplace_merge(trimmed->begin(), trimmed->begin() + static_cast<std::ptrdiff_t>(pending),
+                       trimmed->end());
+  }
+  return Finish(std::move(out), n);
+}
 
 Status MergeSummaryLists(std::vector<std::unique_ptr<SummaryObject>>* into,
                          const std::vector<std::unique_ptr<SummaryObject>>& incoming) {
@@ -76,15 +240,7 @@ Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right) {
   size_t left_width = left->tuple.NumValues();
   left->tuple = rel::Tuple::Concat(left->tuple, right.tuple);
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&left->summaries, right.summaries));
-  UnionAttachments(&left->attachments, right.attachments, left_width);
-  return Status::OK();
-}
-
-Status MergeForGrouping(AnnotatedTuple* into, const AnnotatedTuple& other) {
-  INSIGHTNOTES_RETURN_IF_ERROR(CheckSettled(other));
-  INSIGHTNOTES_RETURN_IF_ERROR(into->Settle());
-  INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&into->summaries, other.summaries));
-  UnionAttachments(&into->attachments, other.attachments);
+  left->attachments = AttachmentList::Union(left->attachments, right.attachments, left_width);
   return Status::OK();
 }
 
@@ -106,9 +262,7 @@ size_t ApproxBytes(const rel::Tuple& tuple) {
 size_t ApproxBytes(const AnnotatedTuple& tuple) {
   size_t bytes = ApproxBytes(tuple.tuple) +
                  tuple.summaries.size() * kSummaryObjectApproxBytes;
-  for (const AttachmentInfo& att : tuple.attachments) {
-    bytes += sizeof(AttachmentInfo) + att.columns.capacity() * sizeof(size_t);
-  }
+  if (tuple.attachments != nullptr) bytes += tuple.attachments->ApproxBytes();
   bytes += tuple.trimmed.capacity() * sizeof(ann::AnnotationId);
   return bytes;
 }

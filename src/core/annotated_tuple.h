@@ -1,13 +1,16 @@
 // AnnotatedTuple: the unit flowing through InsightNotes' extended query
 // pipeline — a data tuple plus (a) its summary objects and (b) compact
-// attachment metadata (annotation id -> covered column positions). The
-// metadata is what lets the projection operator trim exactly the
-// annotations whose columns were projected out, and lets joins avoid double
-// counting annotations shared by both inputs, all without touching the raw
-// annotation repository (Section 2.1). Attachment lists ascend by
-// annotation id from the scan (the epoch publishes them sorted) to the
-// result, so every merge of two lists is one linear walk under the
-// coverage rule of common/coverage.h.
+// attachment metadata (annotation id -> covered columns). The metadata is
+// what lets the projection operator trim exactly the annotations whose
+// columns were projected out, and lets joins avoid double counting
+// annotations shared by both inputs, all without touching the raw
+// annotation repository (Section 2.1).
+//
+// The metadata is one immutable AttachmentList (ids ascending, coverage a
+// column bitmask per id), built once per row at publish and shared by
+// pointer: a scan, a filter, a join's clone or a dropped tuple costs a
+// refcount. A non-identity projection, a merge (join or group fold) and
+// grouping each build a new list.
 //
 // Deferred trim (Theorem 1): a projection drops trimmed attachments at
 // once but only records their ids in `trimmed`; Settle() restricts the
@@ -21,7 +24,9 @@
 #ifndef INSIGHTNOTES_CORE_ANNOTATED_TUPLE_H_
 #define INSIGHTNOTES_CORE_ANNOTATED_TUPLE_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -30,20 +35,76 @@
 #include "core/summary_object.h"
 #include "rel/tuple.h"
 
+namespace insightnotes::ann {
+struct Attachment;
+}  // namespace insightnotes::ann
+
 namespace insightnotes::core {
 
-/// One annotation's coverage of the tuple, in *current output schema*
-/// positions, ascending. Empty `columns` = whole-row: survives every
-/// projection.
-struct AttachmentInfo {
-  ann::AnnotationId id = ann::kInvalidAnnotationId;
-  std::vector<size_t> columns;
+class AttachmentList;
+/// A tuple's attachment metadata; null means no attachments.
+using AttachmentListPtr = std::shared_ptr<const AttachmentList>;
 
-  friend bool operator==(const AttachmentInfo&, const AttachmentInfo&) = default;
+/// A projection's coverage map: per input column, the mask of the output
+/// positions it feeds (`out_words` words each), and the mask of the input
+/// columns that feed any output.
+struct ColumnMap {
+  /// Output position i reads the input columns `refs[i]`.
+  static ColumnMap Of(size_t in_columns, const std::vector<std::vector<size_t>>& refs);
+
+  size_t out_words = 0;
+  std::vector<uint64_t> positions;
+  std::vector<uint64_t> kept;
 };
 
-/// Move-only; use Clone() for explicit deep copies (summary objects are
-/// owned polymorphic state).
+/// Ascending, unique annotation ids, each with its coverage as a bitmask
+/// over the tuple's *current output schema* positions. Every mask has
+/// words() words, the fewest that hold the highest covered column; an
+/// all-zero mask is whole-row coverage. Immutable once built.
+class AttachmentList {
+ public:
+  /// The list of `atts` (ascending ids, normalized columns); null if empty.
+  static AttachmentListPtr Build(std::span<const ann::Attachment* const> atts);
+
+  /// `a` united with `b`, whose columns shift up by `shift` first (a join
+  /// appends the right input's columns): ids merge, masks OR, and a
+  /// whole-row side makes the entry whole-row.
+  static AttachmentListPtr Union(const AttachmentListPtr& a, const AttachmentListPtr& b,
+                                 size_t shift = 0);
+
+  /// `list` with every entry whole-row.
+  static AttachmentListPtr WholeRow(const AttachmentListPtr& list);
+
+  /// `list` remapped through a projection's `map`. Whole-row entries stay;
+  /// an entry left with no column joins `trimmed` (kept ascending) when
+  /// `trim`, else it degrades to whole-row.
+  static AttachmentListPtr Project(const AttachmentListPtr& list, const ColumnMap& map,
+                                   bool trim, std::vector<ann::AnnotationId>* trimmed);
+
+  size_t size() const { return size_; }
+  size_t words() const { return words_; }
+  ann::AnnotationId id(size_t i) const { return data_[i]; }
+  const uint64_t* mask(size_t i) const { return data_.data() + size_ + i * words_; }
+  bool IsWholeRow(size_t i) const;
+  /// Entry `i`'s covered columns, ascending; empty = whole row.
+  std::vector<size_t> Columns(size_t i) const;
+  /// Charged to every tuple holding the list.
+  size_t ApproxBytes() const { return sizeof(*this) + data_.size() * sizeof(uint64_t); }
+
+ private:
+  /// A zeroed list for a builder to write, then pass to Finish.
+  static std::shared_ptr<AttachmentList> Allocate(size_t size, size_t words);
+  /// Keeps the first `size` entries and the fewest words; null if empty.
+  static AttachmentListPtr Finish(std::shared_ptr<AttachmentList> list, size_t size);
+  uint64_t* mutable_mask(size_t i) { return data_.data() + size_ + i * words_; }
+
+  size_t size_ = 0;
+  size_t words_ = 0;
+  std::vector<uint64_t> data_;  // size_ ids, then size_ masks of words_ words.
+};
+
+/// Move-only; use Clone() for explicit copies (summary objects are owned
+/// polymorphic state; the attachment list is shared).
 class AnnotatedTuple {
  public:
   AnnotatedTuple() = default;
@@ -71,7 +132,7 @@ class AnnotatedTuple {
 
   rel::Tuple tuple;
   std::vector<std::unique_ptr<SummaryObject>> summaries;
-  std::vector<AttachmentInfo> attachments;  // Ascending by id, ids unique.
+  AttachmentListPtr attachments;  // Shared; replaced, never mutated.
 
   /// Ids a Theorem-1 projection dropped from `attachments` whose effect
   /// `summaries` still hold until Settle(). Ascending, unique; empty on a
@@ -98,25 +159,20 @@ struct AnnotatedBatch {
 /// Join-merge (Figure 2 step 3): appends `right`'s values to `left`,
 /// merges counterpart summary objects (matched by instance) without double
 /// counting shared annotations, unions non-counterpart objects, and unions
-/// attachment metadata (UnionAttachments) with `right`'s column positions
+/// attachment lists (AttachmentList::Union) with `right`'s column positions
 /// shifted by `left`'s original width. `left` is settled, then modified in
 /// place; `right` must be settled (Internal otherwise).
 Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right);
-
-/// Grouping/duplicate-elimination merge: like the join merge but the data
-/// tuple of `into` is kept as-is and attachment column positions are
-/// unshifted (the inputs share one schema). Same settle contract.
-Status MergeForGrouping(AnnotatedTuple* into, const AnnotatedTuple& other);
 
 /// Internal when `tuple` still carries a pending trim: a merge may only
 /// read settled summaries (Theorem 1).
 Status CheckSettled(const AnnotatedTuple& tuple);
 
-/// The summary half of the merges above: counterpart objects (same
-/// instance) combine via MergeWith, objects without a counterpart are
-/// cloned in. The partial-state operators fold per-morsel summary lists
-/// through this, so partial merging stays byte-identical to the serial
-/// per-tuple fold.
+/// The summary half of a merge: counterpart objects (same instance)
+/// combine via MergeWith, objects without a counterpart are cloned in. The
+/// join merge and PartialSummaryState (grouping and distinct) fold
+/// summary lists through this, so partial merging stays byte-identical to
+/// the serial per-tuple fold.
 Status MergeSummaryLists(std::vector<std::unique_ptr<SummaryObject>>* into,
                          const std::vector<std::unique_ptr<SummaryObject>>& incoming);
 

@@ -688,10 +688,6 @@ Result<uint64_t> Engine::Analyze(const std::string& table) {
           if (!store_->IsArchived(attachment.annotation)) ++live;
         }
         stats->ann_count_freq.emplace_back(live, 1);
-        if (live > 0) {
-          ++stats->annotated_rows;
-          stats->total_annotations += static_cast<uint64_t>(live);
-        }
         return true;
       }));
   stats->row_count = rows;
@@ -703,13 +699,6 @@ Result<uint64_t> Engine::Analyze(const std::string& table) {
     std::map<int64_t, uint64_t> freq;
     for (const auto& [count, n] : stats->ann_count_freq) freq[count] += n;
     stats->ann_count_freq.assign(freq.begin(), freq.end());
-  }
-  for (const SummaryInstance* instance : manager_->LinkedTo(t->id())) {
-    rel::InstanceDensity density;
-    density.instance = instance->name();
-    density.annotated_rows = stats->annotated_rows;
-    density.total_annotations = stats->total_annotations;
-    stats->instances.push_back(std::move(density));
   }
   t->SetStats(std::move(stats));
   return rows;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/coverage.h"
 #include "core/summary_manager.h"
 
 namespace insightnotes::core {
@@ -41,13 +40,6 @@ Result<std::vector<std::unique_ptr<SummaryObject>>> EngineSnapshot::SummariesFor
   return out;
 }
 
-void EngineSnapshot::AppendAttachments(rel::TableId table, rel::RowId row,
-                                       std::vector<AttachmentInfo>* out) const {
-  const RowState* state = FindRow(table, row);
-  if (state == nullptr) return;
-  out->insert(out->end(), state->attachments.begin(), state->attachments.end());
-}
-
 std::shared_ptr<const EngineSnapshot::RowState> EngineSnapshot::ReadRowState(
     const Sources& src, const RowKey& key) const {
   const std::vector<ann::Attachment>& atts = src.store->OnRow(key.first, key.second);
@@ -58,20 +50,19 @@ std::shared_ptr<const EngineSnapshot::RowState> EngineSnapshot::ReadRowState(
   // The store keeps the row's insertion order; the pipeline reads its
   // attachments id-sorted and without the ids this epoch's bitmap archives.
   // Insertion order is id order except where an older annotation was
-  // attached later, so only those stragglers are sorted, then merged in.
-  state->attachments.reserve(atts.size());
-  std::vector<AttachmentInfo> stragglers;
+  // attached later, so the kept attachments are sorted only then.
+  std::vector<const ann::Attachment*> kept;
+  kept.reserve(atts.size());
   for (const ann::Attachment& att : atts) {
-    if (IsArchived(att.annotation)) continue;
-    std::vector<AttachmentInfo>& to =
-        state->attachments.empty() || state->attachments.back().id < att.annotation
-            ? state->attachments
-            : stragglers;
-    to.push_back(AttachmentInfo{att.annotation, att.columns});
+    if (!IsArchived(att.annotation)) kept.push_back(&att);
   }
-  std::sort(stragglers.begin(), stragglers.end(),
-            [](const AttachmentInfo& a, const AttachmentInfo& b) { return a.id < b.id; });
-  UnionAttachments(&state->attachments, stragglers);
+  const auto by_id = [](const ann::Attachment* a, const ann::Attachment* b) {
+    return a->annotation < b->annotation;
+  };
+  if (!std::is_sorted(kept.begin(), kept.end(), by_id)) {
+    std::sort(kept.begin(), kept.end(), by_id);
+  }
+  state->attachments = AttachmentList::Build(kept);
   if (objects != nullptr) {
     state->has_objects = true;
     state->summaries.reserve(objects->size());

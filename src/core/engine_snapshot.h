@@ -51,14 +51,15 @@ class EngineSnapshot {
   using RowKey = std::pair<rel::TableId, rel::RowId>;
 
   /// Everything the snapshot knows about one annotated row. `attachments`
-  /// is the pipeline's attachment list, published once: ascending by
-  /// annotation id, archived ids already dropped (an archive dirties every
+  /// is the pipeline's attachment list, built once per publish and shared
+  /// by every scanned tuple of the row (null when empty): archived ids
+  /// already dropped (an archive dirties every
   /// row the archived id is attached to, so no published list can hold a
   /// stale one). `has_objects` distinguishes "maintained objects exist
   /// (maybe empty after an unlink)" from "row never summarized" — the two
   /// cases produce different summaries (see SummariesFor).
   struct RowState {
-    std::vector<AttachmentInfo> attachments;
+    AttachmentListPtr attachments;
     bool has_objects = false;
     std::vector<std::shared_ptr<const SummaryObject>> summaries;
   };
@@ -104,12 +105,6 @@ class EngineSnapshot {
   /// a uniform summary shape.
   Result<std::vector<std::unique_ptr<SummaryObject>>> SummariesFor(
       rel::TableId table, rel::RowId row) const;
-
-  /// Appends the row's non-archived attachments (as of this epoch) to
-  /// `out`, ascending by annotation id — the scan operators' attachment
-  /// source.
-  void AppendAttachments(rel::TableId table, rel::RowId row,
-                         std::vector<AttachmentInfo>* out) const;
 
   /// The row's state, or nullptr if the row had no annotations and no
   /// maintained objects at publication.

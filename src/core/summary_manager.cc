@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <future>
 
-#include "common/coverage.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
@@ -12,26 +11,36 @@ namespace insightnotes::core {
 Status PartialSummaryState::Seed(AnnotatedTuple* first) {
   INSIGHTNOTES_RETURN_IF_ERROR(first->Settle());
   summaries_ = std::move(first->summaries);
-  attachments_ = std::move(first->attachments);
+  if (first->attachments != nullptr) runs_.push_back(std::move(first->attachments));
   return Status::OK();
 }
 
 Status PartialSummaryState::Fold(const AnnotatedTuple& dup) {
   INSIGHTNOTES_RETURN_IF_ERROR(CheckSettled(dup));
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&summaries_, dup.summaries));
-  UnionAttachments(&attachments_, dup.attachments);
+  if (dup.attachments != nullptr) runs_.push_back(dup.attachments);
   return Status::OK();
 }
 
 Status PartialSummaryState::Combine(PartialSummaryState&& other) {
   INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&summaries_, other.summaries_));
-  UnionAttachments(&attachments_, other.attachments_);
+  runs_.insert(runs_.end(), std::make_move_iterator(other.runs_.begin()),
+               std::make_move_iterator(other.runs_.end()));
   return Status::OK();
 }
 
 void PartialSummaryState::Release(AnnotatedTuple* out) {
   out->summaries = std::move(summaries_);
-  out->attachments = std::move(attachments_);
+  while (runs_.size() > 1) {
+    size_t merged = 0;
+    for (size_t k = 0; k < runs_.size(); k += 2) {
+      runs_[merged++] = k + 1 < runs_.size() ? AttachmentList::Union(runs_[k], runs_[k + 1])
+                                             : std::move(runs_[k]);
+    }
+    runs_.resize(merged);
+  }
+  out->attachments = runs_.empty() ? nullptr : std::move(runs_.front());
+  runs_.clear();
 }
 
 Status SummaryManager::RegisterInstance(std::unique_ptr<SummaryInstance> instance) {

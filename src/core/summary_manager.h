@@ -43,10 +43,11 @@ struct BatchAnnotation {
 /// same left-fold and therefore yields byte-identical merged summaries
 /// (see DESIGN.md "Parallel aggregation, sort, and distinct").
 ///
-/// Attachments follow the one coverage rule (common/coverage.h): the list
-/// ascends by annotation id and every fold is one UnionAttachments walk, so
-/// the merged list does not depend on fold order. Aggregation hands in
-/// tuples whose coverage it already degraded to whole-row.
+/// Attachment lists are kept as they come in, by pointer and in fold order;
+/// Release merges them pairwise (AttachmentList::Union), O(N log g) for g
+/// lists of N entries in all. The union is associative and commutative, so
+/// the merged list equals the sequential fold's and does not depend on
+/// fold order.
 class PartialSummaryState {
  public:
   PartialSummaryState() = default;
@@ -69,12 +70,12 @@ class PartialSummaryState {
   /// Folds a whole later state (same key, later morsels) into this one.
   Status Combine(PartialSummaryState&& other);
 
-  /// Moves the merged summaries and attachments onto `out`.
+  /// Moves the merged summaries and attachment list onto `out`.
   void Release(AnnotatedTuple* out);
 
  private:
   std::vector<std::unique_ptr<SummaryObject>> summaries_;
-  std::vector<AttachmentInfo> attachments_;
+  std::vector<AttachmentListPtr> runs_;  // Non-null, in fold order.
 };
 
 class SummaryManager {

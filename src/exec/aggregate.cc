@@ -37,9 +37,6 @@ Status FoldIntoGroups(const std::vector<rel::ExprPtr>& group_exprs,
     INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, expr->Evaluate(in->tuple));
     key.Append(std::move(v));
   }
-  // Grouped outputs expose aggregate columns, not the original ones:
-  // annotation coverage degrades to whole-row, here and nowhere else.
-  for (core::AttachmentInfo& att : in->attachments) att.columns.clear();
   // Every input tuple merges into its group: settle before the merge.
   INSIGHTNOTES_RETURN_IF_ERROR(in->Settle());
   auto [it, inserted] = index->emplace(key, groups->size());
@@ -195,6 +192,9 @@ Status FinalizeGroup(const std::vector<AggregateItem>& items, AggregateGroup* gr
     out->tuple.Append(std::move(v));
   }
   group->summary.Release(out);
+  // Grouped outputs expose aggregate columns, not the original ones:
+  // annotation coverage degrades to whole-row, here and nowhere else.
+  out->attachments = core::AttachmentList::WholeRow(out->attachments);
   return Status::OK();
 }
 

@@ -16,6 +16,12 @@ struct TupleHash {
 };
 using TupleIndex = std::unordered_map<rel::Tuple, size_t, TupleHash>;
 
+Status ReleaseEntry(DistinctEntry* entry, core::AnnotatedTuple* tuple) {
+  tuple->tuple = std::move(entry->tuple);
+  entry->summary.Release(tuple);
+  return Status::OK();
+}
+
 }  // namespace
 
 Status DistinctOperator::OpenImpl() {
@@ -32,14 +38,21 @@ Status DistinctOperator::OpenImpl() {
       auto [it, inserted] = index.emplace(in.tuple, results_.size());
       if (inserted) {
         INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(core::ApproxBytes(in)));
-        results_.push_back(std::move(in));
+        DistinctEntry entry;
+        entry.tuple = std::move(in.tuple);
+        INSIGHTNOTES_RETURN_IF_ERROR(entry.summary.Seed(&in));
+        results_.push_back(std::move(entry));
       } else {
         INSIGHTNOTES_RETURN_IF_ERROR(in.Settle());
-        INSIGHTNOTES_RETURN_IF_ERROR(core::MergeForGrouping(&results_[it->second], in));
+        INSIGHTNOTES_RETURN_IF_ERROR(results_[it->second].summary.Fold(in));
       }
     }
   }
   return Status::OK();
+}
+
+Result<bool> DistinctOperator::NextBatchImpl(core::AnnotatedBatch* out) {
+  return EmitRows(&results_, &cursor_, out, ReleaseEntry);
 }
 
 Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
@@ -106,12 +119,7 @@ Status DistinctMergeOperator::OpenImpl() {
 }
 
 Result<bool> DistinctMergeOperator::NextBatchImpl(core::AnnotatedBatch* out) {
-  return EmitRows(&results_, &cursor_, out,
-                  [](DistinctEntry* entry, core::AnnotatedTuple* tuple) {
-                    tuple->tuple = std::move(entry->tuple);
-                    entry->summary.Release(tuple);
-                    return Status::OK();
-                  });
+  return EmitRows(&results_, &cursor_, out, ReleaseEntry);
 }
 
 }  // namespace insightnotes::exec

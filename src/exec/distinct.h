@@ -22,6 +22,14 @@
 
 namespace insightnotes::exec {
 
+/// One distinct value and the merged summaries of its duplicates. Unlike
+/// aggregation, attachment metadata keeps its per-column coverage (the
+/// output schema is the input schema).
+struct DistinctEntry {
+  rel::Tuple tuple;
+  core::PartialSummaryState summary;
+};
+
 class DistinctOperator final : public Operator {
  public:
   explicit DistinctOperator(std::unique_ptr<Operator> child)
@@ -34,22 +42,12 @@ class DistinctOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
-    return EmitRows(&results_, &cursor_, out);
-  }
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   std::unique_ptr<Operator> child_;
-  std::vector<core::AnnotatedTuple> results_;  // First-seen order.
+  std::vector<DistinctEntry> results_;  // First-seen order.
   size_t cursor_ = 0;
-};
-
-/// One distinct value of a morsel and the merged summaries of its
-/// duplicates. Unlike aggregation, attachment metadata keeps its
-/// per-column coverage (the output schema is the input schema).
-struct DistinctEntry {
-  rel::Tuple tuple;
-  core::PartialSummaryState summary;
 };
 
 /// One morsel's distinct set, published by a PartialDistinctOperator and

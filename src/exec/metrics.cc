@@ -58,6 +58,10 @@ void RenderNode(const PlanMetrics& node, size_t depth, std::ostringstream* os) {
   if (node.metrics.merge_ns > 0) {
     *os << " merge_ms=" << static_cast<double>(node.metrics.merge_ns) / 1e6;
   }
+  if (node.metrics.rows_settled > 0) {
+    *os << " settled=" << node.metrics.rows_settled
+        << " settle_ms=" << static_cast<double>(node.metrics.settle_ns) / 1e6;
+  }
   if (node.metrics.cancel_checks > 0) {
     *os << " cancel_checks=" << node.metrics.cancel_checks;
   }

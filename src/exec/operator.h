@@ -49,6 +49,8 @@ struct OperatorMetrics {
   uint64_t build_partitions = 0;  // Hash joins: partitions in the build.
   uint64_t partial_groups = 0;    // Partial agg/distinct/sort: local states built.
   uint64_t merge_ns = 0;          // Merge operators: time folding partial states.
+  uint64_t rows_settled = 0;      // Gather: rows whose pending trim workers applied.
+  uint64_t settle_ns = 0;         // Gather: time workers spent settling them.
   uint64_t rows_pruned = 0;       // LIMIT pushdown: rows provably outside the
                                   // result, dropped before materialization.
   uint64_t bound_updates = 0;     // Top-k sort: shared k-th-candidate tightenings.

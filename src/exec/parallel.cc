@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
+
+#include "common/clock.h"
 
 namespace insightnotes::exec {
 
@@ -103,7 +106,8 @@ Status ScanMorselSource::Materialize(uint64_t morsel, core::AnnotatedBatch* out)
       // this scan sees: the epoch is immutable.
       INSIGHTNOTES_ASSIGN_OR_RETURN(tuple.summaries,
                                     snapshot_->SummariesFor(table_->id(), rows_[i]));
-      snapshot_->AppendAttachments(table_->id(), rows_[i], &tuple.attachments);
+      const core::EngineSnapshot::RowState* state = snapshot_->FindRow(table_->id(), rows_[i]);
+      if (state != nullptr) tuple.attachments = state->attachments;
     }
     out->tuples.push_back(std::move(tuple));
   }
@@ -192,6 +196,7 @@ Status GatherOperator::DrainWorker(size_t w) {
   RowQuota* quota = quota_.get();
   std::vector<core::AnnotatedBatch>* out = &collected_[w];
   MemoryReservation* mem = worker_reservations_[w].get();
+  WorkerSettle* settled = &settled_[w];
   INSIGHTNOTES_RETURN_IF_ERROR(worker->Open());
   while (true) {
     core::AnnotatedBatch batch;
@@ -199,9 +204,14 @@ Status GatherOperator::DrainWorker(size_t w) {
     if (!more) break;
     // Rows leave the worker settled: the pending trim is applied here, in
     // parallel, not serially by whoever consumes the gathered stream.
+    std::optional<Stopwatch> watch;
+    if (metrics_enabled_) watch.emplace();
     for (core::AnnotatedTuple& tuple : batch.tuples) {
+      if (tuple.trimmed.empty()) continue;
+      ++settled->rows;
       INSIGHTNOTES_RETURN_IF_ERROR(tuple.Settle());
     }
+    if (watch) settled->ns += static_cast<uint64_t>(watch->ElapsedNanos());
     INSIGHTNOTES_RETURN_IF_ERROR(mem->Charge(core::ApproxBytes(batch)));
     // Empty batches count too: a fully filtered morsel still advances the
     // quota's contiguous completed prefix.
@@ -304,12 +314,17 @@ Status GatherOperator::OpenImpl() {
     return Contained([&] { return workers_.front()->Open(); });
   }
   collected_.resize(workers_.size());
+  settled_.assign(workers_.size(), WorkerSettle{});
   worker_status_.assign(workers_.size(), Status::OK());
   futures_.reserve(workers_.size());
   for (size_t w = 0; w < workers_.size(); ++w) {
     futures_.push_back(pool_->Submit([this, w] { return RunWorkerContained(w); }));
   }
   JoinWorkers();
+  for (const WorkerSettle& settled : settled_) {
+    metrics_.rows_settled += settled.rows;
+    metrics_.settle_ns += settled.ns;
+  }
   Status error = FirstWorkerError();
   if (error.ok() && quota_ != nullptr && quota_source_ != nullptr) {
     // All workers have joined, so the morsel cursor is final: rows of

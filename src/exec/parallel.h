@@ -324,13 +324,20 @@ class GatherOperator final : public Operator {
   std::shared_ptr<ScanMorselSource> source_;    // Dispatch-abort target.
   std::vector<MorselScanOperator*> leaves_;     // Per-worker scan leaf (nullable).
 
-  // Per-worker execution state. collected_[w], worker_reservations_[w] and
-  // leaves_[w] are touched only by worker w's job between submit and join;
-  // worker_status_ is written at join time.
+  // Per-worker execution state. collected_[w], worker_reservations_[w],
+  // settled_[w] and leaves_[w] are touched only by worker w's job between
+  // submit and join; worker_status_ is written at join time.
   std::vector<std::future<Status>> futures_;
   std::vector<std::vector<core::AnnotatedBatch>> collected_;
   std::vector<Status> worker_status_;
   std::vector<std::unique_ptr<MemoryReservation>> worker_reservations_;
+  // Rows whose pending trim worker w settled, and the time it took (timed
+  // only with metrics on); summed into metrics_ after the join.
+  struct WorkerSettle {
+    uint64_t rows = 0;
+    uint64_t ns = 0;
+  };
+  std::vector<WorkerSettle> settled_;
 
   // Several workers: the gathered batches in morsel order after Open.
   std::vector<core::AnnotatedBatch> batches_;

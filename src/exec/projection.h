@@ -61,21 +61,13 @@ class ProjectOperator final : public Operator {
  private:
   /// Trims/remaps annotations and projects the data values of one tuple.
   Status ProjectTuple(core::AnnotatedTuple* in, core::AnnotatedTuple* out) const;
-  /// Drops the attachments covering only dropped columns (their ids join
-  /// the pending trim) and remaps the others to output positions.
-  void TrimAttachments(core::AnnotatedTuple* tuple) const;
-  /// Maps a normalized child column set to output positions, in place.
-  void RemapColumns(std::vector<size_t>* columns) const;
 
   std::unique_ptr<Operator> child_;
   std::vector<ProjectionItem> items_;
   rel::Schema schema_;
-  // kept_[c]: output item indexes that reference child column c.
-  std::vector<std::vector<size_t>> kept_positions_;
+  core::ColumnMap columns_;  // Child column -> output positions.
   bool trim_annotations_;
-  bool identity_;         // Output column i is child column i, for every i.
-  bool single_position_;  // No child column feeds more than one item.
-  bool ordered_;          // One-to-one and ascending: remapped sets stay sorted.
+  bool identity_;  // Output column i is child column i, for every i.
 };
 
 }  // namespace insightnotes::exec

@@ -1,55 +1,10 @@
 #include "rel/stats.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace insightnotes::rel {
 
 namespace {
-
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-std::string HexEncode(std::string_view bytes) {
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (unsigned char c : bytes) {
-    out.push_back(kHexDigits[c >> 4]);
-    out.push_back(kHexDigits[c & 0xf]);
-  }
-  return out;
-}
-
-Result<std::string> HexDecode(std::string_view hex) {
-  if (hex.size() % 2 != 0) return Status::InvalidArgument("odd hex length");
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    int hi = nibble(hex[i]);
-    int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) return Status::InvalidArgument("bad hex digit");
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return out;
-}
-
-std::string EncodeValue(const Value& v) {
-  std::string bytes;
-  v.Serialize(&bytes);
-  return HexEncode(bytes);
-}
-
-Result<Value> DecodeValue(std::string_view hex) {
-  INSIGHTNOTES_ASSIGN_OR_RETURN(std::string bytes, HexDecode(hex));
-  size_t offset = 0;
-  INSIGHTNOTES_ASSIGN_OR_RETURN(Value v, Value::Deserialize(bytes, &offset));
-  if (offset != bytes.size()) return Status::InvalidArgument("trailing value bytes");
-  return v;
-}
 
 bool ValueLt(const Value& a, const Value& b) { return ValueLess{}(a, b); }
 
@@ -127,88 +82,6 @@ double TableStats::AnnCountSelectivity(CompareOp op, int64_t k) const {
     if (hit) matching += rows;
   }
   return static_cast<double>(matching) / static_cast<double>(total);
-}
-
-std::string TableStats::ToText() const {
-  std::ostringstream os;
-  os << "rows " << row_count << "\n";
-  os << "annotated " << annotated_rows << " " << total_annotations << "\n";
-  os << "anncount";
-  for (const auto& [count, rows] : ann_count_freq) os << " " << count << ":" << rows;
-  os << "\n";
-  for (const InstanceDensity& d : instances) {
-    os << "instance " << HexEncode(d.instance) << " " << d.annotated_rows << " "
-       << d.total_annotations << "\n";
-  }
-  for (const ColumnStats& c : columns) {
-    os << "column " << c.non_null_count << " " << c.null_count << " " << c.ndv
-       << " " << EncodeValue(c.min) << " " << EncodeValue(c.max);
-    for (const Value& b : c.bounds) os << " " << EncodeValue(b);
-    os << "\n";
-  }
-  return os.str();
-}
-
-Result<TableStats> TableStats::FromText(std::string_view text) {
-  TableStats stats;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  bool saw_rows = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "rows") {
-      if (!(ls >> stats.row_count)) return Status::InvalidArgument("bad rows line");
-      saw_rows = true;
-    } else if (tag == "annotated") {
-      if (!(ls >> stats.annotated_rows >> stats.total_annotations)) {
-        return Status::InvalidArgument("bad annotated line");
-      }
-    } else if (tag == "anncount") {
-      std::string pair;
-      while (ls >> pair) {
-        size_t colon = pair.find(':');
-        if (colon == std::string::npos) {
-          return Status::InvalidArgument("bad anncount pair '" + pair + "'");
-        }
-        try {
-          stats.ann_count_freq.emplace_back(
-              std::stoll(pair.substr(0, colon)),
-              static_cast<uint64_t>(std::stoull(pair.substr(colon + 1))));
-        } catch (const std::exception&) {
-          return Status::InvalidArgument("bad anncount pair '" + pair + "'");
-        }
-      }
-    } else if (tag == "instance") {
-      InstanceDensity d;
-      std::string hexname;
-      if (!(ls >> hexname >> d.annotated_rows >> d.total_annotations)) {
-        return Status::InvalidArgument("bad instance line");
-      }
-      INSIGHTNOTES_ASSIGN_OR_RETURN(d.instance, HexDecode(hexname));
-      stats.instances.push_back(std::move(d));
-    } else if (tag == "column") {
-      ColumnStats c;
-      std::string min_hex, max_hex;
-      if (!(ls >> c.non_null_count >> c.null_count >> c.ndv >> min_hex >> max_hex)) {
-        return Status::InvalidArgument("bad column line");
-      }
-      INSIGHTNOTES_ASSIGN_OR_RETURN(c.min, DecodeValue(min_hex));
-      INSIGHTNOTES_ASSIGN_OR_RETURN(c.max, DecodeValue(max_hex));
-      std::string bound_hex;
-      while (ls >> bound_hex) {
-        INSIGHTNOTES_ASSIGN_OR_RETURN(Value b, DecodeValue(bound_hex));
-        c.bounds.push_back(std::move(b));
-      }
-      stats.columns.push_back(std::move(c));
-    } else {
-      return Status::InvalidArgument("unknown stats line tag '" + tag + "'");
-    }
-  }
-  if (!saw_rows) return Status::InvalidArgument("stats text missing rows line");
-  return stats;
 }
 
 ColumnStats BuildColumnStats(std::vector<Value> values, size_t num_buckets) {

@@ -1,20 +1,17 @@
 // Table statistics for the cost-based optimizer: per-column NDV, min/max,
-// null counts and equi-depth histograms, plus annotation-density figures
-// per linked summary instance. Collected by ANALYZE <table> (Engine::
-// Analyze scans once), snapshotted immutably on the owning rel::Table, and
-// serializable via ToText/FromText so callers can persist them alongside
-// the catalog configuration. Row counts are read live from the table at
-// estimation time; ANALYZE refreshes the distributions.
+// null counts and equi-depth histograms, plus the per-row annotation-count
+// distribution. Collected by ANALYZE <table> (Engine::Analyze scans once)
+// and snapshotted immutably on the owning rel::Table. Row counts are read
+// live from the table at estimation time; ANALYZE refreshes the
+// distributions.
 
 #ifndef INSIGHTNOTES_REL_STATS_H_
 #define INSIGHTNOTES_REL_STATS_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/result.h"
 #include "rel/expression.h"
 #include "rel/value.h"
 
@@ -54,13 +51,6 @@ struct ColumnStats {
   double FractionBelow(const Value& v) const;
 };
 
-/// Annotation density of one linked summary instance.
-struct InstanceDensity {
-  std::string instance;
-  uint64_t annotated_rows = 0;      // Rows with >= 1 live annotation.
-  uint64_t total_annotations = 0;   // Live (non-archived) attachments.
-};
-
 /// Immutable per-table snapshot. Built by BuildTableStats/Engine::Analyze;
 /// hang it on the table with Table::SetStats.
 struct TableStats {
@@ -71,18 +61,10 @@ struct TableStats {
   /// that count) sorted ascending by count, covering all rows (count 0
   /// included). Drives SUMMARY_COUNT(...) selectivity.
   std::vector<std::pair<int64_t, uint64_t>> ann_count_freq;
-  uint64_t annotated_rows = 0;
-  uint64_t total_annotations = 0;
-  std::vector<InstanceDensity> instances;
 
   /// Estimated fraction of rows whose annotation count satisfies
   /// `count <op> k` (SUMMARY_COUNT predicates). 0.5 without data.
   double AnnCountSelectivity(CompareOp op, int64_t k) const;
-
-  /// Line-based serialization (values hex-encoded so arbitrary strings
-  /// survive); FromText inverts it exactly.
-  std::string ToText() const;
-  static Result<TableStats> FromText(std::string_view text);
 };
 
 /// Builds the distribution of one column from its cell values (consumed).

@@ -29,6 +29,14 @@ namespace {
 using testutil::I;
 using testutil::S;
 
+/// The row's attachments in `snap`, coverage read through Columns(i).
+std::vector<testutil::Att> AttachmentsOf(const EngineSnapshot& snap, rel::TableId table,
+                                         rel::RowId row) {
+  const EngineSnapshot::RowState* state = snap.FindRow(table, row);
+  return state == nullptr ? std::vector<testutil::Att>{}
+                          : testutil::Entries(state->attachments);
+}
+
 /// NumAnnotations of the row's summary object for `instance`, or -1.
 int64_t CountFor(const std::vector<std::unique_ptr<SummaryObject>>& summaries,
                  const std::string& instance) {
@@ -87,11 +95,8 @@ TEST_F(EngineSnapshotTest, VisibilityFrozenAtPin) {
   EXPECT_EQ((*snap_b)->VisibleRows(r_id_), 4u);
 
   // Attachment lists are frozen too.
-  std::vector<AttachmentInfo> old_atts, new_atts;
-  (*snap_a)->AppendAttachments(r_id_, 0, &old_atts);
-  (*snap_b)->AppendAttachments(r_id_, 0, &new_atts);
-  EXPECT_EQ(old_atts.size(), 1u);
-  EXPECT_EQ(new_atts.size(), 2u);
+  EXPECT_EQ(AttachmentsOf(**snap_a, r_id_, 0).size(), 1u);
+  EXPECT_EQ(AttachmentsOf(**snap_b, r_id_, 0).size(), 2u);
 }
 
 TEST_F(EngineSnapshotTest, EpochRetiredExactlyOnce) {
@@ -146,11 +151,8 @@ TEST_F(EngineSnapshotTest, ArchiveVisibleOnlyAfterPinnedEpoch) {
   EXPECT_FALSE((*snap_before)->IsArchived(*id));
   EXPECT_TRUE((*snap_after)->IsArchived(*id));
 
-  std::vector<AttachmentInfo> before_atts, after_atts;
-  (*snap_before)->AppendAttachments(r_id_, 0, &before_atts);
-  (*snap_after)->AppendAttachments(r_id_, 0, &after_atts);
-  EXPECT_EQ(before_atts.size(), 1u);
-  EXPECT_TRUE(after_atts.empty());
+  EXPECT_EQ(AttachmentsOf(**snap_before, r_id_, 0).size(), 1u);
+  EXPECT_TRUE(AttachmentsOf(**snap_after, r_id_, 0).empty());
 }
 
 TEST_F(EngineSnapshotTest, ExecutePinsAndReportsEpoch) {
@@ -311,8 +313,7 @@ TEST_F(PoisonedEngineTest, PoisonedEnginePinsPrePoisonEpoch) {
   auto table = engine_->catalog()->GetTable("t");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*pinned)->VisibleRows((*table)->id()), kRows);
-  std::vector<AttachmentInfo> atts;
-  (*pinned)->AppendAttachments((*table)->id(), 0, &atts);
+  const std::vector<testutil::Att> atts = AttachmentsOf(**pinned, (*table)->id(), 0);
   auto summaries = (*pinned)->SummariesFor((*table)->id(), 0);
   ASSERT_TRUE(summaries.ok());
   EXPECT_EQ(CountFor(*summaries, "SimCluster"), static_cast<int64_t>(atts.size()));
@@ -366,10 +367,87 @@ TEST_F(PoisonedEngineTest, QueryAfterMidBatchPoisonReadsPrePoisonEpoch) {
   for (const AnnotatedTuple& row : result.rows) {
     const SummaryObject* cluster = row.FindSummary("SimCluster");
     ASSERT_NE(cluster, nullptr);
-    EXPECT_EQ(row.attachments.size(), cluster->NumAnnotations())
+    EXPECT_EQ(testutil::Entries(row.attachments).size(), cluster->NumAnnotations())
         << row.tuple.ToString();
   }
   EXPECT_EQ(after, ScanBytes(before));
+}
+
+// Scanned tuples share their attachment lists with the pinned epoch. While
+// the writer publishes 1000 epochs that attach and archive notes on the
+// same rows (archiving the scanned notes too), a reader holding the tuples
+// keeps reading byte-identical ids and coverage. Under TSAN this covers
+// lists shared between the writer's epochs and a reader thread.
+TEST_F(EngineSnapshotTest, SharedAttachmentListsSurviveRepublishing) {
+  std::vector<ann::AnnotationId> scanned_ids;
+  for (rel::RowId row = 0; row < 3; ++row) {
+    for (const auto& [body, columns] :
+         {std::pair<const char*, std::vector<size_t>>{"eating stonewort", {2}},
+          {"influenza lesion", {}}}) {
+      auto id = engine_->Annotate(Spec("R", row, body, columns));
+      ASSERT_TRUE(id.ok());
+      scanned_ids.push_back(*id);
+    }
+  }
+  auto pinned = engine_->PinSnapshot();
+  ASSERT_TRUE(pinned.ok());
+  auto scan = engine_->MakeScan("R", "r");
+  ASSERT_TRUE(scan.ok());
+  ExecuteOptions options;
+  options.snapshot = *pinned;
+  options.retain = false;
+  auto result = engine_->Execute(std::move(*scan), std::move(options));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 3u);
+  for (rel::RowId row = 0; row < 3; ++row) {
+    EXPECT_EQ(result->rows[row].attachments, (*pinned)->FindRow(r_id_, row)->attachments);
+  }
+  const auto fingerprint = [&result] {
+    std::string bytes;
+    for (const AnnotatedTuple& row : result->rows) {
+      for (const testutil::Att& att : testutil::Entries(row.attachments)) {
+        bytes += std::to_string(att.id) + ":";
+        for (size_t c : att.columns) bytes += std::to_string(c) + ",";
+        bytes += ";";
+      }
+      bytes += "|";
+    }
+    return bytes;
+  };
+  const std::string expected = fingerprint();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> checks{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      EXPECT_EQ(fingerprint(), expected);
+      checks.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  constexpr uint64_t kEpochs = 1000;
+  const uint64_t first = engine_->CurrentEpoch();
+  Status status;
+  for (size_t i = 0; status.ok() && engine_->CurrentEpoch() < first + kEpochs; ++i) {
+    const rel::RowId row = i % 3;
+    auto id = engine_->Annotate(Spec("R", row, "parasite infection", {i % 4}));
+    status = id.status();
+    if (status.ok()) status = engine_->AttachAnnotation(*id, "R", (row + 1) % 3, {1});
+    if (status.ok()) status = engine_->ArchiveAnnotation(*id);
+    if (status.ok() && i < scanned_ids.size()) {
+      status = engine_->ArchiveAnnotation(scanned_ids[i]);
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GT(checks.load(), 0u);
+  EXPECT_EQ(fingerprint(), expected);
+  // Every note is archived now: the current epoch's lists are empty.
+  auto current = engine_->PinSnapshot();
+  ASSERT_TRUE(current.ok());
+  for (rel::RowId row = 0; row < 3; ++row) {
+    EXPECT_TRUE(AttachmentsOf(**current, r_id_, row).empty());
+  }
 }
 
 // Pin/publish stress: readers continuously pin the current epoch and walk
@@ -392,8 +470,7 @@ TEST_F(EngineSnapshotTest, ConcurrentPinAndPublishStress) {
         for (rel::RowId row = 0; row < (*snap)->VisibleRows(r_id_); ++row) {
           auto summaries = (*snap)->SummariesFor(r_id_, row);
           ASSERT_TRUE(summaries.ok());
-          std::vector<AttachmentInfo> atts;
-          (*snap)->AppendAttachments(r_id_, row, &atts);
+          AttachmentsOf(**snap, r_id_, row);
         }
         reads.fetch_add(1, std::memory_order_relaxed);
       }

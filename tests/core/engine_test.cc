@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "core/raw_baseline.h"
 #include "exec/projection.h"
 #include "testutil.h"
 
@@ -155,6 +159,92 @@ TEST_F(EngineTest, MaintainedSummariesUnaffectedByQueryMutation) {
   std::string after =
       engine_->summaries()->RowObjects((*table)->id(), 0)->at(0)->Render();
   EXPECT_EQ(before, after);
+}
+
+/// Per result tuple, its attachments (id-sorted) as the raw-propagation
+/// engine reports them.
+std::map<std::string, std::vector<testutil::Att>> RawAttachments(
+    const std::vector<RawTuple>& rows) {
+  std::map<std::string, std::vector<testutil::Att>> out;
+  for (const RawTuple& row : rows) {
+    std::vector<testutil::Att> atts;
+    for (size_t i = 0; i < row.annotations.size(); ++i) {
+      atts.push_back(testutil::Att{row.annotations[i].id, row.coverage[i]});
+    }
+    std::sort(atts.begin(), atts.end(),
+              [](const testutil::Att& a, const testutil::Att& b) { return a.id < b.id; });
+    out[row.tuple.ToString()] = std::move(atts);
+  }
+  return out;
+}
+
+std::map<std::string, std::vector<testutil::Att>> PipelineAttachments(
+    const std::vector<AnnotatedTuple>& rows) {
+  std::map<std::string, std::vector<testutil::Att>> out;
+  for (const AnnotatedTuple& row : rows) {
+    out[row.tuple.ToString()] = testutil::Entries(row.attachments);
+  }
+  return out;
+}
+
+// A self-join of a 40-column table is 80 columns wide, so the right
+// side's coverage lands past the first mask word. Row i joins row i + 1
+// (c1 = i + 1 against c0), each side carrying cell notes on columns 35-39
+// and a whole-row note; coverage must match the raw-propagation engine's,
+// through the join and through a projection of the wide tuple.
+TEST_F(EngineTest, JoinWiderThanSixtyFourColumnsMatchesRawPropagation) {
+  constexpr size_t kColumns = 40;
+  constexpr int64_t kRows = 6;
+  std::vector<rel::Column> columns;
+  for (size_t c = 0; c < kColumns; ++c) {
+    columns.push_back({std::string("c").append(std::to_string(c)), rel::ValueType::kInt64,
+                       "wide"});
+  }
+  ASSERT_TRUE(engine_->CreateTable("wide", rel::Schema(columns)).ok());
+  for (int64_t i = 0; i < kRows; ++i) {
+    std::vector<rel::Value> values;
+    for (size_t c = 0; c < kColumns; ++c) values.push_back(I(i + static_cast<int64_t>(c)));
+    ASSERT_TRUE(engine_->Insert("wide", rel::Tuple(std::move(values))).ok());
+  }
+  ASSERT_TRUE(engine_->LinkInstance("NB", "wide").ok());
+  for (rel::RowId row = 0; row < kRows; ++row) {
+    ASSERT_TRUE(engine_->Annotate(Spec("wide", row, "xray", {35})).ok());
+    ASSERT_TRUE(engine_->Annotate(Spec("wide", row, "yellow", {36, 39})).ok());
+    ASSERT_TRUE(engine_->Annotate(Spec("wide", row, "xylophone", {37, 38})).ok());
+    if (row % 2 == 0) {
+      ASSERT_TRUE(engine_->Annotate(Spec("wide", row, "yonder")).ok());
+    }
+  }
+
+  auto join = [&] {
+    return testutil::HashJoin(*engine_->MakeScan("wide", "l"), *engine_->MakeScan("wide", "r"),
+                              rel::MakeColumn(1, "l.c1"), rel::MakeColumn(0, "r.c0"));
+  };
+  RawPropagationEngine raw(engine_->annotations());
+  auto table = engine_->catalog()->GetTable("wide");
+  ASSERT_TRUE(table.ok());
+  auto scanned = raw.Scan(**table);
+  ASSERT_TRUE(scanned.ok());
+  auto raw_joined = raw.Join(*scanned, *scanned, *rel::MakeColumn(1, "c1"),
+                             *rel::MakeColumn(0, "c0"));
+  ASSERT_TRUE(raw_joined.ok());
+
+  const auto joined = testutil::DrainRows(engine_.get(), join().get());
+  ASSERT_EQ(joined.size(), static_cast<size_t>(kRows - 1));
+  EXPECT_EQ(joined[0].attachments->words(), 2u);
+  EXPECT_EQ(PipelineAttachments(joined), RawAttachments(*raw_joined));
+
+  const std::vector<std::string> kept = {"l.c0", "l.c36", "r.c35", "l.c38", "r.c39", "r.c1"};
+  auto project = exec::ProjectOperator::FromColumns(join(), kept);
+  ASSERT_TRUE(project.ok());
+  std::vector<size_t> kept_positions;
+  for (const std::string& name : kept) {
+    kept_positions.push_back(*(*project)->Children()[0]->OutputSchema().IndexOf(name));
+  }
+  const auto projected = testutil::DrainRows(engine_.get(), project->get());
+  ASSERT_EQ(projected.size(), static_cast<size_t>(kRows - 1));
+  EXPECT_EQ(PipelineAttachments(projected),
+            RawAttachments(raw.Project(*raw_joined, kept_positions)));
 }
 
 }  // namespace

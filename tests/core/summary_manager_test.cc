@@ -8,6 +8,7 @@
 #include "core/engine_snapshot.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "testutil.h"
 
 namespace insightnotes::core {
 namespace {
@@ -241,14 +242,14 @@ TEST_F(SummaryManagerTest, NonInvariantInstanceSkipsCache) {
 // fold in: every fold is one id-ordered union, so two fold orders (and a
 // Combine of partial states) give identical lists.
 TEST(PartialSummaryStateTest, FoldOrderDoesNotChangeAttachments) {
-  const std::vector<std::vector<AttachmentInfo>> inputs = {
+  const std::vector<std::vector<testutil::Att>> inputs = {
       {{2, {0}}, {4, {1}}, {9, {}}},
       {{4, {0, 2}}, {7, {1}}},
       {{1, {2}}, {4, {1}}, {9, {0}}},
   };
   auto tuple = [&](size_t i) {
     AnnotatedTuple t;
-    t.attachments = inputs[i];
+    t.attachments = testutil::MakeList(inputs[i]);
     return t;
   };
   auto fold = [&](std::vector<size_t> order) {
@@ -260,10 +261,10 @@ TEST(PartialSummaryStateTest, FoldOrderDoesNotChangeAttachments) {
     }
     AnnotatedTuple out;
     state.Release(&out);
-    return out.attachments;
+    return testutil::Entries(out.attachments);
   };
 
-  const std::vector<AttachmentInfo> expected = {
+  const std::vector<testutil::Att> expected = {
       {1, {2}}, {2, {0}}, {4, {0, 1, 2}}, {7, {1}}, {9, {}}};
   EXPECT_EQ(fold({0, 1, 2}), expected);
   EXPECT_EQ(fold({2, 1, 0}), expected);
@@ -280,7 +281,7 @@ TEST(PartialSummaryStateTest, FoldOrderDoesNotChangeAttachments) {
   ASSERT_TRUE(early.Combine(std::move(late)).ok());
   AnnotatedTuple out;
   early.Release(&out);
-  EXPECT_EQ(out.attachments, expected);
+  EXPECT_EQ(testutil::Entries(out.attachments), expected);
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ class ExecFaultSweepTest : public EngineFixture {
       for (const auto& summary : row.summaries) {
         os << " || " << summary->instance_name() << "=" << summary->Render();
       }
-      for (const auto& attachment : row.attachments) {
+      for (const testutil::Att& attachment : testutil::Entries(row.attachments)) {
         os << " [A" << attachment.id << "]";
       }
       rows.push_back(os.str());

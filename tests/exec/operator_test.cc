@@ -17,7 +17,9 @@ using rel::CompareOp;
 using rel::MakeCompare;
 using rel::MakeLiteral;
 using testutil::Col;
+using testutil::Att;
 using testutil::DrainRows;
+using testutil::Entries;
 using testutil::I;
 using testutil::S;
 
@@ -52,7 +54,7 @@ TEST_F(OperatorTest, SeqScanWithoutSummaries) {
   auto rows = DrainRows(engine_.get(), scan->get());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(rows[0].summaries.empty());
-  EXPECT_TRUE(rows[0].attachments.empty());
+  EXPECT_EQ(rows[0].attachments, nullptr);
 }
 
 TEST_F(OperatorTest, SeqScanCarriesAttachmentMetadata) {
@@ -60,9 +62,10 @@ TEST_F(OperatorTest, SeqScanCarriesAttachmentMetadata) {
   ASSERT_TRUE(engine_->Annotate(Spec("R", 0, "whole row note")).ok());
   auto scan = Scan("R", "r");
   auto rows = DrainRows(engine_.get(), scan.get());
-  ASSERT_EQ(rows[0].attachments.size(), 2u);
-  EXPECT_EQ(rows[0].attachments[0].columns, (std::vector<size_t>{2}));
-  EXPECT_TRUE(rows[0].attachments[1].columns.empty());
+  const std::vector<Att> attachments = Entries(rows[0].attachments);
+  ASSERT_EQ(attachments.size(), 2u);
+  EXPECT_EQ(attachments[0].columns, (std::vector<size_t>{2}));
+  EXPECT_TRUE(attachments[1].columns.empty());
 }
 
 TEST_F(OperatorTest, FilterKeepsMatching) {
@@ -93,7 +96,7 @@ TEST_F(OperatorTest, ProjectionTrimsAnnotationsOnDroppedColumns) {
   ASSERT_EQ(rows.size(), 3u);
   const AnnotatedTuple& row0 = rows[0];
   EXPECT_EQ(row0.tuple.NumValues(), 2u);
-  ASSERT_EQ(row0.attachments.size(), 2u);
+  ASSERT_EQ(Entries(row0.attachments).size(), 2u);
   // ClassBird1 object must have dropped exactly the column-c annotation.
   auto* class1 = row0.FindSummary("ClassBird1");
   ASSERT_NE(class1, nullptr);
@@ -110,8 +113,9 @@ TEST_F(OperatorTest, ProjectionRemapsAttachmentColumns) {
   auto project = ProjectOperator::FromColumns(std::move(scan), {"r.c", "r.a"});
   ASSERT_TRUE(project.ok());
   auto rows = DrainRows(engine_.get(), project->get());
-  ASSERT_EQ(rows[0].attachments.size(), 1u);
-  EXPECT_EQ(rows[0].attachments[0].columns, (std::vector<size_t>{0}));
+  const std::vector<Att> attachments = Entries(rows[0].attachments);
+  ASSERT_EQ(attachments.size(), 1u);
+  EXPECT_EQ(attachments[0].columns, (std::vector<size_t>{0}));
 }
 
 TEST_F(OperatorTest, HashJoinMergesSummaries) {
@@ -161,7 +165,7 @@ TEST_F(OperatorTest, HashJoinSharedAnnotationCountedOnce) {
     EXPECT_EQ(class2->NumAnnotations(), 1u);  // Not double counted.
     // Attachment metadata also deduplicated.
     size_t count = 0;
-    for (const auto& att : row.attachments) {
+    for (const Att& att : Entries(row.attachments)) {
       if (att.id == *id) ++count;
     }
     EXPECT_EQ(count, 1u);

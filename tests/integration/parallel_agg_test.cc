@@ -120,7 +120,7 @@ class ParallelAggTest : public EngineFixture {
       for (const auto& summary : row.summaries) {
         os << " || " << summary->instance_name() << "=" << summary->Render();
       }
-      for (const auto& attachment : row.attachments) {
+      for (const testutil::Att& attachment : testutil::Entries(row.attachments)) {
         os << " [A" << attachment.id << ":";
         for (size_t c : attachment.columns) os << c << ",";
         os << "]";

@@ -124,7 +124,7 @@ class ParallelExecTest : public EngineFixture {
       for (const auto& summary : row.summaries) {
         os << " || " << summary->instance_name() << "=" << summary->Render();
       }
-      for (const auto& attachment : row.attachments) {
+      for (const testutil::Att& attachment : testutil::Entries(row.attachments)) {
         os << " [A" << attachment.id << ":";
         for (size_t c : attachment.columns) os << c << ",";
         os << "]";
@@ -317,10 +317,9 @@ TEST_F(ParallelExecTest, SharedBuildRowsSettleOnceAcrossWorkers) {
           auto ids = summary->ZoomIn(c);
           ASSERT_TRUE(ids.ok()) << ids.status().ToString();
           for (ann::AnnotationId id : *ids) {
-            EXPECT_TRUE(std::any_of(row.attachments.begin(), row.attachments.end(),
-                                    [id](const core::AttachmentInfo& a) {
-                                      return a.id == id;
-                                    }))
+            const std::vector<testutil::Att> attachments = testutil::Entries(row.attachments);
+            EXPECT_TRUE(std::any_of(attachments.begin(), attachments.end(),
+                                    [id](const testutil::Att& a) { return a.id == id; }))
                 << summary->instance_name() << " kept trimmed note " << id;
           }
         }

@@ -263,7 +263,7 @@ class QueryFuzzTest : public EngineFixture {
       for (const auto& summary : row.summaries) {
         os << " || " << summary->instance_name() << "=" << summary->Render();
       }
-      for (const auto& attachment : row.attachments) {
+      for (const testutil::Att& attachment : testutil::Entries(row.attachments)) {
         os << " [A" << attachment.id << ":";
         for (size_t c : attachment.columns) os << c << ",";
         os << "]";
@@ -297,7 +297,9 @@ class QueryFuzzTest : public EngineFixture {
     std::vector<std::string> rows;
     for (const core::AnnotatedTuple& row : result.rows) {
       std::vector<ann::AnnotationId> ids;
-      for (const auto& attachment : row.attachments) ids.push_back(attachment.id);
+      for (const testutil::Att& attachment : testutil::Entries(row.attachments)) {
+        ids.push_back(attachment.id);
+      }
       rows.push_back(OracleRow(row.tuple, std::move(ids)));
     }
     return rows;
@@ -616,7 +618,7 @@ TEST_F(QueryFuzzTest, SeededCancellationLeavesEngineConsistent) {
       for (const auto& summary : row.summaries) {
         os << " || " << summary->instance_name() << "=" << summary->Render();
       }
-      for (const auto& attachment : row.attachments) {
+      for (const testutil::Att& attachment : testutil::Entries(row.attachments)) {
         os << " [A" << attachment.id << ":";
         for (size_t c : attachment.columns) os << c << ",";
         os << "]";
@@ -712,7 +714,9 @@ TEST_F(QueryFuzzTest, SummariesHoldOnlyAttachedAnnotations) {
       for (const core::AnnotatedTuple& row : result.rows) {
         ASSERT_TRUE(row.trimmed.empty()) << row.tuple.ToString();
         std::set<ann::AnnotationId> attached;
-        for (const auto& attachment : row.attachments) attached.insert(attachment.id);
+        for (const testutil::Att& attachment : testutil::Entries(row.attachments)) {
+          attached.insert(attachment.id);
+        }
         for (const auto& summary : row.summaries) {
           std::set<ann::AnnotationId> held;
           for (size_t c = 0; c < summary->NumComponents(); ++c) {

@@ -1,7 +1,7 @@
 // Hand-checked cardinality estimates: default selectivities without
 // statistics, NDV/histogram-driven selectivities with them, join-size
-// estimation, the annotation-count distribution behind SUMMARY_COUNT
-// predicates, and the ToText/FromText stats round trip.
+// estimation, and the annotation-count distribution behind SUMMARY_COUNT
+// predicates.
 
 #include "sql/card_est.h"
 
@@ -167,30 +167,6 @@ TEST_F(CardEstTest, AnnCountSelectivity) {
   // No distribution recorded: agnostic.
   rel::TableStats empty;
   EXPECT_DOUBLE_EQ(empty.AnnCountSelectivity(rel::CompareOp::kGt, 0), 0.5);
-}
-
-TEST_F(CardEstTest, StatsTextRoundTrip) {
-  rel::TableStats stats = UniformStats();
-  stats.annotated_rows = 12;
-  stats.total_annotations = 30;
-  stats.ann_count_freq = {{0, 88}, {1, 7}, {3, 5}};
-  stats.instances.push_back(rel::InstanceDensity{"Class Bird\n1", 12, 30});
-  // A string column with hostile values (spaces, empty, NULL).
-  std::vector<rel::Value> hostile = {S("hello world"), S(""), rel::Value(),
-                                     S("line\nbreak")};
-  stats.columns.push_back(rel::BuildColumnStats(std::move(hostile)));
-
-  std::string text = stats.ToText();
-  auto parsed = rel::TableStats::FromText(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->ToText(), text);
-  EXPECT_EQ(parsed->row_count, stats.row_count);
-  EXPECT_EQ(parsed->columns.size(), stats.columns.size());
-  ASSERT_EQ(parsed->instances.size(), 1u);
-  EXPECT_EQ(parsed->instances[0].instance, "Class Bird\n1");
-
-  EXPECT_FALSE(rel::TableStats::FromText("garbage here").ok());
-  EXPECT_FALSE(rel::TableStats::FromText("anncount 1:2").ok());  // Missing rows.
 }
 
 }  // namespace

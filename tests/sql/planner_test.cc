@@ -355,6 +355,41 @@ TEST_F(TopKMetricsTest, ExplainAnalyzeRendersPruningFields) {
   EXPECT_NE(out->message.find("5 row(s)"), std::string::npos) << out->message;
 }
 
+// The trim shape: the projection's pending trim is paid where surviving
+// rows leave the pooled workers, and EXPLAIN ANALYZE reports it there.
+TEST_F(PlannerTest, ExplainAnalyzeReportsSettleOnGather) {
+  ASSERT_TRUE(engine_
+                  ->CreateTable("birds",
+                                rel::Schema({{"id", rel::ValueType::kInt64, "birds"},
+                                             {"name", rel::ValueType::kString, "birds"},
+                                             {"weight", rel::ValueType::kInt64, "birds"},
+                                             {"family", rel::ValueType::kString, "birds"}}))
+                  .ok());
+  constexpr int64_t kRows = 600;  // Three morsels.
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(engine_
+                    ->Insert("birds", rel::Tuple({testutil::I(i), testutil::S("bird"),
+                                                  testutil::I(i % 50), testutil::S("gull")}))
+                    .ok());
+  }
+  ASSERT_TRUE(engine_->LinkInstance("ClassBird1", "birds").ok());
+  for (rel::RowId row = 0; row < kRows; row += 5) {
+    ASSERT_TRUE(engine_->Annotate(Spec("birds", row, "wingspan feathers", {3})).ok());
+  }
+  SqlSession session(engine_.get());
+  ASSERT_TRUE(session.Execute("SET PARALLELISM = 2").ok());
+  auto out = session.Execute(
+      "EXPLAIN ANALYZE SELECT b.id, b.name, b.weight FROM birds b WHERE b.weight > 10");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  const size_t gather = out->message.find("-> Gather(2)");
+  ASSERT_NE(gather, std::string::npos) << out->message;
+  const std::string line = out->message.substr(gather, out->message.find('\n', gather) - gather);
+  const size_t settled = line.find(" settled=");
+  ASSERT_NE(settled, std::string::npos) << out->message;
+  EXPECT_GT(std::stoull(line.substr(settled + 9)), 0u) << line;
+  EXPECT_NE(line.find(" settle_ms="), std::string::npos) << line;
+}
+
 // Cost-based optimizer: FROM-order joins and index-backed access paths.
 // Three tables where the FROM order joins the two big tables first (~18000
 // intermediate rows) although joining the selectively filtered small table

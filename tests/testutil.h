@@ -88,6 +88,33 @@ inline std::unique_ptr<exec::Operator> HashJoin(std::unique_ptr<exec::Operator> 
       /*pool=*/nullptr);
 }
 
+/// One attachment as tests spell it: an id and its covered columns,
+/// ascending (empty = whole row).
+struct Att {
+  ann::AnnotationId id = 0;
+  std::vector<size_t> columns;
+
+  friend bool operator==(const Att&, const Att&) = default;
+};
+
+/// `list`'s entries, coverage read through AttachmentList::Columns.
+inline std::vector<Att> Entries(const core::AttachmentListPtr& list) {
+  std::vector<Att> entries;
+  for (size_t i = 0; list != nullptr && i < list->size(); ++i) {
+    entries.push_back(Att{list->id(i), list->Columns(i)});
+  }
+  return entries;
+}
+
+/// The list of `entries`: ids ascending, columns normalized.
+inline core::AttachmentListPtr MakeList(const std::vector<Att>& entries) {
+  std::vector<ann::Attachment> atts;
+  for (const Att& entry : entries) atts.push_back(ann::Attachment{entry.id, entry.columns});
+  std::vector<const ann::Attachment*> pointers;
+  for (const ann::Attachment& att : atts) pointers.push_back(&att);
+  return core::AttachmentList::Build(pointers);
+}
+
 class EngineFixture : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -135,6 +135,68 @@ AttachmentListPtr AttachmentList::Union(const AttachmentListPtr& a,
   return Finish(std::move(out), n);
 }
 
+AttachmentListPtr AttachmentList::UnionAll(std::span<const AttachmentListPtr> lists) {
+  struct Cursor {
+    const AttachmentList* list;
+    size_t i;
+    ann::AnnotationId id() const { return list->id(i); }
+  };
+  std::vector<Cursor> heap;
+  const AttachmentListPtr* first = nullptr;
+  bool distinct = false;
+  size_t total = 0;
+  size_t words = 0;
+  for (const AttachmentListPtr& list : lists) {
+    if (list == nullptr) continue;
+    if (first == nullptr) first = &list;
+    distinct = distinct || list != *first;
+    heap.push_back(Cursor{list.get(), 0});
+    total += list->size_;
+    words = std::max(words, list->words_);
+  }
+  if (first == nullptr) return nullptr;
+  if (!distinct) return *first;  // One list, however often it came in.
+
+  // A min-heap of the lists by their next id.
+  auto later = [](const Cursor& a, const Cursor& b) { return a.id() > b.id(); };
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::shared_ptr<AttachmentList> out = Allocate(total, words);
+  size_t n = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Cursor c = heap.back();
+    heap.pop_back();
+    // Take entries from this list up to the next list's head in one run.
+    const AttachmentList& list = *c.list;
+    const bool last = heap.empty();
+    const ann::AnnotationId bound = last ? 0 : heap.front().id();
+    do {
+      const ann::AnnotationId id = list.id(c.i);
+      if (n > 0 && out->data_[n - 1] == id) {
+        // An id seen before: a whole-row occurrence makes it whole-row.
+        uint64_t* mask = out->mutable_mask(n - 1);
+        if (!IsZero(mask, words)) {
+          if (list.IsWholeRow(c.i)) {
+            std::fill_n(mask, words, 0);
+          } else {
+            for (size_t k = 0; k < list.words_; ++k) mask[k] |= list.mask(c.i)[k];
+          }
+        }
+      } else {
+        out->data_[n] = id;
+        std::copy_n(list.mask(c.i), list.words_, out->mutable_mask(n));
+        ++n;
+      }
+      ++c.i;
+    } while (c.i < list.size_ && (last || list.id(c.i) <= bound));
+    if (c.i < list.size_) {
+      heap.push_back(c);
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
+  return Finish(std::move(out), n);
+}
+
 AttachmentListPtr AttachmentList::WholeRow(const AttachmentListPtr& list) {
   if (list == nullptr || list->words_ == 0) return list;
   std::shared_ptr<AttachmentList> out = Allocate(list->size_, 0);

@@ -72,6 +72,11 @@ class AttachmentList {
   static AttachmentListPtr Union(const AttachmentListPtr& a, const AttachmentListPtr& b,
                                  size_t shift = 0);
 
+  /// The union of every list of `lists` (nulls add nothing), in one k-way
+  /// merge into one allocation; equal to folding them with Union. A list
+  /// whose ids do not interleave with the others' is copied in one run.
+  static AttachmentListPtr UnionAll(std::span<const AttachmentListPtr> lists);
+
   /// `list` with every entry whole-row.
   static AttachmentListPtr WholeRow(const AttachmentListPtr& list);
 

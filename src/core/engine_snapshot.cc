@@ -21,8 +21,12 @@ const EngineSnapshot::RowState* EngineSnapshot::FindRow(rel::TableId table,
 
 Result<std::vector<std::unique_ptr<SummaryObject>>> EngineSnapshot::SummariesFor(
     rel::TableId table, rel::RowId row) const {
+  return SummariesOf(table, FindRow(table, row));
+}
+
+Result<std::vector<std::unique_ptr<SummaryObject>>> EngineSnapshot::SummariesOf(
+    rel::TableId table, const RowState* state) const {
   std::vector<std::unique_ptr<SummaryObject>> out;
-  const RowState* state = FindRow(table, row);
   if (state != nullptr && state->has_objects) {
     out.reserve(state->summaries.size());
     for (const auto& object : state->summaries) out.push_back(object->Clone());

@@ -105,6 +105,9 @@ class EngineSnapshot {
   /// a uniform summary shape.
   Result<std::vector<std::unique_ptr<SummaryObject>>> SummariesFor(
       rel::TableId table, rel::RowId row) const;
+  /// SummariesFor of a row of `table` whose FindRow gave `state` (nullable).
+  Result<std::vector<std::unique_ptr<SummaryObject>>> SummariesOf(
+      rel::TableId table, const RowState* state) const;
 
   /// The row's state, or nullptr if the row had no annotations and no
   /// maintained objects at publication.

@@ -31,15 +31,7 @@ Status PartialSummaryState::Combine(PartialSummaryState&& other) {
 
 void PartialSummaryState::Release(AnnotatedTuple* out) {
   out->summaries = std::move(summaries_);
-  while (runs_.size() > 1) {
-    size_t merged = 0;
-    for (size_t k = 0; k < runs_.size(); k += 2) {
-      runs_[merged++] = k + 1 < runs_.size() ? AttachmentList::Union(runs_[k], runs_[k + 1])
-                                             : std::move(runs_[k]);
-    }
-    runs_.resize(merged);
-  }
-  out->attachments = runs_.empty() ? nullptr : std::move(runs_.front());
+  out->attachments = AttachmentList::UnionAll(runs_);
   runs_.clear();
 }
 

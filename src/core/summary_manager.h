@@ -44,10 +44,11 @@ struct BatchAnnotation {
 /// (see DESIGN.md "Parallel aggregation, sort, and distinct").
 ///
 /// Attachment lists are kept as they come in, by pointer and in fold order;
-/// Release merges them pairwise (AttachmentList::Union), O(N log g) for g
-/// lists of N entries in all. The union is associative and commutative, so
-/// the merged list equals the sequential fold's and does not depend on
-/// fold order.
+/// Release merges them all at once (AttachmentList::UnionAll), one k-way
+/// merge into one allocation: O(N log g) for g lists of N entries in all,
+/// and a list whose ids do not interleave with the others' is copied in
+/// one run. The union is associative and commutative, so the merged list
+/// equals the sequential fold's and does not depend on fold order.
 class PartialSummaryState {
  public:
   PartialSummaryState() = default;

@@ -359,65 +359,71 @@ std::string PartialAggregateOperator::Name() const {
 AggregateMergeOperator::AggregateMergeOperator(
     std::unique_ptr<Operator> child, std::vector<rel::ExprPtr> group_exprs,
     std::vector<rel::Column> group_columns, std::vector<AggregateItem> aggregates,
-    std::shared_ptr<PartialSink<AggregatePartial>> source)
+    std::shared_ptr<PartialSink<AggregatePartial>> source, ThreadPool* pool)
     : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggregates_(std::move(aggregates)),
       source_(std::move(source)),
+      pool_(pool),
       schema_(MakeAggregateSchema(child_->OutputSchema(), group_exprs_,
                                   group_columns, aggregates_)) {}
 
 Status AggregateMergeOperator::OpenImpl() {
-  groups_.clear();
+  rows_.clear();
   cursor_ = 0;
   // Opening the gather drains every worker pipeline (the pool futures it
   // joins provide the happens-before edge for the published partials).
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
   std::vector<AggregatePartial> partials = source_->Take();
   Stopwatch watch;
-  // Morsel order is the serial input order; folding the partials in that
-  // order re-associates (without reordering) the serial left-fold.
+  // Morsel order is the serial input order; folding each group's partials
+  // in that order re-associates (without reordering) the serial left-fold.
   std::sort(partials.begin(), partials.end(),
             [](const AggregatePartial& a, const AggregatePartial& b) {
               return a.morsel < b.morsel;
             });
+  PartialChains<AggregateGroup> chains;
   TupleIndex index;
   for (AggregatePartial& partial : partials) {
     for (AggregateGroup& group : partial.groups) {
-      auto [it, inserted] = index.emplace(group.key, groups_.size());
-      if (inserted) {
-        groups_.push_back(std::move(group));
-      } else {
-        AggregateGroup& into = groups_[it->second];
-        INSIGHTNOTES_RETURN_IF_ERROR(into.summary.Combine(std::move(group.summary)));
-        for (size_t i = 0; i < aggregates_.size(); ++i) {
-          INSIGHTNOTES_RETURN_IF_ERROR(
-              MergeAggStates(&into.states[i], std::move(group.states[i])));
-        }
+      auto it = index.find(group.key);
+      if (it == index.end()) {
+        it = index.emplace(group.key, chains.num_groups()).first;
       }
+      chains.Append(it->second, &group);
     }
   }
-  // All terms are concatenated in morsel order now; replay the float sums.
-  for (AggregateGroup& group : groups_) {
-    for (AggState& state : group.states) FoldAggTerms(&state);
-  }
+  index = {};
   // Global aggregate over empty input still emits one row of zero counts.
-  if (groups_.empty() && group_exprs_.empty()) {
-    AggregateGroup group;
-    group.states.resize(aggregates_.size());
-    groups_.push_back(std::move(group));
+  AggregateGroup empty;
+  if (chains.num_groups() == 0 && group_exprs_.empty()) {
+    empty.states.resize(aggregates_.size());
+    chains.Append(0, &empty);
   }
+  rows_.resize(chains.num_groups());
+  Status status = FinishGroups(pool_, context_.get(), rows_.size(), [&](size_t g) {
+    AggregateGroup& into = chains.First(g);
+    INSIGHTNOTES_RETURN_IF_ERROR(chains.ForEachLater(g, [&](AggregateGroup& later) {
+      INSIGHTNOTES_RETURN_IF_ERROR(into.summary.Combine(std::move(later.summary)));
+      for (size_t i = 0; i < aggregates_.size(); ++i) {
+        INSIGHTNOTES_RETURN_IF_ERROR(
+            MergeAggStates(&into.states[i], std::move(later.states[i])));
+      }
+      return Status::OK();
+    }));
+    // All terms are concatenated in morsel order now; replay the float sums.
+    for (AggState& state : into.states) FoldAggTerms(&state);
+    return FinalizeGroup(aggregates_, &into, &rows_[g]);
+  });
   if (metrics_enabled_) {
     metrics_.merge_ns += static_cast<uint64_t>(watch.ElapsedNanos());
   }
-  return Status::OK();
+  if (!status.ok()) rows_.clear();
+  return status;
 }
 
 Result<bool> AggregateMergeOperator::NextBatchImpl(core::AnnotatedBatch* out) {
-  return EmitRows(&groups_, &cursor_, out,
-                  [this](AggregateGroup* group, core::AnnotatedTuple* tuple) {
-                    return FinalizeGroup(aggregates_, group, tuple);
-                  });
+  return EmitRows(&rows_, &cursor_, out);
 }
 
 std::string AggregateMergeOperator::Name() const {

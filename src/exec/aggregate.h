@@ -12,12 +12,14 @@
 //   * PartialAggregateOperator (one per worker pipeline, below the gather)
 //     + AggregateMergeOperator (above it) — the parallel shape: each
 //     worker folds its morsels into per-morsel partial group tables and
-//     publishes them to a shared PartialSink; the merge operator folds
-//     the partials in ascending morsel order, which re-associates the
-//     serial left-fold (summary merges, attachment unions, MIN/MAX picks)
-//     without reordering it. Float SUM/AVG terms are recorded per tuple
-//     and replayed in morsel order at merge time, so even the
-//     non-associative double addition reproduces the serial bit pattern.
+//     publishes them to a shared PartialSink; the merge operator indexes
+//     each partial group under its final group and finishes every final
+//     group as one job on the section's pool, folding its partials in
+//     ascending morsel order, which re-associates the serial left-fold
+//     (summary merges, attachment unions, MIN/MAX picks) without
+//     reordering it. Float SUM/AVG terms are recorded per tuple and
+//     replayed in morsel order at merge time, so even the non-associative
+//     double addition reproduces the serial bit pattern.
 
 #ifndef INSIGHTNOTES_EXEC_AGGREGATE_H_
 #define INSIGHTNOTES_EXEC_AGGREGATE_H_
@@ -174,16 +176,21 @@ class PartialAggregateOperator final : public Operator {
 };
 
 /// Final merge above the gather: opening the child runs the parallel
-/// section to exhaustion (workers publish their partials), then the
-/// per-morsel partial tables are folded in ascending morsel order into the
-/// final group table and finalized exactly like the serial operator.
+/// section to exhaustion (workers publish their partials). A serial pass
+/// then sorts the partials by morsel and indexes every partial group under
+/// its final group (first-seen order), and FinishGroups finishes the final
+/// groups on `pool`: each folds its partials in ascending morsel order,
+/// replays its float terms and is finalized exactly like the serial
+/// operator. NextBatch emits the finished rows.
 class AggregateMergeOperator final : public Operator {
  public:
+  /// `pool` is the section's pool (null: the groups finish inline).
   AggregateMergeOperator(std::unique_ptr<Operator> child,
                          std::vector<rel::ExprPtr> group_exprs,
                          std::vector<rel::Column> group_columns,
                          std::vector<AggregateItem> aggregates,
-                         std::shared_ptr<PartialSink<AggregatePartial>> source);
+                         std::shared_ptr<PartialSink<AggregatePartial>> source,
+                         ThreadPool* pool);
 
   const rel::Schema& OutputSchema() const override { return schema_; }
   std::string Name() const override;
@@ -198,9 +205,10 @@ class AggregateMergeOperator final : public Operator {
   std::vector<rel::ExprPtr> group_exprs_;
   std::vector<AggregateItem> aggregates_;
   std::shared_ptr<PartialSink<AggregatePartial>> source_;
+  ThreadPool* pool_;
   rel::Schema schema_;
 
-  std::vector<AggregateGroup> groups_;  // First-seen order.
+  std::vector<core::AnnotatedTuple> rows_;  // Finished groups, first-seen order.
   size_t cursor_ = 0;
 };
 

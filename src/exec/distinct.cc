@@ -91,7 +91,7 @@ Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
 }
 
 Status DistinctMergeOperator::OpenImpl() {
-  results_.clear();
+  rows_.clear();
   cursor_ = 0;
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
   std::vector<DistinctPartial> partials = source_->Take();
@@ -100,26 +100,35 @@ Status DistinctMergeOperator::OpenImpl() {
             [](const DistinctPartial& a, const DistinctPartial& b) {
               return a.morsel < b.morsel;
             });
+  PartialChains<DistinctEntry> chains;
   TupleIndex index;
   for (DistinctPartial& partial : partials) {
     for (DistinctEntry& entry : partial.entries) {
-      auto [it, inserted] = index.emplace(entry.tuple, results_.size());
-      if (inserted) {
-        results_.push_back(std::move(entry));
-      } else {
-        INSIGHTNOTES_RETURN_IF_ERROR(
-            results_[it->second].summary.Combine(std::move(entry.summary)));
+      auto it = index.find(entry.tuple);
+      if (it == index.end()) {
+        it = index.emplace(entry.tuple, chains.num_groups()).first;
       }
+      chains.Append(it->second, &entry);
     }
   }
+  index = {};
+  rows_.resize(chains.num_groups());
+  Status status = FinishGroups(pool_, context_.get(), rows_.size(), [&](size_t g) {
+    DistinctEntry& into = chains.First(g);
+    INSIGHTNOTES_RETURN_IF_ERROR(chains.ForEachLater(g, [&](DistinctEntry& later) {
+      return into.summary.Combine(std::move(later.summary));
+    }));
+    return ReleaseEntry(&into, &rows_[g]);
+  });
   if (metrics_enabled_) {
     metrics_.merge_ns += static_cast<uint64_t>(watch.ElapsedNanos());
   }
-  return Status::OK();
+  if (!status.ok()) rows_.clear();
+  return status;
 }
 
 Result<bool> DistinctMergeOperator::NextBatchImpl(core::AnnotatedBatch* out) {
-  return EmitRows(&results_, &cursor_, out, ReleaseEntry);
+  return EmitRows(&rows_, &cursor_, out);
 }
 
 }  // namespace insightnotes::exec

@@ -5,10 +5,11 @@
 // Like aggregation, distinct has a serial shape (DistinctOperator) and a
 // parallel shape: per-worker PartialDistinctOperators collapse each morsel
 // locally and publish the per-morsel distinct sets to a shared
-// PartialSink; DistinctMergeOperator folds them above the gather
-// in ascending morsel order, re-associating the serial left-fold so the
-// surviving tuples, their first-seen order, and their merged summaries are
-// byte-identical to serial execution.
+// PartialSink; DistinctMergeOperator indexes them above the gather and
+// finishes every distinct value as one job on the section's pool, folding
+// its entries in ascending morsel order. That re-associates the serial
+// left-fold, so the surviving tuples, their first-seen order, and their
+// merged summaries are byte-identical to serial execution.
 
 #ifndef INSIGHTNOTES_EXEC_DISTINCT_H_
 #define INSIGHTNOTES_EXEC_DISTINCT_H_
@@ -83,13 +84,15 @@ class PartialDistinctOperator final : public Operator {
   std::shared_ptr<PartialSink<DistinctPartial>> sink_;
 };
 
-/// Final merge above the gather: folds the per-morsel distinct sets in
-/// ascending morsel order into the global first-seen-order result.
+/// Final merge above the gather: indexes the per-morsel distinct sets
+/// under the global first-seen-order values, then FinishGroups folds each
+/// value's entries in ascending morsel order on `pool` (null: inline).
 class DistinctMergeOperator final : public Operator {
  public:
   DistinctMergeOperator(std::unique_ptr<Operator> child,
-                        std::shared_ptr<PartialSink<DistinctPartial>> source)
-      : child_(std::move(child)), source_(std::move(source)) {}
+                        std::shared_ptr<PartialSink<DistinctPartial>> source,
+                        ThreadPool* pool)
+      : child_(std::move(child)), source_(std::move(source)), pool_(pool) {}
 
   const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
   std::string Name() const override { return "DistinctMerge"; }
@@ -103,8 +106,9 @@ class DistinctMergeOperator final : public Operator {
  private:
   std::unique_ptr<Operator> child_;
   std::shared_ptr<PartialSink<DistinctPartial>> source_;
+  ThreadPool* pool_;
 
-  std::vector<DistinctEntry> results_;  // First-seen order.
+  std::vector<core::AnnotatedTuple> rows_;  // Finished values, first-seen order.
   size_t cursor_ = 0;
 };
 

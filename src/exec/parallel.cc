@@ -1,7 +1,9 @@
 #include "exec/parallel.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <future>
+#include <limits>
 #include <optional>
 
 #include "common/clock.h"
@@ -103,10 +105,11 @@ Status ScanMorselSource::Materialize(uint64_t morsel, core::AnnotatedBatch* out)
     core::AnnotatedTuple tuple(std::move(data));
     if (with_summaries_) {
       // Workers on other morsels and concurrent writers never perturb what
-      // this scan sees: the epoch is immutable.
-      INSIGHTNOTES_ASSIGN_OR_RETURN(tuple.summaries,
-                                    snapshot_->SummariesFor(table_->id(), rows_[i]));
+      // this scan sees: the epoch is immutable. One lookup serves both the
+      // summaries and the attachment list.
       const core::EngineSnapshot::RowState* state = snapshot_->FindRow(table_->id(), rows_[i]);
+      INSIGHTNOTES_ASSIGN_OR_RETURN(tuple.summaries,
+                                    snapshot_->SummariesOf(table_->id(), state));
       if (state != nullptr) tuple.attachments = state->attachments;
     }
     out->tuples.push_back(std::move(tuple));
@@ -373,6 +376,64 @@ Result<bool> GatherOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   if (batch_cursor_ >= batches_.size()) return false;
   *out = std::move(batches_[batch_cursor_++]);
   return true;
+}
+
+namespace {
+/// What the claimers of one FinishGroups call share. Pool jobs hold it by
+/// shared_ptr, so a job the pool starts after the call returned still
+/// finds it (closed) and touches nothing else.
+struct FinishControl {
+  std::atomic<size_t> next{0};
+  std::atomic<bool> failed{false};  // Set on the first failure: claim no more.
+  std::mutex mutex;
+  std::condition_variable idle;
+  bool closed = false;  // The caller stopped claiming; late jobs return.
+  size_t active = 0;    // Jobs claiming now.
+  size_t first_failed = std::numeric_limits<size_t>::max();
+  Status error;         // Of group first_failed.
+};
+}  // namespace
+
+Status FinishGroups(ThreadPool* pool, QueryContext* context, size_t count,
+                    const std::function<Status(size_t)>& finish) {
+  auto control = std::make_shared<FinishControl>();
+  // Claims groups until the cursor passes `count` or a group failed.
+  // Every claimed group runs, so all groups before a failing one finish.
+  auto claim = [context, count, &finish](FinishControl* c) {
+    while (!c->failed.load(std::memory_order_acquire)) {
+      const size_t g = c->next.fetch_add(1, std::memory_order_relaxed);
+      if (g >= count) return;
+      Status status = context != nullptr ? context->CheckInterrupt() : Status::OK();
+      if (status.ok()) status = Contained([&] { return finish(g); });
+      if (status.ok()) continue;
+      std::lock_guard<std::mutex> lock(c->mutex);
+      if (g < c->first_failed) {
+        c->first_failed = g;
+        c->error = std::move(status);
+      }
+      c->failed.store(true, std::memory_order_release);
+    }
+  };
+  const size_t helpers =
+      pool != nullptr && count > 1 ? std::min(pool->num_threads(), count - 1) : 0;
+  for (size_t h = 0; h < helpers; ++h) {
+    // The future is dropped: the caller waits on `active`, not on the job.
+    pool->Submit([control, claim] {
+      {
+        std::lock_guard<std::mutex> lock(control->mutex);
+        if (control->closed) return;
+        ++control->active;
+      }
+      claim(control.get());
+      std::lock_guard<std::mutex> lock(control->mutex);
+      if (--control->active == 0) control->idle.notify_all();
+    });
+  }
+  claim(control.get());
+  std::unique_lock<std::mutex> lock(control->mutex);
+  control->closed = true;
+  control->idle.wait(lock, [&] { return control->active == 0; });
+  return std::move(control->error);
 }
 
 }  // namespace insightnotes::exec

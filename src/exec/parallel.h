@@ -28,6 +28,7 @@
 #define INSIGHTNOTES_EXEC_PARALLEL_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -90,6 +91,64 @@ class PartialSink final : public SharedPlanState {
  private:
   std::mutex mutex_;
   std::vector<T> items_;
+};
+
+/// Finishes the `count` final groups of a merge above the gather (fold a
+/// group's partial states, finalize its row) as independent jobs: the
+/// calling thread and up to min(P, count - 1) jobs on `pool` (P its
+/// threads, idle once the gather has joined its workers; no job with a
+/// null pool or a single group) claim groups from one atomic cursor and
+/// run `finish(g)` on each. `context` (nullable) is polled once per group.
+/// After a failure no further group is claimed, and the error returned is
+/// that of the first failing group in group order: every group before it
+/// was claimed and ran to completion. Returns once no job runs `finish`
+/// any more; the caller never waits for a job the pool has not started
+/// (it finds the cursor closed and returns), so no pool thread waits on
+/// the pool.
+Status FinishGroups(ThreadPool* pool, QueryContext* context, size_t count,
+                    const std::function<Status(size_t)>& finish);
+
+/// The partial states of a merge's final groups, kept where the workers
+/// published them: every part in morsel order, chained per final group.
+template <typename T>
+class PartialChains {
+ public:
+  /// Appends `part` as the latest part of final group `g`; g ==
+  /// num_groups() opens a new group (first-seen order).
+  void Append(size_t g, T* part) {
+    const size_t p = parts_.size();
+    parts_.push_back(part);
+    next_.push_back(kNone);
+    if (g == heads_.size()) {
+      heads_.push_back(p);
+      tails_.push_back(p);
+      return;
+    }
+    next_[tails_[g]] = p;
+    tails_[g] = p;
+  }
+
+  size_t num_groups() const { return heads_.size(); }
+
+  /// The first (earliest-morsel) part of group `g`: the fold's target.
+  T& First(size_t g) const { return *parts_[heads_[g]]; }
+
+  /// Calls fn(part) on each later part of group `g`, in morsel order,
+  /// stopping at the first error.
+  template <typename Fn>
+  Status ForEachLater(size_t g, Fn&& fn) const {
+    for (size_t p = next_[heads_[g]]; p != kNone; p = next_[p]) {
+      INSIGHTNOTES_RETURN_IF_ERROR(fn(*parts_[p]));
+    }
+    return Status::OK();
+  }
+
+ private:
+  static constexpr size_t kNone = ~size_t{0};
+  std::vector<T*> parts_;
+  std::vector<size_t> next_;   // Per part: the group's next part, or kNone.
+  std::vector<size_t> heads_;  // Per group: its first part.
+  std::vector<size_t> tails_;  // Per group: its latest part.
 };
 
 /// Cooperative row quota of a plain `LIMIT k` parallel plan (no ORDER BY).

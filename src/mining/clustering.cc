@@ -10,21 +10,85 @@ namespace insightnotes::mining {
 
 namespace {
 
+/// One group's centroid sum scattered by term, so each member's dot with
+/// it costs O(|member|) instead of a merge walk over both. Open addressing
+/// over the first power of two >= 2|C| slots: the memory follows the
+/// largest centroid this thread scattered, never the magnitude of a term
+/// id. Slots carry the stamp of the scatter that wrote them, so starting
+/// the next one clears the table by bumping the stamp.
+class CentroidScatter {
+ public:
+  void Load(txt::SparseView centroid) {
+    const size_t terms = centroid.entries().size();
+    bits_ = 4;
+    while ((size_t{1} << bits_) < 2 * terms) ++bits_;
+    if (slots_.size() < (size_t{1} << bits_)) slots_.resize(size_t{1} << bits_);
+    if (++stamp_ == 0) {  // Wrapped: no slot may keep a live-looking stamp.
+      for (Slot& slot : slots_) slot.stamp = 0;
+      stamp_ = 1;
+    }
+    const size_t mask = (size_t{1} << bits_) - 1;
+    for (const txt::TermWeight& e : centroid.entries()) {
+      size_t at = Home(e.term);
+      while (slots_[at].stamp == stamp_) at = (at + 1) & mask;
+      slots_[at] = Slot{e.term, stamp_, e.value};
+    }
+  }
+
+  /// `member`'s dot with the loaded centroid: the products SparseView::Dot
+  /// forms, added in the same ascending term order, so the same bits.
+  double Dot(txt::SparseView member) const {
+    const size_t mask = (size_t{1} << bits_) - 1;
+    double sum = 0.0;
+    for (const txt::TermWeight& e : member.entries()) {
+      for (size_t at = Home(e.term); slots_[at].stamp == stamp_; at = (at + 1) & mask) {
+        if (slots_[at].term == e.term) {
+          sum += slots_[at].value * e.value;
+          break;
+        }
+      }
+    }
+    return sum;
+  }
+
+ private:
+  struct Slot {
+    txt::TermId term = 0;
+    uint32_t stamp = 0;
+    double value = 0.0;
+  };
+  /// Fibonacci hashing: the top bits_ bits of the scrambled id.
+  size_t Home(txt::TermId term) const {
+    return static_cast<size_t>((uint64_t{term} * 0x9E3779B97F4A7C15ULL) >> (64 - bits_));
+  }
+
+  std::vector<Slot> slots_;
+  uint32_t stamp_ = 0;
+  unsigned bits_ = 4;
+};
+
 /// The member of `members` (ascending) closest to `centroid` by cosine,
 /// ties to the lowest id; `vectors` is aligned with `members`, and a
 /// member with no vector is skipped. The centroid is the maintained exact
 /// integer sum and every norm is computed once (the centroid's by the
 /// caller, the members' on commit), so the same member set elects the same
 /// representative whatever order Add, Merge and Restrict folded it in
-/// (serial and parallel plans agree byte for byte).
+/// (serial and parallel plans agree byte for byte). The centroid is
+/// scattered once into this thread's table; each member's dot then reads
+/// it in O(|member|).
 DocId Elect(txt::SparseView centroid, double norm, std::span<const DocId> members,
             std::span<const DocVector* const> vectors) {
+  // A lone member wins whatever its cosine (every cosine beats -1).
+  if (members.size() <= 1) return members.empty() ? 0 : members.front();
+  thread_local CentroidScatter scatter;
+  scatter.Load(centroid);
   double best_sim = -1.0;
-  DocId best = members.empty() ? 0 : members.front();
+  DocId best = members.front();
   for (size_t k = 0; k < members.size(); ++k) {
     const DocVector* vec = vectors[k];
     if (vec == nullptr) continue;
-    double sim = centroid.CosineWithNorms(vec->vector.view(), norm, vec->norm);
+    const double sim = txt::SparseView::CosineFromDot(scatter.Dot(vec->vector.view()),
+                                                      norm, vec->norm);
     if (sim > best_sim) {
       best_sim = sim;
       best = members[k];
@@ -93,7 +157,7 @@ void DocVectorStore::Clear() {
 
 ClusterGroup ClusterSet::group(size_t index) const {
   const Group& g = groups_[index];
-  return ClusterGroup{g.representative, MembersOf(g), CentroidOf(g)};
+  return ClusterGroup{g.representative, MembersOf(g), CentroidOf(g), g.norm};
 }
 
 bool ClusterSet::Contains(DocId doc) const {

@@ -14,6 +14,16 @@
 // ties to the lowest document id) whenever membership changes, so a
 // group's representative is a function of its member set alone.
 //
+// The election kernel scatters the group's exact integer centroid sum once
+// into a per-thread open-addressing table keyed by term id (sized to the
+// centroid, reused from election to election, so no allocation per
+// election and no memory that grows with a term id's magnitude). Each
+// member's dot then costs one lookup per member term, and the products
+// are added in ascending term order: the same operations as the merge-walk
+// SparseView::Dot, so the same bits. An election over members m of a
+// centroid C costs O(|C| + sum |m|) rather than a merge walk of
+// O(|C| + |m|) per member.
+//
 // A set is flat: group headers over one member array and one centroid-entry
 // array, plus the sorted document-to-group slots. Copying a set (the
 // copy-on-write clone of a summary object) is four array copies; member
@@ -105,6 +115,8 @@ struct ClusterGroup {
   // exact integer arithmetic and does not depend on fold order. Cosine is
   // scale-invariant, so similarity checks use it for the centroid.
   txt::SparseView centroid_sum;
+  // centroid_sum's norm, computed once whenever the sum changes.
+  double norm = 0.0;
 
   size_t size() const { return members.size(); }
 };

@@ -559,7 +559,8 @@ class SelectPlanner {
 
   /// Parallel aggregation: PartialAggregateOperator per worker feeding a
   /// shared PartialSink, folded above the gather by
-  /// AggregateMergeOperator in ascending morsel order.
+  /// AggregateMergeOperator in ascending morsel order, one final group per
+  /// job on the section's pool.
   Result<std::unique_ptr<exec::Operator>> BuildParallelAggregation(
       std::vector<std::unique_ptr<exec::Operator>> pipes,
       std::vector<std::shared_ptr<exec::SharedPlanState>> states, ThreadPool* pool) {
@@ -585,7 +586,7 @@ class SelectPlanner {
     return std::unique_ptr<exec::Operator>(
         std::make_unique<exec::AggregateMergeOperator>(
             std::move(gather), std::move(group_exprs), std::move(group_columns),
-            std::move(aggregates), std::move(sink)));
+            std::move(aggregates), std::move(sink), pool));
   }
 
   /// Parallel sort: PartialSortOperator per worker publishes a locally
@@ -630,7 +631,8 @@ class SelectPlanner {
   /// Parallel distinct: the final projection moves below the partial
   /// operators (distinct keys are the projected columns), then each worker
   /// collapses its morsels locally and DistinctMergeOperator folds the
-  /// per-morsel sets above the gather in ascending morsel order.
+  /// per-morsel sets above the gather in ascending morsel order, one value
+  /// per job on the section's pool.
   Result<std::unique_ptr<exec::Operator>> BuildParallelDistinct(
       std::vector<std::unique_ptr<exec::Operator>> pipes,
       std::vector<std::shared_ptr<exec::SharedPlanState>> states, ThreadPool* pool) {
@@ -650,7 +652,7 @@ class SelectPlanner {
     parallel_distinct_ = true;
     return std::unique_ptr<exec::Operator>(
         std::make_unique<exec::DistinctMergeOperator>(std::move(gather),
-                                                      std::move(sink)));
+                                                      std::move(sink), pool));
   }
 
   static bool BindableAgainst(const AstExpr& expr, const rel::Schema& schema) {

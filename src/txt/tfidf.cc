@@ -94,8 +94,12 @@ double SparseView::Norm() const {
 
 double SparseView::CosineWithNorms(SparseView other, double norm, double other_norm) const {
   if (norm < kEpsilon || other_norm < kEpsilon) return 0.0;
-  double c = Dot(other) / (norm * other_norm);
-  return std::clamp(c, 0.0, 1.0);
+  return CosineFromDot(Dot(other), norm, other_norm);
+}
+
+double SparseView::CosineFromDot(double dot, double norm, double other_norm) {
+  if (norm < kEpsilon || other_norm < kEpsilon) return 0.0;
+  return std::clamp(dot / (norm * other_norm), 0.0, 1.0);
 }
 
 void AppendSum(SparseView a, SparseView b, std::vector<TermWeight>* out) {

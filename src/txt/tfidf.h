@@ -34,6 +34,8 @@ class SparseView {
   /// Cosine in [0, 1] for non-negative vectors given both norms (0 if
   /// either is 0): scoring many vectors against one computes no norm twice.
   double CosineWithNorms(SparseView other, double norm, double other_norm) const;
+  /// The cosine CosineWithNorms returns for a dot product computed apart.
+  static double CosineFromDot(double dot, double norm, double other_norm);
 
  private:
   std::span<const TermWeight> entries_;

@@ -227,19 +227,24 @@ TEST(CoverageTest, WholeRowListHasNoWords) {
   EXPECT_EQ(AttachmentList::WholeRow(nullptr), nullptr);
 }
 
-// A group's Release merges its lists pairwise; the union is associative
-// and commutative, so the result equals the sequential left fold (and the
-// brute-force map) for any number of runs, whichever state folded them.
-TEST(CoverageTest, PairwiseReleaseEqualsSequentialFold) {
+// A group's Release merges all its lists in one k-way merge; the union is
+// associative and commutative, so the result equals the sequential left
+// fold (and the brute-force map) for any number of runs, whichever state
+// folded them. Odd rounds give each run ids above the previous run's (no
+// interleaving: each run is copied in one burst), the others overlap.
+TEST(CoverageTest, ReleaseEqualsSequentialFold) {
   Random rng(31);
-  for (int round = 0; round < 300; ++round) {
+  for (int round = 0; round < 600; ++round) {
     const size_t runs = 1 + rng.Uniform(40);
-    const size_t width = round % 2 == 0 ? 6 : 150;
+    const size_t width = round % 4 < 2 ? 6 : 150;
+    const bool interleave = round % 2 == 0;
     std::vector<std::vector<Att>> lists(runs);
     OracleMap oracle;
     AttachmentListPtr sequential;
-    for (std::vector<Att>& list : lists) {
-      if (!rng.Bernoulli(0.1)) list = RandomList(&rng, width, rng.Uniform(60));
+    for (size_t k = 0; k < runs; ++k) {
+      std::vector<Att>& list = lists[k];
+      const uint64_t base = interleave ? rng.Uniform(60) : 40 * k;
+      if (!rng.Bernoulli(0.1)) list = RandomList(&rng, width, base);
       AddToOracle(list, 0, &oracle);
       sequential = AttachmentList::Union(sequential, MakeList(list));
     }
@@ -266,6 +271,36 @@ TEST(CoverageTest, PairwiseReleaseEqualsSequentialFold) {
     SCOPED_TRACE("round=" + std::to_string(round) + " runs=" + std::to_string(runs));
     ExpectList(out.attachments, FromOracle(oracle));
     EXPECT_EQ(Entries(out.attachments), Entries(sequential));
+  }
+}
+
+// UnionAll skips nulls, returns a list that came in alone (however often)
+// as it is, and otherwise equals the pairwise fold, also when one list
+// comes in several times among others.
+TEST(CoverageTest, UnionAllMatchesPairwiseFold) {
+  EXPECT_EQ(AttachmentList::UnionAll({}), nullptr);
+  const AttachmentListPtr one = MakeList({{1, {0}}, {4, {}}});
+  const AttachmentListPtr lists[] = {nullptr, one, nullptr, one};
+  EXPECT_EQ(AttachmentList::UnionAll(lists), one);
+  Random rng(57);
+  for (int round = 0; round < 300; ++round) {
+    std::vector<AttachmentListPtr> runs;
+    AttachmentListPtr folded;
+    const size_t n = 1 + rng.Uniform(12);
+    for (size_t k = 0; k < n; ++k) {
+      AttachmentListPtr list = !runs.empty() && rng.Bernoulli(0.2)
+                                   ? runs[rng.Uniform(runs.size())]
+                                   : MakeList(RandomList(&rng, 70, rng.Uniform(50)));
+      folded = AttachmentList::Union(folded, list);
+      runs.push_back(std::move(list));
+    }
+    SCOPED_TRACE("round=" + std::to_string(round));
+    const AttachmentListPtr all = AttachmentList::UnionAll(runs);
+    EXPECT_EQ(Entries(all), Entries(folded));
+    if (folded != nullptr) {
+      ASSERT_NE(all, nullptr);
+      EXPECT_EQ(all->words(), folded->words());
+    }
   }
 }
 

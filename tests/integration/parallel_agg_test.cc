@@ -8,16 +8,26 @@
 // order). Runs at parallelism {1, 2, 8} with morsel sizes that divide the
 // table unevenly on purpose.
 //
-// The stress test at the bottom doubles as the TSAN target for the
-// partial-aggregation publish/merge protocol (see .github/workflows/ci.yml).
+// The merge operators finish their final groups as jobs on the section's
+// pool; hand-built partial + merge operators over scripted morsels make a
+// fold fail in a chosen group and a cancellation land mid-finish.
+//
+// The stress tests at the bottom double as the TSAN targets for the
+// partial-aggregation publish/merge protocol and the pooled finish (see
+// .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "exec/aggregate.h"
+#include "exec/distinct.h"
 #include "sql/parser.h"
 #include "sql/planner.h"
 #include "sql/session.h"
@@ -143,7 +153,164 @@ class ParallelAggTest : public EngineFixture {
     }
   }
 
+  /// Every value of `tuple`, floats as their bit patterns.
+  static std::string Bits(const rel::Tuple& tuple) {
+    std::string out;
+    for (size_t i = 0; i < tuple.NumValues(); ++i) {
+      const rel::Value& v = tuple.ValueAt(i);
+      if (v.type() == rel::ValueType::kFloat64) {
+        char hex[24];
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      static_cast<unsigned long long>(std::bit_cast<uint64_t>(v.AsFloat64())));
+        out += hex;
+      } else {
+        out += v.ToString();
+      }
+      out += "|";
+    }
+    return out;
+  }
+
+  /// ExpectOracle at parallelism 2, 4 and 8, and the raw tuples (float
+  /// SUM/AVG bits included) equal to the serial plan's.
+  void ExpectOracleAtEveryP(const std::string& sql_text) {
+    SCOPED_TRACE(sql_text);
+    const std::vector<std::string> serial = Run(sql_text, 1, 16);
+    core::QueryResult serial_rows = Execute(sql_text, 1, 16);
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    for (size_t parallelism : {2u, 4u, 8u}) {
+      for (size_t morsel : {16u, 13u}) {
+        SCOPED_TRACE("parallelism=" + std::to_string(parallelism) +
+                     " morsel=" + std::to_string(morsel));
+        EXPECT_EQ(serial, Run(sql_text, parallelism, morsel));
+        core::QueryResult parallel = Execute(sql_text, parallelism, morsel);
+        ASSERT_EQ(serial_rows.rows.size(), parallel.rows.size());
+        for (size_t i = 0; i < serial_rows.rows.size(); ++i) {
+          EXPECT_EQ(Bits(serial_rows.rows[i].tuple), Bits(parallel.rows[i].tuple))
+              << "row " << i;
+        }
+      }
+    }
+  }
+
   static constexpr int64_t kObsRows = 300;
+};
+
+/// Emits `morsels` scripted batches, each tagged with its morsel index:
+/// stands in for a worker pipeline under a hand-built partial operator,
+/// or (with no morsels) for a drained gather under a merge operator.
+class ScriptedMorsels final : public exec::Operator {
+ public:
+  using Fill = std::function<void(uint64_t morsel, std::vector<core::AnnotatedTuple>*)>;
+
+  ScriptedMorsels(rel::Schema schema, uint64_t morsels, Fill fill)
+      : schema_(std::move(schema)), morsels_(morsels), fill_(std::move(fill)) {}
+
+  const rel::Schema& OutputSchema() const override { return schema_; }
+  std::string Name() const override { return "ScriptedMorsels"; }
+
+ protected:
+  Status OpenImpl() override {
+    next_ = 0;
+    return Status::OK();
+  }
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    if (next_ == morsels_) return false;
+    out->morsel = next_;
+    fill_(next_++, &out->tuples);
+    return true;
+  }
+
+ private:
+  rel::Schema schema_;
+  uint64_t morsels_;
+  Fill fill_;
+  uint64_t next_ = 0;
+};
+
+/// `MIN(v), COUNT(*) ... GROUP BY k` and `DISTINCT` over scripted morsels
+/// of (k, v) rows, run serially or as partial + merge operators whose
+/// groups finish on a pool.
+class PooledFinishTest : public EngineFixture {
+ protected:
+  static rel::Schema KV() {
+    return rel::Schema({{"k", rel::ValueType::kInt64, "t"},
+                        {"v", rel::ValueType::kInt64, "t"}});
+  }
+  static std::vector<rel::ExprPtr> GroupExprs() {
+    std::vector<rel::ExprPtr> exprs;
+    exprs.push_back(testutil::Col(KV(), "k"));
+    return exprs;
+  }
+  static std::vector<exec::AggregateItem> Items() {
+    std::vector<exec::AggregateItem> items(2);
+    items[0] = {exec::AggregateFunction::kMin, testutil::Col(KV(), "v"), "min_v"};
+    items[1] = {exec::AggregateFunction::kCountStar, nullptr, "cnt"};
+    return items;
+  }
+
+  /// Opens and drains `op`: its rows, or the first error.
+  static Result<std::vector<core::AnnotatedTuple>> Drain(exec::Operator* op) {
+    INSIGHTNOTES_RETURN_IF_ERROR(op->Open());
+    std::vector<core::AnnotatedTuple> rows;
+    core::AnnotatedBatch batch;
+    while (true) {
+      INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
+      if (!more) break;
+      for (core::AnnotatedTuple& tuple : batch.tuples) rows.push_back(std::move(tuple));
+    }
+    return rows;
+  }
+
+  /// The pool a plan of `parallelism` workers finishes on (none for one).
+  ThreadPool* Pool(size_t parallelism) {
+    return parallelism > 1 ? engine_->ExecPool(parallelism) : nullptr;
+  }
+
+  Result<std::vector<core::AnnotatedTuple>> SerialAggregate(
+      uint64_t morsels, const ScriptedMorsels::Fill& fill) {
+    exec::AggregateOperator op(std::make_unique<ScriptedMorsels>(KV(), morsels, fill),
+                               GroupExprs(), {}, Items());
+    return Drain(&op);
+  }
+
+  /// Partial aggregation of every morsel, then the merge on
+  /// Pool(parallelism) under `context` (nullable).
+  Result<std::vector<core::AnnotatedTuple>> MergedAggregate(
+      uint64_t morsels, const ScriptedMorsels::Fill& fill, size_t parallelism,
+      std::shared_ptr<exec::QueryContext> context = nullptr) {
+    auto sink = std::make_shared<exec::PartialSink<exec::AggregatePartial>>();
+    exec::PartialAggregateOperator partial(
+        std::make_unique<ScriptedMorsels>(KV(), morsels, fill), GroupExprs(), Items(),
+        sink);
+    INSIGHTNOTES_RETURN_IF_ERROR(Drain(&partial).status());
+    exec::AggregateMergeOperator merge(std::make_unique<ScriptedMorsels>(KV(), 0, fill),
+                                       GroupExprs(), {}, Items(), sink,
+                                       Pool(parallelism));
+    if (context != nullptr) merge.SetQueryContext(context);
+    return Drain(&merge);
+  }
+
+  Result<std::vector<core::AnnotatedTuple>> SerialDistinct(
+      uint64_t morsels, const ScriptedMorsels::Fill& fill) {
+    exec::DistinctOperator op(std::make_unique<ScriptedMorsels>(KV(), morsels, fill));
+    return Drain(&op);
+  }
+
+  Result<std::vector<core::AnnotatedTuple>> MergedDistinct(
+      uint64_t morsels, const ScriptedMorsels::Fill& fill, size_t parallelism) {
+    auto sink = std::make_shared<exec::PartialSink<exec::DistinctPartial>>();
+    exec::PartialDistinctOperator partial(
+        std::make_unique<ScriptedMorsels>(KV(), morsels, fill), sink);
+    INSIGHTNOTES_RETURN_IF_ERROR(Drain(&partial).status());
+    exec::DistinctMergeOperator merge(std::make_unique<ScriptedMorsels>(KV(), 0, fill),
+                                      sink, Pool(parallelism));
+    return Drain(&merge);
+  }
+
+  static core::AnnotatedTuple Row(int64_t k, rel::Value v) {
+    return core::AnnotatedTuple(rel::Tuple({I(k), std::move(v)}));
+  }
 };
 
 TEST_F(ParallelAggTest, GroupByAllAggregatesOracle) {
@@ -301,6 +468,145 @@ TEST_F(ParallelAggTest, ExplainAnalyzeReportsPartialMetrics) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_NE(out->message.find("partial_groups="), std::string::npos) << out->message;
   EXPECT_NE(out->message.find("AggregateMerge"), std::string::npos) << out->message;
+}
+
+TEST_F(ParallelAggTest, OneDominantGroupAmongManyOracle) {
+  // o.id / 280 * o.id: group 0 holds 280 of the 300 rows, and the last 20
+  // rows are one group each, so there are more groups than workers. (The
+  // select list names no group expression: only columns bind above it.)
+  ExpectOracleAtEveryP(
+      "SELECT COUNT(*), SUM(o.temp), AVG(o.temp), MIN(o.note), MAX(o.reading) "
+      "FROM obs o GROUP BY o.id / 280 * o.id");
+  ExpectOracleAtEveryP(
+      "SELECT o.id, COUNT(*), SUM(o.temp) FROM obs o GROUP BY o.id");
+  ExpectOracleAtEveryP("SELECT DISTINCT o.id / 280 * o.id FROM obs o");
+  ExpectOracleAtEveryP("SELECT DISTINCT o.reading, o.station FROM obs o");
+}
+
+TEST_F(PooledFinishTest, FoldFailureReportsFirstFailingGroupAtEveryP) {
+  // 16 groups over 400 morsels, one row per group per morsel, so every
+  // fold happens in the merge. Groups 0, 9 and 11 hold strings with a long
+  // shared prefix, so their folds are slow and the pool's claimers hold
+  // several groups at once. Group 9 fails folding its last morsel (INT64
+  // against STRING); group 11, twice as slow, fails after it on the clock
+  // (DOUBLE against STRING). Both the serial fold and the merge must
+  // report group 9's error: the first failing group in output order, not
+  // the last failure on the clock.
+  constexpr uint64_t kMorsels = 400;
+  const std::string prefix(16384, 'p');
+  const ScriptedMorsels::Fill fill = [&](uint64_t morsel,
+                                         std::vector<core::AnnotatedTuple>* rows) {
+    const bool last = morsel + 1 == kMorsels;
+    const std::string tail = std::to_string(kMorsels - morsel);
+    for (int64_t k = 0; k < 16; ++k) {
+      rel::Value v = I(static_cast<int64_t>(morsel) * 100 + k);
+      if (k == 0) v = S(prefix + tail);
+      if (k == 9) v = last ? I(9) : S(prefix + tail);
+      if (k == 11) v = last ? F(11.0) : S(prefix + prefix + tail);
+      rows->push_back(Row(k, std::move(v)));
+    }
+  };
+  auto serial = SerialAggregate(kMorsels, fill);
+  ASSERT_FALSE(serial.ok());
+  ASSERT_EQ(serial.status().code(), StatusCode::kTypeError) << serial.status().ToString();
+  for (size_t parallelism : {1u, 2u, 4u, 8u}) {
+    for (int repeat = 0; repeat < 5; ++repeat) {
+      SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+      auto merged = MergedAggregate(kMorsels, fill, parallelism);
+      ASSERT_FALSE(merged.ok());
+      EXPECT_EQ(merged.status().ToString(), serial.status().ToString());
+    }
+  }
+}
+
+TEST_F(PooledFinishTest, DistinctFoldFailureReportsFirstFailingValueAtEveryP) {
+  // Values 5 and 30 each carry, in a later morsel, an object of a second
+  // instance under the first one's name: merging the two fails
+  // (InvalidArgument naming the instances).
+  auto x1 = core::SummaryInstance::MakeClassifier("X", {"a"});
+  auto x2 = core::SummaryInstance::MakeClassifier("X", {"a"});
+  auto y1 = core::SummaryInstance::MakeClassifier("Y", {"a"});
+  auto y2 = core::SummaryInstance::MakeClassifier("Y", {"a"});
+  const ScriptedMorsels::Fill fill = [&](uint64_t morsel,
+                                         std::vector<core::AnnotatedTuple>* rows) {
+    for (int64_t k = 0; k < 48; ++k) {
+      core::AnnotatedTuple row = Row(k, I(k));
+      const bool odd_x = k == 5 && morsel == 1;
+      const bool odd_y = k == 30 && morsel == 2;
+      row.summaries.push_back(odd_x ? x2->NewObject() : x1->NewObject());
+      row.summaries.push_back(odd_y ? y2->NewObject() : y1->NewObject());
+      rows->push_back(std::move(row));
+    }
+  };
+  auto serial = SerialDistinct(3, fill);
+  ASSERT_FALSE(serial.ok());
+  ASSERT_EQ(serial.status().code(), StatusCode::kInvalidArgument)
+      << serial.status().ToString();
+  for (size_t parallelism : {1u, 2u, 4u, 8u}) {
+    for (int repeat = 0; repeat < 5; ++repeat) {
+      SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+      auto merged = MergedDistinct(3, fill, parallelism);
+      ASSERT_FALSE(merged.ok());
+      EXPECT_EQ(merged.status().ToString(), serial.status().ToString());
+    }
+  }
+}
+
+TEST_F(PooledFinishTest, CancellationDuringFinishUnwinds) {
+  // 2000 groups over 2 morsels; cancellation trips at the 500th interrupt
+  // check, which lands among the per-group polls of the finish.
+  const ScriptedMorsels::Fill fill = [](uint64_t morsel,
+                                        std::vector<core::AnnotatedTuple>* rows) {
+    for (int64_t k = 0; k < 2000; ++k) {
+      rows->push_back(Row(k, I(static_cast<int64_t>(morsel) * 7 + k)));
+    }
+  };
+  auto serial = SerialAggregate(2, fill);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  for (size_t parallelism : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+    auto context = std::make_shared<exec::QueryContext>();
+    context->BeginStatement(0, 0);
+    context->CancelAtCheck(500);
+    auto cancelled = MergedAggregate(2, fill, parallelism, context);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled)
+        << cancelled.status().ToString();
+    // The merge returned: no job of it is still running. Every claimer
+    // stopped within one group of the trip.
+    EXPECT_LE(context->cancel_checks(), 500u + parallelism);
+    if (ThreadPool* pool = Pool(parallelism)) pool->WaitIdle();
+    // The next statement on the same context finishes every group.
+    context->CancelAtCheck(0);
+    context->BeginStatement(0, 0);
+    auto rerun = MergedAggregate(2, fill, parallelism, context);
+    ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+    ASSERT_EQ(rerun->size(), serial->size());
+    for (size_t i = 0; i < serial->size(); ++i) {
+      EXPECT_TRUE((*rerun)[i].tuple == (*serial)[i].tuple) << "row " << i;
+    }
+  }
+}
+
+// TSAN target: many small groups finished by up to eight claimers at once,
+// for both merge operators, each compared with the serial result.
+TEST_F(ParallelAggTest, StressPooledFinishManyGroups) {
+  const std::string agg =
+      "SELECT o.id, COUNT(*), SUM(o.temp), MIN(o.note) FROM obs o GROUP BY o.id";
+  const std::string skewed =
+      "SELECT COUNT(*), SUM(o.temp) FROM obs o GROUP BY o.id / 280 * o.id";
+  const std::string distinct = "SELECT DISTINCT o.reading, o.station FROM obs o";
+  const std::vector<std::string> agg_serial = Run(agg, 1, 8);
+  const std::vector<std::string> skewed_serial = Run(skewed, 1, 8);
+  const std::vector<std::string> distinct_serial = Run(distinct, 1, 8);
+  for (int iteration = 0; iteration < 6; ++iteration) {
+    SCOPED_TRACE(iteration);
+    for (size_t parallelism : {2u, 8u}) {
+      EXPECT_EQ(agg_serial, Run(agg, parallelism, 8));
+      EXPECT_EQ(skewed_serial, Run(skewed, parallelism, 8));
+      EXPECT_EQ(distinct_serial, Run(distinct, parallelism, 8));
+    }
+  }
 }
 
 // TSAN target: hammer the partial-state publish/merge protocol (aggregate,

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 
 #include "common/random.h"
 #include "txt/analyzer.h"
@@ -317,6 +319,10 @@ class OracleStore {
     store_.Commit(doc, vec);
     vectors_.emplace(doc, std::move(vec));
   }
+  void Clear() {
+    store_.Clear();
+    vectors_.clear();
+  }
   const txt::SparseVector& At(DocId doc) const { return vectors_.at(doc); }
   const DocVectorStore* store() const { return &store_; }
 
@@ -334,6 +340,7 @@ Result<size_t> AddDoc(ClusterSet* cs, const OracleStore&, DocId doc) { return cs
 struct GroupState {
   std::vector<DocId> members;
   std::vector<std::pair<txt::TermId, double>> centroid;
+  double norm;
   DocId representative;
   bool operator==(const GroupState&) const = default;
 };
@@ -344,6 +351,7 @@ std::vector<GroupState> StateOf(const ClusterSet& cs) {
     GroupState s;
     s.members.assign(g.members.begin(), g.members.end());
     for (const auto& e : g.centroid_sum.entries()) s.centroid.emplace_back(e.term, e.value);
+    s.norm = g.norm;
     s.representative = g.representative;
     out.push_back(std::move(s));
   }
@@ -353,18 +361,50 @@ std::vector<GroupState> StateOf(const ClusterSet& cs) {
 class ClusterOracleTest : public ::testing::Test {
  protected:
   static constexpr DocId kUniverse = 160;
-  static constexpr txt::TermId kTerms = 10;
 
-  void SetUp() override {
-    Random rng(20150531);
+  /// How the universe's vectors are drawn: 1 + Uniform(max_terms) draws
+  /// from `term_ids`, each counting 1 + Uniform(max_count).
+  struct Shape {
+    std::vector<txt::TermId> term_ids;
+    uint64_t max_terms;
+    uint64_t max_count;
+  };
+
+  /// Ten terms, up to four per document, counts up to three: many ties.
+  static Shape Narrow() {
+    Shape shape{{}, 4, 3};
+    for (txt::TermId t = 0; t < 10; ++t) shape.term_ids.push_back(t);
+    return shape;
+  }
+
+  /// 320 term ids spread up to just below UINT32_MAX, up to 60 per
+  /// document, counts up to 2^20: centroids of hundreds of terms whose
+  /// dots are sums of products past 2^53, so rounding makes the order of
+  /// the additions visible in the bits.
+  static Shape Wide() {
+    Shape shape{{0, 1, uint32_t{1} << 31, UINT32_MAX - 2, UINT32_MAX - 1}, 60,
+                uint64_t{1} << 20};
+    Random rng(4242);
+    while (shape.term_ids.size() < 320) {
+      shape.term_ids.push_back(static_cast<txt::TermId>(rng.Uniform(UINT32_MAX - 1)));
+    }
+    return shape;
+  }
+
+  void SetUp() override { Populate(20150531, Narrow()); }
+
+  /// Commits a fresh vector for every document of the universe.
+  void Populate(uint64_t seed, const Shape& shape) {
+    store_.Clear();
+    Random rng(seed);
     for (DocId doc = 0; doc < kUniverse; ++doc) {
       txt::SparseVector vec;
       // A few zero vectors: cosine 0 against everything.
       if (!rng.Bernoulli(0.04)) {
-        const uint64_t terms = 1 + rng.Uniform(4);
+        const uint64_t terms = 1 + rng.Uniform(shape.max_terms);
         for (uint64_t k = 0; k < terms; ++k) {
-          vec.Set(static_cast<txt::TermId>(rng.Uniform(kTerms)),
-                  static_cast<double>(1 + rng.Uniform(3)));
+          vec.Set(shape.term_ids[rng.Uniform(shape.term_ids.size())],
+                  static_cast<double>(1 + rng.Uniform(shape.max_count)));
         }
       }
       store_.Commit(doc, vec);
@@ -380,19 +420,26 @@ class ClusterOracleTest : public ::testing::Test {
     return sum;
   }
 
-  /// Cosine of `vec` against `sum`, from scratch: the dot and both norms
-  /// accumulate in ascending term order.
+  /// Norm of `sum`, its squares added in ascending term order.
+  static double NormOf(const std::map<txt::TermId, double>& sum) {
+    double sum_sq = 0.0;
+    for (const auto& [term, value] : sum) sum_sq += value * value;
+    return std::sqrt(sum_sq);
+  }
+
+  /// Cosine of `vec` against `sum`, from scratch: the dot is a merge walk
+  /// over both, adding each product centroid x member in ascending term
+  /// order; both norms accumulate in ascending term order.
   static double Cos(const std::map<txt::TermId, double>& sum, const txt::SparseVector& vec) {
     double dot = 0.0;
-    double sum_sq = 0.0;
     double vec_sq = 0.0;
-    for (const auto& [term, value] : sum) sum_sq += value * value;
+    auto it = sum.begin();
     for (const auto& e : vec.entries()) {
-      auto it = sum.find(e.term);
-      if (it != sum.end()) dot += e.value * it->second;
+      while (it != sum.end() && it->first < e.term) ++it;
+      if (it != sum.end() && it->first == e.term) dot += it->second * e.value;
       vec_sq += e.value * e.value;
     }
-    const double sum_norm = std::sqrt(sum_sq);
+    const double sum_norm = NormOf(sum);
     const double vec_norm = std::sqrt(vec_sq);
     if (sum_norm < 1e-12 || vec_norm < 1e-12) return 0.0;
     return std::clamp(dot / (sum_norm * vec_norm), 0.0, 1.0);
@@ -424,6 +471,8 @@ class ClusterOracleTest : public ::testing::Test {
         ASSERT_EQ(group.centroid[k].second, value) << where << ": group " << g;
         ++k;
       }
+      ASSERT_EQ(std::bit_cast<uint64_t>(group.norm), std::bit_cast<uint64_t>(NormOf(sum)))
+          << where << ": group " << g;
       // The representative: highest cosine to the centroid, ties to the
       // lowest id.
       DocId best = group.members.front();
@@ -564,46 +613,111 @@ class ClusterOracleTest : public ::testing::Test {
     return cs;
   }
 
+  /// `rounds` rounds of random Add / Restrict / Merge sequences on two
+  /// sets built at thresholds drawn from `thresholds`, each step checked.
+  void RandomRounds(Random* rng, int rounds, std::span<const double> thresholds) {
+    for (int round = 0; round < rounds; ++round) {
+      const std::string where = "round " + std::to_string(round);
+      const double threshold = thresholds[rng->Uniform(thresholds.size())];
+      ClusterSet a = RandomSet(rng, threshold, where + " a");
+      ASSERT_FALSE(HasFatalFailure());
+      ClusterSet b =
+          RandomSet(rng, thresholds[rng->Uniform(thresholds.size())], where + " b");
+      ASSERT_FALSE(HasFatalFailure());
+      for (int op = 0; op < 6; ++op) {
+        const std::string step = where + " op " + std::to_string(op);
+        switch (rng->Uniform(4)) {
+          case 0: {
+            const DocId doc = rng->Uniform(kUniverse);
+            if (!a.Contains(doc)) CheckedAdd(&a, doc, step + " add");
+            break;
+          }
+          case 1:
+            CheckedRestrict(&a, Subset(rng, 0.3 * rng->NextDouble()), step + " restrict");
+            break;
+          case 2:
+            CheckedRestrict(&b, Subset(rng, 0.3 * rng->NextDouble()), step + " restrict b");
+            break;
+          default:
+            CheckedMerge(&a, b, step + " merge");
+            break;
+        }
+        ASSERT_FALSE(HasFatalFailure());
+      }
+      // A copy is independent of its source.
+      ClusterSet copy = a;
+      const std::vector<GroupState> before = StateOf(a);
+      CheckedRestrict(&copy, Subset(rng, 0.5), where + " copy");
+      ASSERT_EQ(StateOf(a), before) << where;
+    }
+  }
+
   OracleStore store_;
 };
 
 TEST_F(ClusterOracleTest, RandomAddRestrictMergeMatchBruteForce) {
   constexpr double kThresholds[] = {0.0, 0.2, 0.35, 0.6, 0.99};
   Random rng(7);
-  for (int round = 0; round < 500; ++round) {
-    const std::string where = "round " + std::to_string(round);
-    const double threshold = kThresholds[rng.Uniform(std::size(kThresholds))];
-    ClusterSet a = RandomSet(&rng, threshold, where + " a");
-    ASSERT_FALSE(HasFatalFailure());
-    ClusterSet b = RandomSet(&rng, kThresholds[rng.Uniform(std::size(kThresholds))],
-                             where + " b");
-    ASSERT_FALSE(HasFatalFailure());
-    for (int op = 0; op < 6; ++op) {
-      const std::string step = where + " op " + std::to_string(op);
-      switch (rng.Uniform(4)) {
-        case 0: {
-          const DocId doc = rng.Uniform(kUniverse);
-          if (!a.Contains(doc)) CheckedAdd(&a, doc, step + " add");
-          break;
-        }
-        case 1:
-          CheckedRestrict(&a, Subset(&rng, 0.3 * rng.NextDouble()), step + " restrict");
-          break;
-        case 2:
-          CheckedRestrict(&b, Subset(&rng, 0.3 * rng.NextDouble()), step + " restrict b");
-          break;
-        default:
-          CheckedMerge(&a, b, step + " merge");
-          break;
-      }
-      ASSERT_FALSE(HasFatalFailure());
+  RandomRounds(&rng, 500, kThresholds);
+}
+
+TEST_F(ClusterOracleTest, WideTermsAndLargeCountsMatchMergeWalkBitForBit) {
+  // Term ids up to UINT32_MAX - 1 (the election's scratch must not size
+  // itself by them), counts up to 2^20 and centroids of hundreds of terms:
+  // representatives, centroid entries and norms still equal the merge-walk
+  // reference bit for bit after every Add, Restrict and Merge.
+  Populate(99, Wide());
+  constexpr double kThresholds[] = {0.0, 0.05, 0.1, 0.3};
+  Random rng(11);
+  RandomRounds(&rng, 120, kThresholds);
+  // The wide universe does grow centroids of hundreds of terms.
+  ClusterSet all = MakeSet(store_, 0.0);
+  for (DocId doc = 0; doc < kUniverse; ++doc) ASSERT_TRUE(all.Add(doc).ok());
+  EXPECT_GT(all.group(0).centroid_sum.entries().size(), 300u);
+  CheckSet(all, "all");
+}
+
+TEST_F(ClusterOracleTest, ElectionTiesFollowTheMergeWalkBits) {
+  // Two members whose values over the same terms are reversed: the
+  // centroid is symmetric, so their dots are the same products, added in
+  // opposite term orders. Counts up to 2^26 put the sums past 2^53, where
+  // the two orders round differently, so the election must add in the
+  // merge walk's ascending order to pick the reference's winner.
+  std::vector<txt::TermId> terms = Wide().term_ids;
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  terms.resize(150);
+  Random rng(2015);
+  int order_visible = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string where = "trial " + std::to_string(trial);
+    txt::SparseVector a;
+    txt::SparseVector b;
+    std::vector<double> values(terms.size());
+    for (double& v : values) v = static_cast<double>(1 + rng.Uniform(uint64_t{1} << 26));
+    for (size_t i = 0; i < terms.size(); ++i) {
+      a.Set(terms[i], values[i]);
+      b.Set(terms[i], values[terms.size() - 1 - i]);
     }
-    // A copy is independent of its source.
-    ClusterSet copy = a;
-    const std::vector<GroupState> before = StateOf(a);
-    CheckedRestrict(&copy, Subset(&rng, 0.5), where + " copy");
-    ASSERT_EQ(StateOf(a), before) << where;
+    std::map<txt::TermId, double> sum;
+    for (size_t i = 0; i < terms.size(); ++i) sum[terms[i]] = values[i] + values[terms.size() - 1 - i];
+    double forward = 0.0;
+    double backward = 0.0;
+    for (const auto& e : a.entries()) forward += sum.at(e.term) * e.value;
+    for (auto it = a.entries().rbegin(); it != a.entries().rend(); ++it) {
+      backward += sum.at(it->term) * it->value;
+    }
+    order_visible += forward != backward;
+    store_.Clear();
+    store_.Commit(0, a);
+    store_.Commit(1, b);
+    ClusterSet cs = MakeSet(store_, 0.0);
+    CheckedAdd(&cs, 0, where);
+    CheckedAdd(&cs, 1, where);
+    ASSERT_FALSE(HasFatalFailure());
   }
+  // The case is live: most trials' sums depend on the order.
+  EXPECT_GT(order_visible, 100);
 }
 
 }  // namespace

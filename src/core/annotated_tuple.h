@@ -146,7 +146,8 @@ class AnnotatedTuple {
 };
 
 /// A run of AnnotatedTuples moved through the batch-at-a-time operator
-/// interface. `morsel` tags the scan morsel the batch descends from: the
+/// interface. `morsel` tags the scan morsel the batch descends from (or,
+/// above a merge, the batch's ordinal in its emission order): the
 /// parallel executor's gather stage re-serializes worker output by this
 /// index, which is what makes parallel results byte-identical to serial
 /// execution (each per-tuple pipeline stage maps one input batch to one

@@ -7,6 +7,42 @@
 
 namespace insightnotes::core {
 
+namespace {
+
+struct TupleHash {
+  size_t operator()(const rel::Tuple& t) const { return static_cast<size_t>(t.Hash()); }
+};
+
+/// Adds `from`'s annotations to `into`'s, deduplicated by id (linear scan,
+/// as in Join). With `whole_row` every added annotation covers the whole
+/// row; otherwise a repeated id's coverage becomes the union of both
+/// (empty, the whole row, absorbs any columns).
+void UnionAnnotations(const RawTuple& from, bool whole_row, RawTuple* into) {
+  for (size_t i = 0; i < from.annotations.size(); ++i) {
+    const std::vector<size_t> columns =
+        whole_row ? std::vector<size_t>{} : from.coverage[i];
+    auto it = std::find_if(
+        into->annotations.begin(), into->annotations.end(),
+        [&](const ann::Annotation& a) { return a.id == from.annotations[i].id; });
+    if (it == into->annotations.end()) {
+      into->annotations.push_back(from.annotations[i]);  // Full body copy.
+      into->coverage.push_back(columns);
+      continue;
+    }
+    std::vector<size_t>& held =
+        into->coverage[static_cast<size_t>(it - into->annotations.begin())];
+    if (held.empty() || columns.empty()) {
+      held.clear();
+      continue;
+    }
+    held.insert(held.end(), columns.begin(), columns.end());
+    std::sort(held.begin(), held.end());
+    held.erase(std::unique(held.begin(), held.end()), held.end());
+  }
+}
+
+}  // namespace
+
 Result<std::vector<RawTuple>> RawPropagationEngine::Scan(const rel::Table& table) const {
   std::vector<RawTuple> out;
   Status status = Status::OK();
@@ -106,6 +142,43 @@ Result<std::vector<RawTuple>> RawPropagationEngine::Join(
       }
       out.push_back(std::move(joined));
     }
+  }
+  return out;
+}
+
+Result<std::vector<RawGroup>> RawPropagationEngine::Group(
+    const std::vector<RawTuple>& in, const std::vector<rel::ExprPtr>& keys) const {
+  std::unordered_map<rel::Tuple, size_t, TupleHash> index;
+  std::vector<RawGroup> groups;
+  for (size_t i = 0; i < in.size(); ++i) {
+    rel::Tuple key;
+    for (const rel::ExprPtr& expr : keys) {
+      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, expr->Evaluate(in[i].tuple));
+      key.Append(std::move(v));
+    }
+    auto [it, inserted] = index.emplace(key, groups.size());
+    if (inserted) {
+      groups.emplace_back();
+      groups.back().row.tuple = std::move(key);
+    }
+    RawGroup& group = groups[it->second];
+    group.members.push_back(i);
+    UnionAnnotations(in[i], /*whole_row=*/true, &group.row);
+  }
+  return groups;
+}
+
+std::vector<RawTuple> RawPropagationEngine::Distinct(
+    const std::vector<RawTuple>& in) const {
+  std::unordered_map<rel::Tuple, size_t, TupleHash> index;
+  std::vector<RawTuple> out;
+  for (const RawTuple& rt : in) {
+    auto [it, inserted] = index.emplace(rt.tuple, out.size());
+    if (inserted) {
+      out.emplace_back();
+      out.back().tuple = rt.tuple;
+    }
+    UnionAnnotations(rt, /*whole_row=*/false, &out[it->second]);
   }
   return out;
 }

@@ -24,6 +24,13 @@ struct RawTuple {
   std::vector<std::vector<size_t>> coverage;  // Per annotation, covered columns.
 };
 
+/// One group of RawPropagationEngine::Group: its key values carrying the
+/// union of its rows' annotations, and which input rows it collapsed.
+struct RawGroup {
+  RawTuple row;                 // Key values; annotations cover the whole row.
+  std::vector<size_t> members;  // Input positions of its rows, ascending.
+};
+
 class RawPropagationEngine {
  public:
   explicit RawPropagationEngine(const ann::AnnotationStore* store) : store_(store) {}
@@ -46,6 +53,19 @@ class RawPropagationEngine {
                                      const std::vector<RawTuple>& right,
                                      const rel::Expression& left_key,
                                      const rel::Expression& right_key) const;
+
+  /// Grouping: rows with equal `keys` values collapse into one group, in
+  /// first-seen order. A group's annotations are the union of its rows'
+  /// (by id, first-seen order), covering the whole output row: its columns
+  /// are new. Aggregate values are the caller's to compute over `members`.
+  Result<std::vector<RawGroup>> Group(const std::vector<RawTuple>& in,
+                                      const std::vector<rel::ExprPtr>& keys) const;
+
+  /// Duplicate elimination: value-equal tuples collapse into their first
+  /// occurrence, carrying the union of the duplicates' annotations (by id,
+  /// first-seen order; an annotation on several of them covers the union
+  /// of their columns).
+  std::vector<RawTuple> Distinct(const std::vector<RawTuple>& in) const;
 
  private:
   const ann::AnnotationStore* store_;

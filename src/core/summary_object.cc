@@ -26,6 +26,20 @@ Status CheckSameInstance(const SummaryObject& a, const SummaryObject& b) {
   return Status::OK();
 }
 
+/// Copy-on-write: makes `*state` its object's alone before a write. The
+/// sharing test copies the pointer rather than reading use_count() alone:
+/// the copy's count increment is an acquire read-modify-write (libstdc++),
+/// so it synchronizes with the release decrement by which another owner,
+/// perhaps a pool thread finishing another group, dropped the state after
+/// copying it. use_count() by itself is a relaxed load, and writing in
+/// place after it races that owner's reads.
+template <typename T>
+T& OwnState(std::shared_ptr<T>* state) {
+  const std::shared_ptr<T> probe = *state;
+  if (probe.use_count() > 2) *state = std::make_shared<T>(*probe);
+  return **state;
+}
+
 }  // namespace
 
 // --- SummaryObject ----------------------------------------------------------
@@ -62,12 +76,7 @@ ClassifierObject::ClassifierObject(SummaryInstance* instance)
     : SummaryObject(instance),
       ids_per_label_(std::make_shared<LabelIds>(instance->classifier()->num_labels())) {}
 
-ClassifierObject::LabelIds& ClassifierObject::Own() {
-  if (ids_per_label_.use_count() > 1) {
-    ids_per_label_ = std::make_shared<LabelIds>(*ids_per_label_);
-  }
-  return *ids_per_label_;
-}
+ClassifierObject::LabelIds& ClassifierObject::Own() { return OwnState(&ids_per_label_); }
 
 Status ClassifierObject::AddAnnotation(const ann::Annotation& note,
                                        const txt::Analysis* body) {
@@ -163,12 +172,7 @@ ClusterObject::ClusterObject(SummaryInstance* instance)
       clusters_(std::make_shared<mining::ClusterSet>(instance->vector_store(),
                                                      instance->cluster_threshold())) {}
 
-mining::ClusterSet& ClusterObject::Own() {
-  if (clusters_.use_count() > 1) {
-    clusters_ = std::make_shared<mining::ClusterSet>(*clusters_);
-  }
-  return *clusters_;
-}
+mining::ClusterSet& ClusterObject::Own() { return OwnState(&clusters_); }
 
 Status ClusterObject::AddAnnotation(const ann::Annotation& note,
                                     const txt::Analysis* body) {
@@ -227,12 +231,7 @@ void ClusterObject::AppendRender(std::string* out) const {
 SnippetObject::SnippetObject(SummaryInstance* instance)
     : SummaryObject(instance), entries_(std::make_shared<std::vector<Entry>>()) {}
 
-std::vector<SnippetObject::Entry>& SnippetObject::Own() {
-  if (entries_.use_count() > 1) {
-    entries_ = std::make_shared<std::vector<Entry>>(*entries_);
-  }
-  return *entries_;
-}
+std::vector<SnippetObject::Entry>& SnippetObject::Own() { return OwnState(&entries_); }
 
 Status SnippetObject::AddAnnotation(const ann::Annotation& note,
                                     const txt::Analysis* body) {

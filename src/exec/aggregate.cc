@@ -25,11 +25,10 @@ size_t GroupBytes(const AggregateGroup& group) {
          group.states.size() * sizeof(AggState);
 }
 
-// The per-tuple fold both aggregation shapes share: folds `in` into its
-// group of `groups` (first-seen order, found through `index`), appending
-// the group on first sight.
+// Folds `in` into its group of `groups` (first-seen order, found through
+// `index`), appending the group on first sight.
 Status FoldIntoGroups(const std::vector<rel::ExprPtr>& group_exprs,
-                      const std::vector<AggregateItem>& aggregates, bool record_terms,
+                      const std::vector<AggregateItem>& aggregates,
                       core::AnnotatedTuple* in, TupleIndex* index,
                       std::vector<AggregateGroup>* groups) {
   rel::Tuple key;
@@ -43,14 +42,14 @@ Status FoldIntoGroups(const std::vector<rel::ExprPtr>& group_exprs,
   if (!inserted) {
     AggregateGroup& group = (*groups)[it->second];
     INSIGHTNOTES_RETURN_IF_ERROR(group.summary.Fold(*in));
-    return AccumulateAggregates(aggregates, in->tuple, &group.states, record_terms);
+    return AccumulateAggregates(aggregates, in->tuple, &group.states);
   }
   AggregateGroup group;
   group.key = std::move(key);
   INSIGHTNOTES_RETURN_IF_ERROR(group.summary.Seed(in));
   group.states.resize(aggregates.size());
   INSIGHTNOTES_RETURN_IF_ERROR(
-      AccumulateAggregates(aggregates, in->tuple, &group.states, record_terms));
+      AccumulateAggregates(aggregates, in->tuple, &group.states));
   groups->push_back(std::move(group));
   return Status::OK();
 }
@@ -76,8 +75,7 @@ std::string_view AggregateFunctionToString(AggregateFunction fn) {
 }
 
 Status AccumulateAggregates(const std::vector<AggregateItem>& items,
-                            const rel::Tuple& tuple, std::vector<AggState>* states,
-                            bool record_terms) {
+                            const rel::Tuple& tuple, std::vector<AggState>* states) {
   for (size_t i = 0; i < items.size(); ++i) {
     const AggregateItem& item = items[i];
     AggState& state = (*states)[i];
@@ -94,11 +92,7 @@ Status AccumulateAggregates(const std::vector<AggregateItem>& items,
       case AggregateFunction::kSum:
       case AggregateFunction::kAvg: {
         INSIGHTNOTES_ASSIGN_OR_RETURN(double d, v.ToNumeric());
-        if (record_terms) {
-          state.terms.push_back(d);
-        } else {
-          state.sum += d;
-        }
+        state.terms.push_back(d);
         if (v.type() == rel::ValueType::kInt64) {
           state.isum += v.AsInt64();
         } else {
@@ -137,13 +131,13 @@ Status MergeAggStates(AggState* into, AggState&& other) {
   into->sum_is_int = into->sum_is_int && other.sum_is_int;
   // `sum` is intentionally not folded: partial states carry their float
   // terms in `terms` and FoldAggTerms replays the concatenation in morsel
-  // order, which is the only order that reproduces the serial bit pattern.
+  // order, the only order that adds them as the input lists them.
   if (!other.terms.empty()) {
     into->terms.reserve(into->terms.size() + other.terms.size());
     into->terms.insert(into->terms.end(), other.terms.begin(), other.terms.end());
   }
-  // The serial fold replaces MIN/MAX only on a strict win, so on ties the
-  // earlier (this state's) value survives.
+  // The per-tuple fold replaces MIN/MAX only on a strict win, so on ties
+  // the earlier (this state's) value survives.
   if (into->min.is_null()) {
     into->min = std::move(other.min);
   } else if (!other.min.is_null()) {
@@ -260,58 +254,6 @@ std::string FormatAggregateName(std::string_view prefix,
   return name;
 }
 
-AggregateOperator::AggregateOperator(std::unique_ptr<Operator> child,
-                                     std::vector<rel::ExprPtr> group_exprs,
-                                     std::vector<rel::Column> group_columns,
-                                     std::vector<AggregateItem> aggregates)
-    : child_(std::move(child)),
-      group_exprs_(std::move(group_exprs)),
-      aggregates_(std::move(aggregates)),
-      schema_(MakeAggregateSchema(child_->OutputSchema(), group_exprs_,
-                                  group_columns, aggregates_)) {}
-
-Status AggregateOperator::OpenImpl() {
-  INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  groups_.clear();
-  cursor_ = 0;
-  ReleaseMemory();
-
-  TupleIndex index;
-  core::AnnotatedBatch batch;
-  while (true) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
-    if (!more) break;
-    for (core::AnnotatedTuple& in : batch.tuples) {
-      const size_t before = groups_.size();
-      INSIGHTNOTES_RETURN_IF_ERROR(FoldIntoGroups(group_exprs_, aggregates_,
-                                                  /*record_terms=*/false, &in,
-                                                  &index, &groups_));
-      if (groups_.size() > before) {
-        INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(GroupBytes(groups_.back())));
-      }
-    }
-  }
-
-  // Global aggregate over empty input still emits one row of zero counts.
-  if (groups_.empty() && group_exprs_.empty()) {
-    AggregateGroup group;
-    group.states.resize(aggregates_.size());
-    groups_.push_back(std::move(group));
-  }
-  return Status::OK();
-}
-
-Result<bool> AggregateOperator::NextBatchImpl(core::AnnotatedBatch* out) {
-  return EmitRows(&groups_, &cursor_, out,
-                  [this](AggregateGroup* group, core::AnnotatedTuple* tuple) {
-                    return FinalizeGroup(aggregates_, group, tuple);
-                  });
-}
-
-std::string AggregateOperator::Name() const {
-  return FormatAggregateName("Aggregate", group_exprs_, aggregates_);
-}
-
 PartialAggregateOperator::PartialAggregateOperator(
     std::unique_ptr<Operator> child, std::vector<rel::ExprPtr> group_exprs,
     std::vector<AggregateItem> aggregates,
@@ -335,9 +277,8 @@ Result<bool> PartialAggregateOperator::NextBatchImpl(core::AnnotatedBatch*) {
     TupleIndex index;
     index.reserve(batch.tuples.size());
     for (core::AnnotatedTuple& in : batch.tuples) {
-      INSIGHTNOTES_RETURN_IF_ERROR(FoldIntoGroups(group_exprs_, aggregates_,
-                                                  /*record_terms=*/true, &in,
-                                                  &index, &partial.groups));
+      INSIGHTNOTES_RETURN_IF_ERROR(
+          FoldIntoGroups(group_exprs_, aggregates_, &in, &index, &partial.groups));
     }
     metrics_.partial_groups += partial.groups.size();
     // Group tables + recorded SUM/AVG replay terms for this morsel.
@@ -371,13 +312,14 @@ AggregateMergeOperator::AggregateMergeOperator(
 Status AggregateMergeOperator::OpenImpl() {
   rows_.clear();
   cursor_ = 0;
-  // Opening the gather drains every worker pipeline (the pool futures it
-  // joins provide the happens-before edge for the published partials).
-  INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
+  // Running the section drains every worker pipeline (the pool futures the
+  // gather joins provide the happens-before edge for the published
+  // partials).
+  INSIGHTNOTES_RETURN_IF_ERROR(RunSection(child_.get()));
   std::vector<AggregatePartial> partials = source_->Take();
   Stopwatch watch;
-  // Morsel order is the serial input order; folding each group's partials
-  // in that order re-associates (without reordering) the serial left-fold.
+  // Morsel order is the input order; folding each group's partials in that
+  // order re-associates (without reordering) one left-fold over the input.
   std::sort(partials.begin(), partials.end(),
             [](const AggregatePartial& a, const AggregatePartial& b) {
               return a.morsel < b.morsel;

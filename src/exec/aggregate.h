@@ -4,22 +4,18 @@
 // whole-row coverage because the output schema no longer exposes the
 // original columns.
 //
-// Two plan shapes share the same per-tuple fold (and therefore produce
-// byte-identical groups):
-//
-//   * AggregateOperator — the serial shape: one hash table over the whole
-//     input stream.
-//   * PartialAggregateOperator (one per worker pipeline, below the gather)
-//     + AggregateMergeOperator (above it) — the parallel shape: each
-//     worker folds its morsels into per-morsel partial group tables and
-//     publishes them to a shared PartialSink; the merge operator indexes
-//     each partial group under its final group and finishes every final
-//     group as one job on the section's pool, folding its partials in
-//     ascending morsel order, which re-associates the serial left-fold
-//     (summary merges, attachment unions, MIN/MAX picks) without
-//     reordering it. Float SUM/AVG terms are recorded per tuple and
-//     replayed in morsel order at merge time, so even the non-associative
-//     double addition reproduces the serial bit pattern.
+// Every plan aggregates in two steps, at any number of workers:
+// PartialAggregateOperator (in each worker pipeline, below the gather)
+// folds each morsel into a partial group table and publishes it to a
+// shared PartialSink; AggregateMergeOperator (above the gather) indexes
+// each partial group under its final group and finishes every final group
+// as one job on the section's pool (inline with one worker), folding its
+// partials in ascending morsel order. That re-associates one left-fold over
+// the whole input (summary merges, attachment unions, MIN/MAX picks)
+// without reordering it, so groups are byte-identical at every P. Float
+// SUM/AVG terms are recorded per tuple and replayed in morsel order at
+// merge time, so even the non-associative double addition runs in input
+// order.
 
 #ifndef INSIGHTNOTES_EXEC_AGGREGATE_H_
 #define INSIGHTNOTES_EXEC_AGGREGATE_H_
@@ -48,34 +44,33 @@ struct AggregateItem {
 /// Per-group accumulator of one aggregate item.
 struct AggState {
   int64_t count = 0;
-  double sum = 0.0;  // Running float sum (serial fold only).
+  double sum = 0.0;  // Float sum, replayed from `terms` by FoldAggTerms.
   bool sum_is_int = true;
   int64_t isum = 0;
   rel::Value min;
   rel::Value max;
-  // Partial fold only: every SUM/AVG term in input order. The merge stage
-  // concatenates them in morsel order and replays them into `sum`, so the
-  // non-associative double addition happens in exactly the serial order.
+  // Every SUM/AVG term in input order. The merge concatenates them in
+  // morsel order and replays them into `sum`, so the non-associative double
+  // addition happens in input order.
   std::vector<double> terms;
 };
 
-/// Folds one input tuple into `states` (parallel to `items`). With
-/// `record_terms`, SUM/AVG terms are appended to AggState::terms for the
-/// deferred morsel-order replay instead of added to `sum` directly.
+/// Folds one input tuple into `states` (parallel to `items`). SUM/AVG
+/// terms are appended to AggState::terms for the deferred morsel-order
+/// replay.
 Status AccumulateAggregates(const std::vector<AggregateItem>& items,
-                            const rel::Tuple& tuple, std::vector<AggState>* states,
-                            bool record_terms);
+                            const rel::Tuple& tuple, std::vector<AggState>* states);
 
 /// Folds `other` (covering strictly later input tuples) into `into`.
 /// Counts add, recorded terms concatenate, and MIN/MAX keep the earlier
-/// value on ties — exactly what the serial per-tuple fold would do.
+/// value on ties — exactly what one per-tuple fold over the input would do.
 Status MergeAggStates(AggState* into, AggState&& other);
 
 /// Replays the recorded SUM/AVG terms into `sum` (after all merges).
 void FoldAggTerms(AggState* state);
 
-/// One group of either aggregation shape: its key, merged summaries and
-/// one accumulator per aggregate item.
+/// One group: its key, merged summaries and one accumulator per aggregate
+/// item.
 struct AggregateGroup {
   rel::Tuple key;  // Group key values.
   core::PartialSummaryState summary;
@@ -90,7 +85,7 @@ Status FinalizeGroup(const std::vector<AggregateItem>& items, AggregateGroup* gr
 /// Final output value of one aggregate.
 Result<rel::Value> FinalizeAggregate(const AggState& state, AggregateFunction fn);
 
-/// Output schema shared by both aggregation shapes: one column per group
+/// Output schema of the aggregation: one column per group
 /// expression (typed via Expression::InferType against `input` when
 /// `group_columns` does not provide a type), then one per aggregate
 /// (COUNT -> BIGINT, AVG -> DOUBLE, SUM/MIN/MAX typed from the argument).
@@ -99,39 +94,10 @@ rel::Schema MakeAggregateSchema(const rel::Schema& input,
                                 const std::vector<rel::Column>& group_columns,
                                 const std::vector<AggregateItem>& aggregates);
 
-/// "<prefix>(group exprs | FNs)" — the shared operator-name format.
+/// "<prefix>(group exprs | FNs)" — the partial's and the merge's names.
 std::string FormatAggregateName(std::string_view prefix,
                                 const std::vector<rel::ExprPtr>& group_exprs,
                                 const std::vector<AggregateItem>& aggregates);
-
-class AggregateOperator final : public Operator {
- public:
-  /// Output schema: one column per group expression (described by
-  /// `group_columns`, parallel to `group_exprs`), then one per aggregate.
-  /// With no group expressions, a single global group is produced (even
-  /// over empty input for COUNT).
-  AggregateOperator(std::unique_ptr<Operator> child,
-                    std::vector<rel::ExprPtr> group_exprs,
-                    std::vector<rel::Column> group_columns,
-                    std::vector<AggregateItem> aggregates);
-
-  const rel::Schema& OutputSchema() const override { return schema_; }
-  std::string Name() const override;
-  std::vector<Operator*> Children() override { return {child_.get()}; }
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<rel::ExprPtr> group_exprs_;
-  std::vector<AggregateItem> aggregates_;
-  rel::Schema schema_;
-
-  std::vector<AggregateGroup> groups_;  // Deterministic: first-seen order.
-  size_t cursor_ = 0;
-};
 
 /// One morsel's partial group table, published by a
 /// PartialAggregateOperator and folded in ascending morsel order by
@@ -142,11 +108,10 @@ struct AggregatePartial {
 };
 
 /// Per-worker pre-aggregation: drains its child pipeline and folds each
-/// morsel batch into a local group table (the same per-tuple fold as the
-/// serial operator), publishing one AggregatePartial per morsel to the
-/// shared sink. Emits no batches itself — the merged groups surface above the
-/// gather. OutputSchema passes the child schema through (the gather never
-/// sees group rows).
+/// morsel batch into a local group table, publishing one AggregatePartial
+/// per morsel to the shared sink. Emits no batches itself — the merged
+/// groups surface above the gather. OutputSchema passes the child schema
+/// through (the gather never sees group rows).
 class PartialAggregateOperator final : public Operator {
  public:
   PartialAggregateOperator(std::unique_ptr<Operator> child,
@@ -175,13 +140,14 @@ class PartialAggregateOperator final : public Operator {
   std::shared_ptr<PartialSink<AggregatePartial>> sink_;
 };
 
-/// Final merge above the gather: opening the child runs the parallel
-/// section to exhaustion (workers publish their partials). A serial pass
-/// then sorts the partials by morsel and indexes every partial group under
-/// its final group (first-seen order), and FinishGroups finishes the final
+/// Final merge above the gather: Open runs the section to exhaustion
+/// (RunSection; the workers publish their partials). A serial pass then
+/// sorts the partials by morsel and indexes every partial group under its
+/// final group (first-seen order), and FinishGroups finishes the final
 /// groups on `pool`: each folds its partials in ascending morsel order,
-/// replays its float terms and is finalized exactly like the serial
-/// operator. NextBatch emits the finished rows.
+/// replays its float terms and is finalized. With no group expressions, a
+/// single global group is produced (even over empty input for COUNT).
+/// NextBatch emits the finished rows.
 class AggregateMergeOperator final : public Operator {
  public:
   /// `pool` is the section's pool (null: the groups finish inline).

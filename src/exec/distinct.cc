@@ -16,44 +16,7 @@ struct TupleHash {
 };
 using TupleIndex = std::unordered_map<rel::Tuple, size_t, TupleHash>;
 
-Status ReleaseEntry(DistinctEntry* entry, core::AnnotatedTuple* tuple) {
-  tuple->tuple = std::move(entry->tuple);
-  entry->summary.Release(tuple);
-  return Status::OK();
-}
-
 }  // namespace
-
-Status DistinctOperator::OpenImpl() {
-  INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  results_.clear();
-  cursor_ = 0;
-  ReleaseMemory();
-  TupleIndex index;
-  core::AnnotatedBatch batch;
-  while (true) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
-    if (!more) break;
-    for (core::AnnotatedTuple& in : batch.tuples) {
-      auto [it, inserted] = index.emplace(in.tuple, results_.size());
-      if (inserted) {
-        INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(core::ApproxBytes(in)));
-        DistinctEntry entry;
-        entry.tuple = std::move(in.tuple);
-        INSIGHTNOTES_RETURN_IF_ERROR(entry.summary.Seed(&in));
-        results_.push_back(std::move(entry));
-      } else {
-        INSIGHTNOTES_RETURN_IF_ERROR(in.Settle());
-        INSIGHTNOTES_RETURN_IF_ERROR(results_[it->second].summary.Fold(in));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Result<bool> DistinctOperator::NextBatchImpl(core::AnnotatedBatch* out) {
-  return EmitRows(&results_, &cursor_, out, ReleaseEntry);
-}
 
 Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
   // Drain the pipeline: each child batch is one morsel, collapsed into its
@@ -93,7 +56,7 @@ Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
 Status DistinctMergeOperator::OpenImpl() {
   rows_.clear();
   cursor_ = 0;
-  INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
+  INSIGHTNOTES_RETURN_IF_ERROR(RunSection(child_.get()));
   std::vector<DistinctPartial> partials = source_->Take();
   Stopwatch watch;
   std::sort(partials.begin(), partials.end(),
@@ -118,7 +81,9 @@ Status DistinctMergeOperator::OpenImpl() {
     INSIGHTNOTES_RETURN_IF_ERROR(chains.ForEachLater(g, [&](DistinctEntry& later) {
       return into.summary.Combine(std::move(later.summary));
     }));
-    return ReleaseEntry(&into, &rows_[g]);
+    rows_[g].tuple = std::move(into.tuple);
+    into.summary.Release(&rows_[g]);
+    return Status::OK();
   });
   if (metrics_enabled_) {
     metrics_.merge_ns += static_cast<uint64_t>(watch.ElapsedNanos());

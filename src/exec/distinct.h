@@ -2,14 +2,15 @@
 // summary objects merge the duplicates' summaries (shared annotations
 // counted once).
 //
-// Like aggregation, distinct has a serial shape (DistinctOperator) and a
-// parallel shape: per-worker PartialDistinctOperators collapse each morsel
-// locally and publish the per-morsel distinct sets to a shared
-// PartialSink; DistinctMergeOperator indexes them above the gather and
-// finishes every distinct value as one job on the section's pool, folding
-// its entries in ascending morsel order. That re-associates the serial
-// left-fold, so the surviving tuples, their first-seen order, and their
-// merged summaries are byte-identical to serial execution.
+// Like aggregation, every plan deduplicates in two steps, at any number of
+// workers: a PartialDistinctOperator in each worker pipeline collapses each
+// morsel locally and publishes its distinct set to a shared PartialSink;
+// DistinctMergeOperator indexes the sets above the gather and finishes
+// every distinct value as one job on the section's pool (inline with one
+// worker), folding its entries in ascending morsel order. That
+// re-associates one left-fold over the input, so the surviving tuples,
+// their first-seen order, and their merged summaries are byte-identical at
+// every P.
 
 #ifndef INSIGHTNOTES_EXEC_DISTINCT_H_
 #define INSIGHTNOTES_EXEC_DISTINCT_H_
@@ -29,26 +30,6 @@ namespace insightnotes::exec {
 struct DistinctEntry {
   rel::Tuple tuple;
   core::PartialSummaryState summary;
-};
-
-class DistinctOperator final : public Operator {
- public:
-  explicit DistinctOperator(std::unique_ptr<Operator> child)
-      : child_(std::move(child)) {}
-
-  const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
-  std::string Name() const override { return "Distinct"; }
-  std::vector<Operator*> Children() override { return {child_.get()}; }
-  size_t EstimatedRows() const override { return child_->EstimatedRows(); }
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<DistinctEntry> results_;  // First-seen order.
-  size_t cursor_ = 0;
 };
 
 /// One morsel's distinct set, published by a PartialDistinctOperator and
@@ -84,9 +65,10 @@ class PartialDistinctOperator final : public Operator {
   std::shared_ptr<PartialSink<DistinctPartial>> sink_;
 };
 
-/// Final merge above the gather: indexes the per-morsel distinct sets
-/// under the global first-seen-order values, then FinishGroups folds each
-/// value's entries in ascending morsel order on `pool` (null: inline).
+/// Final merge above the gather: runs the section to exhaustion
+/// (RunSection), indexes the per-morsel distinct sets under the global
+/// first-seen-order values, then FinishGroups folds each value's entries in
+/// ascending morsel order on `pool` (null: inline).
 class DistinctMergeOperator final : public Operator {
  public:
   DistinctMergeOperator(std::unique_ptr<Operator> child,

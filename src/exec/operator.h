@@ -2,10 +2,10 @@
 // Boncz et al., CIDR 2005, and morsel-driven execution, Leis et al.,
 // SIGMOD 2014): NextBatch is an operator's only pull method, and the batch
 // is the only unit of work. Streaming stages map one child batch to one
-// output batch; materializing stages (sort, distinct, aggregation, order
-// restoration) emit up to kDefaultBatchSize rows per call through
-// EmitRows. Every operator implements the extended summary-propagation
-// semantics of its relational counterpart (Section 2.1).
+// output batch; materializing stages (the sort, distinct and aggregation
+// merges) emit up to kDefaultBatchSize rows per call through EmitRows.
+// Every operator implements the extended summary-propagation semantics of
+// its relational counterpart (Section 2.1).
 //
 // The public Open/NextBatch/Close entry points are non-virtual wrappers
 // (operators override OpenImpl/NextBatchImpl/CloseImpl): the wrapper layer
@@ -172,11 +172,14 @@ class Operator {
   /// The emit path of a materializing operator: turns up to
   /// kDefaultBatchSize held rows, from `*cursor` on, into `out` (each
   /// through `finish`, which moves a held row into its output tuple) and
-  /// traces each. Returns false once every row was emitted.
+  /// traces each. The batch's ordinal becomes its `morsel` tag, so a
+  /// partial operator stacked above ranks and folds the rows in emission
+  /// order. Returns false once every row was emitted.
   template <typename Row, typename Finish>
   Result<bool> EmitRows(std::vector<Row>* rows, size_t* cursor,
                         core::AnnotatedBatch* out, Finish finish) {
     if (*cursor >= rows->size()) return false;
+    out->morsel = *cursor / kDefaultBatchSize;
     const size_t end = std::min(rows->size(), *cursor + kDefaultBatchSize);
     out->tuples.resize(end - *cursor);
     for (core::AnnotatedTuple& tuple : out->tuples) {

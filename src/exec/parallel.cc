@@ -378,6 +378,15 @@ Result<bool> GatherOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   return true;
 }
 
+Status RunSection(Operator* section) {
+  INSIGHTNOTES_RETURN_IF_ERROR(section->Open());
+  core::AnnotatedBatch batch;
+  while (true) {
+    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, section->NextBatch(&batch));
+    if (!more) return Status::OK();
+  }
+}
+
 namespace {
 /// What the claimers of one FinishGroups call share. Pool jobs hold it by
 /// shared_ptr, so a job the pool starts after the call returned still

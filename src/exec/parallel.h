@@ -93,6 +93,13 @@ class PartialSink final : public SharedPlanState {
   std::vector<T> items_;
 };
 
+/// Opens `section` (a gather whose worker pipes end in partial operators)
+/// and pulls it to exhaustion, so every partial state is in its sink when
+/// the merge above takes them: a multi-worker gather joins its workers in
+/// Open, while a one-worker gather streams and runs its pipe only when
+/// pulled. Partial operators emit no batches.
+Status RunSection(Operator* section);
+
 /// Finishes the `count` final groups of a merge above the gather (fold a
 /// group's partial states, finalize its row) as independent jobs: the
 /// calling thread and up to min(P, count - 1) jobs on `pool` (P its

@@ -34,37 +34,6 @@ std::vector<bool> Directions(const std::vector<SortKey>& keys) {
 
 }  // namespace
 
-SortOperator::SortOperator(std::unique_ptr<Operator> child, std::vector<SortKey> keys)
-    : child_(std::move(child)), keys_(std::move(keys)), ascending_(Directions(keys_)) {}
-
-Status SortOperator::OpenImpl() {
-  INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  results_.clear();
-  cursor_ = 0;
-  ReleaseMemory();
-  // Key values are computed up front so comparator calls cannot fail
-  // mid-sort. Every entry keeps rank (0, 0), so rows with equal keys
-  // compare equal and the stable sort keeps them in child order.
-  std::vector<SortRunEntry> entries;
-  entries.reserve(child_->EstimatedRows());
-  core::AnnotatedBatch batch;
-  while (true) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
-    if (!more) break;
-    INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(core::ApproxBytes(batch)));
-    for (core::AnnotatedTuple& in : batch.tuples) {
-      SortRunEntry entry;
-      INSIGHTNOTES_RETURN_IF_ERROR(EvaluateSortKeys(keys_, &in, &entry.keys));
-      entry.tuple = std::move(in);
-      entries.push_back(std::move(entry));
-    }
-  }
-  std::stable_sort(entries.begin(), entries.end(), SortRunLess(&ascending_));
-  results_.reserve(entries.size());
-  for (SortRunEntry& entry : entries) results_.push_back(std::move(entry.tuple));
-  return Status::OK();
-}
-
 Status TopKBound::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   bound_ = SortRunEntry{};
@@ -121,7 +90,7 @@ Status PartialSortOperator::BuildEntry(core::AnnotatedBatch* batch, size_t i,
 
 Status PartialSortOperator::DrainUnbounded(std::vector<SortRunEntry>* run) {
   // Drain the pipeline into one local run, tagging each tuple with its
-  // serial rank (morsel, position within the morsel batch).
+  // input rank (morsel, position within the morsel batch).
   core::AnnotatedBatch batch;
   while (true) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
@@ -226,9 +195,9 @@ Status SortMergeOperator::OpenImpl() {
   results_.clear();
   cursor_ = 0;
   ReleaseMemory();
-  // Opening the child runs the parallel section to exhaustion; the pool
-  // futures it joins on provide the happens-before for the published runs.
-  INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
+  // Running the section drains every worker pipeline; the pool futures
+  // the gather joins provide the happens-before for the published runs.
+  INSIGHTNOTES_RETURN_IF_ERROR(RunSection(child_.get()));
   std::vector<std::vector<SortRunEntry>> runs = source_->Take();
   Stopwatch watch;
   SortRunLess less(&ascending_);
@@ -248,7 +217,7 @@ Status SortMergeOperator::OpenImpl() {
   }
   results_.reserve(std::min(total, limit_));
   // With a pushed-down LIMIT the merge stops at `limit_` rows: the heads
-  // beyond it are exactly the rows the serial Limit above would discard.
+  // beyond it are exactly the rows the Limit above would discard.
   while (!heap.empty() && results_.size() < limit_) {
     size_t i = heap.top();
     heap.pop();

@@ -1,17 +1,17 @@
 // Order-by: materializes and sorts; summaries ride along unchanged. Each
 // sort key is an expression or a SUMMARY_COUNT spec (Section 2.1: sorting
-// tuples by summary-based predicates), ascending or descending. Both sort
-// shapes evaluate the key list once per row with EvaluateSortKeys and order
-// rows lexicographically over it.
+// tuples by summary-based predicates), ascending or descending. Keys are
+// evaluated once per row with EvaluateSortKeys, and rows order
+// lexicographically over them.
 //
-// One-worker shape: SortOperator runs one stable multi-key sort, so equal
-// keys preserve child order (deterministic results).
-//
-// Parallel shape: per-worker PartialSortOperators sort their local run and
-// publish it to a shared PartialSink; SortMergeOperator k-way-merges
-// the runs above the gather. The run comparator breaks key ties by
-// (morsel, position-in-morsel) — the tuple's rank in the serial input
-// stream — so the merged order is exactly what the stable sort produces.
+// Every plan sorts in two steps, at any number of workers: a
+// PartialSortOperator in each worker pipeline sorts its local run and
+// publishes it to a shared PartialSink; SortMergeOperator k-way-merges the
+// runs above the gather. The run comparator breaks key ties by (morsel,
+// position-in-batch) — the tuple's rank in the input stream — so the
+// merged order is exactly a stable sort of the input. Under
+// `ORDER BY ... LIMIT k` the partials keep size-k heaps and the merge
+// stops after k rows.
 
 #ifndef INSIGHTNOTES_EXEC_SORT_H_
 #define INSIGHTNOTES_EXEC_SORT_H_
@@ -47,7 +47,7 @@ Status EvaluateSortKeys(const std::vector<SortKey>& keys, core::AnnotatedTuple* 
                         std::vector<rel::Value>* values);
 
 /// One tuple of a per-worker sorted run: the precomputed key values plus
-/// the tuple's serial rank (morsel, position within the morsel).
+/// the tuple's input rank (morsel, position within the morsel's batch).
 struct SortRunEntry {
   std::vector<rel::Value> keys;  // Significance order.
   uint64_t morsel = 0;
@@ -59,10 +59,10 @@ struct SortRunEntry {
 using SortRun = std::vector<SortRunEntry>;
 
 /// Strict weak order over run entries: lexicographic over the keys with
-/// per-key direction, then the serial rank. Because the rank is unique,
+/// per-key direction, then the input rank. Because the rank is unique,
 /// this is a total order — the merged sequence is independent of how
-/// tuples were partitioned into runs, and equals the serial stable-sort
-/// output.
+/// tuples were partitioned into runs, and equals a stable sort of the
+/// input.
 class SortRunLess {
  public:
   explicit SortRunLess(const std::vector<bool>* ascending)
@@ -82,42 +82,18 @@ class SortRunLess {
   const std::vector<bool>* ascending_;
 };
 
-/// Materializes its input and runs one stable sort over the key list.
-class SortOperator final : public Operator {
- public:
-  SortOperator(std::unique_ptr<Operator> child, std::vector<SortKey> keys);
-
-  const rel::Schema& OutputSchema() const override { return child_->OutputSchema(); }
-  std::string Name() const override { return "Sort"; }
-  std::vector<Operator*> Children() override { return {child_.get()}; }
-  size_t EstimatedRows() const override { return child_->EstimatedRows(); }
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
-    return EmitRows(&results_, &cursor_, out);
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<SortKey> keys_;
-  std::vector<bool> ascending_;  // Direction per key, for the comparator.
-  std::vector<core::AnnotatedTuple> results_;
-  size_t cursor_ = 0;
-};
-
 /// Shared k-th-candidate bound of an `ORDER BY ... LIMIT k` parallel sort.
 ///
 /// A worker whose local top-k heap is full publishes its heap root (its
-/// local k-th candidate, keys + serial rank, no tuple): the worker already
+/// local k-th candidate, keys + input rank, no tuple): the worker already
 /// holds k entries that sort at or before the root, so no entry sorting
 /// strictly after any published root can be part of the global top k.
 /// The bound keeps the minimum over everything published — it only ever
 /// tightens — and other workers consult it to skip rows without storing
-/// them. Because SortRunLess is a *total* order (the serial rank breaks
+/// them. Because SortRunLess is a *total* order (the input rank breaks
 /// key ties), pruning on "strictly after the bound" can never discard an
-/// entry the one-worker `Sort` + `Limit` plan would have emitted: the pruned
-/// and the kept side of the bound are disjoint by trichotomy.
+/// entry among the first k of the stably sorted input: the pruned and the
+/// kept side of the bound are disjoint by trichotomy.
 class TopKBound final : public SharedPlanState {
  public:
   TopKBound(size_t limit, std::vector<bool> ascending)
@@ -186,8 +162,9 @@ class PartialSortOperator final : public Operator {
   std::shared_ptr<TopKBound> bound_;  // Null when no LIMIT was pushed down.
 };
 
-/// Final k-way merge of the per-worker sorted runs above the gather. With
-/// a pushed-down LIMIT the merge stops after emitting `limit` rows.
+/// Final k-way merge of the per-worker sorted runs above the gather; Open
+/// runs the section to exhaustion first (RunSection). With a pushed-down
+/// LIMIT the merge stops after `limit` rows.
 class SortMergeOperator final : public Operator {
  public:
   /// `label` names the key list for EXPLAIN (built by the planner);

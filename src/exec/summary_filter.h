@@ -5,9 +5,10 @@
 // A SummaryCountSpec denotes SUMMARY_COUNT(instance[, 'label']) — the
 // number of annotations a tuple's summary object of `instance` holds,
 // optionally restricted to one component (a classifier label, a cluster
-// group's label, a snippet title). SummaryFilterOperator, and SortOperator
-// for a SUMMARY_COUNT ORDER BY key (exec/sort.h), evaluate it against the
-// summary objects riding on each AnnotatedTuple — no raw-annotation
+// group's label, a snippet title). SummaryFilterOperator, and
+// PartialSortOperator for a SUMMARY_COUNT ORDER BY key (exec/sort.h),
+// evaluate it against the summary objects riding on each AnnotatedTuple —
+// no raw-annotation
 // access. Evaluation settles only the object it reads (see
 // AnnotatedTuple::SettleSummary): a row the predicate or a top-k heap then
 // drops never pays for restricting its other summaries.

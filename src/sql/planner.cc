@@ -90,21 +90,28 @@ class SelectPlanner {
     if (tables_[0].table->NumRows() < options_.morsel_size) {
       options_.parallelism = 1;
     }
-    INSIGHTNOTES_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> tree,
-                                  BuildSection());
-    // Stages already handled inside the section (partial operators below
-    // the gather + a merge above it) are skipped here.
-    if (!parallel_aggregated_) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(tree, ApplyAggregation(std::move(tree)));
+    INSIGHTNOTES_ASSIGN_OR_RETURN(Section section, BuildSection());
+    // Each blocking stage ends a section: its partial operator runs in
+    // every pipe, its merge above the gather. The first one ends the scan
+    // section; a later one runs over a one-pipe section of the merged
+    // tree below it.
+    std::unique_ptr<exec::Operator> tree;
+    auto next_section = [&]() -> Section {
+      return tree == nullptr ? std::move(section) : OnePipe(std::move(tree));
+    };
+    if (HasAggregation()) {
+      INSIGHTNOTES_ASSIGN_OR_RETURN(tree, BuildAggregation(next_section()));
     }
-    if (!parallel_sorted_) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(tree, ApplyOrderBy(std::move(tree)));
+    if (!stmt_.order_by.empty()) {
+      INSIGHTNOTES_ASSIGN_OR_RETURN(tree, BuildSort(next_section()));
     }
-    if (!parallel_projected_) {
+    if (stmt_.distinct) {
+      // Distinct keys are the projected columns: the final projection runs
+      // in the pipes, below the partial operators.
+      INSIGHTNOTES_ASSIGN_OR_RETURN(tree, BuildDistinct(next_section()));
+    } else {
+      if (tree == nullptr) tree = GatherRows(std::move(section));
       INSIGHTNOTES_ASSIGN_OR_RETURN(tree, ApplyFinalProjection(std::move(tree)));
-    }
-    if (stmt_.distinct && !parallel_distinct_) {
-      tree = std::make_unique<exec::DistinctOperator>(std::move(tree));
     }
     if (stmt_.limit.has_value()) {
       tree = std::make_unique<exec::LimitOperator>(std::move(tree), *stmt_.limit);
@@ -120,6 +127,28 @@ class SelectPlanner {
     std::set<std::string> needed;       // Qualified column names to keep.
     std::vector<const AstExpr*> filters;  // Single-table conjuncts.
   };
+
+  /// A pipeline section before its gather: the worker pipes, the states
+  /// they share, and the pool they run on (null for one pipe).
+  struct Section {
+    std::vector<std::unique_ptr<exec::Operator>> pipes;
+    std::vector<std::shared_ptr<exec::SharedPlanState>> states;
+    ThreadPool* pool = nullptr;
+    std::shared_ptr<exec::ScanMorselSource> source;  // Null above a merge.
+  };
+
+  /// The section of a later blocking stage: `tree` (a merge) as its only
+  /// pipe, run inline.
+  static Section OnePipe(std::unique_ptr<exec::Operator> tree) {
+    Section section;
+    section.pipes.push_back(std::move(tree));
+    return section;
+  }
+
+  static std::unique_ptr<exec::GatherOperator> Gather(Section section) {
+    return std::make_unique<exec::GatherOperator>(
+        std::move(section.pipes), std::move(section.states), section.pool);
+  }
 
   Status ResolveTables() {
     for (const TableRef& ref : stmt_.from) {
@@ -402,9 +431,9 @@ class SelectPlanner {
 
   /// The plan's pipeline section: P worker pipelines sharing a morsel
   /// source over the driving table (and one partitioned build state per
-  /// join), re-serialized by a Gather in morsel order. P is
+  /// join), to be re-serialized by a Gather in morsel order. P is
   /// options_.parallelism; one worker runs inline with no pool.
-  Result<std::unique_ptr<exec::Operator>> BuildSection() {
+  Result<Section> BuildSection() {
     const size_t num_workers = std::max<size_t>(1, options_.parallelism);
     ThreadPool* pool = num_workers > 1 ? engine_->ExecPool(num_workers) : nullptr;
     std::shared_ptr<exec::ScanMorselSource> source =
@@ -521,52 +550,41 @@ class SelectPlanner {
       }
     }
 
-    // With several workers, blocking stages end the section differently:
-    // instead of aggregating/sorting/deduplicating above the gather, push
-    // a partial operator into every worker pipeline and merge the partial
-    // states deterministically above the gather. Aggregation subsumes the
-    // other stages' cost (its output is tiny), so it wins the dispatch;
-    // otherwise a sort dominates a residual distinct. One worker streams
-    // through the gather, so Plan() stacks the single operators (and the
-    // LIMIT) above it instead.
-    if (num_workers > 1) {
-      if (HasAggregation()) {
-        return BuildParallelAggregation(std::move(pipes), std::move(states), pool);
-      }
-      if (!stmt_.order_by.empty()) {
-        return BuildParallelSort(std::move(pipes), std::move(states), pool);
-      }
-      if (stmt_.distinct) {
-        return BuildParallelDistinct(std::move(pipes), std::move(states), pool);
-      }
-      if (stmt_.limit.has_value()) {
-        // Plain LIMIT k: the result is the first k surviving rows in morsel
-        // order, so a cooperative row quota lets the morsel source stop
-        // dispatching once the first morsels' completed batches already
-        // carry k rows. The LimitOperator above trims in-flight extras.
-        auto quota = std::make_shared<exec::RowQuota>(*stmt_.limit);
-        source->SetQuota(quota);
-        states.push_back(quota);
-        auto gather = std::make_unique<exec::GatherOperator>(std::move(pipes),
-                                                             std::move(states), pool);
-        gather->EnableRowQuota(std::move(quota), source);
-        return std::unique_ptr<exec::Operator>(std::move(gather));
-      }
-    }
-    return std::unique_ptr<exec::Operator>(std::make_unique<exec::GatherOperator>(
-        std::move(pipes), std::move(states), pool));
+    Section section;
+    section.pipes = std::move(pipes);
+    section.states = std::move(states);
+    section.pool = pool;
+    section.source = std::move(source);
+    return section;
   }
 
-  /// Parallel aggregation: PartialAggregateOperator per worker feeding a
-  /// shared PartialSink, folded above the gather by
-  /// AggregateMergeOperator in ascending morsel order, one final group per
-  /// job on the section's pool.
-  Result<std::unique_ptr<exec::Operator>> BuildParallelAggregation(
-      std::vector<std::unique_ptr<exec::Operator>> pipes,
-      std::vector<std::shared_ptr<exec::SharedPlanState>> states, ThreadPool* pool) {
+  /// The scan section with no blocking stage: its rows gathered in morsel
+  /// order. A plain LIMIT k over several workers takes the first k
+  /// surviving rows in morsel order, so a cooperative row quota lets the
+  /// morsel source stop dispatching once the first morsels' completed
+  /// batches already carry k rows; the LimitOperator above trims in-flight
+  /// extras. One worker streams, and the Limit stops pulling.
+  std::unique_ptr<exec::Operator> GatherRows(Section section) {
+    if (!stmt_.limit.has_value() || section.pipes.size() == 1) {
+      return Gather(std::move(section));
+    }
+    auto quota = std::make_shared<exec::RowQuota>(*stmt_.limit);
+    section.source->SetQuota(quota);
+    section.states.push_back(quota);
+    std::shared_ptr<exec::ScanMorselSource> source = section.source;
+    std::unique_ptr<exec::GatherOperator> gather = Gather(std::move(section));
+    gather->EnableRowQuota(std::move(quota), std::move(source));
+    return gather;
+  }
+
+  /// Aggregation: a PartialAggregateOperator in every pipe feeding a
+  /// shared PartialSink, folded above the gather by AggregateMergeOperator
+  /// in ascending morsel order, one final group per job on the section's
+  /// pool.
+  Result<std::unique_ptr<exec::Operator>> BuildAggregation(Section section) {
     auto sink = std::make_shared<exec::PartialSink<exec::AggregatePartial>>();
-    states.push_back(sink);
-    for (std::unique_ptr<exec::Operator>& pipe : pipes) {
+    section.states.push_back(sink);
+    for (std::unique_ptr<exec::Operator>& pipe : section.pipes) {
       std::vector<rel::ExprPtr> group_exprs;
       std::vector<rel::Column> group_columns;
       std::vector<exec::AggregateItem> aggregates;
@@ -575,31 +593,28 @@ class SelectPlanner {
       pipe = std::make_unique<exec::PartialAggregateOperator>(
           std::move(pipe), std::move(group_exprs), std::move(aggregates), sink);
     }
-    auto gather = std::make_unique<exec::GatherOperator>(std::move(pipes),
-                                                         std::move(states), pool);
+    ThreadPool* pool = section.pool;
+    std::unique_ptr<exec::Operator> gather = Gather(std::move(section));
     std::vector<rel::ExprPtr> group_exprs;
     std::vector<rel::Column> group_columns;
     std::vector<exec::AggregateItem> aggregates;
     INSIGHTNOTES_RETURN_IF_ERROR(BindAggregation(
         gather->OutputSchema(), &group_exprs, &group_columns, &aggregates));
-    parallel_aggregated_ = true;
     return std::unique_ptr<exec::Operator>(
         std::make_unique<exec::AggregateMergeOperator>(
             std::move(gather), std::move(group_exprs), std::move(group_columns),
             std::move(aggregates), std::move(sink), pool));
   }
 
-  /// Parallel sort: PartialSortOperator per worker publishes a locally
-  /// sorted run tagged with serial ranks; SortMergeOperator k-way-merges
-  /// the runs above the gather. With `ORDER BY ... LIMIT k` (and no
-  /// DISTINCT, which would dedup *between* sort and limit) the limit is
-  /// pushed down: workers keep bounded top-k runs pruned against a shared
-  /// k-th-candidate bound, and the merge stops after k rows.
-  Result<std::unique_ptr<exec::Operator>> BuildParallelSort(
-      std::vector<std::unique_ptr<exec::Operator>> pipes,
-      std::vector<std::shared_ptr<exec::SharedPlanState>> states, ThreadPool* pool) {
+  /// Sort: a PartialSortOperator in every pipe publishes a locally sorted
+  /// run tagged with input ranks; SortMergeOperator k-way-merges the runs
+  /// above the gather. With `ORDER BY ... LIMIT k` (and no DISTINCT, which
+  /// would dedup *between* sort and limit) the limit is pushed down: pipes
+  /// keep bounded top-k runs pruned against a shared k-th-candidate bound,
+  /// and the merge stops after k rows.
+  Result<std::unique_ptr<exec::Operator>> BuildSort(Section section) {
     auto sink = std::make_shared<exec::PartialSink<exec::SortRun>>();
-    states.push_back(sink);
+    section.states.push_back(sink);
     std::vector<bool> ascending;
     std::string label;
     for (const OrderItem& item : stmt_.order_by) {
@@ -612,47 +627,38 @@ class SelectPlanner {
     std::shared_ptr<exec::TopKBound> bound;
     if (push_limit) {
       bound = std::make_shared<exec::TopKBound>(*stmt_.limit, ascending);
-      states.push_back(bound);
+      section.states.push_back(bound);
     }
-    for (std::unique_ptr<exec::Operator>& pipe : pipes) {
+    for (std::unique_ptr<exec::Operator>& pipe : section.pipes) {
       INSIGHTNOTES_ASSIGN_OR_RETURN(std::vector<exec::SortKey> keys,
                                     BindSortKeys(pipe->OutputSchema()));
-      pipe = std::make_unique<exec::PartialSortOperator>(
-          std::move(pipe), std::move(keys), sink, bound);
+      pipe = std::make_unique<exec::PartialSortOperator>(std::move(pipe),
+                                                         std::move(keys), sink, bound);
     }
-    auto gather = std::make_unique<exec::GatherOperator>(std::move(pipes),
-                                                         std::move(states), pool);
-    parallel_sorted_ = true;
     return std::unique_ptr<exec::Operator>(std::make_unique<exec::SortMergeOperator>(
-        std::move(gather), std::move(ascending), std::move(label), std::move(sink),
-        push_limit ? *stmt_.limit : SIZE_MAX));
+        Gather(std::move(section)), std::move(ascending), std::move(label),
+        std::move(sink), push_limit ? *stmt_.limit : SIZE_MAX));
   }
 
-  /// Parallel distinct: the final projection moves below the partial
-  /// operators (distinct keys are the projected columns), then each worker
-  /// collapses its morsels locally and DistinctMergeOperator folds the
-  /// per-morsel sets above the gather in ascending morsel order, one value
-  /// per job on the section's pool.
-  Result<std::unique_ptr<exec::Operator>> BuildParallelDistinct(
-      std::vector<std::unique_ptr<exec::Operator>> pipes,
-      std::vector<std::shared_ptr<exec::SharedPlanState>> states, ThreadPool* pool) {
+  /// Distinct: the final projection runs in every pipe (distinct keys are
+  /// the projected columns), then a PartialDistinctOperator collapses each
+  /// morsel and DistinctMergeOperator folds the per-morsel sets above the
+  /// gather in ascending morsel order, one value per job on the section's
+  /// pool.
+  Result<std::unique_ptr<exec::Operator>> BuildDistinct(Section section) {
     auto sink = std::make_shared<exec::PartialSink<exec::DistinctPartial>>();
-    states.push_back(sink);
+    section.states.push_back(sink);
     bool trim = !options_.project_before_merge;
-    for (std::unique_ptr<exec::Operator>& pipe : pipes) {
+    for (std::unique_ptr<exec::Operator>& pipe : section.pipes) {
       INSIGHTNOTES_ASSIGN_OR_RETURN(std::vector<exec::ProjectionItem> items,
                                     BuildFinalProjectionItems(pipe->OutputSchema()));
       pipe = std::make_unique<exec::ProjectOperator>(std::move(pipe),
                                                      std::move(items), trim);
       pipe = std::make_unique<exec::PartialDistinctOperator>(std::move(pipe), sink);
     }
-    auto gather = std::make_unique<exec::GatherOperator>(std::move(pipes),
-                                                         std::move(states), pool);
-    parallel_projected_ = true;
-    parallel_distinct_ = true;
-    return std::unique_ptr<exec::Operator>(
-        std::make_unique<exec::DistinctMergeOperator>(std::move(gather),
-                                                      std::move(sink), pool));
+    ThreadPool* pool = section.pool;
+    return std::unique_ptr<exec::Operator>(std::make_unique<exec::DistinctMergeOperator>(
+        Gather(std::move(section)), std::move(sink), pool));
   }
 
   static bool BindableAgainst(const AstExpr& expr, const rel::Schema& schema) {
@@ -678,8 +684,8 @@ class SelectPlanner {
   }
 
   /// Binds GROUP BY expressions and aggregate select items against `in`
-  /// (the pre-aggregation schema). Idempotent: the parallel shape calls it
-  /// once per worker pipeline and once more for the merge operator.
+  /// (the pre-aggregation schema). Idempotent: the aggregation stage calls
+  /// it once per pipe and once more for the merge operator.
   Status BindAggregation(const rel::Schema& in,
                          std::vector<rel::ExprPtr>* group_exprs,
                          std::vector<rel::Column>* group_columns,
@@ -697,7 +703,7 @@ class SelectPlanner {
       group_exprs->push_back(std::move(bound));
     }
 
-    agg_output_names_.clear();
+    agg_columns_.clear();
     size_t agg_counter = 0;
     for (const SelectItem& item : expanded_items_) {
       if (item.expr->kind == AstExpr::Kind::kAggregate) {
@@ -708,37 +714,27 @@ class SelectPlanner {
         }
         agg.output_name =
             !item.alias.empty() ? item.alias : "agg" + std::to_string(agg_counter);
-        agg_output_names_.push_back(agg.output_name);
+        agg_columns_.push_back(group_keys.size() + agg_counter);
         aggregates->push_back(std::move(agg));
         ++agg_counter;
       } else if (item.expr->ContainsAggregate()) {
         return Status::NotImplemented(
             "expressions over aggregates (e.g. COUNT(*)+1) are not supported");
       } else {
-        // Non-aggregate item must match a GROUP BY expression.
+        // Non-aggregate item must match a GROUP BY expression; it selects
+        // that key's column by position (a rendered expression is no
+        // qualified name to look up).
         std::string key = AstToString(*item.expr);
-        if (std::find(group_keys.begin(), group_keys.end(), key) == group_keys.end()) {
+        auto it = std::find(group_keys.begin(), group_keys.end(), key);
+        if (it == group_keys.end()) {
           return Status::InvalidArgument("select item '" + key +
                                          "' is neither aggregated nor in GROUP BY");
         }
-        agg_output_names_.push_back("");  // Resolved via group column name.
+        agg_columns_.push_back(static_cast<size_t>(it - group_keys.begin()));
       }
     }
     aggregated_ = true;
     return Status::OK();
-  }
-
-  Result<std::unique_ptr<exec::Operator>> ApplyAggregation(
-      std::unique_ptr<exec::Operator> tree) {
-    if (!HasAggregation()) return tree;
-    std::vector<rel::ExprPtr> group_exprs;
-    std::vector<rel::Column> group_columns;
-    std::vector<exec::AggregateItem> aggregates;
-    INSIGHTNOTES_RETURN_IF_ERROR(BindAggregation(
-        tree->OutputSchema(), &group_exprs, &group_columns, &aggregates));
-    return std::unique_ptr<exec::Operator>(std::make_unique<exec::AggregateOperator>(
-        std::move(tree), std::move(group_exprs), std::move(group_columns),
-        std::move(aggregates)));
   }
 
   /// The spec a SUMMARY_COUNT(instance[, 'label']) expression denotes.
@@ -767,37 +763,17 @@ class SelectPlanner {
     return keys;
   }
 
-  Result<std::unique_ptr<exec::Operator>> ApplyOrderBy(
-      std::unique_ptr<exec::Operator> tree) {
-    if (stmt_.order_by.empty()) return tree;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(std::vector<exec::SortKey> keys,
-                                  BindSortKeys(tree->OutputSchema()));
-    return std::unique_ptr<exec::Operator>(
-        std::make_unique<exec::SortOperator>(std::move(tree), std::move(keys)));
-  }
-
   /// The projection items of the final SELECT list against `in`. Shared by
-  /// the top-of-plan projection and the multi-worker distinct shape (which
-  /// projects inside every worker, below the partial operators).
+  /// the top-of-plan projection and the distinct stage (which projects in
+  /// every pipe, below the partial operators).
   Result<std::vector<exec::ProjectionItem>> BuildFinalProjectionItems(
       const rel::Schema& in) {
     std::vector<exec::ProjectionItem> items;
-    size_t agg_index = 0;
     for (size_t i = 0; i < expanded_items_.size(); ++i) {
       const SelectItem& item = expanded_items_[i];
       exec::ProjectionItem out;
       if (aggregated_) {
-        std::string name;
-        if (item.expr->kind == AstExpr::Kind::kAggregate) {
-          name = agg_output_names_[agg_index];
-        }
-        ++agg_index;
-        if (name.empty()) {
-          // Group column: find it by its column/AST name.
-          name = item.expr->kind == AstExpr::Kind::kColumn ? item.expr->name
-                                                           : AstToString(*item.expr);
-        }
-        INSIGHTNOTES_ASSIGN_OR_RETURN(size_t index, in.IndexOf(name));
+        const size_t index = agg_columns_[i];
         const rel::Column& column = in.ColumnAt(index);
         out.expr = rel::MakeColumn(index, column.QualifiedName());
         out.output_name = !item.alias.empty() ? item.alias : column.name;
@@ -855,14 +831,10 @@ class SelectPlanner {
   // parallelism choice and per-operator estimates.
   bool optimized_ = false;
   PlanChoice choice_;
-  std::vector<std::string> agg_output_names_;
+  // Per expanded select item, its column in the aggregation's output (group
+  // keys first, then aggregates); set by BindAggregation.
+  std::vector<size_t> agg_columns_;
   bool aggregated_ = false;
-  // Stages absorbed by a multi-worker section (partial + merge operators);
-  // Plan() skips the corresponding single operator.
-  bool parallel_aggregated_ = false;
-  bool parallel_sorted_ = false;
-  bool parallel_projected_ = false;
-  bool parallel_distinct_ = false;
 };
 
 }  // namespace

@@ -102,6 +102,65 @@ TEST_F(RawBaselineTest, JoinUnionsWithDedup) {
   EXPECT_EQ(first.coverage[1], (std::vector<size_t>{4}));
 }
 
+/// Rows (k, tag) with annotations given as (id, covered columns).
+std::vector<RawTuple> HandRows() {
+  auto row = [](int64_t k, const std::string& tag,
+                std::vector<std::pair<ann::AnnotationId, std::vector<size_t>>> notes) {
+    RawTuple rt;
+    rt.tuple = rel::Tuple({I(k), S(tag)});
+    for (auto& [id, columns] : notes) {
+      ann::Annotation note;
+      note.id = id;
+      note.body = "note " + std::to_string(id);
+      rt.annotations.push_back(std::move(note));
+      rt.coverage.push_back(std::move(columns));
+    }
+    return rt;
+  };
+  return {row(2, "x", {{1, {0}}}), row(9, "y", {{2, {}}}),
+          row(2, "x", {{3, {1}}, {1, {1}}}), row(2, "x", {{4, {0}}}),
+          row(9, "y", {{2, {0}}})};
+}
+
+std::vector<ann::AnnotationId> Ids(const RawTuple& rt) {
+  std::vector<ann::AnnotationId> ids;
+  for (const ann::Annotation& note : rt.annotations) ids.push_back(note.id);
+  return ids;
+}
+
+TEST_F(RawBaselineTest, GroupUnionsAnnotationsInFirstSeenOrder) {
+  std::vector<rel::ExprPtr> keys;
+  keys.push_back(rel::MakeColumn(0, "k"));
+  auto groups = raw_->Group(HandRows(), keys);
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  ASSERT_EQ(groups->size(), 2u);
+  const RawGroup& two = (*groups)[0];
+  EXPECT_EQ(two.row.tuple, rel::Tuple({I(2)}));
+  EXPECT_EQ(two.members, (std::vector<size_t>{0, 2, 3}));
+  // Annotation 1 sits on rows 0 and 2 and counts once; all cover the row.
+  EXPECT_EQ(Ids(two.row), (std::vector<ann::AnnotationId>{1, 3, 4}));
+  for (const auto& columns : two.row.coverage) EXPECT_TRUE(columns.empty());
+  const RawGroup& nine = (*groups)[1];
+  EXPECT_EQ(nine.row.tuple, rel::Tuple({I(9)}));
+  EXPECT_EQ(nine.members, (std::vector<size_t>{1, 4}));
+  EXPECT_EQ(Ids(nine.row), (std::vector<ann::AnnotationId>{2}));
+}
+
+TEST_F(RawBaselineTest, DistinctUnionsAnnotationsAndCoverage) {
+  std::vector<RawTuple> distinct = raw_->Distinct(HandRows());
+  ASSERT_EQ(distinct.size(), 2u);
+  EXPECT_EQ(distinct[0].tuple, rel::Tuple({I(2), S("x")}));
+  EXPECT_EQ(Ids(distinct[0]), (std::vector<ann::AnnotationId>{1, 3, 4}));
+  // Annotation 1 covers column 0 on one duplicate and column 1 on another.
+  EXPECT_EQ(distinct[0].coverage[0], (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(distinct[0].coverage[1], (std::vector<size_t>{1}));
+  EXPECT_EQ(distinct[0].coverage[2], (std::vector<size_t>{0}));
+  EXPECT_EQ(distinct[1].tuple, rel::Tuple({I(9), S("y")}));
+  EXPECT_EQ(Ids(distinct[1]), (std::vector<ann::AnnotationId>{2}));
+  // Whole-row coverage absorbs column 0.
+  EXPECT_TRUE(distinct[1].coverage[0].empty());
+}
+
 TEST_F(RawBaselineTest, AgreesWithSummaryEngineOnRowCounts) {
   CreateFigure2Instances();
   for (int i = 0; i < 10; ++i) {

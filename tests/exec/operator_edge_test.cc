@@ -97,7 +97,7 @@ TEST_F(OperatorEdgeTest, SortIsStable) {
   }
   std::vector<SortKey> keys;
   keys.push_back(SortKey{rel::MakeColumn(0, "k"), true});
-  auto sort = std::make_unique<SortOperator>(Scan("L", "l"), std::move(keys));
+  auto sort = testutil::Sort(Scan("L", "l"), std::move(keys));
   auto rows = DrainRows(engine_.get(), sort.get());
   ASSERT_EQ(rows.size(), 5u);
   for (int i = 0; i < 5; ++i) {
@@ -111,7 +111,7 @@ TEST_F(OperatorEdgeTest, SortNullsFirst) {
   Insert("L", rel::Tuple({I(1), S("a")}));
   std::vector<SortKey> keys;
   keys.push_back(SortKey{rel::MakeColumn(0, "k"), true});
-  auto sort = std::make_unique<SortOperator>(Scan("L", "l"), std::move(keys));
+  auto sort = testutil::Sort(Scan("L", "l"), std::move(keys));
   auto rows = DrainRows(engine_.get(), sort.get());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(rows[0].tuple.ValueAt(0).is_null());
@@ -131,10 +131,8 @@ TEST_F(OperatorEdgeTest, MinMaxOverStrings) {
   std::vector<AggregateItem> aggs;
   aggs.push_back(AggregateItem{AggregateFunction::kMin, rel::MakeColumn(1, "v"), "lo"});
   aggs.push_back(AggregateItem{AggregateFunction::kMax, rel::MakeColumn(1, "v"), "hi"});
-  auto agg = std::make_unique<AggregateOperator>(Scan("L", "l"),
-                                                 std::vector<rel::ExprPtr>{},
-                                                 std::vector<rel::Column>{},
-                                                 std::move(aggs));
+  auto agg = testutil::Aggregate(Scan("L", "l"), std::vector<rel::ExprPtr>{},
+                                 std::vector<rel::Column>{}, std::move(aggs));
   auto rows = DrainRows(engine_.get(), agg.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsString(), "apple");
@@ -148,10 +146,8 @@ TEST_F(OperatorEdgeTest, AggregateIgnoresNulls) {
   aggs.push_back(AggregateItem{AggregateFunction::kCount, rel::MakeColumn(0, "k"), "c"});
   aggs.push_back(AggregateItem{AggregateFunction::kSum, rel::MakeColumn(0, "k"), "s"});
   aggs.push_back(AggregateItem{AggregateFunction::kCountStar, nullptr, "n"});
-  auto agg = std::make_unique<AggregateOperator>(Scan("L", "l"),
-                                                 std::vector<rel::ExprPtr>{},
-                                                 std::vector<rel::Column>{},
-                                                 std::move(aggs));
+  auto agg = testutil::Aggregate(Scan("L", "l"), std::vector<rel::ExprPtr>{},
+                                 std::vector<rel::Column>{}, std::move(aggs));
   auto rows = DrainRows(engine_.get(), agg.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsInt64(), 1);   // COUNT(k) skips NULL.
@@ -160,14 +156,14 @@ TEST_F(OperatorEdgeTest, AggregateIgnoresNulls) {
 }
 
 TEST_F(OperatorEdgeTest, DistinctOnEmptyInput) {
-  auto distinct = std::make_unique<DistinctOperator>(Scan("L", "l"));
+  auto distinct = testutil::Distinct(Scan("L", "l"));
   EXPECT_TRUE(DrainRows(engine_.get(), distinct.get()).empty());
 }
 
 TEST_F(OperatorEdgeTest, DistinctTreatsNullsEqual) {
   Insert("L", rel::Tuple({rel::Value::Null(), S("x")}));
   Insert("L", rel::Tuple({rel::Value::Null(), S("x")}));
-  auto distinct = std::make_unique<DistinctOperator>(Scan("L", "l"));
+  auto distinct = testutil::Distinct(Scan("L", "l"));
   EXPECT_EQ(DrainRows(engine_.get(), distinct.get()).size(), 1u);
 }
 

@@ -204,7 +204,7 @@ TEST_F(OperatorTest, AggregateCountsAndMergesSummaries) {
   std::vector<AggregateItem> aggs;
   aggs.push_back(AggregateItem{AggregateFunction::kCountStar, nullptr, "cnt"});
   aggs.push_back(AggregateItem{AggregateFunction::kSum, Col(schema, "r.a"), "suma"});
-  auto agg = std::make_unique<AggregateOperator>(
+  auto agg = testutil::Aggregate(
       std::move(scan), std::move(group),
       std::vector<rel::Column>{{"b", rel::ValueType::kInt64, ""}}, std::move(aggs));
   auto rows = DrainRows(engine_.get(), agg.get());
@@ -230,10 +230,8 @@ TEST_F(OperatorTest, GlobalAggregateOverEmptyInput) {
       MakeCompare(CompareOp::kEq, Col(schema, "r.a"), MakeLiteral(I(999))));
   std::vector<AggregateItem> aggs;
   aggs.push_back(AggregateItem{AggregateFunction::kCountStar, nullptr, "cnt"});
-  auto agg = std::make_unique<AggregateOperator>(std::move(filter),
-                                                 std::vector<rel::ExprPtr>{},
-                                                 std::vector<rel::Column>{},
-                                                 std::move(aggs));
+  auto agg = testutil::Aggregate(std::move(filter), std::vector<rel::ExprPtr>{},
+                                 std::vector<rel::Column>{}, std::move(aggs));
   auto rows = DrainRows(engine_.get(), agg.get());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsInt64(), 0);
@@ -245,7 +243,7 @@ TEST_F(OperatorTest, DistinctMergesDuplicateSummaries) {
   // Project b only: rows 0 and 1 both give (2) -> duplicates to eliminate.
   auto project = ProjectOperator::FromColumns(Scan("R", "r"), {"r.b"});
   ASSERT_TRUE(project.ok());
-  auto distinct = std::make_unique<DistinctOperator>(std::move(*project));
+  auto distinct = testutil::Distinct(std::move(*project));
   auto rows = DrainRows(engine_.get(), distinct.get());
   ASSERT_EQ(rows.size(), 2u);  // b = 2 and b = 9.
   const AnnotatedTuple* b2 = nullptr;
@@ -264,7 +262,7 @@ TEST_F(OperatorTest, SortOrdersRows) {
   const auto& schema = scan->OutputSchema();
   std::vector<SortKey> keys;
   keys.push_back(SortKey{Col(schema, "r.a"), /*ascending=*/false});
-  auto sort = std::make_unique<SortOperator>(std::move(scan), std::move(keys));
+  auto sort = testutil::Sort(std::move(scan), std::move(keys));
   auto rows = DrainRows(engine_.get(), sort.get());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].tuple.ValueAt(0).AsInt64(), 3);

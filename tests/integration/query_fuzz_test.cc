@@ -7,7 +7,8 @@
 // in the whole plan space at once: partial aggregation/sort/distinct, the
 // top-k LIMIT pushdown and its shared-bound pruning, and the no-ORDER-BY
 // row-quota path all sit under the same oracle. The scan/filter/project/
-// join fragment is also checked against an independent implementation,
+// join/aggregate/DISTINCT/ORDER BY/LIMIT queries without SUMMARY_COUNT are
+// also checked against an independent implementation,
 // core::RawPropagationEngine.
 //
 // A failure prints the offending SQL plus the seed; replay with
@@ -193,14 +194,20 @@ class QueryFuzzTest : public EngineFixture {
     }
     std::string sql = "SELECT ";
     if (agg) {
-      std::string group = rng.Bernoulli(0.5) ? "t.grp" : "t.txt";
+      // A quarter of the aggregates group by (and select) an expression.
+      static const char* kGroupExprs[] = {"t.val / 10", "t.id / 40 * t.id",
+                                          "t.grp + t.val / 25"};
+      const bool expr_group = rng.Bernoulli(0.25);
+      std::string group = expr_group         ? kGroupExprs[rng.Uniform(3)]
+                          : rng.Bernoulli(0.5) ? "t.grp"
+                                               : "t.txt";
       static const char* kAggs[] = {"COUNT(*)",   "SUM(t.val)", "MIN(t.val)",
                                     "MAX(t.val)", "AVG(t.val)", "MIN(t.txt)"};
       sql += group;
       size_t n = 1 + rng.Uniform(3);
       for (size_t i = 0; i < n; ++i) sql += std::string(", ") + kAggs[rng.Uniform(6)];
       sql += from + where + " GROUP BY " + group;
-      if (rng.Bernoulli(0.5)) {
+      if (!expr_group && rng.Bernoulli(0.5)) {
         sql += " ORDER BY " + group;
         if (rng.Bernoulli(0.5)) sql += " DESC";
       }
@@ -336,24 +343,71 @@ class QueryFuzzTest : public EngineFixture {
     return owners;
   }
 
-  /// Answers a scan/filter/project/join query with RawPropagationEngine
-  /// (full raw annotations, no summaries, no planner): each table is
-  /// scanned, filtered by its own conjuncts and projected to the columns
-  /// the query references (Theorem 1: annotations only on other columns
-  /// drop out); tables join on their first equi conjunct, or on a literal
-  /// key when there is none (a cross product); the remaining conjuncts
-  /// filter the joined rows. nullopt for queries outside that fragment
-  /// (aggregates, DISTINCT, LIMIT, SUMMARY_COUNT).
+  /// One aggregate over a group's rows, folded here in input order:
+  /// NULLs skipped, integer SUMs stay integers, AVG adds doubles in input
+  /// order, MIN/MAX keep the first of equal values.
+  static rel::Value RawAggregate(const AstExpr& agg, const std::vector<size_t>& members,
+                                 const std::vector<core::RawTuple>& rows,
+                                 const rel::Schema& schema) {
+    if (agg.agg_fn == exec::AggregateFunction::kCountStar) {
+      return I(static_cast<int64_t>(members.size()));
+    }
+    auto arg = sql::Bind(*agg.left, schema);
+    EXPECT_TRUE(arg.ok()) << arg.status().ToString();
+    int64_t count = 0, isum = 0;
+    double sum = 0.0;
+    bool all_int = true;
+    rel::Value best;
+    for (size_t m : members) {
+      auto v = (*arg)->Evaluate(rows[m].tuple);
+      EXPECT_TRUE(v.ok());
+      if (v->is_null()) continue;
+      ++count;
+      if (agg.agg_fn == exec::AggregateFunction::kSum ||
+          agg.agg_fn == exec::AggregateFunction::kAvg) {
+        sum += *v->ToNumeric();
+        if (v->type() == rel::ValueType::kInt64) {
+          isum += v->AsInt64();
+        } else {
+          all_int = false;
+        }
+      }
+      if (best.is_null()) {
+        best = *v;
+      } else if (agg.agg_fn == exec::AggregateFunction::kMin ||
+                 agg.agg_fn == exec::AggregateFunction::kMax) {
+        const int c = *v->Compare(best);
+        if (agg.agg_fn == exec::AggregateFunction::kMin ? c < 0 : c > 0) best = *v;
+      }
+    }
+    switch (agg.agg_fn) {
+      case exec::AggregateFunction::kCount: return I(count);
+      case exec::AggregateFunction::kSum:
+        if (count == 0) return rel::Value::Null();
+        return all_int ? I(isum) : rel::Value(sum);
+      case exec::AggregateFunction::kAvg:
+        if (count == 0) return rel::Value::Null();
+        return rel::Value(sum / static_cast<double>(count));
+      default: return best;
+    }
+  }
+
+  /// Answers a query with RawPropagationEngine (full raw annotations, no
+  /// summaries, no planner): each table is scanned, filtered by its own
+  /// conjuncts and projected to the columns the query references
+  /// (Theorem 1: annotations only on other columns drop out); tables join
+  /// on their first equi conjunct, or on a literal key when there is none
+  /// (a cross product); the remaining conjuncts filter the joined rows.
+  /// GROUP BY groups them (aggregates folded by RawAggregate), ORDER BY is
+  /// a stable sort, then the select list, DISTINCT and LIMIT apply in that
+  /// order. nullopt for queries outside that fragment (SUMMARY_COUNT).
   std::optional<std::vector<std::string>> RawOracle(const std::string& sql_text) {
     auto statement = sql::Parse(sql_text);
     EXPECT_TRUE(statement.ok()) << statement.status().ToString();
     const auto& stmt = std::get<sql::SelectStatement>(*statement);
-    if (stmt.distinct || stmt.limit.has_value() || !stmt.group_by.empty() ||
-        HasSummaryCount(stmt.where.get())) {
-      return std::nullopt;
-    }
+    if (HasSummaryCount(stmt.where.get())) return std::nullopt;
     for (const auto& item : stmt.items) {
-      if (item.expr == nullptr || item.expr->ContainsAggregate()) return std::nullopt;
+      if (item.expr == nullptr) return std::nullopt;
     }
     for (const auto& order : stmt.order_by) {
       if (HasSummaryCount(order.expr.get())) return std::nullopt;
@@ -371,6 +425,7 @@ class QueryFuzzTest : public EngineFixture {
     std::vector<std::string> referenced;
     for (const auto& item : stmt.items) item.expr->CollectColumns(&referenced);
     if (stmt.where != nullptr) stmt.where->CollectColumns(&referenced);
+    for (const auto& group : stmt.group_by) group->CollectColumns(&referenced);
     for (const auto& order : stmt.order_by) order.expr->CollectColumns(&referenced);
     std::vector<const AstExpr*> conjuncts;
     SplitConjuncts(stmt.where.get(), &conjuncts);
@@ -436,23 +491,77 @@ class QueryFuzzTest : public EngineFixture {
       joined = std::move(*filtered);
     }
 
-    std::vector<rel::ExprPtr> outputs;
+    // Grouping: each output row stands for a group of joined rows, whose
+    // first row supplies the group keys (and ORDER BY keys, which are
+    // group keys); without it every joined row is a group of one.
+    bool grouped = !stmt.group_by.empty();
     for (const auto& item : stmt.items) {
-      auto bound = sql::Bind(*item.expr, schema);
-      EXPECT_TRUE(bound.ok()) << bound.status().ToString();
-      outputs.push_back(std::move(*bound));
+      grouped = grouped || item.expr->ContainsAggregate();
     }
-    std::vector<std::string> rows;
-    for (const core::RawTuple& row : joined) {
-      rel::Tuple values;
-      for (const rel::ExprPtr& output : outputs) {
-        auto value = output->Evaluate(row.tuple);
-        EXPECT_TRUE(value.ok());
-        values.Append(std::move(*value));
+    std::vector<core::RawGroup> groups;
+    if (grouped) {
+      std::vector<rel::ExprPtr> keys;
+      for (const auto& group : stmt.group_by) {
+        auto bound = sql::Bind(*group, schema);
+        EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+        keys.push_back(std::move(*bound));
       }
+      auto collapsed = raw.Group(joined, keys);
+      EXPECT_TRUE(collapsed.ok()) << collapsed.status().ToString();
+      groups = std::move(*collapsed);
+      // A global aggregate over no rows is still one (empty) group.
+      if (groups.empty() && keys.empty()) groups.emplace_back();
+    } else {
+      for (size_t i = 0; i < joined.size(); ++i) {
+        groups.push_back(core::RawGroup{joined[i], {i}});
+      }
+    }
+    auto evaluate = [&](const AstExpr& expr, const core::RawGroup& group) {
+      if (expr.kind == AstExpr::Kind::kAggregate) {
+        return RawAggregate(expr, group.members, joined, schema);
+      }
+      auto bound = sql::Bind(expr, schema);
+      EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+      auto value = (*bound)->Evaluate(joined[group.members.front()].tuple);
+      EXPECT_TRUE(value.ok());
+      return *value;
+    };
+
+    // ORDER BY: a stable sort, so ties keep their input order.
+    std::vector<std::vector<rel::Value>> order_keys(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+      for (const auto& order : stmt.order_by) {
+        order_keys[g].push_back(evaluate(*order.expr, groups[g]));
+      }
+    }
+    std::vector<size_t> order(groups.size());
+    for (size_t g = 0; g < order.size(); ++g) order[g] = g;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      rel::ValueLess less;
+      for (size_t k = 0; k < stmt.order_by.size(); ++k) {
+        const bool asc = stmt.order_by[k].ascending;
+        if (less(order_keys[a][k], order_keys[b][k])) return asc;
+        if (less(order_keys[b][k], order_keys[a][k])) return !asc;
+      }
+      return false;
+    });
+
+    std::vector<core::RawTuple> out;
+    for (size_t g : order) {
+      core::RawTuple row = groups[g].row;
+      row.tuple = rel::Tuple();
+      for (const auto& item : stmt.items) {
+        row.tuple.Append(evaluate(*item.expr, groups[g]));
+      }
+      out.push_back(std::move(row));
+    }
+    if (stmt.distinct) out = raw.Distinct(out);
+    if (stmt.limit.has_value() && out.size() > *stmt.limit) out.resize(*stmt.limit);
+    std::vector<std::string> rows;
+    for (const core::RawTuple& row : out) {
       std::vector<ann::AnnotationId> ids;
       for (const ann::Annotation& note : row.annotations) ids.push_back(note.id);
-      rows.push_back(OracleRow(values, std::move(ids)));
+      rows.push_back(OracleRow(row.tuple, std::move(ids)));
     }
     return rows;
   }
@@ -743,20 +852,21 @@ TEST_F(QueryFuzzTest, SummariesHoldOnlyAttachedAnnotations) {
   EXPECT_GT(checked_rows, kNumQueries);
 }
 
-// Independent oracle: every corpus query in the scan/filter/project/join
-// fragment (cross products included) must return, at one worker and at
-// parallelism 8, the rows RawPropagationEngine computes from the raw
-// annotations — the same values, each with the same set of attached
-// annotation ids. Without ORDER BY the row order must match too (driving
-// table in row order, build rows in insertion order per probe row); with
-// it, ties may order differently, so rows compare as multisets.
-TEST_F(QueryFuzzTest, ScanFilterProjectJoinMatchRawPropagationOracle) {
+// Independent oracle: every corpus query without SUMMARY_COUNT (joins and
+// cross products, aggregates, DISTINCT, ORDER BY, LIMIT) must return, at
+// one worker and at parallelism 8, the rows RawPropagationEngine computes
+// from the raw annotations — the same values in the same order, each with
+// the same set of attached annotation ids. Row order is exact: the
+// driving table in row order, build rows in insertion order per probe
+// row, groups and distinct values in first-seen order, and ORDER BY as a
+// stable sort of that.
+TEST_F(QueryFuzzTest, RandomQueriesMatchRawPropagationOracle) {
   const uint64_t seed = FuzzSeed();
   Random rng(seed + 5);  // Distinct stream from the other fuzz sweeps.
-  // Twice the usual corpus: only about a fifth of it is in the fragment.
   constexpr int kOracleQueries = 2 * kNumQueries;
   int checked = 0;
-  int cross_products = 0;
+  int cross_products = 0, aggregates = 0, group_exprs = 0, distincts = 0, sorts = 0,
+      limits = 0;
   for (int q = 0; q < kOracleQueries; ++q) {
     const std::string sql = GenQuery(rng);
     SCOPED_TRACE("seed=" + std::to_string(seed) + " query#" + std::to_string(q) +
@@ -766,23 +876,30 @@ TEST_F(QueryFuzzTest, ScanFilterProjectJoinMatchRawPropagationOracle) {
         << "replay: INSIGHTNOTES_FUZZ_SEED=" << seed << "\n  " << sql;
     if (!expected.has_value()) continue;
     ++checked;
-    if (sql.find(", d d") != std::string::npos &&
-        sql.find("t.grp = d.k") == std::string::npos) {
-      ++cross_products;
+    auto has = [&](const char* part) { return sql.find(part) != std::string::npos; };
+    if (has(", d d") && !has("t.grp = d.k")) ++cross_products;
+    if (has("GROUP BY")) ++aggregates;
+    if (has("GROUP BY t.val /") || has("GROUP BY t.id /") || has("GROUP BY t.grp +")) {
+      ++group_exprs;
     }
-    const bool ordered = sql.find("ORDER BY") == std::string::npos;
-    if (!ordered) std::sort(expected->begin(), expected->end());
+    if (has("DISTINCT")) ++distincts;
+    if (has("ORDER BY")) ++sorts;
+    if (has("LIMIT")) ++limits;
     for (size_t parallelism : {1u, 8u}) {
-      std::vector<std::string> got = OracleRows(Execute(sql, parallelism, 16));
-      if (!ordered) std::sort(got.begin(), got.end());
-      ASSERT_EQ(*expected, got)
+      ASSERT_EQ(*expected, OracleRows(Execute(sql, parallelism, 16)))
           << "parallelism=" << parallelism
           << "\nreplay: INSIGHTNOTES_FUZZ_SEED=" << seed << "\n  " << sql;
     }
   }
-  // The fragment must be a real share of the corpus, cross products too.
-  EXPECT_GT(checked, kOracleQueries / 10);
+  // Only SUMMARY_COUNT queries fall outside the fragment: most of the
+  // corpus is checked, every construct among it.
+  EXPECT_GT(checked, kOracleQueries / 2);
   EXPECT_GT(cross_products, 0);
+  EXPECT_GT(aggregates, 0);
+  EXPECT_GT(group_exprs, 0);
+  EXPECT_GT(distincts, 0);
+  EXPECT_GT(sorts, 0);
+  EXPECT_GT(limits, 0);
 }
 
 // Optimizer differential: with ANALYZE statistics and secondary indexes in

@@ -157,6 +157,27 @@ TEST_F(PlannerTest, ErrorsPropagate) {
   EXPECT_FALSE(plan.ok());
 }
 
+TEST_F(PlannerTest, GroupByExpressionSelectsItsColumn) {
+  ASSERT_TRUE(engine_
+                  ->CreateTable("obs",
+                                rel::Schema({{"id", rel::ValueType::kInt64, "obs"}}))
+                  .ok());
+  for (int64_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(engine_->Insert("obs", rel::Tuple({testutil::I(i)})).ok());
+  }
+  // id / 280 * id is 0 for the first 280 ids and the id itself after.
+  const std::string sql =
+      "SELECT o.id / 280 * o.id, COUNT(*) FROM obs o GROUP BY o.id / 280 * o.id";
+  auto plan = PlanOf(sql);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->OutputSchema().ColumnAt(0).name, "((o.id / 280) * o.id)");
+  auto rows = Run(sql);
+  ASSERT_EQ(rows.size(), 21u);
+  EXPECT_EQ(rows[0].tuple, rel::Tuple({testutil::I(0), testutil::I(280)}));
+  EXPECT_EQ(rows[1].tuple, rel::Tuple({testutil::I(280), testutil::I(1)}));
+  EXPECT_EQ(rows[20].tuple, rel::Tuple({testutil::I(299), testutil::I(1)}));
+}
+
 TEST_F(PlannerTest, LimitZero) {
   auto rows = Run("SELECT r.a FROM R r LIMIT 0");
   EXPECT_TRUE(rows.empty());
@@ -262,6 +283,57 @@ TEST_F(TopKMetricsTest, OrderByLimitReportsConsistentPruningCounters) {
     EXPECT_GE(retained, static_cast<uint64_t>(kLimit));
     EXPECT_EQ(merges[0]->metrics.rows_out, kLimit);
   }
+}
+
+/// Sums mem_peak over `node`'s subtree.
+uint64_t TotalMemPeak(const exec::PlanMetrics& node) {
+  uint64_t total = node.metrics.mem_peak;
+  for (const auto& child : node.children) total += TotalMemPeak(child);
+  return total;
+}
+
+// One worker sorts through the same partial + merge pair as several: under
+// ORDER BY ... LIMIT k its partial keeps a size-k heap, its merge emits k
+// rows, and a retained result holds no more than those k rows.
+TEST_F(TopKMetricsTest, OneWorkerOrderByLimitKeepsTopKRows) {
+  struct Case {
+    std::string sql;
+    size_t limit;
+  };
+  const Case cases[] = {
+      {"SELECT b.id FROM big b ORDER BY b.val LIMIT 5", 5},
+      {"SELECT b.id, COUNT(*) FROM big b GROUP BY b.id ORDER BY b.id DESC LIMIT 2", 2},
+  };
+  SqlSession session(engine_.get());
+  ASSERT_TRUE(session.Execute("SET PARALLELISM = 1").ok());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    auto out = session.Execute("EXPLAIN ANALYZE " + c.sql);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const std::string topk = "PartialTopK(" + std::to_string(c.limit) + ")";
+    EXPECT_NE(out->message.find(topk), std::string::npos) << out->message;
+    EXPECT_NE(out->message.find("-> Gather(1)"), std::string::npos) << out->message;
+    const size_t merge = out->message.find("-> SortMerge");
+    ASSERT_NE(merge, std::string::npos) << out->message;
+    const std::string line =
+        out->message.substr(merge, out->message.find('\n', merge) - merge);
+    EXPECT_NE(line.find(" rows_out=" + std::to_string(c.limit) + " "), std::string::npos)
+        << line;
+  }
+
+  // The retained plan of the first statement charges its k rows, nothing
+  // more. Every row of `big` is (id, val) with no summaries or
+  // attachments, so each is charged the same bytes.
+  auto plan = PlanParallel(cases[0].sql, /*parallelism=*/1, /*morsel_size=*/256);
+  ASSERT_NE(plan, nullptr);
+  exec::Operator* root = plan.get();
+  auto result = engine_->Execute(std::move(plan));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const uint64_t row_bytes = core::ApproxBytes(
+      core::AnnotatedTuple(rel::Tuple({testutil::I(0), testutil::I(0)})));
+  const uint64_t charged = TotalMemPeak(exec::CollectPlanMetrics(root));
+  EXPECT_GT(charged, 0u);
+  EXPECT_LE(charged, 5 * row_bytes);
 }
 
 /// Opens once; waiters block until then (bounded, so a broken schedule

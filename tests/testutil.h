@@ -14,9 +14,12 @@
 
 #include "core/engine.h"
 #include "core/summary_instance.h"
+#include "exec/aggregate.h"
+#include "exec/distinct.h"
 #include "exec/hash_join.h"
 #include "exec/operator.h"
 #include "exec/parallel.h"
+#include "exec/sort.h"
 #include "rel/expression.h"
 
 namespace insightnotes::testutil {
@@ -86,6 +89,61 @@ inline std::unique_ptr<exec::Operator> HashJoin(std::unique_ptr<exec::Operator> 
   return std::make_unique<exec::GatherOperator>(
       std::move(workers), std::vector<std::shared_ptr<exec::SharedPlanState>>{build},
       /*pool=*/nullptr);
+}
+
+/// Aggregation of `child`, assembled the way the planner runs it with one
+/// worker: a Gather(1) over a partial aggregate of `child`, merged above.
+inline std::unique_ptr<exec::Operator> Aggregate(
+    std::unique_ptr<exec::Operator> child, std::vector<rel::ExprPtr> group_exprs,
+    std::vector<rel::Column> group_columns, std::vector<exec::AggregateItem> aggregates) {
+  std::vector<rel::ExprPtr> merge_exprs;
+  for (const rel::ExprPtr& expr : group_exprs) merge_exprs.push_back(expr->Clone());
+  std::vector<exec::AggregateItem> merge_items;
+  for (const exec::AggregateItem& item : aggregates) {
+    merge_items.push_back(exec::AggregateItem{
+        item.fn, item.arg != nullptr ? item.arg->Clone() : nullptr, item.output_name});
+  }
+  auto sink = std::make_shared<exec::PartialSink<exec::AggregatePartial>>();
+  std::vector<std::unique_ptr<exec::Operator>> pipes;
+  pipes.push_back(std::make_unique<exec::PartialAggregateOperator>(
+      std::move(child), std::move(group_exprs), std::move(aggregates), sink));
+  auto gather = std::make_unique<exec::GatherOperator>(
+      std::move(pipes), std::vector<std::shared_ptr<exec::SharedPlanState>>{sink},
+      /*pool=*/nullptr);
+  return std::make_unique<exec::AggregateMergeOperator>(
+      std::move(gather), std::move(merge_exprs), std::move(group_columns),
+      std::move(merge_items), std::move(sink), /*pool=*/nullptr);
+}
+
+/// ORDER BY `keys` over `child`, assembled the way the planner runs it with
+/// one worker: a Gather(1) over a partial sort of `child`, merged above.
+inline std::unique_ptr<exec::Operator> Sort(std::unique_ptr<exec::Operator> child,
+                                            std::vector<exec::SortKey> keys) {
+  std::vector<bool> ascending;
+  for (const exec::SortKey& key : keys) ascending.push_back(key.ascending);
+  auto sink = std::make_shared<exec::PartialSink<exec::SortRun>>();
+  std::vector<std::unique_ptr<exec::Operator>> pipes;
+  pipes.push_back(std::make_unique<exec::PartialSortOperator>(std::move(child),
+                                                              std::move(keys), sink));
+  auto gather = std::make_unique<exec::GatherOperator>(
+      std::move(pipes), std::vector<std::shared_ptr<exec::SharedPlanState>>{sink},
+      /*pool=*/nullptr);
+  return std::make_unique<exec::SortMergeOperator>(
+      std::move(gather), std::move(ascending), "keys", std::move(sink));
+}
+
+/// DISTINCT over `child`, assembled the way the planner runs it with one
+/// worker: a Gather(1) over a partial distinct of `child`, merged above.
+inline std::unique_ptr<exec::Operator> Distinct(std::unique_ptr<exec::Operator> child) {
+  auto sink = std::make_shared<exec::PartialSink<exec::DistinctPartial>>();
+  std::vector<std::unique_ptr<exec::Operator>> pipes;
+  pipes.push_back(
+      std::make_unique<exec::PartialDistinctOperator>(std::move(child), sink));
+  auto gather = std::make_unique<exec::GatherOperator>(
+      std::move(pipes), std::vector<std::shared_ptr<exec::SharedPlanState>>{sink},
+      /*pool=*/nullptr);
+  return std::make_unique<exec::DistinctMergeOperator>(std::move(gather), std::move(sink),
+                                                       /*pool=*/nullptr);
 }
 
 /// One attachment as tests spell it: an id and its covered columns,

@@ -39,13 +39,12 @@ T Check(Result<T> result, const char* what) {
   return std::move(result).value();
 }
 
-/// Pins `engine`'s current epoch on `op`'s query context (attaching a
-/// fresh context to a bare operator tree), opens `op` and drains it batch
-/// by batch, settling every row the way Engine::Execute does (so a
-/// projection's trim is paid here). Returns the row count, or the first
-/// error of the pin, of Open/NextBatch or of a settle.
-inline Result<size_t> DrainRows(core::Engine* engine, exec::Operator* op) {
-  INSIGHTNOTES_ASSIGN_OR_RETURN(core::ReadSnapshot pinned, engine->PinSnapshot());
+/// Pins `pinned` on `op`'s query context (attaching a fresh context to a
+/// bare operator tree), opens `op` and drains it batch by batch, settling
+/// every row the way Engine::Execute does (so a projection's trim is paid
+/// here). Returns the row count, or the first error of Open/NextBatch or
+/// of a settle.
+inline Result<size_t> DrainRows(core::ReadSnapshot pinned, exec::Operator* op) {
   if (op->query_context() == nullptr) {
     op->SetQueryContext(std::make_shared<exec::QueryContext>());
   }
@@ -61,6 +60,12 @@ inline Result<size_t> DrainRows(core::Engine* engine, exec::Operator* op) {
     }
     rows += batch.tuples.size();
   }
+}
+
+/// DrainRows against `engine`'s current epoch; also fails if the pin does.
+inline Result<size_t> DrainRows(core::Engine* engine, exec::Operator* op) {
+  INSIGHTNOTES_ASSIGN_OR_RETURN(core::ReadSnapshot pinned, engine->PinSnapshot());
+  return DrainRows(std::move(pinned), op);
 }
 
 struct BuiltWorkload {

@@ -75,6 +75,9 @@ AttachmentListPtr AttachmentList::Finish(std::shared_ptr<AttachmentList> list, s
       std::copy_n(list->mask(i), words, data + size + i * words);
     }
     list->data_.resize(size + size * words);
+    // A list can outlive its statement (a row state or a trim memo keeps
+    // it): it keeps no slack.
+    list->data_.shrink_to_fit();
     list->size_ = size;
     list->words_ = words;
   }
@@ -258,6 +261,71 @@ Status MergeSummaryLists(std::vector<std::unique_ptr<SummaryObject>>* into,
   return Status::OK();
 }
 
+std::shared_ptr<const TrimMemo::Entry> TrimMemo::Find(const ColumnMap& map) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& entry : entries_) {
+    if (entry != nullptr && entry->key->map == map) return entry;
+  }
+  return nullptr;
+}
+
+size_t TrimMemo::SlotFor(size_t dropped) const {
+  size_t slot = kEntries;
+  for (size_t i = 0; i < kEntries; ++i) {
+    if (entries_[i] == nullptr) return i;
+    if (dropped > entries_[i]->dropped &&
+        (slot == kEntries || entries_[i]->dropped < entries_[slot]->dropped)) {
+      slot = i;
+    }
+  }
+  return slot;
+}
+
+bool TrimMemo::Admits(size_t dropped) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return SlotFor(dropped) < kEntries;
+}
+
+void TrimMemo::Publish(std::shared_ptr<const TrimKey> key, size_t dropped,
+                       AttachmentListPtr attachments,
+                       const std::vector<std::unique_ptr<SummaryObject>>& summaries) {
+  if (!Admits(dropped)) return;
+  const TrimKey& published = *key;
+  auto entry = std::make_shared<Entry>();
+  entry->key = std::move(key);
+  entry->dropped = dropped;
+  entry->attachments = std::move(attachments);
+  entry->summaries.reserve(summaries.size());
+  for (const auto& s : summaries) entry->summaries.emplace_back(s->Clone());
+  std::shared_ptr<const Entry> replaced = std::move(entry);  // Freed after the unlock.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& e : entries_) {
+      if (e != nullptr && e->key->map == published.map) return;
+    }
+    const size_t slot = SlotFor(dropped);
+    if (slot == kEntries) return;
+    entries_[slot].swap(replaced);
+  }
+  published.fills.fetch_add(1, std::memory_order_relaxed);
+}
+
+size_t TrimMemo::ApproxBytes() const {
+  std::array<std::shared_ptr<const Entry>, kEntries> entries;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    entries = entries_;
+  }
+  size_t bytes = 0;
+  for (const auto& entry : entries) {
+    if (entry == nullptr) continue;
+    bytes += sizeof(Entry);
+    if (entry->attachments != nullptr) bytes += entry->attachments->ApproxBytes();
+    for (const auto& s : entry->summaries) bytes += s->PayloadBytes();
+  }
+  return bytes;
+}
+
 AnnotatedTuple AnnotatedTuple::Clone() const {
   AnnotatedTuple copy(tuple);
   copy.summaries.reserve(summaries.size());
@@ -268,8 +336,14 @@ AnnotatedTuple AnnotatedTuple::Clone() const {
 }
 
 Status AnnotatedTuple::Settle() {
+  memo = nullptr;
   if (trimmed.empty()) return Status::OK();
   for (auto& s : summaries) INSIGHTNOTES_RETURN_IF_ERROR(s->Restrict(trimmed));
+  if (fill != nullptr) {
+    fill->memo->Publish(std::move(fill->key), trimmed.size(), std::move(fill->attachments),
+                        summaries);
+    fill.reset();
+  }
   trimmed.clear();
   return Status::OK();
 }

@@ -20,12 +20,22 @@
 // settled), at a summary read, in the worker that emits it from a
 // parallel section, and at every drain. Tuples a join, a summary filter or
 // a top-k heap throw away never pay for the restriction.
+//
+// Trim memo: a trim of unchanged scan output is a pure function of the
+// epoch's row version and the projection's column map, so the row version
+// keeps it (TrimMemo). A scan tuple points at its row's memo; a trimming
+// projection that finds its map there takes the trimmed list and the
+// restricted summaries by pointer and leaves nothing pending, and one that
+// misses trims as above and publishes at the tuple's first Settle().
 
 #ifndef INSIGHTNOTES_CORE_ANNOTATED_TUPLE_H_
 #define INSIGHTNOTES_CORE_ANNOTATED_TUPLE_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -51,6 +61,8 @@ using AttachmentListPtr = std::shared_ptr<const AttachmentList>;
 struct ColumnMap {
   /// Output position i reads the input columns `refs[i]`.
   static ColumnMap Of(size_t in_columns, const std::vector<std::vector<size_t>>& refs);
+
+  bool operator==(const ColumnMap&) const = default;
 
   size_t out_words = 0;
   std::vector<uint64_t> positions;
@@ -108,6 +120,69 @@ class AttachmentList {
   std::vector<uint64_t> data_;  // size_ ids, then size_ masks of words_ words.
 };
 
+/// A trimming projection's key into row memos: its column map, and how
+/// many memo entries were published under it (EXPLAIN ANALYZE's
+/// memo_fills), counted by whichever thread settles the tuple.
+struct TrimKey {
+  ColumnMap map;
+  mutable std::atomic<uint64_t> fills{0};
+};
+
+/// One row version's memo of Theorem-1 trims, owned by the epoch's row
+/// state: a write makes a new row state, and so an empty memo. It holds
+/// at most kEntries trims, which keeps the memo within about two trimmed
+/// copies of the table's summaries. A trim takes a free entry, or replaces
+/// the entry whose trim dropped the fewest annotations if it dropped more:
+/// such a trim costs more to redo and leaves a smaller entry, and since an
+/// entry's count only grows, maps that alternate on a row never thrash it.
+/// Thread-safe; entries are immutable, and a replaced one lives on until
+/// its last reader drops it.
+class TrimMemo {
+ public:
+  struct Entry {
+    std::shared_ptr<const TrimKey> key;  // Of the projection that published it.
+    size_t dropped = 0;                  // Annotations the trim removed.
+    AttachmentListPtr attachments;
+    std::vector<std::unique_ptr<const SummaryObject>> summaries;
+  };
+
+  /// The entry holding the trim under `map`, or null.
+  std::shared_ptr<const Entry> Find(const ColumnMap& map) const;
+
+  /// True if a trim that drops `dropped` annotations would be published.
+  bool Admits(size_t dropped) const;
+
+  /// Publishes `attachments` and clones of `summaries` (sharing their
+  /// copy-on-write payloads), the trim under `key->map` that dropped
+  /// `dropped` annotations, if Admits(dropped) and no entry holds that
+  /// map; counts it in `key->fills`.
+  void Publish(std::shared_ptr<const TrimKey> key, size_t dropped,
+               AttachmentListPtr attachments,
+               const std::vector<std::unique_ptr<SummaryObject>>& summaries);
+
+  /// Bytes of the entries, each summary payload counted whole (an upper
+  /// bound: a restriction that dropped nothing shares it).
+  size_t ApproxBytes() const;
+
+ private:
+  static constexpr size_t kEntries = 2;
+
+  /// The entry a trim dropping `dropped` would take, or kEntries. Caller
+  /// holds mutex_.
+  size_t SlotFor(size_t dropped) const;
+
+  mutable std::mutex mutex_;
+  std::array<std::shared_ptr<const Entry>, kEntries> entries_;  // Guarded by mutex_.
+};
+
+/// A trim a projection computed because it missed `memo`; the tuple's
+/// first Settle() publishes it once the summaries are restricted.
+struct TrimFill {
+  TrimMemo* memo = nullptr;
+  std::shared_ptr<const TrimKey> key;
+  AttachmentListPtr attachments;  // The projection's output list.
+};
+
 /// Move-only; use Clone() for explicit copies (summary objects are owned
 /// polymorphic state; the attachment list is shared).
 class AnnotatedTuple {
@@ -126,7 +201,9 @@ class AnnotatedTuple {
   SummaryObject* FindSummary(std::string_view name) const;
 
   /// Applies the pending trim: restricts every summary object by
-  /// `trimmed` once, then clears it. A no-op on a settled tuple.
+  /// `trimmed` once, then clears it and publishes a pending `fill`. Clears
+  /// `memo`: a settled tuple is no longer scan output (merges, grouping
+  /// and every drain settle first). Otherwise a no-op on a settled tuple.
   Status Settle();
 
   /// The object of instance `name` (nullptr if none), restricted by the
@@ -143,6 +220,14 @@ class AnnotatedTuple {
   /// `summaries` still hold until Settle(). Ascending, unique; empty on a
   /// settled tuple.
   std::vector<ann::AnnotationId> trimmed;
+
+  /// The trim memo of the epoch row version this tuple is unchanged scan
+  /// output of, or null. Valid while the scan's epoch stays pinned. Not
+  /// copied by Clone().
+  TrimMemo* memo = nullptr;
+  /// Set with `trimmed` by a trimming projection that missed the memo.
+  /// Not copied by Clone(): only the original publishes.
+  std::unique_ptr<TrimFill> fill;
 };
 
 /// A run of AnnotatedTuples moved through the batch-at-a-time operator

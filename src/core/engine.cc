@@ -413,6 +413,11 @@ uint64_t Engine::CurrentEpoch() const {
   return snap == nullptr ? 0 : snap->epoch();
 }
 
+size_t Engine::TrimMemoBytes() const {
+  ReadSnapshot snap = Published();
+  return snap == nullptr ? 0 : snap->TrimMemoBytes();
+}
+
 std::unordered_map<rel::TableId, rel::RowId> Engine::CurrentBounds() const {
   std::unordered_map<rel::TableId, rel::RowId> bounds;
   if (catalog_ == nullptr) return bounds;

@@ -277,6 +277,10 @@ class Engine {
   /// Epoch of the currently published snapshot (0 before Init).
   uint64_t CurrentEpoch() const;
 
+  /// Bytes the published epoch's row versions hold in trim memos (see
+  /// core::TrimMemo); 0 before Init.
+  size_t TrimMemoBytes() const;
+
   /// Epochs fully retired so far: published, superseded, and dropped by
   /// their last reader. The tests' leak check for epoch lifetime.
   uint64_t RetiredEpochs() const {

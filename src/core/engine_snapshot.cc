@@ -19,6 +19,15 @@ const EngineSnapshot::RowState* EngineSnapshot::FindRow(rel::TableId table,
   return it == shard->rows.end() ? nullptr : it->second.get();
 }
 
+size_t EngineSnapshot::TrimMemoBytes() const {
+  size_t bytes = 0;
+  for (const auto& shard : shards_) {
+    if (shard == nullptr) continue;
+    for (const auto& [key, state] : shard->rows) bytes += state->memo.ApproxBytes();
+  }
+  return bytes;
+}
+
 Result<std::vector<std::unique_ptr<SummaryObject>>> EngineSnapshot::SummariesFor(
     rel::TableId table, rel::RowId row) const {
   return SummariesOf(table, FindRow(table, row));

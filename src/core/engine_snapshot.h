@@ -57,11 +57,14 @@ class EngineSnapshot {
   /// row the archived id is attached to, so no published list can hold a
   /// stale one). `has_objects` distinguishes "maintained objects exist
   /// (maybe empty after an unlink)" from "row never summarized" — the two
-  /// cases produce different summaries (see SummariesFor).
+  /// cases produce different summaries (see SummariesFor). `memo` holds
+  /// the row version's Theorem-1 trims: every epoch sharing this state
+  /// shares them, and the write that replaces the state drops them.
   struct RowState {
     AttachmentListPtr attachments;
     bool has_objects = false;
     std::vector<std::shared_ptr<const SummaryObject>> summaries;
+    mutable TrimMemo memo;
   };
 
   static constexpr size_t kNumShards = 64;
@@ -112,6 +115,9 @@ class EngineSnapshot {
   /// The row's state, or nullptr if the row had no annotations and no
   /// maintained objects at publication.
   const RowState* FindRow(rel::TableId table, rel::RowId row) const;
+
+  /// Bytes held by the trim memos of this epoch's row states.
+  size_t TrimMemoBytes() const;
 
   // --- Writer-side construction (engine only, under the writer mutex) ------
 

@@ -101,13 +101,17 @@ Status ClassifierObject::Restrict(std::span<const ann::AnnotationId> dropped) {
   if (!hit) return Status::OK();
   // Builds the restricted copy directly: a shared state is never copied
   // whole first.
+  // Survivors go through a scratch run first, so each kept list is
+  // allocated at its size: a restricted copy may be kept long after (a
+  // trim memo holds it).
+  thread_local std::vector<ann::AnnotationId> scratch;
   auto restricted = std::make_shared<LabelIds>(ids_per_label_->size());
   for (size_t label = 0; label < restricted->size(); ++label) {
     const auto& ids = (*ids_per_label_)[label];
-    auto& kept = (*restricted)[label];
-    kept.reserve(ids.size());
+    scratch.clear();
     std::set_difference(ids.begin(), ids.end(), dropped.begin(), dropped.end(),
-                        std::back_inserter(kept));
+                        std::back_inserter(scratch));
+    (*restricted)[label].assign(scratch.begin(), scratch.end());
   }
   ids_per_label_ = std::move(restricted);
   return Status::OK();
@@ -134,6 +138,12 @@ Status ClassifierObject::MergeWith(const SummaryObject& other) {
 
 std::unique_ptr<SummaryObject> ClassifierObject::Clone() const {
   return std::make_unique<ClassifierObject>(*this);
+}
+
+size_t ClassifierObject::PayloadBytes() const {
+  size_t bytes = sizeof(LabelIds) + ids_per_label_->capacity() * sizeof(LabelIds::value_type);
+  for (const auto& ids : *ids_per_label_) bytes += ids.capacity() * sizeof(ann::AnnotationId);
+  return bytes;
 }
 
 size_t ClassifierObject::NumAnnotations() const {
@@ -203,6 +213,10 @@ Status ClusterObject::MergeWith(const SummaryObject& other) {
 
 std::unique_ptr<SummaryObject> ClusterObject::Clone() const {
   return std::make_unique<ClusterObject>(*this);
+}
+
+size_t ClusterObject::PayloadBytes() const {
+  return clusters_->ApproxBytes();
 }
 
 size_t ClusterObject::NumAnnotations() const { return clusters_->NumDocuments(); }
@@ -286,6 +300,12 @@ Status SnippetObject::MergeWith(const SummaryObject& other) {
 
 std::unique_ptr<SummaryObject> SnippetObject::Clone() const {
   return std::make_unique<SnippetObject>(*this);
+}
+
+size_t SnippetObject::PayloadBytes() const {
+  size_t bytes = sizeof(std::vector<Entry>) + entries_->capacity() * sizeof(Entry);
+  for (const Entry& entry : *entries_) bytes += entry.title.capacity() + entry.snippet.capacity();
+  return bytes;
 }
 
 size_t SnippetObject::NumAnnotations() const { return entries_->size(); }

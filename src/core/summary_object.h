@@ -69,6 +69,9 @@ class SummaryObject {
   /// Number of distinct annotations contributing.
   virtual size_t NumAnnotations() const = 0;
 
+  /// Approximate bytes of the copy-on-write payload, shared or not.
+  virtual size_t PayloadBytes() const = 0;
+
   // --- Zoom-in surface ----------------------------------------------------
   /// Components are the user-visible parts of a summary: class labels for
   /// classifiers, groups for clusters, snippets for snippet objects.
@@ -119,6 +122,7 @@ class ClassifierObject final : public SummaryObject {
   Status MergeWith(const SummaryObject& other) override;
   std::unique_ptr<SummaryObject> Clone() const override;
   size_t NumAnnotations() const override;
+  size_t PayloadBytes() const override;
   size_t NumComponents() const override;
   std::span<const ann::AnnotationId> AppendComponent(size_t index,
                                                      std::string* label) const override;
@@ -150,6 +154,7 @@ class ClusterObject final : public SummaryObject {
   Status MergeWith(const SummaryObject& other) override;
   std::unique_ptr<SummaryObject> Clone() const override;
   size_t NumAnnotations() const override;
+  size_t PayloadBytes() const override;
   size_t NumComponents() const override;
   std::span<const ann::AnnotationId> AppendComponent(size_t index,
                                                      std::string* label) const override;
@@ -176,6 +181,7 @@ class SnippetObject final : public SummaryObject {
   Status MergeWith(const SummaryObject& other) override;
   std::unique_ptr<SummaryObject> Clone() const override;
   size_t NumAnnotations() const override;
+  size_t PayloadBytes() const override;
   size_t NumComponents() const override;
   std::span<const ann::AnnotationId> AppendComponent(size_t index,
                                                      std::string* label) const override;

@@ -18,7 +18,8 @@
 // core/annotated_tuple.h). A row is settled once, by whichever probe
 // worker matches it first, under a per-row once-flag reset with the
 // state: rows that never match never pay for the restriction, and a row
-// matched by many probe tuples pays once.
+// matched by many probe tuples pays once. A row whose trim memo already
+// holds the build's trim arrives settled, and its once-call is empty.
 
 #ifndef INSIGHTNOTES_EXEC_HASH_JOIN_H_
 #define INSIGHTNOTES_EXEC_HASH_JOIN_H_

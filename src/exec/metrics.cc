@@ -62,6 +62,10 @@ void RenderNode(const PlanMetrics& node, size_t depth, std::ostringstream* os) {
     *os << " settled=" << node.metrics.rows_settled
         << " settle_ms=" << static_cast<double>(node.metrics.settle_ns) / 1e6;
   }
+  if (node.metrics.memo_hits > 0 || node.metrics.memo_fills > 0) {
+    *os << " memo_hits=" << node.metrics.memo_hits
+        << " memo_fills=" << node.metrics.memo_fills;
+  }
   if (node.metrics.cancel_checks > 0) {
     *os << " cancel_checks=" << node.metrics.cancel_checks;
   }

@@ -51,6 +51,8 @@ struct OperatorMetrics {
   uint64_t merge_ns = 0;          // Merge operators: time folding partial states.
   uint64_t rows_settled = 0;      // Gather: rows whose pending trim workers applied.
   uint64_t settle_ns = 0;         // Gather: time workers spent settling them.
+  uint64_t memo_hits = 0;         // Trimming projection: trims taken from row memos.
+  uint64_t memo_fills = 0;        // Trimming projection: trims published to them.
   uint64_t rows_pruned = 0;       // LIMIT pushdown: rows provably outside the
                                   // result, dropped before materialization.
   uint64_t bound_updates = 0;     // Top-k sort: shared k-th-candidate tightenings.
@@ -128,13 +130,8 @@ class Operator {
     metrics_enabled_ = enabled;
   }
 
-  /// Zeroes the counters of this subtree (e.g. before a re-execution).
-  void ResetMetricsTree() {
-    for (Operator* child : Children()) child->ResetMetricsTree();
-    metrics_ = OperatorMetrics{};
-  }
-
-  const OperatorMetrics& metrics() const { return metrics_; }
+  /// A copy of this operator's counters.
+  virtual OperatorMetrics metrics() const { return metrics_; }
 
  protected:
   virtual Status OpenImpl() = 0;

@@ -105,12 +105,15 @@ Status ScanMorselSource::Materialize(uint64_t morsel, core::AnnotatedBatch* out)
     core::AnnotatedTuple tuple(std::move(data));
     if (with_summaries_) {
       // Workers on other morsels and concurrent writers never perturb what
-      // this scan sees: the epoch is immutable. One lookup serves both the
-      // summaries and the attachment list.
+      // this scan sees: the epoch is immutable. One lookup serves the
+      // summaries, the attachment list and the row version's trim memo.
       const core::EngineSnapshot::RowState* state = snapshot_->FindRow(table_->id(), rows_[i]);
       INSIGHTNOTES_ASSIGN_OR_RETURN(tuple.summaries,
                                     snapshot_->SummariesOf(table_->id(), state));
-      if (state != nullptr) tuple.attachments = state->attachments;
+      if (state != nullptr) {
+        tuple.attachments = state->attachments;
+        tuple.memo = &state->memo;
+      }
     }
     out->tuples.push_back(std::move(tuple));
   }

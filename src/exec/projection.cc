@@ -1,5 +1,7 @@
 #include "exec/projection.h"
 
+#include <utility>
+
 namespace insightnotes::exec {
 
 ProjectOperator::ProjectOperator(std::unique_ptr<Operator> child,
@@ -7,6 +9,7 @@ ProjectOperator::ProjectOperator(std::unique_ptr<Operator> child,
                                  bool trim_annotations)
     : child_(std::move(child)),
       items_(std::move(items)),
+      key_(std::make_shared<core::TrimKey>()),
       trim_annotations_(trim_annotations) {
   const size_t in_columns = child_->OutputSchema().NumColumns();
   std::vector<std::vector<size_t>> refs(items_.size());
@@ -17,7 +20,7 @@ ProjectOperator::ProjectOperator(std::unique_ptr<Operator> child,
     schema_.AddColumn(
         rel::Column{items_[item].output_name, items_[item].type, items_[item].qualifier});
   }
-  columns_ = core::ColumnMap::Of(in_columns, refs);
+  key_->map = core::ColumnMap::Of(in_columns, refs);
 }
 
 Result<std::unique_ptr<ProjectOperator>> ProjectOperator::FromColumns(
@@ -41,17 +44,28 @@ Result<std::unique_ptr<ProjectOperator>> ProjectOperator::FromColumns(
 }
 
 Status ProjectOperator::ProjectTuple(core::AnnotatedTuple* in_ptr,
-                                     core::AnnotatedTuple* out) const {
+                                     core::AnnotatedTuple* out) {
   core::AnnotatedTuple& in = *in_ptr;
   // 1. Trim (Theorem 1): annotations attached only to projected-out
   //    columns leave the attachment list here and their ids join the
   //    tuple's pending trim; the summaries are restricted by the tuple's
   //    first Settle(), which comes before any merge. Surviving
   //    attachments are remapped to output positions in a new list. A
-  //    projection that keeps every column where it is changes neither.
+  //    projection that keeps every column where it is changes neither,
+  //    and its output is still scan output.
   if (!identity_) {
-    in.attachments = core::AttachmentList::Project(in.attachments, columns_,
-                                                   trim_annotations_, &in.trimmed);
+    // Whole-row coverage survives every projection: no work to memoize.
+    if (trim_annotations_ && in.memo != nullptr && in.attachments != nullptr &&
+        in.attachments->words() > 0) {
+      TrimThroughMemo(&in);
+    } else {
+      const size_t pending = in.trimmed.size();
+      in.attachments = core::AttachmentList::Project(in.attachments, key_->map,
+                                                     trim_annotations_, &in.trimmed);
+      // A fill holds the trim of the projection that armed it, no more.
+      if (in.trimmed.size() != pending) in.fill.reset();
+      in.memo = nullptr;
+    }
   }
 
   // 2. Project the data values.
@@ -65,7 +79,34 @@ Status ProjectOperator::ProjectTuple(core::AnnotatedTuple* in_ptr,
   out->summaries = std::move(in.summaries);
   out->attachments = std::move(in.attachments);
   out->trimmed = std::move(in.trimmed);
+  out->memo = in.memo;
+  out->fill = std::move(in.fill);
   return Status::OK();
+}
+
+void ProjectOperator::TrimThroughMemo(core::AnnotatedTuple* in) {
+  core::TrimMemo* memo = std::exchange(in->memo, nullptr);
+  if (std::shared_ptr<const core::TrimMemo::Entry> hit = memo->Find(key_->map)) {
+    ++metrics_.memo_hits;
+    in->attachments = hit->attachments;
+    in->summaries.clear();
+    for (const auto& s : hit->summaries) in->summaries.push_back(s->Clone());
+    return;
+  }
+  in->attachments =
+      core::AttachmentList::Project(in->attachments, key_->map, /*trim=*/true, &in->trimmed);
+  if (!memo->Admits(in->trimmed.size())) return;
+  if (in->trimmed.empty()) {
+    memo->Publish(key_, 0, in->attachments, in->summaries);  // Only remapped.
+    return;
+  }
+  in->fill = std::make_unique<core::TrimFill>(core::TrimFill{memo, key_, in->attachments});
+}
+
+OperatorMetrics ProjectOperator::metrics() const {
+  OperatorMetrics metrics = metrics_;
+  metrics.memo_fills = key_->fills.load(std::memory_order_relaxed);
+  return metrics;
 }
 
 Result<bool> ProjectOperator::NextBatchImpl(core::AnnotatedBatch* out) {

@@ -10,6 +10,12 @@
 // touched group) — only for tuples that reach a merge, a summary read or
 // the result. The planner places projections *before* merge operators so
 // equivalent plans propagate identical summaries.
+//
+// A trimming projection over unchanged scan output reads and fills the
+// row version's trim memo (core::TrimMemo): a hit takes the trimmed list
+// and the restricted summaries by pointer and leaves no trim pending; a
+// miss trims as above and the tuple's first Settle() publishes the result.
+// EXPLAIN ANALYZE shows both as memo_hits and memo_fills.
 
 #ifndef INSIGHTNOTES_EXEC_PROJECTION_H_
 #define INSIGHTNOTES_EXEC_PROJECTION_H_
@@ -52,6 +58,8 @@ class ProjectOperator final : public Operator {
   std::string Name() const override;
   std::vector<Operator*> Children() override { return {child_.get()}; }
   size_t EstimatedRows() const override { return child_->EstimatedRows(); }
+  /// With memo_fills: entries published by its tuples' settles so far.
+  OperatorMetrics metrics() const override;
 
  protected:
   Status OpenImpl() override { return child_->Open(); }
@@ -60,12 +68,15 @@ class ProjectOperator final : public Operator {
 
  private:
   /// Trims/remaps annotations and projects the data values of one tuple.
-  Status ProjectTuple(core::AnnotatedTuple* in, core::AnnotatedTuple* out) const;
+  Status ProjectTuple(core::AnnotatedTuple* in, core::AnnotatedTuple* out);
+  /// The trim of scan output `in` through its row's memo.
+  void TrimThroughMemo(core::AnnotatedTuple* in);
 
   std::unique_ptr<Operator> child_;
   std::vector<ProjectionItem> items_;
   rel::Schema schema_;
-  core::ColumnMap columns_;  // Child column -> output positions.
+  // Child column -> output positions; the memo key of a trimming projection.
+  std::shared_ptr<core::TrimKey> key_;
   bool trim_annotations_;
   bool identity_;  // Output column i is child column i, for every i.
 };

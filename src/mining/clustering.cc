@@ -362,6 +362,10 @@ Result<ClusterSet> ClusterSet::Restricted(std::span<const DocId> dropped) const 
     }
     out.docs_.push_back(DocSlot{docs_[i].doc, renumber[docs_[i].group]});
   }
+  // The sums were reserved at their size before the drops; a restricted
+  // set may be kept long after (a trim memo holds it), so it keeps no
+  // slack.
+  out.centroids_.shrink_to_fit();
   return out;
 }
 

@@ -165,6 +165,12 @@ class ClusterSet {
   }
   size_t NumGroups() const { return groups_.size(); }
   size_t NumDocuments() const { return docs_.size(); }
+  /// Approximate bytes of the set (its arrays; vectors live in the store).
+  size_t ApproxBytes() const {
+    return sizeof(*this) + groups_.capacity() * sizeof(Group) +
+           members_.capacity() * sizeof(DocId) +
+           centroids_.capacity() * sizeof(txt::TermWeight) + docs_.capacity() * sizeof(DocSlot);
+  }
   double threshold() const { return threshold_; }
 
   /// Members of group `index`.

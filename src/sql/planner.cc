@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 
 #include "exec/aggregate.h"
@@ -746,7 +747,10 @@ class SelectPlanner {
   }
 
   /// The ORDER BY key list bound against `schema` (the pre-final-projection
-  /// schema, where aliases of aggregate outputs are present already).
+  /// schema). Above an aggregation a key that names a select item (by its
+  /// alias or its expression) or a GROUP BY expression is that column of
+  /// the aggregation's output, by position: the output holds neither a
+  /// group key's alias nor the input columns of a group expression.
   /// SUMMARY_COUNT keys interleave with ordinary expression keys.
   Result<std::vector<exec::SortKey>> BindSortKeys(const rel::Schema& schema) {
     std::vector<exec::SortKey> keys;
@@ -755,12 +759,34 @@ class SelectPlanner {
       key.ascending = item.ascending;
       if (item.expr->kind == AstExpr::Kind::kSummaryCount) {
         key.spec = SpecOf(*item.expr);
+      } else if (std::optional<size_t> column = AggregateOutputColumn(*item.expr)) {
+        key.expr = rel::MakeColumn(*column, schema.ColumnAt(*column).QualifiedName());
       } else {
         INSIGHTNOTES_ASSIGN_OR_RETURN(key.expr, Bind(*item.expr, schema));
       }
       keys.push_back(std::move(key));
     }
     return keys;
+  }
+
+  /// The aggregation-output column an ORDER BY key names: a select item's
+  /// alias first, then a GROUP BY expression, then a select item's
+  /// expression. Nullopt without an aggregation or a match.
+  std::optional<size_t> AggregateOutputColumn(const AstExpr& key) const {
+    if (!aggregated_) return std::nullopt;
+    if (key.kind == AstExpr::Kind::kColumn) {
+      for (size_t i = 0; i < expanded_items_.size(); ++i) {
+        if (expanded_items_[i].alias == key.name) return agg_columns_[i];
+      }
+    }
+    const std::string text = AstToString(key);
+    for (size_t g = 0; g < stmt_.group_by.size(); ++g) {
+      if (AstToString(*stmt_.group_by[g]) == text) return g;
+    }
+    for (size_t i = 0; i < expanded_items_.size(); ++i) {
+      if (AstToString(*expanded_items_[i].expr) == text) return agg_columns_[i];
+    }
+    return std::nullopt;
   }
 
   /// The projection items of the final SELECT list against `in`. Shared by

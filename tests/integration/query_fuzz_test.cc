@@ -203,12 +203,15 @@ class QueryFuzzTest : public EngineFixture {
                                                : "t.txt";
       static const char* kAggs[] = {"COUNT(*)",   "SUM(t.val)", "MIN(t.val)",
                                     "MAX(t.val)", "AVG(t.val)", "MIN(t.txt)"};
-      sql += group;
+      // Half of the group keys are aliased; ORDER BY names a key by its
+      // alias or repeats the group column or expression.
+      const bool aliased = rng.Bernoulli(0.5);
+      sql += group + (aliased ? " AS g" : "");
       size_t n = 1 + rng.Uniform(3);
       for (size_t i = 0; i < n; ++i) sql += std::string(", ") + kAggs[rng.Uniform(6)];
       sql += from + where + " GROUP BY " + group;
-      if (!expr_group && rng.Bernoulli(0.5)) {
-        sql += " ORDER BY " + group;
+      if (rng.Bernoulli(0.5)) {
+        sql += " ORDER BY " + (aliased && rng.Bernoulli(0.5) ? std::string("g") : group);
         if (rng.Bernoulli(0.5)) sql += " DESC";
       }
     } else {
@@ -527,11 +530,18 @@ class QueryFuzzTest : public EngineFixture {
       return *value;
     };
 
-    // ORDER BY: a stable sort, so ties keep their input order.
+    // ORDER BY: a stable sort, so ties keep their input order. A key that
+    // names a select item's alias orders by that item.
+    auto order_expr = [&](const AstExpr& key) -> const AstExpr& {
+      for (const auto& item : stmt.items) {
+        if (key.kind == AstExpr::Kind::kColumn && item.alias == key.name) return *item.expr;
+      }
+      return key;
+    };
     std::vector<std::vector<rel::Value>> order_keys(groups.size());
     for (size_t g = 0; g < groups.size(); ++g) {
       for (const auto& order : stmt.order_by) {
-        order_keys[g].push_back(evaluate(*order.expr, groups[g]));
+        order_keys[g].push_back(evaluate(order_expr(*order.expr), groups[g]));
       }
     }
     std::vector<size_t> order(groups.size());

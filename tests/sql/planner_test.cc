@@ -178,6 +178,39 @@ TEST_F(PlannerTest, GroupByExpressionSelectsItsColumn) {
   EXPECT_EQ(rows[20].tuple, rel::Tuple({testutil::I(299), testutil::I(1)}));
 }
 
+// ORDER BY above an aggregation names a group key by its select alias or
+// by the GROUP BY expression itself; both bind to the key's output column.
+TEST_F(PlannerTest, OrderByGroupExpressionOrAliasSortsByGroupKey) {
+  ASSERT_TRUE(engine_
+                  ->CreateTable("birds",
+                                rel::Schema({{"id", rel::ValueType::kInt64, "birds"},
+                                             {"weight", rel::ValueType::kInt64, "birds"}}))
+                  .ok());
+  // Group keys 3, 0, 2, 1, 4 in first-seen order.
+  const int64_t weights[] = {35, 5, 27, 12, 41, 8, 30};
+  for (int64_t i = 0; i < 7; ++i) {
+    ASSERT_TRUE(
+        engine_->Insert("birds", rel::Tuple({testutil::I(i), testutil::I(weights[i])})).ok());
+  }
+  const std::vector<rel::Tuple> ascending = {
+      rel::Tuple({testutil::I(0), testutil::I(2)}), rel::Tuple({testutil::I(1), testutil::I(1)}),
+      rel::Tuple({testutil::I(2), testutil::I(1)}), rel::Tuple({testutil::I(3), testutil::I(2)}),
+      rel::Tuple({testutil::I(4), testutil::I(1)})};
+  for (const char* order : {"w", "b.weight / 10"}) {
+    SCOPED_TRACE(order);
+    const std::string sql =
+        std::string("SELECT b.weight / 10 AS w, COUNT(*) FROM birds b GROUP BY b.weight / 10 "
+                    "ORDER BY ") +
+        order;
+    auto rows = Run(sql);
+    ASSERT_EQ(rows.size(), ascending.size());
+    for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i].tuple, ascending[i]) << i;
+    auto descending = Run(sql + " DESC");
+    ASSERT_EQ(descending.size(), ascending.size());
+    EXPECT_EQ(descending.front().tuple, ascending.back());
+  }
+}
+
 TEST_F(PlannerTest, LimitZero) {
   auto rows = Run("SELECT r.a FROM R r LIMIT 0");
   EXPECT_TRUE(rows.empty());
@@ -460,6 +493,71 @@ TEST_F(PlannerTest, ExplainAnalyzeReportsSettleOnGather) {
   ASSERT_NE(settled, std::string::npos) << out->message;
   EXPECT_GT(std::stoull(line.substr(settled + 9)), 0u) << line;
   EXPECT_NE(line.find(" settle_ms="), std::string::npos) << line;
+}
+
+// The trim memo: the first trim statement fills every surviving row's
+// memo as its rows settle; the same statement again takes every trim from
+// the memo, so its projections report one hit per row and nothing is left
+// for the gather to settle.
+TEST_F(PlannerTest, ExplainAnalyzeReportsTrimMemoHitsOnRepeat) {
+  ASSERT_TRUE(engine_
+                  ->CreateTable("birds",
+                                rel::Schema({{"id", rel::ValueType::kInt64, "birds"},
+                                             {"name", rel::ValueType::kString, "birds"},
+                                             {"weight", rel::ValueType::kInt64, "birds"},
+                                             {"family", rel::ValueType::kString, "birds"}}))
+                  .ok());
+  constexpr int64_t kRows = 600;  // Three morsels.
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(engine_
+                    ->Insert("birds", rel::Tuple({testutil::I(i), testutil::S("bird"),
+                                                  testutil::I(i % 50), testutil::S("gull")}))
+                    .ok());
+  }
+  ASSERT_TRUE(engine_->LinkInstance("ClassBird1", "birds").ok());
+  // Every row keeps one note and loses one to the projection.
+  std::vector<core::AnnotateSpec> specs;
+  for (rel::RowId row = 0; row < kRows; ++row) {
+    specs.push_back(Spec("birds", row, "wingspan feathers", {1}));
+    specs.push_back(Spec("birds", row, "eating stonewort", {3}));
+  }
+  ASSERT_TRUE(engine_->AnnotateBatch(specs).ok());
+  SqlSession session(engine_.get());
+  ASSERT_TRUE(session.Execute("SET PARALLELISM = 2").ok());
+  const std::string sql =
+      "EXPLAIN ANALYZE SELECT b.id, b.name, b.weight FROM birds b WHERE b.weight > 10";
+  // Sums `field` over the plan's Project lines; -1 if no line has it.
+  auto sum_over_projects = [](const std::string& plan, const std::string& field) {
+    int64_t sum = -1;
+    for (size_t at = plan.find("-> Project("); at != std::string::npos;
+         at = plan.find("-> Project(", at + 1)) {
+      const std::string line = plan.substr(at, plan.find('\n', at) - at);
+      const size_t pos = line.find(" " + field + "=");
+      if (pos == std::string::npos) continue;
+      sum = std::max<int64_t>(sum, 0) + std::stoll(line.substr(pos + field.size() + 2));
+    }
+    return sum;
+  };
+  auto gather_line = [](const std::string& plan) {
+    const size_t at = plan.find("-> Gather(2)");
+    return at == std::string::npos ? std::string()
+                                   : plan.substr(at, plan.find('\n', at) - at);
+  };
+  const int64_t passing = kRows / 50 * 39;  // weight 11..49
+  auto cold = session.Execute(sql);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(sum_over_projects(cold->message, "memo_fills"), passing) << cold->message;
+  EXPECT_EQ(sum_over_projects(cold->message, "memo_hits"), 0) << cold->message;
+  EXPECT_NE(gather_line(cold->message).find(" settled="), std::string::npos) << cold->message;
+
+  auto warm = session.Execute(sql);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(sum_over_projects(warm->message, "memo_hits"), passing) << warm->message;
+  EXPECT_EQ(sum_over_projects(warm->message, "memo_fills"), 0) << warm->message;
+  const std::string gather = gather_line(warm->message);
+  ASSERT_FALSE(gather.empty()) << warm->message;
+  EXPECT_EQ(gather.find(" settled="), std::string::npos) << gather;
+  EXPECT_GT(engine_->TrimMemoBytes(), 0u);
 }
 
 // Cost-based optimizer: FROM-order joins and index-backed access paths.

@@ -27,12 +27,20 @@ void OrShifted(uint64_t* into, const uint64_t* from, size_t words, size_t shift)
   }
 }
 
-SummaryObject* FindIn(const std::vector<std::unique_ptr<SummaryObject>>& list,
-                      std::string_view name) {
-  for (const auto& s : list) {
-    if (s->instance_name() == name) return s.get();
-  }
-  return nullptr;
+template <typename List>
+auto FindIn(List& list, std::string_view name) {
+  return std::find_if(list.begin(), list.end(),
+                      [&](const auto& s) { return s->instance_name() == name; });
+}
+
+// Replaces `*object` with its copy restricted by `dropped` if that
+// removes anything; an object the trim leaves whole stays shared.
+Status Restrict(std::shared_ptr<const SummaryObject>* object,
+                std::span<const ann::AnnotationId> dropped) {
+  std::unique_ptr<SummaryObject> restricted = (*object)->Clone();
+  INSIGHTNOTES_RETURN_IF_ERROR(restricted->Restrict(dropped));
+  if (restricted->NumAnnotations() != (*object)->NumAnnotations()) *object = std::move(restricted);
+  return Status::OK();
 }
 
 }  // namespace
@@ -245,22 +253,6 @@ AttachmentListPtr AttachmentList::Project(const AttachmentListPtr& list,
   return Finish(std::move(out), n);
 }
 
-Status MergeSummaryLists(std::vector<std::unique_ptr<SummaryObject>>* into,
-                         const std::vector<std::unique_ptr<SummaryObject>>& incoming) {
-  for (const auto& summary : incoming) {
-    SummaryObject* counterpart = FindIn(*into, summary->instance_name());
-    if (counterpart != nullptr) {
-      // Counterpart objects combine (ClassBird2 / SimCluster in Figure 2).
-      INSIGHTNOTES_RETURN_IF_ERROR(counterpart->MergeWith(*summary));
-    } else {
-      // Objects with no counterpart propagate unchanged (ClassBird1,
-      // TextSummary1 in Figure 2).
-      into->push_back(summary->Clone());
-    }
-  }
-  return Status::OK();
-}
-
 std::shared_ptr<const TrimMemo::Entry> TrimMemo::Find(const ColumnMap& map) const {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& entry : entries_) {
@@ -287,16 +279,11 @@ bool TrimMemo::Admits(size_t dropped) const {
 }
 
 void TrimMemo::Publish(std::shared_ptr<const TrimKey> key, size_t dropped,
-                       AttachmentListPtr attachments,
-                       const std::vector<std::unique_ptr<SummaryObject>>& summaries) {
+                       AttachmentListPtr attachments, const SummaryList& summaries) {
   if (!Admits(dropped)) return;
   const TrimKey& published = *key;
-  auto entry = std::make_shared<Entry>();
-  entry->key = std::move(key);
-  entry->dropped = dropped;
-  entry->attachments = std::move(attachments);
-  entry->summaries.reserve(summaries.size());
-  for (const auto& s : summaries) entry->summaries.emplace_back(s->Clone());
+  auto entry = std::make_shared<Entry>(
+      Entry{std::move(key), dropped, std::move(attachments), summaries});
   std::shared_ptr<const Entry> replaced = std::move(entry);  // Freed after the unlock.
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -310,7 +297,7 @@ void TrimMemo::Publish(std::shared_ptr<const TrimKey> key, size_t dropped,
   published.fills.fetch_add(1, std::memory_order_relaxed);
 }
 
-size_t TrimMemo::ApproxBytes() const {
+size_t TrimMemo::ApproxBytes(const SummaryList& row) const {
   std::array<std::shared_ptr<const Entry>, kEntries> entries;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -321,15 +308,16 @@ size_t TrimMemo::ApproxBytes() const {
     if (entry == nullptr) continue;
     bytes += sizeof(Entry);
     if (entry->attachments != nullptr) bytes += entry->attachments->ApproxBytes();
-    for (const auto& s : entry->summaries) bytes += s->PayloadBytes();
+    for (const auto& s : entry->summaries) {
+      if (std::find(row.begin(), row.end(), s) == row.end()) bytes += s->PayloadBytes();
+    }
   }
   return bytes;
 }
 
 AnnotatedTuple AnnotatedTuple::Clone() const {
   AnnotatedTuple copy(tuple);
-  copy.summaries.reserve(summaries.size());
-  for (const auto& s : summaries) copy.summaries.push_back(s->Clone());
+  copy.summaries = summaries;
   copy.attachments = attachments;
   copy.trimmed = trimmed;
   return copy;
@@ -338,7 +326,7 @@ AnnotatedTuple AnnotatedTuple::Clone() const {
 Status AnnotatedTuple::Settle() {
   memo = nullptr;
   if (trimmed.empty()) return Status::OK();
-  for (auto& s : summaries) INSIGHTNOTES_RETURN_IF_ERROR(s->Restrict(trimmed));
+  for (auto& s : summaries) INSIGHTNOTES_RETURN_IF_ERROR(Restrict(&s, trimmed));
   if (fill != nullptr) {
     fill->memo->Publish(std::move(fill->key), trimmed.size(), std::move(fill->attachments),
                         summaries);
@@ -348,12 +336,11 @@ Status AnnotatedTuple::Settle() {
   return Status::OK();
 }
 
-Result<SummaryObject*> AnnotatedTuple::SettleSummary(std::string_view name) {
-  SummaryObject* object = FindSummary(name);
-  if (object != nullptr && !trimmed.empty()) {
-    INSIGHTNOTES_RETURN_IF_ERROR(object->Restrict(trimmed));
-  }
-  return object;
+Result<const SummaryObject*> AnnotatedTuple::SettleSummary(std::string_view name) {
+  auto object = FindIn(summaries, name);
+  if (object == summaries.end()) return nullptr;
+  if (!trimmed.empty()) INSIGHTNOTES_RETURN_IF_ERROR(Restrict(&*object, trimmed));
+  return object->get();
 }
 
 Status CheckSettled(const AnnotatedTuple& tuple) {
@@ -363,11 +350,9 @@ Status CheckSettled(const AnnotatedTuple& tuple) {
                           " unsettled trimmed annotation(s)");
 }
 
-SummaryObject* AnnotatedTuple::FindSummary(std::string_view name) const {
-  for (const auto& s : summaries) {
-    if (s->instance_name() == name) return s.get();
-  }
-  return nullptr;
+const SummaryObject* AnnotatedTuple::FindSummary(std::string_view name) const {
+  auto object = FindIn(summaries, name);
+  return object == summaries.end() ? nullptr : object->get();
 }
 
 Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right) {
@@ -375,7 +360,17 @@ Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right) {
   INSIGHTNOTES_RETURN_IF_ERROR(left->Settle());
   size_t left_width = left->tuple.NumValues();
   left->tuple = rel::Tuple::Concat(left->tuple, right.tuple);
-  INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&left->summaries, right.summaries));
+  for (const auto& summary : right.summaries) {
+    auto counterpart = FindIn(left->summaries, summary->instance_name());
+    if (counterpart == left->summaries.end()) {
+      left->summaries.push_back(summary);  // Unchanged (ClassBird1 in Figure 2).
+      continue;
+    }
+    // Counterpart objects combine (ClassBird2 / SimCluster in Figure 2).
+    std::unique_ptr<SummaryObject> merged = (*counterpart)->Clone();
+    INSIGHTNOTES_RETURN_IF_ERROR(merged->MergeWith(*summary));
+    *counterpart = std::move(merged);
+  }
   left->attachments = AttachmentList::Union(left->attachments, right.attachments, left_width);
   return Status::OK();
 }

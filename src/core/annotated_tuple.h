@@ -6,11 +6,11 @@
 // annotations shared by both inputs, all without touching the raw
 // annotation repository (Section 2.1).
 //
-// The metadata is one immutable AttachmentList (ids ascending, coverage a
-// column bitmask per id), built once per row at publish and shared by
-// pointer: a scan, a filter, a join's clone or a dropped tuple costs a
-// refcount. A non-identity projection, a merge (join or group fold) and
-// grouping each build a new list.
+// Both halves are shared by pointer from the row's publish on: the
+// summaries as one SummaryList, the metadata as one immutable
+// AttachmentList (ids ascending, coverage a column bitmask per id). A scan,
+// a filter, a join's clone or a dropped tuple costs refcounts; a trim, a
+// merge or grouping puts new objects and a new list in place of the old.
 //
 // Deferred trim (Theorem 1): a projection drops trimmed attachments at
 // once but only records their ids in `trimmed`; Settle() restricts the
@@ -143,7 +143,7 @@ class TrimMemo {
     std::shared_ptr<const TrimKey> key;  // Of the projection that published it.
     size_t dropped = 0;                  // Annotations the trim removed.
     AttachmentListPtr attachments;
-    std::vector<std::unique_ptr<const SummaryObject>> summaries;
+    SummaryList summaries;
   };
 
   /// The entry holding the trim under `map`, or null.
@@ -152,17 +152,15 @@ class TrimMemo {
   /// True if a trim that drops `dropped` annotations would be published.
   bool Admits(size_t dropped) const;
 
-  /// Publishes `attachments` and clones of `summaries` (sharing their
-  /// copy-on-write payloads), the trim under `key->map` that dropped
-  /// `dropped` annotations, if Admits(dropped) and no entry holds that
-  /// map; counts it in `key->fills`.
+  /// Publishes `attachments` and `summaries` (by pointer), the trim under
+  /// `key->map` that dropped `dropped` annotations, if Admits(dropped) and
+  /// no entry holds that map; counts it in `key->fills`.
   void Publish(std::shared_ptr<const TrimKey> key, size_t dropped,
-               AttachmentListPtr attachments,
-               const std::vector<std::unique_ptr<SummaryObject>>& summaries);
+               AttachmentListPtr attachments, const SummaryList& summaries);
 
-  /// Bytes of the entries, each summary payload counted whole (an upper
-  /// bound: a restriction that dropped nothing shares it).
-  size_t ApproxBytes() const;
+  /// Bytes of the entries; objects shared with the row state's own `row`
+  /// cost nothing, every other object its whole payload.
+  size_t ApproxBytes(const SummaryList& row) const;
 
  private:
   static constexpr size_t kEntries = 2;
@@ -183,8 +181,8 @@ struct TrimFill {
   AttachmentListPtr attachments;  // The projection's output list.
 };
 
-/// Move-only; use Clone() for explicit copies (summary objects are owned
-/// polymorphic state; the attachment list is shared).
+/// Move-only; Clone() copies explicitly. A copy shares the summary objects
+/// and the attachment list by pointer.
 class AnnotatedTuple {
  public:
   AnnotatedTuple() = default;
@@ -198,22 +196,23 @@ class AnnotatedTuple {
   AnnotatedTuple Clone() const;
 
   /// Summary object produced by instance `name`, or nullptr.
-  SummaryObject* FindSummary(std::string_view name) const;
+  const SummaryObject* FindSummary(std::string_view name) const;
 
-  /// Applies the pending trim: restricts every summary object by
-  /// `trimmed` once, then clears it and publishes a pending `fill`. Clears
+  /// Applies the pending trim: replaces every summary object that
+  /// `trimmed` changes by its restricted copy, then clears `trimmed` and
+  /// publishes a pending `fill`. Clears
   /// `memo`: a settled tuple is no longer scan output (merges, grouping
   /// and every drain settle first). Otherwise a no-op on a settled tuple.
   Status Settle();
 
   /// The object of instance `name` (nullptr if none), restricted by the
-  /// pending trim in place; the other objects stay pending. For summary
-  /// reads of tuples that may still be thrown away. Restricting an object
-  /// twice is a no-op, so a later Settle() stays correct.
-  Result<SummaryObject*> SettleSummary(std::string_view name);
+  /// pending trim as Settle() would; the other objects stay pending. For
+  /// summary reads of tuples that may still be thrown away. Restricting an
+  /// object twice is a no-op, so a later Settle() stays correct.
+  Result<const SummaryObject*> SettleSummary(std::string_view name);
 
   rel::Tuple tuple;
-  std::vector<std::unique_ptr<SummaryObject>> summaries;
+  SummaryList summaries;  // Shared objects; replaced, never mutated.
   AttachmentListPtr attachments;  // Shared; replaced, never mutated.
 
   /// Ids a Theorem-1 projection dropped from `attachments` whose effect
@@ -248,24 +247,16 @@ struct AnnotatedBatch {
 };
 
 /// Join-merge (Figure 2 step 3): appends `right`'s values to `left`,
-/// merges counterpart summary objects (matched by instance) without double
-/// counting shared annotations, unions non-counterpart objects, and unions
-/// attachment lists (AttachmentList::Union) with `right`'s column positions
-/// shifted by `left`'s original width. `left` is settled, then modified in
+/// merges counterpart summary objects (matched by instance) into copies
+/// without double counting shared annotations, shares the others, and
+/// unions attachment lists (AttachmentList::Union) with `right`'s column
+/// positions shifted by `left`'s original width. `left` is settled, then modified in
 /// place; `right` must be settled (Internal otherwise).
 Status MergeAnnotatedTuples(AnnotatedTuple* left, const AnnotatedTuple& right);
 
 /// Internal when `tuple` still carries a pending trim: a merge may only
 /// read settled summaries (Theorem 1).
 Status CheckSettled(const AnnotatedTuple& tuple);
-
-/// The summary half of a merge: counterpart objects (same instance)
-/// combine via MergeWith, objects without a counterpart are cloned in. The
-/// join merge and PartialSummaryState (grouping and distinct) fold
-/// summary lists through this, so partial merging stays byte-identical to
-/// the serial per-tuple fold.
-Status MergeSummaryLists(std::vector<std::unique_ptr<SummaryObject>>* into,
-                         const std::vector<std::unique_ptr<SummaryObject>>& incoming);
 
 /// Coarse byte estimates for the per-query memory budget (see
 /// exec/query_context.h). Summary objects are polymorphic, so each is

@@ -23,34 +23,21 @@ size_t EngineSnapshot::TrimMemoBytes() const {
   size_t bytes = 0;
   for (const auto& shard : shards_) {
     if (shard == nullptr) continue;
-    for (const auto& [key, state] : shard->rows) bytes += state->memo.ApproxBytes();
+    for (const auto& [key, row] : shard->rows) bytes += row->memo.ApproxBytes(row->summaries);
   }
   return bytes;
 }
 
-Result<std::vector<std::unique_ptr<SummaryObject>>> EngineSnapshot::SummariesFor(
-    rel::TableId table, rel::RowId row) const {
+const SummaryList& EngineSnapshot::SummariesFor(rel::TableId table, rel::RowId row) const {
   return SummariesOf(table, FindRow(table, row));
 }
 
-Result<std::vector<std::unique_ptr<SummaryObject>>> EngineSnapshot::SummariesOf(
-    rel::TableId table, const RowState* state) const {
-  std::vector<std::unique_ptr<SummaryObject>> out;
-  if (state != nullptr && state->has_objects) {
-    out.reserve(state->summaries.size());
-    for (const auto& object : state->summaries) out.push_back(object->Clone());
-    return out;
-  }
-  // Never summarized: one empty object per instance linked (at this
-  // epoch) to the table.
-  if (links_ != nullptr) {
-    auto it = links_->find(table);
-    if (it != links_->end()) {
-      out.reserve(it->second.size());
-      for (SummaryInstance* instance : it->second) out.push_back(instance->NewObject());
-    }
-  }
-  return out;
+const SummaryList& EngineSnapshot::SummariesOf(rel::TableId table,
+                                               const RowState* state) const {
+  if (state != nullptr) return state->summaries;
+  static const SummaryList kNone;
+  auto it = empty_objects_->find(table);
+  return it == empty_objects_->end() ? kNone : it->second;
 }
 
 std::shared_ptr<const EngineSnapshot::RowState> EngineSnapshot::ReadRowState(
@@ -76,8 +63,9 @@ std::shared_ptr<const EngineSnapshot::RowState> EngineSnapshot::ReadRowState(
     std::sort(kept.begin(), kept.end(), by_id);
   }
   state->attachments = AttachmentList::Build(kept);
-  if (objects != nullptr) {
-    state->has_objects = true;
+  if (objects == nullptr) {
+    state->summaries = SummariesOf(key.first, nullptr);  // Never summarized.
+  } else {
     state->summaries.reserve(objects->size());
     for (const auto& object : *objects) {
       // Clone() is O(1): the copy shares the object's COW payload; the
@@ -91,8 +79,13 @@ std::shared_ptr<const EngineSnapshot::RowState> EngineSnapshot::ReadRowState(
 
 void EngineSnapshot::CaptureGlobals(const Sources& src) {
   num_annotations_ = src.store->NumAnnotations();
-  links_ = std::make_shared<const std::map<rel::TableId, std::vector<SummaryInstance*>>>(
-      src.manager->AllLinks());
+  std::map<rel::TableId, SummaryList> empty_objects;
+  for (const auto& [table, instances] : src.manager->AllLinks()) {
+    SummaryList& objects = empty_objects[table];
+    for (SummaryInstance* instance : instances) objects.push_back(instance->NewObject());
+  }
+  empty_objects_ =
+      std::make_shared<const std::map<rel::TableId, SummaryList>>(std::move(empty_objects));
   bool any_archived = false;
   std::vector<uint8_t> archived(num_annotations_, 0);
   for (uint64_t id = 0; id < num_annotations_; ++id) {
@@ -149,7 +142,7 @@ std::shared_ptr<const EngineSnapshot> EngineSnapshot::BuildDelta(
   snap->bounds_ = std::move(bounds);
   snap->retired_ = std::move(retire_counter);
   snap->num_annotations_ = src.store->NumAnnotations();
-  snap->links_ = prev.links_;
+  snap->empty_objects_ = prev.empty_objects_;
   snap->shards_ = prev.shards_;  // Structural sharing; dirty shards replaced below.
 
   if (newly_archived.empty()) {

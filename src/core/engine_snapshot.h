@@ -21,9 +21,10 @@
 // rows): row states live in kNumShards hash shards, each an immutable map
 // behind a shared_ptr. A delta publish copies only the shards containing
 // dirty rows; clean shards are shared structurally with the previous epoch.
-// Summary objects are cloned into the snapshot at publish time — their COW
-// internal state makes the clone O(1), and the maintainer's next in-place
-// fold takes a private copy (Own()), leaving the snapshot's version intact.
+// A row's summary objects are cloned from the maintained ones at publish
+// (O(1): the clone shares their COW payload, and the maintainer's next fold
+// takes a private copy via Own()); scans, trim memos and results then share
+// the row state's SummaryList by pointer.
 
 #ifndef INSIGHTNOTES_CORE_ENGINE_SNAPSHOT_H_
 #define INSIGHTNOTES_CORE_ENGINE_SNAPSHOT_H_
@@ -55,15 +56,14 @@ class EngineSnapshot {
   /// by every scanned tuple of the row (null when empty): archived ids
   /// already dropped (an archive dirties every
   /// row the archived id is attached to, so no published list can hold a
-  /// stale one). `has_objects` distinguishes "maintained objects exist
-  /// (maybe empty after an unlink)" from "row never summarized" — the two
-  /// cases produce different summaries (see SummariesFor). `memo` holds
-  /// the row version's Theorem-1 trims: every epoch sharing this state
-  /// shares them, and the write that replaces the state drops them.
+  /// stale one). `summaries` are the row's maintained objects (maybe none
+  /// after an unlink), or the epoch's shared empty objects of the table
+  /// for a row never summarized (see SummariesFor). `memo` holds the row
+  /// version's Theorem-1 trims: every epoch sharing this state shares
+  /// them, and the write that replaces the state drops them.
   struct RowState {
     AttachmentListPtr attachments;
-    bool has_objects = false;
-    std::vector<std::shared_ptr<const SummaryObject>> summaries;
+    SummaryList summaries;
     mutable TrimMemo memo;
   };
 
@@ -102,15 +102,13 @@ class EngineSnapshot {
     return archived_ != nullptr && id < archived_->size() && (*archived_)[id] != 0;
   }
 
-  /// Deep copies of the row's summary objects as of this epoch (scans take
-  /// these into the pipeline). Rows never summarized get empty objects, one
-  /// per instance linked to the table at this epoch, so queries always see
-  /// a uniform summary shape.
-  Result<std::vector<std::unique_ptr<SummaryObject>>> SummariesFor(
-      rel::TableId table, rel::RowId row) const;
+  /// The row's summary objects as of this epoch, shared: a scan copies the
+  /// pointers into the pipeline. Rows never summarized share one empty
+  /// object per instance linked to the table at this epoch, so queries
+  /// always see a uniform summary shape.
+  const SummaryList& SummariesFor(rel::TableId table, rel::RowId row) const;
   /// SummariesFor of a row of `table` whose FindRow gave `state` (nullable).
-  Result<std::vector<std::unique_ptr<SummaryObject>>> SummariesOf(
-      rel::TableId table, const RowState* state) const;
+  const SummaryList& SummariesOf(rel::TableId table, const RowState* state) const;
 
   /// The row's state, or nullptr if the row had no annotations and no
   /// maintained objects at publication.
@@ -159,8 +157,8 @@ class EngineSnapshot {
   std::shared_ptr<const RowState> ReadRowState(const Sources& src,
                                                const RowKey& key) const;
 
-  /// Copies the manager's current links and the store's archived flags into
-  /// this snapshot (full-build path).
+  /// Builds the empty objects of the manager's current links and copies the
+  /// store's archived flags into this snapshot (full-build path).
   void CaptureGlobals(const Sources& src);
 
   uint64_t epoch_ = 0;
@@ -168,9 +166,10 @@ class EngineSnapshot {
   std::array<std::shared_ptr<const Shard>, kNumShards> shards_;
   // Null until something is archived (ids beyond the vector are live).
   std::shared_ptr<const std::vector<uint8_t>> archived_;
-  // Instance links at publication, for the empty-object fallback. Shared
-  // across delta epochs (Link/Unlink republish in full).
-  std::shared_ptr<const std::map<rel::TableId, std::vector<SummaryInstance*>>> links_;
+  // Per table, one empty object per instance linked at publication: the
+  // summaries of rows never summarized. Shared across delta epochs
+  // (Link/Unlink republish in full).
+  std::shared_ptr<const std::map<rel::TableId, SummaryList>> empty_objects_;
   std::unordered_map<rel::TableId, rel::RowId> bounds_;
   std::shared_ptr<std::atomic<uint64_t>> retired_;
 };

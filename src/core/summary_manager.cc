@@ -8,29 +8,53 @@
 
 namespace insightnotes::core {
 
+namespace {
+
+// Folds `incoming` into the accumulator `into`: counterpart objects (same
+// instance) combine via MergeWith (ClassBird2 / SimCluster in Figure 2);
+// objects without one are copied in unchanged (ClassBird1, TextSummary1).
+template <typename List>
+Status MergeInto(std::vector<std::unique_ptr<SummaryObject>>* into, const List& incoming) {
+  for (const auto& summary : incoming) {
+    auto counterpart = std::find_if(into->begin(), into->end(), [&](const auto& s) {
+      return s->instance_name() == summary->instance_name();
+    });
+    if (counterpart != into->end()) {
+      INSIGHTNOTES_RETURN_IF_ERROR((*counterpart)->MergeWith(*summary));
+    } else {
+      into->push_back(summary->Clone());
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status PartialSummaryState::Seed(AnnotatedTuple* first) {
   INSIGHTNOTES_RETURN_IF_ERROR(first->Settle());
-  summaries_ = std::move(first->summaries);
+  INSIGHTNOTES_RETURN_IF_ERROR(MergeInto(&summaries_, first->summaries));
   if (first->attachments != nullptr) runs_.push_back(std::move(first->attachments));
   return Status::OK();
 }
 
 Status PartialSummaryState::Fold(const AnnotatedTuple& dup) {
   INSIGHTNOTES_RETURN_IF_ERROR(CheckSettled(dup));
-  INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&summaries_, dup.summaries));
+  INSIGHTNOTES_RETURN_IF_ERROR(MergeInto(&summaries_, dup.summaries));
   if (dup.attachments != nullptr) runs_.push_back(dup.attachments);
   return Status::OK();
 }
 
 Status PartialSummaryState::Combine(PartialSummaryState&& other) {
-  INSIGHTNOTES_RETURN_IF_ERROR(MergeSummaryLists(&summaries_, other.summaries_));
+  INSIGHTNOTES_RETURN_IF_ERROR(MergeInto(&summaries_, other.summaries_));
   runs_.insert(runs_.end(), std::make_move_iterator(other.runs_.begin()),
                std::make_move_iterator(other.runs_.end()));
   return Status::OK();
 }
 
 void PartialSummaryState::Release(AnnotatedTuple* out) {
-  out->summaries = std::move(summaries_);
+  out->summaries.assign(std::make_move_iterator(summaries_.begin()),
+                        std::make_move_iterator(summaries_.end()));
+  summaries_.clear();
   out->attachments = AttachmentList::UnionAll(runs_);
   runs_.clear();
 }

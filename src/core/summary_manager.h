@@ -57,10 +57,10 @@ class PartialSummaryState {
   PartialSummaryState(const PartialSummaryState&) = delete;
   PartialSummaryState& operator=(const PartialSummaryState&) = delete;
 
-  /// Adopts the first tuple of the entry: settles it, then moves its
-  /// summaries and attachments into the state; `first->tuple` is left
-  /// untouched for the caller. The state therefore never holds a pending
-  /// trim, so Combine merges settled summaries only.
+  /// Adopts the first tuple of the entry: settles it, then takes its
+  /// attachments and copies of its summaries for folds to merge into;
+  /// `first->tuple` is left untouched for the caller. The state therefore
+  /// never holds a pending trim, so Combine merges settled summaries only.
   Status Seed(AnnotatedTuple* first);
 
   /// Folds one further tuple of the entry (a duplicate of the seed under
@@ -71,11 +71,11 @@ class PartialSummaryState {
   /// Folds a whole later state (same key, later morsels) into this one.
   Status Combine(PartialSummaryState&& other);
 
-  /// Moves the merged summaries and attachment list onto `out`.
+  /// Publishes the merged summaries and attachment list onto `out`.
   void Release(AnnotatedTuple* out);
 
  private:
-  std::vector<std::unique_ptr<SummaryObject>> summaries_;
+  std::vector<std::unique_ptr<SummaryObject>> summaries_;  // Owned accumulator.
   std::vector<AttachmentListPtr> runs_;  // Non-null, in fold order.
 };
 

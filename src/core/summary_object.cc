@@ -50,13 +50,6 @@ Status SummaryObject::CheckComponent(size_t index) const {
                             "' has no component " + std::to_string(index));
 }
 
-Result<std::string> SummaryObject::ComponentLabel(size_t index) const {
-  INSIGHTNOTES_RETURN_IF_ERROR(CheckComponent(index));
-  std::string label;
-  AppendComponent(index, &label);
-  return label;
-}
-
 Result<std::vector<ann::AnnotationId>> SummaryObject::ZoomIn(size_t index) const {
   INSIGHTNOTES_RETURN_IF_ERROR(CheckComponent(index));
   std::string label;

@@ -79,12 +79,10 @@ class SummaryObject {
   /// Component `index` (< NumComponents()): appends its label to `label`
   /// and returns the raw annotation ids behind it, ascending, as a view
   /// valid until this object changes. The one formatter of components:
-  /// ComponentLabel, ZoomIn, Render and the zoom-in record encoder
+  /// ZoomIn, Render, SUMMARY_COUNT and the zoom-in record encoder
   /// (zoom_in.h) all read them through it.
   virtual std::span<const ann::AnnotationId> AppendComponent(size_t index,
                                                              std::string* label) const = 0;
-  /// Label of component `index`; OutOfRange past NumComponents().
-  Result<std::string> ComponentLabel(size_t index) const;
   /// Raw annotation ids behind component `index`; OutOfRange past
   /// NumComponents().
   Result<std::vector<ann::AnnotationId>> ZoomIn(size_t index) const;
@@ -104,11 +102,14 @@ class SummaryObject {
   SummaryInstance* instance_;  // Not owned; outlives the object.
 };
 
-// The concrete objects below use copy-on-write state: Clone() (what scans
-// and selections do for every tuple) is O(1); a private copy is taken only
-// when an operator actually mutates the summary (a settled projection
-// trim, a join merge), and Restrict builds that copy from the survivors. This is what keeps summary propagation cheap relative to
-// raw-annotation propagation regardless of the annotation volume.
+/// A tuple's summary objects, immutable and shared by pointer from the
+/// epoch's row state to the result; an operator that changes one (a trim,
+/// a merge) puts its own copy in its place. This is what keeps summary
+/// propagation cheap next to raw-annotation propagation at any volume.
+using SummaryList = std::vector<std::shared_ptr<const SummaryObject>>;
+
+// The concrete objects below use copy-on-write state: Clone() is O(1), and
+// a clone copies the payload only to change it (Restrict from survivors).
 
 /// Classifier-type object: per-label annotation counts + id lists.
 class ClassifierObject final : public SummaryObject {

@@ -108,8 +108,7 @@ Status ScanMorselSource::Materialize(uint64_t morsel, core::AnnotatedBatch* out)
       // this scan sees: the epoch is immutable. One lookup serves the
       // summaries, the attachment list and the row version's trim memo.
       const core::EngineSnapshot::RowState* state = snapshot_->FindRow(table_->id(), rows_[i]);
-      INSIGHTNOTES_ASSIGN_OR_RETURN(tuple.summaries,
-                                    snapshot_->SummariesOf(table_->id(), state));
+      tuple.summaries = snapshot_->SummariesOf(table_->id(), state);
       if (state != nullptr) {
         tuple.attachments = state->attachments;
         tuple.memo = &state->memo;

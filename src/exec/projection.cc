@@ -89,8 +89,7 @@ void ProjectOperator::TrimThroughMemo(core::AnnotatedTuple* in) {
   if (std::shared_ptr<const core::TrimMemo::Entry> hit = memo->Find(key_->map)) {
     ++metrics_.memo_hits;
     in->attachments = hit->attachments;
-    in->summaries.clear();
-    for (const auto& s : hit->summaries) in->summaries.push_back(s->Clone());
+    in->summaries = hit->summaries;
     return;
   }
   in->attachments =

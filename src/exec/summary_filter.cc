@@ -3,17 +3,16 @@
 namespace insightnotes::exec {
 
 Result<int64_t> SummaryCountSpec::Evaluate(core::AnnotatedTuple* tuple) const {
-  INSIGHTNOTES_ASSIGN_OR_RETURN(core::SummaryObject * object,
+  INSIGHTNOTES_ASSIGN_OR_RETURN(const core::SummaryObject* object,
                                 tuple->SettleSummary(instance));
   if (object == nullptr) return 0;
   if (label.empty()) return static_cast<int64_t>(object->NumAnnotations());
   int64_t count = 0;
+  std::string component_label;
   for (size_t c = 0; c < object->NumComponents(); ++c) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(std::string component_label,
-                                  object->ComponentLabel(c));
-    if (component_label != label) continue;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(auto ids, object->ZoomIn(c));
-    count += static_cast<int64_t>(ids.size());
+    component_label.clear();
+    const size_t ids = object->AppendComponent(c, &component_label).size();
+    if (component_label == label) count += static_cast<int64_t>(ids);
   }
   return count;
 }

@@ -152,22 +152,25 @@ TEST_F(SummaryManagerTest, UnlinkDropsObjects) {
 TEST_F(SummaryManagerTest, SummariesForClonesMaintainedState) {
   ASSERT_TRUE(manager_->Link("ClassBird1", 0).ok());
   Annotate(0, 4, "eating stonewort");
-  auto clones = Pinned()->SummariesFor(0, 4);
-  ASSERT_TRUE(clones.ok());
-  ASSERT_EQ(clones->size(), 1u);
-  const std::vector<ann::AnnotationId> dropped = {0};
-  ASSERT_TRUE((*clones)[0]->Restrict(dropped).ok());
-  EXPECT_EQ((*clones)[0]->NumAnnotations(), 0u);
-  // The maintained object is untouched.
-  EXPECT_EQ((*manager_->RowObjects(0, 4))[0]->NumAnnotations(), 1u);
+  const auto pinned = Pinned();
+  const SummaryList& clones = pinned->SummariesFor(0, 4);
+  ASSERT_EQ(clones.size(), 1u);
+  // A later fold into the maintained object leaves the epoch's clone as
+  // published, and every read of the row shares that clone.
+  Annotate(0, 4, "influenza signs");
+  EXPECT_EQ((*manager_->RowObjects(0, 4))[0]->NumAnnotations(), 2u);
+  EXPECT_EQ(clones[0]->NumAnnotations(), 1u);
+  EXPECT_EQ(pinned->SummariesFor(0, 4)[0], clones[0]);
 }
 
 TEST_F(SummaryManagerTest, SummariesForUnannotatedRowGivesEmptyObjects) {
   ASSERT_TRUE(manager_->Link("ClassBird1", 0).ok());
-  auto clones = Pinned()->SummariesFor(0, 77);
-  ASSERT_TRUE(clones.ok());
-  ASSERT_EQ(clones->size(), 1u);
-  EXPECT_EQ((*clones)[0]->NumAnnotations(), 0u);
+  const auto pinned = Pinned();
+  const SummaryList& clones = pinned->SummariesFor(0, 77);
+  ASSERT_EQ(clones.size(), 1u);
+  EXPECT_EQ(clones[0]->NumAnnotations(), 0u);
+  // Every unsummarized row of the table shares the epoch's empty objects.
+  EXPECT_EQ(pinned->SummariesFor(0, 78)[0], clones[0]);
 }
 
 TEST_F(SummaryManagerTest, ArchivedAnnotationsSkipped) {
@@ -177,10 +180,10 @@ TEST_F(SummaryManagerTest, ArchivedAnnotationsSkipped) {
   // Future maintenance skips it; a rebuild removes its effect, leaving the
   // row indistinguishable from a never-annotated one.
   ASSERT_TRUE(manager_->RebuildRow(0, 6).ok());
-  auto summaries = Pinned()->SummariesFor(0, 6);
-  ASSERT_TRUE(summaries.ok());
-  ASSERT_EQ(summaries->size(), 1u);
-  EXPECT_EQ((*summaries)[0]->NumAnnotations(), 0u);
+  const auto pinned = Pinned();
+  const SummaryList& summaries = pinned->SummariesFor(0, 6);
+  ASSERT_EQ(summaries.size(), 1u);
+  EXPECT_EQ(summaries[0]->NumAnnotations(), 0u);
 }
 
 TEST_F(SummaryManagerTest, RebuildMatchesIncremental) {

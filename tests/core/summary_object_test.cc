@@ -109,7 +109,9 @@ TEST_F(ClassifierObjectTest, ZoomInReturnsExactIds) {
   ASSERT_TRUE(disease.ok());
   EXPECT_EQ(*disease, (std::vector<ann::AnnotationId>{8}));
   EXPECT_TRUE(object_->ZoomIn(4).status().IsOutOfRange());
-  EXPECT_EQ(*object_->ComponentLabel(0), "Behavior");
+  std::string label;
+  object_->AppendComponent(0, &label);
+  EXPECT_EQ(label, "Behavior");
 }
 
 TEST_F(ClassifierObjectTest, CloneIsIndependent) {
@@ -198,7 +200,9 @@ TEST_F(SnippetObjectTest, OnlyDocumentsContribute) {
   ASSERT_TRUE(object_->AddAnnotation(doc).ok());
   EXPECT_EQ(object_->NumAnnotations(), 1u);
   EXPECT_EQ(object_->NumComponents(), 1u);
-  EXPECT_EQ(*object_->ComponentLabel(0), "Wikipedia article");
+  std::string label;
+  object_->AppendComponent(0, &label);
+  EXPECT_EQ(label, "Wikipedia article");
 }
 
 TEST_F(SnippetObjectTest, SnippetIsShortAndExtractive) {

@@ -243,12 +243,7 @@ class CrashRecoveryTest : public ::testing::Test {
     if (!pinned.ok()) out << "pin: ERROR " << pinned.status().ToString() << "\n";
     if (table.ok() && pinned.ok()) {
       for (rel::RowId row = 0; row < static_cast<rel::RowId>(kNumRows); ++row) {
-        auto summaries = (*pinned)->SummariesFor((*table)->id(), row);
-        if (!summaries.ok()) {
-          out << "row " << row << ": ERROR " << summaries.status().ToString() << "\n";
-          continue;
-        }
-        for (const auto& object : *summaries) {
+        for (const auto& object : (*pinned)->SummariesFor((*table)->id(), row)) {
           out << "row " << row << ": " << object->Render() << "\n";
         }
       }

@@ -5,7 +5,9 @@
 // two statements must show the new note in the second one: the write makes
 // a new row version, whose memo starts empty. The statements' maps drop
 // different annotation counts, so their trims also replace each other's
-// entries while they race. Run under TSAN and ASan+UBSan in CI.
+// entries while they race. Summary objects are shared by pointer from the
+// row state through scans, memo entries and results, so no statement may
+// change one in place. Run under TSAN and ASan+UBSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -34,12 +36,18 @@ constexpr int64_t kRows = 48;
 constexpr int64_t kFamilies = 6;
 
 // The shapes whose projections trim scan output: a plain trim, a grouping
-// and a self-join (build side and probe side both trimmed).
+// and a self-join (build side and probe side both trimmed), a carry, and a
+// top-k whose SUMMARY_COUNT predicate restricts one object of each trimmed
+// row (AnnotatedTuple::SettleSummary).
 const char* const kStatements[] = {
     "SELECT b.id, b.name, b.weight FROM birds b WHERE b.weight > 10",
     "SELECT b.family, COUNT(*) FROM birds b WHERE b.weight > 5 GROUP BY b.family",
     "SELECT b.id, c.id, c.name FROM birds b, birds c WHERE b.family = c.family AND b.id < 8",
+    "SELECT * FROM birds b WHERE b.weight > 10",
+    "SELECT b.id, b.name, b.weight FROM birds b WHERE SUMMARY_COUNT(ClassBird1) > 3 "
+    "ORDER BY b.weight DESC LIMIT 5",
 };
+const char* const kDistinct = "SELECT DISTINCT b.family FROM birds b WHERE b.weight > 5";
 
 const char* const kBodies[] = {
     "found eating stonewort near the shore",
@@ -100,6 +108,22 @@ class TrimMemoTest : public testutil::EngineFixture {
     return engine_->Execute(std::move(plan), std::move(exec_options));
   }
 
+  rel::TableId Birds() const { return (*engine_->catalog()->GetTable("birds"))->id(); }
+
+  /// The rendered summaries of every row state of `epoch`, and of the
+  /// table's shared empty objects.
+  std::string RenderRowStates(const core::EngineSnapshot& epoch) const {
+    std::ostringstream os;
+    for (rel::RowId row = 0; row <= static_cast<rel::RowId>(kRows); ++row) {
+      os << row << ":";
+      for (const auto& summary : epoch.SummariesFor(Birds(), row)) {
+        os << " " << summary->instance_name() << "=" << summary->Render();
+      }
+      os << "\n";
+    }
+    return os.str();
+  }
+
   /// Values, attachment entries and rendered summaries of every row.
   static std::vector<std::string> Render(const core::QueryResult& result) {
     std::vector<std::string> rows;
@@ -132,7 +156,7 @@ TEST(TrimMemoPolicyTest, ReplacesTheSmallestTrimOnlyByDroppingMore) {
   const auto b = key({{2}});
   const auto c = key({{3}});
   const auto d = key({{0}});
-  const std::vector<std::unique_ptr<core::SummaryObject>> none;
+  const core::SummaryList none;
   core::TrimMemo memo;
   memo.Publish(a, 2, nullptr, none);
   memo.Publish(a, 5, nullptr, none);  // Held already.
@@ -220,6 +244,118 @@ TEST_F(TrimMemoTest, ConcurrentTrimmingStatementsRaceRowWrites) {
     ASSERT_TRUE(alone.ok()) << alone.status().ToString();
     EXPECT_EQ(r.rows, Render(*alone));
   }
+}
+
+// A scan copies the row state's pointers, and a memo hit the entry's: no
+// statement clones a summary object it does not change.
+TEST_F(TrimMemoTest, ScanAndMemoHitShareTheRowVersionsObjects) {
+  auto epoch = engine_->PinSnapshot();
+  ASSERT_TRUE(epoch.ok());
+  auto carried = RunOn(kStatements[3], 2, *epoch);
+  ASSERT_TRUE(carried.ok()) << carried.status().ToString();
+  ASSERT_FALSE(carried->rows.empty());
+  for (const core::AnnotatedTuple& row : carried->rows) {
+    const auto id = static_cast<rel::RowId>(row.tuple.ValueAt(0).AsInt64());
+    const core::EngineSnapshot::RowState* state = (*epoch)->FindRow(Birds(), id);
+    ASSERT_NE(state, nullptr);
+    EXPECT_EQ(row.summaries, state->summaries) << id;
+  }
+
+  const core::ColumnMap trim = core::ColumnMap::Of(4, {{0}, {1}, {2}});
+  for (size_t parallelism : {1, 2}) {
+    SCOPED_TRACE(parallelism);
+    ASSERT_TRUE(RunOn(kStatements[0], parallelism, *epoch).ok());  // Fills.
+    auto hit = RunOn(kStatements[0], parallelism, *epoch);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    ASSERT_EQ(hit->rows.size(), carried->rows.size());
+    for (const core::AnnotatedTuple& row : hit->rows) {
+      const auto id = static_cast<rel::RowId>(row.tuple.ValueAt(0).AsInt64());
+      auto entry = (*epoch)->FindRow(Birds(), id)->memo.Find(trim);
+      ASSERT_NE(entry, nullptr) << id;
+      EXPECT_EQ(row.summaries, entry->summaries) << id;
+    }
+  }
+}
+
+// Every shape, cold and warm at one and two workers, leaves the objects of
+// the epoch it read as published: merges and trims change copies only.
+TEST_F(TrimMemoTest, StatementsLeaveTheRowVersionsObjectsUnchanged) {
+  auto epoch = engine_->PinSnapshot();
+  ASSERT_TRUE(epoch.ok());
+  const std::string before = RenderRowStates(**epoch);
+  std::vector<std::string> statements(std::begin(kStatements), std::end(kStatements));
+  statements.push_back(kDistinct);
+  for (size_t parallelism : {1, 2}) {
+    for (const std::string& sql : statements) {
+      for (int run = 0; run < 2; ++run) {
+        auto result = RunOn(sql, parallelism, *epoch);
+        ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+      }
+    }
+  }
+  EXPECT_EQ(RenderRowStates(**epoch), before);
+}
+
+// A trimming projection that drops no annotation only remaps the list: its
+// memo entry shares every object with the row state and costs no payload.
+TEST_F(TrimMemoTest, TrimDroppingNothingMemoizesNoSummaryPayload) {
+  constexpr rel::RowId kPlainRows = 8;
+  ASSERT_TRUE(engine_
+                  ->CreateTable("plain",
+                                rel::Schema({{"id", rel::ValueType::kInt64, "plain"},
+                                             {"name", rel::ValueType::kString, "plain"},
+                                             {"weight", rel::ValueType::kInt64, "plain"},
+                                             {"family", rel::ValueType::kString, "plain"}}))
+                  .ok());
+  for (int64_t i = 0; i < static_cast<int64_t>(kPlainRows); ++i) {
+    ASSERT_TRUE(
+        engine_->Insert("plain", rel::Tuple({I(i), S("p"), I(i), S("fam")})).ok());
+  }
+  for (const char* instance : {"ClassBird1", "SimCluster", "TextSummary1"}) {
+    ASSERT_TRUE(engine_->LinkInstance(instance, "plain").ok());
+  }
+  // No note covers `family` alone, so dropping it trims nothing.
+  const std::vector<std::vector<size_t>> covers = {{0}, {1, 3}, {2}, {}};
+  for (rel::RowId row = 0; row < kPlainRows; ++row) {
+    for (size_t k = 0; k < covers.size(); ++k) {
+      ASSERT_TRUE(engine_->Annotate(Spec("plain", row, kBodies[k], covers[k])).ok());
+    }
+  }
+  auto epoch = engine_->PinSnapshot();
+  ASSERT_TRUE(epoch.ok());
+  auto result = RunOn("SELECT p.id, p.name, p.weight FROM plain p", 2, *epoch);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const rel::TableId plain = (*engine_->catalog()->GetTable("plain"))->id();
+  const core::ColumnMap map = core::ColumnMap::Of(4, {{0}, {1}, {2}});
+  size_t total = 0;
+  for (rel::RowId row = 0; row < kPlainRows; ++row) {
+    const core::EngineSnapshot::RowState* state = (*epoch)->FindRow(plain, row);
+    ASSERT_NE(state, nullptr);
+    auto entry = state->memo.Find(map);
+    ASSERT_NE(entry, nullptr) << row;
+    EXPECT_EQ(entry->dropped, 0u);
+    EXPECT_EQ(entry->summaries, state->summaries) << row;
+    ASSERT_NE(entry->attachments, nullptr);
+    const size_t bytes = state->memo.ApproxBytes(state->summaries);
+    EXPECT_EQ(bytes, sizeof(core::TrimMemo::Entry) + entry->attachments->ApproxBytes()) << row;
+    total += bytes;
+  }
+  EXPECT_EQ(engine_->TrimMemoBytes(), total);
+
+  // A trim that drops annotations holds restricted copies, which count.
+  ASSERT_TRUE(RunOn(kStatements[0], 2, *epoch).ok());
+  size_t trimmed_rows = 0;
+  for (rel::RowId row = 0; row < static_cast<rel::RowId>(kRows); ++row) {
+    const core::EngineSnapshot::RowState* state = (*epoch)->FindRow(Birds(), row);
+    auto entry = state->memo.Find(core::ColumnMap::Of(4, {{0}, {1}, {2}}));
+    if (entry == nullptr) continue;
+    ++trimmed_rows;
+    EXPECT_NE(entry->summaries, state->summaries) << row;
+    EXPECT_GT(state->memo.ApproxBytes(state->summaries),
+              sizeof(core::TrimMemo::Entry) + entry->attachments->ApproxBytes())
+        << row;
+  }
+  EXPECT_GT(trimmed_rows, 0u);
 }
 
 TEST_F(TrimMemoTest, WriteBetweenStatementsShowsTheNewNote) {

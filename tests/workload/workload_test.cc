@@ -118,10 +118,9 @@ TEST_F(WorkloadBuilderTest, SummariesMaintainedDuringBuild) {
   ASSERT_TRUE(pinned.ok());
   uint64_t total = 0;
   for (rel::RowId row = 0; row < 10; ++row) {
-    auto summaries = (*pinned)->SummariesFor((*table)->id(), row);
-    ASSERT_TRUE(summaries.ok());
-    ASSERT_EQ(summaries->size(), 4u);
-    total += (*summaries)[0]->NumAnnotations();
+    const core::SummaryList& summaries = (*pinned)->SummariesFor((*table)->id(), row);
+    ASSERT_EQ(summaries.size(), 4u);
+    total += summaries[0]->NumAnnotations();
   }
   EXPECT_GE(total, stats->num_annotations);  // Shared attachments add more.
 }
